@@ -1,7 +1,11 @@
-// Supporting kernel microbenchmarks (google-benchmark): GEMM, dequantising
-// GEMM, softmax, RMSNorm, 1-D k-means, BM25 — the primitives whose costs set
-// the compute side of the overlap window.
+// Supporting kernel microbenchmarks (google-benchmark): the GEMM of every
+// precision tier (fp32 and the fused fp16 / int8 / w4 dequantising GEMMs) at
+// the 0.6B proxy's layer shapes, softmax, RMSNorm, 1-D k-means, BM25 — the
+// primitives whose costs set the compute side of the overlap window.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/cluster.h"
@@ -21,37 +25,72 @@ Tensor RandomTensor(size_t rows, size_t cols, uint64_t seed, MemoryTracker* trac
   return t;
 }
 
-void BM_MatMulTransB(benchmark::State& state) {
-  MemoryTracker tracker;
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t d = 96;
-  const Tensor a = RandomTensor(m, d, 1, &tracker);
-  const Tensor w = RandomTensor(d, d, 2, &tracker);
-  Tensor c(m, d, MemCategory::kScratch, &tracker);
-  for (auto _ : state) {
-    MatMulTransB(a, w, &c);
-    benchmark::DoNotOptimize(c.data());
+constexpr size_t kGroup = 32;  // The 0.6B proxy's quant group.
+
+// The 0.6B proxy's projection shapes {m, out, in}: q/k/v/o 96×96, gate/up
+// 288×96 and down 96×288, at 64 and 384 input rows (one and six 64-token
+// candidates).
+void LayerShapes(benchmark::internal::Benchmark* bench) {
+  for (const int64_t m : {64, 384}) {
+    bench->Args({m, 96, 96})->Args({m, 288, 96})->Args({m, 96, 288});
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * m * d * d));
 }
-BENCHMARK(BM_MatMulTransB)->Arg(64)->Arg(256)->Arg(1024);
+
+// Times `gemm(a, m, out, in, encoded, c)`, one tier's C = A · Wᵀ over a
+// random [out, in] weight encoded at `precision`. Items are 2·m·out·in flops.
+template <typename Gemm>
+void RunGemm(benchmark::State& state, Precision precision, const Gemm& gemm) {
+  const auto m = static_cast<size_t>(state.range(0));
+  const auto out = static_cast<size_t>(state.range(1));
+  const auto in = static_cast<size_t>(state.range(2));
+  MemoryTracker tracker;
+  const Tensor a = RandomTensor(m, in, 1, &tracker);
+  const Tensor w = RandomTensor(out, in, 2, &tracker);
+  std::vector<uint8_t> encoded(MatrixSpanBytes(precision, out, in, kGroup));
+  EncodeMatrix(precision, w.data(), out, in, kGroup, encoded.data());
+  std::vector<float> c(m * out);
+  for (auto _ : state) {
+    gemm(a.data(), m, out, in, encoded.data(), c.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * m * out * in));
+}
+
+void BM_MatMulTransB(benchmark::State& state) {
+  RunGemm(state, Precision::kFp32,
+          [](const float* a, size_t m, size_t out, size_t in, const uint8_t* w, float* c) {
+            MatMulTransBRaw(a, m, in, reinterpret_cast<const float*>(w), out, c);
+          });
+}
+BENCHMARK(BM_MatMulTransB)->Apply(LayerShapes);
+
+void BM_Fp16MatMulTransB(benchmark::State& state) {
+  RunGemm(state, Precision::kFp16,
+          [](const float* a, size_t m, size_t out, size_t in, const uint8_t* w, float* c) {
+            Fp16MatrixView{reinterpret_cast<const uint16_t*>(w), out, in}.MatMulTransB(a, m, c);
+          });
+}
+BENCHMARK(BM_Fp16MatMulTransB)->Apply(LayerShapes);
+
+void BM_Int8MatMulTransB(benchmark::State& state) {
+  RunGemm(state, Precision::kInt8,
+          [](const float* a, size_t m, size_t out, size_t in, const uint8_t* w, float* c) {
+            Int8MatrixView{reinterpret_cast<const int8_t*>(w),
+                           reinterpret_cast<const float*>(w + out * in), out, in, kGroup}
+                .MatMulTransB(a, m, c);
+          });
+}
+BENCHMARK(BM_Int8MatMulTransB)->Apply(LayerShapes);
 
 void BM_QuantMatMulTransB(benchmark::State& state) {
-  MemoryTracker tracker;
-  const size_t m = static_cast<size_t>(state.range(0));
-  const size_t d = 96;
-  const Tensor a = RandomTensor(m, d, 3, &tracker);
-  const Tensor w = RandomTensor(d, d, 4, &tracker);
-  const QuantizedMatrix qw =
-      QuantizedMatrix::Quantize(w.data(), d, d, 32, MemCategory::kScratch, &tracker);
-  std::vector<float> c(m * d);
-  for (auto _ : state) {
-    qw.MatMulTransB(a.data(), m, c.data());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(2 * m * d * d));
+  RunGemm(state, Precision::kW4,
+          [](const float* a, size_t m, size_t out, size_t in, const uint8_t* w, float* c) {
+            QuantMatrixView{w, reinterpret_cast<const float*>(w + out * in / 2), out, in, kGroup}
+                .MatMulTransB(a, m, c);
+          });
 }
-BENCHMARK(BM_QuantMatMulTransB)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_QuantMatMulTransB)->Apply(LayerShapes);
 
 void BM_SoftmaxRow(benchmark::State& state) {
   std::vector<float> row(static_cast<size_t>(state.range(0)));

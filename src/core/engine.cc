@@ -310,15 +310,26 @@ RerankResult PrismEngine::Rerank(const RerankRequest& request) {
 
 std::vector<RerankResult> PrismEngine::RerankBatch(
     std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-  if (requests.empty()) {
-    return {};
+  // A malformed request fails alone, before any engine work; its batchmates
+  // run as if it had never been submitted.
+  std::vector<RerankResult> results(requests.size());
+  std::vector<size_t> valid;
+  valid.reserve(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    results[i].status = ValidateRequest(config_, *requests[i]);
+    if (results[i].status.ok()) {
+      valid.push_back(i);
+    }
+  }
+  if (valid.empty()) {
+    return results;
   }
   // Contexts live on the heap so their addresses stay stable for the stages.
   std::vector<std::unique_ptr<RequestContext>> contexts;
-  contexts.reserve(requests.size());
-  for (const RerankRequest* request : requests) {
+  contexts.reserve(valid.size());
+  for (const size_t i : valid) {
     auto ctx = std::make_unique<RequestContext>(
-        *request, next_request_id_.fetch_add(1, std::memory_order_relaxed));
+        *requests[i], next_request_id_.fetch_add(1, std::memory_order_relaxed));
     ctx->pruner_options.dispersion_threshold = dispersion_threshold();
     ctx->pruner_options.prune_winners = options_.prune_winners;
     ctx->pruner_options.kmeans_max_k = options_.kmeans_max_k;
@@ -345,11 +356,9 @@ std::vector<RerankResult> PrismEngine::RerankBatch(
   }
   layer_loop_->Run(batch, compute_pool);
 
-  std::vector<RerankResult> results;
-  results.reserve(contexts.size());
-  for (auto& ctx : contexts) {
-    prune_stage_->Finalize(ctx.get());
-    results.push_back(std::move(ctx->result));
+  for (size_t v = 0; v < valid.size(); ++v) {
+    prune_stage_->Finalize(contexts[v].get());
+    results[valid[v]] = std::move(contexts[v]->result);
   }
 
   // Publish the last context's trace — full per-layer records in trace

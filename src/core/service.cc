@@ -280,7 +280,12 @@ RerankResult RerankService::Rerank(const RerankRequest& request) {
   // Client-observed latency on the service's clock: wall time by default,
   // virtual time under simulation — either way queueing is included.
   const double start_ms = clock_->NowMs();
-  RerankResult result = scheduler_->Submit(request);
+  // A malformed request fails alone, before any scheduler or engine sees it.
+  RerankResult result;
+  result.status = ValidateRequest(config_, request);
+  if (result.status.ok()) {
+    result = scheduler_->Submit(request);
+  }
   const double observed_ms = clock_->NowMs() - start_ms;
   if (striped_stats_ != nullptr) {
     striped_stats_->Observe(request, result, observed_ms);

@@ -110,16 +110,14 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
     for (size_t h = 0; h < heads; ++h) {
       const size_t col0 = h * dh;
       // scores[i][j] = q_i · k_j / sqrt(dh), within this candidate and head.
+      // The scale applies after the dot product, as part of the fp32 spec.
+      const size_t head0 = base * d + col0;
+      MatMulTransBStrided(scratch->q.data() + head0, d, seq_len, dh, scratch->k.data() + head0, d,
+                          seq_len, scratch->scores.data(), seq_len);
       for (size_t i = 0; i < seq_len; ++i) {
-        const float* qi = scratch->q.data() + (base + i) * d + col0;
         float* srow = scratch->scores.data() + i * seq_len;
         for (size_t j = 0; j < seq_len; ++j) {
-          const float* kj = scratch->k.data() + (base + j) * d + col0;
-          float acc = 0.0f;
-          for (size_t x = 0; x < dh; ++x) {
-            acc += qi[x] * kj[x];
-          }
-          srow[j] = acc * inv_sqrt_dh;
+          srow[j] *= inv_sqrt_dh;
         }
         SoftmaxRowInPlace({srow, seq_len}, causal ? static_cast<ptrdiff_t>(i) : -1);
       }

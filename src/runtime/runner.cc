@@ -1,0 +1,42 @@
+#include "src/runtime/runner.h"
+
+#include <string>
+
+namespace prism {
+
+namespace {
+
+// kInvalidArgument for the first token id outside the vocabulary, if any.
+Status CheckVocab(const std::vector<uint32_t>& tokens, size_t vocab_size, const char* what) {
+  for (const uint32_t token : tokens) {
+    if (token >= vocab_size) {
+      return Status::InvalidArgument(std::string(what) + " token id " + std::to_string(token) +
+                                     " is not below the vocab size " +
+                                     std::to_string(vocab_size));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status ValidateRequest(const ModelConfig& config, const RerankRequest& request) {
+  if (request.k == 0) {
+    return Status::InvalidArgument("k must be at least 1");
+  }
+  if (request.planted_r.size() != request.docs.size()) {
+    return Status::InvalidArgument(std::to_string(request.planted_r.size()) +
+                                   " planted_r values for " +
+                                   std::to_string(request.docs.size()) + " docs");
+  }
+  PRISM_RETURN_IF_ERROR(CheckVocab(request.query, config.vocab_size, "query"));
+  for (size_t i = 0; i < request.docs.size(); ++i) {
+    if (request.docs[i].empty()) {
+      return Status::InvalidArgument("doc " + std::to_string(i) + " is empty");
+    }
+    PRISM_RETURN_IF_ERROR(CheckVocab(request.docs[i], config.vocab_size, "doc"));
+  }
+  return Status::Ok();
+}
+
+}  // namespace prism

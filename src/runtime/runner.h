@@ -52,6 +52,13 @@ struct RerankRequest {
   static RerankRequest FromQuery(const RerankQuery& q, size_t k);
 };
 
+// Checks `request` against the model before any engine work: k > 0, one
+// planted_r per doc, no empty doc, and every query and doc token id below
+// config.vocab_size. Returns kInvalidArgument naming the first violation.
+// RerankService and PrismEngine answer a malformed request with this status
+// instead of aborting the process.
+Status ValidateRequest(const ModelConfig& config, const RerankRequest& request);
+
 struct RerankStats {
   double latency_ms = 0.0;
   double embed_ms = 0.0;

@@ -4,13 +4,9 @@
 #include <cmath>
 #include <limits>
 
-namespace prism {
+#include "src/tensor/gemm.h"
 
-namespace {
-// Blocked kernel tile sizes, sized for L1-resident accumulation on one core.
-constexpr size_t kTileM = 8;
-constexpr size_t kTileN = 64;
-}  // namespace
+namespace prism {
 
 void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
   PRISM_CHECK_EQ(a.cols(), b.rows());
@@ -41,26 +37,12 @@ void MatMul(const Tensor& a, const Tensor& b, Tensor* c) {
 }
 
 void MatMulTransBRaw(const float* a, size_t m, size_t k, const float* b, size_t n, float* c) {
-  // C[i,j] = dot(A row i, B row j); tiled so each A tile is reused across a
-  // strip of B rows.
-  for (size_t i0 = 0; i0 < m; i0 += kTileM) {
-    const size_t i1 = std::min(i0 + kTileM, m);
-    for (size_t j0 = 0; j0 < n; j0 += kTileN) {
-      const size_t j1 = std::min(j0 + kTileN, n);
-      for (size_t i = i0; i < i1; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (size_t j = j0; j < j1; ++j) {
-          const float* brow = b + j * k;
-          float acc = 0.0f;
-          for (size_t kk = 0; kk < k; ++kk) {
-            acc += arow[kk] * brow[kk];
-          }
-          crow[j] = acc;
-        }
-      }
-    }
-  }
+  MatMulTransBStrided(a, k, m, k, b, k, n, c, n);
+}
+
+void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const float* b,
+                         size_t ldb, size_t n, float* c, size_t ldc) {
+  gemm::MatMulTransBStrided(a, lda, m, k, b, ldb, n, c, ldc, gemm::SelectedTile());
 }
 
 void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* c) {

@@ -21,6 +21,14 @@ void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* c);
 // Raw-pointer variant of MatMulTransB for callers holding weight blobs.
 void MatMulTransBRaw(const float* a, size_t m, size_t k, const float* b, size_t n, float* c);
 
+// MatMulTransBRaw over sub-matrices: row i of A starts at a + i * lda, row j
+// of B at b + j * ldb, row i of C at c + i * ldc (e.g. one attention head's
+// columns of Q and K). Every GEMM here computes each output as one float sum
+// over k in order, multiply and add rounded separately, so results are
+// bit-identical to that scalar loop (src/tensor/gemm.h).
+void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const float* b,
+                         size_t ldb, size_t n, float* c, size_t ldc);
+
 // y += x, elementwise. Shapes must match.
 void AddInPlace(Tensor* y, const Tensor& x);
 

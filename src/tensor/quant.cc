@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/tensor/gemm.h"
 
 namespace prism {
 
@@ -281,70 +282,60 @@ void QuantizedMatrix::Dequantize(float* out) const {
   }
 }
 
+// The fused GEMMs share the fp32 microkernel (src/tensor/gemm.h). Each tier
+// only decodes a strip of weight rows into the transposed panel, with the
+// expression DecodeMatrix uses, so fused equals decode-then-GEMM bit for bit.
+
 void QuantMatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
   const size_t groups_per_row = cols / group_size;
-  // Dequantise one weight row at a time into a strip, then dot against every
-  // input row. Row reuse across m amortises the unpack cost.
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
-    for (size_t g = 0; g < groups_per_row; ++g) {
-      const float scale = scales[j * groups_per_row + g];
-      for (size_t i = 0; i < group_size; i += 2) {
-        const uint8_t byte = packed[(j * cols + g * group_size + i) / 2];
-        wrow[g * group_size + i] = scale * static_cast<float>(static_cast<int>(byte & 0x0F) - 8);
-        wrow[g * group_size + i + 1] = scale * static_cast<float>(static_cast<int>(byte >> 4) - 8);
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
-    }
-  }
+  gemm::MatMulTransBPanels(
+      a, cols, m, cols, rows, c, rows, gemm::SelectedTile(),
+      [&](size_t j0, size_t nr, float* panel) {
+        for (size_t l = 0; l < nr; ++l) {
+          const size_t j = j0 + l;
+          for (size_t g = 0; g < groups_per_row; ++g) {
+            const float scale = scales[j * groups_per_row + g];
+            for (size_t i = 0; i < group_size; i += 2) {
+              const size_t kk = g * group_size + i;
+              const uint8_t byte = packed[(j * cols + kk) / 2];
+              panel[kk * gemm::kNr + l] =
+                  scale * static_cast<float>(static_cast<int>(byte & 0x0F) - 8);
+              panel[(kk + 1) * gemm::kNr + l] =
+                  scale * static_cast<float>(static_cast<int>(byte >> 4) - 8);
+            }
+          }
+        }
+      });
 }
 
 void Int8MatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
   const size_t groups_per_row = cols / group_size;
-  // Same strip pattern as the 4-bit kernel: unpack one weight row, dot it
-  // against every input row.
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
-    for (size_t g = 0; g < groups_per_row; ++g) {
-      const float scale = scales[j * groups_per_row + g];
-      for (size_t i = 0; i < group_size; ++i) {
-        wrow[g * group_size + i] =
-            scale * static_cast<float>(values[j * cols + g * group_size + i]);
-      }
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
-    }
-  }
+  gemm::MatMulTransBPanels(
+      a, cols, m, cols, rows, c, rows, gemm::SelectedTile(),
+      [&](size_t j0, size_t nr, float* panel) {
+        for (size_t l = 0; l < nr; ++l) {
+          const size_t j = j0 + l;
+          for (size_t g = 0; g < groups_per_row; ++g) {
+            const float scale = scales[j * groups_per_row + g];
+            for (size_t i = 0; i < group_size; ++i) {
+              const size_t kk = g * group_size + i;
+              panel[kk * gemm::kNr + l] = scale * static_cast<float>(values[j * cols + kk]);
+            }
+          }
+        }
+      });
 }
 
 void Fp16MatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
-  std::vector<float> wrow(cols);
-  for (size_t j = 0; j < rows; ++j) {
-    for (size_t k = 0; k < cols; ++k) {
-      wrow[k] = Fp16ToFp32(data[j * cols + k]);
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* arow = a + i * cols;
-      float acc = 0.0f;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += arow[k] * wrow[k];
-      }
-      c[i * rows + j] = acc;
-    }
-  }
+  gemm::MatMulTransBPanels(a, cols, m, cols, rows, c, rows, gemm::SelectedTile(),
+                           [&](size_t j0, size_t nr, float* panel) {
+                             for (size_t l = 0; l < nr; ++l) {
+                               const uint16_t* w = data + (j0 + l) * cols;
+                               for (size_t kk = 0; kk < cols; ++kk) {
+                                 panel[kk * gemm::kNr + l] = Fp16ToFp32(w[kk]);
+                               }
+                             }
+                           });
 }
 
 void QuantizedMatrix::MatMulTransB(const float* a, size_t m, float* c) const {

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -314,6 +315,7 @@ TEST(PrecisionPropertyTest, FusedMatMulEqualsDecodeThenGemm) {
     size_t cols = 0;
     size_t group = 0;
     RandomShape(rng, &rows, &cols, &group);
+    rows += 16 * static_cast<size_t>(i % 3);  // Up to four 16-row panels, mostly partial.
     const size_t m = 1 + rng.NextBelow(6);
     const std::vector<float> w = RandomMatrix(rng, rows * cols);
     const std::vector<float> a = RandomMatrix(rng, m * cols, 1.0f);
@@ -365,6 +367,10 @@ TEST(PrecisionPropertyTest, FusedMatMulEqualsDecodeThenGemm) {
       for (size_t j = 0; j < got.size(); ++j) {
         ASSERT_NEAR(got[j], expected[j], 2e-3f) << "element " << j;
       }
+      // And bit for bit: every tier runs the fp32 kernel on its decoded weights.
+      std::vector<float> unfused(m * rows);
+      MatMulTransBRaw(a.data(), m, cols, decoded.data(), rows, unfused.data());
+      ASSERT_EQ(std::memcmp(got.data(), unfused.data(), got.size() * sizeof(float)), 0);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/core/online_calibrator.h"
 #include "src/core/service.h"
@@ -43,6 +44,47 @@ TEST_F(ServiceTest, AggregatesStats) {
   // Pruning executed less than full work.
   EXPECT_LT(stats.WorkFraction(config_.n_layers), 1.0);
   EXPECT_GT(stats.WorkFraction(config_.n_layers), 0.0);
+}
+
+// A malformed request gets kInvalidArgument instead of aborting the process,
+// and the service keeps serving bit-identically afterwards.
+TEST_F(ServiceTest, MalformedRequestsFailWithoutAbortingTheService) {
+  RerankRequest zero_k = requests_[0];
+  zero_k.k = 0;
+  RerankRequest bad_token = requests_[1];
+  bad_token.docs[2][0] = static_cast<uint32_t>(config_.vocab_size);
+  RerankRequest empty_doc = requests_[2];
+  empty_doc.docs[1].clear();
+
+  MemoryTracker tracker;
+  ServiceOptions options;
+  options.engine.device = FastDevice();
+  RerankService service(config_, ckpt_, options, &tracker);
+  for (const RerankRequest* bad : {&zero_k, &bad_token, &empty_doc}) {
+    const RerankResult result = service.Rerank(*bad);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument) << result.status.ToString();
+    EXPECT_TRUE(result.topk.empty());
+  }
+  const RerankResult served = service.Rerank(requests_[3]);
+  EXPECT_EQ(service.stats().errors, 3u);
+
+  MemoryTracker fresh_tracker;
+  RerankService fresh(config_, ckpt_, options, &fresh_tracker);
+  const RerankResult expected = fresh.Rerank(requests_[3]);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_EQ(served.topk, expected.topk);
+  ASSERT_EQ(served.scores.size(), expected.scores.size());
+  EXPECT_EQ(std::memcmp(served.scores.data(), expected.scores.data(),
+                        served.scores.size() * sizeof(float)),
+            0);
+
+  // The engine rejects per request too: a malformed batchmate fails alone.
+  const RerankRequest* batch[] = {&zero_k, &requests_[3]};
+  const std::vector<RerankResult> results = service.engine().RerankBatch(batch);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(results[1].status.ok());
+  EXPECT_EQ(results[1].topk, expected.topk);
 }
 
 TEST_F(ServiceTest, IdleWithoutCalibrationIsNoop) {

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/common/rng.h"
+#include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
 
@@ -29,6 +36,55 @@ void NaiveMatMul(const Tensor& a, const Tensor& b, Tensor* c, bool trans_b) {
       c->at(i, j) = static_cast<float>(acc);
     }
   }
+}
+
+// The numerics oracle every GEMM path must reproduce bit for bit: one float
+// accumulator per output, summed over k in order, the multiply and the add
+// each rounded (src/tensor/gemm.h).
+void OracleMatMulTransB(const float* a, size_t lda, size_t m, size_t k, const float* b,
+                        size_t ldb, size_t n, float* c, size_t ldc) {
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (size_t kk = 0; kk < k; ++kk) {
+        acc += a[i * lda + kk] * b[j * ldb + kk];
+      }
+      c[i * ldc + j] = acc;
+    }
+  }
+}
+
+// Gaussian values with one in eight replaced by ±0, a subnormal, or a value
+// whose products underflow into the subnormal range.
+std::vector<float> EdgeCaseValues(size_t count, uint64_t seed) {
+  const float specials[] = {-0.0f,
+                            0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::min() / 4.0f,
+                            1e-20f,
+                            -1e-20f};
+  Rng rng(seed);
+  std::vector<float> values(count);
+  for (float& v : values) {
+    v = rng.NextBelow(8) == 0 ? specials[rng.NextBelow(std::size(specials))]
+                              : static_cast<float>(rng.NextGaussian());
+  }
+  return values;
+}
+
+bool SameBits(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Every tile path this host can run: portable always, AVX2 where supported.
+std::vector<std::pair<std::string, gemm::TileFn>> TilePaths() {
+  std::vector<std::pair<std::string, gemm::TileFn>> paths = {{"portable", gemm::TilePortable}};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) {
+    paths.emplace_back("avx2", gemm::TileAvx2);
+  }
+#endif
+  return paths;
 }
 
 TEST(TensorTest, AllocationTracksMemory) {
@@ -80,9 +136,65 @@ TEST(OpsTest, MatMulTransBMatchesNaive) {
   Tensor c(11, 10, MemCategory::kScratch, &tracker);
   Tensor ref(11, 10, MemCategory::kScratch, &tracker);
   MatMulTransB(a, b, &c);
-  NaiveMatMul(a, b, &ref, /*trans_b=*/true);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c.flat()[i], ref.flat()[i], 1e-4f);
+  OracleMatMulTransB(a.data(), 16, 11, 16, b.data(), 16, 10, ref.data(), 10);
+  EXPECT_EQ(std::memcmp(c.data(), ref.data(), c.size() * sizeof(float)), 0);
+}
+
+// Each GEMM path, and the dispatched entry point, equals the scalar oracle
+// bit for bit across tile edges (m around kMr = 4, n around kNr = 16) and
+// the layer shapes, with ±0 and subnormal inputs.
+TEST(GemmKernelTest, EveryPathMatchesScalarOracleBitForBit) {
+  const size_t ms[] = {1, 3, 4, 5, 17, 384};
+  const size_t ns[] = {1, 7, 15, 16, 17, 96, 288};
+  const size_t ks[] = {1, 13, 96, 288};
+  const auto paths = TilePaths();
+  uint64_t seed = 100;
+  for (const size_t k : ks) {
+    for (const size_t n : ns) {
+      const std::vector<float> b = EdgeCaseValues(n * k, ++seed);
+      for (const size_t m : ms) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " n=" << n << " k=" << k);
+        const std::vector<float> a = EdgeCaseValues(m * k, ++seed);
+        std::vector<float> want(m * n);
+        OracleMatMulTransB(a.data(), k, m, k, b.data(), k, n, want.data(), n);
+        for (const auto& [name, tile] : paths) {
+          std::vector<float> got(m * n);
+          gemm::MatMulTransBStrided(a.data(), k, m, k, b.data(), k, n, got.data(), n, tile);
+          ASSERT_TRUE(SameBits(got, want)) << name;
+        }
+        std::vector<float> dispatched(m * n);
+        MatMulTransBRaw(a.data(), m, k, b.data(), n, dispatched.data());
+        ASSERT_TRUE(SameBits(dispatched, want)) << "dispatched";
+      }
+    }
+  }
+}
+
+// The attention score call: one head's dh columns of Q and K inside
+// row-major [candidates * seq, d] activations.
+TEST(GemmKernelTest, StridedHeadSlicesMatchScalarOracle) {
+  const size_t d = 96;
+  const size_t dh = 24;
+  const size_t seq = 37;
+  const size_t candidates = 2;
+  const std::vector<float> q = EdgeCaseValues(candidates * seq * d, 7);
+  const std::vector<float> k = EdgeCaseValues(candidates * seq * d, 8);
+  const auto paths = TilePaths();
+  for (size_t cand = 0; cand < candidates; ++cand) {
+    for (size_t col0 = 0; col0 < d; col0 += dh) {
+      SCOPED_TRACE(::testing::Message() << "candidate " << cand << ", head column " << col0);
+      const float* qh = q.data() + cand * seq * d + col0;
+      const float* kh = k.data() + cand * seq * d + col0;
+      std::vector<float> want(seq * seq);
+      OracleMatMulTransB(qh, d, seq, dh, kh, d, seq, want.data(), seq);
+      std::vector<float> got(seq * seq);
+      MatMulTransBStrided(qh, d, seq, dh, kh, d, seq, got.data(), seq);
+      EXPECT_TRUE(SameBits(got, want)) << "dispatched";
+      for (const auto& [name, tile] : paths) {
+        gemm::MatMulTransBStrided(qh, d, seq, dh, kh, d, seq, got.data(), seq, tile);
+        EXPECT_TRUE(SameBits(got, want)) << name;
+      }
+    }
   }
 }
 
