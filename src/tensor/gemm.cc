@@ -62,6 +62,28 @@ __attribute__((target("avx2"))) void Avx2Rows(const float* a, size_t lda, size_t
     }
   }
 }
+
+template <size_t MR>
+__attribute__((target("avx512f"))) void Avx512Rows(const float* a, size_t lda, size_t k,
+                                                   const float* panel, float* c, size_t ldc,
+                                                   size_t nr) {
+  static_assert(kNr == 16, "one 16-lane register per tile row");
+  __m512 acc[MR];
+  for (size_t i = 0; i < MR; ++i) {
+    acc[i] = _mm512_setzero_ps();
+  }
+  for (size_t kk = 0; kk < k; ++kk) {
+    const __m512 p = _mm512_loadu_ps(panel + kk * kNr);
+    for (size_t i = 0; i < MR; ++i) {
+      const __m512 av = _mm512_set1_ps(a[i * lda + kk]);
+      acc[i] = _mm512_add_ps(acc[i], _mm512_mul_ps(av, p));
+    }
+  }
+  const __mmask16 lanes = static_cast<__mmask16>((1u << nr) - 1u);
+  for (size_t i = 0; i < MR; ++i) {
+    _mm512_mask_storeu_ps(c + i * ldc, lanes, acc[i]);
+  }
+}
 #endif
 
 }  // namespace
@@ -96,11 +118,28 @@ __attribute__((target("avx2"))) void TileAvx2(const float* a, size_t lda, size_t
       return Avx2Rows<1>(a, lda, k, panel, c, ldc, nr);
   }
 }
+
+__attribute__((target("avx512f"))) void TileAvx512(const float* a, size_t lda, size_t mr,
+                                                   size_t k, const float* panel, float* c,
+                                                   size_t ldc, size_t nr) {
+  switch (mr) {
+    case 4:
+      return Avx512Rows<4>(a, lda, k, panel, c, ldc, nr);
+    case 3:
+      return Avx512Rows<3>(a, lda, k, panel, c, ldc, nr);
+    case 2:
+      return Avx512Rows<2>(a, lda, k, panel, c, ldc, nr);
+    default:
+      return Avx512Rows<1>(a, lda, k, panel, c, ldc, nr);
+  }
+}
 #endif
 
 TileFn SelectedTile() {
 #if defined(__x86_64__) || defined(__i386__)
-  static const TileFn tile = __builtin_cpu_supports("avx2") ? TileAvx2 : TilePortable;
+  static const TileFn tile = __builtin_cpu_supports("avx512f") ? TileAvx512
+                             : __builtin_cpu_supports("avx2")  ? TileAvx2
+                                                               : TilePortable;
   return tile;
 #else
   return TilePortable;

@@ -41,10 +41,15 @@ void TilePortable(const float* a, size_t lda, size_t mr, size_t k, const float* 
 // AVX2 mul then add (deliberately not FMA). Call only when the CPU has AVX2.
 void TileAvx2(const float* a, size_t lda, size_t mr, size_t k, const float* panel, float* c,
               size_t ldc, size_t nr);
+
+// AVX-512F, one 16-lane register per tile row, mul then add (not FMA). Call
+// only when the CPU has AVX-512F.
+void TileAvx512(const float* a, size_t lda, size_t mr, size_t k, const float* panel, float* c,
+                size_t ldc, size_t nr);
 #endif
 
-// The tile every GEMM runs: TileAvx2 when the CPU supports it, else
-// TilePortable. Chosen once per process.
+// The tile every GEMM runs: the widest the CPU supports (TileAvx512, then
+// TileAvx2, else TilePortable). Chosen once per process.
 TileFn SelectedTile();
 
 // C = A · Bᵀ over row-major fp32 operands with explicit row strides, on `tile`.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -76,12 +77,20 @@ bool SameBits(const std::vector<float>& x, const std::vector<float>& y) {
   return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
 }
 
-// Every tile path this host can run: portable always, AVX2 where supported.
+// Every tile path this host can run: portable always, AVX2 and AVX-512
+// where supported. A path the CPU lacks is logged, not silently dropped.
 std::vector<std::pair<std::string, gemm::TileFn>> TilePaths() {
   std::vector<std::pair<std::string, gemm::TileFn>> paths = {{"portable", gemm::TilePortable}};
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) {
     paths.emplace_back("avx2", gemm::TileAvx2);
+  } else {
+    std::cout << "[  SKIPPED ] avx2 tile: CPU lacks AVX2\n";
+  }
+  if (__builtin_cpu_supports("avx512f")) {
+    paths.emplace_back("avx512", gemm::TileAvx512);
+  } else {
+    std::cout << "[  SKIPPED ] avx512 tile: CPU lacks AVX-512F\n";
   }
 #endif
   return paths;
