@@ -1,14 +1,21 @@
 // Supporting kernel microbenchmarks (google-benchmark): the GEMM of every
 // precision tier (fp32 and the fused fp16 / int8 / w4 dequantising GEMMs) at
-// the 0.6B proxy's layer shapes, softmax, RMSNorm, 1-D k-means, BM25 — the
-// primitives whose costs set the compute side of the overlap window.
+// the 0.6B proxy's layer shapes, softmax, SwiGLU, RMSNorm, one whole layer
+// forward, 1-D k-means, BM25 — the primitives whose costs set the compute
+// side of the overlap window.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/cluster.h"
+#include "src/model/config.h"
+#include "src/model/layer.h"
+#include "src/model/weights.h"
 #include "src/retrieval/bm25.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/quant.h"
@@ -105,16 +112,89 @@ void BM_SoftmaxRow(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRow)->Arg(64)->Arg(512);
 
+// SwiGLU over one layer's gate at 64 and 320 rows (one and five 64-token
+// candidates) of the 0.6B proxy's 288-wide FFN.
+void BM_SwiGlu(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  MemoryTracker tracker;
+  const Tensor gate = RandomTensor(1, n, 9, &tracker);
+  const Tensor up = RandomTensor(1, n, 10, &tracker);
+  std::vector<float> out(n);
+  for (auto _ : state) {
+    std::copy_n(gate.data(), n, out.data());
+    SwiGluInPlace(out, up.flat());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SwiGlu)->Arg(64 * 288)->Arg(320 * 288);
+
 void BM_RmsNorm(benchmark::State& state) {
   MemoryTracker tracker;
   Tensor t = RandomTensor(static_cast<size_t>(state.range(0)), 96, 6, &tracker);
   const std::vector<float> gain(96, 1.0f);
   for (auto _ : state) {
-    RmsNormInPlace(&t, gain);
+    RmsNormInPlace(&t, t.rows(), gain);
     benchmark::DoNotOptimize(t.data());
   }
 }
 BENCHMARK(BM_RmsNorm)->Arg(64)->Arg(1024);
+
+// A random layer blob laid out as ParseAnyLayerBlob reads it: the seven
+// matrices (weights ~ N(0, 1/in)) at `precision`, then unit norm gains and
+// zero biases.
+std::vector<uint8_t> RandomLayerBlob(const ModelConfig& config, Precision precision) {
+  const size_t d = config.hidden;
+  const size_t f = config.ffn;
+  const std::pair<size_t, size_t> shapes[] = {{d, d}, {d, d}, {d, d}, {d, d},
+                                              {f, d}, {f, d}, {d, f}};
+  std::vector<uint8_t> blob;
+  uint64_t seed = 20;
+  for (const auto& [out, in] : shapes) {
+    MemoryTracker tracker;
+    Tensor w = RandomTensor(out, in, ++seed, &tracker);
+    for (float& v : w.flat()) {
+      v /= std::sqrt(static_cast<float>(in));
+    }
+    const size_t offset = blob.size();
+    blob.resize(offset + MatrixSpanBytes(precision, out, in, config.quant_group));
+    EncodeMatrix(precision, w.data(), out, in, config.quant_group, blob.data() + offset);
+  }
+  std::vector<float> norms(4 * d, 0.0f);
+  std::fill_n(norms.begin(), d, 1.0f);
+  std::fill_n(norms.begin() + 2 * static_cast<ptrdiff_t>(d), d, 1.0f);
+  const auto* bytes = reinterpret_cast<const uint8_t*>(norms.data());
+  blob.insert(blob.end(), bytes, bytes + norms.size() * sizeof(float));
+  PRISM_CHECK_EQ(blob.size(), LayerBlobBytes(config, precision));
+  return blob;
+}
+
+// One 0.6B-proxy layer forward over 5 candidates × 64 tokens at the storage
+// precision given as the argument: GEMMs, attention, softmax, SwiGLU, norms.
+void BM_LayerForward(benchmark::State& state) {
+  const auto precision = static_cast<Precision>(state.range(0));
+  const ModelConfig config = Qwen3Reranker0_6B();
+  constexpr size_t kCandidates = 5;
+  const size_t seq_len = config.max_seq;
+  const size_t rows = kCandidates * seq_len;
+  const std::vector<uint8_t> blob = RandomLayerBlob(config, precision);
+  const AnyLayerView view = ParseAnyLayerBlob(config, blob, precision);
+  MemoryTracker tracker;
+  const Tensor input = RandomTensor(rows, config.hidden, 30, &tracker);
+  Tensor hidden(rows, config.hidden, MemCategory::kScratch, &tracker);
+  LayerScratch scratch = LayerScratch::Make(config, rows, seq_len, &tracker);
+  for (auto _ : state) {
+    std::copy_n(input.data(), input.size(), hidden.data());
+    LayerForward(config, view, seq_len, &hidden, &scratch);
+    benchmark::DoNotOptimize(hidden.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(PrecisionName(precision));
+}
+BENCHMARK(BM_LayerForward)
+    ->Arg(static_cast<int64_t>(Precision::kFp32))
+    ->Arg(static_cast<int64_t>(Precision::kInt8));
 
 void BM_ClusterScores(benchmark::State& state) {
   Rng rng(7);

@@ -47,40 +47,15 @@ void Project(const Tensor& x, size_t rows, const WeightView& w, size_t out_dim, 
   w.MatMulTransB(x.data(), rows, out->data());
 }
 
-void ApplyNorm(const ModelConfig& config, Tensor* t, size_t rows, std::span<const float> gain,
-               std::span<const float> bias) {
-  // Norm only the first `rows` rows: build a temporary span-view via row loop.
-  for (size_t r = 0; r < rows; ++r) {
-    auto row = t->row(r);
-    if (config.arch == ModelArch::kDecoderOnly) {
-      // RMSNorm.
-      double sum_sq = 0.0;
-      for (float v : row) {
-        sum_sq += static_cast<double>(v) * v;
-      }
-      const float inv_rms =
-          1.0f / std::sqrt(static_cast<float>(sum_sq / static_cast<double>(row.size())) + 1e-5f);
-      for (size_t c = 0; c < row.size(); ++c) {
-        row[c] = row[c] * inv_rms * gain[c];
-      }
-    } else {
-      // LayerNorm.
-      double mean = 0.0;
-      for (float v : row) {
-        mean += v;
-      }
-      mean /= static_cast<double>(row.size());
-      double var = 0.0;
-      for (float v : row) {
-        const double d = v - mean;
-        var += d * d;
-      }
-      var /= static_cast<double>(row.size());
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + 1e-5f);
-      for (size_t c = 0; c < row.size(); ++c) {
-        row[c] = (row[c] - static_cast<float>(mean)) * inv_std * gain[c] + bias[c];
-      }
-    }
+// normed[0, rows) ← the layer's pre-norm of hidden[0, rows): RMSNorm for
+// decoder-only models, LayerNorm otherwise.
+void PreNorm(const ModelConfig& config, const Tensor& hidden, size_t rows,
+             std::span<const float> gain, std::span<const float> bias, Tensor* normed) {
+  std::copy(hidden.data(), hidden.data() + rows * config.hidden, normed->data());
+  if (config.arch == ModelArch::kDecoderOnly) {
+    RmsNormInPlace(normed, rows, gain);
+  } else {
+    LayerNormInPlace(normed, rows, gain, bias);
   }
 }
 
@@ -99,8 +74,7 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
 
   // --- Attention sublayer (pre-norm residual) ---
-  std::copy(hidden->data(), hidden->data() + rows * d, scratch->normed.data());
-  ApplyNorm(config, &scratch->normed, rows, w.norm1_gain, w.norm1_bias);
+  PreNorm(config, *hidden, rows, w.norm1_gain, w.norm1_bias, &scratch->normed);
   Project(scratch->normed, rows, w.wq, d, &scratch->q);
   Project(scratch->normed, rows, w.wk, d, &scratch->k);
   Project(scratch->normed, rows, w.wv, d, &scratch->v);
@@ -114,9 +88,11 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
       const size_t head0 = base * d + col0;
       MatMulTransBStrided(scratch->q.data() + head0, d, seq_len, dh, scratch->k.data() + head0, d,
                           seq_len, scratch->scores.data(), seq_len);
+      // Only the causal prefix j ≤ i is scaled: softmax zeroes the rest.
       for (size_t i = 0; i < seq_len; ++i) {
         float* srow = scratch->scores.data() + i * seq_len;
-        for (size_t j = 0; j < seq_len; ++j) {
+        const size_t jmax = causal ? i + 1 : seq_len;
+        for (size_t j = 0; j < jmax; ++j) {
           srow[j] *= inv_sqrt_dh;
         }
         SoftmaxRowInPlace({srow, seq_len}, causal ? static_cast<ptrdiff_t>(i) : -1);
@@ -154,28 +130,18 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   }
 
   // --- FFN sublayer (pre-norm residual) ---
-  std::copy(hidden->data(), hidden->data() + rows * d, scratch->normed.data());
-  ApplyNorm(config, &scratch->normed, rows, w.norm2_gain, w.norm2_bias);
+  PreNorm(config, *hidden, rows, w.norm2_gain, w.norm2_bias, &scratch->normed);
   const size_t f = config.ffn;
   if (config.arch == ModelArch::kDecoderOnly) {
     // SwiGLU: down( silu(gate(x)) ⊙ up(x) ).
     Project(scratch->normed, rows, w.w_gate, f, &scratch->ffn_gate);
     Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
-    float* pg = scratch->ffn_gate.data();
-    const float* pu = scratch->ffn_up.data();
-    for (size_t i = 0; i < rows * f; ++i) {
-      pg[i] = pg[i] * Sigmoid(pg[i]) * pu[i];
-    }
+    SwiGluInPlace({scratch->ffn_gate.data(), rows * f}, {scratch->ffn_up.data(), rows * f});
     Project(scratch->ffn_gate, rows, w.w_down, d, &scratch->ffn_down);
   } else {
     // GELU MLP: down( gelu(up(x)) ).
     Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
-    float* pu = scratch->ffn_up.data();
-    constexpr float kSqrt2OverPi = 0.7978845608028654f;
-    for (size_t i = 0; i < rows * f; ++i) {
-      const float x = pu[i];
-      pu[i] = 0.5f * x * (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
-    }
+    GeluInPlace({scratch->ffn_up.data(), rows * f});
     Project(scratch->ffn_up, rows, w.w_down, d, &scratch->ffn_down);
   }
   {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "src/tensor/gemm.h"
+#include "src/tensor/vmath.h"
 
 namespace prism {
 
@@ -71,9 +71,10 @@ void AddBiasInPlace(Tensor* t, std::span<const float> bias) {
   }
 }
 
-void RmsNormInPlace(Tensor* t, std::span<const float> gain, float eps) {
+void RmsNormInPlace(Tensor* t, size_t rows, std::span<const float> gain, float eps) {
+  PRISM_CHECK_LE(rows, t->rows());
   PRISM_CHECK_EQ(t->cols(), gain.size());
-  for (size_t r = 0; r < t->rows(); ++r) {
+  for (size_t r = 0; r < rows; ++r) {
     auto row = t->row(r);
     double sum_sq = 0.0;
     for (float v : row) {
@@ -87,11 +88,12 @@ void RmsNormInPlace(Tensor* t, std::span<const float> gain, float eps) {
   }
 }
 
-void LayerNormInPlace(Tensor* t, std::span<const float> gain, std::span<const float> bias,
-                      float eps) {
+void LayerNormInPlace(Tensor* t, size_t rows, std::span<const float> gain,
+                      std::span<const float> bias, float eps) {
+  PRISM_CHECK_LE(rows, t->rows());
   PRISM_CHECK_EQ(t->cols(), gain.size());
   PRISM_CHECK_EQ(t->cols(), bias.size());
-  for (size_t r = 0; r < t->rows(); ++r) {
+  for (size_t r = 0; r < rows; ++r) {
     auto row = t->row(r);
     double mean = 0.0;
     for (float v : row) {
@@ -112,61 +114,19 @@ void LayerNormInPlace(Tensor* t, std::span<const float> gain, std::span<const fl
 }
 
 void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit) {
-  const size_t limit =
-      causal_limit < 0 ? row.size() : std::min(row.size(), static_cast<size_t>(causal_limit) + 1);
-  if (limit == 0) {
-    return;
-  }
-  float max_v = -std::numeric_limits<float>::infinity();
-  for (size_t i = 0; i < limit; ++i) {
-    max_v = std::max(max_v, row[i]);
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < limit; ++i) {
-    row[i] = std::exp(row[i] - max_v);
-    sum += row[i];
-  }
-  const float inv = static_cast<float>(1.0 / sum);
-  for (size_t i = 0; i < limit; ++i) {
-    row[i] *= inv;
-  }
-  for (size_t i = limit; i < row.size(); ++i) {
-    row[i] = 0.0f;
-  }
+  vmath::Selected().softmax(row.data(), row.size(), causal_limit);
 }
 
-void SiluInPlace(Tensor* t) {
-  float* p = t->data();
-  for (size_t i = 0, e = t->size(); i < e; ++i) {
-    p[i] = p[i] * Sigmoid(p[i]);
-  }
+void SwiGluInPlace(std::span<float> gate, std::span<const float> up) {
+  PRISM_CHECK_EQ(gate.size(), up.size());
+  vmath::Selected().swiglu(gate.data(), up.data(), gate.size());
 }
 
-void GeluInPlace(Tensor* t) {
+void GeluInPlace(std::span<float> x) {
   constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  float* p = t->data();
-  for (size_t i = 0, e = t->size(); i < e; ++i) {
-    const float x = p[i];
-    p[i] = 0.5f * x * (1.0f + std::tanh(kSqrt2OverPi * (x + 0.044715f * x * x * x)));
+  for (float& v : x) {
+    v = 0.5f * v * (1.0f + std::tanh(kSqrt2OverPi * (v + 0.044715f * v * v * v)));
   }
-}
-
-void MulInPlace(Tensor* y, const Tensor& x) {
-  PRISM_CHECK_EQ(y->size(), x.size());
-  float* py = y->data();
-  const float* px = x.data();
-  for (size_t i = 0, e = y->size(); i < e; ++i) {
-    py[i] *= px[i];
-  }
-}
-
-float Sigmoid(float x) {
-  if (x >= 0.0f) {
-    const float z = std::exp(-x);
-    return 1.0f / (1.0f + z);
-  }
-  const float z = std::exp(x);
-  return z / (1.0f + z);
 }
 
 float Dot(std::span<const float> a, std::span<const float> b) {

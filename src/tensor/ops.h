@@ -35,28 +35,40 @@ void AddInPlace(Tensor* y, const Tensor& x);
 // Each row r of t gets bias added: t[r, c] += bias[c].
 void AddBiasInPlace(Tensor* t, std::span<const float> bias);
 
-// In-place row-wise RMSNorm with learned gain: x ← x / rms(x) * gain.
-void RmsNormInPlace(Tensor* t, std::span<const float> gain, float eps = 1e-5f);
+// RMSNorm of rows [0, rows) of t with learned gain: x ← x / rms(x) * gain.
+void RmsNormInPlace(Tensor* t, size_t rows, std::span<const float> gain, float eps = 1e-5f);
 
-// In-place row-wise LayerNorm with learned gain and bias.
-void LayerNormInPlace(Tensor* t, std::span<const float> gain, std::span<const float> bias,
-                      float eps = 1e-5f);
+// LayerNorm of rows [0, rows) of t with learned gain and bias.
+void LayerNormInPlace(Tensor* t, size_t rows, std::span<const float> gain,
+                      std::span<const float> bias, float eps = 1e-5f);
 
-// In-place row-wise softmax. If `causal_limit` >= 0, entries with column index
-// > causal_limit are masked to -inf before the softmax (decoder-only models).
+// e^x in float, the one exponential of the fp32 numerics (no libm):
+// Cody–Waite range reduction x = n·ln2 + r with n = round(x·log2e), then a
+// fixed degree-7 polynomial in r and an exact scale by 2^n, each multiply
+// and add rounded on its own. Inputs are clamped to [−87.3365, 88.3763],
+// ln(FLT_MIN) up to the last n whose 2^n is a normal float: above it the
+// result is Exp(88.3763) ≈ 2.41e38 (never inf), below it +0 (so Exp(−inf)
+// = 0). Within the clamp the error is under 1 ulp of e^x (every float input
+// measured against double exp: at most 0.99 ulp). Every SIMD path
+// reproduces it bit for bit (src/tensor/vmath.h).
+float Exp(float x);
+
+// Numerically stable logistic function over Exp:
+// x ≥ 0: 1 / (1 + Exp(−x)); x < 0: Exp(x) / (1 + Exp(x)).
+float Sigmoid(float x);
+
+// In-place row softmax over Exp. If `causal_limit` >= 0, entries with column
+// index > causal_limit are masked: they take no part and are set to 0
+// (decoder-only models). The denominator sums in double over a fixed lane
+// structure (src/tensor/vmath.h), so the result does not depend on the path.
 void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit = -1);
 
-// x ← x * sigmoid(x) (SiLU / swish), elementwise.
-void SiluInPlace(Tensor* t);
+// SwiGLU gating: gate[i] ← gate[i] * Sigmoid(gate[i]) * up[i], i.e.
+// silu(gate) ⊙ up. Spans must have equal length.
+void SwiGluInPlace(std::span<float> gate, std::span<const float> up);
 
 // tanh-approximation GELU, elementwise.
-void GeluInPlace(Tensor* t);
-
-// y ← y ⊙ x elementwise (SwiGLU gating).
-void MulInPlace(Tensor* y, const Tensor& x);
-
-// Numerically stable logistic function.
-float Sigmoid(float x);
+void GeluInPlace(std::span<float> x);
 
 // Dot product of equal-length spans.
 float Dot(std::span<const float> a, std::span<const float> b);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -13,6 +14,7 @@
 #include "src/tensor/gemm.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
+#include "src/tensor/vmath.h"
 
 namespace prism {
 namespace {
@@ -94,6 +96,46 @@ std::vector<std::pair<std::string, gemm::TileFn>> TilePaths() {
   }
 #endif
   return paths;
+}
+
+// Every elementwise path this host can run: the scalar definition always,
+// AVX2 where supported.
+std::vector<const vmath::Kernels*> VmathPaths() {
+  std::vector<const vmath::Kernels*> paths = {&vmath::kScalar};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) {
+    paths.push_back(&vmath::kAvx2);
+  } else {
+    std::cout << "[  SKIPPED ] avx2 elementwise kernels: CPU lacks AVX2\n";
+  }
+#endif
+  return paths;
+}
+
+// EdgeCaseValues scaled by `scale`, with one in eight replaced by a value
+// beyond Exp's clamp or an infinity.
+std::vector<float> ExpInputs(size_t count, float scale, uint64_t seed) {
+  const float beyond[] = {-88.0f,
+                          -100.0f,
+                          -1e30f,
+                          89.0f,
+                          1e30f,
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::infinity()};
+  std::vector<float> values = EdgeCaseValues(count, seed);
+  Rng rng(seed ^ 0x5EED);
+  for (float& v : values) {
+    v = rng.NextBelow(8) == 0 ? beyond[rng.NextBelow(std::size(beyond))] : v * scale;
+  }
+  return values;
+}
+
+// |got − want| in units of the spacing of floats at `want`.
+double UlpError(float got, double want) {
+  const auto near = static_cast<float>(want);
+  const double ulp =
+      static_cast<double>(std::nextafter(near, std::numeric_limits<float>::infinity())) - near;
+  return std::fabs(static_cast<double>(got) - want) / ulp;
 }
 
 TEST(TensorTest, AllocationTracksMemory) {
@@ -230,7 +272,7 @@ TEST(OpsTest, RmsNormNormalizes) {
   MemoryTracker tracker;
   Tensor t = RandomTensor(4, 32, 5, &tracker);
   const std::vector<float> gain(32, 1.0f);
-  RmsNormInPlace(&t, gain);
+  RmsNormInPlace(&t, t.rows(), gain);
   for (size_t r = 0; r < t.rows(); ++r) {
     double sum_sq = 0.0;
     for (float v : t.row(r)) {
@@ -245,7 +287,7 @@ TEST(OpsTest, LayerNormZeroMeanUnitVar) {
   Tensor t = RandomTensor(4, 64, 6, &tracker);
   const std::vector<float> gain(64, 1.0f);
   const std::vector<float> bias(64, 0.0f);
-  LayerNormInPlace(&t, gain, bias);
+  LayerNormInPlace(&t, t.rows(), gain, bias);
   for (size_t r = 0; r < t.rows(); ++r) {
     double mean = 0.0;
     double var = 0.0;
@@ -288,16 +330,24 @@ TEST(OpsTest, SoftmaxHandlesExtremeValues) {
   EXPECT_NEAR(row[0] + row[1] + row[2], 1.0f, 1e-5f);
 }
 
-TEST(OpsTest, SiluSignsAndMagnitudes) {
+TEST(OpsTest, SwiGluGatesBySilu) {
+  std::vector<float> gate = {0.0f, 10.0f, -10.0f, 2.0f};
+  const std::vector<float> up = {3.0f, 1.0f, 1.0f, 0.5f};
+  SwiGluInPlace(gate, up);
+  EXPECT_EQ(gate[0], 0.0f);
+  EXPECT_NEAR(gate[1], 10.0f, 1e-3f);
+  EXPECT_NEAR(gate[2], 0.0f, 1e-3f);
+  EXPECT_NEAR(gate[3], 2.0f / (1.0f + std::exp(-2.0f)) * 0.5f, 1e-6f);
+}
+
+TEST(OpsTest, RmsNormLeavesRowsPastCount) {
   MemoryTracker tracker;
-  Tensor t(1, 3, MemCategory::kScratch, &tracker);
-  t.at(0, 0) = 0.0f;
-  t.at(0, 1) = 10.0f;
-  t.at(0, 2) = -10.0f;
-  SiluInPlace(&t);
-  EXPECT_EQ(t.at(0, 0), 0.0f);
-  EXPECT_NEAR(t.at(0, 1), 10.0f, 1e-3f);
-  EXPECT_NEAR(t.at(0, 2), 0.0f, 1e-3f);
+  Tensor t = RandomTensor(4, 8, 9, &tracker);
+  const Tensor before = t.Clone(MemCategory::kScratch, &tracker);
+  const std::vector<float> gain(8, 2.0f);
+  RmsNormInPlace(&t, 2, gain);
+  EXPECT_NE(t.at(1, 0), before.at(1, 0));
+  EXPECT_EQ(std::memcmp(t.row(2).data(), before.row(2).data(), 2 * 8 * sizeof(float)), 0);
 }
 
 TEST(OpsTest, GeluMatchesKnownPoints) {
@@ -305,7 +355,7 @@ TEST(OpsTest, GeluMatchesKnownPoints) {
   Tensor t(1, 2, MemCategory::kScratch, &tracker);
   t.at(0, 0) = 0.0f;
   t.at(0, 1) = 1.0f;
-  GeluInPlace(&t);
+  GeluInPlace(t.flat());
   EXPECT_EQ(t.at(0, 0), 0.0f);
   EXPECT_NEAR(t.at(0, 1), 0.8412f, 1e-3f);
 }
@@ -321,6 +371,111 @@ TEST(OpsTest, DotProduct) {
   const std::vector<float> a = {1.0f, 2.0f, 3.0f};
   const std::vector<float> b = {4.0f, 5.0f, 6.0f};
   EXPECT_FLOAT_EQ(Dot(a, b), 32.0f);
+}
+
+TEST(ExpTest, FixedPointsAndClamp) {
+  EXPECT_EQ(Exp(0.0f), 1.0f);
+  EXPECT_EQ(Exp(-0.0f), 1.0f);
+  EXPECT_EQ(Exp(-88.0f), 0.0f);
+  EXPECT_EQ(Exp(-std::numeric_limits<float>::infinity()), 0.0f);
+  EXPECT_EQ(Exp(89.0f), Exp(88.3763f));
+  EXPECT_EQ(Exp(std::numeric_limits<float>::infinity()), Exp(88.3763f));
+  EXPECT_TRUE(std::isfinite(Exp(88.3763f)));
+  EXPECT_GE(Exp(-87.3365f), std::numeric_limits<float>::min());
+}
+
+// The no-FMA definition's bits at inputs where fusing its multiply-adds (as
+// -march=x86-64-v3 would without -ffp-contract=off) changes the result.
+TEST(ExpTest, PinnedBitsOfTheNoFmaDefinition) {
+  const std::pair<float, float> pinned[] = {
+      {-0x1.d18794p+2f, 0x1.6b8ae6p-11f}, {-0x1.b2d774p+2f, 0x1.259be8p-10f},
+      {-0x1.a3ef9ep+2f, 0x1.729c0ep-10f}, {-0x1.9dcc64p+2f, 0x1.97e93cp-10f},
+      {-0x1.134394p+2f, 0x1.bc2b98p-7f},  {-0x1.d95eap+1f, 0x1.95ccc8p-6f}};
+  for (const auto& [x, want] : pinned) {
+    EXPECT_EQ(Exp(x), want) << std::hexfloat << "Exp(" << x << ")";
+  }
+}
+
+// Error bound: a million evenly spaced inputs over [−87, 88] plus their
+// neighbours one float apart.
+TEST(ExpTest, Within2UlpOfDoubleExp) {
+  constexpr int kSteps = 1 << 20;
+  double worst = 0.0;
+  float worst_at = 0.0f;
+  for (int s = 0; s <= kSteps; ++s) {
+    const float mid = -87.0f + 175.0f * static_cast<float>(s) / kSteps;
+    for (const float x : {std::nextafter(mid, -100.0f), mid, std::nextafter(mid, 100.0f)}) {
+      const double err = UlpError(Exp(x), std::exp(static_cast<double>(x)));
+      if (err > worst) {
+        worst = err;
+        worst_at = x;
+      }
+    }
+  }
+  EXPECT_LE(worst, 2.0) << "at x = " << worst_at;
+}
+
+// Every compiled elementwise path equals the scalar definition bit for bit,
+// over lengths 1–70 (whole SIMD blocks and every tail) with ±0, subnormal,
+// beyond-clamp and infinite inputs.
+TEST(VmathKernelTest, ExpPathsMatchScalarBitForBit) {
+  for (size_t n = 1; n <= 70; ++n) {
+    const std::vector<float> x = ExpInputs(n, 40.0f, n);
+    std::vector<float> want(n);
+    for (size_t i = 0; i < n; ++i) {
+      want[i] = Exp(x[i]);
+    }
+    for (const vmath::Kernels* path : VmathPaths()) {
+      std::vector<float> got(n);
+      path->exp(x.data(), got.data(), n);
+      ASSERT_TRUE(SameBits(got, want)) << path->name << " n=" << n;
+    }
+  }
+}
+
+TEST(VmathKernelTest, SwiGluPathsMatchScalarBitForBit) {
+  for (size_t n = 1; n <= 70; ++n) {
+    const std::vector<float> gate = ExpInputs(n, 8.0f, 100 + n);
+    const std::vector<float> up = EdgeCaseValues(n, 200 + n);
+    std::vector<float> want = gate;
+    vmath::kScalar.swiglu(want.data(), up.data(), n);
+    for (const vmath::Kernels* path : VmathPaths()) {
+      std::vector<float> got = gate;
+      path->swiglu(got.data(), up.data(), n);
+      ASSERT_TRUE(SameBits(got, want)) << path->name << " n=" << n;
+    }
+    std::vector<float> dispatched = gate;
+    SwiGluInPlace(dispatched, up);
+    ASSERT_TRUE(SameBits(dispatched, want)) << "dispatched n=" << n;
+  }
+}
+
+// Rows spread far enough that some entries fall beyond the clamp after the
+// max is subtracted, unmasked and with causal limits that mask part, none
+// or (past the end) nothing of the row.
+TEST(VmathKernelTest, SoftmaxPathsMatchScalarBitForBit) {
+  for (size_t n = 1; n <= 70; ++n) {
+    std::vector<float> row = EdgeCaseValues(n, 300 + n);
+    for (float& v : row) {
+      v *= 30.0f;
+    }
+    for (const ptrdiff_t limit : {ptrdiff_t{-1}, ptrdiff_t{0}, static_cast<ptrdiff_t>(n / 2),
+                                  static_cast<ptrdiff_t>(n) - 1, static_cast<ptrdiff_t>(n) + 3}) {
+      std::vector<float> want = row;
+      vmath::kScalar.softmax(want.data(), n, limit);
+      for (size_t i = limit < 0 ? n : static_cast<size_t>(limit) + 1; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), 0u) << "masked entry " << i;
+      }
+      for (const vmath::Kernels* path : VmathPaths()) {
+        std::vector<float> got = row;
+        path->softmax(got.data(), n, limit);
+        ASSERT_TRUE(SameBits(got, want)) << path->name << " n=" << n << " limit=" << limit;
+      }
+      std::vector<float> dispatched = row;
+      SoftmaxRowInPlace(dispatched, limit);
+      ASSERT_TRUE(SameBits(dispatched, want)) << "dispatched n=" << n << " limit=" << limit;
+    }
+  }
 }
 
 }  // namespace
