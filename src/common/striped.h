@@ -1,23 +1,13 @@
-// Striped atomic counter cells: the primitive behind the serving stack's
-// lock-free hot-path statistics (ServiceStats stripes, ResultCache shard
-// counters).
+// Cache-line-padded atomic counter cells: the primitive behind ResultCache's
+// hot-path counters.
 //
 // A mutation-heavy counter shared by many client threads has two costs: the
 // lock that guards it, and — once the lock is gone — the cache line that
-// every fetch_add still bounces between cores. The cells here address both:
-// each cell is a single relaxed atomic padded to its own cache line (no
-// false sharing with its neighbours), and callers that want write scaling
-// stripe an array of cells by ThreadOrdinal() so concurrent writers touch
-// disjoint lines. Reads fold the stripes; a fold is a snapshot, not a
-// linearizable total — torn reads across cells are possible by design, and
-// consumers must tolerate them (see ServiceStats::served()'s clamp).
-//
-// ThreadOrdinal() is a *registration-order* thread index — 0 for the first
-// thread that asks, 1 for the second, and so on — not a thread-id hash.
-// Under a SimClock the first-touch order is a pure function of the virtual
-// schedule, so stripe assignment (and with it the per-stripe latency
-// reservoir contents) replays deterministically; a hash of the host's
-// std::thread::id would differ run to run.
+// every fetch_add still bounces between cores. A CounterCell addresses both:
+// it is a single relaxed atomic padded to its own cache line, so a struct of
+// cells never false-shares between neighbouring counters. Reads across
+// cells are a snapshot, not a linearizable total — torn reads across cells
+// are possible by design, and consumers must tolerate them.
 #ifndef PRISM_SRC_COMMON_STRIPED_H_
 #define PRISM_SRC_COMMON_STRIPED_H_
 
@@ -33,16 +23,6 @@ namespace prism {
 // for every x86-64 and most AArch64 parts.
 inline constexpr size_t kCacheLineBytes = 64;
 
-// Registration-order index of the calling thread (see file comment). The
-// first call from a thread assigns its slot; subsequent calls are a TLS
-// read. Monotonic across the process, never recycled.
-inline size_t ThreadOrdinal() {
-  static std::atomic<size_t> next_ordinal{0};
-  thread_local const size_t ordinal =
-      next_ordinal.fetch_add(1, std::memory_order_relaxed);
-  return ordinal;
-}
-
 // One integral counter on its own cache line. Relaxed everywhere: these are
 // statistics, ordered against nothing; cross-cell snapshots may tear.
 struct alignas(kCacheLineBytes) CounterCell {
@@ -50,30 +30,6 @@ struct alignas(kCacheLineBytes) CounterCell {
 
   void Add(int64_t delta) { value.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Load() const { return value.load(std::memory_order_relaxed); }
-};
-
-// One double accumulator on its own cache line. x86-64 has no atomic FP
-// add, so Add/UpdateMax are CAS loops — still lock-free, and uncontended in
-// the striped usage (each stripe is written by threads that mapped to it).
-struct alignas(kCacheLineBytes) GaugeCell {
-  std::atomic<double> value{0.0};
-
-  void Add(double delta) {
-    double current = value.load(std::memory_order_relaxed);
-    while (!value.compare_exchange_weak(current, current + delta,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
-  void UpdateMax(double candidate) {
-    double current = value.load(std::memory_order_relaxed);
-    while (candidate > current &&
-           !value.compare_exchange_weak(current, candidate,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-
-  double Load() const { return value.load(std::memory_order_relaxed); }
 };
 
 }  // namespace prism

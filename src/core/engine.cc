@@ -34,23 +34,26 @@ class PrismCarouselTicket final : public CarouselTicket {
   bool finalized_ = false;
 };
 
-// The engine's cyclic layer pass. Wraps a cyclic LayerStreamer (or the
-// resident layers when streaming is off) and drives the shared stage
-// pipeline one layer at a time. Stall time is charged to the group that
-// waited for the layer; streamed bytes are split across every request still
-// riding the carousel (they all share the cycle). Confined to one driver
-// thread — only Step's compute fan-out is parallel.
+// The engine's layer pass, the single driver of the stage pipeline. Wraps a
+// LayerStreamer (or the resident layers when streaming is off) and steps the
+// pipeline one layer at a time. Two shapes share every line of it:
+//   - cyclic: the CarouselScheduler's endless carousel. The stream opens at
+//     once, so layer 0 loads while the first joiners embed.
+//   - one-cycle: RerankBatch. Every request boards at layer 0 and the
+//     stream terminates after the last layer. It opens at the first Step,
+//     after embedding, so a lone request reads the device in plain
+//     plan → embed → layer 0..L−1 order.
+// Stall time is charged to the group that waited for the layer; each
+// consumed layer's bytes are split across every request still riding the
+// pass. A malformed request gets a ticket that is done at admission, is
+// never stepped, is charged nothing, and reports its kInvalidArgument
+// status from TakeResult. Confined to one driver thread — only admission's
+// embed fan-out and Step's compute fan-out are parallel.
 class PrismCarouselPass final : public CarouselPass {
  public:
-  explicit PrismCarouselPass(PrismEngine* engine) : engine_(engine) {
-    if (engine_->options_.streaming) {
-      std::vector<size_t> schedule;
-      for (size_t layer = 0; layer < engine_->config_.n_layers; ++layer) {
-        schedule.push_back(LayerBlobIndex(layer));
-      }
-      streamer_ = std::make_unique<LayerStreamer>(engine_->reader_.get(), std::move(schedule),
-                                                  /*buffer_count=*/2, engine_->tracker_,
-                                                  /*cyclic=*/true);
+  PrismCarouselPass(PrismEngine* engine, bool cyclic) : engine_(engine), cyclic_(cyclic) {
+    if (cyclic_) {
+      OpenStreamer();
     }
   }
 
@@ -66,10 +69,8 @@ class PrismCarouselPass final : public CarouselPass {
   size_t n_layers() const override { return engine_->config_.n_layers; }
 
   std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
-    std::unique_ptr<PrismCarouselTicket> ticket = PlanTicket(request);
-    engine_->embed_stage_->Run(&ticket->ctx());
-    live_.push_back(ticket.get());
-    return ticket;
+    const RerankRequest* ptr = &request;
+    return std::move(AdmitBatch({&ptr, 1}, nullptr).front());
   }
 
   // A boundary's joiners embed in parallel — the carousel is stalled while
@@ -77,23 +78,28 @@ class PrismCarouselPass final : public CarouselPass {
   std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
       std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) override {
     std::vector<std::unique_ptr<PrismCarouselTicket>> planned;
+    std::vector<RequestContext*> boarding;
     planned.reserve(requests.size());
     for (const RerankRequest* request : requests) {
       planned.push_back(PlanTicket(*request));
+      if (!planned.back()->done()) {
+        boarding.push_back(&planned.back()->ctx());
+      }
     }
-    if (compute_pool != nullptr && planned.size() > 1) {
-      compute_pool->ParallelFor(0, planned.size(), [&](size_t i) {
-        engine_->embed_stage_->Run(&planned[i]->ctx());
-      });
+    if (compute_pool != nullptr && boarding.size() > 1) {
+      compute_pool->ParallelFor(0, boarding.size(),
+                                [&](size_t i) { engine_->embed_stage_->Run(boarding[i]); });
     } else {
-      for (auto& ticket : planned) {
-        engine_->embed_stage_->Run(&ticket->ctx());
+      for (RequestContext* ctx : boarding) {
+        engine_->embed_stage_->Run(ctx);
       }
     }
     std::vector<std::unique_ptr<CarouselTicket>> tickets;
     tickets.reserve(planned.size());
     for (auto& ticket : planned) {
-      live_.push_back(ticket.get());
+      if (!ticket->done()) {
+        live_.push_back(ticket.get());
+      }
       tickets.push_back(std::move(ticket));
     }
     return tickets;
@@ -103,6 +109,10 @@ class PrismCarouselPass final : public CarouselPass {
             ThreadPool* compute_pool) override {
     PRISM_CHECK_LT(layer, n_layers());
     PRISM_CHECK_EQ(layer, seq_ % n_layers());  // Layers arrive in cyclic order.
+    PRISM_CHECK_MSG(cyclic_ || seq_ < n_layers(), "one-cycle pass stepped past its last layer");
+    if (streamer_ == nullptr && engine_->options_.streaming) {
+      OpenStreamer();
+    }
 
     std::vector<RequestContext*> ctxs;
     ctxs.reserve(group.size());
@@ -142,8 +152,8 @@ class PrismCarouselPass final : public CarouselPass {
       }
     }
 
-    // Release before settling, as in LayerLoop::Run: the next layer
-    // prefetches into the freed buffer while pruning runs.
+    // Release before settling: the next layer prefetches into the freed
+    // buffer while pruning runs.
     if (streamer_ != nullptr) {
       streamer_->Release(seq_);
     }
@@ -164,15 +174,15 @@ class PrismCarouselPass final : public CarouselPass {
 
   // Ticket exit paths (called by PrismCarouselTicket only).
   void Finalize(PrismCarouselTicket* ticket) {
-    engine_->prune_stage_->Finalize(&ticket->ctx());
-    // Publish the trace like RerankBatch does for its last context: the
-    // most recently finalized request's records are what last_trace()
-    // returns.
-    {
-      MutexLock lock(engine_->trace_mu_);
-      engine_->trace_ = std::move(ticket->ctx().trace);
-    }
     Deregister(ticket);
+    if (!ticket->ctx().result.status.ok()) {
+      return;  // Rejected at admission: nothing ran, nothing to finalize.
+    }
+    engine_->prune_stage_->Finalize(&ticket->ctx());
+    // The most recently finalized request's records are what last_trace()
+    // returns.
+    MutexLock lock(engine_->trace_mu_);
+    engine_->trace_ = std::move(ticket->ctx().trace);
   }
 
   void Abandon(PrismCarouselTicket* ticket) {
@@ -181,10 +191,26 @@ class PrismCarouselPass final : public CarouselPass {
   }
 
  private:
+  void OpenStreamer() {
+    std::vector<size_t> schedule;
+    for (size_t layer = 0; layer < engine_->config_.n_layers; ++layer) {
+      schedule.push_back(LayerBlobIndex(layer));
+    }
+    streamer_ = std::make_unique<LayerStreamer>(engine_->reader_.get(), std::move(schedule),
+                                                /*buffer_count=*/2, engine_->tracker_, cyclic_);
+  }
+
+  // Validates and plans one request. A malformed one fails alone, before any
+  // engine work: its ticket is done at once and never boards.
   std::unique_ptr<PrismCarouselTicket> PlanTicket(const RerankRequest& request) {
     auto ticket = std::make_unique<PrismCarouselTicket>(
         this, request, engine_->next_request_id_.fetch_add(1, std::memory_order_relaxed));
     RequestContext& ctx = ticket->ctx();
+    ctx.result.status = ValidateRequest(engine_->config_, request);
+    if (!ctx.result.status.ok()) {
+      ctx.done = true;
+      return ticket;
+    }
     ctx.pruner_options.dispersion_threshold = engine_->dispersion_threshold();
     ctx.pruner_options.prune_winners = engine_->options_.prune_winners;
     ctx.pruner_options.kmeans_max_k = engine_->options_.kmeans_max_k;
@@ -198,6 +224,7 @@ class PrismCarouselPass final : public CarouselPass {
   }
 
   PrismEngine* engine_;
+  const bool cyclic_;
   std::unique_ptr<LayerStreamer> streamer_;  // Null when streaming is off.
   size_t seq_ = 0;                           // Monotonic carousel position.
   std::vector<PrismCarouselTicket*> live_;   // Admitted, result not yet taken.
@@ -299,7 +326,7 @@ size_t PrismEngine::PlanChunkCandidates(size_t n, size_t seq_len) const {
 }
 
 std::unique_ptr<CarouselPass> PrismEngine::BeginCarousel() {
-  return std::make_unique<PrismCarouselPass>(this);
+  return std::make_unique<PrismCarouselPass>(this, /*cyclic=*/true);
 }
 
 RerankResult PrismEngine::Rerank(const RerankRequest& request) {
@@ -310,62 +337,29 @@ RerankResult PrismEngine::Rerank(const RerankRequest& request) {
 
 std::vector<RerankResult> PrismEngine::RerankBatch(
     std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-  // A malformed request fails alone, before any engine work; its batchmates
-  // run as if it had never been submitted.
-  std::vector<RerankResult> results(requests.size());
-  std::vector<size_t> valid;
-  valid.reserve(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    results[i].status = ValidateRequest(config_, *requests[i]);
-    if (results[i].status.ok()) {
-      valid.push_back(i);
+  // One revolution of a terminating carousel with the whole batch aboard:
+  // every request boards at layer 0 and each layer's not-done tickets step
+  // together until none is left.
+  PrismCarouselPass pass(this, /*cyclic=*/false);
+  std::vector<std::unique_ptr<CarouselTicket>> tickets = pass.AdmitBatch(requests, compute_pool);
+  std::vector<CarouselTicket*> group;
+  group.reserve(tickets.size());
+  for (size_t layer = 0;; ++layer) {
+    group.clear();
+    for (const auto& ticket : tickets) {
+      if (!ticket->done()) {
+        group.push_back(ticket.get());
+      }
     }
-  }
-  if (valid.empty()) {
-    return results;
-  }
-  // Contexts live on the heap so their addresses stay stable for the stages.
-  std::vector<std::unique_ptr<RequestContext>> contexts;
-  contexts.reserve(valid.size());
-  for (const size_t i : valid) {
-    auto ctx = std::make_unique<RequestContext>(
-        *requests[i], next_request_id_.fetch_add(1, std::memory_order_relaxed));
-    ctx->pruner_options.dispersion_threshold = dispersion_threshold();
-    ctx->pruner_options.prune_winners = options_.prune_winners;
-    ctx->pruner_options.kmeans_max_k = options_.kmeans_max_k;
-    ctx->pruner_options.seed = options_.seed;
-    planner_->Begin(ctx.get());
-    contexts.push_back(std::move(ctx));
-  }
-
-  // Embed each request (in parallel when a pool is provided — the embedding
-  // cache serialises its own lookups).
-  if (compute_pool != nullptr && contexts.size() > 1) {
-    compute_pool->ParallelFor(0, contexts.size(),
-                              [&](size_t i) { embed_stage_->Run(contexts[i].get()); });
-  } else {
-    for (auto& ctx : contexts) {
-      embed_stage_->Run(ctx.get());
+    if (group.empty()) {
+      break;
     }
+    pass.Step(layer, group, compute_pool);
   }
-
-  std::vector<RequestContext*> batch;
-  batch.reserve(contexts.size());
-  for (auto& ctx : contexts) {
-    batch.push_back(ctx.get());
-  }
-  layer_loop_->Run(batch, compute_pool);
-
-  for (size_t v = 0; v < valid.size(); ++v) {
-    prune_stage_->Finalize(contexts[v].get());
-    results[valid[v]] = std::move(contexts[v]->result);
-  }
-
-  // Publish the last context's trace — full per-layer records in trace
-  // mode, the light per-prune-decision entries otherwise.
-  {
-    MutexLock lock(trace_mu_);
-    trace_ = std::move(contexts.back()->trace);
+  std::vector<RerankResult> results;
+  results.reserve(tickets.size());
+  for (const auto& ticket : tickets) {
+    results.push_back(ticket->TakeResult());
   }
   return results;
 }

@@ -10,9 +10,13 @@
 //
 // Execution is organised as a staged pipeline (src/core/stages.h): the
 // engine owns only shared immutable resources and hands each request a
-// private RequestContext, so concurrent Rerank/RerankBatch calls are safe —
-// a batch shares a single layer-streaming pass across its requests while
-// producing results bit-identical to serial execution.
+// private RequestContext, so concurrent Rerank/RerankBatch calls are safe.
+// One layer walk drives the stages: the engine's layer pass (a
+// CarouselPass). BeginCarousel opens it cyclic for the CarouselScheduler;
+// RerankBatch (and Rerank, a batch of one) opens it for a single
+// terminating cycle with the whole batch aboard. Either way a batch shares
+// each layer fetch across its requests while producing results
+// bit-identical to serial execution.
 #ifndef PRISM_SRC_CORE_ENGINE_H_
 #define PRISM_SRC_CORE_ENGINE_H_
 
@@ -45,12 +49,14 @@ class PrismEngine : public BatchRunner {
 
   RerankResult Rerank(const RerankRequest& request) override;
 
-  // Runs several requests as one coalesced pass: every layer's weights are
-  // fetched once for the whole batch (the §3.3 global view extended across
-  // requests), while per-request pruning keeps each result bit-identical to
-  // a serial Rerank. When `compute_pool` is non-null, per-request forwarding
-  // fans out across its workers. Thread-compatible: concurrent calls are
-  // safe (shared caches/spill are internally synchronised).
+  // Runs several requests as one coalesced pass: a one-cycle layer pass
+  // whose every layer's weights are fetched once for the whole batch (the
+  // §3.3 global view extended across requests), while per-request pruning
+  // keeps each result bit-identical to a serial Rerank. A malformed request
+  // fails alone with kInvalidArgument. When `compute_pool` is non-null,
+  // per-request embedding and forwarding fan out across its workers.
+  // Thread-compatible: concurrent calls are safe (shared caches/spill are
+  // internally synchronised).
   std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
                                         ThreadPool* compute_pool = nullptr) override;
 
@@ -119,7 +125,7 @@ class PrismEngine : public BatchRunner {
   size_t PlanChunkCandidates(size_t n, size_t seq_len) const;
 
  private:
-  // The carousel pass lives in engine.cc and reaches through the engine for
+  // The layer pass lives in engine.cc and reaches through the engine for
   // the stage pipeline, request ids, and the live dispersion threshold.
   friend class PrismCarouselPass;
 

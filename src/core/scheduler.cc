@@ -46,122 +46,39 @@ RerankResult SerialScheduler::Submit(const RerankRequest& request) {
   return result;
 }
 
-RequestQueue::RequestQueue(Clock* clock, bool lock_free, size_t ring_capacity)
-    : clock_(ResolveClock(clock)),
-      lock_free_(lock_free),
-      cv_(clock_->MakeCondVar()),
-      not_full_cv_(clock_->MakeCondVar()) {
-  if (lock_free_) {
-    size_t capacity = 2;  // At least 2 so the full-ring wait has slack.
-    while (capacity < ring_capacity) {
-      capacity <<= 1;
-    }
-    ring_ = std::make_unique<Slot[]>(capacity);
-    ring_mask_ = capacity - 1;
-    for (size_t i = 0; i < capacity; ++i) {
-      ring_[i].seq.store(i, std::memory_order_relaxed);
-    }
-  }
-}
+RequestQueue::RequestQueue(Clock* clock)
+    : clock_(ResolveClock(clock)), cv_(clock_->MakeCondVar()) {}
 
 RequestQueue::~RequestQueue() = default;
 
 std::future<RerankResult> RequestQueue::Push(const RerankRequest& request) {
-  PRISM_CHECK_MSG(!closed_.load(std::memory_order_acquire), "Push after Close");
-  return Stage(request);
-}
-
-std::future<RerankResult> RequestQueue::Stage(const RerankRequest& request) {
-  // Stamp at arrival, before staging: the deadline countdown starts now
-  // even if the ring is full and staging has to wait below.
+  // Stamp at arrival: the deadline countdown starts now.
   const double admitted_ms = clock_->NowMs();
-
-  if (!lock_free_) {
-    // Mutexed baseline: every producer serializes on mu_ (and against the
-    // dispatcher's drain). This is the contention bench_contention measures
-    // the ring against.
-    std::future<RerankResult> future;
-    {
-      MutexLock lock(mu_);
-      Pending pending;
-      pending.request = &request;
-      pending.ticket = enqueue_pos_.fetch_add(1, std::memory_order_relaxed);
-      pending.priority = request.priority;
-      pending.admitted_ms = admitted_ms;
-      if (request.deadline_ms > 0.0) {
-        pending.has_deadline = true;
-        pending.deadline_at_ms = admitted_ms + request.deadline_ms;
-      }
-      future = pending.promise.get_future();
-      staged_mutex_.push_back(std::move(pending));
-      staged_count_.fetch_add(1, std::memory_order_seq_cst);
-    }
-    cv_->NotifyOne();
-    return future;
+  Pending pending;
+  pending.request = &request;
+  pending.priority = request.priority;
+  pending.admitted_ms = admitted_ms;
+  if (request.deadline_ms > 0.0) {
+    pending.has_deadline = true;
+    pending.deadline_at_ms = admitted_ms + request.deadline_ms;
   }
-
-  // Lock-free staging: a CAS on the enqueue cursor claims a slot, and the
-  // claimed position is the admission ticket. The dispatcher drains in
-  // position order and stops at the first still-publishing slot, so a
-  // claimed-but-unpublished entry can never be overtaken by a later ticket
-  // — strict FIFO within a priority class survives without any lock.
-  uint64_t pos;
-  for (;;) {
-    pos = enqueue_pos_.load(std::memory_order_relaxed);
-    Slot& slot = ring_[pos & ring_mask_];
-    const uint64_t seq = slot.seq.load(std::memory_order_acquire);
-    const auto dif = static_cast<int64_t>(seq - pos);
-    if (dif == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-        break;
-      }
-    } else if (dif < 0) {
-      // Ring full: overload beyond the staging bound. Wait on the clock
-      // seam for the dispatcher to drain — never a spin, which would hold a
-      // SimClock's virtual time frozen (a runnable participant blocks every
-      // advance) while the dispatcher sleeps on it.
-      MutexLock lock(mu_);
-      full_waiters_.fetch_add(1, std::memory_order_seq_cst);
-      while (!closed_.load(std::memory_order_relaxed) &&
-             enqueue_pos_.load(std::memory_order_relaxed) -
-                     dequeue_published_.load(std::memory_order_seq_cst) >
-                 ring_mask_) {
-        not_full_cv_->Wait(mu_);
-      }
-      full_waiters_.fetch_sub(1, std::memory_order_relaxed);
-      PRISM_CHECK_MSG(!closed_.load(std::memory_order_relaxed), "Push after Close");
-    }
-    // dif > 0: our cursor snapshot went stale under a racing claim; reload.
+  std::future<RerankResult> future = pending.promise.get_future();
+  {
+    MutexLock lock(mu_);
+    PRISM_CHECK_MSG(!closed_, "Push after Close");
+    pending.ticket = next_ticket_++;
+    staged_.push_back(std::move(pending));
   }
-  Slot& slot = ring_[pos & ring_mask_];
-  slot.item.request = &request;
-  slot.item.ticket = pos;
-  slot.item.priority = request.priority;
-  slot.item.tag = 0;  // Assigned at drain (see Pending::tag).
-  slot.item.admitted_ms = admitted_ms;
-  slot.item.has_deadline = request.deadline_ms > 0.0;
-  slot.item.deadline_at_ms = slot.item.has_deadline ? admitted_ms + request.deadline_ms : 0.0;
-  slot.item.promise = std::promise<RerankResult>();  // Fresh per slot reuse.
-  std::future<RerankResult> future = slot.item.promise.get_future();
-  slot.seq.store(pos + 1, std::memory_order_release);  // Publish.
-  staged_count_.fetch_add(1, std::memory_order_seq_cst);
-  if (dispatcher_sleeping_.load(std::memory_order_seq_cst)) {
-    // The empty critical section orders this notify against the
-    // dispatcher's predicate check: either it saw our staged count, or we
-    // see its sleeping flag — never neither (both sides seq_cst). Under
-    // load the flag is false and producers skip the mutex entirely.
-    { MutexLock lock(mu_); }
-    cv_->NotifyOne();
-  }
+  cv_->NotifyOne();
   return future;
 }
 
 void RequestQueue::InsertOrdered(Pending pending) {
   // Insert before the first entry that outranks it, scanning from the back:
   // staging drains in ticket order, so the common single-priority case is
-  // O(1), and equal priorities keep ticket (FIFO) order. Unlike the old
-  // push-side insert, the scan must also compare tickets — drains from
-  // different pops interleave with leftovers already ordered.
+  // O(1), and equal priorities keep ticket (FIFO) order. The scan must also
+  // compare tickets — drains from different pops interleave with leftovers
+  // already ordered.
   auto pos = ordered_.end();
   while (pos != ordered_.begin()) {
     const Pending& prev = *std::prev(pos);
@@ -174,88 +91,11 @@ void RequestQueue::InsertOrdered(Pending pending) {
   ordered_.insert(pos, std::move(pending));
 }
 
-void RequestQueue::DrainRing(const std::atomic<uint64_t>* epoch) {
-  const uint64_t tag = epoch != nullptr ? epoch->load(std::memory_order_relaxed) : 0;
-  size_t drained = 0;
-  for (;;) {
-    Slot& slot = ring_[dequeue_pos_ & ring_mask_];
-    if (slot.seq.load(std::memory_order_acquire) != dequeue_pos_ + 1) {
-      break;  // Unpublished (or empty): stop, preserving ticket order.
-    }
-    Pending pending = std::move(slot.item);
-    // Free the slot for its next lap.
-    slot.seq.store(dequeue_pos_ + ring_mask_ + 1, std::memory_order_release);
-    ++dequeue_pos_;
-    pending.tag = tag;
-    InsertOrdered(std::move(pending));
-    ++drained;
-  }
-  if (drained > 0) {
-    dequeue_published_.store(dequeue_pos_, std::memory_order_seq_cst);
-    staged_count_.fetch_sub(drained, std::memory_order_seq_cst);
-    if (full_waiters_.load(std::memory_order_seq_cst) > 0) {
-      { MutexLock lock(mu_); }
-      not_full_cv_->NotifyAll();
-    }
-    ordered_count_.store(ordered_.size(), std::memory_order_relaxed);
-  }
-}
-
-void RequestQueue::DrainStagedLocked(const std::atomic<uint64_t>* epoch) {
-  // Mutexed baseline: the caller (DrainPass) holds mu_ across this drain and
-  // the shed/take that follows — the original implementation's lock-hold
-  // profile, where producers collide with the whole dispatch pass. Keep
-  // it that way: it is the contention bench_contention measures against.
-  const uint64_t tag = epoch != nullptr ? epoch->load(std::memory_order_relaxed) : 0;
-  const size_t drained = staged_mutex_.size();
-  if (drained > 0) {
-    staged_count_.fetch_sub(drained, std::memory_order_seq_cst);
-  }
-  while (!staged_mutex_.empty()) {
-    Pending pending = std::move(staged_mutex_.front());
-    staged_mutex_.pop_front();
-    pending.tag = tag;
-    InsertOrdered(std::move(pending));
-  }
-  if (drained > 0) {
-    ordered_count_.store(ordered_.size(), std::memory_order_relaxed);
-  }
-}
-
-void RequestQueue::ShedExpired(std::vector<Pending>* shed) {
-  // Shed every expired entry — wherever it sits in the order; a
-  // low-priority request can expire behind higher classes.
-  const double now_ms = clock_->NowMs();
-  for (auto it = ordered_.begin(); it != ordered_.end();) {
-    if (it->ExpiredAt(now_ms)) {
-      shed->push_back(std::move(*it));
-      it = ordered_.erase(it);
-      shed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ++it;
-    }
-  }
-  ordered_count_.store(ordered_.size(), std::memory_order_relaxed);
-}
-
-std::vector<RequestQueue::Pending> RequestQueue::Take(size_t max_batch) {
-  std::vector<Pending> batch;
-  const size_t take = std::min(max_batch, ordered_.size());
-  batch.reserve(take);
-  for (size_t i = 0; i < take; ++i) {
-    batch.push_back(std::move(ordered_.front()));
-    ordered_.pop_front();
-  }
-  ordered_count_.store(ordered_.size(), std::memory_order_relaxed);
-  return batch;
-}
-
 namespace {
 
 // An admission event: a pop handed out a non-empty batch. Dispatcher-only,
-// and every pop drains all published staging before bumping, so an entry's
-// drain-time tag counts exactly the admission events that preceded its
-// visibility.
+// and every pop drains all staging before bumping, so an entry's drain-time
+// tag counts exactly the admission events that preceded its visibility.
 void BumpEpoch(std::atomic<uint64_t>* epoch, const std::vector<RequestQueue::Pending>& batch) {
   if (epoch != nullptr && !batch.empty()) {
     epoch->fetch_add(1, std::memory_order_relaxed);
@@ -267,20 +107,33 @@ void BumpEpoch(std::atomic<uint64_t>* epoch, const std::vector<RequestQueue::Pen
 std::vector<RequestQueue::Pending> RequestQueue::DrainPass(size_t max_batch,
                                                            std::atomic<uint64_t>* epoch,
                                                            std::vector<Pending>* shed) {
-  if (!lock_free_) {
-    // Mutexed baseline: hold mu_ across drain+shed+take, the baseline's
-    // lock-hold profile (see DrainStagedLocked).
-    MutexLock lock(mu_);
-    DrainStagedLocked(epoch);
-    ShedExpired(shed);
-    std::vector<Pending> batch = Take(max_batch);
-    BumpEpoch(epoch, batch);
-    return batch;
+  MutexLock lock(mu_);
+  const uint64_t tag = epoch != nullptr ? epoch->load(std::memory_order_relaxed) : 0;
+  while (!staged_.empty()) {
+    Pending pending = std::move(staged_.front());
+    staged_.pop_front();
+    pending.tag = tag;
+    InsertOrdered(std::move(pending));
   }
-  // Lock-free mode: nothing to lock, the whole pass is consumer-private.
-  DrainRing(epoch);
-  ShedExpired(shed);
-  std::vector<Pending> batch = Take(max_batch);
+  // Shed every expired entry — wherever it sits in the order; a
+  // low-priority request can expire behind higher classes.
+  const double now_ms = clock_->NowMs();
+  for (auto it = ordered_.begin(); it != ordered_.end();) {
+    if (it->ExpiredAt(now_ms)) {
+      shed->push_back(std::move(*it));
+      it = ordered_.erase(it);
+      ++shed_;
+    } else {
+      ++it;
+    }
+  }
+  std::vector<Pending> batch;
+  const size_t take = std::min(max_batch, ordered_.size());
+  batch.reserve(take);
+  for (size_t i = 0; i < take; ++i) {
+    batch.push_back(std::move(ordered_.front()));
+    ordered_.pop_front();
+  }
   BumpEpoch(epoch, batch);
   return batch;
 }
@@ -298,19 +151,11 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch,
                                                           std::atomic<uint64_t>* epoch) {
   PRISM_CHECK_GT(max_batch, 0u);
   for (;;) {
-    if (ordered_.empty()) {
-      // Park until staging has work (or Close). The sleeping flag pairs
-      // with the producers' post-publish check — both sides seq_cst, so
-      // either a producer sees the flag and notifies under the mutex, or
-      // this loop condition (evaluated under the same mutex before
-      // sleeping) sees the staged count. No lost wakeup, and producers
-      // under load never touch the mutex.
+    {
       MutexLock lock(mu_);
-      dispatcher_sleeping_.store(true, std::memory_order_seq_cst);
-      while (!closed_.load(std::memory_order_relaxed) && !HasStaged()) {
+      while (!closed_ && !HasWorkLocked()) {
         cv_->Wait(mu_);
       }
-      dispatcher_sleeping_.store(false, std::memory_order_relaxed);
     }
     // Let every producer active at this instant land its push before the
     // drain (a no-op on the wall clock): batch composition becomes a pure
@@ -318,12 +163,12 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch,
     clock_->YieldUntilQuiescent();
     std::vector<Pending> shed;
     std::vector<Pending> batch = DrainPass(max_batch, epoch, &shed);
-    const bool drained_out = batch.empty() && ordered_.empty() && !HasStaged();
     AnswerShed(std::move(shed));
     if (!batch.empty()) {
       return batch;
     }
-    if (drained_out && closed_.load(std::memory_order_acquire)) {
+    MutexLock lock(mu_);
+    if (closed_ && !HasWorkLocked()) {
       return {};  // Closed and drained.
     }
     // Everything pending was shed; wait for real work (or Close).
@@ -347,16 +192,14 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, d
   const double give_up_ms = clock_->NowMs() + timeout_ms;
   for (;;) {
     bool timed_out = false;
-    if (ordered_.empty()) {
+    {
       MutexLock lock(mu_);
-      dispatcher_sleeping_.store(true, std::memory_order_seq_cst);
-      while (!closed_.load(std::memory_order_relaxed) && !HasStaged()) {
+      while (!closed_ && !HasWorkLocked()) {
         if (!cv_->WaitUntil(mu_, give_up_ms)) {
           break;  // Deadline reached; re-check the condition below.
         }
       }
-      timed_out = !closed_.load(std::memory_order_relaxed) && !HasStaged();
-      dispatcher_sleeping_.store(false, std::memory_order_relaxed);
+      timed_out = !closed_ && !HasWorkLocked();
     }
     if (!timed_out) {
       clock_->YieldUntilQuiescent();
@@ -371,34 +214,34 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, d
       return {};
     }
     // Woken by Close or everything shed; retry within the window.
-    if (closed_.load(std::memory_order_acquire) && ordered_.empty() && !HasStaged()) {
+    MutexLock lock(mu_);
+    if (closed_ && !HasWorkLocked()) {
       return {};
     }
   }
 }
 
 void RequestQueue::Close() {
-  closed_.store(true, std::memory_order_seq_cst);
-  // The empty critical section orders the store against any parked waiter's
-  // predicate check, exactly like the producers' wake protocol.
-  { MutexLock lock(mu_); }
+  {
+    MutexLock lock(mu_);
+    closed_ = true;
+  }
   cv_->NotifyAll();
-  not_full_cv_->NotifyAll();
 }
 
 size_t RequestQueue::size() const {
-  return staged_count_.load(std::memory_order_relaxed) +
-         ordered_count_.load(std::memory_order_relaxed);
+  MutexLock lock(mu_);
+  return staged_.size() + ordered_.size();
 }
 
-size_t RequestQueue::shed_count() const { return shed_.load(std::memory_order_relaxed); }
+size_t RequestQueue::shed_count() const {
+  MutexLock lock(mu_);
+  return shed_;
+}
 
 BatchScheduler::BatchScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads,
-                               Clock* clock, bool lock_free_admission)
-    : runner_(runner),
-      max_inflight_(max_inflight),
-      clock_(ResolveClock(clock)),
-      queue_(clock, lock_free_admission) {
+                               Clock* clock)
+    : runner_(runner), max_inflight_(max_inflight), clock_(ResolveClock(clock)), queue_(clock) {
   PRISM_CHECK_GT(max_inflight_, 0u);
   if (compute_threads == 0) {
     // At least one thread per batch slot: requests spend much of their layer
@@ -448,13 +291,12 @@ void BatchScheduler::DispatchLoop() {
 }
 
 CarouselScheduler::CarouselScheduler(BatchRunner* runner, size_t max_inflight,
-                                     size_t compute_threads, double linger_ms, Clock* clock,
-                                     bool lock_free_admission)
+                                     size_t compute_threads, double linger_ms, Clock* clock)
     : runner_(runner),
       max_inflight_(max_inflight),
       linger_ms_(std::max(0.0, linger_ms)),
       clock_(ResolveClock(clock)),
-      queue_(clock, lock_free_admission) {
+      queue_(clock) {
   PRISM_CHECK_GT(max_inflight_, 0u);
   // Fail fast, on the constructing thread, if the runner cannot serve
   // step-wise execution — not from the dispatcher at first traffic. The
@@ -552,11 +394,13 @@ void CarouselScheduler::DispatchLoop() {
 
     size_t layer = 0;
     while (!residents.empty()) {
-      // Forward the depth group whose next-needed layer just arrived.
+      // Forward the depth group whose next-needed layer just arrived. A
+      // ticket already done (rejected at admission) is never stepped; it
+      // exits below.
       std::vector<CarouselTicket*> group;
       group.reserve(residents.size());
       for (const Resident& resident : residents) {
-        if (resident.ticket->next_layer() == layer) {
+        if (!resident.ticket->done() && resident.ticket->next_layer() == layer) {
           group.push_back(resident.ticket.get());
         }
       }

@@ -10,14 +10,15 @@
 //                      is shed.
 //   BatchScheduler   — callers enqueue into a ticketed RequestQueue; a
 //                      dispatcher thread drains it, coalescing up to
-//                      `max_inflight` requests into one BatchRunner pass.
-//                      The batch shares a single layer-streaming pass (each
-//                      layer's weights are fetched once for every in-flight
-//                      request — the paper's §3.3 global view extended
-//                      across requests) and fans per-request compute out on
-//                      a worker pool. Admission order, not thread timing,
-//                      determines batch composition, and per-request pruning
-//                      keeps every result bit-identical to a serial run.
+//                      `max_inflight` requests into one RerankBatch call:
+//                      one terminating cycle of the engine's layer pass
+//                      with the whole batch aboard. Each layer's weights
+//                      are fetched once for every in-flight request (the
+//                      paper's §3.3 global view extended across requests)
+//                      and per-request compute fans out on a worker pool.
+//                      Admission order, not thread timing, determines batch
+//                      composition, and per-request pruning keeps every
+//                      result bit-identical to a serial run.
 //   CarouselScheduler — continuous batching: the dispatcher rides a cyclic
 //                      layer pass (BatchRunner::BeginCarousel) that never
 //                      ends while traffic flows. At each arriving layer k it
@@ -25,8 +26,9 @@
 //                      layer is k; new requests are admitted at the next
 //                      layer-0 boundary (worst-case wait one cycle, not one
 //                      full batch pass), and a request that terminates —
-//                      pruned to completion or failed — exits and answers
-//                      its caller immediately instead of waiting for
+//                      pruned to completion, failed, or rejected as
+//                      malformed at admission — exits and answers its
+//                      caller immediately instead of waiting for
 //                      batchmates. When the carousel drains mid-cycle with
 //                      work queued, it skips the rest of the cycle (the
 //                      layers nobody needs are never fetched) and wraps
@@ -61,7 +63,6 @@
 #include "src/common/annotations.h"
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
-#include "src/common/striped.h"
 #include "src/common/thread_pool.h"
 #include "src/runtime/runner.h"
 
@@ -107,25 +108,16 @@ class SerialScheduler : public Scheduler {
 // contract: any number of producers may Push concurrently, but at most one
 // thread (the scheduler's dispatcher) calls the pop variants.
 //
-// By default producers stage through a bounded lock-free MPSC ring (Vyukov
-// bounded-queue slot-sequence scheme; cf. the CAS-ticket constructions of
-// Blelloch & Wei, PAPERS.md): a CAS on the enqueue cursor claims a slot,
-// and the claimed position *is* the admission ticket — so ticket order and
-// ring visibility order agree by construction, with no lock and no separate
-// ticket counter. The dispatcher drains the ring (stopping at the first
-// still-publishing slot, which preserves strict ticket-FIFO within a
-// priority class) into a consumer-private structure kept sorted
-// (priority desc, ticket asc); priority ordering, deadline shedding, and
-// the carousel's epoch tagging are therefore single-threaded and need no
-// lock at all. The queue mutex survives only for the two rare edges: the
-// sleep/wake handshake when the dispatcher idles, and producers waiting out
-// a full ring. With `lock_free = false` producers instead stage under the
-// mutex (the measured baseline for bench_contention); everything downstream
-// of staging is shared, so semantics are identical in both modes.
+// Producers stage under the queue mutex: each Push takes the next admission
+// ticket and appends to a staging deque. The dispatcher drains staging into
+// an ordered deque kept sorted (priority desc, ticket asc), sheds expired
+// entries and takes its batch, all under the same mutex. Admission costs
+// microseconds against an engine pass of tens to hundreds of milliseconds,
+// so one lock is all this path needs.
 //
-// Pushes never block (short of a full ring); PopBatch blocks until at least
-// one unexpired request is pending (or the queue is closed) and then drains
-// up to `max_batch` entries in (priority desc, ticket asc) order. Expired
+// Pushes never block on the dispatcher; PopBatch blocks until at least one
+// unexpired request is pending (or the queue is closed) and then drains up
+// to `max_batch` entries in (priority desc, ticket asc) order. Expired
 // entries are shed inside the pops: their promises are fulfilled with a
 // kDeadlineExceeded result and they never surface to the dispatcher. All
 // timestamps are clock milliseconds; all waits go through the clock's
@@ -133,18 +125,11 @@ class SerialScheduler : public Scheduler {
 // decisions happen only in the dispatcher, after a yield to quiescence.
 class RequestQueue {
  public:
-  // `ring_capacity` (rounded up to a power of two) bounds the lock-free
-  // staging ring; a producer that finds it full waits on the clock seam
-  // until the dispatcher drains — deadline accounting keeps running, since
-  // admission stamps happen before staging.
-  explicit RequestQueue(Clock* clock = nullptr, bool lock_free = true,
-                        size_t ring_capacity = kDefaultRingCapacity);
+  explicit RequestQueue(Clock* clock = nullptr);
   ~RequestQueue();
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
-
-  static constexpr size_t kDefaultRingCapacity = 1024;
 
   struct Pending {
     const RerankRequest* request = nullptr;
@@ -154,10 +139,9 @@ class RequestQueue {
     // The caller's epoch counter (the CarouselScheduler's admission-boundary
     // counter) as of the pop that first drained this entry out of staging.
     // Only the dispatcher reads and bumps the epoch, and every pop drains
-    // all published staging before bumping, so "epoch at dispatch minus tag"
-    // counts exactly the admission events between this entry becoming
-    // visible and its dispatch — race-free without any producer-side
-    // snapshot.
+    // all staging before bumping, so "epoch at dispatch minus tag" counts
+    // exactly the admission events between this entry becoming visible and
+    // its dispatch — race-free without any producer-side snapshot.
     uint64_t tag = 0;
     double admitted_ms = 0.0;
     // Absolute expiry instant (clock ms); only meaningful when has_deadline.
@@ -192,94 +176,44 @@ class RequestQueue {
   // staged or ordered are drained by subsequent PopBatch calls.
   void Close();
 
-  // Entries pending (staged + ordered, not yet popped). Counter-derived and
-  // lock-free; momentarily stale against in-flight pushes, like any
-  // concurrent size.
+  // Entries pending (staged + ordered, not yet popped).
   size_t size() const;
 
   // Requests shed on an expired deadline so far.
   size_t shed_count() const;
 
  private:
-  // One ring slot (Vyukov scheme). seq == pos: free for the producer that
-  // claims position pos; seq == pos + 1: published, ready for the consumer;
-  // after consumption seq becomes pos + capacity (free for the next lap).
-  // The seq release-store publishes `item`; the consumer's acquire-load
-  // receives it.
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic<uint64_t> seq{0};
-    Pending item;
-  };
-
-  // Producer side: stamps and stages one entry, returns its future.
-  std::future<RerankResult> Stage(const RerankRequest& request);
-  // Consumer side: moves every published staged entry into ordered_, tagging
-  // each with `epoch`'s current value. DrainRing is the lock-free variant
-  // (dispatcher-private, no lock); DrainStagedLocked drains the mutexed
-  // baseline's staging deque and so requires mu_.
-  void DrainRing(const std::atomic<uint64_t>* epoch);
-  void DrainStagedLocked(const std::atomic<uint64_t>* epoch) PRISM_REQUIRES(mu_);
-  // One consumer pass shared by the pop variants: drain staging (under mu_
-  // in the mutexed baseline, whose lock-hold profile spans shed+take too),
-  // shed expired entries into *shed, take up to max_batch survivors, and
-  // bump the epoch on a non-empty batch.
+  // One consumer pass shared by the pop variants, under mu_: drain staging
+  // into ordered_ (tagging each entry with `epoch`'s current value), shed
+  // expired entries into *shed, take up to max_batch survivors, and bump the
+  // epoch on a non-empty batch.
   std::vector<Pending> DrainPass(size_t max_batch, std::atomic<uint64_t>* epoch,
                                  std::vector<Pending>* shed);
   // Sorted insert into ordered_ (priority desc, ticket asc), scanning from
-  // the back — O(1) for the in-ticket-order drains both modes produce.
-  void InsertOrdered(Pending pending);
-  // Both operate on ordered_, consumer-private: move expired entries into
-  // `shed`, then up to `max_batch` survivors into the returned batch.
-  void ShedExpired(std::vector<Pending>* shed);
-  std::vector<Pending> Take(size_t max_batch);
+  // the back — O(1) for the in-ticket-order drains staging produces.
+  void InsertOrdered(Pending pending) PRISM_REQUIRES(mu_);
   // Fulfils shed promises.
   void AnswerShed(std::vector<Pending> shed);
-  // True when the dispatcher has (or can drain) work: ordered_ is never
-  // consulted here because only the consumer calls this between drains.
-  bool HasStaged() const { return staged_count_.load(std::memory_order_seq_cst) > 0; }
+  bool HasWorkLocked() const PRISM_REQUIRES(mu_) { return !staged_.empty() || !ordered_.empty(); }
 
   Clock* clock_;
-  const bool lock_free_;
-  std::unique_ptr<ClockCondVar> cv_;           // Dispatcher parks here.
-  std::unique_ptr<ClockCondVar> not_full_cv_;  // Producers park on a full ring.
-  mutable Mutex mu_;  // Sleep/wake handshake + mutex-mode staging only.
+  std::unique_ptr<ClockCondVar> cv_;  // Dispatcher parks here.
+  mutable Mutex mu_;
 
-  // --- Staging (producers → dispatcher). ---------------------------------
-  // Lock-free mode: the bounded ring. enqueue_pos_ is the CAS ticket
-  // cursor; dequeue_pos_ is consumer-private, mirrored into
-  // dequeue_published_ so full-ring producers can watch drain progress.
-  std::unique_ptr<Slot[]> ring_;
-  size_t ring_mask_ = 0;
-  std::atomic<uint64_t> enqueue_pos_{0};
-  uint64_t dequeue_pos_ = 0;
-  std::atomic<uint64_t> dequeue_published_{0};
-  // Mutex mode: staged under mu_; tickets still come from enqueue_pos_.
-  std::deque<Pending> staged_mutex_ PRISM_GUARDED_BY(mu_);
-  // Ring + mutex staging, published but not yet drained. seq_cst: pairs
-  // with dispatcher_sleeping_ / full_waiters_ in the two Dekker-style
-  // sleep/wake handshakes below.
-  std::atomic<size_t> staged_count_{0};
-  std::atomic<bool> dispatcher_sleeping_{false};
-  std::atomic<size_t> full_waiters_{0};
-
-  // --- Ordering (dispatcher-private; no synchronization). ----------------
-  // Kept sorted: priority descending, ticket ascending. Drain inserts from
-  // the back (staging arrives in ticket order), so the common
-  // single-priority case stays O(1) per entry.
-  std::deque<Pending> ordered_;
-  std::atomic<size_t> ordered_count_{0};  // Mirror of ordered_.size() for size().
-
-  std::atomic<size_t> shed_{0};
-  std::atomic<bool> closed_{false};
+  // Producers → dispatcher, in ticket order.
+  std::deque<Pending> staged_ PRISM_GUARDED_BY(mu_);
+  uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;
+  // Drained entries, kept sorted: priority descending, ticket ascending.
+  std::deque<Pending> ordered_ PRISM_GUARDED_BY(mu_);
+  size_t shed_ PRISM_GUARDED_BY(mu_) = 0;
+  bool closed_ PRISM_GUARDED_BY(mu_) = false;
 };
 
 class BatchScheduler : public Scheduler {
  public:
   // `compute_threads` sizes the per-request fan-out pool (0 = one per core).
-  // `lock_free_admission` selects the queue's staging mode (see
-  // RequestQueue; false = the mutexed baseline).
   BatchScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
-                 Clock* clock = nullptr, bool lock_free_admission = true);
+                 Clock* clock = nullptr);
   ~BatchScheduler() override;
 
   BatchScheduler(const BatchScheduler&) = delete;
@@ -328,8 +262,7 @@ class CarouselScheduler : public Scheduler {
   // loading — for new traffic before tearing down; arrivals inside the
   // window start on warm weights instead of a cold streamer.
   CarouselScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
-                    double linger_ms = 200.0, Clock* clock = nullptr,
-                    bool lock_free_admission = true);
+                    double linger_ms = 200.0, Clock* clock = nullptr);
   ~CarouselScheduler() override;
 
   CarouselScheduler(const CarouselScheduler&) = delete;

@@ -125,75 +125,6 @@ double ServiceStats::LatencyPercentileMs(double p) const {
   return PercentileOverSorted(sorted, p);
 }
 
-ConcurrentServiceStats::ConcurrentServiceStats(size_t latency_capacity)
-    : latency_capacity_(std::max<size_t>(latency_capacity, 1)), stripes_(kStripes) {
-  // Distinct deterministic reservoir stream per stripe, derived from the
-  // same base seed the plain struct uses.
-  for (size_t i = 0; i < stripes_.size(); ++i) {
-    stripes_[i].rng_state = MixSeed(ServiceStats{}.reservoir_state, static_cast<uint64_t>(i));
-  }
-}
-
-void ConcurrentServiceStats::Observe(const RerankRequest& request, const RerankResult& result,
-                                     double observed_ms) {
-  Stripe& stripe = stripes_[ThreadOrdinal() % stripes_.size()];
-  stripe.requests.Add(1);
-  if (!result.status.ok()) {
-    // Same accounting as ServiceStats::Observe: a shed or failed request
-    // never enters the latency aggregates, only shed/errors and the bytes it
-    // did stream.
-    if (result.status.code() == StatusCode::kDeadlineExceeded) {
-      stripe.shed.Add(1);
-    } else {
-      stripe.errors.Add(1);
-    }
-    stripe.bytes_streamed.Add(result.stats.bytes_streamed);
-    return;
-  }
-  stripe.total_latency_ms.Add(observed_ms);
-  stripe.max_latency_ms.UpdateMax(observed_ms);
-  stripe.candidate_layers.Add(result.stats.candidate_layers);
-  stripe.candidates.Add(static_cast<int64_t>(request.docs.size()));
-  stripe.bytes_streamed.Add(result.stats.bytes_streamed);
-  MutexLock lock(stripe.reservoir_mu);
-  if (stripe.samples.size() < latency_capacity_) {
-    stripe.samples.push_back(observed_ms);
-  } else {
-    const size_t j = static_cast<size_t>(SplitMix64(stripe.rng_state) %
-                                         static_cast<uint64_t>(stripe.observed + 1));
-    if (j < latency_capacity_) {
-      stripe.samples[j] = observed_ms;
-    }
-  }
-  ++stripe.observed;
-}
-
-ServiceStats ConcurrentServiceStats::Snapshot() const {
-  ServiceStats snapshot;
-  snapshot.latency_capacity = latency_capacity_;
-  for (const Stripe& stripe : stripes_) {
-    ServiceStats part;
-    part.requests = static_cast<size_t>(stripe.requests.Load());
-    part.shed = static_cast<size_t>(stripe.shed.Load());
-    part.errors = static_cast<size_t>(stripe.errors.Load());
-    part.total_latency_ms = stripe.total_latency_ms.Load();
-    part.max_latency_ms = stripe.max_latency_ms.Load();
-    part.total_candidate_layers = stripe.candidate_layers.Load();
-    part.total_candidates = stripe.candidates.Load();
-    part.bytes_streamed = stripe.bytes_streamed.Load();
-    {
-      MutexLock lock(stripe.reservoir_mu);
-      part.latency_samples = stripe.samples;
-      part.latency_observed = stripe.observed;
-    }
-    // The stripe fold is the same observed-count-weighted merge the pool
-    // uses across replicas, so an uneven thread→stripe mapping cannot bias
-    // the snapshot's percentiles.
-    snapshot.Merge(part);
-  }
-  return snapshot;
-}
-
 SchedulerKind SchedulerKindByName(const std::string& name) {
   if (name == "auto") {
     return SchedulerKind::kAuto;
@@ -216,9 +147,6 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     : config_(config), clock_(ResolveClock(options.clock)) {
   if (options.latency_sample_capacity > 0) {
     stats_.latency_capacity = options.latency_sample_capacity;
-  }
-  if (options.lockfree_stats) {
-    striped_stats_ = std::make_unique<ConcurrentServiceStats>(stats_.latency_capacity);
   }
   engine_ = std::make_unique<PrismEngine>(config, checkpoint_path, options.engine, tracker);
   SchedulerKind kind = options.scheduler;
@@ -256,13 +184,12 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
   const size_t inflight = std::max<size_t>(options.max_inflight, 1);
   switch (kind) {
     case SchedulerKind::kBatch:
-      scheduler_ = std::make_unique<BatchScheduler>(target, inflight, options.compute_threads,
-                                                    clock_, options.lockfree_admission);
+      scheduler_ =
+          std::make_unique<BatchScheduler>(target, inflight, options.compute_threads, clock_);
       break;
     case SchedulerKind::kCarousel:
       scheduler_ = std::make_unique<CarouselScheduler>(target, inflight, options.compute_threads,
-                                                       options.carousel_linger_ms, clock_,
-                                                       options.lockfree_admission);
+                                                       options.carousel_linger_ms, clock_);
       break;
     case SchedulerKind::kSerial: {
       Runner* runner = calibrator_ != nullptr ? static_cast<Runner*>(calibrator_.get())
@@ -287,9 +214,7 @@ RerankResult RerankService::Rerank(const RerankRequest& request) {
     result = scheduler_->Submit(request);
   }
   const double observed_ms = clock_->NowMs() - start_ms;
-  if (striped_stats_ != nullptr) {
-    striped_stats_->Observe(request, result, observed_ms);
-  } else {
+  {
     MutexLock lock(stats_mu_);
     stats_.Observe(request, result, observed_ms);
   }
@@ -305,9 +230,7 @@ double RerankService::OnIdle() {
 
 ServiceStats RerankService::stats() const {
   ServiceStats snapshot;
-  if (striped_stats_ != nullptr) {
-    snapshot = striped_stats_->Snapshot();
-  } else {
+  {
     MutexLock lock(stats_mu_);
     snapshot = stats_;
   }

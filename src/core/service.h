@@ -6,9 +6,12 @@
 // thread-safe: requests are admitted through a Scheduler
 // (src/core/scheduler.h). With the default `max_inflight == 1` every call
 // is served serially, exactly as before; with `max_inflight > 1` a batching
-// scheduler coalesces concurrent requests into one engine pass that shares
-// a single layer-streaming sweep, raising throughput while keeping each
-// request's result bit-identical to serial execution.
+// scheduler coalesces concurrent requests into the engine's layer pass,
+// which shares each layer fetch across them, raising throughput while
+// keeping each request's result bit-identical to serial execution.
+// Admission (RequestQueue) and statistics each sit behind one mutex: both
+// cost microseconds against an engine pass of tens to hundreds of
+// milliseconds.
 #ifndef PRISM_SRC_CORE_SERVICE_H_
 #define PRISM_SRC_CORE_SERVICE_H_
 
@@ -20,7 +23,6 @@
 
 #include "src/common/annotations.h"
 #include "src/common/mutex.h"
-#include "src/common/striped.h"
 #include "src/core/engine.h"
 #include "src/core/online_calibrator.h"
 #include "src/core/scheduler.h"
@@ -88,21 +90,10 @@ struct ServiceOptions {
   // Served-latency reservoir size (see ServiceStats). 0 keeps the default;
   // size it to the expected request count for exact percentiles.
   size_t latency_sample_capacity = 0;
-  // Hot-path de-contention toggles (both default on). When lockfree_stats is
-  // set, per-request latency/counter observation goes through striped
-  // per-thread atomic cells (ConcurrentServiceStats) instead of one
-  // service-wide mutex; when lockfree_admission is set, the batch/carousel
-  // RequestQueue stages producers through a bounded CAS ring instead of the
-  // queue mutex. The mutexed paths are kept as the measured baseline for
-  // bench_contention and as a safety valve — results are identical either
-  // way, only contention behaviour differs.
-  bool lockfree_stats = true;
-  bool lockfree_admission = true;
 };
 
-// Rolling service statistics. RerankService accumulates these (through
-// ConcurrentServiceStats by default, or under a mutex with
-// lockfree_stats = false) and hands out snapshots; latencies are
+// Rolling service statistics. RerankService accumulates these under one
+// mutex and hands out snapshots; latencies are
 // client-observed (queueing included) so concurrent-mode percentiles mean
 // what an operator expects. All latency aggregates (samples, mean, max)
 // cover *served* requests only: a shed or failed request's ~0 ms turnaround
@@ -143,8 +134,8 @@ struct ServiceStats {
 
   void Observe(const RerankRequest& request, const RerankResult& result, double observed_ms);
 
-  // Folds another snapshot into this one (ServicePool aggregation, stripe
-  // folds). Counters add; the latency reservoirs combine in proportion to
+  // Folds another snapshot into this one (ServicePool aggregation).
+  // Counters add; the latency reservoirs combine in proportion to
   // each side's latency_observed — the lighter-weighted side is
   // deterministically subsampled (seeded by reservoir_state) until both
   // sides' samples stand for the same number of observations, then the
@@ -155,9 +146,8 @@ struct ServiceStats {
   // which only feeds the percentile queries below.
   void Merge(const ServiceStats& other);
 
-  // Clamped: a snapshot folded from concurrently-mutated stripes can tear
-  // between the `requests` and `shed`/`errors` increments of an in-flight
-  // observation, so the unsigned difference must never be allowed to wrap.
+  // Clamped: a hand-built or merged snapshot may carry shed + errors >
+  // requests, and the unsigned difference must never be allowed to wrap.
   size_t served() const {
     const size_t finished = shed + errors;
     return requests > finished ? requests - finished : 0;
@@ -186,61 +176,6 @@ struct ServiceStats {
     const auto full = static_cast<double>(total_candidates) * static_cast<double>(n_layers);
     return full == 0.0 ? 0.0 : static_cast<double>(total_candidate_layers) / full;
   }
-};
-
-// Lock-free-by-default accumulator behind RerankService's per-request stats
-// hot path. Observe() never takes a service-wide lock: counters go to
-// striped cache-line-padded atomic cells (src/common/striped.h), indexed by
-// the calling thread's registration ordinal, so concurrent completers touch
-// disjoint lines. Each stripe also owns a full-capacity seeded latency
-// reservoir behind a per-stripe mutex — effectively uncontended, since a
-// thread maps to exactly one stripe — and Snapshot() folds the stripes into
-// a plain ServiceStats with the same observed-count-weighted merge the pool
-// uses, so stripe percentiles stay unbiased no matter how unevenly threads
-// mapped. A fold is a snapshot, not a linearizable total: counters read
-// relaxed and may tear against in-flight observations (which is why
-// ServiceStats::served() clamps).
-class ConcurrentServiceStats {
- public:
-  explicit ConcurrentServiceStats(
-      size_t latency_capacity = ServiceStats::kDefaultLatencySampleCapacity);
-
-  ConcurrentServiceStats(const ConcurrentServiceStats&) = delete;
-  ConcurrentServiceStats& operator=(const ConcurrentServiceStats&) = delete;
-
-  // Thread-safe, lock-free on the counter path (the stripe reservoir's
-  // mutex is private to the calling thread's stripe).
-  void Observe(const RerankRequest& request, const RerankResult& result, double observed_ms);
-
-  // Thread-safe; may run concurrently with Observe.
-  ServiceStats Snapshot() const;
-
- private:
-  // Stripe count: enough that 32 completer threads rarely share a line,
-  // small enough that a snapshot fold stays trivial. Fixed (not
-  // hardware-derived) so stripe assignment is host-independent.
-  static constexpr size_t kStripes = 16;
-
-  struct alignas(kCacheLineBytes) Stripe {
-    CounterCell requests;
-    CounterCell shed;
-    CounterCell errors;
-    CounterCell candidate_layers;
-    CounterCell candidates;
-    CounterCell bytes_streamed;
-    GaugeCell total_latency_ms;
-    GaugeCell max_latency_ms;
-    // Per-stripe seeded reservoir (same algorithm R as ServiceStats). Full
-    // latency_capacity per stripe: a stripe that happens to absorb most of
-    // the traffic still keeps as many samples as the mutexed path would.
-    mutable Mutex reservoir_mu;
-    std::vector<double> samples PRISM_GUARDED_BY(reservoir_mu);
-    size_t observed PRISM_GUARDED_BY(reservoir_mu) = 0;
-    uint64_t rng_state PRISM_GUARDED_BY(reservoir_mu) = 0;
-  };
-
-  const size_t latency_capacity_;
-  std::vector<Stripe> stripes_;
 };
 
 // RerankService is itself a Runner: any call site that drives a raw engine
@@ -281,10 +216,6 @@ class RerankService : public Runner {
   std::unique_ptr<OnlineCalibrator> calibrator_;
   std::unique_ptr<SimulatedRunner> sim_runner_;  // Only when options.sim.enabled.
   std::unique_ptr<Scheduler> scheduler_;
-  // Exactly one of the two stats paths is active (ServiceOptions::
-  // lockfree_stats): the striped accumulator, or the legacy mutex-guarded
-  // struct kept as bench_contention's baseline.
-  std::unique_ptr<ConcurrentServiceStats> striped_stats_;
   mutable Mutex stats_mu_;
   ServiceStats stats_ PRISM_GUARDED_BY(stats_mu_);
 };

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 
 #include "src/common/check.h"
 #include "src/data/metrics.h"
-#include "src/storage/layer_streamer.h"
 
 namespace prism {
 
@@ -340,83 +338,6 @@ void LayerLoop::SettleGroup(std::span<RequestContext* const> group, size_t layer
     if (prune_.AfterLayer(ctx, layer, last_layer) || last_layer) {
       ctx->done = true;
     }
-  }
-}
-
-void LayerLoop::StepLayer(std::span<RequestContext* const> group, size_t layer,
-                          const AnyLayerView& view, bool last_layer,
-                          ThreadPool* compute_pool) const {
-  ForwardGroup(group, layer, view, last_layer, compute_pool);
-  SettleGroup(group, layer, last_layer);
-}
-
-void LayerLoop::Run(std::span<RequestContext* const> ctxs, ThreadPool* compute_pool) const {
-  const ModelConfig& config = *res_.config;
-  const PrismOptions& options = *res_.options;
-
-  std::unique_ptr<LayerStreamer> streamer;
-  if (options.streaming) {
-    std::vector<size_t> schedule;
-    for (size_t layer = 0; layer < config.n_layers; ++layer) {
-      schedule.push_back(LayerBlobIndex(layer));
-    }
-    streamer = std::make_unique<LayerStreamer>(res_.reader, std::move(schedule),
-                                               /*buffer_count=*/2, res_.tracker);
-  }
-
-  std::vector<RequestContext*> live;
-  live.reserve(ctxs.size());
-  for (size_t layer = 0; layer < config.n_layers; ++layer) {
-    live.clear();
-    for (RequestContext* ctx : ctxs) {
-      if (!ctx->done) {
-        live.push_back(ctx);
-      }
-    }
-
-    // Acquire weights: prefetched by the streamer, or resident. One fetch
-    // serves every live request; the stall is split across them.
-    std::span<const uint8_t> blob;
-    if (streamer != nullptr) {
-      const WallTimer stall_timer;
-      blob = streamer->Acquire(layer);
-      const double stall_share = stall_timer.ElapsedMillis() / static_cast<double>(live.size());
-      for (RequestContext* ctx : live) {
-        ctx->result.stats.io_stall_ms += stall_share;
-      }
-    } else {
-      blob = (*res_.resident_layers)[layer];
-    }
-    const AnyLayerView view = ParseAnyLayerBlob(config, blob, options.precision);
-
-    const bool last_layer = layer + 1 == config.n_layers;
-    ForwardGroup(live, layer, view, last_layer, compute_pool);
-    // Release before settling: pruning runs while the prefetcher pulls the
-    // next layer into the freed buffer.
-    if (streamer != nullptr) {
-      streamer->Release(layer);
-    }
-    SettleGroup(live, layer, last_layer);
-
-    bool all_done = true;
-    for (RequestContext* ctx : ctxs) {
-      all_done = all_done && ctx->done;
-    }
-    if (all_done) {
-      if (streamer != nullptr && !last_layer) {
-        streamer->TruncateSchedule(layer);
-      }
-      break;
-    }
-  }
-
-  if (streamer != nullptr) {
-    const StreamerStats stats = streamer->stats();
-    const int64_t share = stats.bytes_loaded / static_cast<int64_t>(ctxs.size());
-    for (RequestContext* ctx : ctxs) {
-      ctx->result.stats.bytes_streamed = share;
-    }
-    streamer.reset();
   }
 }
 

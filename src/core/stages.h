@@ -1,24 +1,24 @@
 // Staged execution pipeline for the PRISM engine.
 //
-// PrismEngine::Rerank used to be one monolithic 350-line forwarding loop; it
-// is now composed of four explicit stages operating on a per-request
-// RequestContext:
+// A rerank request is composed of four explicit stages operating on a
+// per-request RequestContext:
 //
 //   ChunkPlanner ─► EmbedStage ─► LayerLoop ◄──► PruneStage
-//    (geometry)     (lookup +      (stream +      (CV check, k-means,
-//                    planted        forward        compact survivors,
-//                    signal)        chunks)        finalize top-K)
+//    (geometry)     (lookup +      (forward +     (CV check, k-means,
+//                    planted        settle one     compact survivors,
+//                    signal)        layer)         finalize top-K)
 //
 // Every byte of mutable per-request state — hidden-state chunks, provisional
 // scores, trace, stats, the activation scratch — lives in the context; the
 // engine retains only shared immutable resources (weights, config, reader),
-// bundled here as StageResources. That split is what lets the service
-// front-end admit several requests at once: LayerLoop takes a *batch* of
-// contexts and forwards all of them through each streamed layer, so one
-// weight fetch serves every in-flight request (the paper's §3.3 global view,
-// extended across requests), while pruning decisions stay per-request —
-// results are bit-identical to serial execution regardless of batch size or
-// thread count.
+// bundled here as StageResources. The stages own no layer walk: the engine's
+// layer pass (PrismCarouselPass in engine.cc) is the one driver that
+// acquires each layer's weights and hands a group of contexts to
+// LayerLoop::ForwardGroup/SettleGroup, so one weight fetch serves every
+// request riding the pass (the paper's §3.3 global view, extended across
+// requests), while pruning decisions stay per-request — results are
+// bit-identical to serial execution regardless of batch size or thread
+// count.
 #ifndef PRISM_SRC_CORE_STAGES_H_
 #define PRISM_SRC_CORE_STAGES_H_
 
@@ -153,7 +153,7 @@ struct RequestContext {
   WallTimer timer;
 
   // Depth tag: the next layer this context must be forwarded through.
-  // LayerLoop::StepLayer CHECKs it against the arriving layer, so a context
+  // LayerLoop::ForwardGroup CHECKs it against the arriving layer, so a context
   // can never run a layer outside its plan (layers are strictly sequential
   // from 0 until `done`). The carousel groups co-resident contexts by this
   // tag.
@@ -181,9 +181,10 @@ void StowChunkHidden(const StageResources& res, RequestContext* ctx, size_t chun
 // are abandoned mid-flight, so neither path can leak pool entries.
 void ReleaseSpilledChunks(const StageResources& res, RequestContext* ctx);
 
-// Stage 1 — geometry. Validates the request, chooses the common sequence
-// length, plans the chunk size against the activation budget (§4.3), builds
-// the initial chunks/active set, and allocates the per-request scratch.
+// Stage 1 — geometry. Takes a request that passed ValidateRequest (it
+// CHECKs the basics again), chooses the common sequence length, plans the
+// chunk size against the activation budget (§4.3), builds the initial
+// chunks/active set, and allocates the per-request scratch.
 class ChunkPlanner {
  public:
   explicit ChunkPlanner(const StageResources& res) : res_(res) {}
@@ -233,40 +234,27 @@ class PruneStage {
   StageResources res_;
 };
 
-// Stage 3 — the layer loop. Streams (or reads resident) layer weights and
-// forwards every live context's chunks through each layer, invoking
-// PruneStage between layers. A batch of contexts shares one LayerStreamer
-// pass: each layer's weights are fetched once for all in-flight requests,
-// and per-context forwarding fans out on `compute_pool` when provided.
-// Streamed-bytes / stall stats are split evenly across the batch.
-//
-// Run() drives a whole terminating pass (BatchScheduler / direct engine
-// calls). StepLayer() is the carousel's entry point: it advances one
-// depth-tagged group of contexts through one already-acquired layer, letting
-// an external driver own the (cyclic) weight stream and interleave admission
-// and exit between layers.
+// Stage 3 — one layer step over a depth-tagged group of contexts. The driver
+// (the engine's layer pass, or an instrumented copy of it) owns the weight
+// stream; LayerLoop forwards the group through one already-acquired layer
+// and runs the between-layer bookkeeping, fanning per-context forwarding out
+// on `compute_pool` when provided.
 class LayerLoop {
  public:
   explicit LayerLoop(const StageResources& res) : res_(res), prune_(res) {}
 
-  void Run(std::span<RequestContext* const> ctxs, ThreadPool* compute_pool) const;
-
   // One layer step = ForwardGroup (needs the weights) then SettleGroup
   // (does not): drivers release the layer's streamer buffer in between, so
-  // the prefetcher pulls the next blob while pruning runs — the same
-  // overlap the monolithic loop had.
+  // the prefetcher pulls the next blob while pruning runs.
   //
   // ForwardGroup forwards every context in `group` through `layer` (weights
   // already parsed into `view`). CHECKs that each context's next_layer tag
   // equals `layer` — no context is ever forwarded through a layer outside
   // its plan. SettleGroup runs the between-layer prune bookkeeping, marking
-  // contexts done when they terminate or `last_layer` is set. StepLayer is
-  // the composed convenience for drivers with no buffer to release.
+  // contexts done when they terminate or `last_layer` is set.
   void ForwardGroup(std::span<RequestContext* const> group, size_t layer,
                     const AnyLayerView& view, bool last_layer, ThreadPool* compute_pool) const;
   void SettleGroup(std::span<RequestContext* const> group, size_t layer, bool last_layer) const;
-  void StepLayer(std::span<RequestContext* const> group, size_t layer, const AnyLayerView& view,
-                 bool last_layer, ThreadPool* compute_pool) const;
 
  private:
   void ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, bool last_layer) const;

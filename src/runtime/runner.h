@@ -55,8 +55,8 @@ struct RerankRequest {
 // Checks `request` against the model before any engine work: k > 0, one
 // planted_r per doc, no empty doc, and every query and doc token id below
 // config.vocab_size. Returns kInvalidArgument naming the first violation.
-// RerankService and PrismEngine answer a malformed request with this status
-// instead of aborting the process.
+// RerankService and PrismEngine's layer pass (at admission) answer a
+// malformed request with this status instead of aborting the process.
 Status ValidateRequest(const ModelConfig& config, const RerankRequest& request);
 
 struct RerankStats {
@@ -138,6 +138,8 @@ class CarouselPass {
   virtual size_t n_layers() const = 0;
 
   // Plans and embeds the request; the returned ticket needs layer 0 next.
+  // A request the pass rejects (malformed) gets a ticket that is already
+  // done: drivers never step it, and TakeResult returns the error status.
   // Admit only at a cycle boundary (before stepping layer 0).
   virtual std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) = 0;
 

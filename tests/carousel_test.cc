@@ -71,7 +71,7 @@ TEST_F(CarouselTest, SchedulerMatchesSerialBitIdentically) {
     EXPECT_EQ(results[i].topk, reference[i].topk) << "request " << i;
     EXPECT_EQ(results[i].scores, reference[i].scores) << "request " << i;
     // The carousel runs exactly the layers the serial plan ran — no request
-    // is forwarded outside its plan (also CHECKed inside StepLayer).
+    // is forwarded outside its plan (also CHECKed inside ForwardGroup).
     EXPECT_EQ(results[i].stats.layers_until_done, reference[i].stats.layers_until_done)
         << "request " << i;
     EXPECT_EQ(results[i].stats.candidate_layers, reference[i].stats.candidate_layers)

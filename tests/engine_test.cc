@@ -255,6 +255,38 @@ TEST_F(EngineTest, LowThresholdTerminatesEarly) {
             static_cast<int64_t>(request_.docs.size() * config_.n_layers));
 }
 
+// bytes_streamed is the bytes of the layers the request consumed. A request
+// pruned early is never charged for a layer the prefetcher read past its
+// last one, on any run, and Rerank and a carousel pass agree.
+TEST_F(EngineTest, BytesStreamedCountsConsumedLayersOnly) {
+  MemoryTracker tracker;
+  PrismOptions options = BaseOptions();
+  options.dispersion_threshold = 0.05f;
+  PrismEngine engine(config_, ckpt_, options, &tracker);
+  const RerankRequest request = TestRequest(config_, 6, 3, /*query_index=*/1);
+  const auto layer_bytes = static_cast<int64_t>(LayerBlobBytes(config_, Precision::kFp32));
+
+  const RerankResult first = engine.Rerank(request);
+  ASSERT_TRUE(first.status.ok());
+  ASSERT_LT(first.stats.layers_until_done, config_.n_layers) << "request must prune early";
+  const int64_t consumed = static_cast<int64_t>(first.stats.layers_until_done) * layer_bytes;
+  for (int run = 0; run < 20; ++run) {
+    const RerankResult result = engine.Rerank(request);
+    EXPECT_EQ(result.stats.layers_until_done, first.stats.layers_until_done) << "run " << run;
+    EXPECT_EQ(result.stats.bytes_streamed, consumed) << "run " << run;
+  }
+
+  std::unique_ptr<CarouselPass> pass = engine.BeginCarousel();
+  std::unique_ptr<CarouselTicket> ticket = pass->Admit(request);
+  for (size_t layer = 0; !ticket->done(); ++layer) {
+    CarouselTicket* group[] = {ticket.get()};
+    pass->Step(layer, group, /*compute_pool=*/nullptr);
+  }
+  const RerankResult carousel = ticket->TakeResult();
+  EXPECT_EQ(carousel.stats.layers_until_done, first.stats.layers_until_done);
+  EXPECT_EQ(carousel.stats.bytes_streamed, consumed);
+}
+
 TEST_F(EngineTest, ExactRankModeMatchesFullTopKOrder) {
   // Discussion §7: prune_winners=false keeps contenders to the final layer,
   // so the top-K *order* matches full inference.

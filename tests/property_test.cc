@@ -173,7 +173,7 @@ TEST(PrunerPropertyTest, DecisionPartitionsActiveSet) {
 // carousel ever stepped a request through an extra, missing, or out-of-order
 // layer, at least one of {layers_until_done, candidate_layers, scores}
 // would diverge from serial — and the depth-tag CHECK inside
-// LayerLoop::StepLayer would abort the binary outright. Randomized request
+// LayerLoop::ForwardGroup would abort the binary outright. Randomized request
 // shapes, priorities, and carousel capacities; seeded for replay.
 TEST(CarouselPropertyTest, NoRequestForwardedOutsideItsPlan) {
   constexpr int kRounds = 6;

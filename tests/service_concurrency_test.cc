@@ -142,16 +142,15 @@ TEST(RequestQueueTest, ExpiredEntriesAreShedWithErrorResult) {
 // (priority desc, ticket asc); within a priority class tickets dispatch
 // in strictly increasing (FIFO) order across the whole run; every future
 // resolves — served requests with OK, shed requests with
-// kDeadlineExceeded; nothing is lost or double-delivered. Both staging
-// modes must uphold the identical contract.
-void SixteenThreadStress(bool lock_free, size_t ring_capacity) {
+// kDeadlineExceeded; nothing is lost or double-delivered.
+TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
   constexpr size_t kThreads = 16;
   constexpr size_t kPerThread = 8;
   constexpr size_t kTotal = kThreads * kPerThread;
   const ModelConfig config = TestModel();
   const RerankRequest base = TestRequest(config, 8, 2);
 
-  RequestQueue queue(/*clock=*/nullptr, lock_free, ring_capacity);
+  RequestQueue queue;
   std::atomic<size_t> served{0};
   std::map<int, std::vector<uint64_t>> popped_by_priority;
   std::thread consumer([&] {
@@ -228,21 +227,6 @@ void SixteenThreadStress(bool lock_free, size_t ring_capacity) {
     total_popped += tickets.size();
   }
   EXPECT_EQ(total_popped, ok_seen.load());
-}
-
-TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
-  SixteenThreadStress(/*lock_free=*/true, RequestQueue::kDefaultRingCapacity);
-}
-
-TEST(RequestQueueTest, SixteenThreadStressMutexModeIsEquivalent) {
-  SixteenThreadStress(/*lock_free=*/false, RequestQueue::kDefaultRingCapacity);
-}
-
-TEST(RequestQueueTest, SixteenThreadStressSurvivesTinyRingBackpressure) {
-  // An 8-slot ring against 16 producers: staging overflows constantly, so
-  // producers exercise the full-ring park/wake path while the contract
-  // stays intact.
-  SixteenThreadStress(/*lock_free=*/true, /*ring_capacity=*/8);
 }
 
 TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
@@ -611,92 +595,6 @@ TEST(ServiceStatsTest, ReservoirIsDeterministicForFixedObservationOrder) {
   }
   EXPECT_EQ(a.latency_samples, b.latency_samples);
 }
-
-// Hammer a ConcurrentServiceStats from `n_threads` writers while a reader
-// snapshots continuously, then check the final fold balances to the exact
-// per-thread plan. Latencies are small integers so the CAS-looped double
-// adds must sum exactly regardless of interleaving order.
-void StripedStatsStress(size_t n_threads) {
-  ConcurrentServiceStats stats;
-  constexpr size_t kPerThread = 2000;
-  RerankRequest request;
-  request.docs.resize(3);
-
-  std::atomic<bool> stop{false};
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      // Mid-flight folds may tear between a stripe's counters; they must
-      // stay internally sane (clamped served, no wrapped rates), never
-      // crash or report more served than admitted.
-      const ServiceStats snapshot = stats.Snapshot();
-      ASSERT_LE(snapshot.served(), snapshot.requests);
-      ASSERT_GE(snapshot.MeanLatencyMs(), 0.0);
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> writers;
-  writers.reserve(n_threads);
-  for (size_t t = 0; t < n_threads; ++t) {
-    writers.emplace_back([&] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        if (i % 7 == 0) {
-          stats.Observe(request, MakeShedResult(/*deadline_ms=*/5.0, /*waited_ms=*/6.0), 0.01);
-        } else if (i % 11 == 0) {
-          RerankResult failed;
-          failed.status = Status::IoError("injected");
-          stats.Observe(request, failed, 0.02);
-        } else {
-          RerankResult ok;
-          ok.stats.candidate_layers = 2;
-          stats.Observe(request, ok, static_cast<double>(i % 100 + 1));
-        }
-      }
-    });
-  }
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  size_t shed_per_thread = 0;
-  size_t errors_per_thread = 0;
-  double latency_per_thread = 0.0;
-  for (size_t i = 0; i < kPerThread; ++i) {
-    if (i % 7 == 0) {
-      ++shed_per_thread;
-    } else if (i % 11 == 0) {
-      ++errors_per_thread;
-    } else {
-      latency_per_thread += static_cast<double>(i % 100 + 1);
-    }
-  }
-  const size_t served_per_thread = kPerThread - shed_per_thread - errors_per_thread;
-
-  const ServiceStats snapshot = stats.Snapshot();
-  EXPECT_EQ(snapshot.requests, n_threads * kPerThread);
-  EXPECT_EQ(snapshot.shed, n_threads * shed_per_thread);
-  EXPECT_EQ(snapshot.errors, n_threads * errors_per_thread);
-  EXPECT_EQ(snapshot.served(), n_threads * served_per_thread);
-  EXPECT_EQ(snapshot.latency_observed, n_threads * served_per_thread);
-  EXPECT_DOUBLE_EQ(snapshot.total_latency_ms,
-                   static_cast<double>(n_threads) * latency_per_thread);
-  EXPECT_DOUBLE_EQ(snapshot.max_latency_ms, 100.0);
-  EXPECT_EQ(snapshot.total_candidates,
-            static_cast<int64_t>(n_threads * served_per_thread * 3));
-  EXPECT_EQ(snapshot.total_candidate_layers,
-            static_cast<int64_t>(n_threads * served_per_thread * 2));
-  // Percentiles come from the weighted stripe fold; every sample is a real
-  // served latency in [1, 100].
-  EXPECT_GE(snapshot.P50LatencyMs(), 1.0);
-  EXPECT_LE(snapshot.P99LatencyMs(), 100.0);
-  EXPECT_FALSE(snapshot.latency_samples.empty());
-}
-
-TEST(ConcurrentServiceStatsTest, EightThreadCountersBalance) { StripedStatsStress(8); }
-
-TEST(ConcurrentServiceStatsTest, ThirtyTwoThreadCountersBalance) { StripedStatsStress(32); }
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for
 // a known duration without an engine.

@@ -85,6 +85,25 @@ TEST_F(ServiceTest, MalformedRequestsFailWithoutAbortingTheService) {
   EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
   ASSERT_TRUE(results[1].status.ok());
   EXPECT_EQ(results[1].topk, expected.topk);
+
+  // A directly constructed carousel has no service in front of it: the
+  // engine's pass rejects malformed requests at admission, never steps
+  // them, and keeps serving bit-identically.
+  CarouselScheduler carousel(&service.engine(), /*max_inflight=*/2, /*compute_threads=*/2);
+  for (const RerankRequest* bad : {&zero_k, &bad_token, &empty_doc}) {
+    const RerankResult result = carousel.Submit(*bad);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument) << result.status.ToString();
+    EXPECT_TRUE(result.topk.empty());
+    EXPECT_EQ(result.stats.bytes_streamed, 0);
+    EXPECT_EQ(result.stats.layers_until_done, 0u);
+  }
+  const RerankResult via_carousel = carousel.Submit(requests_[3]);
+  ASSERT_TRUE(via_carousel.status.ok()) << via_carousel.status.ToString();
+  EXPECT_EQ(via_carousel.topk, expected.topk);
+  ASSERT_EQ(via_carousel.scores.size(), expected.scores.size());
+  EXPECT_EQ(std::memcmp(via_carousel.scores.data(), expected.scores.data(),
+                        via_carousel.scores.size() * sizeof(float)),
+            0);
 }
 
 TEST_F(ServiceTest, IdleWithoutCalibrationIsNoop) {
