@@ -55,10 +55,14 @@ size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len) const {
   if (options.chunk_candidates > 0) {
     return std::min(options.chunk_candidates, n);
   }
+  // With hidden-state offload, each layer's first reload and last spill are
+  // exposed I/O that grows with the chunk, so the chunk is capped as well.
+  const size_t most =
+      options.offload_hidden ? (n + kOffloadMinChunks - 1) / kOffloadMinChunks : n;
   // Largest c with scratch(c·T) within the activation budget; floor 2 keeps
   // each chunk's compute window wide enough to overlap a layer load.
   size_t best = 1;
-  for (size_t c = 1; c <= n; ++c) {
+  for (size_t c = 1; c <= most; ++c) {
     if (LayerScratch::BytesFor(*res_.config, c * seq_len, seq_len) <=
         options.device.activation_budget_bytes) {
       best = c;

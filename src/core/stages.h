@@ -189,9 +189,15 @@ class ChunkPlanner {
  public:
   explicit ChunkPlanner(const StageResources& res) : res_(res) {}
 
+  // Chunks a request is split into, at least, when hidden states are
+  // offloaded: the reload and spill around each layer that no compute hides
+  // are one chunk's hidden state each, so a finer split exposes less I/O.
+  static constexpr size_t kOffloadMinChunks = 8;
+
   // Chunk size the planner picks for `n` candidates at `seq_len`: the largest
-  // count whose scratch fits the activation budget, floored at 2 to keep the
-  // compute window wide enough for I/O overlap (min(2, n) for tiny requests).
+  // count whose scratch fits the activation budget (and, with offload_hidden,
+  // at most ⌈n / kOffloadMinChunks⌉), floored at 2 to keep the compute window
+  // wide enough for I/O overlap (min(2, n) for tiny requests).
   size_t PlanCandidates(size_t n, size_t seq_len) const;
 
   static std::vector<ChunkState> Partition(const std::vector<size_t>& ids, size_t chunk_cand);

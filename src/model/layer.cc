@@ -1,5 +1,6 @@
 #include "src/model/layer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -7,44 +8,42 @@
 
 namespace prism {
 
+namespace {
+
+size_t WideCols(const ModelConfig& config) { return std::max(3 * config.hidden, config.ffn); }
+
+}  // namespace
+
 LayerScratch LayerScratch::Make(const ModelConfig& config, size_t max_rows, size_t seq_len,
                                 MemoryTracker* tracker) {
   LayerScratch s;
   const auto cat = MemCategory::kActivations;
-  s.normed = Tensor(max_rows, config.hidden, cat, tracker);
-  s.q = Tensor(max_rows, config.hidden, cat, tracker);
-  s.k = Tensor(max_rows, config.hidden, cat, tracker);
-  s.v = Tensor(max_rows, config.hidden, cat, tracker);
-  s.attn_ctx = Tensor(max_rows, config.hidden, cat, tracker);
-  s.attn_out = Tensor(max_rows, config.hidden, cat, tracker);
-  s.ffn_up = Tensor(max_rows, config.ffn, cat, tracker);
+  s.narrow = Tensor(max_rows, config.hidden, cat, tracker);
+  s.wide = Tensor(max_rows, WideCols(config), cat, tracker);
   if (config.arch == ModelArch::kDecoderOnly) {
-    s.ffn_gate = Tensor(max_rows, config.ffn, cat, tracker);
+    s.gate_block = Tensor(max_rows, kFfnBlock, cat, tracker);
+    s.up_block = Tensor(max_rows, kFfnBlock, cat, tracker);
   }
-  s.ffn_down = Tensor(max_rows, config.hidden, cat, tracker);
   s.scores = Tensor(seq_len, seq_len, cat, tracker);
   return s;
 }
 
 int64_t LayerScratch::BytesFor(const ModelConfig& config, size_t rows, size_t seq_len) {
-  int64_t floats = 0;
-  floats += static_cast<int64_t>(rows) * static_cast<int64_t>(config.hidden) * 7;
-  floats += static_cast<int64_t>(rows) * static_cast<int64_t>(config.ffn) *
-            (config.arch == ModelArch::kDecoderOnly ? 2 : 1);
-  floats += static_cast<int64_t>(seq_len) * static_cast<int64_t>(seq_len);
-  return floats * static_cast<int64_t>(sizeof(float));
+  size_t row_floats = config.hidden + WideCols(config);
+  if (config.arch == ModelArch::kDecoderOnly) {
+    row_floats += 2 * kFfnBlock;
+  }
+  const size_t floats = rows * row_floats + seq_len * seq_len;
+  return static_cast<int64_t>(floats * sizeof(float));
 }
 
 namespace {
 
-// Projects rows of `x` through one of the layer's weight matrices, letting
-// the view dispatch on its storage precision (fused dequantising GEMM).
-void Project(const Tensor& x, size_t rows, const WeightView& w, size_t out_dim, Tensor* out) {
-  PRISM_CHECK_GE(out->rows(), rows);
-  PRISM_CHECK_EQ(out->cols(), out_dim);
-  PRISM_CHECK_EQ(w.cols, x.cols());
-  PRISM_CHECK_EQ(w.rows, out_dim);
-  w.MatMulTransB(x.data(), rows, out->data());
+// out[rows, w.rows] ← x[rows, in_dim] · Wᵀ, letting the view dispatch on its
+// storage precision (fused dequantising GEMM).
+void Project(const float* x, size_t rows, size_t in_dim, const WeightView& w, float* out) {
+  PRISM_CHECK_EQ(w.cols, in_dim);
+  w.MatMulTransB(x, rows, out);
 }
 
 // normed[0, rows) ← the layer's pre-norm of hidden[0, rows): RMSNorm for
@@ -59,26 +58,46 @@ void PreNorm(const ModelConfig& config, const Tensor& hidden, size_t rows,
   }
 }
 
+// hidden[0, n) += x[0, n): a residual add over the active rows.
+void AddResidual(Tensor* hidden, const float* x, size_t n) {
+  float* ph = hidden->data();
+  for (size_t i = 0; i < n; ++i) {
+    ph[i] += x[i];
+  }
+}
+
 }  // namespace
 
 void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_len,
                   Tensor* hidden, LayerScratch* scratch) {
   const size_t rows = hidden->rows();
   PRISM_CHECK_EQ(rows % seq_len, 0u);
-  PRISM_CHECK_LE(rows, scratch->normed.rows());
+  PRISM_CHECK_LE(rows, scratch->narrow.rows());
+  PRISM_CHECK_EQ(scratch->wide.cols(), WideCols(config));
+  PRISM_CHECK_GE(scratch->scores.size(), seq_len * seq_len);
   const size_t candidates = rows / seq_len;
   const size_t d = config.hidden;
+  const size_t f = config.ffn;
   const size_t heads = config.n_heads;
   const size_t dh = config.head_dim();
   const bool causal = config.arch == ModelArch::kDecoderOnly;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
+  // The lifetime table in layer.h: `narrow` and `wide` are reused step by step.
+  float* const narrow = scratch->narrow.data();
+  float* const q = scratch->wide.data();
+  float* const k = q + rows * d;
+  float* const v = k + rows * d;
+  float* const attn_out = q;
+  float* const act = scratch->wide.data();
 
   // --- Attention sublayer (pre-norm residual) ---
-  PreNorm(config, *hidden, rows, w.norm1_gain, w.norm1_bias, &scratch->normed);
-  Project(scratch->normed, rows, w.wq, d, &scratch->q);
-  Project(scratch->normed, rows, w.wk, d, &scratch->k);
-  Project(scratch->normed, rows, w.wv, d, &scratch->v);
+  PreNorm(config, *hidden, rows, w.norm1_gain, w.norm1_bias, &scratch->narrow);
+  Project(narrow, rows, d, w.wq, q);
+  Project(narrow, rows, d, w.wk, k);
+  Project(narrow, rows, d, w.wv, v);
 
+  // The context overwrites the pre-norm, which q, k and v no longer need.
+  float* const attn_ctx = narrow;
   for (size_t c = 0; c < candidates; ++c) {
     const size_t base = c * seq_len;
     for (size_t h = 0; h < heads; ++h) {
@@ -86,8 +105,8 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
       // scores[i][j] = q_i · k_j / sqrt(dh), within this candidate and head.
       // The scale applies after the dot product, as part of the fp32 spec.
       const size_t head0 = base * d + col0;
-      MatMulTransBStrided(scratch->q.data() + head0, d, seq_len, dh, scratch->k.data() + head0, d,
-                          seq_len, scratch->scores.data(), seq_len);
+      MatMulTransBStrided(q + head0, d, seq_len, dh, k + head0, d, seq_len,
+                          scratch->scores.data(), seq_len);
       // Only the causal prefix j ≤ i is scaled: softmax zeroes the rest.
       for (size_t i = 0; i < seq_len; ++i) {
         float* srow = scratch->scores.data() + i * seq_len;
@@ -99,7 +118,7 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
       }
       // ctx_i = Σ_j scores[i][j] · v_j.
       for (size_t i = 0; i < seq_len; ++i) {
-        float* ctx = scratch->attn_ctx.data() + (base + i) * d + col0;
+        float* ctx = attn_ctx + (base + i) * d + col0;
         for (size_t x = 0; x < dh; ++x) {
           ctx[x] = 0.0f;
         }
@@ -110,7 +129,7 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
           if (sv == 0.0f) {
             continue;
           }
-          const float* vj = scratch->v.data() + (base + j) * d + col0;
+          const float* vj = v + (base + j) * d + col0;
           for (size_t x = 0; x < dh; ++x) {
             ctx[x] += sv * vj[x];
           }
@@ -119,38 +138,35 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
     }
   }
 
-  Project(scratch->attn_ctx, rows, w.wo, d, &scratch->attn_out);
-  // Residual add (only the active rows).
-  {
-    float* ph = hidden->data();
-    const float* pa = scratch->attn_out.data();
-    for (size_t i = 0; i < rows * d; ++i) {
-      ph[i] += pa[i];
-    }
-  }
+  Project(attn_ctx, rows, d, w.wo, attn_out);
+  AddResidual(hidden, attn_out, rows * d);
 
   // --- FFN sublayer (pre-norm residual) ---
-  PreNorm(config, *hidden, rows, w.norm2_gain, w.norm2_bias, &scratch->normed);
-  const size_t f = config.ffn;
+  PreNorm(config, *hidden, rows, w.norm2_gain, w.norm2_bias, &scratch->narrow);
   if (config.arch == ModelArch::kDecoderOnly) {
-    // SwiGLU: down( silu(gate(x)) ⊙ up(x) ).
-    Project(scratch->normed, rows, w.w_gate, f, &scratch->ffn_gate);
-    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
-    SwiGluInPlace({scratch->ffn_gate.data(), rows * f}, {scratch->ffn_up.data(), rows * f});
-    Project(scratch->ffn_gate, rows, w.w_down, d, &scratch->ffn_down);
-  } else {
-    // GELU MLP: down( gelu(up(x)) ).
-    Project(scratch->normed, rows, w.w_up, f, &scratch->ffn_up);
-    GeluInPlace({scratch->ffn_up.data(), rows * f});
-    Project(scratch->ffn_up, rows, w.w_down, d, &scratch->ffn_down);
-  }
-  {
-    float* ph = hidden->data();
-    const float* pf = scratch->ffn_down.data();
-    for (size_t i = 0; i < rows * d; ++i) {
-      ph[i] += pf[i];
+    // SwiGLU: act = silu(gate(x)) ⊙ up(x), one kFfnBlock-column block at a
+    // time; each output is the same strict-k sum as in the full-width GEMM.
+    float* const gate = scratch->gate_block.data();
+    float* const up = scratch->up_block.data();
+    for (size_t j0 = 0; j0 < f; j0 += kFfnBlock) {
+      const size_t nr = std::min(kFfnBlock, f - j0);
+      Project(narrow, rows, d, w.w_gate.RowSlice(j0, nr), gate);
+      Project(narrow, rows, d, w.w_up.RowSlice(j0, nr), up);
+      SwiGluInPlace({gate, rows * nr}, {up, rows * nr});
+      for (size_t r = 0; r < rows; ++r) {
+        std::copy_n(gate + r * nr, nr, act + r * f + j0);
+      }
     }
+  } else {
+    // GELU MLP: act = gelu(up(x)).
+    Project(narrow, rows, d, w.w_up, act);
+    GeluInPlace({act, rows * f});
   }
+  // The down projection overwrites the pre-norm, which the activation no
+  // longer needs.
+  float* const ffn_down = narrow;
+  Project(act, rows, f, w.w_down, ffn_down);
+  AddResidual(hidden, ffn_down, rows * d);
 }
 
 size_t PoolRow(const ModelConfig& config, size_t candidate, size_t seq_len) {

@@ -14,18 +14,36 @@
 
 namespace prism {
 
+// Output columns per FFN block of the decoder's SwiGLU: one GEMM panel strip
+// (gemm::kNr), so each gate and up weight panel is still decoded exactly once.
+inline constexpr size_t kFfnBlock = 16;
+
 // Workspace sized for up to `max_rows` (= chunk_candidates · seq_len) rows.
 // These tensors are the "intermediate tensors" whose footprint chunked
 // execution bounds (§4.3); they register under MemCategory::kActivations.
+//
+// Buffers are shared by lifetime. What each holds through one LayerForward:
+//
+//   step                      narrow [rows, d]   wide [rows, max(3d, f)]
+//   pre-norm 1                normed x           -
+//   q, k, v projections       normed x (read)    q | k | v, one plane each
+//   attention                 context            q, k, v (read)
+//   output projection         context (read)     attention out (q's plane)
+//   residual add, pre-norm 2  normed x           attention out (read)
+//   FFN gate/up + activation  normed x (read)    activation [rows, f]
+//   FFN down projection       down out           activation (read)
+//   residual add              down out (read)    -
+//
+// The decoder's gate and up run in kFfnBlock-column blocks: gate_block and
+// up_block hold one [rows, kFfnBlock] block, SwiGLU combines them, and the
+// result lands in its columns of the activation, so the full-width gate and
+// up never exist. The encoder's GELU runs on the activation in place.
 struct LayerScratch {
-  Tensor normed;    // [rows, hidden]
-  Tensor q, k, v;   // [rows, hidden]
-  Tensor attn_ctx;  // [rows, hidden]
-  Tensor attn_out;  // [rows, hidden]
-  Tensor ffn_up;    // [rows, ffn]
-  Tensor ffn_gate;  // [rows, ffn] (decoder only; empty otherwise)
-  Tensor ffn_down;  // [rows, hidden]
-  Tensor scores;    // [seq, seq] attention score scratch (one head at a time)
+  Tensor narrow;      // [rows, hidden]
+  Tensor wide;        // [rows, max(3·hidden, ffn)]
+  Tensor gate_block;  // [rows, kFfnBlock] (decoder only; empty otherwise)
+  Tensor up_block;    // [rows, kFfnBlock] (decoder only; empty otherwise)
+  Tensor scores;      // [seq, seq] attention score scratch (one head at a time)
 
   static LayerScratch Make(const ModelConfig& config, size_t max_rows, size_t seq_len,
                            MemoryTracker* tracker = &MemoryTracker::Global());

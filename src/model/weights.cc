@@ -58,6 +58,31 @@ void WeightView::MatMulTransB(const float* a, size_t m, float* c) const {
   }
 }
 
+WeightView WeightView::RowSlice(size_t row0, size_t n) const {
+  PRISM_CHECK_LE(row0 + n, rows);
+  WeightView s = *this;
+  s.rows = n;
+  switch (precision) {
+    case Precision::kFp32:
+      s.f32 = f32 + row0 * cols;
+      break;
+    case Precision::kFp16:
+      s.f16 = Fp16MatrixView{f16.data + row0 * cols, n, cols};
+      break;
+    case Precision::kInt8:
+      s.i8 = Int8MatrixView{i8.values + row0 * cols,
+                            i8.scales + row0 * (cols / i8.group_size), n, cols, i8.group_size};
+      break;
+    case Precision::kW4:
+      // Two values per byte: the slice must start on a byte.
+      PRISM_CHECK_EQ(row0 * cols % 2, 0u);
+      s.q4 = QuantMatrixView{q4.packed + row0 * cols / 2,
+                             q4.scales + row0 * (cols / q4.group_size), n, cols, q4.group_size};
+      break;
+  }
+  return s;
+}
+
 LayerView ParseLayerBlob(const ModelConfig& config, std::span<const uint8_t> blob) {
   PRISM_CHECK_EQ(blob.size(), LayerBlobBytes(config, Precision::kFp32));
   const float* p = reinterpret_cast<const float*>(blob.data());

@@ -53,6 +53,11 @@ struct WeightView {
 
   // C[m, rows] = A[m, cols] · Wᵀ, dequantising on the fly for reduced tiers.
   void MatMulTransB(const float* a, size_t m, float* c) const;
+
+  // The view of weight rows [row0, row0 + n), i.e. output columns
+  // [row0, row0 + n) of MatMulTransB. Each output is the same strict-k sum,
+  // so a slice's product equals those columns of the full product bit for bit.
+  WeightView RowSlice(size_t row0, size_t n) const;
 };
 
 // Non-owning fp32 view into a layer blob (kept for fp32-only callers that

@@ -1,5 +1,7 @@
 #include "src/tensor/gemm.h"
 
+#include <vector>
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #endif
@@ -144,6 +146,14 @@ TileFn SelectedTile() {
 #else
   return TilePortable;
 #endif
+}
+
+float* PanelScratch(size_t floats) {
+  thread_local std::vector<float> panel;
+  if (panel.size() < floats) {
+    panel.resize(floats);
+  }
+  return panel.data();
 }
 
 void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const float* b,

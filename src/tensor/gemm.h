@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <vector>
 
 namespace prism::gemm {
 
@@ -56,20 +55,23 @@ TileFn SelectedTile();
 void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const float* b,
                          size_t ldb, size_t n, float* c, size_t ldc, TileFn tile);
 
+// This thread's panel buffer, at least `floats` long: kNr × k floats, small,
+// untracked, and never a transposed copy of all of W. It only grows, so the
+// GEMMs of a layer (attention runs one per candidate and head) allocate
+// nothing once the widest k has been seen. Valid until the thread's next call.
+float* PanelScratch(size_t floats);
+
 // Drives C[m, n] = A[m, k] · Wᵀ strip by strip. `decode_panel(j0, nr, panel)`
 // writes panel[kk * kNr + l] = W[j0 + l][kk] for kk < k and l < nr.
 template <typename DecodePanel>
 void MatMulTransBPanels(const float* a, size_t lda, size_t m, size_t k, size_t n, float* c,
                         size_t ldc, TileFn tile, const DecodePanel& decode_panel) {
-  // Per-call scratch of kNr × k floats, like the row buffer of the scalar
-  // kernels: small, untracked, and never a transposed copy of all of W.
-  std::vector<float> panel(k * kNr);
+  float* panel = PanelScratch(k * kNr);
   for (size_t j0 = 0; j0 < n; j0 += kNr) {
     const size_t nr = std::min(kNr, n - j0);
-    decode_panel(j0, nr, panel.data());
+    decode_panel(j0, nr, panel);
     for (size_t i0 = 0; i0 < m; i0 += kMr) {
-      tile(a + i0 * lda, lda, std::min(kMr, m - i0), k, panel.data(), c + i0 * ldc + j0, ldc,
-           nr);
+      tile(a + i0 * lda, lda, std::min(kMr, m - i0), k, panel, c + i0 * ldc + j0, ldc, nr);
     }
   }
 }

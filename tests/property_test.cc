@@ -34,12 +34,14 @@ struct PlannerCase {
   int64_t budget = 0;
   size_t chunk_candidates = 0;
   bool chunked = true;
+  bool offload_hidden = false;
 };
 
 size_t Plan(const ModelConfig& config, const PlannerCase& c) {
   PrismOptions options;
   options.chunked = c.chunked;
   options.chunk_candidates = c.chunk_candidates;
+  options.offload_hidden = c.offload_hidden;
   options.device.activation_budget_bytes = c.budget;
   StageResources resources;
   resources.config = &config;
@@ -88,6 +90,25 @@ TEST(PlannerPropertyTest, PlanRespectsBoundsBudgetAndFloor) {
     if (plan < c.n) {
       ASSERT_GT(LayerScratch::BytesFor(config, (plan + 1) * c.seq_len, c.seq_len), c.budget);
     }
+  }
+}
+
+TEST(PlannerPropertyTest, OffloadPlanSplitsIntoEnoughChunks) {
+  // With hidden-state offload the plan is the budget's plan capped at
+  // ⌈n / kOffloadMinChunks⌉ candidates, still floored at min(2, n).
+  const ModelConfig config = TestModel();
+  Rng rng(kSuiteSeed + 2);
+  for (int i = 0; i < kCases; ++i) {
+    PlannerCase c = RandomPlannerCase(rng);
+    c.chunk_candidates = 0;
+    const size_t budget_plan = Plan(config, c);
+    c.offload_hidden = true;
+    const size_t plan = Plan(config, c);
+    SCOPED_TRACE(::testing::Message() << "case " << i << ": n=" << c.n << " seq_len="
+                                      << c.seq_len << " budget=" << c.budget);
+    const size_t cap = (c.n + ChunkPlanner::kOffloadMinChunks - 1) /
+                       ChunkPlanner::kOffloadMinChunks;
+    ASSERT_EQ(plan, std::max(std::min<size_t>(2, c.n), std::min(budget_plan, cap)));
   }
 }
 
