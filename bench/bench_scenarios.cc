@@ -9,9 +9,11 @@
 // against the baseline: 0 mismatches means no scheduler/pool combination
 // ever changed a decision. A final 2× overload phase per scenario runs with
 // deadlines and verifies the serving layer degrades the right way — shed
-// fraction rises while served-only p99 stays within one batch interval of
-// the unloaded run (only observable since ServiceStats keeps shed requests
-// out of the percentiles).
+// fraction rises while served-only p99 stays within one carousel interval
+// (serial service time × max_inflight) of the unloaded carousel run (only
+// observable since ServiceStats keeps shed requests out of the
+// percentiles). The summary prints, per scheduler, the closed-loop req/s of
+// 2 replicas over 1 — the replica-sharding scaling line.
 //
 // A machine-readable JSON summary is printed to stdout after the human
 // table (and optionally written to --json=PATH).
@@ -21,7 +23,7 @@
 //        the sweep; non-fp32 adds a precision check — bytes/pass, pass time,
 //        score drift and selection agreement vs an fp32 pass — gating that
 //        the reduced tier streams >= 2x fewer layer bytes, 1.9x for fp16)
-//        --scenarios=all|comma-list --schedulers=serial,batch,carousel
+//        --scenarios=all|comma-list --schedulers=serial,carousel
 //        --pool_sizes=1,2 --clients=6 --requests=24 --warmup=4
 //        --n_queries=8 --max_inflight=4 --zipf=0.9 --rates=0.7
 //        --ssd_mbps=12 (0 = device profile default) --overload=true
@@ -149,6 +151,36 @@ struct RunRecord {
   WorkloadReport report;
   double work_fraction = 0.0;
 };
+
+// Replica-sharding scaling, one line per scheduler: closed-loop served req/s
+// summed over scenarios at 2 replicas, over the same sum at 1. Each replica
+// streams from its own SSD queue, so an SSD-bound sweep should approach 2x.
+// Schedulers missing either pool size print nothing.
+void PrintReplicaScaling(const std::vector<RunRecord>& runs) {
+  std::vector<std::string> schedulers;
+  for (const RunRecord& r : runs) {
+    if (std::find(schedulers.begin(), schedulers.end(), r.scheduler) == schedulers.end()) {
+      schedulers.push_back(r.scheduler);
+    }
+  }
+  for (const std::string& scheduler : schedulers) {
+    double one = 0.0;
+    double two = 0.0;
+    for (const RunRecord& r : runs) {
+      if (r.scheduler != scheduler || r.mode != "closed") {
+        continue;
+      }
+      if (r.pool_size == 1) {
+        one += r.report.served_per_sec;
+      } else if (r.pool_size == 2) {
+        two += r.report.served_per_sec;
+      }
+    }
+    if (one > 0.0 && two > 0.0) {
+      std::printf("%s: 2 replicas vs 1: %.2fx\n", scheduler.c_str(), two / one);
+    }
+  }
+}
 
 // Pulls the post-run accounting (embedding-cache counters from the stack,
 // result-cache counters when a cache tier fronted it) into the report so
@@ -386,9 +418,10 @@ int Main(int argc, char** argv) {
   } else {
     model = ModelByName(flags.GetString("model", "Qwen3-Reranker-0.6B"));
     device = DeviceByName(flags.GetString("device", "nvidia"));
-    // Same rationale as bench_pool: the paper's regime is SSD-bound (large
-    // checkpoints dwarf this zoo's compute), so the sweep defaults to a
-    // slowed device. 0 = profile default.
+    // The paper's regime is SSD-bound (large checkpoints dwarf this zoo's
+    // compute), so the sweep defaults to a slowed device; it is also what
+    // lets two replicas' independent SSD queues show their scaling.
+    // 0 = profile default.
     const double ssd_mbps = flags.GetDouble("ssd_mbps", 12.0);
     if (ssd_mbps > 0.0) {
       device.ssd.bandwidth_bytes_per_sec = ssd_mbps * 1024.0 * 1024.0;
@@ -411,8 +444,7 @@ int Main(int argc, char** argv) {
     }
   }
   std::vector<SchedulerKind> schedulers;
-  for (const std::string& name :
-       SplitCsv(flags.GetString("schedulers", "serial,batch,carousel"))) {
+  for (const std::string& name : SplitCsv(flags.GetString("schedulers", "serial,carousel"))) {
     schedulers.push_back(SchedulerKindByName(name));
   }
   std::vector<size_t> pool_sizes;
@@ -515,23 +547,21 @@ int Main(int argc, char** argv) {
     const double serial_ms = std::max(serial_unloaded.mean_ms, 1e-3);
     const double slo_ms = 3.0 * serial_ms;
 
-    // In smoke mode each scenario runs one scheduler (i-th scenario gets the
-    // i%3-rd scheduler) so all four apps and all three schedulers are
+    // In smoke mode each scenario runs one scheduler (the i-th scenario gets
+    // scheduler i mod |schedulers|) so all four apps and every scheduler are
     // covered end to end in a handful of runs.
     std::vector<SchedulerKind> scenario_schedulers = schedulers;
     if (smoke && !schedulers.empty()) {
       scenario_schedulers = {schedulers[s % schedulers.size()]};
     }
 
-    // Unloaded reference for the overload bound: prefer the batch x1
+    // Unloaded reference for the overload bound: prefer the carousel x1
     // closed-loop run; fall back to the single-client serial run when the
-    // sweep has no pool_size-1 config (e.g. --pool_sizes=2).
+    // sweep has no carousel pool_size-1 config (e.g. --pool_sizes=2).
     double unloaded_p99 = serial_unloaded.p99_ms;
     double unloaded_shed_fraction = 0.0;
     for (const SchedulerKind sched : scenario_schedulers) {
-      const char* sched_name = sched == SchedulerKind::kSerial    ? "serial"
-                               : sched == SchedulerKind::kBatch   ? "batch"
-                                                                  : "carousel";
+      const char* sched_name = sched == SchedulerKind::kSerial ? "serial" : "carousel";
       for (const size_t pool_size : pool_sizes) {
         // Closed loop.
         {
@@ -556,7 +586,7 @@ int Main(int argc, char** argv) {
           record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
           AttachStats(record, stack, sim);
           total_mismatches += record.report.mismatches;
-          if (pool_size == 1 && sched == SchedulerKind::kBatch) {
+          if (pool_size == 1 && sched == SchedulerKind::kCarousel) {
             unloaded_p99 = record.report.p99_ms;
             unloaded_shed_fraction = record.report.shed_fraction;
           }
@@ -601,7 +631,7 @@ int Main(int argc, char** argv) {
     // --- 2x overload phase: deadlines on, twice the closed-loop clients. --
     if (overload) {
       const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
-      Stack stack = MakeStack(spec, SchedulerKind::kBatch, 1, clk.get());
+      Stack stack = MakeStack(spec, SchedulerKind::kCarousel, 1, clk.get());
       WorkloadOptions wopts;
       wopts.clients = clients * 2;
       wopts.requests = requests;
@@ -609,8 +639,8 @@ int Main(int argc, char** argv) {
       wopts.zipf_skew = zipf;
       wopts.slo_ms = slo_ms;
       wopts.clock = clk.get();
-      // Tighter than one dispatch cycle (cf. bench_pool): anything still
-      // queued when the in-flight batch completes has expired and sheds.
+      // Tighter than one carousel cycle: anything still queued when the
+      // residents ahead of it exit has expired and sheds.
       wopts.deadline_ms = 1.2 * serial_ms;
       // In simulated time the closed loop would self-throttle at the virtual
       // service rate; drive the overload as an open-loop Poisson flood at 2x
@@ -621,7 +651,7 @@ int Main(int argc, char** argv) {
       }
       RunRecord record;
       record.scenario = harness.name();
-      record.scheduler = "batch";
+      record.scheduler = "carousel";
       record.pool_size = 1;
       record.mode = "overload";
       record.clients = wopts.clients;
@@ -643,9 +673,8 @@ int Main(int argc, char** argv) {
       check.shed_fraction = record.report.shed_fraction;
       check.unloaded_shed_fraction = unloaded_shed_fraction;
       check.p99_ms = record.report.p99_ms;
-      // Served-only p99 may exceed the unloaded run's by at most one batch
-      // interval: shedding happens the next time the dispatcher looks at
-      // the queue. (Before the stats fix, shed ~0 ms latencies dragged the
+      // Served-only p99 may exceed the unloaded run's by at most one
+      // carousel interval: shedding happens at the next admission boundary. (Before the stats fix, shed ~0 ms latencies dragged the
       // overload percentiles *below* the unloaded ones.)
       check.bound_ms = unloaded_p99 + serial_ms * static_cast<double>(spec.max_inflight);
       check.ok = check.shed_fraction > check.unloaded_shed_fraction &&
@@ -738,6 +767,7 @@ int Main(int argc, char** argv) {
 
   std::printf("\ntotal selection mismatches vs single-client serial: %zu (expected 0)\n",
               total_mismatches);
+  PrintReplicaScaling(runs);
   std::printf("\nJSON summary:\n");
   EmitJson(stdout, model.name, device.name, smoke, sim, precision_name, runs, overloads,
            cache_checks, precision_checks, total_mismatches, ok);

@@ -1,6 +1,7 @@
 #include "src/core/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -39,9 +40,9 @@ class PrismCarouselTicket final : public CarouselTicket {
 // pipeline one layer at a time. Two shapes share every line of it:
 //   - cyclic: the CarouselScheduler's endless carousel. The stream opens at
 //     once, so layer 0 loads while the first joiners embed.
-//   - one-cycle: RerankBatch. Every request boards at layer 0 and the
-//     stream terminates after the last layer. It opens at the first Step,
-//     after embedding, so a lone request reads the device in plain
+//   - one-cycle: Rerank. The request boards at layer 0 and the stream
+//     terminates after the last layer. It opens at the first Step, after
+//     embedding, so the request reads the device in plain
 //     plan → embed → layer 0..L−1 order.
 // Stall time is charged to the group that waited for the layer; each
 // consumed layer's bytes are split across every request still riding the
@@ -330,38 +331,15 @@ std::unique_ptr<CarouselPass> PrismEngine::BeginCarousel() {
 }
 
 RerankResult PrismEngine::Rerank(const RerankRequest& request) {
-  const RerankRequest* ptr = &request;
-  std::vector<RerankResult> results = RerankBatch({&ptr, 1});
-  return std::move(results.front());
-}
-
-std::vector<RerankResult> PrismEngine::RerankBatch(
-    std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-  // One revolution of a terminating carousel with the whole batch aboard:
-  // every request boards at layer 0 and each layer's not-done tickets step
-  // together until none is left.
+  // One revolution of a terminating pass with this request aboard: it boards
+  // at layer 0 and steps alone until it finishes.
   PrismCarouselPass pass(this, /*cyclic=*/false);
-  std::vector<std::unique_ptr<CarouselTicket>> tickets = pass.AdmitBatch(requests, compute_pool);
-  std::vector<CarouselTicket*> group;
-  group.reserve(tickets.size());
-  for (size_t layer = 0;; ++layer) {
-    group.clear();
-    for (const auto& ticket : tickets) {
-      if (!ticket->done()) {
-        group.push_back(ticket.get());
-      }
-    }
-    if (group.empty()) {
-      break;
-    }
-    pass.Step(layer, group, compute_pool);
+  std::unique_ptr<CarouselTicket> ticket = pass.Admit(request);
+  CarouselTicket* group = ticket.get();
+  for (size_t layer = 0; !ticket->done(); ++layer) {
+    pass.Step(layer, {&group, 1}, nullptr);
   }
-  std::vector<RerankResult> results;
-  results.reserve(tickets.size());
-  for (const auto& ticket : tickets) {
-    results.push_back(ticket->TakeResult());
-  }
-  return results;
+  return ticket->TakeResult();
 }
 
 }  // namespace prism

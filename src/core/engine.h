@@ -10,20 +10,18 @@
 //
 // Execution is organised as a staged pipeline (src/core/stages.h): the
 // engine owns only shared immutable resources and hands each request a
-// private RequestContext, so concurrent Rerank/RerankBatch calls are safe.
-// One layer walk drives the stages: the engine's layer pass (a
+// private RequestContext, so concurrent Rerank calls and carousel passes are
+// safe. One layer walk drives the stages: the engine's layer pass (a
 // CarouselPass). BeginCarousel opens it cyclic for the CarouselScheduler;
-// RerankBatch (and Rerank, a batch of one) opens it for a single
-// terminating cycle with the whole batch aboard. Either way a batch shares
-// each layer fetch across its requests while producing results
-// bit-identical to serial execution.
+// Rerank opens it for a single terminating cycle with one request aboard.
+// A cyclic pass shares each layer fetch across its residents while producing
+// results bit-identical to serial execution.
 #ifndef PRISM_SRC_CORE_ENGINE_H_
 #define PRISM_SRC_CORE_ENGINE_H_
 
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -42,23 +40,12 @@
 
 namespace prism {
 
-class PrismEngine : public BatchRunner {
+class PrismEngine : public CarouselRunner {
  public:
   PrismEngine(const ModelConfig& config, const std::string& checkpoint_path, PrismOptions options,
               MemoryTracker* tracker = &MemoryTracker::Global());
 
   RerankResult Rerank(const RerankRequest& request) override;
-
-  // Runs several requests as one coalesced pass: a one-cycle layer pass
-  // whose every layer's weights are fetched once for the whole batch (the
-  // §3.3 global view extended across requests), while per-request pruning
-  // keeps each result bit-identical to a serial Rerank. A malformed request
-  // fails alone with kInvalidArgument. When `compute_pool` is non-null,
-  // per-request embedding and forwarding fan out across its workers.
-  // Thread-compatible: concurrent calls are safe (shared caches/spill are
-  // internally synchronised).
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* compute_pool = nullptr) override;
 
   // Opens a cyclic carousel pass over this engine's layer stream: the
   // CarouselScheduler admits requests at cycle boundaries and steps every
@@ -66,7 +53,6 @@ class PrismEngine : public BatchRunner {
   // to serial Rerank per request (pruning stays per-request; only fetch
   // sharing and admission timing change). The pass and its tickets are
   // confined to the calling thread; the engine must outlive them.
-  bool SupportsCarousel() const override { return true; }
   std::unique_ptr<CarouselPass> BeginCarousel() override;
 
   std::string name() const override {

@@ -14,7 +14,7 @@ RerankResult MakeShedResult(double deadline_ms, double waited_ms) {
       std::to_string(deadline_ms) + " ms deadline");
   result.stats.latency_ms = waited_ms;
   // A shed request's entire life was queue wait — it never reached an
-  // engine. All three schedulers shed through here (SerialScheduler's
+  // engine. Both schedulers shed through here (SerialScheduler's
   // inline acquisition path and the RequestQueue expiry path alike), so the
   // admission-latency accounting stays exact under overload.
   result.stats.queue_wait_ms = waited_ms;
@@ -239,58 +239,7 @@ size_t RequestQueue::shed_count() const {
   return shed_;
 }
 
-BatchScheduler::BatchScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads,
-                               Clock* clock)
-    : runner_(runner), max_inflight_(max_inflight), clock_(ResolveClock(clock)), queue_(clock) {
-  PRISM_CHECK_GT(max_inflight_, 0u);
-  if (compute_threads == 0) {
-    // At least one thread per batch slot: requests spend much of their layer
-    // time waiting on the (simulated) device, so oversubscribing a small core
-    // count still overlaps those waits across the batch.
-    compute_threads = std::max<size_t>(std::thread::hardware_concurrency(), max_inflight_);
-  }
-  compute_pool_ = std::make_unique<ThreadPool>(compute_threads);
-  // Announce the dispatcher before it exists: a SimClock must not advance
-  // past tags scheduled "now" while the dispatcher thread is still starting.
-  clock_->ExpectParticipants(1);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
-}
-
-BatchScheduler::~BatchScheduler() {
-  queue_.Close();
-  dispatcher_.join();
-}
-
-RerankResult BatchScheduler::Submit(const RerankRequest& request) {
-  return AwaitFuture(clock_, queue_.Push(request));
-}
-
-void BatchScheduler::DispatchLoop() {
-  // The dispatcher is a simulation participant: while it is runnable —
-  // draining the queue, running a batch — virtual time stands still.
-  const ClockMembership membership(clock_);
-  for (;;) {
-    std::vector<RequestQueue::Pending> batch = queue_.PopBatch(max_inflight_);
-    if (batch.empty()) {
-      return;  // Closed and drained.
-    }
-    const double dispatched_ms = clock_->NowMs();
-    std::vector<const RerankRequest*> requests;
-    requests.reserve(batch.size());
-    for (const RequestQueue::Pending& pending : batch) {
-      requests.push_back(pending.request);
-    }
-    std::vector<RerankResult> results = runner_->RerankBatch(requests, compute_pool_.get());
-    PRISM_CHECK_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      results[i].stats.queue_wait_ms = dispatched_ms - batch[i].admitted_ms;
-      clock_->PreWake();
-      batch[i].promise.set_value(std::move(results[i]));
-    }
-  }
-}
-
-CarouselScheduler::CarouselScheduler(BatchRunner* runner, size_t max_inflight,
+CarouselScheduler::CarouselScheduler(CarouselRunner* runner, size_t max_inflight,
                                      size_t compute_threads, double linger_ms, Clock* clock)
     : runner_(runner),
       max_inflight_(max_inflight),
@@ -298,19 +247,15 @@ CarouselScheduler::CarouselScheduler(BatchRunner* runner, size_t max_inflight,
       clock_(ResolveClock(clock)),
       queue_(clock) {
   PRISM_CHECK_GT(max_inflight_, 0u);
-  // Fail fast, on the constructing thread, if the runner cannot serve
-  // step-wise execution — not from the dispatcher at first traffic. The
-  // capability query is side-effect-free (no pass, no prefetch).
-  PRISM_CHECK_MSG(runner_->SupportsCarousel(),
-                  "runner does not support carousel execution");
   if (compute_threads == 0) {
-    // Same sizing rationale as BatchScheduler: a thread per carousel slot
-    // keeps device-wait-heavy requests overlapped even on few cores.
+    // At least one thread per carousel slot: requests spend much of their
+    // layer time waiting on the (simulated) device, so oversubscribing a
+    // small core count still overlaps those waits across the residents.
     compute_threads = std::max<size_t>(std::thread::hardware_concurrency(), max_inflight_);
   }
   compute_pool_ = std::make_unique<ThreadPool>(compute_threads);
-  // Same startup handshake as BatchScheduler: reserve the dispatcher's
-  // simulation membership before the thread exists.
+  // Announce the dispatcher before it exists: a SimClock must not advance
+  // past tags scheduled "now" while the dispatcher thread is still starting.
   clock_->ExpectParticipants(1);
   dispatcher_ = std::thread([this] { DispatchLoop(); });
 }
@@ -369,7 +314,8 @@ void CarouselScheduler::AdmitBoundary(CarouselPass* pass,
 }
 
 void CarouselScheduler::DispatchLoop() {
-  // Participant for the same reason as BatchScheduler::DispatchLoop.
+  // The dispatcher is a simulation participant: while it is runnable —
+  // draining the queue, stepping a layer — virtual time stands still.
   const ClockMembership membership(clock_);
   for (;;) {
     // Idle: block for traffic, then spin the carousel up for one busy
@@ -379,7 +325,6 @@ void CarouselScheduler::DispatchLoop() {
       return;  // Closed and drained.
     }
     std::unique_ptr<CarouselPass> pass = runner_->BeginCarousel();
-    PRISM_CHECK_MSG(pass != nullptr, "runner does not support carousel execution");
     const size_t n_layers = pass->n_layers();
     PRISM_CHECK_GT(n_layers, 0u);
 

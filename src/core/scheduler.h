@@ -8,31 +8,26 @@
 //                      OnlineCalibrator. Deadlines are honoured at dispatch:
 //                      a request whose budget expired while waiting its turn
 //                      is shed.
-//   BatchScheduler   — callers enqueue into a ticketed RequestQueue; a
-//                      dispatcher thread drains it, coalescing up to
-//                      `max_inflight` requests into one RerankBatch call:
-//                      one terminating cycle of the engine's layer pass
-//                      with the whole batch aboard. Each layer's weights
-//                      are fetched once for every in-flight request (the
-//                      paper's §3.3 global view extended across requests)
-//                      and per-request compute fans out on a worker pool.
-//                      Admission order, not thread timing, determines batch
-//                      composition, and per-request pruning keeps every
-//                      result bit-identical to a serial run.
-//   CarouselScheduler — continuous batching: the dispatcher rides a cyclic
-//                      layer pass (BatchRunner::BeginCarousel) that never
-//                      ends while traffic flows. At each arriving layer k it
-//                      forwards every resident request whose next-needed
-//                      layer is k; new requests are admitted at the next
-//                      layer-0 boundary (worst-case wait one cycle, not one
-//                      full batch pass), and a request that terminates —
-//                      pruned to completion, failed, or rejected as
-//                      malformed at admission — exits and answers its
-//                      caller immediately instead of waiting for
-//                      batchmates. When the carousel drains mid-cycle with
-//                      work queued, it skips the rest of the cycle (the
-//                      layers nobody needs are never fetched) and wraps
-//                      early. Results stay bit-identical to serial.
+//   CarouselScheduler — continuous batching: callers enqueue into a
+//                      ticketed RequestQueue, and the dispatcher rides a
+//                      cyclic layer pass (CarouselRunner::BeginCarousel)
+//                      that never ends while traffic flows. Each layer's
+//                      weights are fetched once for every resident request
+//                      (the paper's §3.3 global view extended across
+//                      requests) and per-request compute fans out on a
+//                      worker pool. At each arriving layer k it forwards
+//                      every resident request whose next-needed layer is k;
+//                      new requests are admitted at the next layer-0
+//                      boundary (worst-case wait one cycle), and a request
+//                      that terminates — pruned to completion, failed, or
+//                      rejected as malformed at admission — exits and
+//                      answers its caller immediately instead of waiting
+//                      for batchmates. When the carousel drains mid-cycle
+//                      with work queued, it skips the rest of the cycle
+//                      (the layers nobody needs are never fetched) and
+//                      wraps early. Admission order, not thread timing,
+//                      decides who rides a cycle, and per-request pruning
+//                      keeps every result bit-identical to a serial run.
 //
 // Admission order is priority-then-FIFO: within a priority class, tickets
 // (monotonic admission sequence numbers) decide; a higher class always
@@ -46,8 +41,8 @@
 // Clock seam (src/common/clock.h). With the default wall clock nothing
 // changes; under a SimClock the queue's deadline expiry, the schedulers'
 // waits, and the carousel's linger window all run on deterministic virtual
-// time, and the dispatchers yield to quiescence before draining the queue so
-// batch composition is a pure function of the virtual arrival schedule.
+// time, and the dispatcher yields to quiescence before draining the queue so
+// cycle composition is a pure function of the virtual arrival schedule.
 #ifndef PRISM_SRC_CORE_SCHEDULER_H_
 #define PRISM_SRC_CORE_SCHEDULER_H_
 
@@ -209,32 +204,6 @@ class RequestQueue {
   bool closed_ PRISM_GUARDED_BY(mu_) = false;
 };
 
-class BatchScheduler : public Scheduler {
- public:
-  // `compute_threads` sizes the per-request fan-out pool (0 = one per core).
-  BatchScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
-                 Clock* clock = nullptr);
-  ~BatchScheduler() override;
-
-  BatchScheduler(const BatchScheduler&) = delete;
-  BatchScheduler& operator=(const BatchScheduler&) = delete;
-
-  RerankResult Submit(const RerankRequest& request) override;
-  std::string name() const override { return "batch"; }
-
-  size_t max_inflight() const { return max_inflight_; }
-
- private:
-  void DispatchLoop();
-
-  BatchRunner* runner_;
-  size_t max_inflight_;
-  Clock* clock_;
-  RequestQueue queue_;
-  std::unique_ptr<ThreadPool> compute_pool_;
-  std::thread dispatcher_;
-};
-
 // Continuous batching over a cyclic layer pass (see file comment). The
 // dispatcher owns one CarouselPass per busy period: it admits up to
 // `max_inflight` resident requests at each layer-0 boundary (priority-then-
@@ -261,7 +230,7 @@ class CarouselScheduler : public Scheduler {
   // pass waits — prefetch pipeline warm, next cycle's first layers already
   // loading — for new traffic before tearing down; arrivals inside the
   // window start on warm weights instead of a cold streamer.
-  CarouselScheduler(BatchRunner* runner, size_t max_inflight, size_t compute_threads = 0,
+  CarouselScheduler(CarouselRunner* runner, size_t max_inflight, size_t compute_threads = 0,
                     double linger_ms = 200.0, Clock* clock = nullptr);
   ~CarouselScheduler() override;
 
@@ -287,7 +256,7 @@ class CarouselScheduler : public Scheduler {
   void AdmitBoundary(CarouselPass* pass, std::vector<RequestQueue::Pending> batch,
                      std::vector<Resident>* residents);
 
-  BatchRunner* runner_;
+  CarouselRunner* runner_;
   size_t max_inflight_;
   double linger_ms_;
   Clock* clock_;

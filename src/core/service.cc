@@ -132,9 +132,6 @@ SchedulerKind SchedulerKindByName(const std::string& name) {
   if (name == "serial") {
     return SchedulerKind::kSerial;
   }
-  if (name == "batch") {
-    return SchedulerKind::kBatch;
-  }
   if (name == "carousel") {
     return SchedulerKind::kCarousel;
   }
@@ -151,7 +148,7 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
   engine_ = std::make_unique<PrismEngine>(config, checkpoint_path, options.engine, tracker);
   SchedulerKind kind = options.scheduler;
   if (kind == SchedulerKind::kAuto) {
-    kind = options.max_inflight > 1 ? SchedulerKind::kBatch : SchedulerKind::kSerial;
+    kind = options.max_inflight > 1 ? SchedulerKind::kCarousel : SchedulerKind::kSerial;
   }
   if (options.online_calibration) {
     PRISM_CHECK_MSG(kind == SchedulerKind::kSerial,
@@ -172,7 +169,7 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     calibrator_ = std::make_unique<OnlineCalibrator>(engine_.get(), reference_.get(),
                                                      options.calibration);
   }
-  BatchRunner* target =
+  CarouselRunner* target =
       options.runner_override != nullptr ? options.runner_override : engine_.get();
   if (options.sim.enabled) {
     PRISM_CHECK_MSG(!options.online_calibration,
@@ -183,10 +180,6 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
   }
   const size_t inflight = std::max<size_t>(options.max_inflight, 1);
   switch (kind) {
-    case SchedulerKind::kBatch:
-      scheduler_ =
-          std::make_unique<BatchScheduler>(target, inflight, options.compute_threads, clock_);
-      break;
     case SchedulerKind::kCarousel:
       scheduler_ = std::make_unique<CarouselScheduler>(target, inflight, options.compute_threads,
                                                        options.carousel_linger_ms, clock_);

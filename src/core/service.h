@@ -5,10 +5,10 @@
 // piece an application (file search, RAG, agent) embeds. Rerank() is
 // thread-safe: requests are admitted through a Scheduler
 // (src/core/scheduler.h). With the default `max_inflight == 1` every call
-// is served serially, exactly as before; with `max_inflight > 1` a batching
-// scheduler coalesces concurrent requests into the engine's layer pass,
-// which shares each layer fetch across them, raising throughput while
-// keeping each request's result bit-identical to serial execution.
+// is served serially, exactly as before; with `max_inflight > 1` the
+// carousel scheduler runs concurrent requests through the engine's cyclic
+// layer pass, which shares each layer fetch across them, raising throughput
+// while keeping each request's result bit-identical to serial execution.
 // Admission (RequestQueue) and statistics each sit behind one mutex: both
 // cost microseconds against an engine pass of tens to hundreds of
 // milliseconds.
@@ -32,31 +32,26 @@ namespace prism {
 
 // How concurrent Rerank calls reach the engine (src/core/scheduler.h):
 //   kSerial   — one request at a time (mutex).
-//   kBatch    — fixed coalesced batches of up to max_inflight requests; one
-//               terminating layer pass per batch with a barrier at the end.
 //   kCarousel — continuous batching: a cyclic layer pass admits requests at
 //               layer-0 boundaries and answers each the moment it finishes.
-//   kAuto     — serial when max_inflight == 1, batch otherwise (the
-//               pre-knob behaviour; default).
-// All three produce bit-identical per-request results; they differ only in
-// fetch sharing and admission/exit timing.
-enum class SchedulerKind { kAuto, kSerial, kBatch, kCarousel };
+//   kAuto     — serial when max_inflight == 1, carousel otherwise (default).
+// Both produce bit-identical per-request results; they differ only in fetch
+// sharing and admission/exit timing.
+enum class SchedulerKind { kAuto, kSerial, kCarousel };
 
-// Parses "serial" / "batch" / "carousel" / "auto" (CHECK on anything else);
+// Parses "serial" / "carousel" / "auto" (CHECK on anything else);
 // the benches expose it as --scheduler.
 SchedulerKind SchedulerKindByName(const std::string& name);
 
 struct ServiceOptions {
   PrismOptions engine;
-  // Admission policy; see SchedulerKind. kAuto preserves the historical
-  // max_inflight semantics.
+  // Admission policy; see SchedulerKind. kAuto picks it from max_inflight.
   SchedulerKind scheduler = SchedulerKind::kAuto;
-  // Maximum requests admitted into one coalesced engine batch (kBatch) or
-  // resident on the carousel at once (kCarousel). 1 (default) with kAuto
-  // keeps the serial scheduler: existing callers see identical behaviour.
+  // Maximum requests resident on the carousel at once. 1 (default) with
+  // kAuto keeps the serial scheduler.
   size_t max_inflight = 1;
-  // Worker threads for per-request compute fan-out when max_inflight > 1.
-  // 0 = max(hardware cores, max_inflight): a thread per batch slot lets
+  // Worker threads for the carousel's per-request compute fan-out.
+  // 0 = max(hardware cores, max_inflight): a thread per carousel slot lets
   // device-wait-heavy requests overlap even on few cores.
   size_t compute_threads = 0;
   // kCarousel only: how long a drained carousel lingers — prefetch pipeline
@@ -76,7 +71,7 @@ struct ServiceOptions {
   // accessors like current_threshold() read it — but no request reaches it
   // unless the override forwards. Incompatible with online_calibration
   // (checked). The pointee must outlive the service.
-  BatchRunner* runner_override = nullptr;
+  CarouselRunner* runner_override = nullptr;
   // Time source for every scheduler wait, queue deadline, and latency
   // observation. nullptr (default) = the shared wall clock — existing
   // callers see identical behaviour. Point it at a SimClock to serve on

@@ -14,8 +14,8 @@
 //  - Threading: implementations are not required to be thread-safe;
 //    serialise calls externally (RerankService's SerialScheduler) unless an
 //    implementation documents stronger guarantees. PrismEngine does:
-//    concurrent Rerank/RerankBatch calls are safe, and batching preserves
-//    the per-request determinism above.
+//    concurrent Rerank calls and carousel passes are safe, and sharing a
+//    pass preserves the per-request determinism above.
 #ifndef PRISM_SRC_RUNTIME_RUNNER_H_
 #define PRISM_SRC_RUNTIME_RUNNER_H_
 
@@ -127,7 +127,7 @@ class CarouselTicket {
 // of tickets whose next_layer() matches. One weight fetch per step serves
 // the whole group, and the implementation's prefetcher keeps the next
 // layers warm across the wrap, so a pass that stays populated never pays a
-// cold start between cycles (unlike one RerankBatch pass per batch).
+// cold start between cycles (unlike one terminating pass per batch).
 //
 // Threading: a pass and its tickets belong to one driver thread; Step may
 // fan per-ticket compute out across `compute_pool`.
@@ -172,27 +172,15 @@ class CarouselPass {
   virtual void SkipToNextCycle() = 0;
 };
 
-// A runner that can additionally serve several requests as one coalesced
-// pass. BatchScheduler drives this interface, which is what lets tests slot
-// a fault-injection wrapper (tests/fault_injection.h) between the scheduler
-// and the real engine. The contract extends Runner's: results[i] corresponds
-// to requests[i], each result's status is per-request (one failing request
-// must not poison its batchmates), and when `compute_pool` is non-null the
-// implementation may fan per-request work out across it.
-class BatchRunner : public Runner {
+// A runner that can drive the layer carousel (CarouselScheduler). The
+// scheduler calls BeginCarousel once per busy period; the pass must keep
+// results bit-identical to serial Rerank per request — only fetch sharing
+// and admission timing may differ. Tests slot a fault-injection wrapper
+// (tests/fault_injection.h) between the scheduler and the real engine
+// through this interface.
+class CarouselRunner : public Runner {
  public:
-  virtual std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                                ThreadPool* compute_pool = nullptr) = 0;
-
-  // Carousel capability (continuous batching, CarouselScheduler). A runner
-  // that returns true from SupportsCarousel must return a non-null pass
-  // from BeginCarousel; results must stay bit-identical to serial Rerank
-  // per request — only fetch sharing and admission timing may differ.
-  // CarouselScheduler refuses an unsupporting runner at construction (the
-  // capability query is side-effect-free, unlike opening a pass, which may
-  // start prefetching).
-  virtual bool SupportsCarousel() const { return false; }
-  virtual std::unique_ptr<CarouselPass> BeginCarousel() { return nullptr; }
+  virtual std::unique_ptr<CarouselPass> BeginCarousel() = 0;
 };
 
 }  // namespace prism

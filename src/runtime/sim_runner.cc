@@ -1,7 +1,9 @@
 #include "src/runtime/sim_runner.h"
 
 #include <cstring>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 
@@ -106,7 +108,7 @@ class SimCarouselPass : public CarouselPass {
 
 }  // namespace
 
-SimulatedRunner::SimulatedRunner(BatchRunner* target, const SimCostOptions& options,
+SimulatedRunner::SimulatedRunner(CarouselRunner* target, const SimCostOptions& options,
                                  size_t n_layers, Clock* clock)
     : target_(target), options_(options), n_layers_(n_layers), clock_(ResolveClock(clock)) {
   PRISM_CHECK_GT(n_layers_, 0u);
@@ -140,27 +142,6 @@ RerankResult SimulatedRunner::Rerank(const RerankRequest& request) {
   clock_->SleepFor(charge);
   result.stats.latency_ms = charge;
   return result;
-}
-
-std::vector<RerankResult> SimulatedRunner::RerankBatch(
-    std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-  (void)compute_pool;
-  std::vector<RerankResult> results;
-  results.reserve(requests.size());
-  for (const RerankRequest* request : requests) {
-    results.push_back(Cached(*request));
-  }
-  if (!requests.empty()) {
-    // One shared pass with a barrier at the end: every batchmate finishes
-    // when the whole batch does (matching BatchScheduler's real shape).
-    const double charge =
-        options_.pass_ms + options_.per_request_ms * static_cast<double>(requests.size());
-    clock_->SleepFor(charge);
-    for (RerankResult& result : results) {
-      result.stats.latency_ms = charge;
-    }
-  }
-  return results;
 }
 
 std::unique_ptr<CarouselPass> SimulatedRunner::BeginCarousel() {

@@ -3,7 +3,7 @@
 // Under a SimClock, real compute does not consume virtual time (a computing
 // thread is runnable, and the clock never advances past a runnable thread)
 // — so an engine pass would look instantaneous to the simulation. The
-// SimulatedRunner wraps the real BatchRunner and charges a deterministic
+// SimulatedRunner wraps the real CarouselRunner and charges a deterministic
 // virtual service time for every pass on the injected clock, while still
 // producing the engine's exact rankings:
 //
@@ -14,10 +14,11 @@
 //     served from the memo without burning wall time, which is what lets a
 //     10k-request sweep finish in seconds.
 //   - Every pass charges an affine virtual cost on the clock:
-//     pass_ms + per_request_ms × batch size (a carousel spreads the same
-//     cost over its layer steps). Timing fields of memoized results are
-//     scrubbed; work stats (layers, candidates, bytes) replay verbatim —
-//     they are deterministic outputs of the engine, not of the host.
+//     pass_ms + per_request_ms × requests aboard. A carousel spreads that
+//     cost over its layer steps; a lone Rerank pays it at once. Timing
+//     fields of memoized results are scrubbed; work stats (layers,
+//     candidates, bytes) replay verbatim — they are deterministic outputs of
+//     the engine, not of the host.
 //
 // The carousel pass is synthetic: tickets walk the layer indices their
 // serial plan ran (layers_until_done, from the memoized result) and yield
@@ -27,10 +28,8 @@
 #define PRISM_SRC_RUNTIME_SIM_RUNNER_H_
 
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/annotations.h"
 #include "src/common/clock.h"
@@ -53,17 +52,14 @@ struct SimCostOptions {
   bool memoize = true;
 };
 
-class SimulatedRunner : public BatchRunner {
+class SimulatedRunner : public CarouselRunner {
  public:
   // `n_layers` spreads a pass's cost over carousel steps; pass the model's
   // layer count. The target must outlive the runner.
-  SimulatedRunner(BatchRunner* target, const SimCostOptions& options, size_t n_layers,
+  SimulatedRunner(CarouselRunner* target, const SimCostOptions& options, size_t n_layers,
                   Clock* clock);
 
   RerankResult Rerank(const RerankRequest& request) override;
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* compute_pool = nullptr) override;
-  bool SupportsCarousel() const override { return true; }
   std::unique_ptr<CarouselPass> BeginCarousel() override;
   std::string name() const override { return "sim:" + target_->name(); }
 
@@ -78,7 +74,7 @@ class SimulatedRunner : public BatchRunner {
   RerankResult Cached(const RerankRequest& request);
 
  private:
-  BatchRunner* target_;
+  CarouselRunner* target_;
   SimCostOptions options_;
   size_t n_layers_;
   Clock* clock_;

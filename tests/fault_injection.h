@@ -1,8 +1,8 @@
 // Fault-injection test doubles.
 //
 // FlakyRunner slots between a scheduler and the real engine (via
-// ServiceOptions::runner_override or a directly-constructed BatchScheduler)
-// and fails selected requests with an injected kIoError before they reach
+// ServiceOptions::runner_override or a directly-constructed scheduler) and
+// fails selected requests with an injected kIoError before they reach
 // the wrapped runner — modelling a device read failure surfaced per-request.
 // Failures follow either a deterministic sequence (request ordinal n fails
 // iff fail_sequence[n]) or a seeded Bernoulli draw, so every test run is
@@ -38,58 +38,28 @@ struct FaultPlan {
   uint64_t seed = 0xFA17;
 };
 
-class FlakyRunner : public BatchRunner {
+class FlakyRunner : public CarouselRunner {
  public:
-  FlakyRunner(BatchRunner* inner, FaultPlan plan)
+  FlakyRunner(CarouselRunner* inner, FaultPlan plan)
       : inner_(inner), plan_(std::move(plan)), rng_(plan_.seed) {}
 
+  // Serial seam: a failing request gets an error result carrying its
+  // ordinal; any other is forwarded to the wrapped runner.
   RerankResult Rerank(const RerankRequest& request) override {
-    const RerankRequest* ptr = &request;
-    return std::move(RerankBatch({&ptr, 1}).front());
-  }
-
-  // Per-request injection: failing entries get an error result carrying the
-  // request's ordinal; survivors are forwarded to the wrapped runner as one
-  // (smaller) batch and their results scattered back into place.
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* compute_pool = nullptr) override {
-    std::vector<RerankResult> results(requests.size());
-    std::vector<const RerankRequest*> forwarded;
-    std::vector<size_t> forwarded_at;
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (const auto ordinal = NextFailure(); ordinal.has_value()) {
-        results[i].status =
-            Status::IoError("injected device read failure (request #" +
-                            std::to_string(*ordinal) + ")");
-        results[i].scores.assign(requests[i]->docs.size(),
-                                 std::numeric_limits<float>::quiet_NaN());
-      } else {
-        forwarded.push_back(requests[i]);
-        forwarded_at.push_back(i);
-      }
+    if (const auto ordinal = NextFailure(); ordinal.has_value()) {
+      return InjectedFailure(*ordinal, request.docs.size());
     }
-    if (!forwarded.empty()) {
-      std::vector<RerankResult> inner_results = inner_->RerankBatch(forwarded, compute_pool);
-      for (size_t j = 0; j < forwarded.size(); ++j) {
-        results[forwarded_at[j]] = std::move(inner_results[j]);
-      }
-    }
-    return results;
+    return inner_->Rerank(request);
   }
 
   // Carousel seam: wraps the inner runner's pass. Doomed requests (decided
-  // at admission, same plan/ordinal accounting as the batch path) carry a
+  // at admission, same plan/ordinal accounting as the serial path) carry a
   // live inner ticket until their first Step, where the injected error
   // fires: the wrapper abandons the inner ticket mid-cycle — exercising the
   // engine's abandoned-ticket cleanup — and surfaces kIoError to exactly
   // that caller. Survivors forward untouched.
-  bool SupportsCarousel() const override { return inner_->SupportsCarousel(); }
   std::unique_ptr<CarouselPass> BeginCarousel() override {
-    std::unique_ptr<CarouselPass> inner = inner_->BeginCarousel();
-    if (inner == nullptr) {
-      return nullptr;
-    }
-    return std::make_unique<FlakyCarouselPass>(this, std::move(inner));
+    return std::make_unique<FlakyCarouselPass>(this, inner_->BeginCarousel());
   }
 
   std::string name() const override { return "flaky(" + inner_->name() + ")"; }
@@ -123,9 +93,7 @@ class FlakyRunner : public BatchRunner {
     // must release any parked per-request state) and this ticket finishes
     // with an error result.
     void Fail() {
-      error_.status = Status::IoError("injected device read failure (request #" +
-                                      std::to_string(*fail_ordinal_) + ")");
-      error_.scores.assign(n_docs_, std::numeric_limits<float>::quiet_NaN());
+      error_ = InjectedFailure(*fail_ordinal_, n_docs_);
       failed_ = true;
       inner_.reset();
     }
@@ -153,9 +121,8 @@ class FlakyRunner : public BatchRunner {
 
     std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
         std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) override {
-      // Draw failure ordinals in request order first (matching the batch
-      // path's sequencing), then let the inner pass admit — possibly with
-      // its embeds fanned out.
+      // Draw failure ordinals in request order first, then let the inner
+      // pass admit — possibly with its embeds fanned out.
       std::vector<std::optional<size_t>> ordinals;
       ordinals.reserve(requests.size());
       for (size_t i = 0; i < requests.size(); ++i) {
@@ -196,6 +163,16 @@ class FlakyRunner : public BatchRunner {
     std::unique_ptr<CarouselPass> inner_;
   };
 
+  // The error result a doomed request answers with: kIoError naming its
+  // ordinal, no topk, all-NaN scores.
+  static RerankResult InjectedFailure(size_t ordinal, size_t n_docs) {
+    RerankResult result;
+    result.status = Status::IoError("injected device read failure (request #" +
+                                    std::to_string(ordinal) + ")");
+    result.scores.assign(n_docs, std::numeric_limits<float>::quiet_NaN());
+    return result;
+  }
+
   // Returns this request's ordinal if it should fail, nullopt otherwise.
   std::optional<size_t> NextFailure() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -213,7 +190,7 @@ class FlakyRunner : public BatchRunner {
     return ordinal;
   }
 
-  BatchRunner* inner_;
+  CarouselRunner* inner_;
   FaultPlan plan_;
   mutable std::mutex mu_;
   Rng rng_;

@@ -1,7 +1,7 @@
 // Fault-injection tests: a failing request must surface its error to exactly
 // its own caller — no poisoned batchmates, no wedged dispatcher, no leaked
-// SpillPool entries — whether the fault arrives through a BatchScheduler, a
-// SerialScheduler, or a whole ServicePool of flaky replicas.
+// SpillPool entries — whether the fault arrives through a CarouselScheduler,
+// a SerialScheduler, or a whole ServicePool of flaky replicas.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -38,98 +38,6 @@ class FaultInjectionTest : public ::testing::Test {
   std::string ckpt_;
   std::vector<RerankRequest> requests_;
 };
-
-TEST_F(FaultInjectionTest, BatchSchedulerSurfacesErrorsPerRequest) {
-  MemoryTracker tracker;
-  PrismEngine engine(config_, ckpt_, EngineOptions(), &tracker);
-  // Serial reference for the requests that must still succeed.
-  MemoryTracker ref_tracker;
-  PrismEngine reference(config_, ckpt_, EngineOptions(), &ref_tracker);
-
-  FaultPlan plan;
-  plan.fail_sequence = {false, true, false, true, true, false, false, false};
-  FlakyRunner flaky(&engine, plan);
-  BatchScheduler scheduler(&flaky, /*max_inflight=*/4, /*compute_threads=*/2);
-
-  std::vector<RerankResult> results(requests_.size());
-  std::vector<std::thread> clients;
-  for (size_t i = 0; i < requests_.size(); ++i) {
-    clients.emplace_back([&, i] { results[i] = scheduler.Submit(requests_[i]); });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-
-  size_t failed = 0;
-  for (size_t i = 0; i < requests_.size(); ++i) {
-    if (!results[i].status.ok()) {
-      ++failed;
-      EXPECT_EQ(results[i].status.code(), StatusCode::kIoError);
-      EXPECT_TRUE(results[i].topk.empty());
-      for (float score : results[i].scores) {
-        EXPECT_TRUE(std::isnan(score));
-      }
-    } else {
-      // Survivors are bit-identical to a serial run — a failing batchmate
-      // must not perturb them.
-      const RerankResult expected = reference.Rerank(requests_[i]);
-      EXPECT_EQ(results[i].topk, expected.topk) << "request " << i;
-      EXPECT_EQ(results[i].scores, expected.scores) << "request " << i;
-    }
-  }
-  EXPECT_EQ(failed, 3u);
-  EXPECT_EQ(flaky.injected_failures(), 3u);
-
-  // The dispatcher must still be alive after the faults: later requests run.
-  const RerankResult after = scheduler.Submit(requests_[0]);
-  EXPECT_TRUE(after.status.ok());
-  EXPECT_EQ(after.topk, reference.Rerank(requests_[0]).topk);
-}
-
-// Mixed fault/success traffic over a spill-enabled engine: injected
-// failures are answered above the engine (the seam sits between scheduler
-// and runner), so this pins down two cleanup paths — a failed request must
-// not strand anything, and every *served* request (including ones pruning
-// terminated early, whose chunks were parked on disk) must Drop its pool
-// entries by the time its caller unblocks. Engine-internal read faults
-// CHECK-fail today rather than returning Status, so there is no deeper
-// fault path to exercise yet.
-TEST_F(FaultInjectionTest, FaultsDoNotLeakSpillPoolEntries) {
-  PrismOptions options = EngineOptions();
-  options.offload_hidden = true;
-  options.chunk_candidates = 3;
-  MemoryTracker tracker;
-  PrismEngine engine(config_, ckpt_, options, &tracker);
-  ASSERT_NE(engine.spill_pool(), nullptr);
-
-  FaultPlan plan;
-  plan.fail_probability = 0.4;
-  plan.seed = 7;
-  FlakyRunner flaky(&engine, plan);
-  BatchScheduler scheduler(&flaky, /*max_inflight=*/3, /*compute_threads=*/2);
-
-  std::vector<std::thread> clients;
-  std::atomic<size_t> ok{0};
-  std::atomic<size_t> failed{0};
-  for (size_t round = 0; round < 3; ++round) {
-    clients.clear();
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      clients.emplace_back([&, i] {
-        const RerankResult result = scheduler.Submit(requests_[i]);
-        (result.status.ok() ? ok : failed).fetch_add(1);
-      });
-    }
-    for (std::thread& t : clients) {
-      t.join();
-    }
-    // Every request — served, pruned early, or failed — must have released
-    // its parked chunks by the time its caller unblocked.
-    EXPECT_EQ(engine.spill_pool()->live_entries(), 0u) << "round " << round;
-  }
-  EXPECT_EQ(ok.load() + failed.load(), 3 * requests_.size());
-  EXPECT_GT(failed.load(), 0u);  // p=0.4 over 24 draws: ~1e-6 to miss.
-  EXPECT_GT(ok.load(), 0u);
-}
 
 TEST_F(FaultInjectionTest, CarouselSurfacesErrorsPerRequestWithoutWedging) {
   // FlakyRunner composes with the carousel through the same runner seam:

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -242,27 +244,14 @@ TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
   future.get();
 }
 
-TEST_F(ServiceConcurrencyTest, EngineBatchMatchesSerial) {
-  // One coalesced RerankBatch pass == N serial Rerank calls, bit for bit.
-  MemoryTracker t1;
-  MemoryTracker t2;
-  PrismOptions options;
-  options.device = FastDevice();
-  PrismEngine serial_engine(config_, ckpt_, options, &t1);
-  PrismEngine batch_engine(config_, ckpt_, options, &t2);
-
-  std::vector<const RerankRequest*> pointers;
-  for (const RerankRequest& request : requests_) {
-    pointers.push_back(&request);
-  }
-  ThreadPool pool(4);
-  const std::vector<RerankResult> batched = batch_engine.RerankBatch(pointers, &pool);
-  ASSERT_EQ(batched.size(), requests_.size());
-  for (size_t i = 0; i < requests_.size(); ++i) {
-    const RerankResult serial = serial_engine.Rerank(requests_[i]);
-    EXPECT_EQ(batched[i].topk, serial.topk) << "request " << i;
-    EXPECT_EQ(batched[i].scores, serial.scores) << "request " << i;
-  }
+TEST_F(ServiceConcurrencyTest, AutoResolvesByMaxInflight) {
+  // kAuto keeps one request serial and puts concurrency on the carousel.
+  MemoryTracker tracker;
+  RerankService serial(config_, ckpt_, ConcurrentOptions(1), &tracker);
+  EXPECT_NE(dynamic_cast<const SerialScheduler*>(&serial.scheduler()), nullptr);
+  RerankService concurrent(config_, ckpt_, ConcurrentOptions(2), &tracker);
+  EXPECT_NE(dynamic_cast<const CarouselScheduler*>(&concurrent.scheduler()), nullptr);
+  EXPECT_EQ(concurrent.name(), "service:carousel");
 }
 
 TEST_F(ServiceConcurrencyTest, ConcurrentServiceMatchesSerialBitIdentically) {
@@ -597,31 +586,67 @@ TEST(ServiceStatsTest, ReservoirIsDeterministicForFixedObservationOrder) {
 }
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for
-// a known duration without an engine.
-class SleepyRunner : public BatchRunner {
+// a known duration without an engine. Its carousel pass has one layer, and
+// stepping it sleeps once for the whole group.
+class SleepyRunner : public CarouselRunner {
  public:
   explicit SleepyRunner(double sleep_ms) : sleep_ms_(sleep_ms) {}
 
   RerankResult Rerank(const RerankRequest& request) override {
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(sleep_ms_));
-    RerankResult result;
-    result.topk.resize(std::min(request.k, request.docs.size()));
-    return result;
+    Sleep();
+    return Served(request);
   }
 
-  std::vector<RerankResult> RerankBatch(std::span<const RerankRequest* const> requests,
-                                        ThreadPool* /*compute_pool*/) override {
-    std::vector<RerankResult> results;
-    results.reserve(requests.size());
-    for (const RerankRequest* request : requests) {
-      results.push_back(Rerank(*request));
-    }
-    return results;
+  std::unique_ptr<CarouselPass> BeginCarousel() override {
+    return std::make_unique<SleepyPass>(this);
   }
 
   std::string name() const override { return "sleepy"; }
 
  private:
+  class SleepyTicket : public CarouselTicket {
+   public:
+    explicit SleepyTicket(RerankResult result) : result_(std::move(result)) {}
+    size_t next_layer() const override { return 0; }
+    bool done() const override { return done_; }
+    RerankResult TakeResult() override { return std::move(result_); }
+    void Finish() { done_ = true; }
+
+   private:
+    RerankResult result_;
+    bool done_ = false;
+  };
+
+  class SleepyPass : public CarouselPass {
+   public:
+    explicit SleepyPass(SleepyRunner* runner) : runner_(runner) {}
+    size_t n_layers() const override { return 1; }
+    std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
+      return std::make_unique<SleepyTicket>(Served(request));
+    }
+    void Step(size_t /*layer*/, std::span<CarouselTicket* const> group,
+              ThreadPool* /*compute_pool*/) override {
+      runner_->Sleep();
+      for (CarouselTicket* ticket : group) {
+        static_cast<SleepyTicket*>(ticket)->Finish();
+      }
+    }
+    void SkipToNextCycle() override {}
+
+   private:
+    SleepyRunner* runner_;
+  };
+
+  static RerankResult Served(const RerankRequest& request) {
+    RerankResult result;
+    result.topk.resize(std::min(request.k, request.docs.size()));
+    return result;
+  }
+
+  void Sleep() const {
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(sleep_ms_));
+  }
+
   double sleep_ms_;
 };
 
@@ -653,10 +678,10 @@ TEST(ShedQueueWaitTest, SerialSchedulerInlineShedCarriesWait) {
 }
 
 TEST(ShedQueueWaitTest, RequestQueueShedCarriesWait) {
-  // Batch/carousel shed path: an expired entry answered by the queue's
-  // expiry sweep reports its full queue residence as queue wait.
+  // Carousel shed path: an expired entry answered by the queue's expiry
+  // sweep reports its full queue residence as queue wait.
   SleepyRunner runner(80.0);
-  BatchScheduler scheduler(&runner, /*max_inflight=*/1, /*compute_threads=*/1);
+  CarouselScheduler scheduler(&runner, /*max_inflight=*/1, /*compute_threads=*/1);
   RerankRequest slow;
   std::thread first([&] { scheduler.Submit(slow); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));  // Dispatcher is busy.

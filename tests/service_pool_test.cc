@@ -183,15 +183,16 @@ TEST_F(ServicePoolTest, DeadlineSheddingUnderOverload) {
 }
 
 TEST_F(ServicePoolTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
-  // A BatchScheduler draining one request per cycle makes queue order
-  // observable through completion order: while a blocker occupies the
-  // engine, a low-priority request is admitted first and a high-priority
-  // one second; the high one must still dispatch (and finish) first.
+  // A carousel with room for one resident admits one request per boundary,
+  // which makes queue order observable through completion order: while a
+  // blocker occupies the engine, a low-priority request is admitted first
+  // and a high-priority one second; the high one must still dispatch (and
+  // finish) first.
   MemoryTracker tracker;
   PrismOptions engine_options;
   engine_options.device = SlowSsdDevice(2.0 * 1024 * 1024);  // ~60ms/request.
   PrismEngine engine(config_, ckpt_, engine_options, &tracker);
-  BatchScheduler scheduler(&engine, /*max_inflight=*/1, /*compute_threads=*/1);
+  CarouselScheduler scheduler(&engine, /*max_inflight=*/1, /*compute_threads=*/1);
 
   std::atomic<int> finish_seq{0};
   int low_finished_at = -1;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <vector>
 
 #include "src/core/online_calibrator.h"
 #include "src/core/service.h"
@@ -78,13 +80,28 @@ TEST_F(ServiceTest, MalformedRequestsFailWithoutAbortingTheService) {
                         served.scores.size() * sizeof(float)),
             0);
 
-  // The engine rejects per request too: a malformed batchmate fails alone.
-  const RerankRequest* batch[] = {&zero_k, &requests_[3]};
-  const std::vector<RerankResult> results = service.engine().RerankBatch(batch);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].status.code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(results[1].status.ok());
-  EXPECT_EQ(results[1].topk, expected.topk);
+  // The engine's carousel pass rejects per request too: a malformed
+  // request boarding at the same boundary as a valid one fails alone, at
+  // admission, and its batchmate is served bit-identically.
+  {
+    std::unique_ptr<CarouselPass> pass = service.engine().BeginCarousel();
+    const RerankRequest* boarding[] = {&zero_k, &requests_[3]};
+    std::vector<std::unique_ptr<CarouselTicket>> tickets = pass->AdmitBatch(boarding, nullptr);
+    ASSERT_EQ(tickets.size(), 2u);
+    ASSERT_TRUE(tickets[0]->done());
+    EXPECT_EQ(tickets[0]->TakeResult().status.code(), StatusCode::kInvalidArgument);
+    CarouselTicket* batchmate = tickets[1].get();
+    for (size_t layer = 0; !batchmate->done(); ++layer) {
+      pass->Step(layer, {&batchmate, 1}, nullptr);
+    }
+    const RerankResult result = batchmate->TakeResult();
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(result.topk, expected.topk);
+    ASSERT_EQ(result.scores.size(), expected.scores.size());
+    EXPECT_EQ(std::memcmp(result.scores.data(), expected.scores.data(),
+                          result.scores.size() * sizeof(float)),
+              0);
+  }
 
   // A directly constructed carousel has no service in front of it: the
   // engine's pass rejects malformed requests at admission, never steps

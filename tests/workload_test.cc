@@ -72,7 +72,7 @@ TEST_F(WorkloadTest, ServiceAndPoolAreDropInRunnersForEveryScenario) {
   PrismOptions eopts;
   eopts.device = FastDevice();
   PrismEngine engine(config_, ckpt_, eopts, &tracker);
-  RerankService service(config_, ckpt_, FastService(SchedulerKind::kBatch, 3), &tracker);
+  RerankService service(config_, ckpt_, FastService(SchedulerKind::kCarousel, 3), &tracker);
   ServicePoolOptions pool_options;
   pool_options.service = FastService(SchedulerKind::kAuto, 2);
   pool_options.pool_size = 2;
@@ -110,7 +110,7 @@ TEST_F(WorkloadTest, ServedPrecisionTiersMatchTheirSerialBaselines) {
   for (const Tier tier : {Tier{Precision::kFp16, 1.0}, Tier{Precision::kInt8, 0.66},
                           Tier{Precision::kW4, 0.66}}) {
     const std::string ckpt = TestCheckpoint(config_, tier.precision);
-    ServiceOptions sopts = FastService(SchedulerKind::kBatch, 3);
+    ServiceOptions sopts = FastService(SchedulerKind::kCarousel, 3);
     sopts.engine.precision = tier.precision;
     MemoryTracker tracker;
     RerankService service(config_, ckpt, sopts, &tracker);
@@ -134,7 +134,7 @@ TEST_F(WorkloadTest, ServedPrecisionTiersMatchTheirSerialBaselines) {
 
 TEST_F(WorkloadTest, ClosedLoopClientsMatchSerialBaseline) {
   MemoryTracker tracker;
-  RerankService service(config_, ckpt_, FastService(SchedulerKind::kBatch, 4), &tracker);
+  RerankService service(config_, ckpt_, FastService(SchedulerKind::kCarousel, 4), &tracker);
   const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
   const std::vector<std::vector<size_t>> baseline = BaselineSelections(harness, &service);
   WorkloadOptions options;
@@ -227,8 +227,7 @@ TEST_F(WorkloadTest, SimulatedWorkloadReplaysByteIdentically) {
   // sequencing is exercised, not just selections): two runs must agree on
   // every per-request status and every metric to the last bit.
   const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
-  for (const SchedulerKind kind :
-       {SchedulerKind::kSerial, SchedulerKind::kBatch, SchedulerKind::kCarousel}) {
+  for (const SchedulerKind kind : {SchedulerKind::kSerial, SchedulerKind::kCarousel}) {
     for (const size_t pool_size : {size_t{1}, size_t{2}}) {
       const auto run = [&] {
         SimClock clock;
