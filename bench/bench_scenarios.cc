@@ -116,7 +116,6 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
     ServicePoolOptions pool_options;
     pool_options.service = options;
     pool_options.pool_size = pool_size;
-    pool_options.balancer = LoadBalancePolicy::kLeastLoaded;
     stack.pool = std::make_unique<ServicePool>(spec.model, spec.checkpoint, pool_options);
   }
   if (spec.cache_capacity > 0) {

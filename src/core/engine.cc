@@ -258,7 +258,7 @@ PrismEngine::PrismEngine(const ModelConfig& config, const std::string& checkpoin
   PRISM_CHECK_MSG(ckpt_status.ok(), ckpt_status.ToString().c_str());
 
   if (options_.embed_cache && options_.shared_embed_cache != nullptr) {
-    // Pool-level sharing: use the externally-owned cache (its misses read
+    // External cache: use the caller-owned cache (its misses read
     // through its own reader, so this engine's reader serves layers only).
     cache_ = options_.shared_embed_cache;
     embedding_ = cache_;

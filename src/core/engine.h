@@ -90,11 +90,6 @@ class PrismEngine : public CarouselRunner {
   // shared cache, by every engine sharing it.
   std::optional<EmbeddingCacheStats> embed_cache_stats() const;
 
-  // False when the engine was pointed at an externally-owned cache
-  // (PrismOptions::shared_embed_cache): stats consumers count a shared
-  // cache once at the pool, not once per replica.
-  bool owns_embed_cache() const { return cache_ != nullptr && options_.shared_embed_cache == nullptr; }
-
   // The embedding source requests are embedded through (cache or full
   // table). Exposed so a front-end result cache's similarity tier can embed
   // queries with the very vectors EmbedStage uses. Thread-safe.

@@ -142,9 +142,6 @@ SchedulerKind SchedulerKindByName(const std::string& name) {
 RerankService::RerankService(const ModelConfig& config, const std::string& checkpoint_path,
                              ServiceOptions options, MemoryTracker* tracker)
     : config_(config), clock_(ResolveClock(options.clock)) {
-  if (options.latency_sample_capacity > 0) {
-    stats_.latency_capacity = options.latency_sample_capacity;
-  }
   engine_ = std::make_unique<PrismEngine>(config, checkpoint_path, options.engine, tracker);
   SchedulerKind kind = options.scheduler;
   if (kind == SchedulerKind::kAuto) {
@@ -162,7 +159,6 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     // serving path's memory accounting or wait on the simulated device.
     reference_options.streaming = false;
     reference_options.embed_cache = false;
-    reference_options.shared_embed_cache = nullptr;
     reference_options.device.ssd.throttle = false;
     reference_ = std::make_unique<PrismEngine>(config, checkpoint_path, reference_options,
                                                tracker);
@@ -228,15 +224,12 @@ ServiceStats RerankService::stats() const {
     snapshot = stats_;
   }
   // Embedding-cache counters ride the snapshot (they live in the cache, not
-  // under stats_mu_) — but only for a cache this engine owns; a pool-shared
-  // cache is counted once by ServicePool::stats().
-  if (engine_->owns_embed_cache()) {
-    const std::optional<EmbeddingCacheStats> embed = engine_->embed_cache_stats();
-    if (embed.has_value()) {
-      snapshot.embed_hits = embed->hits;
-      snapshot.embed_misses = embed->misses;
-      snapshot.embed_miss_bytes = embed->miss_bytes;
-    }
+  // under stats_mu_).
+  const std::optional<EmbeddingCacheStats> embed = engine_->embed_cache_stats();
+  if (embed.has_value()) {
+    snapshot.embed_hits = embed->hits;
+    snapshot.embed_misses = embed->misses;
+    snapshot.embed_miss_bytes = embed->miss_bytes;
   }
   return snapshot;
 }

@@ -82,9 +82,6 @@ struct ServiceOptions {
   // time on `clock` and memoizes results per unique request (see
   // src/runtime/sim_runner.h). Pair with a SimClock.
   SimCostOptions sim;
-  // Served-latency reservoir size (see ServiceStats). 0 keeps the default;
-  // size it to the expected request count for exact percentiles.
-  size_t latency_sample_capacity = 0;
 };
 
 // Rolling service statistics. RerankService accumulates these under one
@@ -100,8 +97,8 @@ struct ServiceStats {
   // 10k-request run p50/p99 reflected the final tenth of the workload; the
   // reservoir keeps a uniform sample of the whole run instead (Vitter's
   // algorithm R, seeded — deterministic given observation order, which a
-  // SimClock makes deterministic outright). Size it to the workload via
-  // ServiceOptions::latency_sample_capacity for exact percentiles.
+  // SimClock makes deterministic outright). A run of at most this many
+  // served requests keeps every sample, so its percentiles are exact.
   static constexpr size_t kDefaultLatencySampleCapacity = 1024;
 
   size_t requests = 0;
@@ -115,8 +112,7 @@ struct ServiceStats {
   int64_t total_candidates = 0;        // Served requests only.
   int64_t bytes_streamed = 0;          // All requests (failed ones still read).
   // Embedding-cache counters (snapshot-filled by RerankService::stats()
-  // from the engine's cache; all zero when no cache, or when the cache is
-  // pool-shared — the pool then adds the shared cache's counters once).
+  // from the engine's cache; all zero when embed_cache is off).
   int64_t embed_hits = 0;
   int64_t embed_misses = 0;
   int64_t embed_miss_bytes = 0;

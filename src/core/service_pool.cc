@@ -1,166 +1,57 @@
 #include "src/core/service_pool.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/rng.h"
 
 namespace prism {
 
 namespace {
 
-class RoundRobinBalancer : public LoadBalancer {
- public:
-  size_t Pick(const RerankRequest& /*request*/, uint64_t /*query_hash*/,
-              std::span<const size_t> inflight) override {
-    return next_.fetch_add(1, std::memory_order_relaxed) % inflight.size();
+std::vector<std::unique_ptr<RerankService>> BuildReplicas(const ModelConfig& config,
+                                                          const std::string& checkpoint_path,
+                                                          const ServicePoolOptions& options,
+                                                          MemoryTracker* tracker) {
+  PRISM_CHECK_GT(options.pool_size, 0u);
+  std::vector<std::unique_ptr<RerankService>> replicas;
+  replicas.reserve(options.pool_size);
+  for (size_t i = 0; i < options.pool_size; ++i) {
+    replicas.push_back(
+        std::make_unique<RerankService>(config, checkpoint_path, options.service, tracker));
   }
-  std::string name() const override { return "round_robin"; }
-
- private:
-  std::atomic<size_t> next_{0};
-};
-
-class LeastLoadedBalancer : public LoadBalancer {
- public:
-  size_t Pick(const RerankRequest& /*request*/, uint64_t /*query_hash*/,
-              std::span<const size_t> inflight) override {
-    size_t best = 0;
-    for (size_t i = 1; i < inflight.size(); ++i) {
-      if (inflight[i] < inflight[best]) {
-        best = i;
-      }
-    }
-    return best;  // Ties break toward the lowest index.
-  }
-  std::string name() const override { return "least_loaded"; }
-};
-
-class QueryAffinityBalancer : public LoadBalancer {
- public:
-  size_t Pick(const RerankRequest& /*request*/, uint64_t query_hash,
-              std::span<const size_t> inflight) override {
-    return static_cast<size_t>(query_hash % inflight.size());
-  }
-  std::string name() const override { return "query_affinity"; }
-};
+  return replicas;
+}
 
 }  // namespace
 
-const char* LoadBalancePolicyName(LoadBalancePolicy policy) {
-  switch (policy) {
-    case LoadBalancePolicy::kRoundRobin:
-      return "round_robin";
-    case LoadBalancePolicy::kLeastLoaded:
-      return "least_loaded";
-    case LoadBalancePolicy::kQueryAffinity:
-      return "query_affinity";
-  }
-  return "unknown";
-}
-
-LoadBalancePolicy LoadBalancePolicyByName(const std::string& name) {
-  if (name == "round_robin") {
-    return LoadBalancePolicy::kRoundRobin;
-  }
-  if (name == "least_loaded") {
-    return LoadBalancePolicy::kLeastLoaded;
-  }
-  if (name == "query_affinity") {
-    return LoadBalancePolicy::kQueryAffinity;
-  }
-  PRISM_CHECK_MSG(false, ("unknown load-balance policy: " + name).c_str());
-  return LoadBalancePolicy::kRoundRobin;
-}
-
-std::unique_ptr<LoadBalancer> MakeLoadBalancer(LoadBalancePolicy policy) {
-  switch (policy) {
-    case LoadBalancePolicy::kRoundRobin:
-      return std::make_unique<RoundRobinBalancer>();
-    case LoadBalancePolicy::kLeastLoaded:
-      return std::make_unique<LeastLoadedBalancer>();
-    case LoadBalancePolicy::kQueryAffinity:
-      return std::make_unique<QueryAffinityBalancer>();
-  }
-  PRISM_CHECK_MSG(false, "unknown load-balance policy");
-  return nullptr;
-}
-
-uint64_t QueryHash(const RerankRequest& request) {
-  uint64_t hash = 0x9E3779B97F4A7C15ULL;
-  for (uint32_t token : request.query) {
-    hash = MixSeed(hash, token);
-  }
-  return hash;
-}
-
 ServicePool::ServicePool(const ModelConfig& config, const std::string& checkpoint_path,
                          ServicePoolOptions options, MemoryTracker* tracker)
-    : options_(options) {
-  PRISM_CHECK_GT(options_.pool_size, 0u);
-  if (options_.share_embed_cache && options_.service.engine.embed_cache) {
-    // One pool-wide embedding cache with its own reader on the checkpoint;
-    // every replica's engine is pointed at it instead of building a private
-    // one. Budgeted like a single replica's cache would be — the sharing
-    // win is N-1 caches of memory plus cross-replica warmth.
-    auto reader = BlobFileReader::Open(checkpoint_path, options_.service.engine.device.ssd);
-    PRISM_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
-    shared_embed_reader_ = std::move(reader).value();
-    const auto rows = static_cast<size_t>(
-        std::max(1.0, options_.service.engine.embed_cache_fraction *
-                          static_cast<double>(config.vocab_size)));
-    shared_embed_cache_ =
-        std::make_unique<EmbeddingCache>(config, shared_embed_reader_.get(), rows, tracker);
-    options_.service.engine.shared_embed_cache = shared_embed_cache_.get();
-  }
-  replicas_.reserve(options_.pool_size);
-  for (size_t i = 0; i < options_.pool_size; ++i) {
-    replicas_.push_back(
-        std::make_unique<RerankService>(config, checkpoint_path, options_.service, tracker));
-  }
-  balancer_ = MakeLoadBalancer(options_.balancer);
-  inflight_ = std::make_unique<std::atomic<size_t>[]>(replicas_.size());
-  admitted_ = std::make_unique<std::atomic<size_t>[]>(replicas_.size());
-}
+    : ServicePool(BuildReplicas(config, checkpoint_path, options, tracker)) {}
 
-ServicePool::ServicePool(std::vector<std::unique_ptr<RerankService>> replicas,
-                         ServicePoolOptions options)
-    : options_(options), replicas_(std::move(replicas)) {
+ServicePool::ServicePool(std::vector<std::unique_ptr<RerankService>> replicas)
+    : replicas_(std::move(replicas)) {
   PRISM_CHECK_GT(replicas_.size(), 0u);
-  options_.pool_size = replicas_.size();
-  balancer_ = MakeLoadBalancer(options_.balancer);
   inflight_ = std::make_unique<std::atomic<size_t>[]>(replicas_.size());
   admitted_ = std::make_unique<std::atomic<size_t>[]>(replicas_.size());
 }
 
 std::string ServicePool::name() const {
-  return "pool:" + balancer_->name() + "x" + std::to_string(replicas_.size());
+  return "pool:least_loadedx" + std::to_string(replicas_.size());
 }
 
 RerankResult ServicePool::Rerank(const RerankRequest& request) {
-  return RerankHashed(request, QueryHash(request));
-}
-
-RerankResult ServicePool::RerankHashed(const RerankRequest& request, uint64_t query_hash) {
-  // Snapshot in-flight counts for the balancer; slightly stale is fine (the
-  // point is a cheap wait-free read on the hot path). Small-buffer the
-  // snapshot: pools are a handful of replicas, and a per-request heap
-  // allocation here is measurable at high client-thread counts.
-  constexpr size_t kStackReplicas = 16;
-  size_t stack_inflight[kStackReplicas];
-  std::vector<size_t> heap_inflight;
-  size_t* inflight = stack_inflight;
-  if (replicas_.size() > kStackReplicas) {
-    heap_inflight.resize(replicas_.size());
-    inflight = heap_inflight.data();
+  // Least in flight, ties toward the lowest index. Each count is a relaxed
+  // read, so the scan may act on slightly stale load; the point is a cheap
+  // wait-free pick on the hot path.
+  size_t pick = 0;
+  size_t least = inflight_[0].load(std::memory_order_relaxed);
+  for (size_t i = 1; i < replicas_.size(); ++i) {
+    const size_t load = inflight_[i].load(std::memory_order_relaxed);
+    if (load < least) {
+      pick = i;
+      least = load;
+    }
   }
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    inflight[i] = inflight_[i].load(std::memory_order_relaxed);
-  }
-  const size_t pick =
-      balancer_->Pick(request, query_hash, std::span<const size_t>(inflight, replicas_.size()));
-  PRISM_CHECK_LT(pick, replicas_.size());
   inflight_[pick].fetch_add(1, std::memory_order_relaxed);
   admitted_[pick].fetch_add(1, std::memory_order_relaxed);
   RerankResult result = replicas_[pick]->Rerank(request);
@@ -176,14 +67,6 @@ PoolStats ServicePool::stats() const {
     stats.aggregate.Merge(replicas_[i]->stats());
     stats.replica_requests[i] = admitted_[i].load(std::memory_order_relaxed);
     stats.replica_inflight[i] = inflight_[i].load(std::memory_order_relaxed);
-  }
-  if (shared_embed_cache_ != nullptr) {
-    // Each replica reports embed stats only for a cache it owns, so the
-    // shared cache is counted exactly once here.
-    const EmbeddingCacheStats embed = shared_embed_cache_->stats();
-    stats.aggregate.embed_hits += embed.hits;
-    stats.aggregate.embed_misses += embed.misses;
-    stats.aggregate.embed_miss_bytes += embed.miss_bytes;
   }
   return stats;
 }

@@ -4,16 +4,11 @@
 // device queue, one spill pool, one embedding cache. To scale past a single
 // device, the pool owns N fully independent replicas (each its own
 // RerankService, hence its own engine, device model, spill pool, and cache)
-// and routes every request through a pluggable LoadBalancer:
+// and places every request on the replica with the fewest in-flight
+// requests, ties going to the lowest index. Least-in-flight absorbs skewed
+// request costs without any per-query state.
 //
-//   round_robin    — rotate through replicas; fair under uniform traffic.
-//   least_loaded   — pick the replica with the fewest in-flight requests;
-//                    absorbs skewed request costs.
-//   query_affinity — hash the query's tokens to a replica, so repeated
-//                    queries land on a warm EmbeddingCache (at the price of
-//                    load skew under a hot query).
-//
-// Every replica runs the same checkpoint and options, so routing never
+// Every replica runs the same checkpoint and options, so placement never
 // changes a result: a request's topk/scores are bit-identical whichever
 // replica serves it. Deadline shedding and priority ordering happen inside
 // each replica's scheduler (src/core/scheduler.h); the pool adds placement
@@ -23,7 +18,6 @@
 
 #include <atomic>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -31,64 +25,15 @@
 
 namespace prism {
 
-enum class LoadBalancePolicy { kRoundRobin, kLeastLoaded, kQueryAffinity };
-
-const char* LoadBalancePolicyName(LoadBalancePolicy policy);
-LoadBalancePolicy LoadBalancePolicyByName(const std::string& name);
-
-// Replica-selection strategy. Pick() must be thread-safe: the pool calls it
-// from every client thread. `inflight[i]` is a snapshot of replica i's
-// currently-admitted request count (including queued ones); `query_hash` is
-// the request's QueryHash, computed once per request by the pool (or handed
-// down from an upstream layer that already paid for it — see
-// HashAwareRunner) so policies never re-hash the token stream.
-class LoadBalancer {
- public:
-  virtual ~LoadBalancer() = default;
-  virtual size_t Pick(const RerankRequest& request, uint64_t query_hash,
-                      std::span<const size_t> inflight) = 0;
-  virtual std::string name() const = 0;
-};
-
-std::unique_ptr<LoadBalancer> MakeLoadBalancer(LoadBalancePolicy policy);
-
-// Stable hash of a query's tokens (used by the affinity balancer, the
-// result cache's key, and exposed for tests: affinity routing must be a
-// pure function of these).
-uint64_t QueryHash(const RerankRequest& request);
-
-// Runner extension for layers that already hashed the query: RerankHashed
-// behaves exactly like Rerank but accepts the precomputed QueryHash, so a
-// front-end cache and the affinity balancer share one token-hashing pass
-// instead of hashing the same request twice on the hot path. ResultCache
-// (src/serving/result_cache.h) probes for this interface at construction.
-class HashAwareRunner {
- public:
-  virtual ~HashAwareRunner() = default;
-  virtual RerankResult RerankHashed(const RerankRequest& request, uint64_t query_hash) = 0;
-};
-
 struct ServicePoolOptions {
   // Per-replica configuration; every replica is built from this template.
   ServiceOptions service;
   size_t pool_size = 2;
-  LoadBalancePolicy balancer = LoadBalancePolicy::kLeastLoaded;
-  // Share one EmbeddingCache across every replica instead of building
-  // pool_size private ones: a head query warmed by any replica hits from
-  // all of them (affinity routing no longer gates warmth) and the resident
-  // budget is one cache, not N. The shared cache reads misses through its
-  // own BlobFileReader on the same checkpoint; it is internally mutex-
-  // guarded, and row values are interleaving-independent, so results stay
-  // bit-identical. Ignored when the replica options disable embed_cache or
-  // when replicas are adopted pre-built.
-  bool share_embed_cache = false;
 };
 
 // Pool-wide snapshot: the merged per-replica ServiceStats plus placement
 // counters, so an operator can see both aggregate latency percentiles and
-// whether the balancer is spreading load. With a shared embedding cache the
-// aggregate's embed_* counters come from the one shared cache (counted
-// once), not from per-replica merges.
+// whether placement is spreading load.
 struct PoolStats {
   ServiceStats aggregate;                 // All replicas merged.
   std::vector<size_t> replica_requests;   // Admitted per replica, cumulative.
@@ -97,39 +42,28 @@ struct PoolStats {
 
 // Like RerankService, the pool is a Runner, so an application pipeline can
 // be served by one replica or a whole pool through the same pointer.
-class ServicePool : public Runner, public HashAwareRunner {
+class ServicePool : public Runner {
  public:
   // Builds `pool_size` replicas of (config, checkpoint, options.service).
   ServicePool(const ModelConfig& config, const std::string& checkpoint_path,
               ServicePoolOptions options, MemoryTracker* tracker = &MemoryTracker::Global());
 
   // Adopts pre-built replicas (tests inject fault-wrapped services here).
-  ServicePool(std::vector<std::unique_ptr<RerankService>> replicas, ServicePoolOptions options);
+  explicit ServicePool(std::vector<std::unique_ptr<RerankService>> replicas);
 
-  // Thread-safe; routes to a replica and blocks until served (or shed).
+  // Thread-safe; places the request on the least-loaded replica and blocks
+  // until served (or shed).
   RerankResult Rerank(const RerankRequest& request) override;
-
-  // Rerank with the QueryHash already computed upstream (HashAwareRunner).
-  RerankResult RerankHashed(const RerankRequest& request, uint64_t query_hash) override;
 
   std::string name() const override;
 
   size_t pool_size() const { return replicas_.size(); }
-  const LoadBalancer& balancer() const { return *balancer_; }
   RerankService& replica(size_t i) { return *replicas_[i]; }
-  // Null unless share_embed_cache built one.
-  const EmbeddingCache* shared_embed_cache() const { return shared_embed_cache_.get(); }
 
   PoolStats stats() const;
 
  private:
-  ServicePoolOptions options_;
-  // Shared-embedding-cache plumbing; must be declared before (so destroyed
-  // after) the replicas that point into it.
-  std::unique_ptr<BlobFileReader> shared_embed_reader_;
-  std::unique_ptr<EmbeddingCache> shared_embed_cache_;
   std::vector<std::unique_ptr<RerankService>> replicas_;
-  std::unique_ptr<LoadBalancer> balancer_;
   // Indexed by replica; atomics because every client thread updates them.
   std::unique_ptr<std::atomic<size_t>[]> inflight_;
   std::unique_ptr<std::atomic<size_t>[]> admitted_;

@@ -64,11 +64,10 @@ struct PrismOptions {
   // §4.4 embedding table caching (false → full table resident).
   bool embed_cache = true;
   double embed_cache_fraction = 0.10;
-  // Pool-level sharing seam (ServicePoolOptions::share_embed_cache): when
-  // non-null and embed_cache is on, the engine uses this externally-owned
-  // cache instead of building a private one. The pointee must outlive the
-  // engine; it is internally synchronised, so any number of engines may
-  // share it.
+  // External embedding cache: when non-null and embed_cache is on, the
+  // engine uses this externally-owned cache instead of building a private
+  // one. The pointee must outlive the engine; it is internally
+  // synchronised, so any number of engines may share it.
   EmbeddingCache* shared_embed_cache = nullptr;
 
   // Layer-blob storage precision; must match the checkpoint's tags. Reduced

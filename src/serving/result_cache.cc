@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/common/rng.h"
 #include "src/core/scheduler.h"
 
 namespace prism {
@@ -58,6 +59,14 @@ RerankResult ServeCopy(const RerankResult& cached, double waited_ms) {
 
 }  // namespace
 
+uint64_t QueryHash(const RerankRequest& request) {
+  uint64_t hash = 0x9E3779B97F4A7C15ULL;
+  for (uint32_t token : request.query) {
+    hash = MixSeed(hash, token);
+  }
+  return hash;
+}
+
 QueryEmbedder MakeQueryEmbedder(EmbeddingSource* source, size_t hidden) {
   return [source, hidden](const RerankRequest& request) {
     std::vector<float> mean(hidden, 0.0f);
@@ -81,7 +90,6 @@ QueryEmbedder MakeQueryEmbedder(EmbeddingSource* source, size_t hidden) {
 
 ResultCache::ResultCache(Runner* inner, ResultCacheOptions options, QueryEmbedder embedder)
     : inner_(inner),
-      hashed_inner_(dynamic_cast<HashAwareRunner*>(inner)),
       options_(options),
       embedder_(std::move(embedder)),
       clock_(ResolveClock(options.clock)) {
@@ -154,13 +162,6 @@ const ResultCache::Entry* ResultCache::SimilarLocked(Shard& shard,
   return best;
 }
 
-RerankResult ResultCache::Forward(const RerankRequest& request, uint64_t hash) {
-  if (hashed_inner_ != nullptr) {
-    return hashed_inner_->RerankHashed(request, hash);
-  }
-  return inner_->Rerank(request);
-}
-
 RerankResult ResultCache::Rerank(const RerankRequest& request) {
   const uint64_t hash = QueryHash(request);
   Shard& shard = *shards_[hash % shards_.size()];
@@ -202,7 +203,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
         // resident entry for the slot.
         shard.counters.misses.Add(1);
         shard.mu.Unlock();
-        return Forward(request, hash);
+        return inner_->Rerank(request);
       }
     }
 
@@ -216,9 +217,9 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
     }
 
     auto fill_it = shard.fills.find(hash);
-    if (fill_it == shard.fills.end() || !options_.single_flight) {
-      // No fill in flight (or coalescing off): we lead one — unless we
-      // burned our whole budget parked behind a fill that then failed.
+    if (fill_it == shard.fills.end()) {
+      // No fill in flight: we lead one — unless we burned our whole
+      // budget parked behind a fill that then failed.
       if (parked && request.deadline_ms > 0.0 && now_ms - enter_ms >= request.deadline_ms) {
         shard.counters.shed_waiting.Add(1);
         shard.mu.Unlock();
@@ -231,7 +232,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
       // result that isn't ours — forward directly, uncached.
       shard.counters.misses.Add(1);
       shard.mu.Unlock();
-      return Forward(request, hash);
+      return inner_->Rerank(request);
     }
     // Park behind the leader. Honor our own deadline: a waiter whose budget
     // expires mid-fill sheds with its true cache residence, exactly like a
@@ -273,15 +274,12 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   // Miss: lead a fill. The shard lock is dropped across the inner pass so
   // the cache never serializes distinct queries.
   shard.counters.misses.Add(1);
-  const bool leading = options_.single_flight;
-  if (leading) {
-    auto state = std::make_shared<FillState>();
-    state->key = MakeKey(request);
-    shard.fills.emplace(hash, std::move(state));
-  }
+  auto fill = std::make_shared<FillState>();
+  fill->key = MakeKey(request);
+  shard.fills.emplace(hash, fill);
   shard.mu.Unlock();
 
-  RerankResult result = Forward(request, hash);
+  RerankResult result = inner_->Rerank(request);
 
   shard.mu.Lock();
   const double done_ms = clock_->NowMs();
@@ -290,17 +288,14 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   } else {
     shard.counters.fill_errors.Add(1);
   }
-  if (leading) {
-    // Success or failure, publish completion and release the key: waiters
-    // coalesce onto the fresh entry, or — after a failed fill — the first
-    // released waiter leads its own fill. An error never poisons the key,
-    // and the leader's error surfaces only to its own caller.
-    auto done_it = shard.fills.find(hash);
-    done_it->second->done = true;
-    done_it->second->done_ms = done_ms;
-    shard.fills.erase(done_it);
-    shard.cv->NotifyAll();
-  }
+  // Success or failure, publish completion and release the key: waiters
+  // coalesce onto the fresh entry, or — after a failed fill — the first
+  // released waiter leads its own fill. An error never poisons the key,
+  // and the leader's error surfaces only to its own caller.
+  fill->done = true;
+  fill->done_ms = done_ms;
+  shard.fills.erase(hash);
+  shard.cv->NotifyAll();
   shard.mu.Unlock();
   return result;
 }

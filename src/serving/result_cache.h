@@ -8,10 +8,8 @@
 //   clients ─► ResultCache ─► RerankService / ServicePool ─► engine(s)
 //
 // Design:
-//   - Exact-key, sharded LRU. The key hash is the existing QueryHash (the
-//     same hash the pool's affinity balancer uses — computed once and
-//     handed down through the HashAwareRunner seam when the inner runner
-//     implements it); a hash hit is confirmed by full-token equality over
+//   - Exact-key, sharded LRU. The key hash is QueryHash over the query's
+//     tokens; a hash hit is confirmed by full-token equality over
 //     (query, docs, planted_r, k), so a collision can never serve a wrong
 //     result. Admission attributes (priority, deadline) are not part of
 //     the key.
@@ -59,11 +57,14 @@
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
 #include "src/common/striped.h"
-#include "src/core/service_pool.h"
 #include "src/model/embedding.h"
 #include "src/runtime/runner.h"
 
 namespace prism {
+
+// Stable hash of a query's tokens: the cache's shard and entry key. Only
+// the query enters it; Key equality checks the rest of the identity.
+uint64_t QueryHash(const RerankRequest& request);
 
 // Maps a request's query to a fixed-length embedding for the similarity
 // tier. Must be thread-safe (client threads call it concurrently).
@@ -85,9 +86,6 @@ struct ResultCacheOptions {
   // exactly t + ttl_ms (the instant itself misses, matching the queues'
   // deadline semantics). <= 0: entries never expire.
   double ttl_ms = 0.0;
-  // Coalesce concurrent identical queries onto one engine pass. Off, every
-  // concurrent misser fills independently (last insert wins).
-  bool single_flight = true;
   // Cosine threshold for the similarity tier; 0 (or no embedder) disables
   // it. CAUTION: any value < 1 serves approximate results — see file
   // comment.
@@ -126,10 +124,8 @@ struct ResultCacheStats {
 
 class ResultCache : public Runner {
  public:
-  // The inner runner must outlive the cache. When it implements
-  // HashAwareRunner (ServicePool does), misses are forwarded through
-  // RerankHashed so the query is hashed once per request, not once per
-  // layer. `embedder` is only consulted when options.similarity > 0.
+  // The inner runner must outlive the cache. `embedder` is only consulted
+  // when options.similarity > 0.
   ResultCache(Runner* inner, ResultCacheOptions options, QueryEmbedder embedder = nullptr);
 
   // Thread-safe. A fresh hit returns the cached engine result (timing
@@ -227,10 +223,7 @@ class ResultCache : public Runner {
   const Entry* SimilarLocked(Shard& shard, const std::vector<float>& embedding,
                              double now_ms) const PRISM_REQUIRES(shard.mu);
 
-  RerankResult Forward(const RerankRequest& request, uint64_t hash);
-
   Runner* inner_;
-  HashAwareRunner* hashed_inner_;  // Non-null when inner_ accepts a hash.
   ResultCacheOptions options_;
   QueryEmbedder embedder_;
   size_t per_shard_capacity_;

@@ -215,8 +215,7 @@ struct WorkloadReport {
   size_t cache_coalesced = 0;       // Served by another request's fill.
   size_t cache_shed_waiting = 0;    // Deadline expired while parked.
   double cache_hit_rate = 0.0;
-  // Embedding-cache counters aggregated across the serving stack (a pool
-  // counts a shared cache exactly once).
+  // Embedding-cache counters aggregated across the serving stack.
   int64_t embed_hits = 0;
   int64_t embed_misses = 0;
   int64_t embed_miss_bytes = 0;

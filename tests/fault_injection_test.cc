@@ -162,9 +162,7 @@ TEST_F(FaultInjectionTest, ServicePoolSurfacesReplicaFaultsAndKeepsServing) {
     options.runner_override = flakies.back().get();
     replicas.push_back(std::make_unique<RerankService>(config_, ckpt_, options, &tracker));
   }
-  ServicePoolOptions pool_options;
-  pool_options.balancer = LoadBalancePolicy::kRoundRobin;
-  ServicePool pool(std::move(replicas), pool_options);
+  ServicePool pool(std::move(replicas));
 
   MemoryTracker ref_tracker;
   PrismEngine reference(config_, ckpt_, EngineOptions(), &ref_tracker);
@@ -195,7 +193,9 @@ TEST_F(FaultInjectionTest, ServicePoolSurfacesReplicaFaultsAndKeepsServing) {
   EXPECT_EQ(stats.aggregate.requests, kRounds * requests_.size());
   EXPECT_EQ(stats.aggregate.errors, failed.load());
   EXPECT_EQ(stats.aggregate.shed, 0u);
-  // Round-robin: every replica kept taking traffic even while faulting.
+  // Every replica kept taking traffic even while faulting: each round's
+  // eight concurrent clients overlap, so least-loaded placement spills
+  // past replica 0 (about half the requests land on each replica).
   for (size_t i = 0; i < pool.pool_size(); ++i) {
     EXPECT_GT(stats.replica_requests[i], 0u) << "replica " << i;
     EXPECT_EQ(stats.replica_inflight[i], 0u) << "replica " << i;

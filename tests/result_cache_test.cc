@@ -16,7 +16,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/status.h"
-#include "src/core/service_pool.h"
 #include "src/serving/result_cache.h"
 #include "src/runtime/runner.h"
 
@@ -234,32 +233,6 @@ TEST(ResultCacheTest, SingleFlightCoalescesConcurrentIdenticalQueries) {
                    static_cast<double>(kClients - 1) / static_cast<double>(kClients));
 }
 
-TEST(ResultCacheTest, SingleFlightOffEveryConcurrentMisserFillsItself) {
-  SimClock clock;
-  ScriptedRunner inner(&clock, /*service_ms=*/10.0);
-  ResultCacheOptions options;
-  options.capacity = 4;
-  options.single_flight = false;
-  options.clock = &clock;
-  ResultCache cache(&inner, options);
-  const RerankRequest request = MakeRequest(2);
-
-  constexpr size_t kClients = 3;
-  clock.ExpectParticipants(kClients);
-  std::vector<std::thread> threads;
-  for (size_t c = 0; c < kClients; ++c) {
-    threads.emplace_back([&] {
-      const ClockMembership membership(&clock);
-      EXPECT_TRUE(cache.Rerank(request).status.ok());
-    });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(inner.calls(), kClients);
-  EXPECT_EQ(cache.stats().coalesced, 0u);
-}
-
 TEST(ResultCacheTest, FailedFillNeitherPoisonsTheKeyNorWedgesWaiters) {
   SimClock clock;
   ScriptedRunner inner(&clock, /*service_ms=*/5.0);
@@ -342,46 +315,6 @@ TEST(ResultCacheTest, DeadlineExpiringWhileParkedShedsWithTrueResidence) {
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.shed_waiting, 1u);
   EXPECT_EQ(stats.coalesced, 0u);
-}
-
-// Inner runner that also implements the HashAwareRunner seam, recording the
-// hash each forwarded miss carried.
-class HashRecordingRunner : public Runner, public HashAwareRunner {
- public:
-  RerankResult Rerank(const RerankRequest&) override {
-    ++plain_calls_;
-    return Served();
-  }
-  RerankResult RerankHashed(const RerankRequest&, uint64_t hash) override {
-    ++hashed_calls_;
-    last_hash_ = hash;
-    return Served();
-  }
-  std::string name() const override { return "hash_recording"; }
-
-  size_t plain_calls_ = 0;
-  size_t hashed_calls_ = 0;
-  uint64_t last_hash_ = 0;
-
- private:
-  static RerankResult Served() {
-    RerankResult result;
-    result.topk = {0};
-    result.scores = {1.0f};
-    return result;
-  }
-};
-
-TEST(ResultCacheTest, MissesForwardThePrecomputedHashThroughTheSeam) {
-  HashRecordingRunner inner;
-  ResultCacheOptions options;
-  options.capacity = 4;
-  ResultCache cache(&inner, options);
-  const RerankRequest request = MakeRequest(9, /*k=*/1);
-  cache.Rerank(request);
-  EXPECT_EQ(inner.plain_calls_, 0u);  // The seam was used, not Rerank.
-  EXPECT_EQ(inner.hashed_calls_, 1u);
-  EXPECT_EQ(inner.last_hash_, QueryHash(request));
 }
 
 TEST(ResultCacheTest, SimilarityTierServesCosineNeighboursOnlyWhenEnabled) {

@@ -1,10 +1,9 @@
-// ServicePool tests: load-balancer placement, result invariance across
-// replicas, deadline-aware admission (priority ordering + shedding), and
-// pool-wide stats aggregation.
+// ServicePool tests: least-loaded placement and its tie rule, result
+// invariance across replica counts, deadline-aware admission (priority
+// ordering + shedding), and pool-wide stats aggregation.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -24,14 +23,12 @@ class ServicePoolTest : public ::testing::Test {
     }
   }
 
-  ServicePoolOptions PoolOptions(size_t pool_size, LoadBalancePolicy policy,
-                                 size_t max_inflight = 1) const {
+  ServicePoolOptions PoolOptions(size_t pool_size, size_t max_inflight = 1) const {
     ServicePoolOptions options;
     options.service.engine.device = FastDevice();
     options.service.max_inflight = max_inflight;
     options.service.compute_threads = 2;
     options.pool_size = pool_size;
-    options.balancer = policy;
     return options;
   }
 
@@ -40,80 +37,50 @@ class ServicePoolTest : public ::testing::Test {
   std::vector<RerankRequest> requests_;
 };
 
-TEST_F(ServicePoolTest, ResultsInvariantAcrossReplicaCountAndPolicy) {
+TEST_F(ServicePoolTest, ResultsInvariantAcrossReplicaCount) {
   MemoryTracker t0;
-  ServicePoolOptions single = PoolOptions(1, LoadBalancePolicy::kRoundRobin);
-  ServicePool reference(config_, ckpt_, single, &t0);
+  ServicePool reference(config_, ckpt_, PoolOptions(1), &t0);
   std::vector<RerankResult> expected;
   for (const RerankRequest& request : requests_) {
     expected.push_back(reference.Rerank(request));
   }
 
-  for (const LoadBalancePolicy policy :
-       {LoadBalancePolicy::kRoundRobin, LoadBalancePolicy::kLeastLoaded,
-        LoadBalancePolicy::kQueryAffinity}) {
-    MemoryTracker tracker;
-    ServicePool pool(config_, ckpt_, PoolOptions(3, policy, /*max_inflight=*/2), &tracker);
-    std::vector<RerankResult> results(requests_.size());
-    std::vector<std::thread> clients;
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      clients.emplace_back([&, i] { results[i] = pool.Rerank(requests_[i]); });
-    }
-    for (std::thread& t : clients) {
-      t.join();
-    }
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      EXPECT_TRUE(results[i].status.ok());
-      EXPECT_EQ(results[i].topk, expected[i].topk)
-          << pool.balancer().name() << " request " << i;
-      EXPECT_EQ(results[i].scores, expected[i].scores)
-          << pool.balancer().name() << " request " << i;
-    }
+  MemoryTracker tracker;
+  ServicePool pool(config_, ckpt_, PoolOptions(3, /*max_inflight=*/2), &tracker);
+  std::vector<RerankResult> results(requests_.size());
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < requests_.size(); ++i) {
+    clients.emplace_back([&, i] { results[i] = pool.Rerank(requests_[i]); });
+  }
+  for (std::thread& t : clients) {
+    t.join();
+  }
+  for (size_t i = 0; i < requests_.size(); ++i) {
+    EXPECT_TRUE(results[i].status.ok());
+    EXPECT_EQ(results[i].topk, expected[i].topk) << "request " << i;
+    EXPECT_EQ(results[i].scores, expected[i].scores) << "request " << i;
   }
 }
 
-TEST_F(ServicePoolTest, RoundRobinSpreadsSequentialTraffic) {
+TEST_F(ServicePoolTest, IdlePoolBreaksTiesTowardTheLowestReplica) {
+  // Sequential traffic finds every replica idle, an all-way tie, so every
+  // request lands on replica 0.
   MemoryTracker tracker;
-  ServicePool pool(config_, ckpt_, PoolOptions(4, LoadBalancePolicy::kRoundRobin), &tracker);
-  for (size_t i = 0; i < 8; ++i) {
-    pool.Rerank(requests_[i % requests_.size()]);
+  ServicePool pool(config_, ckpt_, PoolOptions(3), &tracker);
+  for (const RerankRequest& request : requests_) {
+    EXPECT_TRUE(pool.Rerank(request).status.ok());
   }
   const PoolStats stats = pool.stats();
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(stats.replica_requests[i], 2u) << "replica " << i;
-  }
-  EXPECT_EQ(stats.aggregate.requests, 8u);
-}
-
-TEST_F(ServicePoolTest, QueryAffinityPinsRepeatedQueries) {
-  MemoryTracker tracker;
-  ServicePool pool(config_, ckpt_, PoolOptions(3, LoadBalancePolicy::kQueryAffinity), &tracker);
-  // The same query must always land on the same replica (a warm
-  // EmbeddingCache); distinct queries may differ.
-  const size_t expected_replica = static_cast<size_t>(QueryHash(requests_[0]) % 3);
-  std::vector<RerankResult> results;
-  for (int round = 0; round < 3; ++round) {
-    results.push_back(pool.Rerank(requests_[0]));
-  }
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.replica_requests[expected_replica], 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    if (i != expected_replica) {
-      EXPECT_EQ(stats.replica_requests[i], 0u) << "replica " << i;
-    }
-  }
-  EXPECT_EQ(pool.replica(expected_replica).stats().requests, 3u);
-  // The point of affinity: the pinned replica's embedding cache warms up
-  // across the repeats. The cumulative hit rate must strictly rise from the
-  // cold first request to the third identical one.
-  EXPECT_GT(results[2].stats.embed_cache_hit_rate, results[0].stats.embed_cache_hit_rate);
-  EXPECT_GT(results[2].stats.embed_cache_hit_rate, 0.0);
+  EXPECT_EQ(stats.replica_requests[0], requests_.size());
+  EXPECT_EQ(stats.replica_requests[1], 0u);
+  EXPECT_EQ(stats.replica_requests[2], 0u);
+  EXPECT_EQ(pool.replica(0).stats().requests, requests_.size());
 }
 
 TEST_F(ServicePoolTest, LeastLoadedAvoidsBusyReplica) {
   // Two replicas; jam one with a long-running request (slow simulated SSD on
   // a big candidate set), then check new traffic routes to the idle one.
-  ServicePoolOptions options = PoolOptions(2, LoadBalancePolicy::kLeastLoaded);
+  ServicePoolOptions options = PoolOptions(2);
   options.service.engine.device = SlowSsdDevice(2.0 * 1024 * 1024);  // ~60ms/request.
   MemoryTracker tracker;
   ServicePool pool(config_, ckpt_, options, &tracker);
@@ -144,7 +111,7 @@ TEST_F(ServicePoolTest, DeadlineSheddingUnderOverload) {
   // One replica, serial scheduler: the first request holds the runner while
   // the rest wait on the mutex past their deadlines.
   MemoryTracker tracker;
-  ServicePoolOptions options = PoolOptions(1, LoadBalancePolicy::kRoundRobin);
+  ServicePoolOptions options = PoolOptions(1);
   // Throttled SSD so a request takes real wall time.
   options.service.engine.device = SlowSsdDevice(24.0 * 1024 * 1024);
   ServicePool pool(config_, ckpt_, options, &tracker);
@@ -224,13 +191,18 @@ TEST_F(ServicePoolTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
 
 TEST_F(ServicePoolTest, AggregateStatsMergeReplicaWindows) {
   MemoryTracker tracker;
-  ServicePool pool(config_, ckpt_, PoolOptions(2, LoadBalancePolicy::kRoundRobin), &tracker);
-  for (size_t i = 0; i < 6; ++i) {
+  ServicePool pool(config_, ckpt_, PoolOptions(2), &tracker);
+  // Sequential pool traffic all lands on replica 0 (idle tie); one request
+  // sent straight to replica 1 gives the merge a second non-empty window.
+  for (size_t i = 0; i < 5; ++i) {
     pool.Rerank(requests_[i]);
   }
+  pool.replica(1).Rerank(requests_[5]);
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.aggregate.requests, 6u);
-  EXPECT_EQ(stats.replica_requests[0] + stats.replica_requests[1], 6u);
+  EXPECT_EQ(stats.replica_requests[0], 5u);  // Placed by the pool.
+  EXPECT_EQ(pool.replica(0).stats().requests, 5u);
+  EXPECT_EQ(pool.replica(1).stats().requests, 1u);
   EXPECT_GT(stats.aggregate.MeanLatencyMs(), 0.0);
   EXPECT_GE(stats.aggregate.max_latency_ms, stats.aggregate.P50LatencyMs());
   EXPECT_EQ(stats.aggregate.latency_samples.size(), 6u);  // Both reservoirs merged.

@@ -272,7 +272,8 @@ TEST(ServiceStatsOverloadTest, ShedRequestsLeavePercentilesUntouched) {
 }
 
 TEST(ServiceStatsMergeTest, WeightedMergeKeepsPoolPercentilesUnbiased) {
-  // Affinity routing makes replica traffic uneven: here the busy replica
+  // Least-loaded placement makes replica traffic uneven (ties go to replica
+  // 0, so light traffic never reaches the others): here the busy replica
   // served 100 observations per retained sample while the idle one retained
   // every observation. Raw sample concatenation (the old Merge) would give
   // the idle replica's samples 100× their real weight: 1536 concatenated
