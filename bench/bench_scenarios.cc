@@ -28,6 +28,12 @@
 //        --n_queries=8 --max_inflight=4 --zipf=0.9 --rates=0.7
 //        --ssd_mbps=12 (0 = device profile default) --overload=true
 //        --json=PATH
+//        --cache_capacity=N: exact-key LRU result cache of N entries in
+//        front of every stack in the main grid (default 0 = off; --smoke
+//        defaults it to n_queries)
+//        --cache_sweep=true: for the first scenario, serve overloaded
+//        open-loop traffic (zipf 0.7 and 1.1) through a serial stack
+//        behind a cache of 0, head-sized and full-universe capacity
 //        --smoke: tiny config (test model, unthrottled device, one scenario
 //        per scheduler, closed loop only, no overload phase) for CI —
 //        exits nonzero on any mismatch.
@@ -93,8 +99,6 @@ struct StackSpec {
   bool sim = false;  // Virtual service-cost model on every stack.
   // Result-cache tier (src/serving/result_cache.h). 0 = no cache.
   size_t cache_capacity = 0;
-  double cache_ttl_ms = 0.0;
-  double cache_similarity = 0.0;
 };
 
 Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
@@ -121,18 +125,11 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
   if (spec.cache_capacity > 0) {
     ResultCacheOptions cache_options;
     cache_options.capacity = spec.cache_capacity;
-    cache_options.ttl_ms = spec.cache_ttl_ms;
-    cache_options.similarity = spec.cache_similarity;
     cache_options.clock = clock;
-    QueryEmbedder embedder;
-    if (spec.cache_similarity > 0.0 && stack.service != nullptr) {
-      embedder = MakeQueryEmbedder(stack.service->engine().embedding_source(),
-                                   spec.model.hidden);
-    }
     stack.cache = std::make_unique<ResultCache>(stack.pool != nullptr
                                                     ? static_cast<Runner*>(stack.pool.get())
                                                     : static_cast<Runner*>(stack.service.get()),
-                                                cache_options, std::move(embedder));
+                                                cache_options);
   }
   return stack;
 }
@@ -472,8 +469,6 @@ int Main(int argc, char** argv) {
   // below measures the tier.
   const size_t cache_capacity = static_cast<size_t>(
       flags.GetInt("cache_capacity", smoke ? static_cast<int>(n_queries) : 0));
-  const double cache_ttl_ms = flags.GetDouble("cache_ttl_ms", 0.0);
-  const double cache_similarity = flags.GetDouble("cache_similarity", 0.0);
   const bool cache_sweep = !smoke && flags.GetBool("cache_sweep", true);
 
   StackSpec spec;
@@ -486,8 +481,6 @@ int Main(int argc, char** argv) {
       std::max<size_t>(std::thread::hardware_concurrency(), spec.max_inflight);
   spec.sim = sim;
   spec.cache_capacity = cache_capacity;
-  spec.cache_ttl_ms = cache_ttl_ms;
-  spec.cache_similarity = cache_similarity;
   spec.checkpoint = EnsureCheckpoint(model, kBenchSeed, precision);
 
   PrintHeader("Scenario serving sweep — " + model.name + " on " + device.name + " (" +

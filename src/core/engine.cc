@@ -180,10 +180,12 @@ class PrismCarouselPass final : public CarouselPass {
       return;  // Rejected at admission: nothing ran, nothing to finalize.
     }
     engine_->prune_stage_->Finalize(&ticket->ctx());
-    // The most recently finalized request's records are what last_trace()
-    // returns.
-    MutexLock lock(engine_->trace_mu_);
-    engine_->trace_ = std::move(ticket->ctx().trace);
+    if (engine_->options_.trace) {
+      // The most recently finalized request's records are what last_trace()
+      // returns.
+      MutexLock lock(engine_->trace_mu_);
+      engine_->trace_ = std::move(ticket->ctx().trace);
+    }
   }
 
   void Abandon(PrismCarouselTicket* ticket) {

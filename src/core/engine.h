@@ -90,11 +90,6 @@ class PrismEngine : public CarouselRunner {
   // shared cache, by every engine sharing it.
   std::optional<EmbeddingCacheStats> embed_cache_stats() const;
 
-  // The embedding source requests are embedded through (cache or full
-  // table). Exposed so a front-end result cache's similarity tier can embed
-  // queries with the very vectors EmbedStage uses. Thread-safe.
-  EmbeddingSource* embedding_source() { return embedding_; }
-
   // Shared hidden-state spill pool; null unless offload_hidden. Exposed so
   // tests can assert that no request — including one terminated early or
   // failed by fault injection — leaks a parked chunk.

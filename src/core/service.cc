@@ -171,7 +171,7 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     PRISM_CHECK_MSG(!options.online_calibration,
                     "online calibration measures real engine timing; it cannot run through the "
                     "simulated cost model");
-    sim_runner_ = std::make_unique<SimulatedRunner>(target, options.sim, config.n_layers, clock_);
+    sim_runner_ = std::make_unique<SimulatedRunner>(target, config.n_layers, clock_);
     target = sim_runner_.get();
   }
   const size_t inflight = std::max<size_t>(options.max_inflight, 1);

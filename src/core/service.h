@@ -194,9 +194,7 @@ class RerankService : public Runner {
   const ModelConfig& config() const { return config_; }
   float current_threshold() const { return engine_->dispersion_threshold(); }
   const Scheduler& scheduler() const { return *scheduler_; }
-  // The service's engine (always built, even with a runner override) —
-  // exposed so a front-end result cache can borrow its embedding source
-  // for the similarity-admission tier.
+  // The service's engine (always built, even with a runner override).
   PrismEngine& engine() { return *engine_; }
 
  private:

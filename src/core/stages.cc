@@ -176,14 +176,6 @@ bool PruneStage::AfterLayer(RequestContext* ctx, size_t layer, bool last_layer) 
   }
   const PruneDecision decision = DecidePrune(scores_active, ctx->remaining_k,
                                              ctx->pruner_options);
-  LayerTraceEntry entry;
-  entry.layer = layer;
-  entry.active = active.size();
-  entry.cv = decision.cv;
-  entry.prune_triggered = decision.triggered;
-  entry.selected = decision.selected.size();
-  entry.dropped = decision.dropped.size();
-  ctx->trace.push_back(std::move(entry));
   if (!decision.triggered && !decision.terminate) {
     return false;
   }

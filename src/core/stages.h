@@ -81,14 +81,11 @@ struct PrismOptions {
   uint64_t seed = 42;
 };
 
-// Per-layer record captured in trace mode (and, lightly, during pruning).
+// Per-layer record captured in trace mode only.
 struct LayerTraceEntry {
   size_t layer = 0;
   size_t active = 0;
   double cv = 0.0;
-  bool prune_triggered = false;
-  size_t selected = 0;
-  size_t dropped = 0;
   // Indexed by original candidate id; NaN when the candidate was inactive.
   std::vector<float> scores;
   // Cluster id per original candidate (-1 when unclustered/inactive).

@@ -11,6 +11,11 @@ namespace prism {
 
 namespace {
 
+// Virtual cost of one engine pass (layer-streaming sweep spin-up) and the
+// marginal cost of each request sharing it, in clock milliseconds.
+constexpr double kPassMs = 8.0;
+constexpr double kPerRequestMs = 2.0;
+
 void AppendBytes(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
 }
@@ -92,9 +97,8 @@ class SimCarouselPass : public CarouselPass {
       return;  // A skipped position costs nothing (the real pass prefetch-skips).
     }
     // The pass's affine cost, spread evenly over its layer steps.
-    const SimCostOptions& cost = runner_->options();
     const double n = static_cast<double>(runner_->n_layers());
-    runner_->clock()->SleepFor((cost.pass_ms + cost.per_request_ms * group.size()) / n);
+    runner_->clock()->SleepFor((kPassMs + kPerRequestMs * group.size()) / n);
     for (CarouselTicket* ticket : group) {
       static_cast<SimTicket*>(ticket)->Advance();
     }
@@ -108,18 +112,12 @@ class SimCarouselPass : public CarouselPass {
 
 }  // namespace
 
-SimulatedRunner::SimulatedRunner(CarouselRunner* target, const SimCostOptions& options,
-                                 size_t n_layers, Clock* clock)
-    : target_(target), options_(options), n_layers_(n_layers), clock_(ResolveClock(clock)) {
+SimulatedRunner::SimulatedRunner(CarouselRunner* target, size_t n_layers, Clock* clock)
+    : target_(target), n_layers_(n_layers), clock_(ResolveClock(clock)) {
   PRISM_CHECK_GT(n_layers_, 0u);
 }
 
 RerankResult SimulatedRunner::Cached(const RerankRequest& request) {
-  if (!options_.memoize) {
-    RerankResult result = target_->Rerank(request);
-    ScrubTimings(&result);
-    return result;
-  }
   const std::string key = Fingerprint(request);
   {
     MutexLock lock(mu_);
@@ -138,7 +136,7 @@ RerankResult SimulatedRunner::Cached(const RerankRequest& request) {
 
 RerankResult SimulatedRunner::Rerank(const RerankRequest& request) {
   RerankResult result = Cached(request);
-  const double charge = options_.pass_ms + options_.per_request_ms;
+  const double charge = kPassMs + kPerRequestMs;
   clock_->SleepFor(charge);
   result.stats.latency_ms = charge;
   return result;

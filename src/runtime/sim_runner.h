@@ -13,8 +13,8 @@
 //     (a Zipf-popular workload re-asks the same queries constantly) are
 //     served from the memo without burning wall time, which is what lets a
 //     10k-request sweep finish in seconds.
-//   - Every pass charges an affine virtual cost on the clock:
-//     pass_ms + per_request_ms × requests aboard. A carousel spreads that
+//   - Every pass charges an affine virtual cost on the clock: 8 ms per
+//     pass + 2 ms per request aboard. A carousel spreads that
 //     cost over its layer steps; a lone Rerank pays it at once. Timing
 //     fields of memoized results are scrubbed; work stats (layers,
 //     candidates, bytes) replay verbatim — they are deterministic outputs of
@@ -38,26 +38,18 @@
 
 namespace prism {
 
-// Virtual service-time model (all costs in clock milliseconds).
+// Switch for the virtual service-time model.
 struct SimCostOptions {
   // Off by default: ServiceOptions embeds one of these, and a default
   // service must not wrap its engine.
   bool enabled = false;
-  // Fixed cost of one engine pass (layer-streaming sweep spin-up).
-  double pass_ms = 8.0;
-  // Marginal cost per request sharing the pass.
-  double per_request_ms = 2.0;
-  // Serve repeated requests from the fingerprint memo (disable only to
-  // force every request through the real engine).
-  bool memoize = true;
 };
 
 class SimulatedRunner : public CarouselRunner {
  public:
   // `n_layers` spreads a pass's cost over carousel steps; pass the model's
   // layer count. The target must outlive the runner.
-  SimulatedRunner(CarouselRunner* target, const SimCostOptions& options, size_t n_layers,
-                  Clock* clock);
+  SimulatedRunner(CarouselRunner* target, size_t n_layers, Clock* clock);
 
   RerankResult Rerank(const RerankRequest& request) override;
   std::unique_ptr<CarouselPass> BeginCarousel() override;
@@ -65,7 +57,6 @@ class SimulatedRunner : public CarouselRunner {
 
   size_t memo_size() const;
   size_t n_layers() const { return n_layers_; }
-  const SimCostOptions& options() const { return options_; }
   Clock* clock() const { return clock_; }
 
   // The engine's result for this request, timing fields scrubbed; memoized.
@@ -75,7 +66,6 @@ class SimulatedRunner : public CarouselRunner {
 
  private:
   CarouselRunner* target_;
-  SimCostOptions options_;
   size_t n_layers_;
   Clock* clock_;
   mutable Mutex mu_;

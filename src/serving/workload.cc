@@ -196,7 +196,7 @@ void WorkloadReport::AttachServingStats(const ServiceStats& stats) {
 
 void WorkloadReport::AttachCacheStats(const ResultCacheStats& stats) {
   cache_lookups = stats.lookups;
-  cache_hits = stats.hits + stats.similarity_hits;
+  cache_hits = stats.hits;
   cache_coalesced = stats.coalesced;
   cache_shed_waiting = stats.shed_waiting;
   cache_hit_rate = stats.HitRate();

@@ -211,7 +211,7 @@ struct WorkloadReport {
   // Result-cache counters (src/serving/result_cache.h): how many reranks
   // the front-end cache absorbed without an engine pass.
   size_t cache_lookups = 0;
-  size_t cache_hits = 0;            // Exact + similarity hits.
+  size_t cache_hits = 0;            // Exact-key entry resident on arrival.
   size_t cache_coalesced = 0;       // Served by another request's fill.
   size_t cache_shed_waiting = 0;    // Deadline expired while parked.
   double cache_hit_rate = 0.0;

@@ -9,11 +9,11 @@ namespace prism {
 
 LayerStreamer::LayerStreamer(BlobFileReader* reader, std::vector<size_t> schedule,
                              size_t buffer_count, MemoryTracker* tracker, bool cyclic)
-    : reader_(reader), schedule_(std::move(schedule)), tracker_(tracker), cyclic_(cyclic) {
+    : reader_(reader), schedule_(std::move(schedule)), tracker_(tracker) {
   PRISM_CHECK_GE(buffer_count, 2u);
   PRISM_CHECK_GT(schedule_.size(), 0u);
   buffers_.resize(buffer_count);
-  schedule_end_ = cyclic_ ? SIZE_MAX : schedule_.size();
+  schedule_end_ = cyclic ? SIZE_MAX : schedule_.size();
   prefetcher_ = std::thread([this] { PrefetchLoop(); });
 }
 
@@ -24,15 +24,6 @@ LayerStreamer::~LayerStreamer() {
   }
   cv_.NotifyAll();
   prefetcher_.join();
-}
-
-StreamerCycleStats& LayerStreamer::CycleSlotLocked(size_t seq) {
-  const size_t cycle =
-      std::min(seq / schedule_.size(), StreamerStats::kMaxTrackedCycles - 1);
-  if (stats_.per_cycle.size() <= cycle) {
-    stats_.per_cycle.resize(cycle + 1);
-  }
-  return stats_.per_cycle[cycle];
 }
 
 void LayerStreamer::FreeBufferLocked(Buffer* buf) {
@@ -61,9 +52,7 @@ std::span<const uint8_t> LayerStreamer::Acquire(size_t seq) {
     }
     cv_.Wait(mu_);
   }
-  const int64_t stalled = NowMicros() - start;
-  stats_.stall_micros += stalled;
-  CycleSlotLocked(seq).stall_micros += stalled;
+  stats_.stall_micros += NowMicros() - start;
   return {hit->bytes.data(), hit->bytes.size()};
 }
 
@@ -159,9 +148,6 @@ void LayerStreamer::PrefetchLoop() {
       MutexLock lock(mu_);
       stats_.bytes_loaded += static_cast<int64_t>(target->bytes.size());
       ++stats_.blobs_loaded;
-      StreamerCycleStats& cycle = CycleSlotLocked(target->seq);
-      cycle.bytes_loaded += static_cast<int64_t>(target->bytes.size());
-      ++cycle.blobs_loaded;
       if (target->seq < release_floor_) {
         // The position was skipped while the read was in flight; the bytes
         // were paid for (counted above) but nobody will consume them.

@@ -39,28 +39,11 @@
 
 namespace prism {
 
-// Per-cycle slice of the streamer counters (cycle = one full walk of the
-// schedule; a terminating schedule is exactly one cycle). Lets the carousel
-// report how each revolution amortised its fetches.
-struct StreamerCycleStats {
-  int64_t bytes_loaded = 0;
-  int64_t stall_micros = 0;
-  int64_t blobs_loaded = 0;
-};
-
+// Cumulative over the streamer's life, every cycle included.
 struct StreamerStats {
-  // A long-lived cyclic streamer revolves indefinitely; bounding the
-  // per-cycle ledger keeps stats() O(1) in service lifetime. Cycles at and
-  // beyond the cap aggregate into the last slot.
-  static constexpr size_t kMaxTrackedCycles = 256;
-
   int64_t bytes_loaded = 0;
-  int64_t stall_micros = 0;    // Time Acquire spent waiting on I/O.
+  int64_t stall_micros = 0;  // Time Acquire spent waiting on I/O.
   int64_t blobs_loaded = 0;
-  // Indexed by min(seq / schedule_size, kMaxTrackedCycles - 1); entries
-  // exist up to the furthest position touched. Totals above are exact sums
-  // of this vector.
-  std::vector<StreamerCycleStats> per_cycle;
 };
 
 class LayerStreamer {
@@ -97,9 +80,6 @@ class LayerStreamer {
   // needs. `seq` must not precede a position already consumed.
   void SkipTo(size_t seq);
 
-  bool cyclic() const { return cyclic_; }
-  size_t cycle_length() const { return schedule_.size(); }
-
   StreamerStats stats() const;
 
  private:
@@ -111,13 +91,11 @@ class LayerStreamer {
   };
 
   void PrefetchLoop();
-  StreamerCycleStats& CycleSlotLocked(size_t seq) PRISM_REQUIRES(mu_);
   void FreeBufferLocked(Buffer* buf) PRISM_REQUIRES(mu_);
 
   BlobFileReader* reader_;
   std::vector<size_t> schedule_;
   MemoryTracker* tracker_;
-  bool cyclic_ = false;
 
   mutable Mutex mu_;
   CondVar cv_;

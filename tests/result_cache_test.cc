@@ -1,6 +1,6 @@
 // ResultCache: the exact-key result-cache tier (src/serving/result_cache.h).
-// Load-bearing properties, pinned on a SimClock so every instant is exact:
-// TTL expiry lands on precisely t + ttl_ms, LRU eviction follows recency
+// Load-bearing properties, pinned on a SimClock where timing matters: a
+// cache of capacity N holds N distinct keys, LRU eviction follows recency
 // order, single-flight coalesces concurrent identical queries onto one inner
 // pass, a failed fill neither poisons its key nor wedges its waiters, and a
 // waiter whose deadline expires while parked sheds with its true residence.
@@ -108,7 +108,6 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyTouchedFirst) {
   ScriptedRunner inner;
   ResultCacheOptions options;
   options.capacity = 2;
-  options.shards = 1;  // One shard so recency order is globally observable.
   ResultCache cache(&inner, options);
 
   cache.Rerank(MakeRequest(0));  // Fill A.
@@ -125,71 +124,31 @@ TEST(ResultCacheTest, LruEvictsLeastRecentlyTouchedFirst) {
   EXPECT_EQ(inner.calls(), calls_before + 1);
 }
 
-TEST(ResultCacheTest, ShardAndCapacityClampsKeepTinyCachesExact) {
-  ScriptedRunner inner;
-  ResultCacheOptions options;
-  options.capacity = 3;
-  options.shards = 8;  // More shards than entries: clamped to the capacity.
-  ResultCache cache(&inner, options);
-  for (uint32_t id = 0; id < 16; ++id) {
-    cache.Rerank(MakeRequest(id));
-  }
-  EXPECT_LE(cache.size(), 3u);
-  EXPECT_GT(cache.stats().evicted, 0u);
-}
-
-TEST(ResultCacheTest, TtlExpiresAtTheExactVirtualInstant) {
-  SimClock clock;
-  ScriptedRunner inner;
-  ResultCacheOptions options;
-  options.capacity = 4;
-  options.ttl_ms = 10.0;
-  options.clock = &clock;
-  ResultCache cache(&inner, options);
-  const RerankRequest request = MakeRequest(1);
-
-  cache.Rerank(request);  // Filled at t = 0.
-  clock.SleepUntil(9.999999);
-  cache.Rerank(request);  // Any instant before t + ttl is a hit.
-  EXPECT_EQ(inner.calls(), 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  clock.SleepUntil(10.0);  // The expiry instant itself misses.
-  cache.Rerank(request);
-  EXPECT_EQ(inner.calls(), 2u);
-  const ResultCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-
-  // The refill restarts the TTL window from its own fill instant.
-  clock.SleepUntil(19.999999);
-  cache.Rerank(request);
-  EXPECT_EQ(inner.calls(), 2u);
-}
-
-TEST(ResultCacheTest, InvalidateDropsExactlyTheNamedKey) {
+TEST(ResultCacheTest, CapacityHoldsThatManyDistinctKeys) {
+  // Every key of a universe no larger than the capacity stays resident: a
+  // second pass over it makes no inner call, whatever the keys hash to.
   ScriptedRunner inner;
   ResultCacheOptions options;
   options.capacity = 8;
   ResultCache cache(&inner, options);
-  cache.Rerank(MakeRequest(0));
-  cache.Rerank(MakeRequest(1));
+  for (uint32_t id = 0; id < 8; ++id) {
+    cache.Rerank(MakeRequest(id));
+  }
+  EXPECT_EQ(inner.calls(), 8u);
+  EXPECT_EQ(cache.size(), 8u);
+  for (uint32_t id = 0; id < 8; ++id) {
+    cache.Rerank(MakeRequest(id));
+  }
+  EXPECT_EQ(inner.calls(), 8u);
+  EXPECT_EQ(cache.stats().hits, 8u);
+  EXPECT_EQ(cache.stats().evicted, 0u);
 
-  EXPECT_TRUE(cache.Invalidate(MakeRequest(0)));
-  EXPECT_FALSE(cache.Invalidate(MakeRequest(0)));  // Already gone.
-  EXPECT_FALSE(cache.Invalidate(MakeRequest(7)));  // Never cached.
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().invalidated, 1u);
-
-  const size_t calls_before = inner.calls();
-  cache.Rerank(MakeRequest(1));  // Untouched key still serves.
-  EXPECT_EQ(inner.calls(), calls_before);
-  cache.Rerank(MakeRequest(0));  // Invalidated key refills.
-  EXPECT_EQ(inner.calls(), calls_before + 1);
-
-  cache.InvalidateAll();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.stats().invalidated, 3u);
+  // Eight more distinct keys push out exactly the first eight.
+  for (uint32_t id = 8; id < 16; ++id) {
+    cache.Rerank(MakeRequest(id));
+  }
+  EXPECT_EQ(cache.size(), 8u);
+  EXPECT_EQ(cache.stats().evicted, 8u);
 }
 
 TEST(ResultCacheTest, SingleFlightCoalescesConcurrentIdenticalQueries) {
@@ -317,55 +276,12 @@ TEST(ResultCacheTest, DeadlineExpiringWhileParkedShedsWithTrueResidence) {
   EXPECT_EQ(stats.coalesced, 0u);
 }
 
-TEST(ResultCacheTest, SimilarityTierServesCosineNeighboursOnlyWhenEnabled) {
-  // Embedder keyed on the first query token: ids 0 and 1 embed nearly
-  // parallel, id 2 orthogonal.
-  const QueryEmbedder embedder = [](const RerankRequest& request) {
-    switch (request.query[0]) {
-      case 0:
-        return std::vector<float>{1.0f, 0.0f};
-      case 1:
-        return std::vector<float>{0.999f, 0.045f};
-      default:
-        return std::vector<float>{0.0f, 1.0f};
-    }
-  };
-
-  ScriptedRunner inner;
-  ResultCacheOptions options;
-  options.capacity = 4;
-  options.shards = 1;  // The similarity probe scans its own shard only.
-  options.similarity = 0.99;
-  ResultCache cache(&inner, options, embedder);
-
-  const RerankResult filled = cache.Rerank(MakeRequest(0));
-  const RerankResult near = cache.Rerank(MakeRequest(1));  // cos ≈ 0.999.
-  EXPECT_EQ(inner.calls(), 1u);  // Served by the neighbour's entry.
-  EXPECT_EQ(near.topk, filled.topk);
-  EXPECT_EQ(cache.stats().similarity_hits, 1u);
-
-  cache.Rerank(MakeRequest(2));  // Orthogonal: a genuine miss.
-  EXPECT_EQ(inner.calls(), 2u);
-
-  // Same traffic with the tier off: the near-duplicate must miss.
-  ScriptedRunner exact_inner;
-  ResultCacheOptions exact_options;
-  exact_options.capacity = 4;
-  exact_options.shards = 1;
-  ResultCache exact(&exact_inner, exact_options, embedder);
-  exact.Rerank(MakeRequest(0));
-  exact.Rerank(MakeRequest(1));
-  EXPECT_EQ(exact_inner.calls(), 2u);
-  EXPECT_EQ(exact.stats().similarity_hits, 0u);
-}
-
 TEST(ResultCacheTest, ConcurrentMixedTrafficKeepsCountersConsistent) {
   // Wall-clock stress for the TSan lane: many threads, overlapping keys,
-  // invalidations racing hits and fills. Counters must balance exactly.
+  // evictions racing hits and fills. Counters must balance exactly.
   ScriptedRunner inner;
   ResultCacheOptions options;
   options.capacity = 8;
-  options.shards = 4;
   ResultCache cache(&inner, options);
 
   constexpr size_t kThreads = 8;
@@ -377,9 +293,6 @@ TEST(ResultCacheTest, ConcurrentMixedTrafficKeepsCountersConsistent) {
         const uint32_t id = static_cast<uint32_t>((t + i) % 12);
         const RerankResult result = cache.Rerank(MakeRequest(id));
         EXPECT_TRUE(result.status.ok());
-        if (i % 50 == 49) {
-          cache.Invalidate(MakeRequest(id));
-        }
       }
     });
   }
@@ -390,9 +303,7 @@ TEST(ResultCacheTest, ConcurrentMixedTrafficKeepsCountersConsistent) {
   const ResultCacheStats stats = cache.stats();
   EXPECT_EQ(stats.lookups, kThreads * kIterations);
   // Every lookup is accounted in exactly one outcome bucket.
-  EXPECT_EQ(stats.hits + stats.similarity_hits + stats.coalesced + stats.shed_waiting +
-                stats.misses,
-            stats.lookups);
+  EXPECT_EQ(stats.hits + stats.coalesced + stats.shed_waiting + stats.misses, stats.lookups);
   EXPECT_EQ(stats.fill_errors, 0u);
   EXPECT_LE(cache.size(), 8u);
 }

@@ -453,8 +453,6 @@ TEST_F(StreamerTest, CyclicDeliversWrapAroundOrder) {
   // and buffers released in one cycle are reused by the next.
   MemoryTracker tracker;
   LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
-  EXPECT_TRUE(streamer.cyclic());
-  EXPECT_EQ(streamer.cycle_length(), 6u);
   for (size_t seq = 0; seq < 18; ++seq) {
     const auto bytes = streamer.Acquire(seq);
     const auto& expected = blobs_[seq % 6];
@@ -462,12 +460,11 @@ TEST_F(StreamerTest, CyclicDeliversWrapAroundOrder) {
     EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected.begin())) << "seq " << seq;
     streamer.Release(seq);
   }
+  // Each of the 18 positions loaded exactly once, plus at most the
+  // prefetcher's look-ahead (2 buffers) into the fourth revolution.
   const StreamerStats stats = streamer.stats();
   EXPECT_GE(stats.blobs_loaded, 18);
-  ASSERT_GE(stats.per_cycle.size(), 3u);
-  for (size_t cycle = 0; cycle < 3; ++cycle) {
-    EXPECT_EQ(stats.per_cycle[cycle].blobs_loaded, 6) << "cycle " << cycle;
-  }
+  EXPECT_LE(stats.blobs_loaded, 18 + 2);
 }
 
 TEST_F(StreamerTest, CyclicKeepsAtMostTwoBlobsResidentAcrossCycles) {
@@ -532,17 +529,18 @@ TEST_F(StreamerTest, CyclicSkipToRealignsAtNextCycle) {
   // (2 buffers) of them may have been fetched before the skip landed.
   const StreamerStats stats = streamer.stats();
   EXPECT_LE(stats.blobs_loaded, 2 + 2 + 6 + 2);
-  // Skipped-but-fetched bytes are still accounted (they were real I/O).
-  int64_t cycle_sum = 0;
-  for (const auto& cycle : stats.per_cycle) {
-    cycle_sum += cycle.bytes_loaded;
+  // Skipped-but-fetched bytes are still accounted (they were real I/O): the
+  // total covers at least the 8 consumed positions.
+  int64_t consumed_bytes = 0;
+  for (size_t seq : {0u, 1u, 6u, 7u, 8u, 9u, 10u, 11u}) {
+    consumed_bytes += static_cast<int64_t>(blobs_[seq % 6].size());
   }
-  EXPECT_EQ(cycle_sum, stats.bytes_loaded);
+  EXPECT_GE(stats.bytes_loaded, consumed_bytes);
 }
 
 TEST_F(StreamerTest, StallAccountingIsMonotonic) {
   // Snapshots taken between acquires must never decrease: stall, bytes, and
-  // blob counters only accumulate (per-cycle totals always sum to them).
+  // blob counters only accumulate.
   MemoryTracker tracker;
   LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
   StreamerStats last = streamer.stats();
@@ -553,11 +551,6 @@ TEST_F(StreamerTest, StallAccountingIsMonotonic) {
     EXPECT_GE(now.stall_micros, last.stall_micros) << "seq " << seq;
     EXPECT_GE(now.bytes_loaded, last.bytes_loaded) << "seq " << seq;
     EXPECT_GE(now.blobs_loaded, last.blobs_loaded) << "seq " << seq;
-    int64_t stall_sum = 0;
-    for (const auto& cycle : now.per_cycle) {
-      stall_sum += cycle.stall_micros;
-    }
-    EXPECT_EQ(stall_sum, now.stall_micros) << "seq " << seq;
     last = now;
   }
   streamer.TruncateSchedule(11);

@@ -187,7 +187,7 @@ TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
   MemoryTracker tracker;
   ServiceOptions sopts = FastService(SchedulerKind::kSerial, 1);
   sopts.clock = &clock;
-  sopts.sim.enabled = true;  // pass_ms 8 + per_request_ms 2 = 10 per request.
+  sopts.sim.enabled = true;  // 8 ms per pass + 2 ms per request = 10 per request.
   RerankService service(config_, ckpt_, sopts, &tracker);
   const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
   WorkloadOptions options;
