@@ -9,10 +9,13 @@
 //     pass latency, max score drift vs the fp32 pass over scored candidates,
 //     and top-k selection agreement.
 //
-// --deterministic omits the wall-clock latency column and disables pruning
-// (early exit makes the prefetched-byte count race thread timing) so the
-// output is a pure function of the checkpoint bytes; the CI lane runs the
-// bench twice and diffs the two outputs byte for byte.
+// Every reduced tier must shrink the layer blob by its floor (fp16 1.9x,
+// int8/w4 2x vs fp32). --deterministic omits the wall-clock latency column
+// and disables pruning (early exit makes the prefetched-byte count race
+// thread timing) so the output is a pure function of the checkpoint bytes,
+// and additionally gates the engine's streamed bytes per pass on the same
+// floors; the CI lane runs the bench twice and diffs the two outputs byte
+// for byte. Exits nonzero when a floor is missed.
 //
 // Flags: --models=comma-list (default three zoo sizes)
 //        --precisions=fp32,fp16,int8,w4 --queries=4 --candidates=12 --k=3
@@ -155,11 +158,13 @@ int Main(int argc, char** argv) {
       }
       agreement /= static_cast<double>(pass.topks.size());
       // Reduced tiers must actually shrink the stream; fp16's matrix halving
-      // nets just under 2x with the fp32 norm vectors included.
+      // nets just under 2x with the fp32 norm vectors included. Only
+      // --deterministic streams exact bytes, so only it gates them too.
       const double floor = precision == Precision::kFp32  ? 1.0
                            : precision == Precision::kFp16 ? 1.9
                                                            : 2.0;
-      ok = ok && ratio >= floor;
+      ok = ok && ratio >= floor &&
+           (!deterministic || fp32.bytes_per_pass >= floor * pass.bytes_per_pass);
       if (deterministic) {
         std::printf("%-26s %-5s %10.1f %6.2fx %10.2e %12.1f %10.4f %6.0f%%\n",
                     model.name.c_str(), PrecisionName(precision),

@@ -11,7 +11,7 @@
 // deadlines and verifies the serving layer degrades the right way — shed
 // fraction rises while served-only p99 stays within one carousel interval
 // (serial service time × max_inflight) of the unloaded carousel run (only
-// observable since ServiceStats keeps shed requests out of the
+// observable because the workload report keeps shed requests out of its
 // percentiles). The summary prints, per scheduler, the closed-loop req/s of
 // 2 replicas over 1 — the replica-sharding scaling line.
 //
@@ -20,9 +20,9 @@
 //
 // Flags: --model=Qwen3-Reranker-0.6B --device=nvidia|apple --threshold=0.40
 //        --precision=fp32|fp16|int8|w4 (storage precision for every stack in
-//        the sweep; non-fp32 adds a precision check — bytes/pass, pass time,
-//        score drift and selection agreement vs an fp32 pass — gating that
-//        the reduced tier streams >= 2x fewer layer bytes, 1.9x for fp16)
+//        the sweep, baseline included, so the mismatch gate covers serving at
+//        that tier; bytes per pass, score drift and selection agreement vs
+//        fp32 are bench_quant's to measure and gate)
 //        --scenarios=all|comma-list --schedulers=serial,carousel
 //        --pool_sizes=1,2 --clients=6 --requests=24 --warmup=4
 //        --n_queries=8 --max_inflight=4 --zipf=0.9 --rates=0.7
@@ -54,7 +54,6 @@
 #include <cstdio>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
@@ -256,95 +255,10 @@ struct CacheCheck {
   bool ok = false;
 };
 
-// Reduced-precision streaming gate (--precision=fp16|int8|w4): a serial
-// engine pass at the chosen tier against an fp32 pass over the same queries.
-// bytes/pass comes from the engine's own streamed-byte accounting, the drift
-// and selection-agreement columns from score comparison. int8/w4 must stream
-// >= 2x fewer layer bytes per pass than fp32; fp16's exact matrix halving
-// lands just under 2x once the fp32 norm vectors are counted, so its floor
-// is 1.9x.
-struct PrecisionCheck {
-  std::string precision;
-  double fp32_bytes_per_pass = 0.0;
-  double bytes_per_pass = 0.0;
-  double bytes_ratio = 0.0;
-  double fp32_pass_ms = 0.0;
-  double pass_ms = 0.0;
-  double max_score_drift = 0.0;
-  double selection_agreement = 0.0;
-  double bytes_floor = 0.0;
-  bool ok = false;
-};
-
-PrecisionCheck RunPrecisionCheck(const StackSpec& spec, size_t n_queries, size_t candidates,
-                                 size_t k) {
-  PrecisionCheck check;
-  check.precision = PrecisionName(spec.precision);
-  check.bytes_floor = spec.precision == Precision::kFp16 ? 1.9 : 2.0;
-  const std::vector<BenchCase> cases =
-      MakeCases(spec.model, "wikipedia", n_queries, candidates, k);
-
-  auto measure = [&](Precision precision, double* bytes_per_pass, double* pass_ms,
-                     std::vector<std::vector<size_t>>* topks, std::vector<float>* scores) {
-    PrismOptions options;
-    options.device = spec.device;
-    options.precision = precision;
-    options.dispersion_threshold = spec.threshold;
-    MemoryTracker tracker;
-    PrismEngine engine(spec.model, EnsureCheckpoint(spec.model, kBenchSeed, precision), options,
-                       &tracker);
-    double bytes = 0.0;
-    double ms = 0.0;
-    for (const BenchCase& bench_case : cases) {
-      const RerankResult result = engine.Rerank(bench_case.request);
-      bytes += static_cast<double>(result.stats.bytes_streamed);
-      ms += result.stats.latency_ms;
-      topks->push_back(result.topk);
-      scores->insert(scores->end(), result.scores.begin(), result.scores.end());
-    }
-    *bytes_per_pass = bytes / static_cast<double>(cases.size());
-    *pass_ms = ms / static_cast<double>(cases.size());
-  };
-
-  std::vector<std::vector<size_t>> fp32_topks;
-  std::vector<std::vector<size_t>> topks;
-  std::vector<float> fp32_scores;
-  std::vector<float> scores;
-  measure(Precision::kFp32, &check.fp32_bytes_per_pass, &check.fp32_pass_ms, &fp32_topks,
-          &fp32_scores);
-  measure(spec.precision, &check.bytes_per_pass, &check.pass_ms, &topks, &scores);
-
-  // Drift over candidates neither run pruned (the fp32 top-k that also
-  // survived at reduced precision); pruned candidates carry scores from
-  // whatever layer dropped them. Survivors can still exit at different
-  // depths, so this is the end-to-end score perturbation of the tier as
-  // served — quantisation error plus its effect on exit depth.
-  double agreement = 0.0;
-  size_t offset = 0;
-  for (size_t q = 0; q < topks.size(); ++q) {
-    for (const size_t c : fp32_topks[q]) {
-      if (std::find(topks[q].begin(), topks[q].end(), c) != topks[q].end()) {
-        check.max_score_drift = std::max(
-            check.max_score_drift,
-            static_cast<double>(std::abs(fp32_scores[offset + c] - scores[offset + c])));
-      }
-    }
-    agreement += TopKOverlap(fp32_topks[q], topks[q], k);
-    offset += cases[q].request.docs.size();
-  }
-  check.selection_agreement = agreement / static_cast<double>(topks.size());
-  check.bytes_ratio =
-      check.bytes_per_pass > 0.0 ? check.fp32_bytes_per_pass / check.bytes_per_pass : 0.0;
-  check.ok = check.bytes_ratio >= check.bytes_floor;
-  return check;
-}
-
 void EmitJson(FILE* out, const std::string& model, const std::string& device, bool smoke,
               bool sim, const std::string& precision, const std::vector<RunRecord>& runs,
               const std::vector<OverloadCheck>& overloads,
-              const std::vector<CacheCheck>& cache_checks,
-              const std::vector<PrecisionCheck>& precision_checks, size_t total_mismatches,
-              bool ok) {
+              const std::vector<CacheCheck>& cache_checks, size_t total_mismatches, bool ok) {
   std::fprintf(out,
                "{\n  \"model\": \"%s\",\n  \"device\": \"%s\",\n  \"smoke\": %s,\n"
                "  \"sim\": %s,\n  \"precision\": \"%s\",\n",
@@ -374,19 +288,6 @@ void EmitJson(FILE* out, const std::string& model, const std::string& device, bo
                  c.scenario.c_str(), c.zipf, c.head_capacity, c.served_cache_off,
                  c.served_cache_head, c.speedup, c.hit_rate, c.mismatches,
                  c.ok ? "true" : "false", i + 1 == cache_checks.size() ? "" : ",");
-  }
-  std::fprintf(out, "  ],\n  \"precision_check\": [\n");
-  for (size_t i = 0; i < precision_checks.size(); ++i) {
-    const PrecisionCheck& p = precision_checks[i];
-    std::fprintf(out,
-                 "    {\"precision\": \"%s\", \"fp32_bytes_per_pass\": %.6g, "
-                 "\"bytes_per_pass\": %.6g, \"bytes_ratio\": %.6g, \"bytes_floor\": %.6g, "
-                 "\"fp32_pass_ms\": %.6g, \"pass_ms\": %.6g, \"max_score_drift\": %.6g, "
-                 "\"selection_agreement\": %.6g, \"ok\": %s}%s\n",
-                 p.precision.c_str(), p.fp32_bytes_per_pass, p.bytes_per_pass, p.bytes_ratio,
-                 p.bytes_floor, p.fp32_pass_ms, p.pass_ms, p.max_score_drift,
-                 p.selection_agreement, p.ok ? "true" : "false",
-                 i + 1 == precision_checks.size() ? "" : ",");
   }
   std::fprintf(out, "  ],\n  \"total_mismatches\": %zu,\n  \"ok\": %s\n}\n", total_mismatches,
                ok ? "true" : "false");
@@ -494,20 +395,7 @@ int Main(int argc, char** argv) {
   std::vector<RunRecord> runs;
   std::vector<OverloadCheck> overloads;
   std::vector<CacheCheck> cache_checks;
-  std::vector<PrecisionCheck> precision_checks;
   size_t total_mismatches = 0;
-
-  if (precision != Precision::kFp32) {
-    const PrecisionCheck check =
-        RunPrecisionCheck(spec, n_queries, smoke ? 8 : 12, smoke ? 2 : 3);
-    std::printf("precision check (%s): %.2f -> %.2f KiB/pass (%.2fx fewer, floor %.1fx), "
-                "pass %.2f -> %.2f ms, max score drift %.4f, selection agreement %.0f%% -> %s\n",
-                check.precision.c_str(), check.fp32_bytes_per_pass / 1024.0,
-                check.bytes_per_pass / 1024.0, check.bytes_ratio, check.bytes_floor,
-                check.fp32_pass_ms, check.pass_ms, check.max_score_drift,
-                100.0 * check.selection_agreement, check.ok ? "ok" : "FAIL");
-    precision_checks.push_back(check);
-  }
 
   for (size_t s = 0; s < scenarios.size(); ++s) {
     const ScenarioKind kind = scenarios[s];
@@ -753,22 +641,19 @@ int Main(int argc, char** argv) {
   for (const CacheCheck& check : cache_checks) {
     ok = ok && check.ok;
   }
-  for (const PrecisionCheck& check : precision_checks) {
-    ok = ok && check.ok;
-  }
 
   std::printf("\ntotal selection mismatches vs single-client serial: %zu (expected 0)\n",
               total_mismatches);
   PrintReplicaScaling(runs);
   std::printf("\nJSON summary:\n");
   EmitJson(stdout, model.name, device.name, smoke, sim, precision_name, runs, overloads,
-           cache_checks, precision_checks, total_mismatches, ok);
+           cache_checks, total_mismatches, ok);
   const std::string json_path = flags.GetString("json", "");
   if (!json_path.empty()) {
     FILE* out = std::fopen(json_path.c_str(), "w");
     if (out != nullptr) {
       EmitJson(out, model.name, device.name, smoke, sim, precision_name, runs, overloads,
-               cache_checks, precision_checks, total_mismatches, ok);
+               cache_checks, total_mismatches, ok);
       std::fclose(out);
       std::printf("wrote %s\n", json_path.c_str());
     } else {

@@ -122,7 +122,6 @@ std::vector<RequestQueue::Pending> RequestQueue::DrainPass(size_t max_batch,
     if (it->ExpiredAt(now_ms)) {
       shed->push_back(std::move(*it));
       it = ordered_.erase(it);
-      ++shed_;
     } else {
       ++it;
     }
@@ -232,11 +231,6 @@ void RequestQueue::Close() {
 size_t RequestQueue::size() const {
   MutexLock lock(mu_);
   return staged_.size() + ordered_.size();
-}
-
-size_t RequestQueue::shed_count() const {
-  MutexLock lock(mu_);
-  return shed_;
 }
 
 CarouselScheduler::CarouselScheduler(CarouselRunner* runner, size_t max_inflight,

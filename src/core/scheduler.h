@@ -174,9 +174,6 @@ class RequestQueue {
   // Entries pending (staged + ordered, not yet popped).
   size_t size() const;
 
-  // Requests shed on an expired deadline so far.
-  size_t shed_count() const;
-
  private:
   // One consumer pass shared by the pop variants, under mu_: drain staging
   // into ordered_ (tagging each entry with `epoch`'s current value), shed
@@ -200,7 +197,6 @@ class RequestQueue {
   uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;
   // Drained entries, kept sorted: priority descending, ticket ascending.
   std::deque<Pending> ordered_ PRISM_GUARDED_BY(mu_);
-  size_t shed_ PRISM_GUARDED_BY(mu_) = 0;
   bool closed_ PRISM_GUARDED_BY(mu_) = false;
 };
 

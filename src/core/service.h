@@ -15,11 +15,9 @@
 #ifndef PRISM_SRC_CORE_SERVICE_H_
 #define PRISM_SRC_CORE_SERVICE_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/annotations.h"
 #include "src/common/mutex.h"
@@ -72,10 +70,10 @@ struct ServiceOptions {
   // unless the override forwards. Incompatible with online_calibration
   // (checked). The pointee must outlive the service.
   CarouselRunner* runner_override = nullptr;
-  // Time source for every scheduler wait, queue deadline, and latency
-  // observation. nullptr (default) = the shared wall clock — existing
-  // callers see identical behaviour. Point it at a SimClock to serve on
-  // deterministic virtual time. The pointee must outlive the service.
+  // Time source for every scheduler wait and queue deadline. nullptr
+  // (default) = the shared wall clock — existing callers see identical
+  // behaviour. Point it at a SimClock to serve on deterministic virtual
+  // time. The pointee must outlive the service.
   Clock* clock = nullptr;
   // Discrete-event service-cost model: when sim.enabled, the scheduler's
   // target is wrapped in a SimulatedRunner that charges virtual service
@@ -84,57 +82,28 @@ struct ServiceOptions {
   SimCostOptions sim;
 };
 
-// Rolling service statistics. RerankService accumulates these under one
-// mutex and hands out snapshots; latencies are
-// client-observed (queueing included) so concurrent-mode percentiles mean
-// what an operator expects. All latency aggregates (samples, mean, max)
-// cover *served* requests only: a shed or failed request's ~0 ms turnaround
-// is accounted in `shed`/`errors`, never in the percentiles — otherwise
-// overload would improve p50/p99 exactly when it should degrade them.
+// Rolling service counters. RerankService accumulates these under one mutex
+// and hands out snapshots. Served-latency percentiles are measured by the
+// caller (WorkloadReport, perfbench), not here. Work aggregates cover
+// *served* requests only: a shed or failed request is counted in
+// `shed`/`errors` and nowhere else.
 struct ServiceStats {
-  // Default size of the served-latency sample reservoir. The old fixed-size
-  // latency ring kept only the most recent 1024 samples, so on a
-  // 10k-request run p50/p99 reflected the final tenth of the workload; the
-  // reservoir keeps a uniform sample of the whole run instead (Vitter's
-  // algorithm R, seeded — deterministic given observation order, which a
-  // SimClock makes deterministic outright). A run of at most this many
-  // served requests keeps every sample, so its percentiles are exact.
-  static constexpr size_t kDefaultLatencySampleCapacity = 1024;
-
   size_t requests = 0;
   // Of `requests`: shed on an expired deadline / failed with any other
   // non-ok status. Served requests are `requests - shed - errors`.
   size_t shed = 0;
   size_t errors = 0;
-  double total_latency_ms = 0.0;  // Served requests only.
-  double max_latency_ms = 0.0;    // Served requests only.
   int64_t total_candidate_layers = 0;  // Served requests only.
   int64_t total_candidates = 0;        // Served requests only.
-  int64_t bytes_streamed = 0;          // All requests (failed ones still read).
   // Embedding-cache counters (snapshot-filled by RerankService::stats()
   // from the engine's cache; all zero when embed_cache is off).
   int64_t embed_hits = 0;
   int64_t embed_misses = 0;
   int64_t embed_miss_bytes = 0;
-  // Uniform reservoir over every served latency; `latency_observed` counts
-  // the observations offered to it.
-  std::vector<double> latency_samples;
-  size_t latency_observed = 0;
-  size_t latency_capacity = kDefaultLatencySampleCapacity;
-  uint64_t reservoir_state = 0x5EED5A3217ULL;  // SplitMix64 stream state.
 
-  void Observe(const RerankRequest& request, const RerankResult& result, double observed_ms);
+  void Observe(const RerankRequest& request, const RerankResult& result);
 
   // Folds another snapshot into this one (ServicePool aggregation).
-  // Counters add; the latency reservoirs combine in proportion to
-  // each side's latency_observed — the lighter-weighted side is
-  // deterministically subsampled (seeded by reservoir_state) until both
-  // sides' samples stand for the same number of observations, then the
-  // samples concatenate. Raw concatenation used to give a replica that
-  // served 10× fewer requests 10× over-weighted samples in the pool's
-  // p50/p99; two exact (un-overflowed) reservoirs still merge exactly. The
-  // merged sample count may exceed latency_capacity — fine for a snapshot,
-  // which only feeds the percentile queries below.
   void Merge(const ServiceStats& other);
 
   // Clamped: a hand-built or merged snapshot may carry shed + errors >
@@ -144,21 +113,10 @@ struct ServiceStats {
     return requests > finished ? requests - finished : 0;
   }
 
-  // Mean client-observed latency over served requests.
-  double MeanLatencyMs() const {
-    return served() == 0 ? 0.0 : total_latency_ms / static_cast<double>(served());
-  }
-
   double EmbedHitRate() const {
     const int64_t total = embed_hits + embed_misses;
     return total == 0 ? 0.0 : static_cast<double>(embed_hits) / static_cast<double>(total);
   }
-
-  // Served-only latency percentile (p in [0, 100]) over the sample
-  // reservoir; 0 when empty.
-  double LatencyPercentileMs(double p) const;
-  double P50LatencyMs() const { return LatencyPercentileMs(50.0); }
-  double P99LatencyMs() const { return LatencyPercentileMs(99.0); }
 
   // Fraction of full-inference work actually executed on served requests
   // (1.0 = no pruning win). Shed requests burned no layers and contribute
@@ -199,7 +157,6 @@ class RerankService : public Runner {
 
  private:
   ModelConfig config_;
-  Clock* clock_;
   std::unique_ptr<PrismEngine> engine_;
   std::unique_ptr<PrismEngine> reference_;  // Pruning-off twin (calibration).
   std::unique_ptr<OnlineCalibrator> calibrator_;

@@ -32,7 +32,7 @@ struct ServicePoolOptions {
 };
 
 // Pool-wide snapshot: the merged per-replica ServiceStats plus placement
-// counters, so an operator can see both aggregate latency percentiles and
+// counters, so an operator can see both aggregate request accounting and
 // whether placement is spreading load.
 struct PoolStats {
   ServiceStats aggregate;                 // All replicas merged.

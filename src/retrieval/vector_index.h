@@ -14,37 +14,29 @@
 
 namespace prism {
 
-class VectorIndex {
- public:
-  virtual ~VectorIndex() = default;
-  virtual size_t Add(std::vector<float> embedding) = 0;
-  virtual std::vector<RetrievalHit> Search(const std::vector<float>& query, size_t n) const = 0;
-  virtual size_t size() const = 0;
-};
-
-class FlatIndex : public VectorIndex {
+class FlatIndex {
  public:
   explicit FlatIndex(size_t dim) : dim_(dim) {}
 
-  size_t Add(std::vector<float> embedding) override;
-  std::vector<RetrievalHit> Search(const std::vector<float>& query, size_t n) const override;
-  size_t size() const override { return vectors_.size(); }
+  size_t Add(std::vector<float> embedding);
+  std::vector<RetrievalHit> Search(const std::vector<float>& query, size_t n) const;
+  size_t size() const { return vectors_.size(); }
 
  private:
   size_t dim_;
   std::vector<std::vector<float>> vectors_;
 };
 
-class IvfIndex : public VectorIndex {
+class IvfIndex {
  public:
   // `nlist` coarse centroids, `nprobe` lists scanned per query. Train() must
   // be called after all Adds and before Search.
   IvfIndex(size_t dim, size_t nlist, size_t nprobe, uint64_t seed = 0x1f);
 
-  size_t Add(std::vector<float> embedding) override;
+  size_t Add(std::vector<float> embedding);
   void Train();
-  std::vector<RetrievalHit> Search(const std::vector<float>& query, size_t n) const override;
-  size_t size() const override { return vectors_.size(); }
+  std::vector<RetrievalHit> Search(const std::vector<float>& query, size_t n) const;
+  size_t size() const { return vectors_.size(); }
   bool trained() const { return trained_; }
 
  private:

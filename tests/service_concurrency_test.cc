@@ -130,7 +130,6 @@ TEST(RequestQueueTest, ExpiredEntriesAreShedWithErrorResult) {
   ASSERT_EQ(batch.size(), 1u);  // Only the undeadlined entry survives.
   EXPECT_EQ(batch[0].ticket, 1u);
   batch[0].promise.set_value(RerankResult{});
-  EXPECT_EQ(queue.shed_count(), 2u);
   for (size_t i : {size_t{0}, size_t{2}}) {
     const RerankResult shed = futures[i].get();
     EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded) << "request " << i;
@@ -216,7 +215,6 @@ TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
 
   EXPECT_EQ(ok_seen.load() + shed_seen.load(), kTotal);
   EXPECT_EQ(served.load(), ok_seen.load());
-  EXPECT_EQ(queue.shed_count(), shed_seen.load());
   EXPECT_GT(shed_seen.load(), 0u) << "no deadline expired under a stalling consumer";
   EXPECT_GT(ok_seen.load(), 0u);
   // FIFO within a priority class, across the whole run.
@@ -465,10 +463,6 @@ TEST_F(ServiceConcurrencyTest, StatsAggregateUnderConcurrency) {
   }
   const ServiceStats stats = service.stats();
   EXPECT_EQ(stats.requests, kThreads * kPerThread);
-  EXPECT_GT(stats.MeanLatencyMs(), 0.0);
-  EXPECT_GE(stats.max_latency_ms, stats.MeanLatencyMs());
-  EXPECT_GT(stats.P50LatencyMs(), 0.0);
-  EXPECT_GE(stats.P99LatencyMs(), stats.P50LatencyMs());
   EXPECT_GT(stats.total_candidates, 0);
 }
 
@@ -536,53 +530,6 @@ TEST_F(ServiceConcurrencyTest, OnIdleOverlapsServingSafely) {
   stop.store(true);
   idler.join();
   EXPECT_EQ(service.stats().requests, 8u);
-}
-
-TEST(ServiceStatsTest, PercentilesFromRing) {
-  ServiceStats stats;
-  RerankRequest request;
-  request.docs.resize(1);
-  request.planted_r.resize(1);
-  RerankResult result;
-  for (int i = 1; i <= 100; ++i) {
-    stats.Observe(request, result, static_cast<double>(i));
-  }
-  EXPECT_DOUBLE_EQ(stats.P50LatencyMs(), 50.0);
-  EXPECT_DOUBLE_EQ(stats.P99LatencyMs(), 99.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(100.0), 100.0);
-  EXPECT_DOUBLE_EQ(stats.LatencyPercentileMs(0.0), 1.0);
-  EXPECT_EQ(stats.requests, 100u);
-  EXPECT_DOUBLE_EQ(stats.max_latency_ms, 100.0);
-}
-
-TEST(ServiceStatsTest, ReservoirSamplesWholeRunBeyondCapacity) {
-  ServiceStats stats;
-  RerankRequest request;
-  RerankResult result;
-  const size_t total = ServiceStats::kDefaultLatencySampleCapacity + 100;
-  for (size_t i = 0; i < total; ++i) {
-    stats.Observe(request, result, static_cast<double>(i));
-  }
-  EXPECT_EQ(stats.latency_samples.size(), ServiceStats::kDefaultLatencySampleCapacity);
-  EXPECT_EQ(stats.latency_observed, total);
-  // Unlike the old most-recent-window ring, the reservoir keeps a uniform
-  // sample of the whole run: early observations survive. With 100 extras
-  // over capacity the expected early-sample retention is ~90%, so at least
-  // one of the first hundred values (all < 100) is retained with
-  // overwhelming probability for any fixed seed.
-  EXPECT_LT(stats.LatencyPercentileMs(0.0), 100.0);
-}
-
-TEST(ServiceStatsTest, ReservoirIsDeterministicForFixedObservationOrder) {
-  RerankRequest request;
-  RerankResult result;
-  ServiceStats a;
-  ServiceStats b;
-  for (size_t i = 0; i < ServiceStats::kDefaultLatencySampleCapacity + 500; ++i) {
-    a.Observe(request, result, static_cast<double>(i));
-    b.Observe(request, result, static_cast<double>(i));
-  }
-  EXPECT_EQ(a.latency_samples, b.latency_samples);
 }
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for

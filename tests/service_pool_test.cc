@@ -203,9 +203,6 @@ TEST_F(ServicePoolTest, AggregateStatsMergeReplicaWindows) {
   EXPECT_EQ(stats.replica_requests[0], 5u);  // Placed by the pool.
   EXPECT_EQ(pool.replica(0).stats().requests, 5u);
   EXPECT_EQ(pool.replica(1).stats().requests, 1u);
-  EXPECT_GT(stats.aggregate.MeanLatencyMs(), 0.0);
-  EXPECT_GE(stats.aggregate.max_latency_ms, stats.aggregate.P50LatencyMs());
-  EXPECT_EQ(stats.aggregate.latency_samples.size(), 6u);  // Both reservoirs merged.
   EXPECT_GT(stats.aggregate.total_candidates, 0);
 }
 

@@ -40,8 +40,6 @@ TEST_F(ServiceTest, AggregatesStats) {
   }
   const ServiceStats& stats = service.stats();
   EXPECT_EQ(stats.requests, requests_.size());
-  EXPECT_GT(stats.MeanLatencyMs(), 0.0);
-  EXPECT_GE(stats.max_latency_ms, stats.MeanLatencyMs());
   EXPECT_EQ(stats.total_candidates, static_cast<int64_t>(6 * 14));
   // Pruning executed less than full work.
   EXPECT_LT(stats.WorkFraction(config_.n_layers), 1.0);
@@ -232,144 +230,50 @@ TEST(OnlineCalibratorTest, LogIsBounded) {
 }
 
 TEST(ServiceStatsOverloadTest, ShedRequestsLeavePercentilesUntouched) {
-  // Shed requests turn around in ~0 ms. Before the overload-stats fix those
-  // near-zero latencies entered the ring and mean, so p50/p99/mean
-  // *improved* under overload — exactly when they should degrade. Served
-  // requests alone must define every latency aggregate.
+  // Shed and failed requests are counted in `shed`/`errors` and nowhere
+  // else: they burned no engine work, so the served-only work aggregates
+  // must not move when an overload burst is answered in ~0 ms.
   ServiceStats stats;
   RerankRequest request;
   request.docs.resize(14);
   RerankResult ok;
   for (int i = 1; i <= 10; ++i) {
-    stats.Observe(request, ok, 100.0 * i);
+    stats.Observe(request, ok);
   }
-  const double p50_before = stats.P50LatencyMs();
-  const double p99_before = stats.P99LatencyMs();
-  const double mean_before = stats.MeanLatencyMs();
-  const double max_before = stats.max_latency_ms;
   const int64_t candidates_before = stats.total_candidates;
 
   // An overload burst: 100 shed requests answered in ~0 ms, plus one error.
   for (int i = 0; i < 100; ++i) {
-    stats.Observe(request, MakeShedResult(/*deadline_ms=*/5.0, /*waited_ms=*/5.1), 0.01);
+    stats.Observe(request, MakeShedResult(/*deadline_ms=*/5.0, /*waited_ms=*/5.1));
   }
   RerankResult failed;
   failed.status = Status::IoError("injected");
-  stats.Observe(request, failed, 0.02);
+  stats.Observe(request, failed);
 
   EXPECT_EQ(stats.requests, 111u);
   EXPECT_EQ(stats.shed, 100u);
   EXPECT_EQ(stats.errors, 1u);
   EXPECT_EQ(stats.served(), 10u);
-  EXPECT_DOUBLE_EQ(stats.P50LatencyMs(), p50_before);
-  EXPECT_DOUBLE_EQ(stats.P99LatencyMs(), p99_before);
-  EXPECT_DOUBLE_EQ(stats.MeanLatencyMs(), mean_before);
-  EXPECT_DOUBLE_EQ(stats.max_latency_ms, max_before);
-  EXPECT_EQ(stats.latency_samples.size(), 10u);
   // Shed requests burned no engine work: WorkFraction's denominator must
   // not grow either.
   EXPECT_EQ(stats.total_candidates, candidates_before);
 }
 
-TEST(ServiceStatsMergeTest, WeightedMergeKeepsPoolPercentilesUnbiased) {
-  // Least-loaded placement makes replica traffic uneven (ties go to replica
-  // 0, so light traffic never reaches the others): here the busy replica
-  // served 100 observations per retained sample while the idle one retained
-  // every observation. Raw sample concatenation (the old Merge) would give
-  // the idle replica's samples 100× their real weight: 1536 concatenated
-  // samples, p99 at rank 1521 — inside the idle replica's [500, 510] band.
-  // The weighted merge subsamples the idle side down to ~5 samples first,
-  // so every pool percentile must land in the busy replica's [100, 110]
-  // band. This test fails against the concatenating Merge.
-  ServiceStats busy;
-  for (size_t i = 0; i < 1024; ++i) {
-    busy.latency_samples.push_back(100.0 + static_cast<double>(i % 11));
-  }
-  busy.latency_observed = 1024 * 100;
-
-  ServiceStats idle;
-  for (size_t i = 0; i < 512; ++i) {
-    idle.latency_samples.push_back(500.0 + static_cast<double>(i % 11));
-  }
-  idle.latency_observed = 512;
-
-  ServiceStats pool;
-  pool.Merge(busy);
-  pool.Merge(idle);
-  EXPECT_EQ(pool.latency_observed, busy.latency_observed + idle.latency_observed);
-  EXPECT_GE(pool.P50LatencyMs(), 100.0);
-  EXPECT_LE(pool.P50LatencyMs(), 110.0);
-  EXPECT_GE(pool.P99LatencyMs(), 100.0);
-  EXPECT_LE(pool.P99LatencyMs(), 110.0);
-  // The subsampled idle side still shows up where it belongs: the tail
-  // above its weight's share. p100 (the max) may be an idle-band sample.
-  EXPECT_GT(pool.latency_samples.size(), 1024u);
-  EXPECT_LT(pool.latency_samples.size(), 1536u);
-
-  // Seeded subsampling: rebuilding the same merge yields byte-identical
-  // samples (pool stats snapshots replay deterministically under SimClock).
-  ServiceStats again;
-  again.Merge(busy);
-  again.Merge(idle);
-  EXPECT_EQ(again.latency_samples, pool.latency_samples);
-}
-
-TEST(ServiceStatsMergeTest, EqualWeightMergeConcatenatesExactly) {
-  // Two un-overflowed reservoirs (weight 1 each) merge exactly: nothing may
-  // be subsampled away.
-  ServiceStats a;
-  a.latency_samples = {1.0, 2.0, 3.0};
-  a.latency_observed = 3;
-  ServiceStats b;
-  b.latency_samples = {10.0, 20.0};
-  b.latency_observed = 2;
-  a.Merge(b);
-  EXPECT_EQ(a.latency_samples, (std::vector<double>{1.0, 2.0, 3.0, 10.0, 20.0}));
-  EXPECT_EQ(a.latency_observed, 5u);
-}
-
 TEST(ServiceStatsTest, ServedClampsTornSnapshots) {
-  // A stripe fold can tear between an in-flight observation's `requests`
-  // and `shed` increments, momentarily showing shed + errors > requests.
-  // The unsigned subtraction must clamp to 0, not wrap to ~2^64 (which
-  // poisoned MeanLatencyMs and every served()-derived rate).
+  // A hand-built or merged snapshot may carry shed + errors > requests. The
+  // unsigned subtraction must clamp to 0, not wrap to ~2^64 (which would
+  // poison every served()-derived rate).
   ServiceStats torn;
   torn.requests = 5;
   torn.shed = 4;
   torn.errors = 2;
-  torn.total_latency_ms = 100.0;
   EXPECT_EQ(torn.served(), 0u);
-  EXPECT_DOUBLE_EQ(torn.MeanLatencyMs(), 0.0);
 
   ServiceStats normal;
   normal.requests = 10;
   normal.shed = 3;
   normal.errors = 2;
   EXPECT_EQ(normal.served(), 5u);
-}
-
-TEST(ServiceStatsTest, CapacityOneReservoirStaysDeterministic) {
-  // Degenerate reservoir: one slot. It must keep exactly one sample however
-  // many observations arrive, count them all, and retain the same sample
-  // for the same observation order.
-  RerankRequest request;
-  request.docs.resize(4);
-  RerankResult ok;
-  const auto run = [&] {
-    ServiceStats stats;
-    stats.latency_capacity = 1;
-    for (int i = 1; i <= 100; ++i) {
-      stats.Observe(request, ok, static_cast<double>(i));
-    }
-    return stats;
-  };
-  const ServiceStats stats = run();
-  ASSERT_EQ(stats.latency_samples.size(), 1u);
-  EXPECT_EQ(stats.latency_observed, 100u);
-  // Any percentile of a one-sample reservoir is that sample.
-  EXPECT_EQ(stats.P50LatencyMs(), stats.latency_samples[0]);
-  EXPECT_EQ(stats.P99LatencyMs(), stats.latency_samples[0]);
-  EXPECT_EQ(run().latency_samples, stats.latency_samples);
 }
 
 TEST(NdcgTest, PerfectAndReversedRankings) {

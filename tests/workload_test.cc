@@ -181,8 +181,8 @@ TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
   // a deterministic property of the schedule, where the old wall-clock
   // version (deadline 0.01 real ms) depended on host speed. The report and
   // the service stats must agree, shed requests must carry their queue
-  // wait, and the served-only percentiles must stay self-consistent (no
-  // ~0 ms shed turnarounds pulling them down).
+  // wait, and the report's served-only percentiles must stay
+  // self-consistent (no ~0 ms shed turnarounds pulling them down).
   SimClock clock;
   MemoryTracker tracker;
   ServiceOptions sopts = FastService(SchedulerKind::kSerial, 1);
@@ -211,13 +211,10 @@ TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
   EXPECT_EQ(stats.requests, 18u);
   EXPECT_EQ(stats.shed, report.shed);
   EXPECT_EQ(stats.served(), report.served);
-  // Served-only reservoir: one latency sample per served request (under
-  // capacity nothing is subsampled), each at least the 10 virtual-ms
-  // service charge.
-  EXPECT_EQ(stats.latency_samples.size(), stats.served());
-  if (stats.served() > 0) {
-    EXPECT_GE(stats.LatencyPercentileMs(0.0), 10.0);
-  }
+  // Served-only percentiles come from the report: every served request
+  // pays the 10 virtual-ms service charge, so no shed ~0 ms turnaround may
+  // pull the median below it.
+  EXPECT_GE(report.p50_ms, 10.0);
 }
 
 TEST_F(WorkloadTest, SimulatedWorkloadReplaysByteIdentically) {
