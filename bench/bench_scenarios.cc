@@ -111,7 +111,7 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
   options.max_inflight = kind == SchedulerKind::kSerial ? 1 : spec.max_inflight;
   options.compute_threads = std::max<size_t>(1, spec.total_threads / pool_size);
   options.clock = clock;
-  options.sim.enabled = spec.sim;
+  options.sim = spec.sim;
   Stack stack;
   if (pool_size == 1) {
     stack.service = std::make_unique<RerankService>(spec.model, spec.checkpoint, options);

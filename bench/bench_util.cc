@@ -37,11 +37,12 @@ std::unique_ptr<Runner> MakeHf(const ModelConfig& config, const DeviceProfile& d
 
 std::unique_ptr<Runner> MakeOffload(const ModelConfig& config, const DeviceProfile& device,
                                     Precision precision) {
-  OffloadRunnerOptions options;
+  HfRunnerOptions options;
   options.device = device;
   options.precision = precision;
-  return std::make_unique<OffloadRunner>(config, EnsureCheckpoint(config, kBenchSeed, precision),
-                                         options);
+  options.offload = true;
+  return std::make_unique<HfRunner>(config, EnsureCheckpoint(config, kBenchSeed, precision),
+                                    options);
 }
 
 std::unique_ptr<PrismEngine> MakePrism(const ModelConfig& config, const DeviceProfile& device,

@@ -20,7 +20,6 @@
 #include "src/model/synthetic.h"
 #include "src/runtime/device.h"
 #include "src/runtime/hf_runner.h"
-#include "src/runtime/offload_runner.h"
 
 namespace prism {
 

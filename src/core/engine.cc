@@ -133,7 +133,7 @@ class PrismCarouselPass final : public CarouselPass {
         }
       }
     } else {
-      blob = engine_->resident_layers_[layer];
+      blob = engine_->resident_.blobs[layer];
     }
 
     const AnyLayerView view =
@@ -199,8 +199,9 @@ class PrismCarouselPass final : public CarouselPass {
     for (size_t layer = 0; layer < engine_->config_.n_layers; ++layer) {
       schedule.push_back(LayerBlobIndex(layer));
     }
-    streamer_ = std::make_unique<LayerStreamer>(engine_->reader_.get(), std::move(schedule),
-                                                /*buffer_count=*/2, engine_->tracker_, cyclic_);
+    streamer_ =
+        std::make_unique<LayerStreamer>(engine_->checkpoint_.reader.get(), std::move(schedule),
+                                        /*buffer_count=*/2, engine_->tracker_, cyclic_);
   }
 
   // Validates and plans one request. A malformed one fails alone, before any
@@ -252,13 +253,10 @@ PrismEngine::PrismEngine(const ModelConfig& config, const std::string& checkpoin
     : config_(config),
       options_(options),
       tracker_(tracker),
+      checkpoint_(
+          OpenCheckpoint(config_, checkpoint_path, options_.device.ssd, options_.precision)),
       dispersion_threshold_(options.dispersion_threshold) {
-  auto reader = BlobFileReader::Open(checkpoint_path, options_.device.ssd);
-  PRISM_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
-  reader_ = std::move(reader).value();
-  const Status ckpt_status = ValidateCheckpoint(*reader_, config_, options_.precision);
-  PRISM_CHECK_MSG(ckpt_status.ok(), ckpt_status.ToString().c_str());
-
+  BlobFileReader* reader = checkpoint_.reader.get();
   if (options_.embed_cache && options_.shared_embed_cache != nullptr) {
     // External cache: use the caller-owned cache (its misses read
     // through its own reader, so this engine's reader serves layers only).
@@ -267,31 +265,18 @@ PrismEngine::PrismEngine(const ModelConfig& config, const std::string& checkpoin
   } else if (options_.embed_cache) {
     const auto rows = static_cast<size_t>(
         std::max(1.0, options_.embed_cache_fraction * static_cast<double>(config_.vocab_size)));
-    auto cache = std::make_unique<EmbeddingCache>(config_, reader_.get(), rows, tracker_);
+    auto cache = std::make_unique<EmbeddingCache>(config_, reader, rows, tracker_);
     cache_ = cache.get();
     owned_embedding_ = std::move(cache);
     embedding_ = owned_embedding_.get();
   } else {
-    owned_embedding_ = std::make_unique<FullEmbeddingTable>(config_, reader_.get(), tracker_);
+    owned_embedding_ = std::make_unique<FullEmbeddingTable>(config_, reader, tracker_);
     embedding_ = owned_embedding_.get();
   }
 
   if (!options_.streaming) {
-    int64_t total = 0;
-    for (size_t layer = 0; layer < config_.n_layers; ++layer) {
-      std::vector<uint8_t> blob(static_cast<size_t>(reader_->BlobSize(LayerBlobIndex(layer))));
-      const Status status = reader_->ReadBlob(LayerBlobIndex(layer), blob);
-      PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
-      total += static_cast<int64_t>(blob.size());
-      resident_layers_.push_back(std::move(blob));
-    }
-    resident_claim_ = MemClaim(tracker_, MemCategory::kWeights, total);
+    resident_ = ReadResidentLayers(*reader, config_, tracker_);
   }
-
-  std::vector<uint8_t> head_blob(static_cast<size_t>(reader_->BlobSize(HeadBlobIndex(config_))));
-  const Status status = reader_->ReadBlob(HeadBlobIndex(config_), head_blob);
-  PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
-  head_ = ParseHeadBlob(config_, head_blob);
 
   if (options_.offload_hidden) {
     spill_ = std::make_unique<SpillPool>(options_.device.ssd, tracker_);
@@ -300,11 +285,11 @@ PrismEngine::PrismEngine(const ModelConfig& config, const std::string& checkpoin
   resources_.config = &config_;
   resources_.options = &options_;
   resources_.tracker = tracker_;
-  resources_.reader = reader_.get();
+  resources_.reader = reader;
   resources_.embedding = embedding_;
   resources_.cache = cache_;
-  resources_.head = &head_;
-  resources_.resident_layers = &resident_layers_;
+  resources_.head = &checkpoint_.head;
+  resources_.resident_layers = &resident_.blobs;
   resources_.spill = spill_.get();
   planner_.emplace(resources_);
   embed_stage_.emplace(resources_);

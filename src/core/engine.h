@@ -108,14 +108,11 @@ class PrismEngine : public CarouselRunner {
   ModelConfig config_;
   PrismOptions options_;
   MemoryTracker* tracker_;
-  std::unique_ptr<BlobFileReader> reader_;
+  Checkpoint checkpoint_;
   std::unique_ptr<EmbeddingSource> owned_embedding_;  // Null with a shared cache.
   EmbeddingSource* embedding_ = nullptr;  // owned_embedding_ or the shared cache.
   EmbeddingCache* cache_ = nullptr;  // Non-owning alias when embed_cache on.
-  HeadWeights head_;
-  // Resident layers when streaming is off.
-  std::vector<std::vector<uint8_t>> resident_layers_;
-  MemClaim resident_claim_;
+  ResidentLayers resident_;  // Empty when streaming is on.
   std::unique_ptr<SpillPool> spill_;
 
   std::atomic<float> dispersion_threshold_;

@@ -41,7 +41,8 @@ struct OnlineCalibratorOptions {
 class OnlineCalibrator : public Runner {
  public:
   // `engine` serves traffic; `reference` provides ground truth at idle time
-  // (typically the same checkpoint with pruning disabled). Neither is owned.
+  // (RerankService uses the resident HfRunner on the same checkpoint).
+  // Neither is owned.
   OnlineCalibrator(PrismEngine* engine, Runner* reference, OnlineCalibratorOptions options);
 
   // Serves the request through the engine, sampling per options.

@@ -67,7 +67,8 @@ std::future<RerankResult> RequestQueue::Push(const RerankRequest& request) {
     MutexLock lock(mu_);
     PRISM_CHECK_MSG(!closed_, "Push after Close");
     pending.ticket = next_ticket_++;
-    staged_.push_back(std::move(pending));
+    pending.tag = epoch_;
+    InsertOrdered(std::move(pending));
   }
   cv_->NotifyOne();
   return future;
@@ -75,10 +76,8 @@ std::future<RerankResult> RequestQueue::Push(const RerankRequest& request) {
 
 void RequestQueue::InsertOrdered(Pending pending) {
   // Insert before the first entry that outranks it, scanning from the back:
-  // staging drains in ticket order, so the common single-priority case is
-  // O(1), and equal priorities keep ticket (FIFO) order. The scan must also
-  // compare tickets — drains from different pops interleave with leftovers
-  // already ordered.
+  // pushes arrive in ticket order, so the common single-priority case is
+  // O(1), and equal priorities keep ticket (FIFO) order.
   auto pos = ordered_.end();
   while (pos != ordered_.begin()) {
     const Pending& prev = *std::prev(pos);
@@ -91,30 +90,9 @@ void RequestQueue::InsertOrdered(Pending pending) {
   ordered_.insert(pos, std::move(pending));
 }
 
-namespace {
-
-// An admission event: a pop handed out a non-empty batch. Dispatcher-only,
-// and every pop drains all staging before bumping, so an entry's drain-time
-// tag counts exactly the admission events that preceded its visibility.
-void BumpEpoch(std::atomic<uint64_t>* epoch, const std::vector<RequestQueue::Pending>& batch) {
-  if (epoch != nullptr && !batch.empty()) {
-    epoch->fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace
-
 std::vector<RequestQueue::Pending> RequestQueue::DrainPass(size_t max_batch,
-                                                           std::atomic<uint64_t>* epoch,
                                                            std::vector<Pending>* shed) {
   MutexLock lock(mu_);
-  const uint64_t tag = epoch != nullptr ? epoch->load(std::memory_order_relaxed) : 0;
-  while (!staged_.empty()) {
-    Pending pending = std::move(staged_.front());
-    staged_.pop_front();
-    pending.tag = tag;
-    InsertOrdered(std::move(pending));
-  }
   // Shed every expired entry — wherever it sits in the order; a
   // low-priority request can expire behind higher classes.
   const double now_ms = clock_->NowMs();
@@ -133,7 +111,9 @@ std::vector<RequestQueue::Pending> RequestQueue::DrainPass(size_t max_batch,
     batch.push_back(std::move(ordered_.front()));
     ordered_.pop_front();
   }
-  BumpEpoch(epoch, batch);
+  if (!batch.empty()) {
+    ++epoch_;  // An admission event.
+  }
   return batch;
 }
 
@@ -146,8 +126,7 @@ void RequestQueue::AnswerShed(std::vector<Pending> shed) {
   }
 }
 
-std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch,
-                                                          std::atomic<uint64_t>* epoch) {
+std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch) {
   PRISM_CHECK_GT(max_batch, 0u);
   for (;;) {
     {
@@ -161,7 +140,7 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch,
     // function of the virtual arrival schedule, not host thread timing.
     clock_->YieldUntilQuiescent();
     std::vector<Pending> shed;
-    std::vector<Pending> batch = DrainPass(max_batch, epoch, &shed);
+    std::vector<Pending> batch = DrainPass(max_batch, &shed);
     AnswerShed(std::move(shed));
     if (!batch.empty()) {
       return batch;
@@ -174,19 +153,17 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch,
   }
 }
 
-std::vector<RequestQueue::Pending> RequestQueue::TryPopBatch(size_t max_batch,
-                                                             std::atomic<uint64_t>* epoch) {
+std::vector<RequestQueue::Pending> RequestQueue::TryPopBatch(size_t max_batch) {
   // Same quiescence yield as PopBatch: a carousel boundary admits every
   // request issued by this virtual instant, deterministically.
   clock_->YieldUntilQuiescent();
   std::vector<Pending> shed;
-  std::vector<Pending> batch = DrainPass(max_batch, epoch, &shed);
+  std::vector<Pending> batch = DrainPass(max_batch, &shed);
   AnswerShed(std::move(shed));
   return batch;
 }
 
-std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, double timeout_ms,
-                                                             std::atomic<uint64_t>* epoch) {
+std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, double timeout_ms) {
   PRISM_CHECK_GT(max_batch, 0u);
   const double give_up_ms = clock_->NowMs() + timeout_ms;
   for (;;) {
@@ -204,7 +181,7 @@ std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, d
       clock_->YieldUntilQuiescent();
     }
     std::vector<Pending> shed;
-    std::vector<Pending> batch = DrainPass(max_batch, epoch, &shed);
+    std::vector<Pending> batch = DrainPass(max_batch, &shed);
     AnswerShed(std::move(shed));
     if (!batch.empty() || timed_out) {
       return batch;
@@ -230,7 +207,12 @@ void RequestQueue::Close() {
 
 size_t RequestQueue::size() const {
   MutexLock lock(mu_);
-  return staged_.size() + ordered_.size();
+  return ordered_.size();
+}
+
+uint64_t RequestQueue::epoch() const {
+  MutexLock lock(mu_);
+  return epoch_;
 }
 
 CarouselScheduler::CarouselScheduler(CarouselRunner* runner, size_t max_inflight,
@@ -260,9 +242,9 @@ CarouselScheduler::~CarouselScheduler() {
 }
 
 RerankResult CarouselScheduler::Submit(const RerankRequest& request) {
-  // The dispatcher tags this entry with boundary_seq_ as it drains it, so
-  // it can report exactly how many admission events the request waited (its
-  // admission latency in cycle units) — see RequestQueue's epoch protocol.
+  // The queue tags this entry with its epoch, so the dispatcher can report
+  // exactly how many admission events the request waited (its admission
+  // latency in cycle units).
   return AwaitFuture(clock_, queue_.Push(request));
 }
 
@@ -277,11 +259,9 @@ void CarouselScheduler::AdmitBoundary(CarouselPass* pass,
   if (batch.empty()) {
     return;
   }
-  // The pop that produced this batch already bumped boundary_seq_ (on this
-  // thread); every entry's tag was assigned at its drain, before any bump
-  // that could have taken it, so the difference is an exact admission-event
-  // count.
-  const uint64_t boundary = boundary_seq_.load(std::memory_order_relaxed);
+  // The pop that produced this batch already bumped the epoch, and only this
+  // thread pops, so the difference is an exact admission-event count.
+  const uint64_t boundary = queue_.epoch();
   const double now_ms = clock_->NowMs();
   std::vector<const RerankRequest*> requests;
   requests.reserve(batch.size());
@@ -314,7 +294,7 @@ void CarouselScheduler::DispatchLoop() {
   for (;;) {
     // Idle: block for traffic, then spin the carousel up for one busy
     // period. It keeps revolving as long as boundary admission finds work.
-    std::vector<RequestQueue::Pending> batch = queue_.PopBatch(max_inflight_, &boundary_seq_);
+    std::vector<RequestQueue::Pending> batch = queue_.PopBatch(max_inflight_);
     if (batch.empty()) {
       return;  // Closed and drained.
     }
@@ -375,7 +355,7 @@ void CarouselScheduler::DispatchLoop() {
         layer = 0;
         std::vector<RequestQueue::Pending> joiners;
         if (residents.size() < max_inflight_) {
-          joiners = queue_.TryPopBatch(max_inflight_ - residents.size(), &boundary_seq_);
+          joiners = queue_.TryPopBatch(max_inflight_ - residents.size());
         }
         AdmitBoundary(pass.get(), std::move(joiners), &residents);
         if (residents.empty()) {
@@ -383,7 +363,7 @@ void CarouselScheduler::DispatchLoop() {
           // layer 0 already loading — before tearing the pass down; a
           // request arriving inside the window skips the cold start.
           std::vector<RequestQueue::Pending> stragglers =
-              queue_.PopBatchFor(max_inflight_, linger_ms_, &boundary_seq_);
+              queue_.PopBatchFor(max_inflight_, linger_ms_);
           if (stragglers.empty()) {
             break;  // Idle (or closed): end the busy period.
           }

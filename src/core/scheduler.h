@@ -46,7 +46,6 @@
 #ifndef PRISM_SRC_CORE_SCHEDULER_H_
 #define PRISM_SRC_CORE_SCHEDULER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -103,12 +102,11 @@ class SerialScheduler : public Scheduler {
 // contract: any number of producers may Push concurrently, but at most one
 // thread (the scheduler's dispatcher) calls the pop variants.
 //
-// Producers stage under the queue mutex: each Push takes the next admission
-// ticket and appends to a staging deque. The dispatcher drains staging into
-// an ordered deque kept sorted (priority desc, ticket asc), sheds expired
-// entries and takes its batch, all under the same mutex. Admission costs
-// microseconds against an engine pass of tens to hundreds of milliseconds,
-// so one lock is all this path needs.
+// One mutex guards everything: each Push takes the next admission ticket and
+// inserts straight into a deque kept sorted (priority desc, ticket asc); the
+// dispatcher sheds expired entries and takes its batch under the same lock.
+// Admission costs microseconds against an engine pass of tens to hundreds of
+// milliseconds, so one lock is all this path needs.
 //
 // Pushes never block on the dispatcher; PopBatch blocks until at least one
 // unexpired request is pending (or the queue is closed) and then drains up
@@ -131,12 +129,10 @@ class RequestQueue {
     std::promise<RerankResult> promise;
     uint64_t ticket = 0;
     int priority = 0;
-    // The caller's epoch counter (the CarouselScheduler's admission-boundary
-    // counter) as of the pop that first drained this entry out of staging.
-    // Only the dispatcher reads and bumps the epoch, and every pop drains
-    // all staging before bumping, so "epoch at dispatch minus tag" counts
-    // exactly the admission events between this entry becoming visible and
-    // its dispatch — race-free without any producer-side snapshot.
+    // The queue's epoch() when this entry was pushed. Push and the epoch
+    // bump both happen under the queue mutex, so "epoch at dispatch minus
+    // tag" counts exactly the admission events between this entry becoming
+    // visible and its dispatch.
     uint64_t tag = 0;
     double admitted_ms = 0.0;
     // Absolute expiry instant (clock ms); only meaningful when has_deadline.
@@ -146,56 +142,53 @@ class RequestQueue {
     bool ExpiredAt(double now_ms) const { return has_deadline && now_ms >= deadline_at_ms; }
   };
 
-  // All pop variants share the epoch protocol: when `epoch` is non-null,
-  // entries are tagged with its current value as they drain out of staging,
-  // and a pop that returns a non-empty batch increments it. With free
-  // capacity, epoch-at-dispatch − tag == 1, always.
+  // Every pop that returns a non-empty batch is an admission event and bumps
+  // epoch(). With free capacity, epoch-at-dispatch − tag == 1, always.
 
   std::future<RerankResult> Push(const RerankRequest& request);
-  std::vector<Pending> PopBatch(size_t max_batch, std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> PopBatch(size_t max_batch);
 
   // Non-blocking PopBatch: sheds expired entries, then returns up to
   // `max_batch` pending requests — possibly none. Never waits on the queue
   // (it does yield to clock quiescence first, a no-op on the wall clock);
   // used by the carousel to admit whatever is queued at a cycle boundary.
-  std::vector<Pending> TryPopBatch(size_t max_batch, std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> TryPopBatch(size_t max_batch);
 
   // PopBatch that gives up after `timeout_ms`: returns an empty batch when
   // no unexpired request arrived in time (or the queue closed). The
   // carousel's linger window — a drained pass waits warm for the next
   // arrival instead of tearing its prefetch pipeline down.
-  std::vector<Pending> PopBatchFor(size_t max_batch, double timeout_ms,
-                                   std::atomic<uint64_t>* epoch = nullptr);
+  std::vector<Pending> PopBatchFor(size_t max_batch, double timeout_ms);
 
   // Wakes PopBatch; subsequent pushes are rejected (CHECK). Entries still
-  // staged or ordered are drained by subsequent PopBatch calls.
+  // pending are drained by subsequent PopBatch calls.
   void Close();
 
-  // Entries pending (staged + ordered, not yet popped).
+  // Entries pending (not yet popped).
   size_t size() const;
 
+  // Admission events so far: non-empty batches handed out by the pops.
+  uint64_t epoch() const;
+
  private:
-  // One consumer pass shared by the pop variants, under mu_: drain staging
-  // into ordered_ (tagging each entry with `epoch`'s current value), shed
-  // expired entries into *shed, take up to max_batch survivors, and bump the
-  // epoch on a non-empty batch.
-  std::vector<Pending> DrainPass(size_t max_batch, std::atomic<uint64_t>* epoch,
-                                 std::vector<Pending>* shed);
+  // One consumer pass shared by the pop variants, under mu_: shed expired
+  // entries into *shed, take up to max_batch survivors, and bump the epoch
+  // on a non-empty batch.
+  std::vector<Pending> DrainPass(size_t max_batch, std::vector<Pending>* shed);
   // Sorted insert into ordered_ (priority desc, ticket asc), scanning from
-  // the back — O(1) for the in-ticket-order drains staging produces.
+  // the back — O(1) for the in-ticket-order pushes of one priority.
   void InsertOrdered(Pending pending) PRISM_REQUIRES(mu_);
   // Fulfils shed promises.
   void AnswerShed(std::vector<Pending> shed);
-  bool HasWorkLocked() const PRISM_REQUIRES(mu_) { return !staged_.empty() || !ordered_.empty(); }
+  bool HasWorkLocked() const PRISM_REQUIRES(mu_) { return !ordered_.empty(); }
 
   Clock* clock_;
   std::unique_ptr<ClockCondVar> cv_;  // Dispatcher parks here.
   mutable Mutex mu_;
 
-  // Producers → dispatcher, in ticket order.
-  std::deque<Pending> staged_ PRISM_GUARDED_BY(mu_);
   uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;
-  // Drained entries, kept sorted: priority descending, ticket ascending.
+  uint64_t epoch_ PRISM_GUARDED_BY(mu_) = 0;
+  // Pending entries, kept sorted: priority descending, ticket ascending.
   std::deque<Pending> ordered_ PRISM_GUARDED_BY(mu_);
   bool closed_ PRISM_GUARDED_BY(mu_) = false;
 };
@@ -209,10 +202,10 @@ class CarouselScheduler : public Scheduler {
  public:
   // Progress counters, mainly for tests and benches. `max_boundary_wait` is
   // the most admission events any request saw between enqueue and
-  // admission, counted race-free through the queue's epoch protocol: with
-  // free capacity it is exactly 1 (a request enqueued mid-cycle is admitted
-  // at the very next boundary), which is the "worst-case wait one cycle"
-  // admission-latency guarantee; each capacity-bound skip adds 1.
+  // admission, counted through the queue's epoch: with free capacity it is
+  // exactly 1 (a request enqueued mid-cycle is admitted at the very next
+  // boundary), which is the "worst-case wait one cycle" admission-latency
+  // guarantee; each capacity-bound skip adds 1.
   struct Stats {
     size_t passes = 0;     // Busy periods (carousel spin-ups).
     size_t cycles = 0;     // Layer-0 admission boundaries crossed.
@@ -247,8 +240,8 @@ class CarouselScheduler : public Scheduler {
   };
 
   void DispatchLoop();
-  // Admits `batch` into `pass` at a layer-0 boundary, bumping the boundary
-  // counter and the admission stats.
+  // Admits `batch` into `pass` at a layer-0 boundary, updating the
+  // admission stats.
   void AdmitBoundary(CarouselPass* pass, std::vector<RequestQueue::Pending> batch,
                      std::vector<Resident>* residents);
 
@@ -258,10 +251,6 @@ class CarouselScheduler : public Scheduler {
   Clock* clock_;
   RequestQueue queue_;
   std::unique_ptr<ThreadPool> compute_pool_;
-  // Admission events so far — tagged onto each entry as the dispatcher
-  // drains it out of staging, and bumped by the pops that hand out batches
-  // (both on the dispatcher thread; see RequestQueue's epoch protocol).
-  std::atomic<uint64_t> boundary_seq_{0};
   mutable Mutex stats_mu_;
   Stats stats_ PRISM_GUARDED_BY(stats_mu_);
   std::thread dispatcher_;

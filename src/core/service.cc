@@ -61,21 +61,18 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
                     "(max_inflight == 1)");
     PRISM_CHECK_MSG(options.runner_override == nullptr,
                     "runner_override would bypass the calibrator's sample log");
-    PrismOptions reference_options = options.engine;
-    reference_options.pruning = false;
-    // Ground-truth runs happen at idle time; they should not distort the
-    // serving path's memory accounting or wait on the simulated device.
-    reference_options.streaming = false;
-    reference_options.embed_cache = false;
-    reference_options.device.ssd.throttle = false;
-    reference_ = std::make_unique<PrismEngine>(config, checkpoint_path, reference_options,
-                                               tracker);
+    // Ground truth is the resident HF baseline: full inference with every
+    // layer in memory, so idle-time replays never wait on the device.
+    HfRunnerOptions reference_options;
+    reference_options.device = options.engine.device;
+    reference_options.precision = options.engine.precision;
+    reference_ = std::make_unique<HfRunner>(config, checkpoint_path, reference_options, tracker);
     calibrator_ = std::make_unique<OnlineCalibrator>(engine_.get(), reference_.get(),
                                                      options.calibration);
   }
   CarouselRunner* target =
       options.runner_override != nullptr ? options.runner_override : engine_.get();
-  if (options.sim.enabled) {
+  if (options.sim) {
     PRISM_CHECK_MSG(!options.online_calibration,
                     "online calibration measures real engine timing; it cannot run through the "
                     "simulated cost model");

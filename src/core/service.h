@@ -1,9 +1,9 @@
 // RerankService: the deployment-facing facade.
 //
 // Owns a model's checkpoint, a PRISM engine, an optional full-inference
-// reference for online calibration, and rolling service statistics — the
-// piece an application (file search, RAG, agent) embeds. Rerank() is
-// thread-safe: requests are admitted through a Scheduler
+// reference (the resident HF baseline) for online calibration, and rolling
+// service statistics — the piece an application (file search, RAG, agent)
+// embeds. Rerank() is thread-safe: requests are admitted through a Scheduler
 // (src/core/scheduler.h). With the default `max_inflight == 1` every call
 // is served serially, exactly as before; with `max_inflight > 1` the
 // carousel scheduler runs concurrent requests through the engine's cyclic
@@ -24,6 +24,7 @@
 #include "src/core/engine.h"
 #include "src/core/online_calibrator.h"
 #include "src/core/scheduler.h"
+#include "src/runtime/hf_runner.h"
 #include "src/runtime/sim_runner.h"
 
 namespace prism {
@@ -58,10 +59,10 @@ struct ServiceOptions {
   // cost of a longer window is up to two layer blobs held resident while
   // idle.
   double carousel_linger_ms = 200.0;
-  // When set, a pruning-disabled twin engine is created and every Nth request
-  // is sampled for idle-time calibration toward `target_precision`. The
-  // calibrator's sample log is serial-only, so this requires
-  // max_inflight == 1 (checked).
+  // When set, a resident HfRunner on the engine's device and precision is
+  // built as ground truth, and every Nth request is sampled for idle-time
+  // calibration toward `target_precision`. The calibrator's sample log is
+  // serial-only, so this requires max_inflight == 1 (checked).
   bool online_calibration = false;
   OnlineCalibratorOptions calibration;
   // Test seam (fault injection): when non-null, the scheduler drives this
@@ -75,11 +76,11 @@ struct ServiceOptions {
   // behaviour. Point it at a SimClock to serve on deterministic virtual
   // time. The pointee must outlive the service.
   Clock* clock = nullptr;
-  // Discrete-event service-cost model: when sim.enabled, the scheduler's
-  // target is wrapped in a SimulatedRunner that charges virtual service
-  // time on `clock` and memoizes results per unique request (see
+  // Discrete-event service-cost model: when set, the scheduler's target is
+  // wrapped in a SimulatedRunner that charges virtual service time on
+  // `clock` and memoizes results per unique request (see
   // src/runtime/sim_runner.h). Pair with a SimClock.
-  SimCostOptions sim;
+  bool sim = false;
 };
 
 // Rolling service counters. RerankService accumulates these under one mutex
@@ -158,9 +159,9 @@ class RerankService : public Runner {
  private:
   ModelConfig config_;
   std::unique_ptr<PrismEngine> engine_;
-  std::unique_ptr<PrismEngine> reference_;  // Pruning-off twin (calibration).
+  std::unique_ptr<HfRunner> reference_;  // Calibration ground truth (resident HF).
   std::unique_ptr<OnlineCalibrator> calibrator_;
-  std::unique_ptr<SimulatedRunner> sim_runner_;  // Only when options.sim.enabled.
+  std::unique_ptr<SimulatedRunner> sim_runner_;  // Only when options.sim.
   std::unique_ptr<Scheduler> scheduler_;
   mutable Mutex stats_mu_;
   ServiceStats stats_ PRISM_GUARDED_BY(stats_mu_);

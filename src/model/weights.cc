@@ -4,7 +4,6 @@
 #include <string>
 
 #include "src/common/check.h"
-#include "src/storage/blob_file.h"
 #include "src/tensor/ops.h"
 
 namespace prism {
@@ -211,6 +210,37 @@ HeadWeights ParseHeadBlob(const ModelConfig& config, std::span<const uint8_t> bl
   std::memcpy(head.w.data(), blob.data(), config.hidden * sizeof(float));
   std::memcpy(&head.bias, blob.data() + config.hidden * sizeof(float), sizeof(float));
   return head;
+}
+
+Checkpoint OpenCheckpoint(const ModelConfig& config, const std::string& path,
+                          const SsdConfig& ssd, Precision precision) {
+  auto reader = BlobFileReader::Open(path, ssd);
+  PRISM_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
+  Checkpoint checkpoint;
+  checkpoint.reader = std::move(reader).value();
+  const Status valid = ValidateCheckpoint(*checkpoint.reader, config, precision);
+  PRISM_CHECK_MSG(valid.ok(), valid.ToString().c_str());
+  std::vector<uint8_t> head_blob(
+      static_cast<size_t>(checkpoint.reader->BlobSize(HeadBlobIndex(config))));
+  const Status status = checkpoint.reader->ReadBlob(HeadBlobIndex(config), head_blob);
+  PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+  checkpoint.head = ParseHeadBlob(config, head_blob);
+  return checkpoint;
+}
+
+ResidentLayers ReadResidentLayers(BlobFileReader& reader, const ModelConfig& config,
+                                  MemoryTracker* tracker) {
+  ResidentLayers layers;
+  int64_t total = 0;
+  for (size_t layer = 0; layer < config.n_layers; ++layer) {
+    std::vector<uint8_t> blob(static_cast<size_t>(reader.BlobSize(LayerBlobIndex(layer))));
+    const Status status = reader.ReadBlob(LayerBlobIndex(layer), blob);
+    PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+    total += static_cast<int64_t>(blob.size());
+    layers.blobs.push_back(std::move(blob));
+  }
+  layers.claim = MemClaim(tracker, MemCategory::kWeights, total);
+  return layers;
 }
 
 }  // namespace prism

@@ -18,16 +18,18 @@
 #define PRISM_SRC_MODEL_WEIGHTS_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "src/common/memory_tracker.h"
 #include "src/common/status.h"
 #include "src/model/config.h"
+#include "src/storage/blob_file.h"
 #include "src/tensor/quant.h"
 
 namespace prism {
-
-class BlobFileReader;
 
 // Blob indices within a checkpoint.
 inline size_t EmbeddingBlobIndex() { return 0; }
@@ -107,6 +109,29 @@ struct HeadWeights {
 };
 
 HeadWeights ParseHeadBlob(const ModelConfig& config, std::span<const uint8_t> blob);
+
+// A checkpoint opened for inference: the reader every later blob read goes
+// through, and the head, which every runner keeps in memory.
+struct Checkpoint {
+  std::unique_ptr<BlobFileReader> reader;
+  HeadWeights head;
+};
+
+// The one place a runner opens its checkpoint: opens `path` behind a device
+// configured by `ssd`, validates it for `config` at `precision`
+// (ValidateCheckpoint) and reads the head. CHECKs on any failure.
+Checkpoint OpenCheckpoint(const ModelConfig& config, const std::string& path,
+                          const SsdConfig& ssd, Precision precision);
+
+// Every layer blob read into memory, claimed under kWeights for as long as
+// the claim lives. Used by runners that keep all layers resident.
+struct ResidentLayers {
+  std::vector<std::vector<uint8_t>> blobs;
+  MemClaim claim;
+};
+
+ResidentLayers ReadResidentLayers(BlobFileReader& reader, const ModelConfig& config,
+                                  MemoryTracker* tracker);
 
 }  // namespace prism
 

@@ -1,6 +1,8 @@
 #include "src/runtime/hf_runner.h"
 
-#include <cmath>
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/timer.h"
@@ -24,78 +26,96 @@ RerankRequest RerankRequest::FromQuery(const RerankQuery& q, size_t k) {
 HfRunner::HfRunner(const ModelConfig& config, const std::string& checkpoint_path,
                    HfRunnerOptions options, MemoryTracker* tracker)
     : config_(config), options_(options), tracker_(tracker) {
-  if (options_.batch_size == 0) {
-    options_.batch_size = options_.device.hf_batch_size;
+  SsdConfig ssd = options_.device.ssd;
+  if (!options_.offload) {
+    // The resident baseline loads its checkpoint once at startup, outside
+    // the per-request latency we report, so the load is not throttled.
+    ssd.throttle = false;
   }
-  // Loading the checkpoint happens once at startup; it is charged through the
-  // device model like any other read (the paper's HF baseline pays it too,
-  // but outside the per-request latency we report).
-  SsdConfig load_config = options_.device.ssd;
-  load_config.throttle = false;
-  auto reader = BlobFileReader::Open(checkpoint_path, load_config);
-  PRISM_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
-  reader_ = std::move(reader).value();
-  const Status ckpt_status = ValidateCheckpoint(*reader_, config_, options_.precision);
-  PRISM_CHECK_MSG(ckpt_status.ok(), ckpt_status.ToString().c_str());
-
-  embedding_ = std::make_unique<FullEmbeddingTable>(config_, reader_.get(), tracker_);
-  int64_t total_layer_bytes = 0;
-  for (size_t layer = 0; layer < config_.n_layers; ++layer) {
-    std::vector<uint8_t> blob(static_cast<size_t>(reader_->BlobSize(LayerBlobIndex(layer))));
-    const Status status = reader_->ReadBlob(LayerBlobIndex(layer), blob);
-    PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
-    total_layer_bytes += static_cast<int64_t>(blob.size());
-    layer_blobs_.push_back(std::move(blob));
+  checkpoint_ = OpenCheckpoint(config_, checkpoint_path, ssd, options_.precision);
+  embedding_ = std::make_unique<FullEmbeddingTable>(config_, checkpoint_.reader.get(), tracker_);
+  if (!options_.offload) {
+    resident_ = ReadResidentLayers(*checkpoint_.reader, config_, tracker_);
   }
-  layers_claim_ = MemClaim(tracker_, MemCategory::kWeights, total_layer_bytes);
+}
 
-  std::vector<uint8_t> head_blob(static_cast<size_t>(reader_->BlobSize(HeadBlobIndex(config_))));
-  const Status status = reader_->ReadBlob(HeadBlobIndex(config_), head_blob);
-  PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
-  head_ = ParseHeadBlob(config_, head_blob);
+std::string HfRunner::name() const {
+  const std::string base = options_.offload ? "HF Offload" : "HF";
+  switch (options_.precision) {
+    case Precision::kFp16:
+      return base + " Fp16";
+    case Precision::kInt8:
+      return base + " Int8";
+    case Precision::kW4:
+      return base + " Quant";
+    case Precision::kFp32:
+      break;
+  }
+  return base;
 }
 
 RerankResult HfRunner::Rerank(const RerankRequest& request) {
   const WallTimer total_timer;
   RerankResult result;
+  result.status = ValidateRequest(config_, request);
+  if (!result.status.ok()) {
+    return result;
+  }
   const size_t n = request.docs.size();
-  PRISM_CHECK_EQ(n, request.planted_r.size());
   const size_t seq_len = ChooseSeqLen(config_, request.query, request.docs);
   result.scores.assign(n, 0.0f);
 
-  const size_t batch = std::min(options_.batch_size, n);
+  const size_t batch = std::min(options_.device.hf_batch_size, n);
   LayerScratch scratch = LayerScratch::Make(config_, batch * seq_len, seq_len, tracker_);
+  // The one layer an offloading runner holds at a time.
+  std::vector<uint8_t> offload_blob(
+      options_.offload ? LayerBlobBytes(config_, options_.precision) : 0);
 
   for (size_t b0 = 0; b0 < n; b0 += batch) {
     const size_t b1 = std::min(b0 + batch, n);
     const size_t bsz = b1 - b0;
     Tensor hidden(bsz * seq_len, config_.hidden, MemCategory::kHiddenStates, tracker_);
-
     {
       const WallTimer embed_timer;
       for (size_t c = 0; c < bsz; ++c) {
         const PairInput pair = BuildPairInput(config_, request.query, request.docs[b0 + c],
                                               request.planted_r[b0 + c], seq_len);
-        EmbedPairInto(config_, embedding_.get(), head_, pair, c, seq_len, &hidden);
+        EmbedPairInto(config_, embedding_.get(), checkpoint_.head, pair, c, seq_len, &hidden);
       }
       result.stats.embed_ms += embed_timer.ElapsedMillis();
     }
 
-    const WallTimer compute_timer;
     for (size_t layer = 0; layer < config_.n_layers; ++layer) {
-      const AnyLayerView view =
-          ParseAnyLayerBlob(config_, layer_blobs_[layer], options_.precision);
+      std::span<const uint8_t> blob;
+      MemClaim claim;  // Offload only: released once the layer has run.
+      if (options_.offload) {
+        // Synchronous load right before execution — the defining trait of
+        // the Accelerate offload baseline. The device model charges it.
+        const WallTimer io_timer;
+        const auto bytes = static_cast<int64_t>(offload_blob.size());
+        claim = MemClaim(tracker_, MemCategory::kWeights, bytes);
+        const Status status = checkpoint_.reader->ReadBlob(LayerBlobIndex(layer), offload_blob);
+        PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+        result.stats.io_stall_ms += io_timer.ElapsedMillis();
+        result.stats.bytes_streamed += bytes;
+        blob = offload_blob;
+      } else {
+        blob = resident_.blobs[layer];
+      }
+
+      const WallTimer compute_timer;
+      const AnyLayerView view = ParseAnyLayerBlob(config_, blob, options_.precision);
       LayerForward(config_, view, seq_len, &hidden, &scratch);
       result.stats.candidate_layers += static_cast<int64_t>(bsz);
+      const int64_t compute_micros = compute_timer.ElapsedMicros();
+      result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;
+      ApplyComputeSlowdown(options_.device, compute_micros);
     }
     std::vector<float> batch_scores;
-    ScoreChunk(config_, head_, hidden, seq_len, &batch_scores);
+    ScoreChunk(config_, checkpoint_.head, hidden, seq_len, &batch_scores);
     for (size_t c = 0; c < bsz; ++c) {
       result.scores[b0 + c] = batch_scores[c];
     }
-    const int64_t compute_micros = compute_timer.ElapsedMicros();
-    result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;
-    ApplyComputeSlowdown(options_.device, compute_micros);
   }
 
   result.topk = TopKIndices(result.scores, request.k);

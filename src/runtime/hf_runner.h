@@ -1,28 +1,35 @@
-// The "HF" and "HF Quant" baselines (§6.1): HuggingFace-Transformers-style
-// in-memory inference. All weights (embedding table + every layer + head)
-// are resident for the runner's lifetime; candidates are processed in fixed
-// small batches (vanilla systems split inputs to balance compute and memory),
-// each batch forwarded through all layers, scores taken from the final layer.
+// The paper's baselines (§6.1): HuggingFace-Transformers-style inference.
+// Candidates are processed in fixed small batches of device.hf_batch_size
+// (vanilla systems split inputs to balance compute and memory); each batch
+// is forwarded through all layers and scored at the final layer. The two
+// baselines differ only in where a layer's bytes come from:
+//   - "HF" / "HF Quant" (offload off): every weight (embedding table, every
+//     layer, head) is resident for the runner's lifetime, loaded once at
+//     startup.
+//   - "HF Offload" (offload on): HuggingFace Accelerate's disk offloading.
+//     Each layer is read synchronously through the device right before it
+//     runs — no prefetch, no overlap — so an N-candidate request pays
+//     ceil(N / batch) × n_layers layer loads, with at most one layer's
+//     weights resident (plus the embedding table).
+// Both modes run the same arithmetic, so their scores are bit-identical.
 #ifndef PRISM_SRC_RUNTIME_HF_RUNNER_H_
 #define PRISM_SRC_RUNTIME_HF_RUNNER_H_
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/common/memory_tracker.h"
 #include "src/model/embedding.h"
 #include "src/model/weights.h"
 #include "src/runtime/device.h"
 #include "src/runtime/runner.h"
-#include "src/storage/blob_file.h"
 
 namespace prism {
 
 struct HfRunnerOptions {
   DeviceProfile device = NvidiaProfile();
-  Precision precision = Precision::kFp32;  // Reduced weights in memory ("HF Quant" etc).
-  size_t batch_size = 0;                   // 0 = device.hf_batch_size.
+  Precision precision = Precision::kFp32;  // Reduced weights ("HF Quant" etc).
+  bool offload = false;                    // Read each layer per batch ("HF Offload").
 };
 
 class HfRunner : public Runner {
@@ -31,30 +38,17 @@ class HfRunner : public Runner {
   HfRunner(const ModelConfig& config, const std::string& checkpoint_path,
            HfRunnerOptions options, MemoryTracker* tracker = &MemoryTracker::Global());
 
+  // A malformed request gets ValidateRequest's kInvalidArgument.
   RerankResult Rerank(const RerankRequest& request) override;
-  std::string name() const override {
-    switch (options_.precision) {
-      case Precision::kFp16:
-        return "HF Fp16";
-      case Precision::kInt8:
-        return "HF Int8";
-      case Precision::kW4:
-        return "HF Quant";
-      case Precision::kFp32:
-        break;
-    }
-    return "HF";
-  }
+  std::string name() const override;
 
  private:
   ModelConfig config_;
   HfRunnerOptions options_;
   MemoryTracker* tracker_;
-  std::unique_ptr<BlobFileReader> reader_;
+  Checkpoint checkpoint_;
   std::unique_ptr<FullEmbeddingTable> embedding_;
-  std::vector<std::vector<uint8_t>> layer_blobs_;  // All layers resident.
-  MemClaim layers_claim_;
-  HeadWeights head_;
+  ResidentLayers resident_;  // Empty when offloading.
 };
 
 }  // namespace prism

@@ -38,13 +38,6 @@
 
 namespace prism {
 
-// Switch for the virtual service-time model.
-struct SimCostOptions {
-  // Off by default: ServiceOptions embeds one of these, and a default
-  // service must not wrap its engine.
-  bool enabled = false;
-};
-
 class SimulatedRunner : public CarouselRunner {
  public:
   // `n_layers` spreads a pass's cost over carousel steps; pass the model's

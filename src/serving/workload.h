@@ -1,8 +1,8 @@
 // Multi-client scenario workloads over the serving stack.
 //
-// PRs 2–4 built the concurrent serving layer (Serial/Batch/Carousel
-// schedulers, ServicePool, deadline shedding); this subsystem puts realistic
-// traffic on it. A ScenarioHarness wraps one of the paper's application
+// The concurrent serving layer (the serial and carousel schedulers,
+// ServicePool, deadline shedding) is built elsewhere; this subsystem puts
+// realistic traffic on it. A ScenarioHarness wraps one of the paper's application
 // pipelines (semantic file search, RAG §6.3, agent memory §6.3/Fig 12,
 // long-context selection §6.4/Fig 14) behind a uniform query-by-index
 // interface, and RunWorkload drives N closed- or open-loop clients through

@@ -5,7 +5,6 @@
 // TSan and concurrency-stress CI lanes.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -316,17 +315,22 @@ TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
   RequestQueue queue;
   const ModelConfig config = TestModel();
   const RerankRequest request = TestRequest(config, 8, 2);
-  std::atomic<uint64_t> epoch{41};
+  // One admission event before the request arrives.
+  auto first = queue.Push(request);
+  std::vector<RequestQueue::Pending> earlier = queue.TryPopBatch(1);
+  ASSERT_EQ(earlier.size(), 1u);
+  earlier[0].promise.set_value(RerankResult{});
+  first.get();
+  EXPECT_EQ(queue.epoch(), 1u);
   auto future = queue.Push(request);
-  // Empty pops are not admission events: no bump (but the entry drains out
-  // of staging here, picking up its tag).
-  EXPECT_TRUE(queue.TryPopBatch(0, &epoch).empty());
-  EXPECT_EQ(epoch.load(), 41u);
-  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(1, &epoch);
+  // Empty pops are not admission events: no bump.
+  EXPECT_TRUE(queue.TryPopBatch(0).empty());
+  EXPECT_EQ(queue.epoch(), 1u);
+  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(1);
   ASSERT_EQ(batch.size(), 1u);
-  EXPECT_EQ(batch[0].tag, 41u);     // Tagged at drain...
-  EXPECT_EQ(epoch.load(), 42u);     // ...bumped by the non-empty pop.
-  EXPECT_EQ(epoch.load() - batch[0].tag, 1u);  // Exactly one admission event.
+  EXPECT_EQ(batch[0].tag, 1u);     // Tagged with the epoch it arrived in...
+  EXPECT_EQ(queue.epoch(), 2u);    // ...bumped by the non-empty pop.
+  EXPECT_EQ(queue.epoch() - batch[0].tag, 1u);  // Exactly one admission event.
   batch[0].promise.set_value(RerankResult{});
   future.get();
 }

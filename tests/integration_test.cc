@@ -5,7 +5,6 @@
 #include "src/core/engine.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
-#include "src/runtime/offload_runner.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -36,9 +35,10 @@ class IntegrationTest : public ::testing::Test {
 TEST_F(IntegrationTest, C1_PrismFasterThanOffloadAtSamePrecision) {
   MemoryTracker t1;
   MemoryTracker t2;
-  OffloadRunnerOptions oopts;
+  HfRunnerOptions oopts;
   oopts.device = TestDevice();
-  OffloadRunner offload(config_, ckpt_, oopts, &t1);
+  oopts.offload = true;
+  HfRunner offload(config_, ckpt_, oopts, &t1);
   PrismOptions popts;
   popts.device = TestDevice();
   PrismEngine prism(config_, ckpt_, popts, &t2);
@@ -148,9 +148,10 @@ TEST_F(IntegrationTest, C3_ThresholdTradesLatencyForAgreement) {
 TEST_F(IntegrationTest, OverlappedStreamingHidesIoThatOffloadPays) {
   MemoryTracker t1;
   MemoryTracker t2;
-  OffloadRunnerOptions oopts;
+  HfRunnerOptions oopts;
   oopts.device = TestDevice();
-  OffloadRunner offload(config_, ckpt_, oopts, &t1);
+  oopts.offload = true;
+  HfRunner offload(config_, ckpt_, oopts, &t1);
   PrismOptions popts;
   popts.device = TestDevice();
   popts.pruning = false;  // Isolate the streaming effect.

@@ -4,7 +4,6 @@
 
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
-#include "src/runtime/offload_runner.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -53,9 +52,10 @@ TEST_F(RunnerTest, HfAndOffloadProduceIdenticalScores) {
   HfRunnerOptions hopts;
   hopts.device = FastDevice();
   HfRunner hf(config_, ckpt_, hopts, &t1);
-  OffloadRunnerOptions oopts;
+  HfRunnerOptions oopts;
   oopts.device = FastDevice();
-  OffloadRunner off(config_, ckpt_, oopts, &t2);
+  oopts.offload = true;
+  HfRunner off(config_, ckpt_, oopts, &t2);
   const RerankResult a = hf.Rerank(request_);
   const RerankResult b = off.Rerank(request_);
   EXPECT_EQ(a.scores, b.scores);
@@ -67,10 +67,10 @@ TEST_F(RunnerTest, BatchSizeDoesNotChangeScores) {
   MemoryTracker t2;
   HfRunnerOptions small;
   small.device = FastDevice();
-  small.batch_size = 2;
+  small.device.hf_batch_size = 2;
   HfRunnerOptions large;
   large.device = FastDevice();
-  large.batch_size = 10;
+  large.device.hf_batch_size = 10;
   HfRunner a(config_, ckpt_, small, &t1);
   HfRunner b(config_, ckpt_, large, &t2);
   EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
@@ -108,9 +108,10 @@ TEST_F(RunnerTest, HfKeepsAllWeightsResident) {
 
 TEST_F(RunnerTest, OffloadKeepsAtMostOneLayerResident) {
   MemoryTracker tracker;
-  OffloadRunnerOptions opts;
+  HfRunnerOptions opts;
   opts.device = FastDevice();
-  OffloadRunner off(config_, ckpt_, opts, &tracker);
+  opts.offload = true;
+  HfRunner off(config_, ckpt_, opts, &tracker);
   off.Rerank(request_);
   EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights),
             static_cast<int64_t>(LayerBlobBytes(config_, Precision::kFp32)));
@@ -120,10 +121,11 @@ TEST_F(RunnerTest, OffloadKeepsAtMostOneLayerResident) {
 
 TEST_F(RunnerTest, OffloadReportsStreamedBytes) {
   MemoryTracker tracker;
-  OffloadRunnerOptions opts;
+  HfRunnerOptions opts;
   opts.device = FastDevice();
-  opts.batch_size = 5;
-  OffloadRunner off(config_, ckpt_, opts, &tracker);
+  opts.device.hf_batch_size = 5;
+  opts.offload = true;
+  HfRunner off(config_, ckpt_, opts, &tracker);
   const RerankResult result = off.Rerank(request_);
   // 10 candidates in batches of 5 → every layer loaded twice.
   EXPECT_EQ(result.stats.bytes_streamed,
@@ -140,6 +142,31 @@ TEST_F(RunnerTest, TopKSizeRespectsK) {
   EXPECT_EQ(result.stats.layers_until_done, config_.n_layers);
   EXPECT_EQ(result.stats.candidate_layers,
             static_cast<int64_t>(10 * config_.n_layers));
+}
+
+TEST_F(RunnerTest, MalformedRequestsGetInvalidArgumentInBothModes) {
+  for (const bool offload : {false, true}) {
+    SCOPED_TRACE(offload ? "offload" : "resident");
+    MemoryTracker tracker;
+    HfRunnerOptions opts;
+    opts.device = FastDevice();
+    opts.offload = offload;
+    HfRunner hf(config_, ckpt_, opts, &tracker);
+
+    RerankRequest no_k = request_;
+    no_k.k = 0;
+    RerankRequest short_planted = request_;
+    short_planted.planted_r.pop_back();
+    RerankRequest out_of_vocab = request_;
+    out_of_vocab.docs[3].push_back(static_cast<uint32_t>(config_.vocab_size));
+    for (const RerankRequest* bad : {&no_k, &short_planted, &out_of_vocab}) {
+      const RerankResult result = hf.Rerank(*bad);
+      EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(result.topk.empty());
+    }
+    // The runner still serves a well-formed request afterwards.
+    EXPECT_TRUE(hf.Rerank(request_).status.ok());
+  }
 }
 
 TEST_F(RunnerTest, ComputeSlowdownStretchesLatency) {
