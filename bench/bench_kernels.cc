@@ -1,13 +1,15 @@
 // Supporting kernel microbenchmarks (google-benchmark): the GEMM of every
 // precision tier (fp32 and the fused fp16 / int8 / w4 dequantising GEMMs) at
 // the 0.6B proxy's layer shapes, softmax, SwiGLU, RMSNorm, one whole layer
-// forward, 1-D k-means, BM25 — the primitives whose costs set the compute
-// side of the overlap window.
+// forward, the layer-blob decode, 1-D k-means, BM25 — the primitives whose
+// costs set the compute side of the overlap window.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "src/model/layer.h"
 #include "src/model/weights.h"
 #include "src/retrieval/bm25.h"
+#include "src/storage/blob_codec.h"
 #include "src/tensor/ops.h"
 #include "src/tensor/quant.h"
 
@@ -195,6 +198,35 @@ void BM_LayerForward(benchmark::State& state) {
 BENCHMARK(BM_LayerForward)
     ->Arg(static_cast<int64_t>(Precision::kFp32))
     ->Arg(static_cast<int64_t>(Precision::kInt8));
+
+// What BlobFileReader::ReadBlob does to one coded 0.6B-proxy layer blob after
+// the device read, on the selected kernels: the CRC32C of the stored bytes
+// and the in-place decode. Copying the stored bytes into the buffer's tail
+// stands in for the read. Bytes processed are decoded bytes.
+void BM_DecodeLayerBlob(benchmark::State& state) {
+  const auto precision = static_cast<Precision>(state.range(0));
+  const BlobCodec codec = precision == Precision::kFp16 ? BlobCodec::kExp16 : BlobCodec::kExp32;
+  const std::vector<uint8_t> blob = RandomLayerBlob(Qwen3Reranker0_6B(), precision);
+  const std::vector<uint8_t> stored = blob_codec::Encode(codec, blob).value();
+  std::vector<uint8_t> buf(blob.size());
+  const std::span<uint8_t> tail = std::span<uint8_t>(buf).last(stored.size());
+  for (auto _ : state) {
+    std::copy(stored.begin(), stored.end(), tail.begin());
+    benchmark::DoNotOptimize(blob_codec::Crc32c(tail));
+    PRISM_CHECK(blob_codec::DecodeInPlace(codec, buf, stored.size()).ok());
+    benchmark::ClobberMemory();
+  }
+  PRISM_CHECK(buf == blob);
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(blob.size()));
+  state.SetLabel(std::string(PrecisionName(precision)) + " " + blob_codec::Selected().name +
+                 ", stored/decoded " +
+                 std::to_string(static_cast<double>(stored.size()) /
+                                static_cast<double>(blob.size())));
+}
+BENCHMARK(BM_DecodeLayerBlob)
+    ->Arg(static_cast<int64_t>(Precision::kFp32))
+    ->Arg(static_cast<int64_t>(Precision::kFp16))
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ClusterScores(benchmark::State& state) {
   Rng rng(7);

@@ -1,8 +1,11 @@
 // Precision × model-size sweep for the storage tiers (w4 / int8 / fp16 vs
 // fp32). For each model in the sweep and each precision the bench reports
 //
-//   - layer blob bytes and the compression ratio vs fp32 (static, from
-//     LayerBlobBytes — what the streamer actually reads per layer),
+//   - decoded layer blob bytes and the compression ratio vs fp32 (static,
+//     from LayerBlobBytes — what the streamer delivers per layer), and the
+//     mean stored bytes of the checkpoint's layer blobs (what the device
+//     reads per layer: fp32 and fp16 layers are exponent-coded, int8 and w4
+//     stay raw),
 //   - the encode→decode roundtrip max-abs error of the first layer's
 //     attention matrix (the kernel-level fidelity of the tier),
 //   - an engine pass over a fixed query set: bytes streamed per pass, mean
@@ -10,7 +13,8 @@
 //     and top-k selection agreement.
 //
 // Every reduced tier must shrink the layer blob by its floor (fp16 1.9x,
-// int8/w4 2x vs fp32). --deterministic omits the wall-clock latency column
+// int8/w4 2x vs fp32), and the fp32 layers must store at most 0.85x their
+// decoded bytes. --deterministic omits the wall-clock latency column
 // and disables pruning (early exit makes the prefetched-byte count race
 // thread timing) so the output is a pure function of the checkpoint bytes,
 // and additionally gates the engine's streamed bytes per pass on the same
@@ -29,6 +33,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/check.h"
+#include "src/model/weights.h"
+#include "src/storage/blob_file.h"
 
 namespace prism {
 namespace {
@@ -51,6 +58,19 @@ double RoundtripError(Precision precision, size_t rows, size_t cols, size_t grou
     max_err = std::max(max_err, static_cast<double>(std::abs(w[i] - decoded[i])));
   }
   return max_err;
+}
+
+// Mean stored bytes of the layer blobs in the bench checkpoint at `precision`.
+double StoredLayerBytes(const ModelConfig& model, Precision precision) {
+  SsdConfig raw;
+  raw.throttle = false;
+  auto reader = BlobFileReader::Open(EnsureCheckpoint(model, kBenchSeed, precision), raw);
+  PRISM_CHECK_MSG(reader.ok(), reader.status().ToString().c_str());
+  double total = 0.0;
+  for (size_t layer = 0; layer < model.n_layers; ++layer) {
+    total += static_cast<double>(reader.value()->BlobStoredSize(LayerBlobIndex(layer)));
+  }
+  return total / static_cast<double>(model.n_layers);
 }
 
 struct PassResult {
@@ -116,11 +136,12 @@ int Main(int argc, char** argv) {
               std::to_string(candidates) + " candidates, k=" + std::to_string(k) +
               (deterministic ? ", deterministic columns only" : ""));
   if (deterministic) {
-    std::printf("%-26s %-5s %10s %7s %10s %12s %10s %7s\n", "model", "prec", "layer KiB",
-                "ratio", "rt err", "KiB/pass", "max drift", "agree");
+    std::printf("%-26s %-5s %10s %10s %7s %10s %12s %10s %7s\n", "model", "prec", "layer KiB",
+                "stored KiB", "ratio", "rt err", "KiB/pass", "max drift", "agree");
   } else {
-    std::printf("%-26s %-5s %10s %7s %10s %12s %9s %10s %7s\n", "model", "prec", "layer KiB",
-                "ratio", "rt err", "KiB/pass", "pass ms", "max drift", "agree");
+    std::printf("%-26s %-5s %10s %10s %7s %10s %12s %9s %10s %7s\n", "model", "prec",
+                "layer KiB", "stored KiB", "ratio", "rt err", "KiB/pass", "pass ms", "max drift",
+                "agree");
   }
 
   bool ok = true;
@@ -130,6 +151,7 @@ int Main(int argc, char** argv) {
     const PassResult fp32 = RunPass(model, Precision::kFp32, cases, deterministic);
     for (const Precision precision : precisions) {
       const size_t layer_bytes = LayerBlobBytes(model, precision);
+      const double stored_bytes = StoredLayerBytes(model, precision);
       const double ratio =
           static_cast<double>(fp32_layer_bytes) / static_cast<double>(layer_bytes);
       const double rt_err =
@@ -165,20 +187,25 @@ int Main(int argc, char** argv) {
                                                            : 2.0;
       ok = ok && ratio >= floor &&
            (!deterministic || fp32.bytes_per_pass >= floor * pass.bytes_per_pass);
+      // The exponent code must keep its measured ~17% saving on fp32 layers.
+      ok = ok && (precision != Precision::kFp32 ||
+                  stored_bytes <= 0.85 * static_cast<double>(layer_bytes));
       if (deterministic) {
-        std::printf("%-26s %-5s %10.1f %6.2fx %10.2e %12.1f %10.4f %6.0f%%\n",
+        std::printf("%-26s %-5s %10.1f %10.1f %6.2fx %10.2e %12.1f %10.4f %6.0f%%\n",
                     model.name.c_str(), PrecisionName(precision),
-                    static_cast<double>(layer_bytes) / 1024.0, ratio, rt_err,
-                    pass.bytes_per_pass / 1024.0, drift, 100.0 * agreement);
+                    static_cast<double>(layer_bytes) / 1024.0, stored_bytes / 1024.0, ratio,
+                    rt_err, pass.bytes_per_pass / 1024.0, drift, 100.0 * agreement);
       } else {
-        std::printf("%-26s %-5s %10.1f %6.2fx %10.2e %12.1f %9.2f %10.4f %6.0f%%\n",
+        std::printf("%-26s %-5s %10.1f %10.1f %6.2fx %10.2e %12.1f %9.2f %10.4f %6.0f%%\n",
                     model.name.c_str(), PrecisionName(precision),
-                    static_cast<double>(layer_bytes) / 1024.0, ratio, rt_err,
-                    pass.bytes_per_pass / 1024.0, pass.pass_ms, drift, 100.0 * agreement);
+                    static_cast<double>(layer_bytes) / 1024.0, stored_bytes / 1024.0, ratio,
+                    rt_err, pass.bytes_per_pass / 1024.0, pass.pass_ms, drift,
+                    100.0 * agreement);
       }
     }
   }
-  std::printf("\ncompression floors (fp16 1.9x, int8/w4 2x): %s\n", ok ? "ok" : "FAIL");
+  std::printf("\ncompression floors (fp16 1.9x, int8/w4 2x, fp32 stored <= 0.85x): %s\n",
+              ok ? "ok" : "FAIL");
   return ok ? 0 : 1;
 }
 

@@ -22,6 +22,8 @@ const char* StatusCodeName(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kDeadlineExceeded:
       return "DEADLINE_EXCEEDED";
+    case StatusCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }

@@ -24,6 +24,7 @@ enum class StatusCode {
   kIoError,
   kResourceExhausted,
   kDeadlineExceeded,
+  kDataLoss,  // Stored bytes are corrupt (checksum mismatch, malformed coding).
 };
 
 // Human-readable name for a status code, e.g. for log messages.
@@ -54,6 +55,7 @@ class Status {
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
+  static Status DataLoss(std::string msg) { return Status(StatusCode::kDataLoss, std::move(msg)); }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

@@ -192,11 +192,14 @@ Status GenerateCheckpoint(const ModelConfig& config, uint64_t seed, const std::s
   for (size_t layer = 0; layer < config.n_layers; ++layer) {
     Rng layer_rng(MixSeed(seed, 0x2000 + layer));
     const std::vector<float> blob = MakeLayerBlob(config, layer_rng, v);
+    // Float layers are stored exponent-coded; int8 / w4 codes carry no
+    // exponent plane and stay raw.
     if (precision == Precision::kFp32) {
-      writer.AddBlob(AsBytes(blob), Precision::kFp32, 0);
+      writer.AddBlob(AsBytes(blob), Precision::kFp32, 0, BlobCodec::kExp32);
     } else {
       const std::vector<uint8_t> encoded = ConvertLayerBlob(config, blob, precision);
-      writer.AddBlob(encoded, precision, layer_group);
+      writer.AddBlob(encoded, precision, layer_group,
+                     precision == Precision::kFp16 ? BlobCodec::kExp16 : BlobCodec::kRaw);
     }
   }
 
@@ -220,9 +223,9 @@ std::string EnsureCheckpoint(const ModelConfig& config, uint64_t seed, Precision
       ch = '_';
     }
   }
-  // The "v2" in the base name keeps these distinct from stale format-v1
-  // checkpoints left in /tmp by older builds.
-  const std::string base = "/tmp/prism_ckpt_v2_" + name + "_" + std::to_string(seed);
+  // The format version in the base name keeps these distinct from stale
+  // checkpoints of older formats left in /tmp by older builds.
+  const std::string base = "/tmp/prism_ckpt_v3_" + name + "_" + std::to_string(seed);
   const std::string path = base + "." + PrecisionFileTag(precision) + ".bin";
   struct stat st{};
   const bool have = ::stat(path.c_str(), &st) == 0 && st.st_size > 0;

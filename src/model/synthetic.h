@@ -20,8 +20,9 @@
 namespace prism {
 
 // Writes a checkpoint for `config` to `path` with layer blobs stored at
-// `precision` (embedding table and head stay fp32). The file is BlobFile v2:
-// every blob carries its precision tag.
+// `precision` (embedding table and head stay fp32). The file is BlobFile v3:
+// every blob carries its precision tag and checksum, and fp32 / fp16 layer
+// blobs are stored exponent-coded (src/storage/blob_codec.h).
 Status GenerateCheckpoint(const ModelConfig& config, uint64_t seed, const std::string& path,
                           Precision precision = Precision::kFp32);
 

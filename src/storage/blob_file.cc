@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <optional>
 
 #include "src/common/check.h"
 
@@ -10,12 +11,18 @@ namespace prism {
 
 namespace {
 
-// v2 table entries carry {offset u64, size u64, precision u32, group u32};
-// legacy v1 entries are just {offset u64, size u64}.
+// v3 entries append {stored_size u64, codec u32, crc32c u32} to v2's
+// {offset u64, size u64, precision u32, group u32}; legacy v1 entries are
+// just {offset u64, size u64}.
+constexpr size_t kEntryBytesV3 = 40;
 constexpr size_t kEntryBytesV2 = 24;
 constexpr size_t kEntryBytesV1 = 16;
 
-size_t HeaderBytes(size_t count) { return 16 + count * kEntryBytesV2; }
+size_t EntryBytes(uint32_t version) {
+  return version >= 3 ? kEntryBytesV3 : version == 2 ? kEntryBytesV2 : kEntryBytesV1;
+}
+
+size_t HeaderBytes(size_t count) { return 16 + count * kEntryBytesV3; }
 
 void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
   const size_t at = buf.size();
@@ -43,13 +50,26 @@ size_t BlobFileWriter::AddBlob(std::span<const uint8_t> bytes) {
 }
 
 size_t BlobFileWriter::AddBlob(std::span<const uint8_t> bytes, Precision precision,
-                               uint32_t quant_group) {
+                               uint32_t quant_group, BlobCodec codec) {
   PRISM_CHECK(!finished_);
+  std::optional<std::vector<uint8_t>> coded;
+  if (codec != BlobCodec::kRaw) {
+    coded = blob_codec::Encode(codec, bytes);
+  }
+  const std::span<const uint8_t> stored = coded ? std::span<const uint8_t>(*coded) : bytes;
   // Blob bytes are staged in memory and flushed after the header in Finish,
   // once the table size (and thus the data-region start) is known.
-  table_.push_back(Entry{data_cursor_, static_cast<int64_t>(bytes.size()), precision, quant_group});
-  data_cursor_ += static_cast<int64_t>(bytes.size());
-  scratch_.insert(scratch_.end(), bytes.begin(), bytes.end());
+  BlobEntry entry;
+  entry.offset = data_cursor_;
+  entry.size = static_cast<int64_t>(bytes.size());
+  entry.precision = precision;
+  entry.quant_group = quant_group;
+  entry.stored_size = static_cast<int64_t>(stored.size());
+  entry.codec = coded ? codec : BlobCodec::kRaw;
+  entry.crc32c = blob_codec::Crc32c(stored);
+  table_.push_back(entry);
+  data_cursor_ += entry.stored_size;
+  scratch_.insert(scratch_.end(), stored.begin(), stored.end());
   return table_.size() - 1;
 }
 
@@ -62,11 +82,14 @@ Status BlobFileWriter::Finish() {
   PutU32(buf, kBlobFileMagic);
   PutU32(buf, kBlobFileVersion);
   PutU64(buf, table_.size());
-  for (const Entry& entry : table_) {
+  for (const BlobEntry& entry : table_) {
     PutU64(buf, static_cast<uint64_t>(entry.offset + static_cast<int64_t>(header)));
     PutU64(buf, static_cast<uint64_t>(entry.size));
     PutU32(buf, static_cast<uint32_t>(entry.precision));
     PutU32(buf, entry.quant_group);
+    PutU64(buf, static_cast<uint64_t>(entry.stored_size));
+    PutU32(buf, static_cast<uint32_t>(entry.codec));
+    PutU32(buf, entry.crc32c);
   }
   buf.insert(buf.end(), scratch_.begin(), scratch_.end());
   PRISM_RETURN_IF_ERROR(ssd_->Write(0, buf));
@@ -94,23 +117,24 @@ Result<std::unique_ptr<BlobFileReader>> BlobFileReader::Open(const std::string& 
     if (magic != kBlobFileMagic) {
       return Status::InvalidArgument("bad blob file magic in " + path);
     }
-    if (version != kBlobFileVersion && version != kBlobFileVersionLegacy) {
+    if (version < kBlobFileVersionLegacy || version > kBlobFileVersion) {
       return Status::InvalidArgument("unsupported blob file version " + std::to_string(version));
     }
     reader->version_ = version;
-    const size_t entry_bytes = version >= 2 ? kEntryBytesV2 : kEntryBytesV1;
+    const size_t entry_bytes = EntryBytes(version);
     std::vector<uint8_t> table(count * entry_bytes);
     PRISM_RETURN_IF_ERROR(probe.Read(16, table));
     reader->table_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       const uint8_t* at = table.data() + i * entry_bytes;
-      Entry entry;
+      BlobEntry entry;
       uint64_t offset = 0;
       uint64_t size = 0;
       std::memcpy(&offset, at, 8);
       std::memcpy(&size, at + 8, 8);
       entry.offset = static_cast<int64_t>(offset);
       entry.size = static_cast<int64_t>(size);
+      entry.stored_size = entry.size;
       if (version >= 2) {
         uint32_t precision = 0;
         std::memcpy(&precision, at + 16, 4);
@@ -121,6 +145,25 @@ Result<std::unique_ptr<BlobFileReader>> BlobFileReader::Open(const std::string& 
         }
         entry.precision = static_cast<Precision>(precision);
       }
+      if (version >= 3) {
+        uint64_t stored_size = 0;
+        uint32_t codec = 0;
+        std::memcpy(&stored_size, at + 24, 8);
+        std::memcpy(&codec, at + 32, 4);
+        std::memcpy(&entry.crc32c, at + 36, 4);
+        if (codec > kMaxBlobCodecTag) {
+          return Status::InvalidArgument("unknown codec tag " + std::to_string(codec) +
+                                         " for blob " + std::to_string(i) + " in " + path);
+        }
+        entry.stored_size = static_cast<int64_t>(stored_size);
+        entry.codec = static_cast<BlobCodec>(codec);
+        // A coded blob decodes in place, so it must fit in its decoded size.
+        if (entry.codec == BlobCodec::kRaw ? stored_size != size : stored_size > size) {
+          return Status::DataLoss("blob " + std::to_string(i) + " stores " +
+                                  std::to_string(stored_size) + " bytes for " +
+                                  std::to_string(size) + " decoded in " + path);
+        }
+      }
       reader->table_.push_back(entry);
     }
   }
@@ -130,6 +173,16 @@ Result<std::unique_ptr<BlobFileReader>> BlobFileReader::Open(const std::string& 
 int64_t BlobFileReader::BlobSize(size_t index) const {
   PRISM_CHECK_LT(index, table_.size());
   return table_[index].size;
+}
+
+int64_t BlobFileReader::BlobStoredSize(size_t index) const {
+  PRISM_CHECK_LT(index, table_.size());
+  return table_[index].stored_size;
+}
+
+BlobCodec BlobFileReader::BlobCodecOf(size_t index) const {
+  PRISM_CHECK_LT(index, table_.size());
+  return table_[index].codec;
 }
 
 Precision BlobFileReader::BlobPrecision(size_t index) const {
@@ -144,15 +197,26 @@ uint32_t BlobFileReader::BlobQuantGroup(size_t index) const {
 
 Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
   PRISM_CHECK_LT(index, table_.size());
-  const Entry& entry = table_[index];
+  const BlobEntry& entry = table_[index];
   PRISM_CHECK_EQ(static_cast<int64_t>(dest.size()), entry.size);
-  return ssd_->Read(entry.offset, dest);
+  const size_t stored_size = static_cast<size_t>(entry.stored_size);
+  const std::span<uint8_t> stored = dest.last(stored_size);
+  PRISM_RETURN_IF_ERROR(ssd_->Read(entry.offset, stored));
+  if (version_ >= 3 && blob_codec::Crc32c(stored) != entry.crc32c) {
+    return Status::DataLoss("blob " + std::to_string(index) + " fails its CRC32C in " +
+                            ssd_->path());
+  }
+  if (entry.codec == BlobCodec::kRaw) {
+    return Status::Ok();
+  }
+  return blob_codec::DecodeInPlace(entry.codec, dest, stored_size);
 }
 
 Status BlobFileReader::ReadBlobRange(size_t index, int64_t offset_in_blob,
                                      std::span<uint8_t> dest) {
   PRISM_CHECK_LT(index, table_.size());
-  const Entry& entry = table_[index];
+  const BlobEntry& entry = table_[index];
+  PRISM_CHECK(entry.codec == BlobCodec::kRaw);
   PRISM_CHECK_LE(offset_in_blob + static_cast<int64_t>(dest.size()), entry.size);
   return ssd_->Read(entry.offset + offset_in_blob, dest);
 }
@@ -160,7 +224,8 @@ Status BlobFileReader::ReadBlobRange(size_t index, int64_t offset_in_blob,
 Status BlobFileReader::ReadBlobRanges(
     size_t index, std::span<const std::pair<int64_t, std::span<uint8_t>>> ranges) {
   PRISM_CHECK_LT(index, table_.size());
-  const Entry& entry = table_[index];
+  const BlobEntry& entry = table_[index];
+  PRISM_CHECK(entry.codec == BlobCodec::kRaw);
   std::vector<std::pair<int64_t, std::span<uint8_t>>> absolute;
   absolute.reserve(ranges.size());
   for (const auto& [range_offset, dest] : ranges) {

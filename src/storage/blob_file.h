@@ -2,16 +2,20 @@
 //
 // Model checkpoints are laid out as a sequence of blobs (embedding table,
 // one blob per transformer layer, classifier head) so that the layer streamer
-// can fetch exactly one layer's bytes per request. Format v2 tags every blob
-// with its storage precision so checkpoints are self-describing:
+// can fetch exactly one layer's bytes per request. Format v3 tags every blob
+// with its storage precision, its codec and a checksum:
 //
 //   [magic u32][version u32][count u64]                          header
+//   v3: count × { offset u64, size u64, precision u32, group u32,
+//                 stored_size u64, codec u32, crc32c u32 }         table
 //   v2: count × { offset u64, size u64, precision u32, group u32 }  table
 //   v1: count × { offset u64, size u64 }                            table
 //   blob bytes ...                                                data
 //
-// v1 files (written before the precision axis existed) still open; their
-// blobs read as untagged (fp32, group 0).
+// `size` is always the decoded size. A v3 blob occupies `stored_size` bytes
+// on the device, coded with `codec` (src/storage/blob_codec.h), and `crc32c`
+// covers those stored bytes. v2 blobs are raw and unchecked; v1 files (written
+// before the precision axis existed) read as untagged (fp32, group 0).
 #ifndef PRISM_SRC_STORAGE_BLOB_FILE_H_
 #define PRISM_SRC_STORAGE_BLOB_FILE_H_
 
@@ -22,14 +26,27 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/storage/blob_codec.h"
 #include "src/storage/ssd.h"
 #include "src/tensor/quant.h"
 
 namespace prism {
 
 inline constexpr uint32_t kBlobFileMagic = 0x50524C42;  // "PRLB"
-inline constexpr uint32_t kBlobFileVersion = 2;
+inline constexpr uint32_t kBlobFileVersion = 3;
+inline constexpr uint32_t kBlobFileVersionV2 = 2;
 inline constexpr uint32_t kBlobFileVersionLegacy = 1;
+
+// One row of the blob table, as the v3 format stores it.
+struct BlobEntry {
+  int64_t offset = 0;
+  int64_t size = 0;  // Decoded bytes.
+  Precision precision = Precision::kFp32;
+  uint32_t quant_group = 0;
+  int64_t stored_size = 0;  // Bytes on the device.
+  BlobCodec codec = BlobCodec::kRaw;
+  uint32_t crc32c = 0;  // Of the stored bytes.
+};
 
 class BlobFileWriter {
  public:
@@ -38,24 +55,19 @@ class BlobFileWriter {
   explicit BlobFileWriter(const std::string& path);
 
   // Appends a blob; returns its index. The default overload tags the blob
-  // fp32 / group 0 (raw bytes, no quantisation metadata).
+  // fp32 / group 0 (raw bytes, no quantisation metadata). With a codec other
+  // than kRaw the blob is stored coded, unless coding would not shrink it.
   size_t AddBlob(std::span<const uint8_t> bytes);
-  size_t AddBlob(std::span<const uint8_t> bytes, Precision precision, uint32_t quant_group);
+  size_t AddBlob(std::span<const uint8_t> bytes, Precision precision, uint32_t quant_group,
+                 BlobCodec codec = BlobCodec::kRaw);
 
   // Writes the header + table. Must be called exactly once, after all blobs.
   Status Finish();
 
  private:
-  struct Entry {
-    int64_t offset = 0;
-    int64_t size = 0;
-    Precision precision = Precision::kFp32;
-    uint32_t quant_group = 0;
-  };
-
   std::string path_;
   std::unique_ptr<SimulatedSsd> ssd_;
-  std::vector<Entry> table_;
+  std::vector<BlobEntry> table_;
   std::vector<uint8_t> scratch_;  // Staged blob bytes until Finish.
   int64_t data_cursor_ = 0;
   bool finished_ = false;
@@ -67,9 +79,13 @@ class BlobFileReader {
   static Result<std::unique_ptr<BlobFileReader>> Open(const std::string& path, SsdConfig config);
 
   size_t blob_count() const { return table_.size(); }
+  // Decoded size: what ReadBlob delivers.
   int64_t BlobSize(size_t index) const;
+  // Bytes on the device: what ReadBlob reads and the device model charges.
+  int64_t BlobStoredSize(size_t index) const;
+  BlobCodec BlobCodecOf(size_t index) const;
 
-  // Format version of the opened file (kBlobFileVersion or the legacy 1).
+  // Format version of the opened file (kBlobFileVersion, 2, or the legacy 1).
   uint32_t version() const { return version_; }
   bool has_precision_tags() const { return version_ >= 2; }
 
@@ -80,13 +96,17 @@ class BlobFileReader {
   uint32_t BlobQuantGroup(size_t index) const;
 
   // Reads blob `index` fully into `dest` (must be exactly BlobSize bytes).
+  // The stored bytes land in the tail of `dest`, their CRC32C is checked (v3)
+  // and a coded blob is then decoded in place, so no staging buffer exists.
+  // A checksum mismatch or malformed coding returns kDataLoss.
   Status ReadBlob(size_t index, std::span<uint8_t> dest);
 
-  // Reads a byte range within blob `index` (for row-granular embedding-table
-  // fetches on cache miss, §4.4).
+  // Reads a byte range within raw blob `index` (for row-granular
+  // embedding-table fetches on cache miss, §4.4). Unchecked: the CRC covers
+  // the whole blob.
   Status ReadBlobRange(size_t index, int64_t offset_in_blob, std::span<uint8_t> dest);
 
-  // Scattered ranges within one blob as a single device request (§4.5's
+  // Scattered ranges within one raw blob as a single device request (§4.5's
   // batched unique-token load).
   Status ReadBlobRanges(size_t index,
                         std::span<const std::pair<int64_t, std::span<uint8_t>>> ranges);
@@ -94,17 +114,10 @@ class BlobFileReader {
   SimulatedSsd& ssd() { return *ssd_; }
 
  private:
-  struct Entry {
-    int64_t offset = 0;
-    int64_t size = 0;
-    Precision precision = Precision::kFp32;
-    uint32_t quant_group = 0;
-  };
-
   BlobFileReader() = default;
 
   std::unique_ptr<SimulatedSsd> ssd_;
-  std::vector<Entry> table_;
+  std::vector<BlobEntry> table_;
   uint32_t version_ = kBlobFileVersion;
 };
 

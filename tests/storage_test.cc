@@ -3,12 +3,15 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <iostream>
 #include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/timer.h"
+#include "src/model/synthetic.h"
 #include "src/model/weights.h"
+#include "src/storage/blob_codec.h"
 #include "src/storage/blob_file.h"
 #include "src/storage/hidden_spill.h"
 #include "src/storage/layer_streamer.h"
@@ -143,7 +146,7 @@ TEST(BlobFileTest, RejectsGarbageFile) {
   EXPECT_FALSE(reader.ok());
 }
 
-// --- v2 precision tags ----------------------------------------------------
+// --- precision tags (v2 and later) ---------------------------------------
 
 void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
   const size_t at = buf.size();
@@ -157,7 +160,7 @@ void PutU64(std::vector<uint8_t>& buf, uint64_t v) {
   std::memcpy(buf.data() + at, &v, 8);
 }
 
-TEST(BlobFileTest, V2RoundTripPreservesPrecisionTags) {
+TEST(BlobFileTest, RoundTripPreservesPrecisionTags) {
   TempFile file("blob_v2");
   const std::vector<uint8_t> untagged = RandomBytes(64, 40);
   const std::vector<uint8_t> tagged = RandomBytes(128, 41);
@@ -185,18 +188,24 @@ TEST(BlobFileTest, V2RoundTripPreservesPrecisionTags) {
   EXPECT_EQ(back, tagged);
 }
 
-// Hand-writes a format-v1 file: [magic][version=1][count] then 16-byte
-// {offset, size} entries — no precision column.
-void WriteV1File(const std::string& path, const std::vector<std::vector<uint8_t>>& blobs) {
+// Hand-writes a format-v1 or v2 file: [magic][version][count] then 16-byte
+// {offset, size} (v1) or 24-byte {offset, size, precision, group} (v2)
+// entries, all blobs raw fp32 / group 0.
+void WriteLegacyFile(const std::string& path, const std::vector<std::vector<uint8_t>>& blobs,
+                     uint32_t version) {
   std::vector<uint8_t> buf;
   PutU32(buf, kBlobFileMagic);
-  PutU32(buf, kBlobFileVersionLegacy);
+  PutU32(buf, version);
   PutU64(buf, blobs.size());
-  const size_t header = 16 + blobs.size() * 16;
-  uint64_t offset = header;
+  const size_t entry_bytes = version == kBlobFileVersionLegacy ? 16 : 24;
+  uint64_t offset = 16 + blobs.size() * entry_bytes;
   for (const auto& blob : blobs) {
     PutU64(buf, offset);
     PutU64(buf, blob.size());
+    if (version == kBlobFileVersionV2) {
+      PutU32(buf, static_cast<uint32_t>(Precision::kFp32));
+      PutU32(buf, 0);
+    }
     offset += blob.size();
   }
   for (const auto& blob : blobs) {
@@ -209,7 +218,7 @@ void WriteV1File(const std::string& path, const std::vector<std::vector<uint8_t>
 TEST(BlobFileTest, OpensLegacyV1Files) {
   TempFile file("blob_v1");
   const std::vector<std::vector<uint8_t>> blobs = {RandomBytes(48, 42), RandomBytes(200, 43)};
-  WriteV1File(file.path(), blobs);
+  WriteLegacyFile(file.path(), blobs, kBlobFileVersionLegacy);
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(reader.value()->version(), kBlobFileVersionLegacy);
@@ -283,6 +292,362 @@ TEST(BlobFileTest, RejectsUnknownPrecisionTag) {
   const auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --- BlobFile v3: exponent coding and checksums ---------------------------
+
+// Every decode path this host can run: portable always, SSE4.2 and AVX2
+// where supported. A path the CPU lacks is logged, not silently dropped.
+std::vector<const blob_codec::Kernels*> DecodePaths() {
+  std::vector<const blob_codec::Kernels*> paths = {&blob_codec::kPortable};
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("sse4.2")) {
+    paths.push_back(&blob_codec::kSse42);
+  } else {
+    std::cout << "[  SKIPPED ] sse4.2 decode path: CPU lacks SSE4.2\n";
+  }
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2")) {
+    paths.push_back(&blob_codec::kAvx2);
+  } else {
+    std::cout << "[  SKIPPED ] avx2 decode path: CPU lacks AVX2\n";
+  }
+#endif
+  return paths;
+}
+
+// `count` fp32 weights ~ N(0, 0.05²), one in eight replaced by a special bit
+// pattern: ±0, subnormals, ±inf, quiet and signalling NaNs with payloads,
+// the largest finite and smallest normal values.
+std::vector<uint8_t> Fp32Blob(size_t count, uint64_t seed) {
+  const uint32_t specials[] = {0x00000000u, 0x80000000u, 0x00000001u, 0x807FFFFFu, 0x00400000u,
+                               0x7F800000u, 0xFF800000u, 0x7FC00000u, 0x7FC12345u, 0xFFBFFFFFu,
+                               0x7F800001u, 0x7F7FFFFFu, 0x00800000u, 0x3F800000u};
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(count * 4);
+  for (size_t i = 0; i < count; ++i) {
+    uint32_t bits = specials[rng.NextBelow(std::size(specials))];
+    if (rng.NextBelow(8) != 0) {
+      const float v = 0.05f * static_cast<float>(rng.NextGaussian());
+      std::memcpy(&bits, &v, 4);
+    }
+    std::memcpy(bytes.data() + 4 * i, &bits, 4);
+  }
+  return bytes;
+}
+
+// The fp16 counterpart of Fp32Blob.
+std::vector<uint8_t> Fp16Blob(size_t count, uint64_t seed) {
+  const uint16_t specials[] = {0x0000, 0x8000, 0x0001, 0x83FF, 0x7C00, 0xFC00,
+                               0x7E00, 0x7E01, 0xFD55, 0x7BFF, 0x0400};
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(count * 2);
+  for (size_t i = 0; i < count; ++i) {
+    uint16_t bits = specials[rng.NextBelow(std::size(specials))];
+    if (rng.NextBelow(8) != 0) {
+      bits = Fp32ToFp16(0.05f * static_cast<float>(rng.NextGaussian()));
+    }
+    std::memcpy(bytes.data() + 2 * i, &bits, 2);
+  }
+  return bytes;
+}
+
+// Decodes `stored` in place, on `kernels`, in a `decoded_size` buffer whose
+// every byte starts as 0xFF (a NaN in both widths), so an element the decoder
+// fails to write shows.
+Status DecodePoisoned(BlobCodec codec, const std::vector<uint8_t>& stored, size_t decoded_size,
+                      const blob_codec::Kernels& kernels, std::vector<uint8_t>* out) {
+  out->assign(decoded_size, 0xFF);
+  std::copy(stored.begin(), stored.end(), out->end() - static_cast<ptrdiff_t>(stored.size()));
+  return blob_codec::DecodeInPlace(codec, *out, stored.size(), kernels);
+}
+
+TEST(BlobCodecTest, RoundTripsOnEveryDecodePathBitForBit) {
+  const size_t block = blob_codec::kBlockElements;
+  struct Case {
+    BlobCodec codec;
+    std::vector<uint8_t> blob;
+  };
+  // Whole blocks, partial last blocks, and a one-element last block (which
+  // cannot shrink, so it is stored verbatim inside a coded blob).
+  std::vector<Case> cases;
+  uint64_t seed = 300;
+  for (const size_t n : {size_t{1000}, block, block + 1, 3 * block + 1000}) {
+    cases.push_back({BlobCodec::kExp32, Fp32Blob(n, ++seed)});
+  }
+  for (const size_t n : {size_t{2000}, block, 2 * block + 17}) {
+    cases.push_back({BlobCodec::kExp16, Fp16Blob(n, ++seed)});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "codec=" << static_cast<int>(c.codec)
+                                      << " bytes=" << c.blob.size());
+    const auto stored = blob_codec::Encode(c.codec, c.blob);
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_LT(stored->size(), c.blob.size());
+    for (const blob_codec::Kernels* kernels : DecodePaths()) {
+      SCOPED_TRACE(kernels->name);
+      std::vector<uint8_t> out;
+      ASSERT_TRUE(DecodePoisoned(c.codec, *stored, c.blob.size(), *kernels, &out).ok());
+      EXPECT_EQ(std::memcmp(out.data(), c.blob.data(), c.blob.size()), 0);
+    }
+  }
+}
+
+TEST(BlobCodecTest, SingleExponentBlobRoundTrips) {
+  // Every value in [1, 2): one exponent, so the code has one used symbol.
+  Rng rng(310);
+  std::vector<uint8_t> blob(5000 * 4);
+  for (size_t i = 0; i < 5000; ++i) {
+    const uint32_t bits = 0x3F800000u | static_cast<uint32_t>(rng.NextBelow(1u << 23));
+    std::memcpy(blob.data() + 4 * i, &bits, 4);
+  }
+  const auto stored = blob_codec::Encode(BlobCodec::kExp32, blob);
+  ASSERT_TRUE(stored.has_value());
+  EXPECT_LT(stored->size(), blob.size() * 8 / 10);  // 3 raw bytes + 1 bit per element.
+  for (const blob_codec::Kernels* kernels : DecodePaths()) {
+    SCOPED_TRACE(kernels->name);
+    std::vector<uint8_t> out;
+    ASSERT_TRUE(DecodePoisoned(BlobCodec::kExp32, *stored, blob.size(), *kernels, &out).ok());
+    EXPECT_EQ(out, blob);
+  }
+}
+
+TEST(BlobCodecTest, BlobsThatCannotShrinkStayRaw) {
+  EXPECT_FALSE(blob_codec::Encode(BlobCodec::kExp32, Fp32Blob(1, 320)).has_value());
+  EXPECT_FALSE(blob_codec::Encode(BlobCodec::kExp16, Fp16Blob(1, 321)).has_value());
+  EXPECT_FALSE(blob_codec::Encode(BlobCodec::kExp32, RandomBytes(40001, 322)).has_value());
+  EXPECT_FALSE(blob_codec::Encode(BlobCodec::kExp32, RandomBytes(40000, 323)).has_value());
+
+  // Through the writer, a one-element float blob falls back to raw and
+  // still round-trips.
+  TempFile file("blob_one");
+  const std::vector<uint8_t> one = Fp32Blob(1, 324);
+  {
+    BlobFileWriter writer(file.path());
+    writer.AddBlob(one, Precision::kFp32, 0, BlobCodec::kExp32);
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.value()->BlobCodecOf(0), BlobCodec::kRaw);
+  std::vector<uint8_t> back(one.size());
+  ASSERT_TRUE(reader.value()->ReadBlob(0, back).ok());
+  EXPECT_EQ(back, one);
+}
+
+TEST(BlobCodecTest, Crc32cMatchesKnownAnswerOnEveryPath) {
+  const std::string check = "123456789";
+  const std::vector<uint8_t> bytes = RandomBytes(70001, 330);
+  for (const blob_codec::Kernels* kernels : DecodePaths()) {
+    SCOPED_TRACE(kernels->name);
+    EXPECT_EQ(kernels->crc32c(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+              0xE3069283u);
+    EXPECT_EQ(kernels->crc32c(bytes.data(), 0), 0u);
+    // Lengths around the three-way chunk sizes, at unaligned starts.
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{767}, size_t{768}, size_t{24576},
+                           size_t{24577}, size_t{69993}}) {
+      for (const size_t start : {size_t{0}, size_t{3}}) {
+        EXPECT_EQ(kernels->crc32c(bytes.data() + start, n),
+                  blob_codec::kPortable.crc32c(bytes.data() + start, n))
+            << "n=" << n << " start=" << start;
+      }
+    }
+  }
+}
+
+TEST(BlobCodecTest, MalformedInputReturnsDataLoss) {
+  const std::vector<uint8_t> blob = Fp32Blob(3 * blob_codec::kBlockElements + 500, 340);
+  const std::vector<uint8_t> stored = blob_codec::Encode(BlobCodec::kExp32, blob).value();
+  std::vector<uint8_t> out;
+  for (const blob_codec::Kernels* kernels : DecodePaths()) {
+    SCOPED_TRACE(kernels->name);
+    // A code length over 12 bits: byte 0 packs the lengths of symbols 0, 1.
+    std::vector<uint8_t> bad = stored;
+    bad[0] = 0xFF;
+    EXPECT_EQ(DecodePoisoned(BlobCodec::kExp32, bad, blob.size(), *kernels, &out).code(),
+              StatusCode::kDataLoss);
+    // Lengths that are not a complete prefix code: drop the most common
+    // exponent (0x7A, around 0.05) from the code.
+    bad = stored;
+    bad[0x7A / 2] &= 0xF0;
+    EXPECT_EQ(DecodePoisoned(BlobCodec::kExp32, bad, blob.size(), *kernels, &out).code(),
+              StatusCode::kDataLoss);
+    // A truncated stored size no longer matches the block table.
+    bad.assign(stored.begin() + 1, stored.end());
+    EXPECT_EQ(DecodePoisoned(BlobCodec::kExp32, bad, blob.size(), *kernels, &out).code(),
+              StatusCode::kDataLoss);
+    // A block claiming more bytes than it decodes to.
+    bad = stored;
+    bad[128] = 0xFF;
+    bad[129] = 0xFF;
+    EXPECT_EQ(DecodePoisoned(BlobCodec::kExp32, bad, blob.size(), *kernels, &out).code(),
+              StatusCode::kDataLoss);
+  }
+}
+
+TEST(BlobCodecTest, MutatedInputNeverEscapesItsBuffer) {
+  // Seeded single-byte corruptions anywhere in the stored bytes, run without
+  // the CRC in front: each decode returns OK (wrong bytes, which the CRC
+  // would have caught) or kDataLoss, and never touches memory outside the
+  // buffer (the ASan lane checks that).
+  struct Case {
+    BlobCodec codec;
+    std::vector<uint8_t> blob;
+  };
+  const Case cases[] = {{BlobCodec::kExp32, Fp32Blob(2 * blob_codec::kBlockElements + 9, 350)},
+                        {BlobCodec::kExp16, Fp16Blob(blob_codec::kBlockElements + 700, 351)}};
+  Rng rng(352);
+  std::vector<uint8_t> out;
+  for (const Case& c : cases) {
+    const std::vector<uint8_t> stored = blob_codec::Encode(c.codec, c.blob).value();
+    for (const blob_codec::Kernels* kernels : DecodePaths()) {
+      for (int trial = 0; trial < 300; ++trial) {
+        std::vector<uint8_t> bad = stored;
+        // Half the trials hit the length and block tables, where a flip
+        // changes the structure rather than one element.
+        const size_t at = trial % 2 == 0 ? rng.NextBelow(128 + 8) : rng.NextBelow(bad.size());
+        bad[at] ^= static_cast<uint8_t>(1 + rng.NextBelow(255));
+        const Status status = DecodePoisoned(c.codec, bad, c.blob.size(), *kernels, &out);
+        EXPECT_TRUE(status.ok() || status.code() == StatusCode::kDataLoss) << status.ToString();
+      }
+    }
+  }
+}
+
+// v3 header (16 B) then one 40-byte entry: blob 0's stored bytes start at 56.
+constexpr int64_t kV3OneBlobDataOffset = 16 + 40;
+
+// Writes a v3 file holding one exponent-coded fp32 blob.
+std::vector<uint8_t> WriteOneCodedBlob(const std::string& path) {
+  const std::vector<uint8_t> blob = Fp32Blob(20000, 360);
+  BlobFileWriter writer(path);
+  writer.AddBlob(blob, Precision::kFp32, 0, BlobCodec::kExp32);
+  EXPECT_TRUE(writer.Finish().ok());
+  return blob;
+}
+
+TEST(BlobFileTest, V3ReadChecksAndDecodesStoredBytes) {
+  TempFile file("blob_v3");
+  const std::vector<uint8_t> blob = WriteOneCodedBlob(file.path());
+  auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(reader.value()->version(), kBlobFileVersion);
+  EXPECT_EQ(reader.value()->BlobCodecOf(0), BlobCodec::kExp32);
+  EXPECT_EQ(reader.value()->BlobSize(0), static_cast<int64_t>(blob.size()));
+  const int64_t stored = reader.value()->BlobStoredSize(0);
+  EXPECT_LT(stored, reader.value()->BlobSize(0) * 85 / 100);
+  std::vector<uint8_t> back(blob.size(), 0xFF);
+  ASSERT_TRUE(reader.value()->ReadBlob(0, back).ok());
+  EXPECT_EQ(back, blob);
+  // The device is charged the stored bytes, not the decoded ones.
+  EXPECT_EQ(reader.value()->ssd().stats().bytes_read, stored);
+}
+
+TEST(BlobFileTest, V3CorruptionReturnsDataLoss) {
+  TempFile file("blob_v3_bad");
+  const std::vector<uint8_t> blob = WriteOneCodedBlob(file.path());
+  const auto read_status = [&] {
+    auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+    EXPECT_TRUE(reader.ok());
+    std::vector<uint8_t> back(blob.size());
+    return reader.value()->ReadBlob(0, back);
+  };
+  SimulatedSsd ssd(file.path(), Unthrottled());
+  const auto patch = [&](int64_t offset, std::span<const uint8_t> bytes) {
+    ASSERT_TRUE(ssd.Write(offset, bytes).ok());
+  };
+  std::vector<uint8_t> stored(static_cast<size_t>(ssd.SizeBytes() - kV3OneBlobDataOffset));
+  ASSERT_TRUE(ssd.Read(kV3OneBlobDataOffset, stored).ok());
+
+  // A flipped stored byte fails the checksum.
+  const uint8_t flipped[] = {static_cast<uint8_t>(stored[5000] ^ 0x10)};
+  patch(kV3OneBlobDataOffset + 5000, flipped);
+  EXPECT_EQ(read_status().code(), StatusCode::kDataLoss);
+  patch(kV3OneBlobDataOffset, stored);
+  ASSERT_TRUE(read_status().ok());
+
+  // A truncated stored size (entry field at 16 + 24) reads the wrong range.
+  std::vector<uint8_t> size_field;
+  PutU64(size_field, stored.size() - 1);
+  patch(16 + 24, size_field);
+  EXPECT_EQ(read_status().code(), StatusCode::kDataLoss);
+  size_field.clear();
+  PutU64(size_field, stored.size());
+  patch(16 + 24, size_field);
+  ASSERT_TRUE(read_status().ok());
+
+  // A bad length table under a matching checksum (entry field at 16 + 36)
+  // reaches the decoder, which rejects it.
+  std::vector<uint8_t> bad = stored;
+  bad[0] = 0xFF;
+  patch(kV3OneBlobDataOffset, bad);
+  std::vector<uint8_t> crc_field;
+  PutU32(crc_field, blob_codec::Crc32c(bad));
+  patch(16 + 36, crc_field);
+  EXPECT_EQ(read_status().code(), StatusCode::kDataLoss);
+}
+
+TEST(BlobFileTest, V2AndV3FilesOfTheSameBlobsReadBitIdentical) {
+  const std::vector<std::vector<uint8_t>> blobs = {Fp32Blob(30000, 370), Fp16Blob(9000, 371),
+                                                   RandomBytes(777, 372)};
+  const BlobCodec codecs[] = {BlobCodec::kExp32, BlobCodec::kExp16, BlobCodec::kRaw};
+  TempFile v2_file("blob_same_v2");
+  TempFile v3_file("blob_same_v3");
+  WriteLegacyFile(v2_file.path(), blobs, kBlobFileVersionV2);
+  {
+    BlobFileWriter writer(v3_file.path());
+    for (size_t i = 0; i < blobs.size(); ++i) {
+      writer.AddBlob(blobs[i], Precision::kFp32, 0, codecs[i]);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto v2 = BlobFileReader::Open(v2_file.path(), Unthrottled());
+  auto v3 = BlobFileReader::Open(v3_file.path(), Unthrottled());
+  ASSERT_TRUE(v2.ok());
+  ASSERT_TRUE(v3.ok());
+  EXPECT_EQ(v2.value()->version(), kBlobFileVersionV2);
+  EXPECT_EQ(v3.value()->version(), kBlobFileVersion);
+  for (size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(v2.value()->BlobCodecOf(i), BlobCodec::kRaw);
+    EXPECT_EQ(v2.value()->BlobStoredSize(i), v2.value()->BlobSize(i));
+    EXPECT_EQ(v3.value()->BlobCodecOf(i), codecs[i]);
+    EXPECT_EQ(v3.value()->BlobSize(i), v2.value()->BlobSize(i));
+    std::vector<uint8_t> a(blobs[i].size());
+    std::vector<uint8_t> b(blobs[i].size());
+    ASSERT_TRUE(v2.value()->ReadBlob(i, a).ok());
+    ASSERT_TRUE(v3.value()->ReadBlob(i, b).ok());
+    EXPECT_EQ(a, blobs[i]);
+    EXPECT_EQ(b, blobs[i]);
+  }
+}
+
+TEST(BlobFileTest, GeneratedCheckpointsCodeFloatLayersOnly) {
+  const ModelConfig config = TestModel();
+  const struct {
+    Precision precision;
+    BlobCodec layer_codec;
+  } tiers[] = {{Precision::kFp32, BlobCodec::kExp32},
+               {Precision::kFp16, BlobCodec::kExp16},
+               {Precision::kInt8, BlobCodec::kRaw},
+               {Precision::kW4, BlobCodec::kRaw}};
+  for (const auto& tier : tiers) {
+    SCOPED_TRACE(PrecisionName(tier.precision));
+    TempFile file("ckpt_codec");
+    ASSERT_TRUE(GenerateCheckpoint(config, 7, file.path(), tier.precision).ok());
+    auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+    ASSERT_TRUE(reader.ok());
+    // The embedding table is read by row range, so it and the head stay raw.
+    EXPECT_EQ(reader.value()->BlobCodecOf(EmbeddingBlobIndex()), BlobCodec::kRaw);
+    EXPECT_EQ(reader.value()->BlobCodecOf(HeadBlobIndex(config)), BlobCodec::kRaw);
+    for (size_t layer = 0; layer < config.n_layers; ++layer) {
+      const size_t index = LayerBlobIndex(layer);
+      EXPECT_EQ(reader.value()->BlobCodecOf(index), tier.layer_codec);
+      EXPECT_EQ(reader.value()->BlobSize(index),
+                static_cast<int64_t>(LayerBlobBytes(config, tier.precision)));
+      std::vector<uint8_t> blob(static_cast<size_t>(reader.value()->BlobSize(index)));
+      EXPECT_TRUE(reader.value()->ReadBlob(index, blob).ok());
+    }
+    EXPECT_TRUE(ValidateCheckpoint(*reader.value(), config, tier.precision).ok());
+  }
 }
 
 // --- checkpoint-level validation ------------------------------------------
@@ -362,7 +727,7 @@ TEST(CheckpointValidationTest, LegacyV1CheckpointValidatesAsFp32) {
     blobs.push_back(RandomBytes(LayerBlobBytes(config, Precision::kFp32), 63 + layer));
   }
   blobs.push_back(RandomBytes(config.HeadBlobBytes(), 70));
-  WriteV1File(file.path(), blobs);
+  WriteLegacyFile(file.path(), blobs, kBlobFileVersionLegacy);
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE(ValidateCheckpoint(*reader.value(), config, Precision::kFp32).ok());
@@ -401,6 +766,42 @@ TEST_F(StreamerTest, DeliversBlobsInOrder) {
     streamer.Release(i);
   }
   EXPECT_EQ(streamer.stats().blobs_loaded, 6);
+}
+
+TEST(StreamerCodecTest, PrefetchDeliversDecodedBytesOfCodedBlobs) {
+  TempFile file("streamer_coded");
+  std::vector<std::vector<uint8_t>> blobs;
+  {
+    BlobFileWriter writer(file.path());
+    for (size_t i = 0; i < 4; ++i) {
+      blobs.push_back(Fp32Blob(6000 + 333 * i, 380 + i));
+      writer.AddBlob(blobs.back(), Precision::kFp32, 0, BlobCodec::kExp32);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+  }
+  auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  int64_t decoded = 0;
+  int64_t stored = 0;
+  MemoryTracker tracker;
+  {
+    LayerStreamer streamer(reader.value().get(), {0, 1, 2, 3}, 2, &tracker);
+    for (size_t i = 0; i < blobs.size(); ++i) {
+      const auto bytes = streamer.Acquire(i);
+      ASSERT_EQ(bytes.size(), blobs[i].size());
+      EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), blobs[i].begin()));
+      // The buffer is the decoded size: no staging copy beside it.
+      EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights),
+                2 * static_cast<int64_t>(blobs.back().size()));
+      streamer.Release(i);
+      decoded += reader.value()->BlobSize(i);
+      stored += reader.value()->BlobStoredSize(i);
+    }
+    // Streamed bytes keep their decoded meaning; the device saw stored bytes.
+    EXPECT_EQ(streamer.stats().bytes_loaded, decoded);
+  }
+  EXPECT_EQ(reader.value()->ssd().stats().bytes_read, stored);
+  EXPECT_LT(stored, decoded);
 }
 
 TEST_F(StreamerTest, AtMostTwoBlobsResident) {
