@@ -116,71 +116,11 @@ uint32_t Crc32cPortable(const uint8_t* data, size_t n) {
   return ~c;
 }
 
-// Shifting a CRC over `len` zero bytes is linear over GF(2): ZeroShift
-// tabulates that map byte by byte, so three CRCs of adjacent chunks computed
-// side by side combine as crc(A‖B) = Shift_len(B)(crc(A)) ^ crc(B).
-struct ZeroShift {
-  std::array<std::array<uint32_t, 256>, 4> table{};
-
-  constexpr explicit ZeroShift(size_t len) {
-    // op[i]: the image of register bit i after `len` zero bytes.
-    std::array<uint32_t, 32> op{};
-    for (int i = 0; i < 32; ++i) {
-      uint32_t c = 1u << i;
-      for (size_t byte = 0; byte < len; ++byte) {
-        c = kCrcTable[c & 0xFFu] ^ (c >> 8);
-      }
-      op[i] = c;
-    }
-    for (int byte = 0; byte < 4; ++byte) {
-      for (uint32_t v = 0; v < 256; ++v) {
-        for (int bit = 0; bit < 8; ++bit) {
-          table[byte][v] ^= ((v >> bit) & 1u) != 0 ? op[8 * byte + bit] : 0;
-        }
-      }
-    }
-  }
-
-  uint32_t operator()(uint32_t crc) const {
-    return table[0][crc & 0xFFu] ^ table[1][(crc >> 8) & 0xFFu] ^ table[2][(crc >> 16) & 0xFFu] ^
-           table[3][crc >> 24];
-  }
-};
-
-#if defined(__x86_64__)
-constexpr size_t kLongChunk = 8192;
-constexpr size_t kShortChunk = 256;
-constexpr ZeroShift kLongShift(kLongChunk);
-constexpr ZeroShift kShortShift(kShortChunk);
-
-// One crc32 instruction has a 3-cycle latency and 1-cycle throughput, so
-// three independent chunks in flight run the unit at full rate.
-__attribute__((target("sse4.2"))) uint64_t Crc32cThreeWay(uint64_t crc, size_t chunk,
-                                                           const ZeroShift& shift,
-                                                           const uint8_t*& data, size_t& n) {
-  while (n >= 3 * chunk) {
-    uint64_t crc1 = 0;
-    uint64_t crc2 = 0;
-    for (size_t i = 0; i < chunk; i += 8) {
-      crc = _mm_crc32_u64(crc, LoadU64(data + i));
-      crc1 = _mm_crc32_u64(crc1, LoadU64(data + chunk + i));
-      crc2 = _mm_crc32_u64(crc2, LoadU64(data + 2 * chunk + i));
-    }
-    crc = shift(static_cast<uint32_t>(crc)) ^ crc1;
-    crc = shift(static_cast<uint32_t>(crc)) ^ crc2;
-    data += 3 * chunk;
-    n -= 3 * chunk;
-  }
-  return crc;
-}
-#endif
-
 #if defined(__x86_64__) || defined(__i386__)
 __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const uint8_t* data, size_t n) {
   uint32_t c = ~0u;
 #if defined(__x86_64__)
-  uint64_t wide = Crc32cThreeWay(c, kLongChunk, kLongShift, data, n);
-  wide = Crc32cThreeWay(wide, kShortChunk, kShortShift, data, n);
+  uint64_t wide = c;
   for (; n >= 8; data += 8, n -= 8) {
     wide = _mm_crc32_u64(wide, LoadU64(data));
   }
@@ -485,16 +425,13 @@ bool DecodeStreams(const std::array<BitReader, kStreams>& streams, uint8_t* symb
 const Kernels kPortable = {"portable", MergeExp32Portable, MergeExp16Portable, Crc32cPortable};
 
 #if defined(__x86_64__) || defined(__i386__)
-const Kernels kSse42 = {"sse4.2", MergeExp32Portable, MergeExp16Portable, Crc32cSse42};
 const Kernels kAvx2 = {"avx2", MergeExp32Avx2, MergeExp16Avx2, Crc32cSse42};
 #endif
 
 const Kernels& Selected() {
 #if defined(__x86_64__) || defined(__i386__)
   static const Kernels& kernels =
-      !__builtin_cpu_supports("sse4.2") ? kPortable
-      : __builtin_cpu_supports("avx2")  ? kAvx2
-                                        : kSse42;
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2") ? kAvx2 : kPortable;
   return kernels;
 #else
   return kPortable;

@@ -84,16 +84,13 @@ struct Kernels {
 extern const Kernels kPortable;
 
 #if defined(__x86_64__) || defined(__i386__)
-// Portable merges with the SSE4.2 crc32 instruction. Use only when the CPU
-// has SSE4.2.
-extern const Kernels kSse42;
 // AVX2 merges with the SSE4.2 crc32 instruction. Use only when the CPU has
 // AVX2 and SSE4.2.
 extern const Kernels kAvx2;
 #endif
 
-// The fastest kernels this CPU runs (kAvx2, then kSse42, else kPortable).
-// Chosen once per process. Every set produces identical bits.
+// The fastest kernels this CPU runs: kAvx2 where the CPU has AVX2 and
+// SSE4.2, else kPortable. Chosen once per process. Every set produces identical bits.
 const Kernels& Selected();
 
 // CRC32C of `bytes` on the selected kernels.

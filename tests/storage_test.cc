@@ -296,20 +296,16 @@ TEST(BlobFileTest, RejectsUnknownPrecisionTag) {
 
 // --- BlobFile v3: exponent coding and checksums ---------------------------
 
-// Every decode path this host can run: portable always, SSE4.2 and AVX2
-// where supported. A path the CPU lacks is logged, not silently dropped.
+// Every decode path this host can run: portable always, AVX2 (with the
+// SSE4.2 CRC) where supported. A path the CPU lacks is logged, not silently
+// dropped.
 std::vector<const blob_codec::Kernels*> DecodePaths() {
   std::vector<const blob_codec::Kernels*> paths = {&blob_codec::kPortable};
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("sse4.2")) {
-    paths.push_back(&blob_codec::kSse42);
-  } else {
-    std::cout << "[  SKIPPED ] sse4.2 decode path: CPU lacks SSE4.2\n";
-  }
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2")) {
     paths.push_back(&blob_codec::kAvx2);
   } else {
-    std::cout << "[  SKIPPED ] avx2 decode path: CPU lacks AVX2\n";
+    std::cout << "[  SKIPPED ] avx2 decode path: CPU lacks AVX2 or SSE4.2\n";
   }
 #endif
   return paths;
@@ -442,8 +438,8 @@ TEST(BlobCodecTest, Crc32cMatchesKnownAnswerOnEveryPath) {
     EXPECT_EQ(kernels->crc32c(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
               0xE3069283u);
     EXPECT_EQ(kernels->crc32c(bytes.data(), 0), 0u);
-    // Lengths around the three-way chunk sizes, at unaligned starts.
-    for (const size_t n : {size_t{1}, size_t{7}, size_t{767}, size_t{768}, size_t{24576},
+    // Lengths on and off the 8-byte word, at unaligned starts.
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{8}, size_t{767}, size_t{768},
                            size_t{24577}, size_t{69993}}) {
       for (const size_t start : {size_t{0}, size_t{3}}) {
         EXPECT_EQ(kernels->crc32c(bytes.data() + start, n),
