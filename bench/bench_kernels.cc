@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/core/cluster.h"
 #include "src/model/config.h"
 #include "src/model/layer.h"
@@ -173,12 +175,15 @@ std::vector<uint8_t> RandomLayerBlob(const ModelConfig& config, Precision precis
   return blob;
 }
 
-// One 0.6B-proxy layer forward over 5 candidates × 64 tokens at the storage
-// precision given as the argument: GEMMs, attention, softmax, SwiGLU, norms.
+// One 0.6B-proxy layer forward over 16 candidates × 64 tokens, at the
+// storage precision and LayerForward thread count given as the arguments:
+// GEMMs, attention, softmax, SwiGLU, norms. One thread is the serial path (no
+// pool); more split the candidates into that many blocks on a pool.
 void BM_LayerForward(benchmark::State& state) {
   const auto precision = static_cast<Precision>(state.range(0));
+  const auto threads = static_cast<size_t>(state.range(1));
   const ModelConfig config = Qwen3Reranker0_6B();
-  constexpr size_t kCandidates = 5;
+  constexpr size_t kCandidates = 16;
   const size_t seq_len = config.max_seq;
   const size_t rows = kCandidates * seq_len;
   const std::vector<uint8_t> blob = RandomLayerBlob(config, precision);
@@ -186,18 +191,23 @@ void BM_LayerForward(benchmark::State& state) {
   MemoryTracker tracker;
   const Tensor input = RandomTensor(rows, config.hidden, 30, &tracker);
   Tensor hidden(rows, config.hidden, MemCategory::kScratch, &tracker);
-  LayerScratch scratch = LayerScratch::Make(config, rows, seq_len, &tracker);
+  LayerScratch scratch = LayerScratch::Make(config, rows, seq_len, threads, &tracker);
+  const std::unique_ptr<ThreadPool> pool =
+      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   for (auto _ : state) {
     std::copy_n(input.data(), input.size(), hidden.data());
-    LayerForward(config, view, seq_len, &hidden, &scratch);
+    LayerForward(config, view, seq_len, &hidden, &scratch, pool.get());
     benchmark::DoNotOptimize(hidden.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(PrecisionName(precision));
+  state.SetLabel(std::string(PrecisionName(precision)) + " threads=" + std::to_string(threads));
 }
 BENCHMARK(BM_LayerForward)
-    ->Arg(static_cast<int64_t>(Precision::kFp32))
-    ->Arg(static_cast<int64_t>(Precision::kInt8));
+    ->Args({static_cast<int64_t>(Precision::kFp32), 1})
+    ->Args({static_cast<int64_t>(Precision::kFp32), 4})
+    ->Args({static_cast<int64_t>(Precision::kInt8), 1})
+    ->Args({static_cast<int64_t>(Precision::kInt8), 4})
+    ->UseRealTime();
 
 // What BlobFileReader::ReadBlob does to one coded 0.6B-proxy layer blob after
 // the device read, on the selected kernels: the CRC32C of the stored bytes

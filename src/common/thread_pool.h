@@ -2,8 +2,11 @@
 //
 // PRISM separates compute from I/O: the compute path runs on the caller's
 // thread while weight prefetch / hidden-state spill run on pool workers (the
-// C++ analogue of the paper's dedicated I/O process, §5). The pool is also
-// used by ParallelFor to split large GEMMs when more than one core exists.
+// C++ analogue of the paper's dedicated I/O process, §5). The carousel's
+// compute pool uses ParallelFor to split one chunk's layer into contiguous
+// candidate blocks (LayerForward), and to embed a boundary's joiners side by
+// side. ParallelFor waits on the pool's workers, so it must never be called
+// from inside one of the same pool's tasks.
 #ifndef PRISM_SRC_COMMON_THREAD_POOL_H_
 #define PRISM_SRC_COMMON_THREAD_POOL_H_
 

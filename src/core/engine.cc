@@ -49,7 +49,9 @@ class PrismCarouselTicket final : public CarouselTicket {
 // pass. A malformed request gets a ticket that is done at admission, is
 // never stepped, is charged nothing, and reports its kInvalidArgument
 // status from TakeResult. Confined to one driver thread — only admission's
-// embed fan-out and Step's compute fan-out are parallel.
+// embed fan-out and Step's candidate-block fan-out inside LayerForward are
+// parallel. A request planned without a pool (Admit) holds one attention
+// tile, so its LayerForward runs one block even when Step passes a pool.
 class PrismCarouselPass final : public CarouselPass {
  public:
   PrismCarouselPass(PrismEngine* engine, bool cyclic) : engine_(engine), cyclic_(cyclic) {
@@ -81,8 +83,9 @@ class PrismCarouselPass final : public CarouselPass {
     std::vector<std::unique_ptr<PrismCarouselTicket>> planned;
     std::vector<RequestContext*> boarding;
     planned.reserve(requests.size());
+    const size_t fan_out = compute_pool != nullptr ? compute_pool->num_threads() : 1;
     for (const RerankRequest* request : requests) {
-      planned.push_back(PlanTicket(*request));
+      planned.push_back(PlanTicket(*request, fan_out));
       if (!planned.back()->done()) {
         boarding.push_back(&planned.back()->ctx());
       }
@@ -204,9 +207,11 @@ class PrismCarouselPass final : public CarouselPass {
                                         /*buffer_count=*/2, engine_->tracker_, cyclic_);
   }
 
-  // Validates and plans one request. A malformed one fails alone, before any
-  // engine work: its ticket is done at once and never boards.
-  std::unique_ptr<PrismCarouselTicket> PlanTicket(const RerankRequest& request) {
+  // Validates and plans one request for a LayerForward fan-out of
+  // `fan_out` blocks. A malformed one fails alone, before any engine work:
+  // its ticket is done at once and never boards.
+  std::unique_ptr<PrismCarouselTicket> PlanTicket(const RerankRequest& request,
+                                                  size_t fan_out) {
     auto ticket = std::make_unique<PrismCarouselTicket>(
         this, request, engine_->next_request_id_.fetch_add(1, std::memory_order_relaxed));
     RequestContext& ctx = ticket->ctx();
@@ -219,7 +224,7 @@ class PrismCarouselPass final : public CarouselPass {
     ctx.pruner_options.prune_winners = engine_->options_.prune_winners;
     ctx.pruner_options.kmeans_max_k = engine_->options_.kmeans_max_k;
     ctx.pruner_options.seed = engine_->options_.seed;
-    engine_->planner_->Begin(&ctx);
+    engine_->planner_->Begin(&ctx, fan_out);
     return ticket;
   }
 

@@ -24,25 +24,27 @@ RerankResult MakeShedResult(double deadline_ms, double waited_ms) {
 RerankResult SerialScheduler::Submit(const RerankRequest& request) {
   const double arrived_ms = clock_->NowMs();
   mu_.Lock();
-  while (busy_) {
+  const uint64_t ticket = next_ticket_++;
+  while (now_serving_ != ticket) {
     cv_->Wait(mu_);
   }
   // The budget covers time spent queueing for the runner: if it ran out
   // while other requests held it, answer cheaply instead of running.
   const double waited_ms = clock_->NowMs() - arrived_ms;
   if (request.deadline_ms > 0.0 && waited_ms >= request.deadline_ms) {
+    ++now_serving_;  // Pass the turn on to the next ticket.
     mu_.Unlock();
-    cv_->NotifyOne();  // Hand the turn we were woken for to the next waiter.
+    cv_->NotifyAll();
     return MakeShedResult(request.deadline_ms, waited_ms);
   }
-  busy_ = true;
   mu_.Unlock();
   RerankResult result = runner_->Rerank(request);
   result.stats.queue_wait_ms = waited_ms;
   mu_.Lock();
-  busy_ = false;
+  ++now_serving_;
   mu_.Unlock();
-  cv_->NotifyOne();
+  // Every waiter re-checks its own ticket; only the next one proceeds.
+  cv_->NotifyAll();
   return result;
 }
 

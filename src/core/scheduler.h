@@ -3,7 +3,7 @@
 // A Scheduler decides how concurrent Rerank calls reach the engine:
 //
 //   SerialScheduler  — one request at a time through a Runner (the original
-//                      behaviour; callers queue for a busy flag). Required
+//                      behaviour; callers queue FIFO by ticket). Required
 //                      when the runner is stateful, e.g. the
 //                      OnlineCalibrator. Deadlines are honoured at dispatch:
 //                      a request whose budget expired while waiting its turn
@@ -14,8 +14,9 @@
 //                      that never ends while traffic flows. Each layer's
 //                      weights are fetched once for every resident request
 //                      (the paper's §3.3 global view extended across
-//                      requests) and per-request compute fans out on a
-//                      worker pool. At each arriving layer k it forwards
+//                      requests), and each request's layer splits by
+//                      candidate blocks across a worker pool. At each
+//                      arriving layer k it forwards
 //                      every resident request whose next-needed layer is k;
 //                      new requests are admitted at the next layer-0
 //                      boundary (worst-case wait one cycle), and a request
@@ -79,9 +80,12 @@ class Scheduler {
 // queue wait.
 RerankResult MakeShedResult(double deadline_ms, double waited_ms);
 
-// One-at-a-time pass-through to a Runner: callers queue on a busy flag
-// (clock-aware, so waiters are visible to a SimClock) and are dispatched
-// FIFO by arrival at the flag.
+// One-at-a-time pass-through to a Runner: each caller takes a ticket on
+// arrival and runs when the ticket is being served (clock-aware waits, so
+// waiters are visible to a SimClock). The handoff is strict FIFO: a caller
+// that just finished and submits again queues behind every waiter instead
+// of re-taking a free flag before the waiter it woke can run, so closed-loop
+// clients are served round-robin. A shed request passes its turn on.
 class SerialScheduler : public Scheduler {
  public:
   explicit SerialScheduler(Runner* runner, Clock* clock = nullptr)
@@ -95,7 +99,8 @@ class SerialScheduler : public Scheduler {
   Clock* clock_;
   std::unique_ptr<ClockCondVar> cv_;
   Mutex mu_;
-  bool busy_ PRISM_GUARDED_BY(mu_) = false;
+  uint64_t next_ticket_ PRISM_GUARDED_BY(mu_) = 0;  // Handed to the next arrival.
+  uint64_t now_serving_ PRISM_GUARDED_BY(mu_) = 0;  // Ticket allowed to run.
 };
 
 // Ticketed priority-then-FIFO queue of pending requests, single-consumer by
@@ -214,8 +219,9 @@ class CarouselScheduler : public Scheduler {
     size_t max_boundary_wait = 0;
   };
 
-  // `compute_threads` sizes the per-depth-group fan-out pool (0 = one per
-  // core, at least one per carousel slot). `linger_ms` is how long a drained
+  // `compute_threads` sizes the compute pool that each request's layer
+  // splits its candidate blocks across, one request after another (0 = one
+  // per core, at least one per carousel slot). `linger_ms` is how long a drained
   // pass waits — prefetch pipeline warm, next cycle's first layers already
   // loading — for new traffic before tearing down; arrivals inside the
   // window start on warm weights instead of a cold streamer.

@@ -49,9 +49,9 @@ struct ServiceOptions {
   // Maximum requests resident on the carousel at once. 1 (default) with
   // kAuto keeps the serial scheduler.
   size_t max_inflight = 1;
-  // Worker threads for the carousel's per-request compute fan-out.
-  // 0 = max(hardware cores, max_inflight): a thread per carousel slot lets
-  // device-wait-heavy requests overlap even on few cores.
+  // Worker threads for the carousel's compute pool: each request's layer
+  // splits its candidates into one block per thread, and a boundary's
+  // joiners embed side by side. 0 = max(hardware cores, max_inflight).
   size_t compute_threads = 0;
   // kCarousel only: how long a drained carousel lingers — prefetch pipeline
   // warm, the next cycle's first layers already loading — before tearing

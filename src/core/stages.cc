@@ -47,7 +47,7 @@ void ReleaseSpilledChunks(const StageResources& res, RequestContext* ctx) {
   }
 }
 
-size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len) const {
+size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len, size_t fan_out) const {
   const PrismOptions& options = *res_.options;
   if (!options.chunked) {
     return n;
@@ -59,11 +59,12 @@ size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len) const {
   // exposed I/O that grows with the chunk, so the chunk is capped as well.
   const size_t most =
       options.offload_hidden ? (n + kOffloadMinChunks - 1) / kOffloadMinChunks : n;
-  // Largest c with scratch(c·T) within the activation budget; floor 2 keeps
-  // each chunk's compute window wide enough to overlap a layer load.
+  // Largest c with scratch(c·T), attention tiles included, within the
+  // activation budget; floor 2 keeps each chunk's compute window wide enough
+  // to overlap a layer load.
   size_t best = 1;
   for (size_t c = 1; c <= most; ++c) {
-    if (LayerScratch::BytesFor(*res_.config, c * seq_len, seq_len) <=
+    if (LayerScratch::BytesFor(*res_.config, c * seq_len, seq_len, std::min(c, fan_out)) <=
         options.device.activation_budget_bytes) {
       best = c;
     } else {
@@ -86,7 +87,7 @@ std::vector<ChunkState> ChunkPlanner::Partition(const std::vector<size_t>& ids,
   return chunks;
 }
 
-void ChunkPlanner::Begin(RequestContext* ctx) const {
+void ChunkPlanner::Begin(RequestContext* ctx, size_t fan_out) const {
   const RerankRequest& request = *ctx->request;
   const size_t n = ctx->n();
   PRISM_CHECK_EQ(n, request.planted_r.size());
@@ -95,16 +96,22 @@ void ChunkPlanner::Begin(RequestContext* ctx) const {
   ctx->result.scores.assign(n, kNan);
   ctx->remaining_k = std::min(request.k, n);
 
-  ctx->chunk_cand = PlanCandidates(n, ctx->seq_len);
-  ctx->scratch.emplace(
-      LayerScratch::Make(*res_.config, ctx->chunk_cand * ctx->seq_len, ctx->seq_len,
-                         res_.tracker));
+  ctx->chunk_cand = PlanCandidates(n, ctx->seq_len, fan_out);
+  ctx->scratch.emplace(LayerScratch::Make(*res_.config, ctx->chunk_cand * ctx->seq_len,
+                                          ctx->seq_len, std::min(ctx->chunk_cand, fan_out),
+                                          res_.tracker));
 
   ctx->active.resize(n);
   for (size_t i = 0; i < n; ++i) {
     ctx->active[i] = i;
   }
   ctx->chunks = Partition(ctx->active, ctx->chunk_cand);
+}
+
+const Tensor& EmbedStage::Positions() const {
+  std::call_once(positions_once_,
+                 [this] { positions_ = MakePositionTable(*res_.config, res_.tracker); });
+  return positions_;
 }
 
 void EmbedStage::Run(RequestContext* ctx) const {
@@ -126,13 +133,14 @@ void EmbedStage::Run(RequestContext* ctx) const {
   if (res_.cache != nullptr) {
     res_.cache->PrefetchTokens(all_tokens);
   }
+  const Tensor& positions = Positions();
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
     ChunkState& chunk = ctx->chunks[ci];
     Tensor hidden(chunk.ids.size() * seq_len, config.hidden, MemCategory::kHiddenStates,
                   res_.tracker);
     for (size_t c = 0; c < chunk.ids.size(); ++c) {
-      EmbedPairInto(config, res_.embedding, *res_.head, ctx->pairs[chunk.ids[c]], c, seq_len,
-                    &hidden);
+      EmbedPairInto(config, res_.embedding, *res_.head, positions, ctx->pairs[chunk.ids[c]], c,
+                    seq_len, &hidden);
     }
     StowChunkHidden(res_, ctx, ci, std::move(hidden), /*more_layers=*/true);
   }
@@ -269,8 +277,8 @@ void PruneStage::Finalize(RequestContext* ctx) const {
   ctx->result.stats.latency_ms = ctx->timer.ElapsedMillis();
 }
 
-void LayerLoop::ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view,
-                                bool last_layer) const {
+void LayerLoop::ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, bool last_layer,
+                                ThreadPool* compute_pool) const {
   const ModelConfig& config = *res_.config;
   const PrismOptions& options = *res_.options;
   const size_t seq_len = ctx->seq_len;
@@ -284,7 +292,7 @@ void LayerLoop::ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view,
       res_.spill->PrefetchAsync(ctx->SpillKey(ci + 1));
     }
     const WallTimer compute_timer;
-    LayerForward(config, view, seq_len, &hidden, &*ctx->scratch);
+    LayerForward(config, view, seq_len, &hidden, &*ctx->scratch, compute_pool);
     ScoreChunk(config, *res_.head, hidden, seq_len, &ctx->scores_active);
     const int64_t compute_micros = compute_timer.ElapsedMicros();
     ctx->result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;
@@ -310,17 +318,12 @@ void LayerLoop::ForwardGroup(std::span<RequestContext* const> group, size_t laye
     }
   }
 
-  // Forward every grouped request's chunks through this layer. Contexts are
-  // independent, so the group fans out across pool threads; results are
-  // bit-identical to the serial order.
-  if (compute_pool != nullptr && group.size() > 1) {
-    compute_pool->ParallelFor(0, group.size(), [&](size_t i) {
-      ForwardOneLayer(group[i], view, last_layer);
-    });
-  } else {
-    for (RequestContext* ctx : group) {
-      ForwardOneLayer(ctx, view, last_layer);
-    }
+  // Forward every grouped request's chunks through this layer, one request
+  // after another: the pool's one parallel axis is the candidate blocks
+  // inside each chunk's LayerForward, so even a lone request uses every
+  // core. Results are bit-identical to the serial order.
+  for (RequestContext* ctx : group) {
+    ForwardOneLayer(ctx, view, last_layer, compute_pool);
   }
 }
 

@@ -23,6 +23,7 @@
 #define PRISM_SRC_CORE_STAGES_H_
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -193,12 +194,14 @@ class ChunkPlanner {
   // Chunk size the planner picks for `n` candidates at `seq_len`: the largest
   // count whose scratch fits the activation budget (and, with offload_hidden,
   // at most ⌈n / kOffloadMinChunks⌉), floored at 2 to keep the compute window
-  // wide enough for I/O overlap (min(2, n) for tiny requests).
-  size_t PlanCandidates(size_t n, size_t seq_len) const;
+  // wide enough for I/O overlap (min(2, n) for tiny requests). `fan_out` is
+  // the LayerForward block count the scratch must hold attention tiles for:
+  // the compute pool's thread count, or 1 on the serial path.
+  size_t PlanCandidates(size_t n, size_t seq_len, size_t fan_out = 1) const;
 
   static std::vector<ChunkState> Partition(const std::vector<size_t>& ids, size_t chunk_cand);
 
-  void Begin(RequestContext* ctx) const;
+  void Begin(RequestContext* ctx, size_t fan_out = 1) const;
 
  private:
   StageResources res_;
@@ -214,7 +217,14 @@ class EmbedStage {
   void Run(RequestContext* ctx) const;
 
  private:
+  // The [max_seq, hidden] position table (MakePositionTable), built once by
+  // the engine's first embed. Building it in the constructor would add
+  // about a third to a small engine's construction time.
+  const Tensor& Positions() const;
+
   StageResources res_;
+  mutable std::once_flag positions_once_;
+  mutable Tensor positions_;
 };
 
 // Stage 4 — pruning. Consumes the provisional scores a layer produced:
@@ -239,8 +249,9 @@ class PruneStage {
 // Stage 3 — one layer step over a depth-tagged group of contexts. The driver
 // (the engine's layer pass, or an instrumented copy of it) owns the weight
 // stream; LayerLoop forwards the group through one already-acquired layer
-// and runs the between-layer bookkeeping, fanning per-context forwarding out
-// on `compute_pool` when provided.
+// and runs the between-layer bookkeeping. Contexts are forwarded one after
+// another; with a `compute_pool`, each chunk's LayerForward splits its
+// candidates across the pool's threads.
 class LayerLoop {
  public:
   explicit LayerLoop(const StageResources& res) : res_(res), prune_(res) {}
@@ -259,7 +270,8 @@ class LayerLoop {
   void SettleGroup(std::span<RequestContext* const> group, size_t layer, bool last_layer) const;
 
  private:
-  void ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, bool last_layer) const;
+  void ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, bool last_layer,
+                       ThreadPool* compute_pool) const;
 
   StageResources res_;
   PruneStage prune_;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/thread_pool.h"
 #include "src/tensor/ops.h"
 
 namespace prism {
@@ -15,7 +16,8 @@ size_t WideCols(const ModelConfig& config) { return std::max(3 * config.hidden, 
 }  // namespace
 
 LayerScratch LayerScratch::Make(const ModelConfig& config, size_t max_rows, size_t seq_len,
-                                MemoryTracker* tracker) {
+                                size_t fan_out, MemoryTracker* tracker) {
+  PRISM_CHECK_GT(fan_out, 0u);
   LayerScratch s;
   const auto cat = MemCategory::kActivations;
   s.narrow = Tensor(max_rows, config.hidden, cat, tracker);
@@ -24,16 +26,17 @@ LayerScratch LayerScratch::Make(const ModelConfig& config, size_t max_rows, size
     s.gate_block = Tensor(max_rows, kFfnBlock, cat, tracker);
     s.up_block = Tensor(max_rows, kFfnBlock, cat, tracker);
   }
-  s.scores = Tensor(seq_len, seq_len, cat, tracker);
+  s.scores = Tensor(fan_out * seq_len, seq_len, cat, tracker);
   return s;
 }
 
-int64_t LayerScratch::BytesFor(const ModelConfig& config, size_t rows, size_t seq_len) {
+int64_t LayerScratch::BytesFor(const ModelConfig& config, size_t rows, size_t seq_len,
+                               size_t fan_out) {
   size_t row_floats = config.hidden + WideCols(config);
   if (config.arch == ModelArch::kDecoderOnly) {
     row_floats += 2 * kFfnBlock;
   }
-  const size_t floats = rows * row_floats + seq_len * seq_len;
+  const size_t floats = rows * row_floats + fan_out * seq_len * seq_len;
   return static_cast<int64_t>(floats * sizeof(float));
 }
 
@@ -48,9 +51,9 @@ void Project(const float* x, size_t rows, size_t in_dim, const WeightView& w, fl
 
 // normed[0, rows) ← the layer's pre-norm of hidden[0, rows): RMSNorm for
 // decoder-only models, LayerNorm otherwise.
-void PreNorm(const ModelConfig& config, const Tensor& hidden, size_t rows,
-             std::span<const float> gain, std::span<const float> bias, Tensor* normed) {
-  std::copy(hidden.data(), hidden.data() + rows * config.hidden, normed->data());
+void PreNorm(const ModelConfig& config, const float* hidden, size_t rows,
+             std::span<const float> gain, std::span<const float> bias, float* normed) {
+  std::copy_n(hidden, rows * config.hidden, normed);
   if (config.arch == ModelArch::kDecoderOnly) {
     RmsNormInPlace(normed, rows, gain);
   } else {
@@ -59,22 +62,26 @@ void PreNorm(const ModelConfig& config, const Tensor& hidden, size_t rows,
 }
 
 // hidden[0, n) += x[0, n): a residual add over the active rows.
-void AddResidual(Tensor* hidden, const float* x, size_t n) {
-  float* ph = hidden->data();
+void AddResidual(float* hidden, const float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    ph[i] += x[i];
+    hidden[i] += x[i];
   }
 }
 
-}  // namespace
+// One candidate block's slice of the workspace (layer.h): `rows` rows, each
+// buffer laid out [rows, cols] from the block's first row, plus its own
+// [seq, seq] attention tile.
+struct BlockScratch {
+  float* narrow;      // [rows, d]
+  float* wide;        // [rows, max(3d, f)]
+  float* gate_block;  // [rows, kFfnBlock] (decoder only)
+  float* up_block;    // [rows, kFfnBlock] (decoder only)
+  float* scores;      // [seq, seq]
+};
 
-void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_len,
-                  Tensor* hidden, LayerScratch* scratch) {
-  const size_t rows = hidden->rows();
-  PRISM_CHECK_EQ(rows % seq_len, 0u);
-  PRISM_CHECK_LE(rows, scratch->narrow.rows());
-  PRISM_CHECK_EQ(scratch->wide.cols(), WideCols(config));
-  PRISM_CHECK_GE(scratch->scores.size(), seq_len * seq_len);
+// The layer body over `rows` = whole candidates' rows of `hidden`.
+void ForwardRows(const ModelConfig& config, const AnyLayerView& w, size_t seq_len, float* hidden,
+                 size_t rows, const BlockScratch& scratch) {
   const size_t candidates = rows / seq_len;
   const size_t d = config.hidden;
   const size_t f = config.ffn;
@@ -83,15 +90,16 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   const bool causal = config.arch == ModelArch::kDecoderOnly;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
   // The lifetime table in layer.h: `narrow` and `wide` are reused step by step.
-  float* const narrow = scratch->narrow.data();
-  float* const q = scratch->wide.data();
+  float* const narrow = scratch.narrow;
+  float* const q = scratch.wide;
   float* const k = q + rows * d;
   float* const v = k + rows * d;
   float* const attn_out = q;
-  float* const act = scratch->wide.data();
+  float* const act = scratch.wide;
+  float* const scores = scratch.scores;
 
   // --- Attention sublayer (pre-norm residual) ---
-  PreNorm(config, *hidden, rows, w.norm1_gain, w.norm1_bias, &scratch->narrow);
+  PreNorm(config, hidden, rows, w.norm1_gain, w.norm1_bias, narrow);
   Project(narrow, rows, d, w.wq, q);
   Project(narrow, rows, d, w.wk, k);
   Project(narrow, rows, d, w.wv, v);
@@ -105,11 +113,10 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
       // scores[i][j] = q_i · k_j / sqrt(dh), within this candidate and head.
       // The scale applies after the dot product, as part of the fp32 spec.
       const size_t head0 = base * d + col0;
-      MatMulTransBStrided(q + head0, d, seq_len, dh, k + head0, d, seq_len,
-                          scratch->scores.data(), seq_len);
+      MatMulTransBStrided(q + head0, d, seq_len, dh, k + head0, d, seq_len, scores, seq_len);
       // Only the causal prefix j ≤ i is scaled: softmax zeroes the rest.
       for (size_t i = 0; i < seq_len; ++i) {
-        float* srow = scratch->scores.data() + i * seq_len;
+        float* srow = scores + i * seq_len;
         const size_t jmax = causal ? i + 1 : seq_len;
         for (size_t j = 0; j < jmax; ++j) {
           srow[j] *= inv_sqrt_dh;
@@ -122,7 +129,7 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
         for (size_t x = 0; x < dh; ++x) {
           ctx[x] = 0.0f;
         }
-        const float* srow = scratch->scores.data() + i * seq_len;
+        const float* srow = scores + i * seq_len;
         const size_t jmax = causal ? i + 1 : seq_len;
         for (size_t j = 0; j < jmax; ++j) {
           const float sv = srow[j];
@@ -142,12 +149,12 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   AddResidual(hidden, attn_out, rows * d);
 
   // --- FFN sublayer (pre-norm residual) ---
-  PreNorm(config, *hidden, rows, w.norm2_gain, w.norm2_bias, &scratch->narrow);
+  PreNorm(config, hidden, rows, w.norm2_gain, w.norm2_bias, narrow);
   if (config.arch == ModelArch::kDecoderOnly) {
     // SwiGLU: act = silu(gate(x)) ⊙ up(x), one kFfnBlock-column block at a
     // time; each output is the same strict-k sum as in the full-width GEMM.
-    float* const gate = scratch->gate_block.data();
-    float* const up = scratch->up_block.data();
+    float* const gate = scratch.gate_block;
+    float* const up = scratch.up_block;
     for (size_t j0 = 0; j0 < f; j0 += kFfnBlock) {
       const size_t nr = std::min(kFfnBlock, f - j0);
       Project(narrow, rows, d, w.w_gate.RowSlice(j0, nr), gate);
@@ -167,6 +174,43 @@ void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_l
   float* const ffn_down = narrow;
   Project(act, rows, f, w.w_down, ffn_down);
   AddResidual(hidden, ffn_down, rows * d);
+}
+
+}  // namespace
+
+void LayerForward(const ModelConfig& config, const AnyLayerView& w, size_t seq_len,
+                  Tensor* hidden, LayerScratch* scratch, ThreadPool* pool) {
+  const size_t rows = hidden->rows();
+  PRISM_CHECK_EQ(rows % seq_len, 0u);
+  PRISM_CHECK_LE(rows, scratch->narrow.rows());
+  PRISM_CHECK_EQ(scratch->wide.cols(), WideCols(config));
+  PRISM_CHECK_EQ(scratch->scores.cols(), seq_len);
+  const size_t tiles = scratch->scores.rows() / seq_len;
+  PRISM_CHECK_GT(tiles, 0u);
+  const size_t candidates = rows / seq_len;
+  const size_t threads = pool != nullptr ? pool->num_threads() : 1;
+  const size_t blocks = std::max<size_t>(1, std::min({candidates, threads, tiles}));
+
+  // Block b owns candidates [C·b/B, C·(b+1)/B) and the matching slice of
+  // every scratch buffer, so blocks share nothing they write.
+  const auto run_block = [&](size_t b) {
+    const size_t r0 = candidates * b / blocks * seq_len;
+    const size_t r1 = candidates * (b + 1) / blocks * seq_len;
+    const bool decoder = config.arch == ModelArch::kDecoderOnly;
+    const BlockScratch block{
+        .narrow = scratch->narrow.data() + r0 * scratch->narrow.cols(),
+        .wide = scratch->wide.data() + r0 * scratch->wide.cols(),
+        .gate_block = decoder ? scratch->gate_block.data() + r0 * kFfnBlock : nullptr,
+        .up_block = decoder ? scratch->up_block.data() + r0 * kFfnBlock : nullptr,
+        .scores = scratch->scores.data() + b * seq_len * seq_len,
+    };
+    ForwardRows(config, w, seq_len, hidden->data() + r0 * config.hidden, r1 - r0, block);
+  };
+  if (blocks == 1) {
+    run_block(0);
+  } else {
+    pool->ParallelFor(0, blocks, run_block);
+  }
 }
 
 size_t PoolRow(const ModelConfig& config, size_t candidate, size_t seq_len) {

@@ -32,25 +32,42 @@ PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>&
   return pair;
 }
 
+Tensor MakePositionTable(const ModelConfig& config, MemoryTracker* tracker) {
+  const size_t d = config.hidden;
+  std::vector<double> freqs;  // One per sin/cos column pair.
+  for (size_t i = 0; i < d; i += 2) {
+    freqs.push_back(std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(d)));
+  }
+  Tensor table(config.max_seq, d, MemCategory::kEmbedding, tracker);
+  for (size_t t = 0; t < config.max_seq; ++t) {
+    auto row = table.row(t);
+    for (size_t i = 0; i < d; i += 2) {
+      const double angle = static_cast<double>(t) * freqs[i / 2];
+      row[i] = 0.05f * static_cast<float>(std::sin(angle));
+      if (i + 1 < d) {
+        row[i + 1] = 0.05f * static_cast<float>(std::cos(angle));
+      }
+    }
+  }
+  return table;
+}
+
 void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const PairInput& pair, size_t candidate, size_t seq_len, Tensor* hidden) {
+                   const Tensor& positions, const PairInput& pair, size_t candidate,
+                   size_t seq_len, Tensor* hidden) {
   PRISM_CHECK_EQ(pair.tokens.size(), seq_len);
   const size_t d = config.hidden;
   const size_t base = candidate * seq_len;
   PRISM_CHECK_LE((candidate + 1) * seq_len, hidden->rows());
   PRISM_CHECK_EQ(hidden->cols(), d);
+  PRISM_CHECK_LE(seq_len, positions.rows());
+  PRISM_CHECK_EQ(positions.cols(), d);
   for (size_t t = 0; t < seq_len; ++t) {
     auto row = hidden->row(base + t);
     source->Lookup(pair.tokens[t], row);
-    // Sinusoidal position encoding, small scale relative to the unit-norm
-    // token embeddings.
-    for (size_t i = 0; i < d; i += 2) {
-      const double freq = std::pow(10000.0, -static_cast<double>(i) / static_cast<double>(d));
-      const double angle = static_cast<double>(t) * freq;
-      row[i] += 0.05f * static_cast<float>(std::sin(angle));
-      if (i + 1 < d) {
-        row[i + 1] += 0.05f * static_cast<float>(std::cos(angle));
-      }
+    const auto position = positions.row(t);
+    for (size_t i = 0; i < d; ++i) {
+      row[i] += position[i];
     }
   }
   // Unit signal direction (head.w = head_scale · v).

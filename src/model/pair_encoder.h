@@ -39,11 +39,20 @@ struct PairInput {
 PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>& query,
                          const std::vector<uint32_t>& doc, float relevance, size_t seq_len);
 
+// The sinusoidal position encoding of every position below config.max_seq,
+// [max_seq, hidden]: row t holds 0.05 · sin(t · 10000^(−i/d)) at even
+// column i and 0.05 · cos of the same angle at i + 1, a small scale relative
+// to the unit-norm token embeddings. Built once per engine or runner and
+// tracked under kEmbedding, so no embed recomputes it.
+Tensor MakePositionTable(const ModelConfig& config, MemoryTracker* tracker);
+
 // Embeds `pair` into rows [candidate·seq_len, (candidate+1)·seq_len) of
-// `hidden`: embedding lookup through `source`, position encoding, planted
-// signal at the pooled position (direction = head.w).
+// `hidden`: embedding lookup through `source`, plus row t of `positions`
+// (MakePositionTable), plus the planted signal at the pooled position
+// (direction = head.w).
 void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const PairInput& pair, size_t candidate, size_t seq_len, Tensor* hidden);
+                   const Tensor& positions, const PairInput& pair, size_t candidate,
+                   size_t seq_len, Tensor* hidden);
 
 // Chooses the common sequence length for a request: the longest pair's
 // natural length (1 + |q| + 1 + |d| + 1), clamped to [8, config.max_seq].

@@ -34,6 +34,7 @@ HfRunner::HfRunner(const ModelConfig& config, const std::string& checkpoint_path
   }
   checkpoint_ = OpenCheckpoint(config_, checkpoint_path, ssd, options_.precision);
   embedding_ = std::make_unique<FullEmbeddingTable>(config_, checkpoint_.reader.get(), tracker_);
+  positions_ = MakePositionTable(config_, tracker_);
   if (!options_.offload) {
     resident_ = ReadResidentLayers(*checkpoint_.reader, config_, tracker_);
   }
@@ -66,7 +67,8 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
   result.scores.assign(n, 0.0f);
 
   const size_t batch = std::min(options_.device.hf_batch_size, n);
-  LayerScratch scratch = LayerScratch::Make(config_, batch * seq_len, seq_len, tracker_);
+  LayerScratch scratch =
+      LayerScratch::Make(config_, batch * seq_len, seq_len, /*fan_out=*/1, tracker_);
   // The one layer an offloading runner holds at a time.
   std::vector<uint8_t> offload_blob(
       options_.offload ? LayerBlobBytes(config_, options_.precision) : 0);
@@ -80,7 +82,8 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
       for (size_t c = 0; c < bsz; ++c) {
         const PairInput pair = BuildPairInput(config_, request.query, request.docs[b0 + c],
                                               request.planted_r[b0 + c], seq_len);
-        EmbedPairInto(config_, embedding_.get(), checkpoint_.head, pair, c, seq_len, &hidden);
+        EmbedPairInto(config_, embedding_.get(), checkpoint_.head, positions_, pair, c, seq_len,
+                      &hidden);
       }
       result.stats.embed_ms += embed_timer.ElapsedMillis();
     }
@@ -105,7 +108,7 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
 
       const WallTimer compute_timer;
       const AnyLayerView view = ParseAnyLayerBlob(config_, blob, options_.precision);
-      LayerForward(config_, view, seq_len, &hidden, &scratch);
+      LayerForward(config_, view, seq_len, &hidden, &scratch, /*pool=*/nullptr);
       result.stats.candidate_layers += static_cast<int64_t>(bsz);
       const int64_t compute_micros = compute_timer.ElapsedMicros();
       result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;

@@ -23,6 +23,7 @@
 #include "src/model/weights.h"
 #include "src/runtime/device.h"
 #include "src/runtime/runner.h"
+#include "src/tensor/tensor.h"
 
 namespace prism {
 
@@ -48,6 +49,7 @@ class HfRunner : public Runner {
   MemoryTracker* tracker_;
   Checkpoint checkpoint_;
   std::unique_ptr<FullEmbeddingTable> embedding_;
+  Tensor positions_;  // [max_seq, hidden] (MakePositionTable).
   ResidentLayers resident_;  // Empty when offloading.
 };
 

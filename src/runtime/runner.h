@@ -62,6 +62,9 @@ Status ValidateRequest(const ModelConfig& config, const RerankRequest& request);
 struct RerankStats {
   double latency_ms = 0.0;
   double embed_ms = 0.0;
+  // Wall time of the request's layer forwards and scoring. On the carousel
+  // each layer splits across the compute pool, so this falls with the
+  // pool's width while the CPU time spent stays the same.
   double compute_ms = 0.0;
   double io_stall_ms = 0.0;   // Compute-visible I/O waits.
   // Admission latency: time between entering a scheduler's queue and the
@@ -130,7 +133,8 @@ class CarouselTicket {
 // cold start between cycles (unlike one terminating pass per batch).
 //
 // Threading: a pass and its tickets belong to one driver thread; Step may
-// fan per-ticket compute out across `compute_pool`.
+// fan compute out across `compute_pool` (the engine splits each request's
+// candidates into blocks there).
 class CarouselPass {
  public:
   virtual ~CarouselPass() = default;

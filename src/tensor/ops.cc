@@ -71,19 +71,48 @@ void AddBiasInPlace(Tensor* t, std::span<const float> bias) {
   }
 }
 
+void RmsNormInPlace(float* x, size_t rows, std::span<const float> gain, float eps) {
+  const size_t cols = gain.size();
+  for (size_t r = 0; r < rows; ++r) {
+    float* row = x + r * cols;
+    double sum_sq = 0.0;
+    for (size_t c = 0; c < cols; ++c) {
+      sum_sq += static_cast<double>(row[c]) * row[c];
+    }
+    const float inv_rms =
+        1.0f / std::sqrt(static_cast<float>(sum_sq / static_cast<double>(cols)) + eps);
+    for (size_t c = 0; c < cols; ++c) {
+      row[c] = row[c] * inv_rms * gain[c];
+    }
+  }
+}
+
 void RmsNormInPlace(Tensor* t, size_t rows, std::span<const float> gain, float eps) {
   PRISM_CHECK_LE(rows, t->rows());
   PRISM_CHECK_EQ(t->cols(), gain.size());
+  RmsNormInPlace(t->data(), rows, gain, eps);
+}
+
+void LayerNormInPlace(float* x, size_t rows, std::span<const float> gain,
+                      std::span<const float> bias, float eps) {
+  const size_t cols = gain.size();
+  PRISM_CHECK_EQ(cols, bias.size());
   for (size_t r = 0; r < rows; ++r) {
-    auto row = t->row(r);
-    double sum_sq = 0.0;
-    for (float v : row) {
-      sum_sq += static_cast<double>(v) * v;
+    float* row = x + r * cols;
+    double mean = 0.0;
+    for (size_t c = 0; c < cols; ++c) {
+      mean += row[c];
     }
-    const float inv_rms =
-        1.0f / std::sqrt(static_cast<float>(sum_sq / static_cast<double>(row.size())) + eps);
-    for (size_t c = 0; c < row.size(); ++c) {
-      row[c] = row[c] * inv_rms * gain[c];
+    mean /= static_cast<double>(cols);
+    double var = 0.0;
+    for (size_t c = 0; c < cols; ++c) {
+      const double d = row[c] - mean;
+      var += d * d;
+    }
+    var /= static_cast<double>(cols);
+    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
+    for (size_t c = 0; c < cols; ++c) {
+      row[c] = (row[c] - static_cast<float>(mean)) * inv_std * gain[c] + bias[c];
     }
   }
 }
@@ -92,25 +121,7 @@ void LayerNormInPlace(Tensor* t, size_t rows, std::span<const float> gain,
                       std::span<const float> bias, float eps) {
   PRISM_CHECK_LE(rows, t->rows());
   PRISM_CHECK_EQ(t->cols(), gain.size());
-  PRISM_CHECK_EQ(t->cols(), bias.size());
-  for (size_t r = 0; r < rows; ++r) {
-    auto row = t->row(r);
-    double mean = 0.0;
-    for (float v : row) {
-      mean += v;
-    }
-    mean /= static_cast<double>(row.size());
-    double var = 0.0;
-    for (float v : row) {
-      const double d = v - mean;
-      var += d * d;
-    }
-    var /= static_cast<double>(row.size());
-    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps);
-    for (size_t c = 0; c < row.size(); ++c) {
-      row[c] = (row[c] - static_cast<float>(mean)) * inv_std * gain[c] + bias[c];
-    }
-  }
+  LayerNormInPlace(t->data(), rows, gain, bias, eps);
 }
 
 void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit) {

@@ -35,10 +35,19 @@ void AddInPlace(Tensor* y, const Tensor& x);
 // Each row r of t gets bias added: t[r, c] += bias[c].
 void AddBiasInPlace(Tensor* t, std::span<const float> bias);
 
-// RMSNorm of rows [0, rows) of t with learned gain: x ← x / rms(x) * gain.
+// RMSNorm of `rows` contiguous rows of gain.size() floats at x, with learned
+// gain: x ← x / rms(x) * gain.
+void RmsNormInPlace(float* x, size_t rows, std::span<const float> gain, float eps = 1e-5f);
+
+// RmsNormInPlace over rows [0, rows) of t.
 void RmsNormInPlace(Tensor* t, size_t rows, std::span<const float> gain, float eps = 1e-5f);
 
-// LayerNorm of rows [0, rows) of t with learned gain and bias.
+// LayerNorm of `rows` contiguous rows of gain.size() floats at x, with learned
+// gain and bias.
+void LayerNormInPlace(float* x, size_t rows, std::span<const float> gain,
+                      std::span<const float> bias, float eps = 1e-5f);
+
+// LayerNormInPlace over rows [0, rows) of t.
 void LayerNormInPlace(Tensor* t, size_t rows, std::span<const float> gain,
                       std::span<const float> bias, float eps = 1e-5f);
 

@@ -190,19 +190,21 @@ TEST_F(EngineTest, EmbedCacheBoundsEmbeddingMemory) {
   options.embed_cache_fraction = 0.10;
   PrismEngine engine(config_, ckpt_, options, &tracker);
   engine.Rerank(request_);
-  EXPECT_LE(tracker.PeakBytes(MemCategory::kEmbedding),
+  // kEmbedding also holds the engine's [max_seq, hidden] position table.
+  const auto position_table = static_cast<int64_t>(config_.max_seq * config_.hidden * sizeof(float));
+  EXPECT_LE(tracker.PeakBytes(MemCategory::kEmbedding) - position_table,
             static_cast<int64_t>(config_.EmbeddingBlobBytes() / 9));
 }
 
 TEST_F(EngineTest, PlanChunkCandidatesRespectsBudget) {
   MemoryTracker tracker;
   PrismOptions options = BaseOptions();
-  options.device.activation_budget_bytes = LayerScratch::BytesFor(config_, 4 * 16, 16);
+  options.device.activation_budget_bytes = LayerScratch::BytesFor(config_, 4 * 16, 16, 1);
   PrismEngine engine(config_, ckpt_, options, &tracker);
   const size_t c = engine.PlanChunkCandidates(20, 16);
   EXPECT_GE(c, 2u);
-  EXPECT_LE(LayerScratch::BytesFor(config_, c * 16, 16),
-            options.device.activation_budget_bytes + LayerScratch::BytesFor(config_, 16, 16));
+  EXPECT_LE(LayerScratch::BytesFor(config_, c * 16, 16, 1),
+            options.device.activation_budget_bytes + LayerScratch::BytesFor(config_, 16, 16, 1));
 }
 
 TEST_F(EngineTest, PlanChunkCandidatesDegenerateCounts) {
@@ -226,7 +228,7 @@ TEST_F(EngineTest, PlanChunkCandidatesFloorsAtTwoWhenOverBudget) {
   PrismEngine engine(config_, ckpt_, options, &tracker);
   const size_t c = engine.PlanChunkCandidates(20, config_.max_seq);
   EXPECT_EQ(c, 2u);
-  EXPECT_GT(LayerScratch::BytesFor(config_, config_.max_seq, config_.max_seq),
+  EXPECT_GT(LayerScratch::BytesFor(config_, config_.max_seq, config_.max_seq, 1),
             options.device.activation_budget_bytes);
 }
 

@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/model/embedding.h"
 #include "src/model/layer.h"
 #include "src/model/pair_encoder.h"
@@ -35,6 +36,7 @@ struct LoadedModel {
   std::array<std::vector<std::vector<uint8_t>>, 4> layers;
   HeadWeights head;
   MemoryTracker tracker;
+  Tensor positions;
 };
 
 std::unique_ptr<LoadedModel> Load(ModelArch arch) {
@@ -61,6 +63,7 @@ std::unique_ptr<LoadedModel> Load(ModelArch arch) {
   std::vector<uint8_t> head(static_cast<size_t>(m->reader->BlobSize(HeadBlobIndex(m->config))));
   PRISM_CHECK(m->reader->ReadBlob(HeadBlobIndex(m->config), head).ok());
   m->head = ParseHeadBlob(m->config, head);
+  m->positions = MakePositionTable(m->config, &m->tracker);
   return m;
 }
 
@@ -70,18 +73,19 @@ Tensor EmbedBatch(LoadedModel* m, const RerankRequest& request, size_t seq_len) 
   for (size_t c = 0; c < request.docs.size(); ++c) {
     const PairInput pair =
         BuildPairInput(m->config, request.query, request.docs[c], request.planted_r[c], seq_len);
-    EmbedPairInto(m->config, m->embedding.get(), m->head, pair, c, seq_len, &hidden);
+    EmbedPairInto(m->config, m->embedding.get(), m->head, m->positions, pair, c, seq_len,
+                  &hidden);
   }
   return hidden;
 }
 
 std::vector<float> ForwardAll(LoadedModel* m, Tensor* hidden, size_t seq_len,
                               Precision precision = Precision::kFp32) {
-  LayerScratch scratch = LayerScratch::Make(m->config, hidden->rows(), seq_len, &m->tracker);
+  LayerScratch scratch = LayerScratch::Make(m->config, hidden->rows(), seq_len, 1, &m->tracker);
   const auto& blobs = m->layers[static_cast<size_t>(precision)];
   for (size_t layer = 0; layer < m->config.n_layers; ++layer) {
     const AnyLayerView view = ParseAnyLayerBlob(m->config, blobs[layer], precision);
-    LayerForward(m->config, view, seq_len, hidden, &scratch);
+    LayerForward(m->config, view, seq_len, hidden, &scratch, nullptr);
   }
   std::vector<float> scores;
   ScoreChunk(m->config, m->head, *hidden, seq_len, &scores);
@@ -337,8 +341,8 @@ TEST_P(LayerWorkspaceTest, PoisonedScratchMatchesFreshAndFullWidth) {
   Tensor reference_h = RandomHidden(config, rows, 5, &tracker);
   // One scratch per layer stack, reused across layers as the engine does;
   // the poisoned one is also taller than the chunk and re-poisoned per layer.
-  LayerScratch fresh = LayerScratch::Make(config, rows, kSeqLen, &tracker);
-  LayerScratch poisoned = LayerScratch::Make(config, rows + kSeqLen, kSeqLen, &tracker);
+  LayerScratch fresh = LayerScratch::Make(config, rows, kSeqLen, 1, &tracker);
+  LayerScratch poisoned = LayerScratch::Make(config, rows + kSeqLen, kSeqLen, 1, &tracker);
   for (size_t layer = 0; layer < 2; ++layer) {
     const std::vector<uint8_t> blob = CheckpointLayerBlob(config, precision, layer);
     const AnyLayerView view = ParseAnyLayerBlob(config, blob, precision);
@@ -346,8 +350,8 @@ TEST_P(LayerWorkspaceTest, PoisonedScratchMatchesFreshAndFullWidth) {
                       &poisoned.scores}) {
       Poison(t);
     }
-    LayerForward(config, view, kSeqLen, &fresh_h, &fresh);
-    LayerForward(config, view, kSeqLen, &poisoned_h, &poisoned);
+    LayerForward(config, view, kSeqLen, &fresh_h, &fresh, nullptr);
+    LayerForward(config, view, kSeqLen, &poisoned_h, &poisoned, nullptr);
     FullWidthLayerForward(config, view, kSeqLen, &reference_h, &tracker);
     for (size_t i = 0; i < fresh_h.size(); ++i) {
       ASSERT_TRUE(std::isfinite(fresh_h.data()[i])) << "layer " << layer << " element " << i;
@@ -357,18 +361,70 @@ TEST_P(LayerWorkspaceTest, PoisonedScratchMatchesFreshAndFullWidth) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ArchsAndTiers, LayerWorkspaceTest,
-    ::testing::Combine(
-        ::testing::Values(AliasCase{"TestDecoder", TestModel(ModelArch::kDecoderOnly)},
-                          AliasCase{"TestEncoder", TestModel(ModelArch::kEncoderOnly)},
-                          AliasCase{"MiniCpmDecoder", MiniCpmShape(ModelArch::kDecoderOnly)},
-                          AliasCase{"MiniCpmEncoder", MiniCpmShape(ModelArch::kEncoderOnly)}),
-        ::testing::ValuesIn(kAllPrecisions)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param).name) + "_" +
-             PrecisionName(std::get<1>(info.param));
-    });
+const auto kArchsAndTiers = ::testing::Combine(
+    ::testing::Values(AliasCase{"TestDecoder", TestModel(ModelArch::kDecoderOnly)},
+                      AliasCase{"TestEncoder", TestModel(ModelArch::kEncoderOnly)},
+                      AliasCase{"MiniCpmDecoder", MiniCpmShape(ModelArch::kDecoderOnly)},
+                      AliasCase{"MiniCpmEncoder", MiniCpmShape(ModelArch::kEncoderOnly)}),
+    ::testing::ValuesIn(kAllPrecisions));
+
+std::string ArchAndTierName(
+    const ::testing::TestParamInfo<std::tuple<AliasCase, Precision>>& info) {
+  return std::string(std::get<0>(info.param).name) + "_" + PrecisionName(std::get<1>(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(ArchsAndTiers, LayerWorkspaceTest, kArchsAndTiers, ArchAndTierName);
+
+
+// A pooled LayerForward splits the chunk into contiguous candidate blocks, one
+// per pool thread, each on its own slice of the scratch. Every pool width and
+// candidate count, fewer candidates than threads included, must reproduce
+// the serial call and the full-width reference bit for bit, on a NaN-poisoned
+// scratch taller than the chunk.
+class PooledLayerTest : public ::testing::TestWithParam<std::tuple<AliasCase, Precision>> {};
+
+TEST_P(PooledLayerTest, PooledMatchesSerialAndFullWidth) {
+  const auto& [alias_case, precision] = GetParam();
+  const ModelConfig& config = alias_case.config;
+  constexpr size_t kSeqLen = 7;
+  std::vector<std::vector<uint8_t>> blobs;
+  for (size_t layer = 0; layer < 2; ++layer) {
+    blobs.push_back(CheckpointLayerBlob(config, precision, layer));
+  }
+  MemoryTracker tracker;
+  for (size_t threads = 1; threads <= 4; ++threads) {
+    ThreadPool pool(threads);
+    for (size_t candidates = 1; candidates <= 9; ++candidates) {
+      const size_t rows = candidates * kSeqLen;
+      const uint64_t seed = 100 + candidates;
+      Tensor serial_h = RandomHidden(config, rows, seed, &tracker);
+      Tensor pooled_h = RandomHidden(config, rows, seed, &tracker);
+      Tensor reference_h = RandomHidden(config, rows, seed, &tracker);
+      LayerScratch serial = LayerScratch::Make(config, rows, kSeqLen, 1, &tracker);
+      LayerScratch pooled =
+          LayerScratch::Make(config, rows + kSeqLen, kSeqLen, threads, &tracker);
+      for (size_t layer = 0; layer < blobs.size(); ++layer) {
+        const AnyLayerView view = ParseAnyLayerBlob(config, blobs[layer], precision);
+        for (Tensor* t : {&pooled.narrow, &pooled.wide, &pooled.gate_block, &pooled.up_block,
+                          &pooled.scores}) {
+          Poison(t);
+        }
+        LayerForward(config, view, kSeqLen, &serial_h, &serial, nullptr);
+        LayerForward(config, view, kSeqLen, &pooled_h, &pooled, &pool);
+        FullWidthLayerForward(config, view, kSeqLen, &reference_h, &tracker);
+        for (size_t i = 0; i < serial_h.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(serial_h.data()[i])) << "layer " << layer << " element " << i;
+        }
+        EXPECT_TRUE(SameBits(serial_h, pooled_h))
+            << threads << " threads, " << candidates << " candidates, layer " << layer;
+        EXPECT_TRUE(SameBits(serial_h, reference_h))
+            << threads << " threads, " << candidates << " candidates, layer " << layer;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ArchsAndTiers, PooledLayerTest, kArchsAndTiers, ArchAndTierName);
 
 // A kFfnBlock-row slice of a weight matrix computes exactly those columns of
 // the full product, on every tier — the identity the blocked SwiGLU rests on.
@@ -411,10 +467,10 @@ TEST(LayerScratchTest, BytesForMatchesAllocation) {
   const ModelConfig config = TestModel();
   MemoryTracker tracker;
   const size_t rows = 4 * 16;
-  const LayerScratch scratch = LayerScratch::Make(config, rows, 16, &tracker);
+  const LayerScratch scratch = LayerScratch::Make(config, rows, 16, 1, &tracker);
   (void)scratch;
   EXPECT_EQ(tracker.CurrentBytes(MemCategory::kActivations),
-            LayerScratch::BytesFor(config, rows, 16));
+            LayerScratch::BytesFor(config, rows, 16, 1));
 }
 
 TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
@@ -428,8 +484,8 @@ TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
   EXPECT_EQ(per_row, 1664);
   const size_t seq_len = config.max_seq;
   for (const size_t rows : {size_t{1}, size_t{64}, size_t{320}}) {
-    EXPECT_EQ(LayerScratch::BytesFor(config, rows, seq_len) -
-                  LayerScratch::BytesFor(config, 0, seq_len),
+    EXPECT_EQ(LayerScratch::BytesFor(config, rows, seq_len, 1) -
+                  LayerScratch::BytesFor(config, 0, seq_len, 1),
               static_cast<int64_t>(rows) * per_row)
         << rows << " rows";
   }
@@ -438,7 +494,7 @@ TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
 TEST(LayerScratchTest, EncoderScratchSmaller) {
   const ModelConfig dec = TestModel(ModelArch::kDecoderOnly);
   const ModelConfig enc = TestModel(ModelArch::kEncoderOnly);
-  EXPECT_GT(LayerScratch::BytesFor(dec, 64, 16), LayerScratch::BytesFor(enc, 64, 16));
+  EXPECT_GT(LayerScratch::BytesFor(dec, 64, 16, 1), LayerScratch::BytesFor(enc, 64, 16, 1));
 }
 
 }  // namespace

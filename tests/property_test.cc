@@ -82,13 +82,13 @@ TEST(PlannerPropertyTest, PlanRespectsBoundsBudgetAndFloor) {
     ASSERT_GE(plan, std::min<size_t>(2, c.n));
     // Above the floor, the plan must fit the budget...
     const int64_t scratch =
-        LayerScratch::BytesFor(config, plan * c.seq_len, c.seq_len);
+        LayerScratch::BytesFor(config, plan * c.seq_len, c.seq_len, 1);
     if (plan > std::min<size_t>(2, c.n)) {
       ASSERT_LE(scratch, c.budget);
     }
     // ...and be maximal: one more candidate must not also fit.
     if (plan < c.n) {
-      ASSERT_GT(LayerScratch::BytesFor(config, (plan + 1) * c.seq_len, c.seq_len), c.budget);
+      ASSERT_GT(LayerScratch::BytesFor(config, (plan + 1) * c.seq_len, c.seq_len, 1), c.budget);
     }
   }
 }

@@ -102,8 +102,10 @@ TEST_F(RunnerTest, HfKeepsAllWeightsResident) {
   const int64_t expected =
       static_cast<int64_t>(config_.n_layers * LayerBlobBytes(config_, Precision::kFp32));
   EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), expected);
+  // The full embedding table plus the [max_seq, hidden] position table.
   EXPECT_EQ(tracker.CurrentBytes(MemCategory::kEmbedding),
-            static_cast<int64_t>(config_.EmbeddingBlobBytes()));
+            static_cast<int64_t>(config_.EmbeddingBlobBytes() +
+                                 config_.max_seq * config_.hidden * sizeof(float)));
 }
 
 TEST_F(RunnerTest, OffloadKeepsAtMostOneLayerResident) {

@@ -4,14 +4,19 @@
 // path. This binary is also the main ThreadSanitizer target in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/check.h"
+#include "src/common/clock.h"
+#include "src/common/mutex.h"
 #include "src/common/rng.h"
 #include "src/core/scheduler.h"
 #include "src/core/service.h"
@@ -622,6 +627,81 @@ TEST(ShedQueueWaitTest, SerialSchedulerInlineShedCarriesWait) {
   EXPECT_GT(shed.stats.queue_wait_ms, 0.0);
   // It waited at least the remainder of the holder's 80 ms pass.
   EXPECT_GE(shed.stats.queue_wait_ms, 10.0);
+}
+
+// Charges every request 10 ms of virtual time and logs which client it
+// served, in service order.
+class VirtualServiceRunner : public Runner {
+ public:
+  VirtualServiceRunner(Clock* clock, std::vector<const RerankRequest*> clients)
+      : clock_(clock), clients_(std::move(clients)) {}
+
+  RerankResult Rerank(const RerankRequest& request) override {
+    const auto it = std::find(clients_.begin(), clients_.end(), &request);
+    PRISM_CHECK(it != clients_.end());
+    {
+      MutexLock lock(mu_);
+      order_.push_back(static_cast<size_t>(it - clients_.begin()));
+    }
+    clock_->SleepFor(10.0);
+    return RerankResult();
+  }
+  std::string name() const override { return "virtual-service"; }
+
+  std::vector<size_t> order() const {
+    MutexLock lock(mu_);
+    return order_;
+  }
+
+ private:
+  Clock* clock_;
+  std::vector<const RerankRequest*> clients_;
+  mutable Mutex mu_;
+  std::vector<size_t> order_ PRISM_GUARDED_BY(mu_);
+};
+
+TEST(SerialSchedulerTest, ClosedLoopClientsAreServedRoundRobin) {
+  // Eight closed-loop clients with no think time: each resubmits the moment
+  // its request returns. A barging handoff lets the client that just
+  // finished re-take the runner before the waiter it woke can run; the
+  // ticketed handoff queues it behind everyone, so no client's (k+2)-th
+  // request runs before every other client's k-th.
+  constexpr size_t kClients = 8;
+  constexpr size_t kRequestsEach = 6;
+  SimClock clock;
+  std::vector<RerankRequest> requests(kClients);
+  std::vector<const RerankRequest*> clients;
+  for (const RerankRequest& request : requests) {
+    clients.push_back(&request);
+  }
+  VirtualServiceRunner runner(&clock, clients);
+  SerialScheduler scheduler(&runner, &clock);
+  clock.ExpectParticipants(kClients);
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      const ClockMembership membership(&clock);
+      for (size_t i = 0; i < kRequestsEach; ++i) {
+        EXPECT_TRUE(scheduler.Submit(requests[c]).status.ok());
+      }
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  const std::vector<size_t> order = runner.order();
+  ASSERT_EQ(order.size(), kClients * kRequestsEach);
+  std::vector<size_t> started(kClients, 0);
+  for (size_t at = 0; at < order.size(); ++at) {
+    const size_t k = ++started[order[at]];
+    for (size_t other = 0; other < kClients; ++other) {
+      EXPECT_GE(started[other] + 2, k)
+          << "client " << order[at] << " started request " << k << " at position " << at
+          << " before client " << other << " started request " << k - 2;
+    }
+  }
+  // Served back to back: 48 requests of 10 virtual ms each.
+  EXPECT_DOUBLE_EQ(clock.NowMs(), 10.0 * kClients * kRequestsEach);
 }
 
 TEST(ShedQueueWaitTest, RequestQueueShedCarriesWait) {
