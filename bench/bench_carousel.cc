@@ -7,8 +7,9 @@
 //    are in flight or just finished. The serial scheduler opens a fresh
 //    terminating pass per request, so each arrival pays the first-fetch
 //    stall; the carousel admits at warm layer-0 boundaries (the cyclic
-//    prefetcher loads the next cycle's head across the wrap, and a drained
-//    pass lingers warm), so time-to-first-layer collapses to the embed.
+//    stream keeps layer 0 resident for the whole pass and prefetches layer 1
+//    across the wrap, and a drained pass lingers warm), so time-to-first-layer
+//    collapses to the embed.
 //  - burst: closed-loop, --clients threads hammering the service. Measures
 //    aggregate req/s and mean latency when sharing each layer fetch, not
 //    admission, is the bottleneck. The carousel answers a pruned request
@@ -20,7 +21,7 @@
 // are bit-identical across schedulers (checked against a serial reference),
 // so the comparison is pure scheduling.
 //
-// Flags: --model=Qwen3-Reranker-0.6B --device=nvidia|apple
+// Flags: --model=Qwen3-Reranker-0.6B|test-decoder --device=nvidia|apple
 //        --staggered_requests=20 --stagger_us=700000
 //        --clients=8 --burst_requests=48 --candidates=4 --k=2
 //        --max_inflight=4 --compute_threads=0 --threshold=0.40
@@ -154,7 +155,9 @@ void PrintRow(const std::string& name, const LoadRun& run) {
 
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
-  const ModelConfig model = ModelByName(flags.GetString("model", "Qwen3-Reranker-0.6B"));
+  const std::string model_name = flags.GetString("model", "Qwen3-Reranker-0.6B");
+  // The 4-layer test model makes a seconds-long smoke run.
+  const ModelConfig model = model_name == "test-decoder" ? TestModel() : ModelByName(model_name);
   const DeviceProfile device = DeviceByName(flags.GetString("device", "nvidia"));
   const size_t staggered_requests = static_cast<size_t>(flags.GetInt("staggered_requests", 20));
   const int64_t stagger_us = flags.GetInt("stagger_us", 700000);
@@ -194,7 +197,7 @@ int Main(int argc, char** argv) {
     options.max_inflight = kind == SchedulerKind::kSerial ? 1 : max_inflight;
     options.compute_threads = compute_threads;
     // Keep the carousel warm across the staggered gaps; the cost is two
-    // layer blobs resident while idle.
+    // layer blobs resident while idle (the pinned layer 0 and layer 1).
     options.carousel_linger_ms = 2000.0;
     return std::make_unique<RerankService>(model, checkpoint, options);
   };

@@ -3,10 +3,11 @@
 // All candidates advance through the transformer together as one monolithic
 // batch, giving the engine a global view for progressive cluster pruning
 // (§4.1) while overlapped layer streaming (§4.2) keeps at most two layers'
-// weights in memory, chunked execution (§4.3) bounds intermediate-tensor
-// memory (optionally spilling hidden states to disk), and the embedding-table
-// LRU cache (§4.4) replaces the resident embedding table. Every technique is
-// individually switchable for the ablation study (Fig 16).
+// weights in memory (three in the carousel, whose cyclic stream keeps layer 0
+// resident for the whole pass), chunked execution (§4.3) bounds
+// intermediate-tensor memory (optionally spilling hidden states to disk), and
+// the embedding-table LRU cache (§4.4) replaces the resident embedding table.
+// Every technique is individually switchable for the ablation study (Fig 16).
 //
 // Execution is organised as a staged pipeline (src/core/stages.h): the
 // engine owns only shared immutable resources and hands each request a
@@ -89,6 +90,13 @@ class PrismEngine : public CarouselRunner {
   // Cumulative across all requests served by this engine — or, with a
   // shared cache, by every engine sharing it.
   std::optional<EmbeddingCacheStats> embed_cache_stats() const;
+
+  // Device reads of layer `layer`'s blob over the engine's life, every pass
+  // included (1 when streaming is off: the resident layers load once, at
+  // construction).
+  int64_t layer_reads(size_t layer) const {
+    return checkpoint_.reader->BlobReads(LayerBlobIndex(layer));
+  }
 
   // Shared hidden-state spill pool; null unless offload_hidden. Exposed so
   // tests can assert that no request — including one terminated early or

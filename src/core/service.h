@@ -53,11 +53,10 @@ struct ServiceOptions {
   // splits its candidates into one block per thread, and a boundary's
   // joiners embed side by side. 0 = max(hardware cores, max_inflight).
   size_t compute_threads = 0;
-  // kCarousel only: how long a drained carousel lingers — prefetch pipeline
-  // warm, the next cycle's first layers already loading — before tearing
-  // down. Arrivals inside the window skip the cold streamer start. The
-  // cost of a longer window is up to two layer blobs held resident while
-  // idle.
+  // kCarousel only: how long a drained carousel lingers — layer 0 resident,
+  // layer 1 already loading — before tearing down. Arrivals inside the
+  // window skip the cold streamer start. The cost of a longer window is two
+  // layer blobs held resident while idle.
   double carousel_linger_ms = 200.0;
   // When set, a resident HfRunner on the engine's device and precision is
   // built as ground truth, and every Nth request is sampled for idle-time

@@ -82,6 +82,9 @@ void EmbeddingCache::PrefetchTokens(const std::vector<uint32_t>& tokens) {
   // batched device read with it released: holding mu_ across the SSD wait
   // would block every concurrent Lookup — hits included — for the whole
   // read, the same lock discipline Lookup documents for its miss path.
+  // The request's hits move to the LRU front in the same critical section,
+  // so the misses inserted below evict other rows, not the ones this request
+  // is about to Lookup (each evicted hit would cost a row-sized device read).
   std::vector<uint32_t> missing;
   {
     MutexLock lock(mu_);
@@ -89,8 +92,11 @@ void EmbeddingCache::PrefetchTokens(const std::vector<uint32_t>& tokens) {
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
     for (uint32_t token : unique) {
-      if (map_.find(token) == map_.end()) {
+      const auto it = map_.find(token);
+      if (it == map_.end()) {
         missing.push_back(token);
+      } else {
+        lru_.splice(lru_.begin(), lru_, it->second);
       }
     }
   }

@@ -78,6 +78,8 @@ class EmbeddingCache : public EmbeddingSource {
   // Batched miss handling (paper §4.5): collects the unique tokens of a
   // request that are not resident and fetches them in a single device read
   // per contiguous run, paying the request latency once instead of per row.
+  // The request's resident rows move to the LRU front first, so the rows it
+  // inserts evict other rows before the ones it is about to look up.
   // The lock is released across the device read (same discipline as
   // Lookup's miss path), so concurrent hits never wait on a prefetch; rows
   // that lose a concurrent-insert race are dropped on reacquire.

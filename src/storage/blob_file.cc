@@ -167,6 +167,7 @@ Result<std::unique_ptr<BlobFileReader>> BlobFileReader::Open(const std::string& 
       reader->table_.push_back(entry);
     }
   }
+  reader->blob_reads_ = std::vector<std::atomic<int64_t>>(reader->table_.size());
   return reader;
 }
 
@@ -202,6 +203,7 @@ Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
   const size_t stored_size = static_cast<size_t>(entry.stored_size);
   const std::span<uint8_t> stored = dest.last(stored_size);
   PRISM_RETURN_IF_ERROR(ssd_->Read(entry.offset, stored));
+  blob_reads_[index].fetch_add(1, std::memory_order_relaxed);
   if (version_ >= 3 && blob_codec::Crc32c(stored) != entry.crc32c) {
     return Status::DataLoss("blob " + std::to_string(index) + " fails its CRC32C in " +
                             ssd_->path());
@@ -210,6 +212,11 @@ Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
     return Status::Ok();
   }
   return blob_codec::DecodeInPlace(entry.codec, dest, stored_size);
+}
+
+int64_t BlobFileReader::BlobReads(size_t index) const {
+  PRISM_CHECK_LT(index, blob_reads_.size());
+  return blob_reads_[index].load(std::memory_order_relaxed);
 }
 
 Status BlobFileReader::ReadBlobRange(size_t index, int64_t offset_in_blob,

@@ -19,6 +19,7 @@
 #ifndef PRISM_SRC_STORAGE_BLOB_FILE_H_
 #define PRISM_SRC_STORAGE_BLOB_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -101,6 +102,10 @@ class BlobFileReader {
   // A checksum mismatch or malformed coding returns kDataLoss.
   Status ReadBlob(size_t index, std::span<uint8_t> dest);
 
+  // ReadBlob calls of blob `index` that reached the device so far: how often
+  // a streamed layer was fetched. Range reads do not count.
+  int64_t BlobReads(size_t index) const;
+
   // Reads a byte range within raw blob `index` (for row-granular
   // embedding-table fetches on cache miss, §4.4). Unchecked: the CRC covers
   // the whole blob.
@@ -118,6 +123,7 @@ class BlobFileReader {
 
   std::unique_ptr<SimulatedSsd> ssd_;
   std::vector<BlobEntry> table_;
+  std::vector<std::atomic<int64_t>> blob_reads_;  // One per table_ entry.
   uint32_t version_ = kBlobFileVersion;
 };
 

@@ -9,7 +9,7 @@ namespace prism {
 
 LayerStreamer::LayerStreamer(BlobFileReader* reader, std::vector<size_t> schedule,
                              size_t buffer_count, MemoryTracker* tracker, bool cyclic)
-    : reader_(reader), schedule_(std::move(schedule)), tracker_(tracker) {
+    : reader_(reader), schedule_(std::move(schedule)), tracker_(tracker), cyclic_(cyclic) {
   PRISM_CHECK_GE(buffer_count, 2u);
   PRISM_CHECK_GT(schedule_.size(), 0u);
   buffers_.resize(buffer_count);
@@ -41,10 +41,14 @@ std::span<const uint8_t> LayerStreamer::Acquire(size_t seq) {
   PRISM_CHECK_GE(seq, release_floor_);  // Released or skipped positions are gone.
   Buffer* hit = nullptr;
   for (;;) {
-    for (auto& buf : buffers_) {
-      if (buf.seq == seq && buf.ready) {
-        hit = &buf;
-        break;
+    if (IsHead(seq)) {
+      hit = head_.ready ? &head_ : nullptr;
+    } else {
+      for (auto& buf : buffers_) {
+        if (buf.seq == seq && buf.ready) {
+          hit = &buf;
+          break;
+        }
       }
     }
     if (hit != nullptr) {
@@ -59,12 +63,11 @@ std::span<const uint8_t> LayerStreamer::Acquire(size_t seq) {
 void LayerStreamer::Release(size_t seq) {
   {
     MutexLock lock(mu_);
-    bool found = false;
+    bool found = IsHead(seq) && head_.ready;  // The pinned head stays resident.
     for (auto& buf : buffers_) {
-      if (buf.seq == seq) {
+      if (!found && buf.seq == seq) {
         FreeBufferLocked(&buf);
         found = true;
-        break;
       }
     }
     PRISM_CHECK_MSG(found, "Release of blob that is not resident");
@@ -116,14 +119,23 @@ void LayerStreamer::PrefetchLoop() {
           return;
         }
         // A position must be pending, within `buffer_count` of the release
-        // floor (so at most that many blobs are ever resident), and a free
-        // buffer must exist.
+        // floor (so at most that many blobs besides a pinned head are ever
+        // resident), and a free buffer must exist. A head position takes the
+        // head buffer on its first visit and is stepped over afterwards.
         if (next_to_load_ < schedule_end_ &&
             next_to_load_ < release_floor_ + buffers_.size()) {
-          for (auto& buf : buffers_) {
-            if (buf.seq == SIZE_MAX) {
-              target = &buf;
-              break;
+          if (IsHead(next_to_load_)) {
+            if (head_.seq != SIZE_MAX) {
+              ++next_to_load_;
+              continue;
+            }
+            target = &head_;
+          } else {
+            for (auto& buf : buffers_) {
+              if (buf.seq == SIZE_MAX) {
+                target = &buf;
+                break;
+              }
             }
           }
         }
@@ -148,9 +160,10 @@ void LayerStreamer::PrefetchLoop() {
       MutexLock lock(mu_);
       stats_.bytes_loaded += static_cast<int64_t>(target->bytes.size());
       ++stats_.blobs_loaded;
-      if (target->seq < release_floor_) {
+      if (target != &head_ && target->seq < release_floor_) {
         // The position was skipped while the read was in flight; the bytes
-        // were paid for (counted above) but nobody will consume them.
+        // were paid for (counted above) but nobody will consume them. The
+        // head serves every later revolution, so it is kept either way.
         FreeBufferLocked(target);
       } else {
         target->ready = true;

@@ -1,11 +1,11 @@
 // Overlapped layer streaming (paper §4.2).
 //
 // Keeps at most `buffer_count` (default two) blobs resident: the one being
-// consumed and the one being prefetched. A background thread walks a blob
-// schedule; Acquire(i) blocks only if the prefetch has not caught up — the
-// stall time is recorded so the ablation bench (Fig 16) can report the
-// latency overhead when pruning shrinks the compute window below the load
-// time. Releasing blob i immediately frees its buffer and lets the prefetcher
+// consumed and the one being prefetched (plus a cyclic stream's pinned head,
+// below). A background thread walks a blob schedule; Acquire(i) blocks only
+// if the prefetch has not caught up — the stall time is recorded so the
+// ablation bench (Fig 16) can report the latency overhead when pruning
+// shrinks the compute window below the load time. Releasing blob i immediately frees its buffer and lets the prefetcher
 // pull blob i+buffer_count.
 //
 // Two schedule modes:
@@ -17,13 +17,26 @@
 //     stream, and the prefetcher keeps the next cycle's first layers warm
 //     while the current cycle's tail computes.
 //
+// A cyclic stream pins its head: the schedule's first blob gets a buffer of
+// its own, is read from the device once in the streamer's life and is freed
+// only by the destructor. Every revolution's first position (a head
+// position) is served from that buffer — every request boards there, so
+// without the pin each revolution, and each linger at a boundary, would read
+// the same blob again. Acquire of a head position returns the head buffer,
+// Release of one only advances the release floor, and the prefetcher steps
+// over head positions once the head is loaded. The look-ahead window still
+// counts head positions, so a stream idling at a boundary holds the head and
+// the next blob (two, as without the pin) and a stream past its head holds
+// at most the head plus `buffer_count` others.
+//
 // Sequence positions stay monotonic in both modes, so TruncateSchedule keeps
 // its exact semantics under wrap-around: it caps the monotonic sequence
 // space, not a layer index — truncating at seq 17 of a 6-blob cyclic
 // schedule stops the prefetcher partway through the third cycle. SkipTo
 // discards unconsumed positions below a point (e.g. the rest of a drained
 // cycle) without tearing the streamer down, so a carousel that emptied at
-// layer 3 can jump straight to the next cycle's layer 0.
+// layer 3 can jump straight to the next cycle's layer 0, which the pinned
+// head serves without a read.
 #ifndef PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 #define PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 
@@ -50,7 +63,8 @@ class LayerStreamer {
  public:
   // `schedule` lists blob indices in consumption order (e.g. layer blobs
   // 1..L). The streamer starts prefetching immediately. With `cyclic`, the
-  // schedule wraps instead of terminating (see file comment).
+  // schedule wraps instead of terminating and its first blob stays resident
+  // from its first load to the destructor (see file comment).
   LayerStreamer(BlobFileReader* reader, std::vector<size_t> schedule, size_t buffer_count = 2,
                 MemoryTracker* tracker = &MemoryTracker::Global(), bool cyclic = false);
   ~LayerStreamer();
@@ -74,10 +88,11 @@ class LayerStreamer {
 
   // Discards every unconsumed position below `seq` without stopping the
   // walk: ready buffers holding skipped positions are freed now, in-flight
-  // loads are freed on completion, and prefetching resumes from `seq`. The
-  // carousel uses this to wrap early — jumping from a drained cycle's middle
-  // to the next cycle's first layer — instead of fetching layers nobody
-  // needs. `seq` must not precede a position already consumed.
+  // loads are freed on completion, and prefetching resumes from `seq`. A
+  // cyclic stream's pinned head is kept. The carousel uses this to wrap
+  // early — jumping from a drained cycle's middle to the next cycle's first
+  // layer — instead of fetching layers nobody needs. `seq` must not precede
+  // a position already consumed.
   void SkipTo(size_t seq);
 
   StreamerStats stats() const;
@@ -92,10 +107,13 @@ class LayerStreamer {
 
   void PrefetchLoop();
   void FreeBufferLocked(Buffer* buf) PRISM_REQUIRES(mu_);
+  // Whether position `seq` is served by the pinned head (cyclic only).
+  bool IsHead(size_t seq) const { return cyclic_ && seq % schedule_.size() == 0; }
 
   BlobFileReader* reader_;
   std::vector<size_t> schedule_;
   MemoryTracker* tracker_;
+  const bool cyclic_;
 
   mutable Mutex mu_;
   CondVar cv_;
@@ -104,6 +122,10 @@ class LayerStreamer {
   // prefetcher outside the lock — nobody else may touch a !ready buffer's
   // bytes (Acquire only returns ready ones).
   std::vector<Buffer> buffers_ PRISM_GUARDED_BY(mu_);
+  // The pinned head of a cyclic stream: `seq` is the head position it was
+  // first loaded for (SIZE_MAX until then) and it is never freed before the
+  // destructor. Mid-load it follows the same rule as `buffers_`.
+  Buffer head_ PRISM_GUARDED_BY(mu_);
   // Next schedule position the prefetcher fills.
   size_t next_to_load_ PRISM_GUARDED_BY(mu_) = 0;
   // All seq < floor have been released/skipped.

@@ -5,6 +5,7 @@
 // TSan and concurrency-stress CI lanes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "src/core/engine.h"
 #include "src/core/scheduler.h"
 #include "src/core/service.h"
+#include "src/storage/blob_file.h"
 #include "src/tensor/quant.h"
 #include "tests/test_util.h"
 
@@ -246,6 +248,57 @@ TEST_F(CarouselTest, PassWrapAroundServesLateJoinerBitIdentically) {
   EXPECT_EQ(result_a.scores, expected_a.scores);
   EXPECT_EQ(result_b.topk, expected_b.topk);
   EXPECT_EQ(result_b.scores, expected_b.scores);
+}
+
+TEST_F(CarouselTest, PassReadsLayerZeroOnceAcrossCycles) {
+  // One busy period of sequential requests: each rides its own cycle, a
+  // request that exits early wraps the carousel early, and between requests
+  // the pass lingers at the boundary. The cyclic stream pins layer 0, so the
+  // device reads its blob once for the whole pass (a serial Rerank reads it
+  // once per request), and the pass holds at most three layer blobs: the
+  // head plus the two the stream double-buffers (Rerank holds two).
+  constexpr size_t kRequests = 6;
+  MemoryTracker ref_tracker;
+  PrismEngine reference(config_, ckpt_, EngineOptions(), &ref_tracker);
+  std::vector<RerankResult> expected;
+  size_t early = 0;
+  for (size_t i = 0; i < kRequests; ++i) {
+    expected.push_back(reference.Rerank(requests_[i]));
+    early += expected.back().stats.layers_until_done < config_.n_layers ? 1 : 0;
+  }
+  ASSERT_GE(early, 1u) << "no request wraps the carousel early";
+  EXPECT_EQ(reference.layer_reads(0), static_cast<int64_t>(kRequests));
+
+  auto reader = BlobFileReader::Open(ckpt_, FastDevice().ssd);
+  ASSERT_TRUE(reader.ok());
+  int64_t blob_bytes = 0;
+  for (size_t layer = 0; layer < config_.n_layers; ++layer) {
+    blob_bytes = std::max(blob_bytes, reader.value()->BlobSize(LayerBlobIndex(layer)));
+  }
+  EXPECT_LE(ref_tracker.PeakBytes(MemCategory::kWeights), 2 * blob_bytes);
+
+  MemoryTracker tracker;
+  PrismEngine engine(config_, ckpt_, EngineOptions(), &tracker);
+  SimClock clock;
+  {
+    CarouselScheduler scheduler(&engine, /*max_inflight=*/2, /*compute_threads=*/2,
+                                /*linger_ms=*/2000.0, &clock);
+    const ClockMembership membership(&clock);
+    for (size_t i = 0; i < kRequests; ++i) {
+      const RerankResult result = scheduler.Submit(requests_[i]);
+      ASSERT_TRUE(result.status.ok()) << "request " << i;
+      EXPECT_EQ(result.topk, expected[i].topk) << "request " << i;
+      EXPECT_EQ(result.scores, expected[i].scores) << "request " << i;
+      EXPECT_EQ(result.stats.layers_until_done, expected[i].stats.layers_until_done)
+          << "request " << i;
+    }
+    const CarouselScheduler::Stats stats = scheduler.stats();
+    EXPECT_EQ(stats.passes, 1u);
+    EXPECT_GE(stats.cycles, kRequests);
+  }
+  EXPECT_EQ(engine.layer_reads(0), 1);
+  EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights), 3 * blob_bytes);
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
 }
 
 TEST_F(CarouselTest, AbandonedTicketReleasesSpilledChunks) {

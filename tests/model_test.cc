@@ -363,6 +363,37 @@ TEST(EmbeddingTest, PrefetchClampsToCapacity) {
   EXPECT_LE(cache.resident_rows(), 4u);
 }
 
+TEST(EmbeddingTest, PrefetchKeepsTheRequestsOwnHits) {
+  // The request's hits sit at the LRU tail and its misses fill the rest of
+  // the capacity: inserting the misses must evict the other rows, so every
+  // Lookup after the prefetch hits and the device sees one batched read.
+  const ModelConfig config = TestModel();
+  const std::string path = TestCheckpoint(config);
+  auto reader = BlobFileReader::Open(path, Unthrottled());
+  ASSERT_TRUE(reader.ok());
+  MemoryTracker tracker;
+  FullEmbeddingTable table(config, reader.value().get(), &tracker);
+  EmbeddingCache cache(config, reader.value().get(), 4, &tracker);
+  std::vector<float> a(config.hidden);
+  std::vector<float> b(config.hidden);
+  for (uint32_t token : {1u, 2u, 3u, 4u}) {
+    cache.Lookup(token, b);  // LRU front to back: 4, 3, 2, 1.
+  }
+  const std::vector<uint32_t> tokens = {2, 1, 10, 11};
+  const int64_t reads_before = reader.value()->ssd().stats().read_requests;
+  const EmbeddingCacheStats before = cache.stats();
+  cache.PrefetchTokens(tokens);
+  for (uint32_t token : tokens) {
+    table.Lookup(token, a);
+    cache.Lookup(token, b);
+    EXPECT_EQ(a, b) << "token " << token;
+  }
+  EXPECT_EQ(reader.value()->ssd().stats().read_requests - reads_before, 1);
+  EXPECT_EQ(cache.stats().hits - before.hits, 4);
+  EXPECT_EQ(cache.stats().misses - before.misses, 2);  // The prefetched rows.
+  EXPECT_EQ(cache.resident_rows(), 4u);
+}
+
 TEST(TokenizerTest, DeterministicAndInRange) {
   const ModelConfig config = TestModel();
   const SyntheticTokenizer tokenizer(config);

@@ -846,8 +846,10 @@ TEST_F(StreamerTest, TruncateStopsPrefetch) {
 }
 
 TEST_F(StreamerTest, CyclicDeliversWrapAroundOrder) {
-  // Three full revolutions: position seq must deliver blob schedule[seq % 6],
-  // and buffers released in one cycle are reused by the next.
+  // Three full revolutions: position seq must deliver blob schedule[seq % 6].
+  // The head (blob 0) is read once and serves every revolution's first
+  // position; the other blobs are read once per revolution into the buffers
+  // the previous revolution released.
   MemoryTracker tracker;
   LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
   for (size_t seq = 0; seq < 18; ++seq) {
@@ -857,31 +859,45 @@ TEST_F(StreamerTest, CyclicDeliversWrapAroundOrder) {
     EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), expected.begin())) << "seq " << seq;
     streamer.Release(seq);
   }
-  // Each of the 18 positions loaded exactly once, plus at most the
-  // prefetcher's look-ahead (2 buffers) into the fourth revolution.
+  // 1 head load + 15 other positions, plus at most the look-ahead into the
+  // fourth revolution: its head position is stepped over, so only seq 19.
   const StreamerStats stats = streamer.stats();
-  EXPECT_GE(stats.blobs_loaded, 18);
-  EXPECT_LE(stats.blobs_loaded, 18 + 2);
+  EXPECT_GE(stats.blobs_loaded, 1 + 15);
+  EXPECT_LE(stats.blobs_loaded, 1 + 15 + 1);
+  EXPECT_EQ(reader_->BlobReads(0), 1);
+  EXPECT_GE(reader_->BlobReads(1), 3);
+  EXPECT_LE(reader_->BlobReads(1), 4);
+  for (size_t blob = 2; blob < 6; ++blob) {
+    EXPECT_EQ(reader_->BlobReads(blob), 3) << "blob " << blob;
+  }
 }
 
-TEST_F(StreamerTest, CyclicKeepsAtMostTwoBlobsResidentAcrossCycles) {
+TEST_F(StreamerTest, CyclicKeepsHeadPlusTwoBlobsResidentAcrossCycles) {
   // The Release-then-reuse discipline must hold across the wrap: two
-  // revolutions never hold more than the two largest blobs at once.
+  // revolutions never hold more than the pinned head plus the two largest
+  // other blobs, and the head stays resident, Release included, until the
+  // streamer is destroyed.
   MemoryTracker tracker;
-  LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
-  int64_t max_weights = 0;
-  for (size_t seq = 0; seq < 12; ++seq) {
-    streamer.Acquire(seq);
-    max_weights = std::max(max_weights, tracker.PeakBytes(MemCategory::kWeights));
-    streamer.Release(seq);
+  const auto head_bytes = static_cast<int64_t>(blobs_[0].size());
+  {
+    LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
+    int64_t max_weights = 0;
+    for (size_t seq = 0; seq < 12; ++seq) {
+      streamer.Acquire(seq);
+      max_weights = std::max(max_weights, tracker.PeakBytes(MemCategory::kWeights));
+      streamer.Release(seq);
+      EXPECT_GE(tracker.CurrentBytes(MemCategory::kWeights), head_bytes) << "seq " << seq;
+    }
+    std::vector<int64_t> others;
+    for (size_t blob = 1; blob < blobs_.size(); ++blob) {
+      others.push_back(static_cast<int64_t>(blobs_[blob].size()));
+    }
+    std::sort(others.rbegin(), others.rend());
+    EXPECT_LE(max_weights, head_bytes + others[0] + others[1]);
+    EXPECT_EQ(reader_->BlobReads(0), 1);
+    streamer.TruncateSchedule(11);  // Walk over; stop the prefetcher fetching cycle 3.
   }
-  std::vector<int64_t> sizes;
-  for (const auto& blob : blobs_) {
-    sizes.push_back(static_cast<int64_t>(blob.size()));
-  }
-  std::sort(sizes.rbegin(), sizes.rend());
-  EXPECT_LE(max_weights, sizes[0] + sizes[1]);
-  streamer.TruncateSchedule(11);  // Walk over; stop the prefetcher fetching cycle 3.
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
 }
 
 TEST_F(StreamerTest, CyclicTruncateMidCycleStopsPrefetch) {
@@ -905,7 +921,8 @@ TEST_F(StreamerTest, CyclicTruncateMidCycleStopsPrefetch) {
 TEST_F(StreamerTest, CyclicSkipToRealignsAtNextCycle) {
   // A carousel that drains at layer 1 skips the rest of the cycle: SkipTo
   // the next boundary must discard the unconsumed positions (freeing their
-  // buffers) and deliver the next cycle's layer 0 correctly.
+  // buffers) and deliver the next cycle's layer 0 — the pinned head, not a
+  // second read of it — and the rest of that cycle correctly.
   MemoryTracker tracker;
   LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
   for (size_t seq = 0; seq < 2; ++seq) {
@@ -922,17 +939,49 @@ TEST_F(StreamerTest, CyclicSkipToRealignsAtNextCycle) {
     streamer.Release(seq);
   }
   streamer.TruncateSchedule(11);
-  // Positions 2..5 were never consumed; at most the prefetcher's look-ahead
-  // (2 buffers) of them may have been fetched before the skip landed.
+  // The head once, seq 1, seq 7..11; at most the look-ahead (seq 2 and 3)
+  // of the skipped positions may have been fetched before the skip landed,
+  // and at most seq 13 past the last release (seq 12 is a head position).
   const StreamerStats stats = streamer.stats();
-  EXPECT_LE(stats.blobs_loaded, 2 + 2 + 6 + 2);
+  EXPECT_GE(stats.blobs_loaded, 1 + 1 + 5);
+  EXPECT_LE(stats.blobs_loaded, 1 + 1 + 2 + 5 + 1);
+  EXPECT_EQ(reader_->BlobReads(0), 1);
   // Skipped-but-fetched bytes are still accounted (they were real I/O): the
-  // total covers at least the 8 consumed positions.
+  // total covers at least every read a consumed position needed.
   int64_t consumed_bytes = 0;
-  for (size_t seq : {0u, 1u, 6u, 7u, 8u, 9u, 10u, 11u}) {
+  for (size_t seq : {0u, 1u, 7u, 8u, 9u, 10u, 11u}) {
     consumed_bytes += static_cast<int64_t>(blobs_[seq % 6].size());
   }
   EXPECT_GE(stats.bytes_loaded, consumed_bytes);
+}
+
+TEST_F(StreamerTest, CyclicHeadSurvivesSkipToAndIsNotReloaded) {
+  // SkipTo keeps the pinned head, including a head load still in flight for
+  // a position the skip discards: every later head position is served from
+  // the one buffer, at the same address, and blob 0 is read once.
+  MemoryTracker tracker;
+  LayerStreamer streamer(reader_.get(), {0, 1, 2, 3, 4, 5}, 2, &tracker, /*cyclic=*/true);
+  streamer.SkipTo(6);  // Before anything is consumed; seq 0's load may be in flight.
+  const auto first = streamer.Acquire(6);
+  ASSERT_EQ(first.size(), blobs_[0].size());
+  EXPECT_TRUE(std::equal(first.begin(), first.end(), blobs_[0].begin()));
+  streamer.Release(6);
+  for (size_t seq = 7; seq < 9; ++seq) {
+    streamer.Acquire(seq);
+    streamer.Release(seq);
+  }
+  streamer.SkipTo(12);  // An early wrap from the middle of a revolution.
+  EXPECT_GE(tracker.CurrentBytes(MemCategory::kWeights),
+            static_cast<int64_t>(blobs_[0].size()));
+  const auto again = streamer.Acquire(12);
+  EXPECT_EQ(again.data(), first.data());
+  EXPECT_TRUE(std::equal(again.begin(), again.end(), blobs_[0].begin()));
+  streamer.Release(12);
+  const auto next = streamer.Acquire(13);
+  EXPECT_TRUE(std::equal(next.begin(), next.end(), blobs_[1].begin()));
+  streamer.Release(13);
+  streamer.TruncateSchedule(13);
+  EXPECT_EQ(reader_->BlobReads(0), 1);
 }
 
 TEST_F(StreamerTest, StallAccountingIsMonotonic) {
