@@ -3,17 +3,15 @@
 //
 // For each application scenario (file_search, rag, agent_memory, lcs) the
 // bench measures a single-client serial baseline (per-query selection
-// signatures + unloaded service time), then sweeps
-// {scheduler × pool_size × arrival mode} with N concurrent clients and
-// Zipf-skewed query popularity, checking every served request's selection
-// against the baseline: 0 mismatches means no scheduler/pool combination
-// ever changed a decision. A final 2× overload phase per scenario runs with
-// deadlines and verifies the serving layer degrades the right way — shed
-// fraction rises while served-only p99 stays within one carousel interval
-// (serial service time × max_inflight) of the unloaded carousel run (only
-// observable because the workload report keeps shed requests out of its
-// percentiles). The summary prints, per scheduler, the closed-loop req/s of
-// 2 replicas over 1 — the replica-sharding scaling line.
+// signatures + unloaded service time), then sweeps {scheduler × arrival
+// mode} with N concurrent clients and Zipf-skewed query popularity, checking
+// every served request's selection against the baseline: 0 mismatches means
+// no scheduler ever changed a decision. A final 2× overload phase per
+// scenario runs with deadlines and verifies the serving layer degrades the
+// right way — shed fraction rises while served-only p99 stays within one
+// carousel interval (serial service time × max_inflight) of the unloaded
+// carousel run (only observable because the workload report keeps shed
+// requests out of its percentiles).
 //
 // A machine-readable JSON summary is printed to stdout after the human
 // table (and optionally written to --json=PATH).
@@ -24,7 +22,7 @@
 //        that tier; bytes per pass, score drift and selection agreement vs
 //        fp32 are bench_quant's to measure and gate)
 //        --scenarios=all|comma-list --schedulers=serial,carousel
-//        --pool_sizes=1,2 --clients=6 --requests=24 --warmup=4
+//        --clients=6 --requests=24 --warmup=4
 //        --n_queries=8 --max_inflight=4 --zipf=0.9 --rates=0.7
 //        --ssd_mbps=12 (0 = device profile default) --overload=true
 //        --json=PATH
@@ -61,29 +59,22 @@
 
 #include "bench/bench_util.h"
 #include "src/common/clock.h"
-#include "src/core/service_pool.h"
+#include "src/core/service.h"
 #include "src/serving/result_cache.h"
 #include "src/serving/workload.h"
 
 namespace prism {
 namespace {
 
-// One serving stack (a single service or a pool, optionally fronted by a
-// result cache) behind a Runner*.
+// One serving stack (a service, optionally fronted by a result cache)
+// behind a Runner*.
 struct Stack {
   std::unique_ptr<RerankService> service;
-  std::unique_ptr<ServicePool> pool;
-  std::unique_ptr<ResultCache> cache;  // Fronts service/pool when non-null.
+  std::unique_ptr<ResultCache> cache;  // Fronts the service when non-null.
 
   Runner* runner() {
-    if (cache != nullptr) {
-      return cache.get();
-    }
-    return pool != nullptr ? static_cast<Runner*>(pool.get())
-                           : static_cast<Runner*>(service.get());
-  }
-  ServiceStats Stats() const {
-    return pool != nullptr ? pool->stats().aggregate : service->stats();
+    return cache != nullptr ? static_cast<Runner*>(cache.get())
+                            : static_cast<Runner*>(service.get());
   }
 };
 
@@ -100,8 +91,7 @@ struct StackSpec {
   size_t cache_capacity = 0;
 };
 
-Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
-                Clock* clock = nullptr) {
+Stack MakeStack(const StackSpec& spec, SchedulerKind kind, Clock* clock = nullptr) {
   MemoryTracker::Global().Reset();
   ServiceOptions options;
   options.engine.device = spec.device;
@@ -109,26 +99,16 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
   options.engine.dispersion_threshold = spec.threshold;
   options.scheduler = kind;
   options.max_inflight = kind == SchedulerKind::kSerial ? 1 : spec.max_inflight;
-  options.compute_threads = std::max<size_t>(1, spec.total_threads / pool_size);
+  options.compute_threads = spec.total_threads;
   options.clock = clock;
   options.sim = spec.sim;
   Stack stack;
-  if (pool_size == 1) {
-    stack.service = std::make_unique<RerankService>(spec.model, spec.checkpoint, options);
-  } else {
-    ServicePoolOptions pool_options;
-    pool_options.service = options;
-    pool_options.pool_size = pool_size;
-    stack.pool = std::make_unique<ServicePool>(spec.model, spec.checkpoint, pool_options);
-  }
+  stack.service = std::make_unique<RerankService>(spec.model, spec.checkpoint, options);
   if (spec.cache_capacity > 0) {
     ResultCacheOptions cache_options;
     cache_options.capacity = spec.cache_capacity;
     cache_options.clock = clock;
-    stack.cache = std::make_unique<ResultCache>(stack.pool != nullptr
-                                                    ? static_cast<Runner*>(stack.pool.get())
-                                                    : static_cast<Runner*>(stack.service.get()),
-                                                cache_options);
+    stack.cache = std::make_unique<ResultCache>(stack.service.get(), cache_options);
   }
   return stack;
 }
@@ -136,7 +116,6 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, size_t pool_size,
 struct RunRecord {
   std::string scenario;
   std::string scheduler;
-  size_t pool_size = 1;
   std::string mode;  // "closed" | "open" | "overload" | "cache"
   size_t clients = 0;
   double arrival_hz = 0.0;
@@ -147,36 +126,6 @@ struct RunRecord {
   double work_fraction = 0.0;
 };
 
-// Replica-sharding scaling, one line per scheduler: closed-loop served req/s
-// summed over scenarios at 2 replicas, over the same sum at 1. Each replica
-// streams from its own SSD queue, so an SSD-bound sweep should approach 2x.
-// Schedulers missing either pool size print nothing.
-void PrintReplicaScaling(const std::vector<RunRecord>& runs) {
-  std::vector<std::string> schedulers;
-  for (const RunRecord& r : runs) {
-    if (std::find(schedulers.begin(), schedulers.end(), r.scheduler) == schedulers.end()) {
-      schedulers.push_back(r.scheduler);
-    }
-  }
-  for (const std::string& scheduler : schedulers) {
-    double one = 0.0;
-    double two = 0.0;
-    for (const RunRecord& r : runs) {
-      if (r.scheduler != scheduler || r.mode != "closed") {
-        continue;
-      }
-      if (r.pool_size == 1) {
-        one += r.report.served_per_sec;
-      } else if (r.pool_size == 2) {
-        two += r.report.served_per_sec;
-      }
-    }
-    if (one > 0.0 && two > 0.0) {
-      std::printf("%s: 2 replicas vs 1: %.2fx\n", scheduler.c_str(), two / one);
-    }
-  }
-}
-
 // Pulls the post-run accounting (embedding-cache counters from the stack,
 // result-cache counters when a cache tier fronted it) into the report so
 // every emitted row carries its hit rates. Embedding-cache counters are
@@ -185,7 +134,7 @@ void PrintReplicaScaling(const std::vector<RunRecord>& runs) {
 // domain, so its hit counts would break byte-identical replay.
 void AttachStats(RunRecord& record, const Stack& stack, bool sim) {
   if (!sim) {
-    record.report.AttachServingStats(stack.Stats());
+    record.report.AttachServingStats(stack.service->stats());
   }
   if (stack.cache != nullptr) {
     record.report.AttachCacheStats(stack.cache->stats());
@@ -193,8 +142,7 @@ void AttachStats(RunRecord& record, const Stack& stack, bool sim) {
 }
 
 void PrintRow(const RunRecord& r) {
-  const std::string name = r.scenario + " " + r.scheduler + "x" +
-                           std::to_string(r.pool_size) + " " + r.mode;
+  const std::string name = r.scenario + " " + r.scheduler + " " + r.mode;
   // The throughput column is the *served* rate: shed requests turn around
   // in ~0 ms, so counting them would make overload rows look faster.
   // hit% is the result-cache hit rate (blank-equivalent 0 when no cache).
@@ -206,8 +154,8 @@ void PrintRow(const RunRecord& r) {
 
 void JsonRun(FILE* out, const RunRecord& r, bool last) {
   std::fprintf(out,
-               "    {\"scenario\": \"%s\", \"scheduler\": \"%s\", \"pool_size\": %zu, "
-               "\"mode\": \"%s\", \"clients\": %zu, \"arrival_hz\": %.6g, "
+               "    {\"scenario\": \"%s\", \"scheduler\": \"%s\", \"mode\": \"%s\", "
+               "\"clients\": %zu, \"arrival_hz\": %.6g, "
                "\"deadline_ms\": %.6g, \"requests\": %zu, \"served\": %zu, \"shed\": %zu, "
                "\"errors\": %zu, \"req_per_sec\": %.6g, \"served_per_sec\": %.6g, "
                "\"p50_ms\": %.6g, \"p99_ms\": %.6g, "
@@ -217,7 +165,7 @@ void JsonRun(FILE* out, const RunRecord& r, bool last) {
                "\"cache_capacity\": %zu, \"zipf\": %.6g, \"cache_lookups\": %zu, "
                "\"cache_hits\": %zu, \"cache_coalesced\": %zu, \"cache_hit_rate\": %.6g, "
                "\"embed_hit_rate\": %.6g}%s\n",
-               r.scenario.c_str(), r.scheduler.c_str(), r.pool_size, r.mode.c_str(), r.clients,
+               r.scenario.c_str(), r.scheduler.c_str(), r.mode.c_str(), r.clients,
                r.arrival_hz, r.deadline_ms, r.report.requests, r.report.served, r.report.shed,
                r.report.errors, r.report.requests_per_sec, r.report.served_per_sec,
                r.report.p50_ms, r.report.p99_ms,
@@ -316,21 +264,20 @@ int Main(int argc, char** argv) {
     model = ModelByName(flags.GetString("model", "Qwen3-Reranker-0.6B"));
     device = DeviceByName(flags.GetString("device", "nvidia"));
     // The paper's regime is SSD-bound (large checkpoints dwarf this zoo's
-    // compute), so the sweep defaults to a slowed device; it is also what
-    // lets two replicas' independent SSD queues show their scaling.
-    // 0 = profile default.
+    // compute), so the sweep defaults to a slowed device. 0 = profile
+    // default.
     const double ssd_mbps = flags.GetDouble("ssd_mbps", 12.0);
     if (ssd_mbps > 0.0) {
       device.ssd.bandwidth_bytes_per_sec = ssd_mbps * 1024.0 * 1024.0;
     }
   }
 
-  // The sim sweep is about serving dynamics (scheduler × replicas × load ×
-  // overload), which are scenario-agnostic; default to the single-stage
-  // file_search pipeline so the 10k-request grid stays in the tens of
-  // seconds. Multi-stage pipelines (agent_memory issues several reranks per
-  // request, each a serialized virtual-clock handshake) are ~10x slower per
-  // request — opt in with --scenarios=all.
+  // The sim sweep is about serving dynamics (scheduler × load × overload),
+  // which are scenario-agnostic; default to the single-stage file_search
+  // pipeline so the 10k-request grid stays in the tens of seconds.
+  // Multi-stage pipelines (agent_memory issues several reranks per request,
+  // each a serialized virtual-clock handshake) are ~10x slower per request —
+  // opt in with --scenarios=all.
   std::vector<ScenarioKind> scenarios;
   const std::string scenario_csv = flags.GetString("scenarios", sim ? "file_search" : "all");
   if (scenario_csv == "all") {
@@ -343,10 +290,6 @@ int Main(int argc, char** argv) {
   std::vector<SchedulerKind> schedulers;
   for (const std::string& name : SplitCsv(flags.GetString("schedulers", "serial,carousel"))) {
     schedulers.push_back(SchedulerKindByName(name));
-  }
-  std::vector<size_t> pool_sizes;
-  for (const std::string& p : SplitCsv(flags.GetString("pool_sizes", "1,2"))) {
-    pool_sizes.push_back(static_cast<size_t>(std::stoul(p)));
   }
   std::vector<double> rate_factors;  // Open-loop offered load vs serial capacity.
   for (const std::string& r : SplitCsv(flags.GetString("rates", "0.7"))) {
@@ -414,7 +357,7 @@ int Main(int argc, char** argv) {
       // deadlines and SLOs, and a cache hit's ~0 ms would deflate it.
       StackSpec baseline_spec = spec;
       baseline_spec.cache_capacity = 0;
-      Stack stack = MakeStack(baseline_spec, SchedulerKind::kSerial, 1, clk.get());
+      Stack stack = MakeStack(baseline_spec, SchedulerKind::kSerial, clk.get());
       baseline = BaselineSelections(harness, stack.runner());
       WorkloadOptions wopts;
       wopts.clients = 1;
@@ -435,75 +378,70 @@ int Main(int argc, char** argv) {
       scenario_schedulers = {schedulers[s % schedulers.size()]};
     }
 
-    // Unloaded reference for the overload bound: prefer the carousel x1
+    // Unloaded reference for the overload bound: prefer the carousel
     // closed-loop run; fall back to the single-client serial run when the
-    // sweep has no carousel pool_size-1 config (e.g. --pool_sizes=2).
+    // sweep has no carousel config (--schedulers=serial).
     double unloaded_p99 = serial_unloaded.p99_ms;
     double unloaded_shed_fraction = 0.0;
     for (const SchedulerKind sched : scenario_schedulers) {
       const char* sched_name = sched == SchedulerKind::kSerial ? "serial" : "carousel";
-      for (const size_t pool_size : pool_sizes) {
-        // Closed loop.
-        {
+      // Closed loop.
+      {
+        const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
+        Stack stack = MakeStack(spec, sched, clk.get());
+        WorkloadOptions wopts;
+        wopts.clients = clients;
+        wopts.requests = requests;
+        wopts.warmup = warmup;
+        wopts.zipf_skew = zipf;
+        wopts.slo_ms = slo_ms;
+        wopts.clock = clk.get();
+        RunRecord record;
+        record.scenario = harness.name();
+        record.scheduler = sched_name;
+        record.mode = "closed";
+        record.clients = clients;
+        record.cache_capacity = spec.cache_capacity;
+        record.zipf = zipf;
+        record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
+        record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
+        AttachStats(record, stack, sim);
+        total_mismatches += record.report.mismatches;
+        if (sched == SchedulerKind::kCarousel) {
+          unloaded_p99 = record.report.p99_ms;
+          unloaded_shed_fraction = record.report.shed_fraction;
+        }
+        PrintRow(record);
+        runs.push_back(std::move(record));
+      }
+      // Open loop (Poisson) at each offered-load factor of the measured
+      // serial capacity.
+      if (!smoke) {
+        for (const double factor : rate_factors) {
           const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
-          Stack stack = MakeStack(spec, sched, pool_size, clk.get());
+          Stack stack = MakeStack(spec, sched, clk.get());
           WorkloadOptions wopts;
           wopts.clients = clients;
           wopts.requests = requests;
           wopts.warmup = warmup;
           wopts.zipf_skew = zipf;
           wopts.slo_ms = slo_ms;
+          wopts.arrival_hz = factor * serial_unloaded.requests_per_sec;
           wopts.clock = clk.get();
           RunRecord record;
           record.scenario = harness.name();
           record.scheduler = sched_name;
-          record.pool_size = pool_size;
-          record.mode = "closed";
+          record.mode = "open";
           record.clients = clients;
+          record.arrival_hz = wopts.arrival_hz;
           record.cache_capacity = spec.cache_capacity;
           record.zipf = zipf;
           record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
-          record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
+          record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
           AttachStats(record, stack, sim);
           total_mismatches += record.report.mismatches;
-          if (pool_size == 1 && sched == SchedulerKind::kCarousel) {
-            unloaded_p99 = record.report.p99_ms;
-            unloaded_shed_fraction = record.report.shed_fraction;
-          }
           PrintRow(record);
           runs.push_back(std::move(record));
-        }
-        // Open loop (Poisson) at each offered-load factor of the measured
-        // serial capacity.
-        if (!smoke) {
-          for (const double factor : rate_factors) {
-            const std::unique_ptr<SimClock> clk =
-                sim ? std::make_unique<SimClock>() : nullptr;
-            Stack stack = MakeStack(spec, sched, pool_size, clk.get());
-            WorkloadOptions wopts;
-            wopts.clients = clients;
-            wopts.requests = requests;
-            wopts.warmup = warmup;
-            wopts.zipf_skew = zipf;
-            wopts.slo_ms = slo_ms;
-            wopts.arrival_hz = factor * serial_unloaded.requests_per_sec;
-            wopts.clock = clk.get();
-            RunRecord record;
-            record.scenario = harness.name();
-            record.scheduler = sched_name;
-            record.pool_size = pool_size;
-            record.mode = "open";
-            record.clients = clients;
-            record.arrival_hz = wopts.arrival_hz;
-            record.cache_capacity = spec.cache_capacity;
-            record.zipf = zipf;
-            record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
-            record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
-            AttachStats(record, stack, sim);
-            total_mismatches += record.report.mismatches;
-            PrintRow(record);
-            runs.push_back(std::move(record));
-          }
         }
       }
     }
@@ -511,7 +449,7 @@ int Main(int argc, char** argv) {
     // --- 2x overload phase: deadlines on, twice the closed-loop clients. --
     if (overload) {
       const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
-      Stack stack = MakeStack(spec, SchedulerKind::kCarousel, 1, clk.get());
+      Stack stack = MakeStack(spec, SchedulerKind::kCarousel, clk.get());
       WorkloadOptions wopts;
       wopts.clients = clients * 2;
       wopts.requests = requests;
@@ -532,7 +470,6 @@ int Main(int argc, char** argv) {
       RunRecord record;
       record.scenario = harness.name();
       record.scheduler = "carousel";
-      record.pool_size = 1;
       record.mode = "overload";
       record.clients = wopts.clients;
       record.arrival_hz = wopts.arrival_hz;
@@ -543,7 +480,7 @@ int Main(int argc, char** argv) {
       record.cache_capacity = spec.cache_capacity;
       record.zipf = zipf;
       record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
-      record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
+      record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
       AttachStats(record, stack, sim);
       total_mismatches += record.report.mismatches;
       PrintRow(record);
@@ -587,7 +524,7 @@ int Main(int argc, char** argv) {
           const std::unique_ptr<SimClock> clk = sim ? std::make_unique<SimClock>() : nullptr;
           StackSpec sweep_spec = spec;
           sweep_spec.cache_capacity = capacity;
-          Stack stack = MakeStack(sweep_spec, SchedulerKind::kSerial, 1, clk.get());
+          Stack stack = MakeStack(sweep_spec, SchedulerKind::kSerial, clk.get());
           WorkloadOptions wopts;
           wopts.clients = clients * 2;
           wopts.requests = requests;
@@ -600,7 +537,6 @@ int Main(int argc, char** argv) {
           RunRecord record;
           record.scenario = harness.name();
           record.scheduler = "serial";
-          record.pool_size = 1;
           record.mode = "cache";
           record.clients = wopts.clients;
           record.arrival_hz = wopts.arrival_hz;
@@ -608,7 +544,7 @@ int Main(int argc, char** argv) {
           record.cache_capacity = capacity;
           record.zipf = cache_zipf;
           record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
-          record.work_fraction = stack.Stats().WorkFraction(model.n_layers);
+          record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
           AttachStats(record, stack, sim);
           total_mismatches += record.report.mismatches;
           if (capacity == 0) {
@@ -644,7 +580,6 @@ int Main(int argc, char** argv) {
 
   std::printf("\ntotal selection mismatches vs single-client serial: %zu (expected 0)\n",
               total_mismatches);
-  PrintReplicaScaling(runs);
   std::printf("\nJSON summary:\n");
   EmitJson(stdout, model.name, device.name, smoke, sim, precision_name, runs, overloads,
            cache_checks, total_mismatches, ok);

@@ -45,7 +45,7 @@ class RagPipeline {
 
   // Thread-safe: indexes and encoder are immutable after construction and
   // the generator is stateless, so N client threads can share one pipeline
-  // against one (thread-safe) runner, e.g. a RerankService or ServicePool.
+  // against one (thread-safe) runner, e.g. a RerankService.
   RagResult Query(size_t query_idx, Runner* runner) const;
 
  private:

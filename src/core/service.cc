@@ -21,17 +21,6 @@ void ServiceStats::Observe(const RerankRequest& request, const RerankResult& res
   total_candidates += static_cast<int64_t>(request.docs.size());
 }
 
-void ServiceStats::Merge(const ServiceStats& other) {
-  requests += other.requests;
-  shed += other.shed;
-  errors += other.errors;
-  total_candidate_layers += other.total_candidate_layers;
-  total_candidates += other.total_candidates;
-  embed_hits += other.embed_hits;
-  embed_misses += other.embed_misses;
-  embed_miss_bytes += other.embed_miss_bytes;
-}
-
 SchedulerKind SchedulerKindByName(const std::string& name) {
   if (name == "auto") {
     return SchedulerKind::kAuto;

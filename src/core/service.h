@@ -103,11 +103,8 @@ struct ServiceStats {
 
   void Observe(const RerankRequest& request, const RerankResult& result);
 
-  // Folds another snapshot into this one (ServicePool aggregation).
-  void Merge(const ServiceStats& other);
-
-  // Clamped: a hand-built or merged snapshot may carry shed + errors >
-  // requests, and the unsigned difference must never be allowed to wrap.
+  // Clamped: a hand-built snapshot may carry shed + errors > requests, and
+  // the unsigned difference must never be allowed to wrap.
   size_t served() const {
     const size_t finished = shed + errors;
     return requests > finished ? requests - finished : 0;

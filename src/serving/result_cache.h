@@ -2,10 +2,10 @@
 //
 // The workload driver generates Zipf-popular queries (src/serving/workload),
 // yet every repeat of a head query pays a full SSD-bound engine pass.
-// ResultCache fronts any Runner — a RerankService, a ServicePool, a raw
-// engine — behind the same Runner interface, so no call site changes:
+// ResultCache fronts any Runner — a RerankService or a raw engine — behind
+// the same Runner interface, so no call site changes:
 //
-//   clients ─► ResultCache ─► RerankService / ServicePool ─► engine(s)
+//   clients ─► ResultCache ─► RerankService ─► engine
 //
 // Design:
 //   - One exact-key LRU of `capacity` entries behind one mutex. The key

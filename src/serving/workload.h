@@ -1,17 +1,17 @@
 // Multi-client scenario workloads over the serving stack.
 //
-// The concurrent serving layer (the serial and carousel schedulers,
-// ServicePool, deadline shedding) is built elsewhere; this subsystem puts
-// realistic traffic on it. A ScenarioHarness wraps one of the paper's application
-// pipelines (semantic file search, RAG §6.3, agent memory §6.3/Fig 12,
-// long-context selection §6.4/Fig 14) behind a uniform query-by-index
-// interface, and RunWorkload drives N closed- or open-loop clients through
-// that harness against any Runner — a raw engine, a RerankService (any
-// scheduler), or a ServicePool — with Zipf-skewed query popularity, Poisson
-// arrivals, per-client priority classes, deadlines, and a warmup/measure
-// split. The report carries served-only latency percentiles, shed fraction,
-// SLO attainment, and per-query selection signatures so a sweep can prove
-// that no scheduler/pool combination ever changes a decision.
+// The concurrent serving layer (the serial and carousel schedulers, deadline
+// shedding) is built elsewhere; this subsystem puts realistic traffic on it.
+// A ScenarioHarness wraps one of the paper's application pipelines (semantic
+// file search, RAG §6.3, agent memory §6.3/Fig 12, long-context selection
+// §6.4/Fig 14) behind a uniform query-by-index interface, and RunWorkload
+// drives N closed- or open-loop clients through that harness against any
+// Runner — a raw engine or a RerankService (any scheduler) — with
+// Zipf-skewed query popularity, Poisson arrivals, per-client priority
+// classes, deadlines, and a warmup/measure split. The report carries
+// served-only latency percentiles, shed fraction, SLO attainment, and
+// per-query selection signatures so a sweep can prove that no scheduler or
+// cache ever changes a decision.
 #ifndef PRISM_SRC_SERVING_WORKLOAD_H_
 #define PRISM_SRC_SERVING_WORKLOAD_H_
 
@@ -66,7 +66,7 @@ struct ScenarioOptions {
 // What one scenario request produced. `selection` is the scenario's
 // deterministic decision signature (chosen docs / context / segment set /
 // per-step trajectory picks): for a served request it is a pure function of
-// (scenario seed, query id), whatever scheduler or pool served the reranks —
+// (scenario seed, query id), whatever scheduler or cache served the reranks —
 // the property the mismatch checks in RunWorkload verify.
 struct ScenarioOutcome {
   bool served = false;  // Every rerank the request issued came back ok.
@@ -92,7 +92,7 @@ class ScenarioHarness {
 
   // Runs query `query_idx % n_queries()` end to end through `runner` (which
   // must itself be thread-safe when Run is called concurrently — a
-  // RerankService or ServicePool is; a raw engine is too).
+  // RerankService is; a raw engine is too).
   ScenarioOutcome Run(size_t query_idx, Runner* runner) const;
 
  private:
@@ -197,8 +197,8 @@ struct WorkloadReport {
   std::vector<std::vector<size_t>> selections;
   // Served requests whose selection differed from the baseline (when given)
   // or from the first served occurrence of the same query id (always
-  // checked): any nonzero value means a scheduler/pool combination changed
-  // a decision.
+  // checked): any nonzero value means a scheduler or cache changed a
+  // decision.
   size_t mismatches = 0;
   // Per measured request, in request-index order: 'S' served, 'D' shed
   // (deadline), 'E' error. Two runs of the same simulated workload must
@@ -221,9 +221,8 @@ struct WorkloadReport {
   int64_t embed_miss_bytes = 0;
   double embed_hit_rate = 0.0;
 
-  // Folds a served-stack stats snapshot (RerankService::stats() or
-  // ServicePool::stats().aggregate) into the embed_* fields. Call after the
-  // run, before SummaryJson.
+  // Folds a RerankService::stats() snapshot into the embed_* fields. Call
+  // after the run, before SummaryJson.
   void AttachServingStats(const ServiceStats& stats);
   // Folds a ResultCache stats snapshot into the cache_* fields.
   void AttachCacheStats(const ResultCacheStats& stats);

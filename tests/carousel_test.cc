@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -329,6 +331,46 @@ TEST_F(CarouselTest, AbandonedTicketReleasesSpilledChunks) {
   EXPECT_TRUE(next->TakeResult().status.ok());
   next.reset();
   EXPECT_EQ(engine.spill_pool()->live_entries(), 0u);
+}
+
+TEST_F(CarouselTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
+  // A carousel with room for one resident admits one request per boundary,
+  // which makes queue order observable through completion order: while a
+  // blocker occupies the engine, a low-priority request is admitted first
+  // and a high-priority one second; the high one must still dispatch (and
+  // finish) first.
+  MemoryTracker tracker;
+  PrismOptions engine_options;
+  engine_options.device = SlowSsdDevice(2.0 * 1024 * 1024);  // ~60ms/request.
+  PrismEngine engine(config_, ckpt_, engine_options, &tracker);
+  CarouselScheduler scheduler(&engine, /*max_inflight=*/1, /*compute_threads=*/1);
+
+  std::atomic<int> finish_seq{0};
+  int low_finished_at = -1;
+  int high_finished_at = -1;
+
+  std::thread blocker([&] { scheduler.Submit(requests_[0]); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // Blocker dispatched.
+  std::thread low_client([&] {
+    RerankRequest low = requests_[1];
+    low.priority = -1;
+    const RerankResult result = scheduler.Submit(low);
+    EXPECT_TRUE(result.status.ok());
+    low_finished_at = finish_seq.fetch_add(1);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // Low admitted first.
+  std::thread high_client([&] {
+    RerankRequest high = requests_[2];
+    high.priority = 7;
+    const RerankResult result = scheduler.Submit(high);
+    EXPECT_TRUE(result.status.ok());
+    high_finished_at = finish_seq.fetch_add(1);
+  });
+  blocker.join();
+  low_client.join();
+  high_client.join();
+  EXPECT_LT(high_finished_at, low_finished_at)
+      << "the later-admitted high-priority request should have dispatched first";
 }
 
 TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {

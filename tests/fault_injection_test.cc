@@ -1,17 +1,16 @@
 // Fault-injection tests: a failing request must surface its error to exactly
 // its own caller — no poisoned batchmates, no wedged dispatcher, no leaked
-// SpillPool entries — whether the fault arrives through a CarouselScheduler,
-// a SerialScheduler, or a whole ServicePool of flaky replicas.
+// SpillPool entries — whether the fault arrives through a CarouselScheduler
+// or a SerialScheduler.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/core/engine.h"
 #include "src/core/scheduler.h"
-#include "src/core/service_pool.h"
 #include "tests/fault_injection.h"
 #include "tests/test_util.h"
 
@@ -140,66 +139,6 @@ TEST_F(FaultInjectionTest, SerialSchedulerForwardsInjectedErrors) {
   const RerankResult served = scheduler.Submit(requests_[0]);
   EXPECT_TRUE(served.status.ok());
   EXPECT_EQ(served.topk.size(), 3u);
-}
-
-TEST_F(FaultInjectionTest, ServicePoolSurfacesReplicaFaultsAndKeepsServing) {
-  // Two flaky replicas behind a pool: each replica's scheduler drives a
-  // FlakyRunner wrapping that replica's own engine (runner_override seam).
-  MemoryTracker tracker;
-  std::vector<std::unique_ptr<PrismEngine>> engines;
-  std::vector<std::unique_ptr<FlakyRunner>> flakies;
-  std::vector<std::unique_ptr<RerankService>> replicas;
-  FaultPlan plan;
-  plan.fail_probability = 0.3;
-  for (size_t i = 0; i < 2; ++i) {
-    engines.push_back(std::make_unique<PrismEngine>(config_, ckpt_, EngineOptions(), &tracker));
-    plan.seed = 100 + i;
-    flakies.push_back(std::make_unique<FlakyRunner>(engines.back().get(), plan));
-    ServiceOptions options;
-    options.engine = EngineOptions();
-    options.max_inflight = 2;
-    options.compute_threads = 2;
-    options.runner_override = flakies.back().get();
-    replicas.push_back(std::make_unique<RerankService>(config_, ckpt_, options, &tracker));
-  }
-  ServicePool pool(std::move(replicas));
-
-  MemoryTracker ref_tracker;
-  PrismEngine reference(config_, ckpt_, EngineOptions(), &ref_tracker);
-
-  constexpr size_t kRounds = 4;
-  std::atomic<size_t> failed{0};
-  for (size_t round = 0; round < kRounds; ++round) {
-    std::vector<RerankResult> results(requests_.size());
-    std::vector<std::thread> clients;
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      clients.emplace_back([&, i] { results[i] = pool.Rerank(requests_[i]); });
-    }
-    for (std::thread& t : clients) {
-      t.join();
-    }
-    for (size_t i = 0; i < requests_.size(); ++i) {
-      if (!results[i].status.ok()) {
-        EXPECT_EQ(results[i].status.code(), StatusCode::kIoError);
-        failed.fetch_add(1);
-      } else {
-        EXPECT_EQ(results[i].topk, reference.Rerank(requests_[i]).topk) << "request " << i;
-      }
-    }
-  }
-  EXPECT_GT(failed.load(), 0u);  // p=0.3 over 32 draws.
-
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.aggregate.requests, kRounds * requests_.size());
-  EXPECT_EQ(stats.aggregate.errors, failed.load());
-  EXPECT_EQ(stats.aggregate.shed, 0u);
-  // Every replica kept taking traffic even while faulting: each round's
-  // eight concurrent clients overlap, so least-loaded placement spills
-  // past replica 0 (about half the requests land on each replica).
-  for (size_t i = 0; i < pool.pool_size(); ++i) {
-    EXPECT_GT(stats.replica_requests[i], 0u) << "replica " << i;
-    EXPECT_EQ(stats.replica_inflight[i], 0u) << "replica " << i;
-  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
@@ -181,8 +183,17 @@ TEST_F(RunnerTest, ComputeSlowdownStretchesLatency) {
   slow.device.compute_slowdown = 3.0;
   HfRunner a(config_, ckpt_, fast, &t1);
   HfRunner b(config_, ckpt_, slow, &t2);
-  const double t_fast = a.Rerank(request_).stats.latency_ms;
-  const double t_slow = b.Rerank(request_).stats.latency_ms;
+  // Best of 5 per runner: one call is sub-millisecond, so a single
+  // scheduling hiccup in the fast call would swamp the 3x slowdown.
+  const auto min_latency_ms = [&](HfRunner& runner) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 5; ++i) {
+      best = std::min(best, runner.Rerank(request_).stats.latency_ms);
+    }
+    return best;
+  };
+  const double t_fast = min_latency_ms(a);
+  const double t_slow = min_latency_ms(b);
   EXPECT_GT(t_slow, t_fast * 1.8);
 }
 

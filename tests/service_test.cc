@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "src/core/online_calibrator.h"
@@ -44,6 +47,50 @@ TEST_F(ServiceTest, AggregatesStats) {
   // Pruning executed less than full work.
   EXPECT_LT(stats.WorkFraction(config_.n_layers), 1.0);
   EXPECT_GT(stats.WorkFraction(config_.n_layers), 0.0);
+}
+
+TEST_F(ServiceTest, DeadlineSheddingUnderOverload) {
+  // Serial scheduler: the first request holds the runner while the rest wait
+  // past their deadlines.
+  MemoryTracker tracker;
+  ServiceOptions options;
+  options.max_inflight = 1;
+  options.compute_threads = 2;
+  // Throttled SSD so a request takes real wall time.
+  options.engine.device = SlowSsdDevice(24.0 * 1024 * 1024);
+  RerankService service(config_, ckpt_, options, &tracker);
+
+  std::atomic<size_t> shed{0};
+  std::atomic<size_t> served{0};
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < 4; ++i) {
+    clients.emplace_back([&, i] {
+      RerankRequest request = TestRequest(config_, 10 + i % 3, 3, i);
+      if (i > 0) {
+        request.deadline_ms = 0.5;  // Expires while the first request runs.
+      }
+      const RerankResult result = service.Rerank(request);
+      if (result.status.code() == StatusCode::kDeadlineExceeded) {
+        EXPECT_TRUE(result.topk.empty());
+        shed.fetch_add(1);
+      } else {
+        EXPECT_TRUE(result.status.ok());
+        served.fetch_add(1);
+      }
+    });
+    if (i == 0) {
+      // Give the long request a head start so the rest genuinely queue.
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  for (std::thread& t : clients) {
+    t.join();
+  }
+  EXPECT_GE(served.load(), 1u);
+  EXPECT_GE(shed.load(), 1u) << "no request was shed despite 0.5ms deadlines under load";
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.shed, shed.load());
+  EXPECT_EQ(stats.requests, 4u);
 }
 
 // A malformed request gets kInvalidArgument instead of aborting the process,
@@ -260,7 +307,7 @@ TEST(ServiceStatsOverloadTest, ShedRequestsLeavePercentilesUntouched) {
 }
 
 TEST(ServiceStatsTest, ServedClampsTornSnapshots) {
-  // A hand-built or merged snapshot may carry shed + errors > requests. The
+  // A hand-built snapshot may carry shed + errors > requests. The
   // unsigned subtraction must clamp to 0, not wrap to ~2^64 (which would
   // poison every served()-derived rate).
   ServiceStats torn;

@@ -1,8 +1,8 @@
 // The serving-workload layer: scenario harnesses over the app pipelines and
-// the multi-client driver. Load-bearing properties: (a) RerankService and
-// ServicePool are drop-in Runners for every app pipeline, (b) selections are
-// deterministic per query id no matter which scheduler/pool serves the
-// reranks or how many clients share the pipeline, and (c) the driver's
+// the multi-client driver. Load-bearing properties: (a) RerankService is a
+// drop-in Runner for every app pipeline, (b) selections are deterministic
+// per query id no matter which scheduler serves the reranks or how many
+// clients share the pipeline, and (c) the driver's
 // report accounts exactly for served/shed under deadlines. Also a
 // ThreadSanitizer target: many clients share one const pipeline and one
 // service.
@@ -11,7 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/core/service_pool.h"
+#include "src/core/service.h"
 #include "src/data/metrics.h"
 #include "src/serving/workload.h"
 #include "src/tensor/quant.h"
@@ -64,27 +64,21 @@ TEST_F(WorkloadTest, HarnessSelectionsAreDeterministicPerQuery) {
   }
 }
 
-TEST_F(WorkloadTest, ServiceAndPoolAreDropInRunnersForEveryScenario) {
-  // The same pipeline, served by a raw engine, a batching service, and a
-  // two-replica pool: identical selections everywhere. This is the apps →
-  // Runner → service/pool layering the serving stack promises.
+TEST_F(WorkloadTest, ServiceIsADropInRunnerForEveryScenario) {
+  // The same pipeline, served by a raw engine and by a batching service:
+  // identical selections. This is the apps → Runner → service layering the
+  // serving stack promises.
   MemoryTracker tracker;
   PrismOptions eopts;
   eopts.device = FastDevice();
   PrismEngine engine(config_, ckpt_, eopts, &tracker);
   RerankService service(config_, ckpt_, FastService(SchedulerKind::kCarousel, 3), &tracker);
-  ServicePoolOptions pool_options;
-  pool_options.service = FastService(SchedulerKind::kAuto, 2);
-  pool_options.pool_size = 2;
-  ServicePool pool(config_, ckpt_, pool_options, &tracker);
   for (ScenarioKind kind : AllScenarios()) {
     const ScenarioHarness harness(kind, config_, FastScenario());
     const std::vector<std::vector<size_t>> baseline = BaselineSelections(harness, &engine);
     for (size_t q = 0; q < harness.n_queries(); ++q) {
       EXPECT_EQ(harness.Run(q, &service).selection, baseline[q])
           << ScenarioKindName(kind) << " via " << service.name();
-      EXPECT_EQ(harness.Run(q, &pool).selection, baseline[q])
-          << ScenarioKindName(kind) << " via " << pool.name();
     }
   }
 }
@@ -174,7 +168,7 @@ TEST_F(WorkloadTest, OpenLoopPoissonArrivalsServeAndMatch) {
 }
 
 TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
-  // Many clients, one serial replica, a deadline shorter than the queue
+  // Many clients, one serial service, a deadline shorter than the queue
   // under contention: requests shed. Retimed onto a SimClock with the
   // virtual service-cost model: the 10 virtual-ms serial service time and
   // the 25 virtual-ms deadline make overload — and therefore the shed set —
@@ -218,47 +212,35 @@ TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
 }
 
 TEST_F(WorkloadTest, SimulatedWorkloadReplaysByteIdentically) {
-  // The tentpole determinism property: one seed fully determines a
-  // simulated run. Every scheduler, single service and two-replica pool,
-  // open loop at an overloading rate with deadlines (so served/shed
-  // sequencing is exercised, not just selections): two runs must agree on
-  // every per-request status and every metric to the last bit.
+  // The determinism property: one seed fully determines a
+  // simulated run. Every scheduler, open loop at an overloading rate with
+  // deadlines (so served/shed sequencing is exercised, not just selections):
+  // two runs must agree on every per-request status and every metric to the
+  // last bit.
   const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
   for (const SchedulerKind kind : {SchedulerKind::kSerial, SchedulerKind::kCarousel}) {
-    for (const size_t pool_size : {size_t{1}, size_t{2}}) {
-      const auto run = [&] {
-        SimClock clock;
-        MemoryTracker tracker;
-        ServiceOptions sopts = FastService(kind, kind == SchedulerKind::kSerial ? 1 : 3);
-        sopts.clock = &clock;
-        sopts.sim = true;
-        WorkloadOptions wopts;
-        wopts.clients = 4;
-        wopts.requests = 24;
-        wopts.warmup = 4;
-        wopts.arrival_hz = 150.0;  // ~1.5× the serial service rate: overload.
-        wopts.deadline_ms = 40.0;
-        wopts.high_fraction = 0.25;
-        wopts.clock = &clock;
-        WorkloadReport report;
-        if (pool_size == 1) {
-          RerankService service(config_, ckpt_, sopts, &tracker);
-          report = RunWorkload(harness, &service, wopts);
-        } else {
-          ServicePoolOptions popts;
-          popts.service = sopts;
-          popts.pool_size = pool_size;
-          ServicePool pool(config_, ckpt_, popts, &tracker);
-          report = RunWorkload(harness, &pool, wopts);
-        }
-        EXPECT_EQ(report.statuses.size(), wopts.requests);
-        return report.SummaryJson();
-      };
-      const std::string first = run();
-      const std::string second = run();
-      EXPECT_EQ(first, second) << "scheduler " << static_cast<int>(kind) << " pool_size "
-                               << pool_size;
-    }
+    const auto run = [&] {
+      SimClock clock;
+      MemoryTracker tracker;
+      ServiceOptions sopts = FastService(kind, kind == SchedulerKind::kSerial ? 1 : 3);
+      sopts.clock = &clock;
+      sopts.sim = true;
+      WorkloadOptions wopts;
+      wopts.clients = 4;
+      wopts.requests = 24;
+      wopts.warmup = 4;
+      wopts.arrival_hz = 150.0;  // ~1.5× the serial service rate: overload.
+      wopts.deadline_ms = 40.0;
+      wopts.high_fraction = 0.25;
+      wopts.clock = &clock;
+      RerankService service(config_, ckpt_, sopts, &tracker);
+      const WorkloadReport report = RunWorkload(harness, &service, wopts);
+      EXPECT_EQ(report.statuses.size(), wopts.requests);
+      return report.SummaryJson();
+    };
+    const std::string first = run();
+    const std::string second = run();
+    EXPECT_EQ(first, second) << "scheduler " << static_cast<int>(kind);
   }
 }
 
