@@ -30,13 +30,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/common/percentile.h"
 #include "src/core/service.h"
 
 namespace prism {
@@ -53,19 +53,8 @@ struct LoadRun {
   std::vector<std::vector<size_t>> topks;
 };
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  std::sort(values.begin(), values.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(values.size()));
-  const size_t index =
-      rank <= 1.0 ? 0 : std::min(values.size() - 1, static_cast<size_t>(rank) - 1);
-  return values[index];
-}
-
 LoadRun Summarize(const WallTimer& wall, std::vector<std::vector<size_t>> topks,
-                  const std::vector<double>& latencies, const std::vector<double>& waits) {
+                  std::vector<double> latencies, std::vector<double> waits) {
   LoadRun run;
   run.wall_seconds = wall.ElapsedSeconds();
   run.requests_per_sec = static_cast<double>(topks.size()) / run.wall_seconds;
@@ -74,10 +63,12 @@ LoadRun Summarize(const WallTimer& wall, std::vector<std::vector<size_t>> topks,
     total_ms += latency;
   }
   run.mean_ms = latencies.empty() ? 0.0 : total_ms / static_cast<double>(latencies.size());
-  run.p50_ms = Percentile(latencies, 50.0);
-  run.p99_ms = Percentile(latencies, 99.0);
-  run.ttfl_p50_ms = Percentile(waits, 50.0);
-  run.ttfl_p99_ms = Percentile(waits, 99.0);
+  std::sort(latencies.begin(), latencies.end());
+  std::sort(waits.begin(), waits.end());
+  run.p50_ms = PercentileOverSorted(latencies, 50.0);
+  run.p99_ms = PercentileOverSorted(latencies, 99.0);
+  run.ttfl_p50_ms = PercentileOverSorted(waits, 50.0);
+  run.ttfl_p99_ms = PercentileOverSorted(waits, 99.0);
   run.topks = std::move(topks);
   return run;
 }
@@ -110,7 +101,7 @@ LoadRun RunStaggered(RerankService* service, const std::vector<BenchCase>& cases
   for (std::thread& t : threads) {
     t.join();
   }
-  return Summarize(wall, std::move(topks), latencies, waits);
+  return Summarize(wall, std::move(topks), std::move(latencies), std::move(waits));
 }
 
 // Closed loop: `clients` threads submit back to back until the request
@@ -139,7 +130,7 @@ LoadRun RunBurst(RerankService* service, const std::vector<BenchCase>& cases, si
   for (std::thread& t : threads) {
     t.join();
   }
-  return Summarize(wall, std::move(topks), latencies, waits);
+  return Summarize(wall, std::move(topks), std::move(latencies), std::move(waits));
 }
 
 void PrintTableHeader() {

@@ -89,11 +89,10 @@ PassResult RunPass(const ModelConfig& model, Precision precision,
   options.device.compute_slowdown = 1.0;
   options.dispersion_threshold = kThresholdHigh;
   options.precision = precision;
-  // Deterministic mode must make streamed bytes a pure function of the
-  // checkpoint, but with early exit the prefetcher races the truncation
-  // point — whether layer i+1 was already in flight when the pass finished
-  // at layer i is thread timing. Disabling pruning walks the full schedule,
-  // so the byte column is exact and drift is pure quantisation error.
+  // Deterministic mode walks the full layer schedule at every tier. With
+  // early exit each tier could stop at its own layer, so its score drift
+  // would mix quantisation error with a different exit point; without
+  // pruning, drift is pure quantisation error.
   options.pruning = !deterministic;
   auto engine = FreshRunner([&] { return MakePrismWith(model, options); });
   double bytes = 0.0;

@@ -64,9 +64,9 @@ void EmbeddingCache::Lookup(uint32_t token, std::span<float> dest) {
   std::vector<float> row(config_.hidden);
   const int64_t offset =
       static_cast<int64_t>(token) * static_cast<int64_t>(config_.hidden * sizeof(float));
-  auto* bytes = reinterpret_cast<uint8_t*>(row.data());
-  const Status status =
-      reader_->ReadBlobRange(EmbeddingBlobIndex(), offset, {bytes, row.size() * sizeof(float)});
+  const std::pair<int64_t, std::span<uint8_t>> range(
+      offset, {reinterpret_cast<uint8_t*>(row.data()), row.size() * sizeof(float)});
+  const Status status = reader_->ReadBlobRanges(EmbeddingBlobIndex(), {&range, 1});
   PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
   std::memcpy(dest.data(), row.data(), config_.hidden * sizeof(float));
   MutexLock lock(mu_);

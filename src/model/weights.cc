@@ -82,38 +82,6 @@ WeightView WeightView::RowSlice(size_t row0, size_t n) const {
   return s;
 }
 
-LayerView ParseLayerBlob(const ModelConfig& config, std::span<const uint8_t> blob) {
-  PRISM_CHECK_EQ(blob.size(), LayerBlobBytes(config, Precision::kFp32));
-  const float* p = reinterpret_cast<const float*>(blob.data());
-  const size_t d = config.hidden;
-  const size_t f = config.ffn;
-  LayerView view;
-  view.wq = p;
-  p += d * d;
-  view.wk = p;
-  p += d * d;
-  view.wv = p;
-  p += d * d;
-  view.wo = p;
-  p += d * d;
-  if (config.arch == ModelArch::kDecoderOnly) {
-    view.w_gate = p;
-    p += f * d;
-  }
-  view.w_up = p;
-  p += f * d;
-  view.w_down = p;
-  p += d * f;
-  view.norm1_gain = {p, d};
-  p += d;
-  view.norm1_bias = {p, d};
-  p += d;
-  view.norm2_gain = {p, d};
-  p += d;
-  view.norm2_bias = {p, d};
-  return view;
-}
-
 AnyLayerView ParseAnyLayerBlob(const ModelConfig& config, std::span<const uint8_t> blob,
                                Precision precision) {
   PRISM_CHECK_EQ(blob.size(), LayerBlobBytes(config, precision));
@@ -184,20 +152,18 @@ Status ValidateCheckpoint(const BlobFileReader& reader, const ModelConfig& confi
           " bytes, expected " + std::to_string(layer_bytes) + " for precision " +
           PrecisionName(precision));
     }
-    if (reader.has_precision_tags()) {
-      const Precision tag = reader.BlobPrecision(index);
-      if (tag != precision) {
-        return Status::InvalidArgument("layer " + std::to_string(layer) + " is tagged " +
-                                       PrecisionName(tag) + ", engine configured for " +
-                                       PrecisionName(precision));
-      }
-      if ((precision == Precision::kInt8 || precision == Precision::kW4) &&
-          reader.BlobQuantGroup(index) != config.quant_group) {
-        return Status::InvalidArgument(
-            "layer " + std::to_string(layer) + " quant group " +
-            std::to_string(reader.BlobQuantGroup(index)) + " != config quant_group " +
-            std::to_string(config.quant_group));
-      }
+    const Precision tag = reader.BlobPrecision(index);
+    if (tag != precision) {
+      return Status::InvalidArgument("layer " + std::to_string(layer) + " is tagged " +
+                                     PrecisionName(tag) + ", engine configured for " +
+                                     PrecisionName(precision));
+    }
+    if ((precision == Precision::kInt8 || precision == Precision::kW4) &&
+        reader.BlobQuantGroup(index) != config.quant_group) {
+      return Status::InvalidArgument("layer " + std::to_string(layer) + " quant group " +
+                                     std::to_string(reader.BlobQuantGroup(index)) +
+                                     " != config quant_group " +
+                                     std::to_string(config.quant_group));
     }
   }
   return Status::Ok();

@@ -62,22 +62,6 @@ struct WeightView {
   WeightView RowSlice(size_t row0, size_t n) const;
 };
 
-// Non-owning fp32 view into a layer blob (kept for fp32-only callers that
-// want raw pointers, e.g. layout tests).
-struct LayerView {
-  const float* wq = nullptr;
-  const float* wk = nullptr;
-  const float* wv = nullptr;
-  const float* wo = nullptr;
-  const float* w_gate = nullptr;  // null for encoder models
-  const float* w_up = nullptr;
-  const float* w_down = nullptr;
-  std::span<const float> norm1_gain;
-  std::span<const float> norm1_bias;
-  std::span<const float> norm2_gain;
-  std::span<const float> norm2_bias;
-};
-
 // Precision-generic view passed to the layer forward.
 struct AnyLayerView {
   Precision precision = Precision::kFp32;
@@ -91,14 +75,14 @@ struct AnyLayerView {
 };
 
 // Parses views out of a raw layer blob (no copy; blob must outlive the view).
-LayerView ParseLayerBlob(const ModelConfig& config, std::span<const uint8_t> blob);
 AnyLayerView ParseAnyLayerBlob(const ModelConfig& config, std::span<const uint8_t> blob,
                                Precision precision);
 
 // Checks an opened checkpoint against the model config and the precision the
-// caller intends to stream at: blob count, per-blob byte sizes, and (for v2
-// files) the precision tags themselves. Catches a checkpoint generated at one
-// tier being opened at another before any garbage maths runs.
+// caller intends to stream at: blob count, per-blob byte sizes, and each
+// layer's precision tag and quantisation group. Catches a checkpoint
+// generated at one tier being opened at another before any garbage maths
+// runs.
 Status ValidateCheckpoint(const BlobFileReader& reader, const ModelConfig& config,
                           Precision precision);
 

@@ -11,18 +11,12 @@ namespace prism {
 
 namespace {
 
-// v3 entries append {stored_size u64, codec u32, crc32c u32} to v2's
-// {offset u64, size u64, precision u32, group u32}; legacy v1 entries are
-// just {offset u64, size u64}.
-constexpr size_t kEntryBytesV3 = 40;
-constexpr size_t kEntryBytesV2 = 24;
-constexpr size_t kEntryBytesV1 = 16;
+// {offset u64, size u64, precision u32, group u32, stored_size u64,
+// codec u32, crc32c u32} after the 16-byte file header.
+constexpr size_t kFileHeaderBytes = 16;
+constexpr size_t kEntryBytes = 40;
 
-size_t EntryBytes(uint32_t version) {
-  return version >= 3 ? kEntryBytesV3 : version == 2 ? kEntryBytesV2 : kEntryBytesV1;
-}
-
-size_t HeaderBytes(size_t count) { return 16 + count * kEntryBytesV3; }
+size_t HeaderBytes(size_t count) { return kFileHeaderBytes + count * kEntryBytes; }
 
 void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
   const size_t at = buf.size();
@@ -101,71 +95,69 @@ Result<std::unique_ptr<BlobFileReader>> BlobFileReader::Open(const std::string& 
                                                              SsdConfig config) {
   auto reader = std::unique_ptr<BlobFileReader>(new BlobFileReader());
   reader->ssd_ = std::make_unique<SimulatedSsd>(path, config);
-  uint8_t header[16];
-  {
-    // Header reads bypass the device model (they happen once at open).
-    SsdConfig raw = config;
-    raw.throttle = false;
-    SimulatedSsd probe(path, raw);
-    PRISM_RETURN_IF_ERROR(probe.Read(0, header));
-    uint32_t magic = 0;
-    uint32_t version = 0;
-    uint64_t count = 0;
-    std::memcpy(&magic, header, 4);
-    std::memcpy(&version, header + 4, 4);
-    std::memcpy(&count, header + 8, 8);
-    if (magic != kBlobFileMagic) {
-      return Status::InvalidArgument("bad blob file magic in " + path);
+  // Header reads bypass the device model (they happen once at open).
+  SsdConfig raw = config;
+  raw.throttle = false;
+  SimulatedSsd probe(path, raw);
+  uint8_t header[kFileHeaderBytes];
+  PRISM_RETURN_IF_ERROR(probe.Read(0, header));
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  uint64_t count = 0;
+  std::memcpy(&magic, header, 4);
+  std::memcpy(&version, header + 4, 4);
+  std::memcpy(&count, header + 8, 8);
+  if (magic != kBlobFileMagic) {
+    return Status::InvalidArgument("bad blob file magic in " + path);
+  }
+  if (version != kBlobFileVersion) {
+    return Status::InvalidArgument("unsupported blob file version " + std::to_string(version));
+  }
+  // `count` comes from the file: bound it by the bytes there are before it
+  // sizes anything.
+  const uint64_t table_room = static_cast<uint64_t>(probe.SizeBytes()) - kFileHeaderBytes;
+  if (count > table_room / kEntryBytes) {
+    return Status::DataLoss("blob table of " + std::to_string(count) + " entries overruns " +
+                            path);
+  }
+  std::vector<uint8_t> table(count * kEntryBytes);
+  PRISM_RETURN_IF_ERROR(probe.Read(kFileHeaderBytes, table));
+  reader->table_.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint8_t* at = table.data() + i * kEntryBytes;
+    BlobEntry entry;
+    uint64_t offset = 0;
+    uint64_t size = 0;
+    uint32_t precision = 0;
+    uint64_t stored_size = 0;
+    uint32_t codec = 0;
+    std::memcpy(&offset, at, 8);
+    std::memcpy(&size, at + 8, 8);
+    std::memcpy(&precision, at + 16, 4);
+    std::memcpy(&entry.quant_group, at + 20, 4);
+    std::memcpy(&stored_size, at + 24, 8);
+    std::memcpy(&codec, at + 32, 4);
+    std::memcpy(&entry.crc32c, at + 36, 4);
+    if (precision > static_cast<uint32_t>(Precision::kW4)) {
+      return Status::InvalidArgument("unknown precision tag " + std::to_string(precision) +
+                                     " for blob " + std::to_string(i) + " in " + path);
     }
-    if (version < kBlobFileVersionLegacy || version > kBlobFileVersion) {
-      return Status::InvalidArgument("unsupported blob file version " + std::to_string(version));
+    if (codec > kMaxBlobCodecTag) {
+      return Status::InvalidArgument("unknown codec tag " + std::to_string(codec) +
+                                     " for blob " + std::to_string(i) + " in " + path);
     }
-    reader->version_ = version;
-    const size_t entry_bytes = EntryBytes(version);
-    std::vector<uint8_t> table(count * entry_bytes);
-    PRISM_RETURN_IF_ERROR(probe.Read(16, table));
-    reader->table_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      const uint8_t* at = table.data() + i * entry_bytes;
-      BlobEntry entry;
-      uint64_t offset = 0;
-      uint64_t size = 0;
-      std::memcpy(&offset, at, 8);
-      std::memcpy(&size, at + 8, 8);
-      entry.offset = static_cast<int64_t>(offset);
-      entry.size = static_cast<int64_t>(size);
-      entry.stored_size = entry.size;
-      if (version >= 2) {
-        uint32_t precision = 0;
-        std::memcpy(&precision, at + 16, 4);
-        std::memcpy(&entry.quant_group, at + 20, 4);
-        if (precision > static_cast<uint32_t>(Precision::kW4)) {
-          return Status::InvalidArgument("unknown precision tag " + std::to_string(precision) +
-                                         " for blob " + std::to_string(i) + " in " + path);
-        }
-        entry.precision = static_cast<Precision>(precision);
-      }
-      if (version >= 3) {
-        uint64_t stored_size = 0;
-        uint32_t codec = 0;
-        std::memcpy(&stored_size, at + 24, 8);
-        std::memcpy(&codec, at + 32, 4);
-        std::memcpy(&entry.crc32c, at + 36, 4);
-        if (codec > kMaxBlobCodecTag) {
-          return Status::InvalidArgument("unknown codec tag " + std::to_string(codec) +
-                                         " for blob " + std::to_string(i) + " in " + path);
-        }
-        entry.stored_size = static_cast<int64_t>(stored_size);
-        entry.codec = static_cast<BlobCodec>(codec);
-        // A coded blob decodes in place, so it must fit in its decoded size.
-        if (entry.codec == BlobCodec::kRaw ? stored_size != size : stored_size > size) {
-          return Status::DataLoss("blob " + std::to_string(i) + " stores " +
-                                  std::to_string(stored_size) + " bytes for " +
-                                  std::to_string(size) + " decoded in " + path);
-        }
-      }
-      reader->table_.push_back(entry);
+    entry.offset = static_cast<int64_t>(offset);
+    entry.size = static_cast<int64_t>(size);
+    entry.precision = static_cast<Precision>(precision);
+    entry.stored_size = static_cast<int64_t>(stored_size);
+    entry.codec = static_cast<BlobCodec>(codec);
+    // A coded blob decodes in place, so it must fit in its decoded size.
+    if (entry.codec == BlobCodec::kRaw ? stored_size != size : stored_size > size) {
+      return Status::DataLoss("blob " + std::to_string(i) + " stores " +
+                              std::to_string(stored_size) + " bytes for " +
+                              std::to_string(size) + " decoded in " + path);
     }
+    reader->table_.push_back(entry);
   }
   reader->blob_reads_ = std::vector<std::atomic<int64_t>>(reader->table_.size());
   return reader;
@@ -204,7 +196,7 @@ Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
   const std::span<uint8_t> stored = dest.last(stored_size);
   PRISM_RETURN_IF_ERROR(ssd_->Read(entry.offset, stored));
   blob_reads_[index].fetch_add(1, std::memory_order_relaxed);
-  if (version_ >= 3 && blob_codec::Crc32c(stored) != entry.crc32c) {
+  if (blob_codec::Crc32c(stored) != entry.crc32c) {
     return Status::DataLoss("blob " + std::to_string(index) + " fails its CRC32C in " +
                             ssd_->path());
   }
@@ -217,15 +209,6 @@ Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
 int64_t BlobFileReader::BlobReads(size_t index) const {
   PRISM_CHECK_LT(index, blob_reads_.size());
   return blob_reads_[index].load(std::memory_order_relaxed);
-}
-
-Status BlobFileReader::ReadBlobRange(size_t index, int64_t offset_in_blob,
-                                     std::span<uint8_t> dest) {
-  PRISM_CHECK_LT(index, table_.size());
-  const BlobEntry& entry = table_[index];
-  PRISM_CHECK(entry.codec == BlobCodec::kRaw);
-  PRISM_CHECK_LE(offset_in_blob + static_cast<int64_t>(dest.size()), entry.size);
-  return ssd_->Read(entry.offset + offset_in_blob, dest);
 }
 
 Status BlobFileReader::ReadBlobRanges(

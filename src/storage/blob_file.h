@@ -2,20 +2,18 @@
 //
 // Model checkpoints are laid out as a sequence of blobs (embedding table,
 // one blob per transformer layer, classifier head) so that the layer streamer
-// can fetch exactly one layer's bytes per request. Format v3 tags every blob
-// with its storage precision, its codec and a checksum:
+// can fetch exactly one layer's bytes per request. The format (version 3)
+// tags every blob with its storage precision, its codec and a checksum:
 //
 //   [magic u32][version u32][count u64]                          header
-//   v3: count × { offset u64, size u64, precision u32, group u32,
-//                 stored_size u64, codec u32, crc32c u32 }         table
-//   v2: count × { offset u64, size u64, precision u32, group u32 }  table
-//   v1: count × { offset u64, size u64 }                            table
+//   count × { offset u64, size u64, precision u32, group u32,
+//             stored_size u64, codec u32, crc32c u32 }             table
 //   blob bytes ...                                                data
 //
-// `size` is always the decoded size. A v3 blob occupies `stored_size` bytes
-// on the device, coded with `codec` (src/storage/blob_codec.h), and `crc32c`
-// covers those stored bytes. v2 blobs are raw and unchecked; v1 files (written
-// before the precision axis existed) read as untagged (fp32, group 0).
+// `size` is the decoded size. A blob occupies `stored_size` bytes on the
+// device, coded with `codec` (src/storage/blob_codec.h), and `crc32c` covers
+// those stored bytes. Any other version, including the untagged v1 and the
+// unchecked v2 of earlier writers, fails Open with kInvalidArgument.
 #ifndef PRISM_SRC_STORAGE_BLOB_FILE_H_
 #define PRISM_SRC_STORAGE_BLOB_FILE_H_
 
@@ -35,10 +33,8 @@ namespace prism {
 
 inline constexpr uint32_t kBlobFileMagic = 0x50524C42;  // "PRLB"
 inline constexpr uint32_t kBlobFileVersion = 3;
-inline constexpr uint32_t kBlobFileVersionV2 = 2;
-inline constexpr uint32_t kBlobFileVersionLegacy = 1;
 
-// One row of the blob table, as the v3 format stores it.
+// One row of the blob table.
 struct BlobEntry {
   int64_t offset = 0;
   int64_t size = 0;  // Decoded bytes.
@@ -76,7 +72,9 @@ class BlobFileWriter {
 
 class BlobFileReader {
  public:
-  // Opens an existing blob file through a throttled simulated device.
+  // Opens an existing blob file through a throttled simulated device. A
+  // header or table that does not describe a well-formed file returns an
+  // error status.
   static Result<std::unique_ptr<BlobFileReader>> Open(const std::string& path, SsdConfig config);
 
   size_t blob_count() const { return table_.size(); }
@@ -86,18 +84,12 @@ class BlobFileReader {
   int64_t BlobStoredSize(size_t index) const;
   BlobCodec BlobCodecOf(size_t index) const;
 
-  // Format version of the opened file (kBlobFileVersion, 2, or the legacy 1).
-  uint32_t version() const { return version_; }
-  bool has_precision_tags() const { return version_ >= 2; }
-
-  // Per-blob precision tag. v1 files report kFp32 / group 0 for every blob
-  // (the legacy format carried no metadata; callers that streamed w4 from v1
-  // files supplied the precision out of band).
+  // Per-blob precision tag and quantisation group (0 for fp32 / fp16).
   Precision BlobPrecision(size_t index) const;
   uint32_t BlobQuantGroup(size_t index) const;
 
   // Reads blob `index` fully into `dest` (must be exactly BlobSize bytes).
-  // The stored bytes land in the tail of `dest`, their CRC32C is checked (v3)
+  // The stored bytes land in the tail of `dest`, their CRC32C is checked
   // and a coded blob is then decoded in place, so no staging buffer exists.
   // A checksum mismatch or malformed coding returns kDataLoss.
   Status ReadBlob(size_t index, std::span<uint8_t> dest);
@@ -106,13 +98,9 @@ class BlobFileReader {
   // a streamed layer was fetched. Range reads do not count.
   int64_t BlobReads(size_t index) const;
 
-  // Reads a byte range within raw blob `index` (for row-granular
-  // embedding-table fetches on cache miss, §4.4). Unchecked: the CRC covers
-  // the whole blob.
-  Status ReadBlobRange(size_t index, int64_t offset_in_blob, std::span<uint8_t> dest);
-
-  // Scattered ranges within one raw blob as a single device request (§4.5's
-  // batched unique-token load).
+  // Reads {offset in blob, dest} ranges of raw blob `index` as a single
+  // device request: one embedding row on a cache miss (§4.4), or §4.5's
+  // batched unique-token load. Unchecked: the CRC covers the whole blob.
   Status ReadBlobRanges(size_t index,
                         std::span<const std::pair<int64_t, std::span<uint8_t>>> ranges);
 
@@ -124,7 +112,6 @@ class BlobFileReader {
   std::unique_ptr<SimulatedSsd> ssd_;
   std::vector<BlobEntry> table_;
   std::vector<std::atomic<int64_t>> blob_reads_;  // One per table_ entry.
-  uint32_t version_ = kBlobFileVersion;
 };
 
 }  // namespace prism

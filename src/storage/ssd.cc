@@ -29,25 +29,8 @@ SimulatedSsd::~SimulatedSsd() {
 }
 
 Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest) {
-  size_t done = 0;
-  while (done < dest.size()) {
-    const ssize_t n = ::pread(fd_, dest.data() + done, dest.size() - done,
-                              static_cast<off_t>(offset + done));
-    if (n < 0) {
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      return Status::OutOfRange("read past end of device");
-    }
-    done += static_cast<size_t>(n);
-  }
-  ChargeTransfer(static_cast<int64_t>(dest.size()));
-  {
-    MutexLock lock(mu_);
-    stats_.bytes_read += static_cast<int64_t>(dest.size());
-    ++stats_.read_requests;
-  }
-  return Status::Ok();
+  const std::pair<int64_t, std::span<uint8_t>> request(offset, dest);
+  return ReadScattered({&request, 1});
 }
 
 Status SimulatedSsd::ReadScattered(

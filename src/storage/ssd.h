@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "src/common/annotations.h"
 #include "src/common/mutex.h"
@@ -54,7 +55,8 @@ class SimulatedSsd {
 
   // Scattered read submitted as one request: the device model charges the
   // fixed latency once plus bandwidth for the total bytes (NVMe-style queued
-  // submission). Used for batched embedding-row fetches (§4.5).
+  // submission). Used for batched embedding-row fetches (§4.5); Read is its
+  // one-range case.
   Status ReadScattered(std::span<const std::pair<int64_t, std::span<uint8_t>>> requests);
 
   // Appends at the current end-of-device offset; returns the offset written.

@@ -10,18 +10,69 @@
 namespace prism {
 
 namespace {
-// Signed 4-bit range: [-8, 7] stored biased by +8 into a nibble.
-int8_t QuantizeValue4(float v, float inv_scale) {
-  const int q = static_cast<int>(std::lround(v * inv_scale));
-  return static_cast<int8_t>(std::clamp(q, -8, 7));
+
+// The integer grid of a group-wise symmetric tier: a group's scale is
+// max|w| / max, so its largest value lands on ±max and |err| ≤ scale/2
+// holds everywhere.
+struct Grid {
+  int min;
+  int max;
+};
+// Signed 4-bit, stored biased by +8 into a nibble.
+constexpr Grid kW4Grid = {-8, 7};
+// −128 unused so the grid is symmetric.
+constexpr Grid kInt8Grid = {-127, 127};
+
+// Quantises `w` group by group: the scale (1 for an all-zero group) is
+// stored at scales[r * groups_per_row + g], and each value's clamped level
+// goes to store(index, level) in row-major order.
+template <typename Store>
+void EncodeGrouped(const float* w, size_t rows, size_t cols, size_t group_size, Grid grid,
+                   float* scales, Store store) {
+  PRISM_CHECK_GT(group_size, 0u);
+  PRISM_CHECK_EQ(cols % group_size, 0u);
+  const size_t groups_per_row = cols / group_size;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t g = 0; g < groups_per_row; ++g) {
+      const size_t begin = r * cols + g * group_size;
+      float max_abs = 0.0f;
+      for (size_t i = 0; i < group_size; ++i) {
+        max_abs = std::max(max_abs, std::fabs(w[begin + i]));
+      }
+      const float scale = max_abs > 0.0f ? max_abs / static_cast<float>(grid.max) : 1.0f;
+      const float inv_scale = 1.0f / scale;
+      scales[r * groups_per_row + g] = scale;
+      for (size_t i = 0; i < group_size; ++i) {
+        const int q = static_cast<int>(std::lround(w[begin + i] * inv_scale));
+        store(begin + i, std::clamp(q, grid.min, grid.max));
+      }
+    }
+  }
 }
 
-// Symmetric int8 range: [-127, 127] (−128 unused so the grid is symmetric
-// and |err| ≤ scale/2 holds everywhere).
-int8_t QuantizeValue8(float v, float inv_scale) {
-  const int q = static_cast<int>(std::lround(v * inv_scale));
-  return static_cast<int8_t>(std::clamp(q, -127, 127));
+// Inverse of EncodeGrouped: out[index] = scale · level(index).
+template <typename Level>
+void DecodeGrouped(const float* scales, size_t rows, size_t cols, size_t group_size,
+                   float* out, Level level) {
+  const size_t groups_per_row = cols / group_size;
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t g = 0; g < groups_per_row; ++g) {
+      const float scale = scales[r * groups_per_row + g];
+      const size_t begin = r * cols + g * group_size;
+      for (size_t i = 0; i < group_size; ++i) {
+        out[begin + i] = scale * static_cast<float>(level(begin + i));
+      }
+    }
+  }
 }
+
+// The signed level of element `index` of a w4 matrix: even indices are the
+// low nibble of their byte, odd indices the high one.
+int W4Level(const uint8_t* packed, size_t index) {
+  const uint8_t byte = packed[index / 2];
+  return static_cast<int>(index % 2 == 0 ? byte & 0x0F : byte >> 4) - 8;
+}
+
 }  // namespace
 
 const char* PrecisionName(Precision precision) {
@@ -148,34 +199,23 @@ void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
       return;
     }
     case Precision::kInt8: {
-      PRISM_CHECK_GT(group_size, 0u);
-      PRISM_CHECK_EQ(cols % group_size, 0u);
-      const size_t groups_per_row = cols / group_size;
       int8_t* values = reinterpret_cast<int8_t*>(out);
-      float* scales = reinterpret_cast<float*>(out + rows * cols);
-      for (size_t r = 0; r < rows; ++r) {
-        const float* wr = w + r * cols;
-        for (size_t g = 0; g < groups_per_row; ++g) {
-          const float* group = wr + g * group_size;
-          float max_abs = 0.0f;
-          for (size_t i = 0; i < group_size; ++i) {
-            max_abs = std::max(max_abs, std::fabs(group[i]));
-          }
-          const float scale = max_abs > 0.0f ? max_abs / 127.0f : 1.0f;
-          const float inv_scale = 1.0f / scale;
-          scales[r * groups_per_row + g] = scale;
-          for (size_t i = 0; i < group_size; ++i) {
-            values[r * cols + g * group_size + i] = QuantizeValue8(group[i], inv_scale);
-          }
-        }
-      }
+      EncodeGrouped(w, rows, cols, group_size, kInt8Grid,
+                    reinterpret_cast<float*>(out + rows * cols),
+                    [&](size_t at, int q) { values[at] = static_cast<int8_t>(q); });
       return;
     }
     case Precision::kW4: {
-      MemoryTracker scratch;  // Encoding scratch should not hit any tracker.
-      const QuantizedMatrix qm =
-          QuantizedMatrix::Quantize(w, rows, cols, group_size, MemCategory::kScratch, &scratch);
-      qm.SerializeTo(out);
+      PRISM_CHECK_EQ(group_size % 2, 0u);
+      EncodeGrouped(w, rows, cols, group_size, kW4Grid,
+                    reinterpret_cast<float*>(out + rows * cols / 2), [&](size_t at, int q) {
+                      const uint8_t nibble = static_cast<uint8_t>(q + 8);
+                      if (at % 2 == 0) {
+                        out[at / 2] = nibble;
+                      } else {
+                        out[at / 2] = static_cast<uint8_t>(out[at / 2] | (nibble << 4));
+                      }
+                    });
       return;
     }
   }
@@ -196,90 +236,30 @@ void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t co
       return;
     }
     case Precision::kInt8: {
-      const size_t groups_per_row = cols / group_size;
       const int8_t* values = reinterpret_cast<const int8_t*>(in);
-      const float* scales = reinterpret_cast<const float*>(in + rows * cols);
-      for (size_t r = 0; r < rows; ++r) {
-        for (size_t g = 0; g < groups_per_row; ++g) {
-          const float scale = scales[r * groups_per_row + g];
-          for (size_t i = 0; i < group_size; ++i) {
-            const size_t at = r * cols + g * group_size + i;
-            out[at] = scale * static_cast<float>(values[at]);
-          }
-        }
-      }
+      DecodeGrouped(reinterpret_cast<const float*>(in + rows * cols), rows, cols, group_size,
+                    out, [&](size_t at) { return values[at]; });
       return;
     }
     case Precision::kW4: {
-      MemoryTracker scratch;
-      const QuantizedMatrix qm = QuantizedMatrix::Deserialize(in, rows, cols, group_size,
-                                                              MemCategory::kScratch, &scratch);
-      qm.Dequantize(out);
+      DecodeGrouped(reinterpret_cast<const float*>(in + rows * cols / 2), rows, cols, group_size,
+                    out, [&](size_t at) { return W4Level(in, at); });
       return;
     }
   }
 }
 
-float Int8MaxScale(const uint8_t* in, size_t rows, size_t cols, size_t group_size) {
-  const float* scales = reinterpret_cast<const float*>(in + rows * cols);
+float MaxGroupScale(Precision precision, const uint8_t* in, size_t rows, size_t cols,
+                    size_t group_size) {
+  PRISM_CHECK(precision == Precision::kInt8 || precision == Precision::kW4);
+  const size_t count = rows * (cols / group_size);
+  const float* scales = reinterpret_cast<const float*>(
+      in + MatrixSpanBytes(precision, rows, cols, group_size) - count * sizeof(float));
   float max_scale = 0.0f;
-  for (size_t i = 0; i < rows * (cols / group_size); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     max_scale = std::max(max_scale, scales[i]);
   }
   return max_scale;
-}
-
-QuantizedMatrix QuantizedMatrix::Quantize(const float* w, size_t rows, size_t cols,
-                                          size_t group_size, MemCategory category,
-                                          MemoryTracker* tracker) {
-  PRISM_CHECK_GT(group_size, 0u);
-  PRISM_CHECK_EQ(cols % group_size, 0u);
-  PRISM_CHECK_EQ(group_size % 2, 0u);
-  QuantizedMatrix qm;
-  qm.rows_ = rows;
-  qm.cols_ = cols;
-  qm.group_size_ = group_size;
-  const size_t groups_per_row = cols / group_size;
-  qm.scales_.resize(rows * groups_per_row);
-  qm.packed_.resize(rows * cols / 2);
-
-  for (size_t r = 0; r < rows; ++r) {
-    const float* wr = w + r * cols;
-    for (size_t g = 0; g < groups_per_row; ++g) {
-      const float* group = wr + g * group_size;
-      float max_abs = 0.0f;
-      for (size_t i = 0; i < group_size; ++i) {
-        max_abs = std::max(max_abs, std::fabs(group[i]));
-      }
-      const float scale = max_abs > 0.0f ? max_abs / 7.0f : 1.0f;
-      const float inv_scale = 1.0f / scale;
-      qm.scales_[r * groups_per_row + g] = scale;
-      for (size_t i = 0; i < group_size; i += 2) {
-        const uint8_t lo = static_cast<uint8_t>(QuantizeValue4(group[i], inv_scale) + 8);
-        const uint8_t hi = static_cast<uint8_t>(QuantizeValue4(group[i + 1], inv_scale) + 8);
-        qm.packed_[(r * cols + g * group_size + i) / 2] =
-            static_cast<uint8_t>(lo | (hi << 4));
-      }
-    }
-  }
-  qm.claim_ = MemClaim(tracker, category, static_cast<int64_t>(qm.ByteSize()));
-  return qm;
-}
-
-void QuantizedMatrix::Dequantize(float* out) const {
-  const size_t groups_per_row = cols_ / group_size_;
-  for (size_t r = 0; r < rows_; ++r) {
-    for (size_t g = 0; g < groups_per_row; ++g) {
-      const float scale = scales_[r * groups_per_row + g];
-      for (size_t i = 0; i < group_size_; i += 2) {
-        const uint8_t byte = packed_[(r * cols_ + g * group_size_ + i) / 2];
-        out[r * cols_ + g * group_size_ + i] =
-            scale * static_cast<float>(static_cast<int>(byte & 0x0F) - 8);
-        out[r * cols_ + g * group_size_ + i + 1] =
-            scale * static_cast<float>(static_cast<int>(byte >> 4) - 8);
-      }
-    }
-  }
 }
 
 // The fused GEMMs share the fp32 microkernel (src/tensor/gemm.h). Each tier
@@ -336,43 +316,6 @@ void Fp16MatrixView::MatMulTransB(const float* a, size_t m, float* c) const {
                                }
                              }
                            });
-}
-
-void QuantizedMatrix::MatMulTransB(const float* a, size_t m, float* c) const {
-  QuantMatrixView view{packed_.data(), scales_.data(), rows_, cols_, group_size_};
-  view.MatMulTransB(a, m, c);
-}
-
-size_t QuantizedMatrix::SerializedSize() const {
-  return packed_.size() + scales_.size() * sizeof(float);
-}
-
-void QuantizedMatrix::SerializeTo(uint8_t* out) const {
-  std::memcpy(out, packed_.data(), packed_.size());
-  std::memcpy(out + packed_.size(), scales_.data(), scales_.size() * sizeof(float));
-}
-
-QuantizedMatrix QuantizedMatrix::Deserialize(const uint8_t* in, size_t rows, size_t cols,
-                                             size_t group_size, MemCategory category,
-                                             MemoryTracker* tracker) {
-  QuantizedMatrix qm;
-  qm.rows_ = rows;
-  qm.cols_ = cols;
-  qm.group_size_ = group_size;
-  qm.packed_.resize(rows * cols / 2);
-  qm.scales_.resize(rows * (cols / group_size));
-  std::memcpy(qm.packed_.data(), in, qm.packed_.size());
-  std::memcpy(qm.scales_.data(), in + qm.packed_.size(), qm.scales_.size() * sizeof(float));
-  qm.claim_ = MemClaim(tracker, category, static_cast<int64_t>(qm.ByteSize()));
-  return qm;
-}
-
-float QuantizedMatrix::MaxScale() const {
-  float max_scale = 0.0f;
-  for (float s : scales_) {
-    max_scale = std::max(max_scale, s);
-  }
-  return max_scale;
 }
 
 }  // namespace prism

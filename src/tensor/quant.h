@@ -19,19 +19,16 @@
 #ifndef PRISM_SRC_TENSOR_QUANT_H_
 #define PRISM_SRC_TENSOR_QUANT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "src/common/memory_tracker.h"
-#include "src/tensor/tensor.h"
 
 namespace prism {
 
 // Weight storage precision, a first-class streaming axis: checkpoints are
-// written per precision, BlobFile v2 headers tag every blob with it, and the
-// engine streams exactly the tagged bytes. Enumerator values are the on-disk
-// v2 tag encoding — do not reorder.
+// written per precision, the BlobFile entry table tags every blob with it,
+// and the engine streams exactly the tagged bytes. Enumerator values are the
+// on-disk tag encoding — do not reorder.
 enum class Precision : uint8_t {
   kFp32 = 0,
   kFp16 = 1,
@@ -104,59 +101,18 @@ struct Fp16MatrixView {
 size_t MatrixSpanBytes(Precision precision, size_t rows, size_t cols, size_t group_size);
 
 // Serialises `w` (row-major [rows, cols]) at the given precision into `out`
-// (MatrixSpanBytes bytes). Deterministic: same input, same bytes. Used by
-// checkpoint generation; the matching Decode* reconstruct fp32 for tests and
-// error measurement.
+// (MatrixSpanBytes bytes), in the layout the matching *MatrixView reads.
+// Deterministic: same input, same bytes. Used by checkpoint generation; the
+// matching DecodeMatrix reconstructs fp32 for tests and error measurement.
 void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
                   size_t group_size, uint8_t* out);
 void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t cols,
                   size_t group_size, float* out);
 
-// Largest per-group scale of an int8 encoding (roundtrip bound: scale/2).
-float Int8MaxScale(const uint8_t* in, size_t rows, size_t cols, size_t group_size);
-
-class QuantizedMatrix {
- public:
-  QuantizedMatrix() = default;
-
-  // Quantises `w` (row-major [rows, cols]); cols must be a multiple of
-  // group_size.
-  static QuantizedMatrix Quantize(const float* w, size_t rows, size_t cols, size_t group_size,
-                                  MemCategory category = MemCategory::kWeights,
-                                  MemoryTracker* tracker = &MemoryTracker::Global());
-
-  // Reconstructs the full matrix (for tests / error measurement).
-  void Dequantize(float* out) const;
-
-  // C[m, rows] = A[m, cols] · Wᵀ with on-the-fly dequantisation.
-  void MatMulTransB(const float* a, size_t m, float* c) const;
-
-  size_t rows() const { return rows_; }
-  size_t cols() const { return cols_; }
-  size_t group_size() const { return group_size_; }
-
-  // Bytes of the quantised representation (packed nibbles + scales).
-  size_t ByteSize() const { return packed_.size() + scales_.size() * sizeof(float); }
-
-  // Serialisation into/out of flat buffers (for the weight store).
-  size_t SerializedSize() const;
-  void SerializeTo(uint8_t* out) const;
-  static QuantizedMatrix Deserialize(const uint8_t* in, size_t rows, size_t cols,
-                                     size_t group_size, MemCategory category,
-                                     MemoryTracker* tracker);
-
-  // Worst-case absolute reconstruction error for a group with scale s is s/2
-  // (rounding half step) — checked by property tests.
-  float MaxScale() const;
-
- private:
-  size_t rows_ = 0;
-  size_t cols_ = 0;
-  size_t group_size_ = 0;
-  std::vector<uint8_t> packed_;  // Two 4-bit values per byte, row-major.
-  std::vector<float> scales_;    // rows * (cols / group_size) scales.
-  MemClaim claim_;
-};
+// Largest per-group scale of an int8 or w4 encoding. Both tiers round to
+// nearest on a symmetric grid, so every decoded value lies within half of it.
+float MaxGroupScale(Precision precision, const uint8_t* in, size_t rows, size_t cols,
+                    size_t group_size);
 
 }  // namespace prism
 

@@ -118,11 +118,11 @@ TEST(SyntheticTest, ClassifierIsScaledUnitVector) {
 TEST(WeightsTest, LayerViewPointersPartitionBlob) {
   const ModelConfig config = TestModel();
   std::vector<uint8_t> blob(LayerBlobBytes(config, Precision::kFp32));
-  const LayerView view = ParseLayerBlob(config, blob);
+  const AnyLayerView view = ParseAnyLayerBlob(config, blob, Precision::kFp32);
   const auto* base = reinterpret_cast<const float*>(blob.data());
-  EXPECT_EQ(view.wq, base);
-  EXPECT_EQ(view.wk, base + config.hidden * config.hidden);
-  EXPECT_NE(view.w_gate, nullptr);  // Decoder layout.
+  EXPECT_EQ(view.wq.f32, base);
+  EXPECT_EQ(view.wk.f32, base + config.hidden * config.hidden);
+  EXPECT_NE(view.w_gate.f32, nullptr);  // Decoder layout.
   EXPECT_EQ(view.norm2_bias.size(), config.hidden);
   // The last norm ends exactly at the blob end.
   EXPECT_EQ(reinterpret_cast<const uint8_t*>(view.norm2_bias.data() + config.hidden),
@@ -132,8 +132,9 @@ TEST(WeightsTest, LayerViewPointersPartitionBlob) {
 TEST(WeightsTest, EncoderLayoutHasNoGate) {
   const ModelConfig config = TestModel(ModelArch::kEncoderOnly);
   std::vector<uint8_t> blob(LayerBlobBytes(config, Precision::kFp32));
-  const LayerView view = ParseLayerBlob(config, blob);
-  EXPECT_EQ(view.w_gate, nullptr);
+  const AnyLayerView view = ParseAnyLayerBlob(config, blob, Precision::kFp32);
+  EXPECT_EQ(view.w_gate.f32, nullptr);
+  EXPECT_EQ(view.w_gate.rows, 0u);
 }
 
 TEST(EmbeddingTest, CacheMatchesFullTableBitExact) {

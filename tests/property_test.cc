@@ -287,7 +287,8 @@ TEST(PrecisionPropertyTest, Int8RoundtripBoundedByHalfScale) {
     std::vector<float> back(rows * cols);
     EncodeMatrix(Precision::kInt8, w.data(), rows, cols, group, encoded.data());
     DecodeMatrix(Precision::kInt8, encoded.data(), rows, cols, group, back.data());
-    const float bound = Int8MaxScale(encoded.data(), rows, cols, group) * 0.5f + 1e-7f;
+    const float bound =
+        MaxGroupScale(Precision::kInt8, encoded.data(), rows, cols, group) * 0.5f + 1e-7f;
     for (size_t j = 0; j < w.size(); ++j) {
       ASSERT_LE(std::fabs(w[j] - back[j]), bound) << "element " << j;
     }

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/storage/blob_codec.h"
 #include "src/tensor/quant.h"
 
 namespace prism {
@@ -20,212 +22,108 @@ std::vector<float> RandomWeights(size_t n, uint64_t seed, float scale = 0.1f) {
   return w;
 }
 
-// Property sweep over matrix shapes and group sizes.
-class QuantRoundTripTest : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
-
-TEST_P(QuantRoundTripTest, ErrorBoundedByHalfScale) {
-  const auto [rows, cols, group] = GetParam();
-  MemoryTracker tracker;
-  const std::vector<float> w = RandomWeights(rows * cols, rows * 31 + cols);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, group, MemCategory::kScratch, &tracker);
-  std::vector<float> back(rows * cols);
-  qm.Dequantize(back.data());
-  // Symmetric 4-bit rounding: |err| <= scale/2 everywhere; check against the
-  // global max scale (a loose but always-valid bound).
-  const float bound = qm.MaxScale() * 0.5f + 1e-6f;
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_LE(std::fabs(w[i] - back[i]), bound) << "at " << i;
-  }
+// The bytes of one tier's encoding of `w`.
+std::vector<uint8_t> Encode(Precision precision, const std::vector<float>& w, size_t rows,
+                            size_t cols, size_t group) {
+  std::vector<uint8_t> encoded(MatrixSpanBytes(precision, rows, cols, group));
+  EncodeMatrix(precision, w.data(), rows, cols, group, encoded.data());
+  return encoded;
 }
 
-INSTANTIATE_TEST_SUITE_P(Shapes, QuantRoundTripTest,
-                         ::testing::Values(std::make_tuple(8, 32, 16),
-                                           std::make_tuple(16, 64, 32),
-                                           std::make_tuple(3, 32, 32),
-                                           std::make_tuple(32, 128, 64),
-                                           std::make_tuple(5, 96, 32)));
-
-TEST(QuantTest, ByteSizeIsRoughlyQuarter) {
-  MemoryTracker tracker;
-  const size_t rows = 64;
-  const size_t cols = 128;
-  const std::vector<float> w = RandomWeights(rows * cols, 9);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, 32, MemCategory::kScratch, &tracker);
-  const size_t f32_bytes = rows * cols * sizeof(float);
-  EXPECT_LT(qm.ByteSize(), f32_bytes / 3);  // 4 bits + scales < a third of fp32.
-}
-
-TEST(QuantTest, MatMulMatchesDequantizedMatMul) {
-  MemoryTracker tracker;
-  const size_t rows = 12;
-  const size_t cols = 32;
-  const size_t m = 5;
-  const std::vector<float> w = RandomWeights(rows * cols, 10);
-  const std::vector<float> a = RandomWeights(m * cols, 11, 1.0f);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, 16, MemCategory::kScratch, &tracker);
-
-  std::vector<float> dequant(rows * cols);
-  qm.Dequantize(dequant.data());
-  std::vector<float> expected(m * rows, 0.0f);
+// C[m, rows] = A · Wᵀ accumulated in double over the decoded weights.
+std::vector<float> ReferenceMatMul(const std::vector<float>& a, size_t m,
+                                   const std::vector<float>& w, size_t rows, size_t cols) {
+  std::vector<float> c(m * rows);
   for (size_t i = 0; i < m; ++i) {
     for (size_t j = 0; j < rows; ++j) {
       double acc = 0.0;
       for (size_t k = 0; k < cols; ++k) {
-        acc += static_cast<double>(a[i * cols + k]) * dequant[j * cols + k];
+        acc += static_cast<double>(a[i * cols + k]) * w[j * cols + k];
       }
-      expected[i * rows + j] = static_cast<float>(acc);
+      c[i * rows + j] = static_cast<float>(acc);
     }
   }
-  std::vector<float> got(m * rows, 0.0f);
-  qm.MatMulTransB(a.data(), m, got.data());
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(got[i], expected[i], 1e-3f);
+  return c;
+}
+
+// --- group-wise tiers (int8, w4) ------------------------------------------
+
+class GroupedTierTest : public ::testing::TestWithParam<Precision> {
+ protected:
+  // The fused GEMM of the tier's view over `encoded` ([values][scales]).
+  static void ViewMatMul(Precision precision, const std::vector<uint8_t>& encoded, size_t rows,
+                         size_t cols, size_t group, const float* a, size_t m, float* c) {
+    const size_t values_bytes =
+        MatrixSpanBytes(precision, rows, cols, group) - rows * (cols / group) * sizeof(float);
+    const auto* scales = reinterpret_cast<const float*>(encoded.data() + values_bytes);
+    if (precision == Precision::kInt8) {
+      Int8MatrixView{reinterpret_cast<const int8_t*>(encoded.data()), scales, rows, cols, group}
+          .MatMulTransB(a, m, c);
+    } else {
+      QuantMatrixView{encoded.data(), scales, rows, cols, group}.MatMulTransB(a, m, c);
+    }
+  }
+};
+
+TEST_P(GroupedTierTest, ErrorBoundedByHalfScale) {
+  const Precision precision = GetParam();
+  const size_t shapes[][3] = {{8, 32, 16}, {16, 64, 32}, {3, 32, 32}, {32, 128, 64}, {5, 96, 32}};
+  for (const auto& [rows, cols, group] : shapes) {
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " group " << group);
+    const std::vector<float> w = RandomWeights(rows * cols, rows * 31 + cols);
+    const std::vector<uint8_t> encoded = Encode(precision, w, rows, cols, group);
+    std::vector<float> back(rows * cols);
+    DecodeMatrix(precision, encoded.data(), rows, cols, group, back.data());
+    // Symmetric rounding: |err| <= scale/2 everywhere; check against the
+    // global max scale (a loose but always-valid bound).
+    const float bound = MaxGroupScale(precision, encoded.data(), rows, cols, group) * 0.5f + 1e-6f;
+    for (size_t i = 0; i < w.size(); ++i) {
+      EXPECT_LE(std::fabs(w[i] - back[i]), bound) << "at " << i;
+    }
   }
 }
 
-TEST(QuantTest, SerializeDeserializeRoundTrip) {
-  MemoryTracker tracker;
-  const size_t rows = 8;
-  const size_t cols = 64;
-  const std::vector<float> w = RandomWeights(rows * cols, 12);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, 32, MemCategory::kScratch, &tracker);
-  std::vector<uint8_t> buf(qm.SerializedSize());
-  qm.SerializeTo(buf.data());
-  const QuantizedMatrix back = QuantizedMatrix::Deserialize(buf.data(), rows, cols, 32,
-                                                            MemCategory::kScratch, &tracker);
-  std::vector<float> w1(rows * cols);
-  std::vector<float> w2(rows * cols);
-  qm.Dequantize(w1.data());
-  back.Dequantize(w2.data());
-  EXPECT_EQ(w1, w2);
-}
-
-TEST(QuantTest, ViewMatchesOwningMatrix) {
-  MemoryTracker tracker;
-  const size_t rows = 8;
-  const size_t cols = 32;
-  const size_t m = 4;
-  const std::vector<float> w = RandomWeights(rows * cols, 13);
-  const std::vector<float> a = RandomWeights(m * cols, 14, 1.0f);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, 16, MemCategory::kScratch, &tracker);
-  std::vector<uint8_t> buf(qm.SerializedSize());
-  qm.SerializeTo(buf.data());
-
-  QuantMatrixView view;
-  view.rows = rows;
-  view.cols = cols;
-  view.group_size = 16;
-  view.packed = buf.data();
-  view.scales = reinterpret_cast<const float*>(buf.data() + rows * cols / 2);
-
-  std::vector<float> got_owning(m * rows);
-  std::vector<float> got_view(m * rows);
-  qm.MatMulTransB(a.data(), m, got_owning.data());
-  view.MatMulTransB(a.data(), m, got_view.data());
-  EXPECT_EQ(got_owning, got_view);
-}
-
-TEST(QuantTest, SpanBytesMatchesSerializedSize) {
-  MemoryTracker tracker;
-  const size_t rows = 16;
-  const size_t cols = 64;
-  const std::vector<float> w = RandomWeights(rows * cols, 15);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), rows, cols, 32, MemCategory::kScratch, &tracker);
-  EXPECT_EQ(qm.SerializedSize(), QuantMatrixView::SpanBytes(rows, cols, 32));
-}
-
-TEST(QuantTest, ZeroMatrixQuantizesToZero) {
-  MemoryTracker tracker;
-  const std::vector<float> w(8 * 16, 0.0f);
-  const QuantizedMatrix qm =
-      QuantizedMatrix::Quantize(w.data(), 8, 16, 16, MemCategory::kScratch, &tracker);
-  std::vector<float> back(8 * 16, 1.0f);
-  qm.Dequantize(back.data());
-  for (float v : back) {
-    EXPECT_EQ(v, 0.0f);
-  }
-}
-
-// --- int8 tier ------------------------------------------------------------
-
-class Int8RoundTripTest : public ::testing::TestWithParam<std::tuple<size_t, size_t, size_t>> {};
-
-TEST_P(Int8RoundTripTest, ErrorBoundedByHalfScale) {
-  const auto [rows, cols, group] = GetParam();
-  const std::vector<float> w = RandomWeights(rows * cols, rows * 37 + cols);
-  std::vector<uint8_t> encoded(MatrixSpanBytes(Precision::kInt8, rows, cols, group));
-  std::vector<float> back(rows * cols);
-  EncodeMatrix(Precision::kInt8, w.data(), rows, cols, group, encoded.data());
-  DecodeMatrix(Precision::kInt8, encoded.data(), rows, cols, group, back.data());
-  const float bound = Int8MaxScale(encoded.data(), rows, cols, group) * 0.5f + 1e-7f;
-  for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_LE(std::fabs(w[i] - back[i]), bound) << "at " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Shapes, Int8RoundTripTest,
-                         ::testing::Values(std::make_tuple(8, 32, 16),
-                                           std::make_tuple(16, 64, 32),
-                                           std::make_tuple(3, 32, 32),
-                                           std::make_tuple(5, 96, 32)));
-
-TEST(Int8Test, MatMulMatchesDequantizedMatMul) {
+TEST_P(GroupedTierTest, MatMulMatchesDecodedMatMul) {
+  const Precision precision = GetParam();
   const size_t rows = 12;
   const size_t cols = 32;
   const size_t group = 16;
   const size_t m = 5;
   const std::vector<float> w = RandomWeights(rows * cols, 20);
   const std::vector<float> a = RandomWeights(m * cols, 21, 1.0f);
-  std::vector<uint8_t> encoded(MatrixSpanBytes(Precision::kInt8, rows, cols, group));
-  EncodeMatrix(Precision::kInt8, w.data(), rows, cols, group, encoded.data());
-  std::vector<float> dequant(rows * cols);
-  DecodeMatrix(Precision::kInt8, encoded.data(), rows, cols, group, dequant.data());
-
-  std::vector<float> expected(m * rows, 0.0f);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < rows; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += static_cast<double>(a[i * cols + k]) * dequant[j * cols + k];
-      }
-      expected[i * rows + j] = static_cast<float>(acc);
-    }
-  }
-  Int8MatrixView view;
-  view.rows = rows;
-  view.cols = cols;
-  view.group_size = group;
-  view.values = reinterpret_cast<const int8_t*>(encoded.data());
-  view.scales = reinterpret_cast<const float*>(encoded.data() + rows * cols);
+  const std::vector<uint8_t> encoded = Encode(precision, w, rows, cols, group);
+  std::vector<float> decoded(rows * cols);
+  DecodeMatrix(precision, encoded.data(), rows, cols, group, decoded.data());
+  const std::vector<float> expected = ReferenceMatMul(a, m, decoded, rows, cols);
   std::vector<float> got(m * rows, 0.0f);
-  view.MatMulTransB(a.data(), m, got.data());
+  ViewMatMul(precision, encoded, rows, cols, group, a.data(), m, got.data());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], expected[i], 1e-3f);
   }
 }
 
-TEST(Int8Test, SpanBytesIsValuesPlusScales) {
-  EXPECT_EQ(Int8MatrixView::SpanBytes(16, 64, 32), 16 * 64 + 16 * 2 * sizeof(float));
-  EXPECT_EQ(MatrixSpanBytes(Precision::kInt8, 16, 64, 32),
-            Int8MatrixView::SpanBytes(16, 64, 32));
+TEST_P(GroupedTierTest, SpanBytesIsValuesPlusScales) {
+  const Precision precision = GetParam();
+  const size_t value_bytes = precision == Precision::kInt8 ? 16 * 64 : 16 * 64 / 2;
+  EXPECT_EQ(MatrixSpanBytes(precision, 16, 64, 32), value_bytes + 16 * 2 * sizeof(float));
 }
 
-TEST(Int8Test, ZeroMatrixRoundTripsToZero) {
+TEST_P(GroupedTierTest, ZeroMatrixRoundTripsToZero) {
+  const Precision precision = GetParam();
   const std::vector<float> w(8 * 16, 0.0f);
-  std::vector<uint8_t> encoded(MatrixSpanBytes(Precision::kInt8, 8, 16, 16));
+  const std::vector<uint8_t> encoded = Encode(precision, w, 8, 16, 16);
   std::vector<float> back(8 * 16, 1.0f);
-  EncodeMatrix(Precision::kInt8, w.data(), 8, 16, 16, encoded.data());
-  DecodeMatrix(Precision::kInt8, encoded.data(), 8, 16, 16, back.data());
+  DecodeMatrix(precision, encoded.data(), 8, 16, 16, back.data());
   for (float v : back) {
     EXPECT_EQ(v, 0.0f);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Tiers, GroupedTierTest,
+                         ::testing::Values(Precision::kInt8, Precision::kW4),
+                         [](const ::testing::TestParamInfo<Precision>& info) {
+                           return std::string(PrecisionName(info.param));
+                         });
 
 // --- fp16 tier ------------------------------------------------------------
 
@@ -292,21 +190,10 @@ TEST(Fp16Test, MatMulMatchesDecodedMatMul) {
   const size_t m = 5;
   const std::vector<float> w = RandomWeights(rows * cols, 22);
   const std::vector<float> a = RandomWeights(m * cols, 23, 1.0f);
-  std::vector<uint8_t> encoded(MatrixSpanBytes(Precision::kFp16, rows, cols, 0));
-  EncodeMatrix(Precision::kFp16, w.data(), rows, cols, 0, encoded.data());
+  const std::vector<uint8_t> encoded = Encode(Precision::kFp16, w, rows, cols, 0);
   std::vector<float> decoded(rows * cols);
   DecodeMatrix(Precision::kFp16, encoded.data(), rows, cols, 0, decoded.data());
-
-  std::vector<float> expected(m * rows, 0.0f);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < rows; ++j) {
-      double acc = 0.0;
-      for (size_t k = 0; k < cols; ++k) {
-        acc += static_cast<double>(a[i * cols + k]) * decoded[j * cols + k];
-      }
-      expected[i * rows + j] = static_cast<float>(acc);
-    }
-  }
+  const std::vector<float> expected = ReferenceMatMul(a, m, decoded, rows, cols);
   Fp16MatrixView view;
   view.rows = rows;
   view.cols = cols;
@@ -348,6 +235,34 @@ TEST(PrecisionTest, SpanBytesOrderingMatchesTiers) {
   EXPECT_EQ(f16, f32 / 2);
   EXPECT_LT(i8, f16);
   EXPECT_LT(w4, i8);
+}
+
+
+// --- byte pins ------------------------------------------------------------
+
+// The CRC32C of every tier's encoding of one seeded matrix. Checkpoints are
+// written once and streamed forever, so a tier's bytes must never change
+// silently; these constants were recorded from the encoder and fail on any
+// re-implementation that is not bit-identical. Row 0's first group is all
+// zero, the scale-1 path of the grouped tiers.
+TEST(EncodingPinTest, EveryTierEncodesToPinnedBytes) {
+  const size_t rows = 24;
+  const size_t cols = 96;
+  const size_t group = 32;
+  std::vector<float> w = RandomWeights(rows * cols, 2026);
+  std::fill(w.begin(), w.begin() + static_cast<ptrdiff_t>(group), 0.0f);
+  const struct {
+    Precision precision;
+    uint32_t crc32c;
+  } pins[] = {{Precision::kFp32, 0xB54C6292u},
+              {Precision::kFp16, 0x1B437F34u},
+              {Precision::kInt8, 0x2B99E191u},
+              {Precision::kW4, 0x668BF31Eu}};
+  for (const auto& pin : pins) {
+    std::vector<uint8_t> encoded(MatrixSpanBytes(pin.precision, rows, cols, group));
+    EncodeMatrix(pin.precision, w.data(), rows, cols, group, encoded.data());
+    EXPECT_EQ(blob_codec::Crc32c(encoded), pin.crc32c) << PrecisionName(pin.precision);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -132,7 +133,8 @@ TEST(BlobFileTest, RangeReadWithinBlob) {
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
   std::vector<uint8_t> back(100);
-  ASSERT_TRUE(reader.value()->ReadBlobRange(0, 250, back).ok());
+  const std::pair<int64_t, std::span<uint8_t>> range(250, back);
+  ASSERT_TRUE(reader.value()->ReadBlobRanges(0, {&range, 1}).ok());
   EXPECT_TRUE(std::equal(back.begin(), back.end(), blob.begin() + 250));
 }
 
@@ -146,7 +148,7 @@ TEST(BlobFileTest, RejectsGarbageFile) {
   EXPECT_FALSE(reader.ok());
 }
 
-// --- precision tags (v2 and later) ---------------------------------------
+// --- header and precision tags --------------------------------------------
 
 void PutU32(std::vector<uint8_t>& buf, uint32_t v) {
   const size_t at = buf.size();
@@ -161,7 +163,7 @@ void PutU64(std::vector<uint8_t>& buf, uint64_t v) {
 }
 
 TEST(BlobFileTest, RoundTripPreservesPrecisionTags) {
-  TempFile file("blob_v2");
+  TempFile file("blob_tags");
   const std::vector<uint8_t> untagged = RandomBytes(64, 40);
   const std::vector<uint8_t> tagged = RandomBytes(128, 41);
   {
@@ -174,8 +176,6 @@ TEST(BlobFileTest, RoundTripPreservesPrecisionTags) {
   }
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.value()->version(), kBlobFileVersion);
-  EXPECT_TRUE(reader.value()->has_precision_tags());
   EXPECT_EQ(reader.value()->BlobPrecision(0), Precision::kFp32);
   EXPECT_EQ(reader.value()->BlobQuantGroup(0), 0u);
   EXPECT_EQ(reader.value()->BlobPrecision(1), Precision::kInt8);
@@ -188,65 +188,25 @@ TEST(BlobFileTest, RoundTripPreservesPrecisionTags) {
   EXPECT_EQ(back, tagged);
 }
 
-// Hand-writes a format-v1 or v2 file: [magic][version][count] then 16-byte
-// {offset, size} (v1) or 24-byte {offset, size, precision, group} (v2)
-// entries, all blobs raw fp32 / group 0.
-void WriteLegacyFile(const std::string& path, const std::vector<std::vector<uint8_t>>& blobs,
-                     uint32_t version) {
-  std::vector<uint8_t> buf;
-  PutU32(buf, kBlobFileMagic);
-  PutU32(buf, version);
-  PutU64(buf, blobs.size());
-  const size_t entry_bytes = version == kBlobFileVersionLegacy ? 16 : 24;
-  uint64_t offset = 16 + blobs.size() * entry_bytes;
-  for (const auto& blob : blobs) {
-    PutU64(buf, offset);
-    PutU64(buf, blob.size());
-    if (version == kBlobFileVersionV2) {
-      PutU32(buf, static_cast<uint32_t>(Precision::kFp32));
-      PutU32(buf, 0);
-    }
-    offset += blob.size();
-  }
-  for (const auto& blob : blobs) {
-    buf.insert(buf.end(), blob.begin(), blob.end());
-  }
-  SimulatedSsd ssd(path, Unthrottled());
-  ASSERT_TRUE(ssd.Write(0, buf).ok());
-}
-
-TEST(BlobFileTest, OpensLegacyV1Files) {
-  TempFile file("blob_v1");
-  const std::vector<std::vector<uint8_t>> blobs = {RandomBytes(48, 42), RandomBytes(200, 43)};
-  WriteLegacyFile(file.path(), blobs, kBlobFileVersionLegacy);
-  auto reader = BlobFileReader::Open(file.path(), Unthrottled());
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.value()->version(), kBlobFileVersionLegacy);
-  EXPECT_FALSE(reader.value()->has_precision_tags());
-  ASSERT_EQ(reader.value()->blob_count(), 2u);
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    // Untagged blobs report the fp32 default.
-    EXPECT_EQ(reader.value()->BlobPrecision(i), Precision::kFp32);
-    EXPECT_EQ(reader.value()->BlobQuantGroup(i), 0u);
-    std::vector<uint8_t> back(blobs[i].size());
-    ASSERT_TRUE(reader.value()->ReadBlob(i, back).ok());
-    EXPECT_EQ(back, blobs[i]);
-  }
-}
-
 TEST(BlobFileTest, RejectsUnknownVersion) {
-  TempFile file("blob_v9");
-  std::vector<uint8_t> buf;
-  PutU32(buf, kBlobFileMagic);
-  PutU32(buf, 9);  // Future version.
-  PutU64(buf, 0);
-  {
-    SimulatedSsd ssd(file.path(), Unthrottled());
-    ASSERT_TRUE(ssd.Write(0, buf).ok());
+  // The untagged v1 and unchecked v2 formats, version 0 and a future one.
+  // Room for a table follows, so only the version can fail.
+  for (const uint32_t version : {0u, 1u, 2u, kBlobFileVersion + 1, 9u}) {
+    SCOPED_TRACE(version);
+    TempFile file("blob_version");
+    std::vector<uint8_t> buf;
+    PutU32(buf, kBlobFileMagic);
+    PutU32(buf, version);
+    PutU64(buf, 1);
+    buf.resize(buf.size() + 64);
+    {
+      SimulatedSsd ssd(file.path(), Unthrottled());
+      ASSERT_TRUE(ssd.Write(0, buf).ok());
+    }
+    const auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
   }
-  const auto reader = BlobFileReader::Open(file.path(), Unthrottled());
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BlobFileTest, RejectsTruncatedHeader) {
@@ -262,16 +222,31 @@ TEST(BlobFileTest, RejectsTruncatedHeader) {
 }
 
 TEST(BlobFileTest, RejectsTruncatedEntryTable) {
-  TempFile file("blob_trunc_table");
-  std::vector<uint8_t> buf;
-  PutU32(buf, kBlobFileMagic);
-  PutU32(buf, kBlobFileVersion);
-  PutU64(buf, 4);  // Claims four entries; the table is absent.
-  {
-    SimulatedSsd ssd(file.path(), Unthrottled());
-    ASSERT_TRUE(ssd.Write(0, buf).ok());
+  // Counts that claim more 40-byte entries than follow the header: an absent
+  // table, one entry short, far more than the file holds, a count whose
+  // table size wraps around 2^64, and the largest count there is. None may
+  // size an allocation from the count.
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  const struct {
+    uint64_t count;
+    size_t entries_present;
+  } cases[] = {{4, 0}, {3, 2}, {uint64_t{1} << 40, 2}, {kMax / 40 + 1, 2}, {kMax, 2}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.count);
+    TempFile file("blob_trunc_table");
+    std::vector<uint8_t> buf;
+    PutU32(buf, kBlobFileMagic);
+    PutU32(buf, kBlobFileVersion);
+    PutU64(buf, c.count);
+    buf.resize(buf.size() + c.entries_present * 40);
+    {
+      SimulatedSsd ssd(file.path(), Unthrottled());
+      ASSERT_TRUE(ssd.Write(0, buf).ok());
+    }
+    const auto reader = BlobFileReader::Open(file.path(), Unthrottled());
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
   }
-  EXPECT_FALSE(BlobFileReader::Open(file.path(), Unthrottled()).ok());
 }
 
 TEST(BlobFileTest, RejectsUnknownPrecisionTag) {
@@ -283,7 +258,7 @@ TEST(BlobFileTest, RejectsUnknownPrecisionTag) {
   }
   {
     // Corrupt entry 0's precision column (header offset 16, entry field
-    // offset 16 within the 24-byte v2 entry).
+    // offset 16 within the 40-byte entry).
     SimulatedSsd ssd(file.path(), Unthrottled());
     std::vector<uint8_t> tag;
     PutU32(tag, 7);
@@ -294,7 +269,7 @@ TEST(BlobFileTest, RejectsUnknownPrecisionTag) {
   EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- BlobFile v3: exponent coding and checksums ---------------------------
+// --- exponent coding and checksums ----------------------------------------
 
 // Every decode path this host can run: portable always, AVX2 (with the
 // SSE4.2 CRC) where supported. A path the CPU lacks is logged, not silently
@@ -526,7 +501,6 @@ TEST(BlobFileTest, V3ReadChecksAndDecodesStoredBytes) {
   const std::vector<uint8_t> blob = WriteOneCodedBlob(file.path());
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader.value()->version(), kBlobFileVersion);
   EXPECT_EQ(reader.value()->BlobCodecOf(0), BlobCodec::kExp32);
   EXPECT_EQ(reader.value()->BlobSize(0), static_cast<int64_t>(blob.size()));
   const int64_t stored = reader.value()->BlobStoredSize(0);
@@ -582,40 +556,6 @@ TEST(BlobFileTest, V3CorruptionReturnsDataLoss) {
   EXPECT_EQ(read_status().code(), StatusCode::kDataLoss);
 }
 
-TEST(BlobFileTest, V2AndV3FilesOfTheSameBlobsReadBitIdentical) {
-  const std::vector<std::vector<uint8_t>> blobs = {Fp32Blob(30000, 370), Fp16Blob(9000, 371),
-                                                   RandomBytes(777, 372)};
-  const BlobCodec codecs[] = {BlobCodec::kExp32, BlobCodec::kExp16, BlobCodec::kRaw};
-  TempFile v2_file("blob_same_v2");
-  TempFile v3_file("blob_same_v3");
-  WriteLegacyFile(v2_file.path(), blobs, kBlobFileVersionV2);
-  {
-    BlobFileWriter writer(v3_file.path());
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      writer.AddBlob(blobs[i], Precision::kFp32, 0, codecs[i]);
-    }
-    ASSERT_TRUE(writer.Finish().ok());
-  }
-  auto v2 = BlobFileReader::Open(v2_file.path(), Unthrottled());
-  auto v3 = BlobFileReader::Open(v3_file.path(), Unthrottled());
-  ASSERT_TRUE(v2.ok());
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(v2.value()->version(), kBlobFileVersionV2);
-  EXPECT_EQ(v3.value()->version(), kBlobFileVersion);
-  for (size_t i = 0; i < blobs.size(); ++i) {
-    EXPECT_EQ(v2.value()->BlobCodecOf(i), BlobCodec::kRaw);
-    EXPECT_EQ(v2.value()->BlobStoredSize(i), v2.value()->BlobSize(i));
-    EXPECT_EQ(v3.value()->BlobCodecOf(i), codecs[i]);
-    EXPECT_EQ(v3.value()->BlobSize(i), v2.value()->BlobSize(i));
-    std::vector<uint8_t> a(blobs[i].size());
-    std::vector<uint8_t> b(blobs[i].size());
-    ASSERT_TRUE(v2.value()->ReadBlob(i, a).ok());
-    ASSERT_TRUE(v3.value()->ReadBlob(i, b).ok());
-    EXPECT_EQ(a, blobs[i]);
-    EXPECT_EQ(b, blobs[i]);
-  }
-}
-
 TEST(BlobFileTest, GeneratedCheckpointsCodeFloatLayersOnly) {
   const ModelConfig config = TestModel();
   const struct {
@@ -643,6 +583,42 @@ TEST(BlobFileTest, GeneratedCheckpointsCodeFloatLayersOnly) {
       EXPECT_TRUE(reader.value()->ReadBlob(index, blob).ok());
     }
     EXPECT_TRUE(ValidateCheckpoint(*reader.value(), config, tier.precision).ok());
+  }
+}
+
+// The crc32c column of TestModel()'s seed-7 checkpoint at every tier, one
+// value per blob (embedding, four layers, head), read straight from the v3
+// entry table. The CRC covers each blob's stored bytes, so these pin the
+// weight generator, every tier's encoding and the layer codecs at once.
+TEST(BlobFileTest, GeneratedCheckpointBytesArePinned) {
+  const ModelConfig config = TestModel();
+  const struct {
+    Precision precision;
+    std::vector<uint32_t> crc32c;
+  } pins[] = {
+      {Precision::kFp32,
+       {0x6B20C603u, 0x12CF25BBu, 0x69F503C3u, 0x8B619FACu, 0x01858024u, 0xB781AD11u}},
+      {Precision::kFp16,
+       {0x6B20C603u, 0x49604A58u, 0x86B92036u, 0xD54854C1u, 0x427AD51Du, 0xB781AD11u}},
+      {Precision::kInt8,
+       {0x6B20C603u, 0xD7DDEE20u, 0xCAD7FC57u, 0x0B38F855u, 0x5EB2A018u, 0xB781AD11u}},
+      {Precision::kW4,
+       {0x6B20C603u, 0xC62394F1u, 0x025D1313u, 0x1DAB9471u, 0x7C63AA73u, 0xB781AD11u}},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(PrecisionName(pin.precision));
+    TempFile file("ckpt_pin");
+    ASSERT_TRUE(GenerateCheckpoint(config, 7, file.path(), pin.precision).ok());
+    SimulatedSsd ssd(file.path(), Unthrottled());
+    std::vector<uint32_t> column(pin.crc32c.size());
+    for (size_t i = 0; i < column.size(); ++i) {
+      // Entry i's crc32c sits 36 bytes into its 40-byte row after the
+      // 16-byte header.
+      uint8_t field[4];
+      ASSERT_TRUE(ssd.Read(static_cast<int64_t>(16 + 40 * i + 36), field).ok());
+      std::memcpy(&column[i], field, 4);
+    }
+    EXPECT_EQ(column, pin.crc32c);
   }
 }
 
@@ -710,25 +686,6 @@ TEST(CheckpointValidationTest, RejectsWrongBlobCount) {
   auto reader = BlobFileReader::Open(file.path(), Unthrottled());
   ASSERT_TRUE(reader.ok());
   EXPECT_FALSE(ValidateCheckpoint(*reader.value(), config, Precision::kFp32).ok());
-}
-
-TEST(CheckpointValidationTest, LegacyV1CheckpointValidatesAsFp32) {
-  // v1 files carry no tags; size is the only check, so an fp32-shaped legacy
-  // checkpoint still opens — the back-compat contract.
-  const ModelConfig config = TestModel();
-  TempFile file("ckpt_v1");
-  std::vector<std::vector<uint8_t>> blobs;
-  blobs.push_back(RandomBytes(64, 62));
-  for (size_t layer = 0; layer < config.n_layers; ++layer) {
-    blobs.push_back(RandomBytes(LayerBlobBytes(config, Precision::kFp32), 63 + layer));
-  }
-  blobs.push_back(RandomBytes(config.HeadBlobBytes(), 70));
-  WriteLegacyFile(file.path(), blobs, kBlobFileVersionLegacy);
-  auto reader = BlobFileReader::Open(file.path(), Unthrottled());
-  ASSERT_TRUE(reader.ok());
-  EXPECT_TRUE(ValidateCheckpoint(*reader.value(), config, Precision::kFp32).ok());
-  // A reduced-precision engine cannot use it: the blob sizes are fp32-shaped.
-  EXPECT_FALSE(ValidateCheckpoint(*reader.value(), config, Precision::kInt8).ok());
 }
 
 class StreamerTest : public ::testing::Test {
