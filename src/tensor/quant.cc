@@ -249,19 +249,6 @@ void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t co
   }
 }
 
-float MaxGroupScale(Precision precision, const uint8_t* in, size_t rows, size_t cols,
-                    size_t group_size) {
-  PRISM_CHECK(precision == Precision::kInt8 || precision == Precision::kW4);
-  const size_t count = rows * (cols / group_size);
-  const float* scales = reinterpret_cast<const float*>(
-      in + MatrixSpanBytes(precision, rows, cols, group_size) - count * sizeof(float));
-  float max_scale = 0.0f;
-  for (size_t i = 0; i < count; ++i) {
-    max_scale = std::max(max_scale, scales[i]);
-  }
-  return max_scale;
-}
-
 // The fused GEMMs share the fp32 microkernel (src/tensor/gemm.h). Each tier
 // only decodes a strip of weight rows into the transposed panel, with the
 // expression DecodeMatrix uses, so fused equals decode-then-GEMM bit for bit.

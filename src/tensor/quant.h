@@ -109,11 +109,6 @@ void EncodeMatrix(Precision precision, const float* w, size_t rows, size_t cols,
 void DecodeMatrix(Precision precision, const uint8_t* in, size_t rows, size_t cols,
                   size_t group_size, float* out);
 
-// Largest per-group scale of an int8 or w4 encoding. Both tiers round to
-// nearest on a symmetric grid, so every decoded value lies within half of it.
-float MaxGroupScale(Precision precision, const uint8_t* in, size_t rows, size_t cols,
-                    size_t group_size);
-
 }  // namespace prism
 
 #endif  // PRISM_SRC_TENSOR_QUANT_H_

@@ -9,6 +9,7 @@
 #include "src/common/rng.h"
 #include "src/storage/blob_codec.h"
 #include "src/tensor/quant.h"
+#include "tests/test_util.h"
 
 namespace prism {
 namespace {
@@ -48,7 +49,16 @@ std::vector<float> ReferenceMatMul(const std::vector<float>& a, size_t m,
 
 // --- group-wise tiers (int8, w4) ------------------------------------------
 
-class GroupedTierTest : public ::testing::TestWithParam<Precision> {
+// Each tier keeps the seeds and rounding slack of its own suite.
+struct GroupedTier {
+  Precision precision;
+  float bound_slack;      // Added to half the max scale in the round-trip bound.
+  uint64_t row_seed;      // The round-trip sweep seeds a shape with rows * row_seed + cols.
+  uint64_t weight_seed;   // The GEMM test's weights...
+  uint64_t activation_seed;  // ...and activations.
+};
+
+class GroupedTierTest : public ::testing::TestWithParam<GroupedTier> {
  protected:
   // The fused GEMM of the tier's view over `encoded` ([values][scales]).
   static void ViewMatMul(Precision precision, const std::vector<uint8_t>& encoded, size_t rows,
@@ -66,17 +76,18 @@ class GroupedTierTest : public ::testing::TestWithParam<Precision> {
 };
 
 TEST_P(GroupedTierTest, ErrorBoundedByHalfScale) {
-  const Precision precision = GetParam();
+  const GroupedTier tier = GetParam();
   const size_t shapes[][3] = {{8, 32, 16}, {16, 64, 32}, {3, 32, 32}, {32, 128, 64}, {5, 96, 32}};
   for (const auto& [rows, cols, group] : shapes) {
     SCOPED_TRACE(::testing::Message() << rows << "x" << cols << " group " << group);
-    const std::vector<float> w = RandomWeights(rows * cols, rows * 31 + cols);
-    const std::vector<uint8_t> encoded = Encode(precision, w, rows, cols, group);
+    const std::vector<float> w = RandomWeights(rows * cols, rows * tier.row_seed + cols);
+    const std::vector<uint8_t> encoded = Encode(tier.precision, w, rows, cols, group);
     std::vector<float> back(rows * cols);
-    DecodeMatrix(precision, encoded.data(), rows, cols, group, back.data());
+    DecodeMatrix(tier.precision, encoded.data(), rows, cols, group, back.data());
     // Symmetric rounding: |err| <= scale/2 everywhere; check against the
     // global max scale (a loose but always-valid bound).
-    const float bound = MaxGroupScale(precision, encoded.data(), rows, cols, group) * 0.5f + 1e-6f;
+    const float bound =
+        MaxGroupScale(tier.precision, encoded.data(), rows, cols, group) * 0.5f + tier.bound_slack;
     for (size_t i = 0; i < w.size(); ++i) {
       EXPECT_LE(std::fabs(w[i] - back[i]), bound) << "at " << i;
     }
@@ -84,32 +95,32 @@ TEST_P(GroupedTierTest, ErrorBoundedByHalfScale) {
 }
 
 TEST_P(GroupedTierTest, MatMulMatchesDecodedMatMul) {
-  const Precision precision = GetParam();
+  const GroupedTier tier = GetParam();
   const size_t rows = 12;
   const size_t cols = 32;
   const size_t group = 16;
   const size_t m = 5;
-  const std::vector<float> w = RandomWeights(rows * cols, 20);
-  const std::vector<float> a = RandomWeights(m * cols, 21, 1.0f);
-  const std::vector<uint8_t> encoded = Encode(precision, w, rows, cols, group);
+  const std::vector<float> w = RandomWeights(rows * cols, tier.weight_seed);
+  const std::vector<float> a = RandomWeights(m * cols, tier.activation_seed, 1.0f);
+  const std::vector<uint8_t> encoded = Encode(tier.precision, w, rows, cols, group);
   std::vector<float> decoded(rows * cols);
-  DecodeMatrix(precision, encoded.data(), rows, cols, group, decoded.data());
+  DecodeMatrix(tier.precision, encoded.data(), rows, cols, group, decoded.data());
   const std::vector<float> expected = ReferenceMatMul(a, m, decoded, rows, cols);
   std::vector<float> got(m * rows, 0.0f);
-  ViewMatMul(precision, encoded, rows, cols, group, a.data(), m, got.data());
+  ViewMatMul(tier.precision, encoded, rows, cols, group, a.data(), m, got.data());
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got[i], expected[i], 1e-3f);
   }
 }
 
 TEST_P(GroupedTierTest, SpanBytesIsValuesPlusScales) {
-  const Precision precision = GetParam();
+  const Precision precision = GetParam().precision;
   const size_t value_bytes = precision == Precision::kInt8 ? 16 * 64 : 16 * 64 / 2;
   EXPECT_EQ(MatrixSpanBytes(precision, 16, 64, 32), value_bytes + 16 * 2 * sizeof(float));
 }
 
 TEST_P(GroupedTierTest, ZeroMatrixRoundTripsToZero) {
-  const Precision precision = GetParam();
+  const Precision precision = GetParam().precision;
   const std::vector<float> w(8 * 16, 0.0f);
   const std::vector<uint8_t> encoded = Encode(precision, w, 8, 16, 16);
   std::vector<float> back(8 * 16, 1.0f);
@@ -120,9 +131,10 @@ TEST_P(GroupedTierTest, ZeroMatrixRoundTripsToZero) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Tiers, GroupedTierTest,
-                         ::testing::Values(Precision::kInt8, Precision::kW4),
-                         [](const ::testing::TestParamInfo<Precision>& info) {
-                           return std::string(PrecisionName(info.param));
+                         ::testing::Values(GroupedTier{Precision::kInt8, 1e-7f, 37, 20, 21},
+                                           GroupedTier{Precision::kW4, 1e-6f, 31, 10, 11}),
+                         [](const ::testing::TestParamInfo<GroupedTier>& info) {
+                           return std::string(PrecisionName(info.param.precision));
                          });
 
 // --- fp16 tier ------------------------------------------------------------

@@ -1,8 +1,9 @@
 // Shared helpers for the test suite: tiny models, fast (unthrottled) device
-// profiles, and canned rerank requests.
+// profiles, canned rerank requests, and the quantisation error bound.
 #ifndef PRISM_TESTS_TEST_UTIL_H_
 #define PRISM_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <string>
 
 #include "src/data/dataset.h"
@@ -10,6 +11,7 @@
 #include "src/model/synthetic.h"
 #include "src/runtime/device.h"
 #include "src/runtime/runner.h"
+#include "src/tensor/quant.h"
 
 namespace prism {
 
@@ -40,6 +42,17 @@ inline RerankRequest TestRequest(const ModelConfig& config, size_t n_candidates 
                                  const char* dataset = "wikipedia") {
   const SyntheticDataset data(DatasetByName(dataset), config, 1234);
   return RerankRequest::FromQuery(data.MakeQuery(query_index, n_candidates), k);
+}
+
+// Largest per-group scale of an int8 or w4 encoding ([values][scales]).
+// Both tiers round to nearest on a symmetric grid, so every decoded value
+// lies within half of it.
+inline float MaxGroupScale(Precision precision, const uint8_t* encoded, size_t rows, size_t cols,
+                           size_t group_size) {
+  const size_t count = rows * (cols / group_size);
+  const auto* scales = reinterpret_cast<const float*>(
+      encoded + MatrixSpanBytes(precision, rows, cols, group_size) - count * sizeof(float));
+  return *std::max_element(scales, scales + count);
 }
 
 }  // namespace prism
