@@ -50,8 +50,8 @@ class PrismCarouselTicket final : public CarouselTicket {
 // never stepped, is charged nothing, and reports its kInvalidArgument
 // status from TakeResult. Confined to one driver thread — only admission's
 // embed fan-out and Step's candidate-block fan-out inside LayerForward are
-// parallel. A request planned without a pool (Admit) holds one attention
-// tile, so its LayerForward runs one block even when Step passes a pool.
+// parallel. A request admitted without a pool holds one attention tile, so
+// its LayerForward runs one block even when Step passes a pool.
 class PrismCarouselPass final : public CarouselPass {
  public:
   PrismCarouselPass(PrismEngine* engine, bool cyclic) : engine_(engine), cyclic_(cyclic) {
@@ -70,11 +70,6 @@ class PrismCarouselPass final : public CarouselPass {
   }
 
   size_t n_layers() const override { return engine_->config_.n_layers; }
-
-  std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
-    const RerankRequest* ptr = &request;
-    return std::move(AdmitBatch({&ptr, 1}, nullptr).front());
-  }
 
   // A boundary's joiners embed in parallel — the carousel is stalled while
   // they board, so this window is pure time-to-first-layer.
@@ -326,7 +321,8 @@ RerankResult PrismEngine::Rerank(const RerankRequest& request) {
   // One revolution of a terminating pass with this request aboard: it boards
   // at layer 0 and steps alone until it finishes.
   PrismCarouselPass pass(this, /*cyclic=*/false);
-  std::unique_ptr<CarouselTicket> ticket = pass.Admit(request);
+  const RerankRequest* boarding = &request;
+  std::unique_ptr<CarouselTicket> ticket = std::move(pass.AdmitBatch({&boarding, 1}, nullptr)[0]);
   CarouselTicket* group = ticket.get();
   for (size_t layer = 0; !ticket->done(); ++layer) {
     pass.Step(layer, {&group, 1}, nullptr);

@@ -25,8 +25,10 @@ OnlineCalibrator::OnlineCalibrator(PrismEngine* engine, Runner* reference,
   PRISM_CHECK_GT(options_.max_samples, 0u);
 }
 
-RerankResult OnlineCalibrator::Rerank(const RerankRequest& request) {
-  const RerankResult result = engine_->Rerank(request);
+void OnlineCalibrator::Observe(const RerankRequest& request, const RerankResult& result) {
+  if (!result.status.ok()) {
+    return;
+  }
   MutexLock lock(mu_);
   if (served_++ % options_.sample_every == 0) {
     if (log_.size() == options_.max_samples) {
@@ -34,7 +36,6 @@ RerankResult OnlineCalibrator::Rerank(const RerankRequest& request) {
     }
     log_.push_back(Sample{request, result.topk});
   }
-  return result;
 }
 
 double OnlineCalibrator::RunIdleCycle(size_t budget) {

@@ -1,6 +1,7 @@
 #include "src/core/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "src/common/check.h"
@@ -128,74 +129,43 @@ void RequestQueue::AnswerShed(std::vector<Pending> shed) {
   }
 }
 
-std::vector<RequestQueue::Pending> RequestQueue::PopBatch(size_t max_batch) {
-  PRISM_CHECK_GT(max_batch, 0u);
+std::vector<RequestQueue::Pending> RequestQueue::Pop(size_t max_batch, double timeout_ms) {
+  PRISM_CHECK_GE(timeout_ms, 0.0);
+  PRISM_CHECK_MSG(max_batch > 0 || timeout_ms == 0.0, "a waiting pop needs room for a request");
+  const double give_up_ms = clock_->NowMs() + timeout_ms;
   for (;;) {
-    {
+    bool gave_up = false;
+    if (timeout_ms > 0.0) {
       MutexLock lock(mu_);
       while (!closed_ && !HasWorkLocked()) {
-        cv_->Wait(mu_);
+        if (std::isinf(timeout_ms)) {
+          cv_->Wait(mu_);
+        } else if (!cv_->WaitUntil(mu_, give_up_ms)) {
+          break;  // Deadline reached; re-check the condition below.
+        }
       }
+      gave_up = !closed_ && !HasWorkLocked();
     }
     // Let every producer active at this instant land its push before the
     // drain (a no-op on the wall clock): batch composition becomes a pure
-    // function of the virtual arrival schedule, not host thread timing.
-    clock_->YieldUntilQuiescent();
+    // function of the virtual arrival schedule, not host thread timing. A
+    // wait that gave up with nothing queued drains without the yield.
+    if (!gave_up) {
+      clock_->YieldUntilQuiescent();
+    }
     std::vector<Pending> shed;
     std::vector<Pending> batch = DrainPass(max_batch, &shed);
     AnswerShed(std::move(shed));
-    if (!batch.empty()) {
+    // A 0 timeout is always past its give-up instant here.
+    if (!batch.empty() || gave_up || clock_->NowMs() >= give_up_ms) {
       return batch;
     }
     MutexLock lock(mu_);
     if (closed_ && !HasWorkLocked()) {
       return {};  // Closed and drained.
     }
-    // Everything pending was shed; wait for real work (or Close).
-  }
-}
-
-std::vector<RequestQueue::Pending> RequestQueue::TryPopBatch(size_t max_batch) {
-  // Same quiescence yield as PopBatch: a carousel boundary admits every
-  // request issued by this virtual instant, deterministically.
-  clock_->YieldUntilQuiescent();
-  std::vector<Pending> shed;
-  std::vector<Pending> batch = DrainPass(max_batch, &shed);
-  AnswerShed(std::move(shed));
-  return batch;
-}
-
-std::vector<RequestQueue::Pending> RequestQueue::PopBatchFor(size_t max_batch, double timeout_ms) {
-  PRISM_CHECK_GT(max_batch, 0u);
-  const double give_up_ms = clock_->NowMs() + timeout_ms;
-  for (;;) {
-    bool timed_out = false;
-    {
-      MutexLock lock(mu_);
-      while (!closed_ && !HasWorkLocked()) {
-        if (!cv_->WaitUntil(mu_, give_up_ms)) {
-          break;  // Deadline reached; re-check the condition below.
-        }
-      }
-      timed_out = !closed_ && !HasWorkLocked();
-    }
-    if (!timed_out) {
-      clock_->YieldUntilQuiescent();
-    }
-    std::vector<Pending> shed;
-    std::vector<Pending> batch = DrainPass(max_batch, &shed);
-    AnswerShed(std::move(shed));
-    if (!batch.empty() || timed_out) {
-      return batch;
-    }
-    if (clock_->NowMs() >= give_up_ms) {
-      return {};
-    }
-    // Woken by Close or everything shed; retry within the window.
-    MutexLock lock(mu_);
-    if (closed_ && !HasWorkLocked()) {
-      return {};
-    }
+    // Woken by Close, or everything pending was shed: wait again for real
+    // work within the window.
   }
 }
 
@@ -296,7 +266,7 @@ void CarouselScheduler::DispatchLoop() {
   for (;;) {
     // Idle: block for traffic, then spin the carousel up for one busy
     // period. It keeps revolving as long as boundary admission finds work.
-    std::vector<RequestQueue::Pending> batch = queue_.PopBatch(max_inflight_);
+    std::vector<RequestQueue::Pending> batch = queue_.Pop(max_inflight_, RequestQueue::kForever);
     if (batch.empty()) {
       return;  // Closed and drained.
     }
@@ -357,15 +327,15 @@ void CarouselScheduler::DispatchLoop() {
         layer = 0;
         std::vector<RequestQueue::Pending> joiners;
         if (residents.size() < max_inflight_) {
-          joiners = queue_.TryPopBatch(max_inflight_ - residents.size());
+          joiners = queue_.Pop(max_inflight_ - residents.size(), /*timeout_ms=*/0.0);
         }
         AdmitBoundary(pass.get(), std::move(joiners), &residents);
         if (residents.empty()) {
           // Nothing to ride the next cycle. Linger briefly — pipeline warm,
           // layer 0 already loading — before tearing the pass down; a
-          // request arriving inside the window skips the cold start.
-          std::vector<RequestQueue::Pending> stragglers =
-              queue_.PopBatchFor(max_inflight_, linger_ms_);
+          // request arriving inside the window skips the cold start. (A
+          // zero window makes this one more non-blocking Pop.)
+          std::vector<RequestQueue::Pending> stragglers = queue_.Pop(max_inflight_, linger_ms_);
           if (stragglers.empty()) {
             break;  // Idle (or closed): end the busy period.
           }

@@ -3,11 +3,10 @@
 // A Scheduler decides how concurrent Rerank calls reach the engine:
 //
 //   SerialScheduler  — one request at a time through a Runner (the original
-//                      behaviour; callers queue FIFO by ticket). Required
-//                      when the runner is stateful, e.g. the
-//                      OnlineCalibrator. Deadlines are honoured at dispatch:
-//                      a request whose budget expired while waiting its turn
-//                      is shed.
+//                      behaviour; callers queue FIFO by ticket). For a
+//                      runner that is not thread-safe. Deadlines are
+//                      honoured at dispatch: a request whose budget expired
+//                      while waiting its turn is shed.
 //   CarouselScheduler — continuous batching: callers enqueue into a
 //                      ticketed RequestQueue, and the dispatcher rides a
 //                      cyclic layer pass (CarouselRunner::BeginCarousel)
@@ -50,6 +49,7 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -105,7 +105,7 @@ class SerialScheduler : public Scheduler {
 
 // Ticketed priority-then-FIFO queue of pending requests, single-consumer by
 // contract: any number of producers may Push concurrently, but at most one
-// thread (the scheduler's dispatcher) calls the pop variants.
+// thread (the scheduler's dispatcher) calls Pop.
 //
 // One mutex guards everything: each Push takes the next admission ticket and
 // inserts straight into a deque kept sorted (priority desc, ticket asc); the
@@ -113,14 +113,14 @@ class SerialScheduler : public Scheduler {
 // Admission costs microseconds against an engine pass of tens to hundreds of
 // milliseconds, so one lock is all this path needs.
 //
-// Pushes never block on the dispatcher; PopBatch blocks until at least one
-// unexpired request is pending (or the queue is closed) and then drains up
-// to `max_batch` entries in (priority desc, ticket asc) order. Expired
-// entries are shed inside the pops: their promises are fulfilled with a
-// kDeadlineExceeded result and they never surface to the dispatcher. All
-// timestamps are clock milliseconds; all waits go through the clock's
-// condition variables, so SimClock determinism is preserved — ordering
-// decisions happen only in the dispatcher, after a yield to quiescence.
+// Pushes never block on the dispatcher. Pop waits up to a timeout for an
+// unexpired request (or Close) and then drains up to `max_batch` entries in
+// (priority desc, ticket asc) order. Expired entries are shed inside Pop:
+// their promises are fulfilled with a kDeadlineExceeded result and they
+// never surface to the dispatcher. All timestamps are clock milliseconds;
+// all waits go through the clock's condition variables, so SimClock
+// determinism is preserved — ordering decisions happen only in the
+// dispatcher, after a yield to quiescence.
 class RequestQueue {
  public:
   explicit RequestQueue(Clock* clock = nullptr);
@@ -147,38 +147,41 @@ class RequestQueue {
     bool ExpiredAt(double now_ms) const { return has_deadline && now_ms >= deadline_at_ms; }
   };
 
-  // Every pop that returns a non-empty batch is an admission event and bumps
+  // Every Pop that returns a non-empty batch is an admission event and bumps
   // epoch(). With free capacity, epoch-at-dispatch − tag == 1, always.
 
   std::future<RerankResult> Push(const RerankRequest& request);
-  std::vector<Pending> PopBatch(size_t max_batch);
 
-  // Non-blocking PopBatch: sheds expired entries, then returns up to
-  // `max_batch` pending requests — possibly none. Never waits on the queue
-  // (it does yield to clock quiescence first, a no-op on the wall clock);
-  // used by the carousel to admit whatever is queued at a cycle boundary.
-  std::vector<Pending> TryPopBatch(size_t max_batch);
+  // Pop's timeout that never gives up: block until a batch or Close.
+  static constexpr double kForever = std::numeric_limits<double>::infinity();
 
-  // PopBatch that gives up after `timeout_ms`: returns an empty batch when
-  // no unexpired request arrived in time (or the queue closed). The
-  // carousel's linger window — a drained pass waits warm for the next
-  // arrival instead of tearing its prefetch pipeline down.
-  std::vector<Pending> PopBatchFor(size_t max_batch, double timeout_ms);
+  // Sheds expired entries and returns up to `max_batch` pending requests,
+  // waiting up to `timeout_ms` for one to arrive. Three shapes, one per
+  // dispatcher call site:
+  //   - kForever: block until a non-empty batch, or return empty once the
+  //     queue is closed and drained (the idle carousel's wait for traffic);
+  //   - 0: never wait; possibly empty, and `max_batch` may be 0 (a cycle
+  //     boundary admits whatever is queued);
+  //   - finite: return empty when nothing unexpired arrived in time (the
+  //     linger window, where a drained pass waits warm for the next
+  //     arrival).
+  // The drain first yields to clock quiescence (a no-op on the wall clock),
+  // except after a wait that gave up with the queue empty.
+  std::vector<Pending> Pop(size_t max_batch, double timeout_ms);
 
-  // Wakes PopBatch; subsequent pushes are rejected (CHECK). Entries still
-  // pending are drained by subsequent PopBatch calls.
+  // Wakes Pop; subsequent pushes are rejected (CHECK). Entries still
+  // pending are drained by subsequent Pop calls.
   void Close();
 
   // Entries pending (not yet popped).
   size_t size() const;
 
-  // Admission events so far: non-empty batches handed out by the pops.
+  // Admission events so far: non-empty batches handed out by Pop.
   uint64_t epoch() const;
 
  private:
-  // One consumer pass shared by the pop variants, under mu_: shed expired
-  // entries into *shed, take up to max_batch survivors, and bump the epoch
-  // on a non-empty batch.
+  // One consumer pass, under mu_: shed expired entries into *shed, take up
+  // to max_batch survivors, and bump the epoch on a non-empty batch.
   std::vector<Pending> DrainPass(size_t max_batch, std::vector<Pending>* shed);
   // Sorted insert into ordered_ (priority desc, ticket asc), scanning from
   // the back — O(1) for the in-ticket-order pushes of one priority.

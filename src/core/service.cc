@@ -45,11 +45,6 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     kind = options.max_inflight > 1 ? SchedulerKind::kCarousel : SchedulerKind::kSerial;
   }
   if (options.online_calibration) {
-    PRISM_CHECK_MSG(kind == SchedulerKind::kSerial,
-                    "online calibration samples through a serial log; use the serial scheduler "
-                    "(max_inflight == 1)");
-    PRISM_CHECK_MSG(options.runner_override == nullptr,
-                    "runner_override would bypass the calibrator's sample log");
     // Ground truth is the resident HF baseline: full inference with every
     // layer in memory, so idle-time replays never wait on the device.
     HfRunnerOptions reference_options;
@@ -59,12 +54,11 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     calibrator_ = std::make_unique<OnlineCalibrator>(engine_.get(), reference_.get(),
                                                      options.calibration);
   }
-  CarouselRunner* target =
-      options.runner_override != nullptr ? options.runner_override : engine_.get();
+  CarouselRunner* target = engine_.get();
   if (options.sim) {
     PRISM_CHECK_MSG(!options.online_calibration,
-                    "online calibration measures real engine timing; it cannot run through the "
-                    "simulated cost model");
+                    "online calibration cannot run through the simulated cost model: it "
+                    "memoizes each request's result, which would hide a threshold nudge");
     sim_runner_ = std::make_unique<SimulatedRunner>(target, config.n_layers, clock);
     target = sim_runner_.get();
   }
@@ -74,12 +68,9 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
       scheduler_ = std::make_unique<CarouselScheduler>(target, inflight, options.compute_threads,
                                                        options.carousel_linger_ms, clock);
       break;
-    case SchedulerKind::kSerial: {
-      Runner* runner = calibrator_ != nullptr ? static_cast<Runner*>(calibrator_.get())
-                                              : static_cast<Runner*>(target);
-      scheduler_ = std::make_unique<SerialScheduler>(runner, clock);
+    case SchedulerKind::kSerial:
+      scheduler_ = std::make_unique<SerialScheduler>(target, clock);
       break;
-    }
     case SchedulerKind::kAuto:
       PRISM_CHECK_MSG(false, "kAuto resolved above");
       break;
@@ -92,6 +83,9 @@ RerankResult RerankService::Rerank(const RerankRequest& request) {
   result.status = ValidateRequest(config_, request);
   if (result.status.ok()) {
     result = scheduler_->Submit(request);
+  }
+  if (calibrator_ != nullptr) {
+    calibrator_->Observe(request, result);
   }
   {
     MutexLock lock(stats_mu_);

@@ -9,7 +9,9 @@
 // carousel scheduler runs concurrent requests through the engine's cyclic
 // layer pass, which shares each layer fetch across them, raising throughput
 // while keeping each request's result bit-identical to serial execution.
-// Admission (RequestQueue) and statistics each sit behind one mutex: both
+// Online calibration rides beside the scheduler, not inside it: each served
+// result is offered to the calibrator after Submit returns, so it works
+// under either scheduler. Admission (RequestQueue) and statistics each sit behind one mutex: both
 // cost microseconds against an engine pass of tens to hundreds of
 // milliseconds.
 #ifndef PRISM_SRC_CORE_SERVICE_H_
@@ -59,17 +61,11 @@ struct ServiceOptions {
   // layer blobs held resident while idle.
   double carousel_linger_ms = 200.0;
   // When set, a resident HfRunner on the engine's device and precision is
-  // built as ground truth, and every Nth request is sampled for idle-time
-  // calibration toward `target_precision`. The calibrator's sample log is
-  // serial-only, so this requires max_inflight == 1 (checked).
+  // built as ground truth, and every Nth served request is sampled for
+  // idle-time calibration toward `target_precision`. Works with either
+  // scheduler; not with `sim` (checked).
   bool online_calibration = false;
   OnlineCalibratorOptions calibration;
-  // Test seam (fault injection): when non-null, the scheduler drives this
-  // runner instead of the service's own engine. The engine is still built —
-  // accessors like current_threshold() read it — but no request reaches it
-  // unless the override forwards. Incompatible with online_calibration
-  // (checked). The pointee must outlive the service.
-  CarouselRunner* runner_override = nullptr;
   // Time source for every scheduler wait and queue deadline. nullptr
   // (default) = the shared wall clock — existing callers see identical
   // behaviour. Point it at a SimClock to serve on deterministic virtual
@@ -144,12 +140,13 @@ class RerankService : public Runner {
   // but it runs full-inference ground truth, so call it when the service is
   // otherwise idle.
   double OnIdle();
+  // Null unless online_calibration is set.
+  const OnlineCalibrator* calibrator() const { return calibrator_.get(); }
 
   ServiceStats stats() const;  // Snapshot.
   const ModelConfig& config() const { return config_; }
   float current_threshold() const { return engine_->dispersion_threshold(); }
   const Scheduler& scheduler() const { return *scheduler_; }
-  // The service's engine (always built, even with a runner override).
   PrismEngine& engine() { return *engine_; }
 
  private:

@@ -141,27 +141,16 @@ class CarouselPass {
 
   virtual size_t n_layers() const = 0;
 
-  // Plans and embeds the request; the returned ticket needs layer 0 next.
-  // A request the pass rejects (malformed) gets a ticket that is already
-  // done: drivers never step it, and TakeResult returns the error status.
-  // Admit only at a cycle boundary (before stepping layer 0).
-  virtual std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) = 0;
-
-  // Admits a whole boundary's joiners at once. Implementations may fan the
-  // per-request planning/embedding out across `compute_pool` (the engine
-  // does — a boundary with N joiners should not serialize N embeds while
-  // the carousel stalls); the default just loops Admit. tickets[i]
-  // corresponds to requests[i].
+  // Admits a cycle boundary's joiners: plans and embeds each request, and
+  // returns one ticket per request (tickets[i] for requests[i]) that needs
+  // layer 0 next. Implementations may fan the per-request planning and
+  // embedding out across `compute_pool` (the engine does — a boundary with N
+  // joiners should not serialize N embeds while the carousel stalls). A
+  // request the pass rejects (malformed) gets a ticket that is already done:
+  // drivers never step it, and TakeResult returns the error status. Admit
+  // only at a cycle boundary (before stepping layer 0).
   virtual std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
-      std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) {
-    (void)compute_pool;
-    std::vector<std::unique_ptr<CarouselTicket>> tickets;
-    tickets.reserve(requests.size());
-    for (const RerankRequest* request : requests) {
-      tickets.push_back(Admit(*request));
-    }
-    return tickets;
-  }
+      std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) = 0;
 
   // Forwards every ticket in `group` through `layer` (all must report
   // next_layer() == layer and not be done). The group may be empty — the

@@ -85,8 +85,16 @@ class SimCarouselPass : public CarouselPass {
 
   size_t n_layers() const override { return runner_->n_layers(); }
 
-  std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
-    return std::make_unique<SimTicket>(runner_->Cached(request), runner_->n_layers());
+  std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
+      std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) override {
+    (void)compute_pool;
+    std::vector<std::unique_ptr<CarouselTicket>> tickets;
+    tickets.reserve(requests.size());
+    for (const RerankRequest* request : requests) {
+      tickets.push_back(
+          std::make_unique<SimTicket>(runner_->Cached(*request), runner_->n_layers()));
+    }
+    return tickets;
   }
 
   void Step(size_t layer, std::span<CarouselTicket* const> group,

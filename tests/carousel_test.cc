@@ -216,8 +216,10 @@ TEST_F(CarouselTest, PassWrapAroundServesLateJoinerBitIdentically) {
   std::unique_ptr<CarouselPass> pass = engine.BeginCarousel();
   ASSERT_NE(pass, nullptr);
   ASSERT_EQ(pass->n_layers(), config_.n_layers);
-  std::unique_ptr<CarouselTicket> a = pass->Admit(requests_[0]);
-  std::unique_ptr<CarouselTicket> b = pass->Admit(requests_[1]);
+  const RerankRequest* boarding[] = {&requests_[0], &requests_[1]};
+  std::vector<std::unique_ptr<CarouselTicket>> tickets = pass->AdmitBatch(boarding, nullptr);
+  std::unique_ptr<CarouselTicket> a = std::move(tickets[0]);
+  std::unique_ptr<CarouselTicket> b = std::move(tickets[1]);
 
   // Cycle 0: A only. B stays parked at depth 0.
   size_t steps = 0;
@@ -313,7 +315,8 @@ TEST_F(CarouselTest, AbandonedTicketReleasesSpilledChunks) {
   ASSERT_NE(engine.spill_pool(), nullptr);
 
   std::unique_ptr<CarouselPass> pass = engine.BeginCarousel();
-  std::unique_ptr<CarouselTicket> ticket = pass->Admit(requests_[0]);
+  const RerankRequest* first[] = {&requests_[0]};
+  std::unique_ptr<CarouselTicket> ticket = std::move(pass->AdmitBatch(first, nullptr)[0]);
   std::vector<CarouselTicket*> group{ticket.get()};
   pass->Step(0, group, nullptr);  // Chunks now parked in the spill pool.
   ASSERT_FALSE(ticket->done());
@@ -322,7 +325,8 @@ TEST_F(CarouselTest, AbandonedTicketReleasesSpilledChunks) {
   EXPECT_EQ(engine.spill_pool()->live_entries(), 0u);
   // The pass is still usable for other requests afterwards.
   pass->SkipToNextCycle();
-  std::unique_ptr<CarouselTicket> next = pass->Admit(requests_[1]);
+  const RerankRequest* second[] = {&requests_[1]};
+  std::unique_ptr<CarouselTicket> next = std::move(pass->AdmitBatch(second, nullptr)[0]);
   for (size_t layer = 0; layer < config_.n_layers && !next->done(); ++layer) {
     group.assign(1, next.get());
     pass->Step(layer, group, nullptr);
@@ -377,7 +381,7 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
   SimClock clock;
   RequestQueue queue(&clock);
   const ModelConfig config = TestModel();
-  EXPECT_TRUE(queue.TryPopBatch(4).empty());  // Empty queue: returns, no block.
+  EXPECT_TRUE(queue.Pop(4, /*timeout_ms=*/0.0).empty());  // Empty queue: returns, no block.
 
   std::vector<RerankRequest> requests;
   for (size_t i = 0; i < 3; ++i) {
@@ -392,7 +396,7 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
   // exact expiry instant — not a tick further — must shed entry 1.
   clock.SleepUntil(7.0);
   EXPECT_EQ(clock.NowMs(), 7.0);
-  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(2);
+  std::vector<RequestQueue::Pending> batch = queue.Pop(2, /*timeout_ms=*/0.0);
   ASSERT_EQ(batch.size(), 2u);  // Entry 1 shed, entries 0 and 2 popped.
   EXPECT_EQ(batch[0].ticket, 0u);
   EXPECT_EQ(batch[1].ticket, 2u);
@@ -403,7 +407,7 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
   for (auto& pending : batch) {
     pending.promise.set_value(RerankResult{});
   }
-  EXPECT_TRUE(queue.TryPopBatch(2).empty());
+  EXPECT_TRUE(queue.Pop(2, /*timeout_ms=*/0.0).empty());
 }
 
 TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
@@ -412,20 +416,45 @@ TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
   const RerankRequest request = TestRequest(config, 8, 2);
   // One admission event before the request arrives.
   auto first = queue.Push(request);
-  std::vector<RequestQueue::Pending> earlier = queue.TryPopBatch(1);
+  std::vector<RequestQueue::Pending> earlier = queue.Pop(1, /*timeout_ms=*/0.0);
   ASSERT_EQ(earlier.size(), 1u);
   earlier[0].promise.set_value(RerankResult{});
   first.get();
   EXPECT_EQ(queue.epoch(), 1u);
   auto future = queue.Push(request);
   // Empty pops are not admission events: no bump.
-  EXPECT_TRUE(queue.TryPopBatch(0).empty());
+  EXPECT_TRUE(queue.Pop(0, /*timeout_ms=*/0.0).empty());
   EXPECT_EQ(queue.epoch(), 1u);
-  std::vector<RequestQueue::Pending> batch = queue.TryPopBatch(1);
+  std::vector<RequestQueue::Pending> batch = queue.Pop(1, /*timeout_ms=*/0.0);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch[0].tag, 1u);     // Tagged with the epoch it arrived in...
   EXPECT_EQ(queue.epoch(), 2u);    // ...bumped by the non-empty pop.
   EXPECT_EQ(queue.epoch() - batch[0].tag, 1u);  // Exactly one admission event.
+  batch[0].promise.set_value(RerankResult{});
+  future.get();
+}
+
+TEST(RequestQueueTryPopTest, TimedPopGivesUpAtItsDeadlineOrTakesAnArrival) {
+  SimClock clock;
+  RequestQueue queue(&clock);
+  const ModelConfig config = TestModel();
+  const RerankRequest request = TestRequest(config, 8, 2);
+  const ClockMembership membership(&clock);
+  // Nothing arrives: the pop gives up empty exactly at its deadline.
+  EXPECT_TRUE(queue.Pop(4, /*timeout_ms=*/5.0).empty());
+  EXPECT_EQ(clock.NowMs(), 5.0);
+  // An arrival inside the window is handed out at its arrival instant.
+  std::future<RerankResult> future;
+  clock.ExpectParticipants(1);  // Time stands still until the producer joins.
+  std::thread producer([&] {
+    const ClockMembership producer_membership(&clock);
+    clock.SleepUntil(7.0);
+    future = queue.Push(request);
+  });
+  std::vector<RequestQueue::Pending> batch = queue.Pop(4, /*timeout_ms=*/5.0);
+  producer.join();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(clock.NowMs(), 7.0);
   batch[0].promise.set_value(RerankResult{});
   future.get();
 }

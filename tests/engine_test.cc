@@ -279,7 +279,8 @@ TEST_F(EngineTest, BytesStreamedCountsConsumedLayersOnly) {
   }
 
   std::unique_ptr<CarouselPass> pass = engine.BeginCarousel();
-  std::unique_ptr<CarouselTicket> ticket = pass->Admit(request);
+  const RerankRequest* boarding[] = {&request};
+  std::unique_ptr<CarouselTicket> ticket = std::move(pass->AdmitBatch(boarding, nullptr)[0]);
   for (size_t layer = 0; !ticket->done(); ++layer) {
     CarouselTicket* group[] = {ticket.get()};
     pass->Step(layer, group, /*compute_pool=*/nullptr);

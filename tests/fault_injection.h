@@ -1,9 +1,9 @@
 // Fault-injection test doubles.
 //
-// FlakyRunner slots between a scheduler and the real engine (via
-// ServiceOptions::runner_override or a directly-constructed scheduler) and
-// fails selected requests with an injected kIoError before they reach
-// the wrapped runner — modelling a device read failure surfaced per-request.
+// FlakyRunner slots between a directly-constructed scheduler and the real
+// engine and fails selected requests with an injected kIoError before they
+// reach the wrapped runner — modelling a device read failure surfaced
+// per-request.
 // Failures follow either a deterministic sequence (request ordinal n fails
 // iff fail_sequence[n]) or a seeded Bernoulli draw, so every test run is
 // reproducible. The tests built on it pin down the error contract: a failing
@@ -112,12 +112,6 @@ class FlakyRunner : public CarouselRunner {
         : owner_(owner), inner_(std::move(inner)) {}
 
     size_t n_layers() const override { return inner_->n_layers(); }
-
-    std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
-      return std::make_unique<FlakyCarouselTicket>(inner_->Admit(request),
-                                                   request.docs.size(),
-                                                   owner_->NextFailure());
-    }
 
     std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
         std::span<const RerankRequest* const> requests, ThreadPool* compute_pool) override {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <span>
@@ -77,13 +79,13 @@ TEST(RequestQueueTest, PopsInAdmissionOrder) {
     futures.push_back(queue.Push(request));
   }
   EXPECT_EQ(queue.size(), 5u);
-  std::vector<RequestQueue::Pending> first = queue.PopBatch(3);
+  std::vector<RequestQueue::Pending> first = queue.Pop(3, RequestQueue::kForever);
   ASSERT_EQ(first.size(), 3u);
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].ticket, i);
     EXPECT_EQ(first[i].request, &requests[i]);
   }
-  std::vector<RequestQueue::Pending> rest = queue.PopBatch(10);
+  std::vector<RequestQueue::Pending> rest = queue.Pop(10, RequestQueue::kForever);
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].ticket, 3u);
   EXPECT_EQ(rest[1].ticket, 4u);
@@ -110,7 +112,7 @@ TEST(RequestQueueTest, PriorityThenFifoOrder) {
   // Expected pop order: priority desc, ticket asc → 1, 3 (pri 2); 2, 5
   // (pri 1); 0, 4 (pri 0).
   const uint64_t expected[] = {1, 3, 2, 5, 0, 4};
-  std::vector<RequestQueue::Pending> batch = queue.PopBatch(6);
+  std::vector<RequestQueue::Pending> batch = queue.Pop(6, RequestQueue::kForever);
   ASSERT_EQ(batch.size(), 6u);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(batch[i].ticket, expected[i]) << "position " << i;
@@ -131,7 +133,7 @@ TEST(RequestQueueTest, ExpiredEntriesAreShedWithErrorResult) {
     futures.push_back(queue.Push(request));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  std::vector<RequestQueue::Pending> batch = queue.PopBatch(4);
+  std::vector<RequestQueue::Pending> batch = queue.Pop(4, RequestQueue::kForever);
   ASSERT_EQ(batch.size(), 1u);  // Only the undeadlined entry survives.
   EXPECT_EQ(batch[0].ticket, 1u);
   batch[0].promise.set_value(RerankResult{});
@@ -161,7 +163,7 @@ TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
   std::map<int, std::vector<uint64_t>> popped_by_priority;
   std::thread consumer([&] {
     for (;;) {
-      std::vector<RequestQueue::Pending> batch = queue.PopBatch(4);
+      std::vector<RequestQueue::Pending> batch = queue.Pop(4, RequestQueue::kForever);
       if (batch.empty()) {
         return;  // Closed and drained.
       }
@@ -240,10 +242,10 @@ TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
   const RerankRequest request = TestRequest(config, 10, 3);
   auto future = queue.Push(request);
   queue.Close();
-  std::vector<RequestQueue::Pending> batch = queue.PopBatch(4);
+  std::vector<RequestQueue::Pending> batch = queue.Pop(4, RequestQueue::kForever);
   ASSERT_EQ(batch.size(), 1u);
   batch[0].promise.set_value(RerankResult{});
-  EXPECT_TRUE(queue.PopBatch(4).empty());
+  EXPECT_TRUE(queue.Pop(4, RequestQueue::kForever).empty());
   future.get();
 }
 
@@ -506,35 +508,117 @@ TEST_F(ServiceConcurrencyTest, ThresholdNudgesAreSafeWhileServing) {
 
 TEST_F(ServiceConcurrencyTest, OnIdleOverlapsServingSafely) {
   // The calibrator's sample log is mutex-guarded, so an idle-cycle thread
-  // may run while serving threads push samples (serving itself is
-  // serialised by the scheduler). TSan validates the locking.
+  // may run while serving threads push samples, on either scheduler: one
+  // request at a time (max_inflight 1) or several riding the carousel at
+  // once. TSan validates the locking.
+  for (const size_t max_inflight : {size_t{1}, size_t{3}}) {
+    SCOPED_TRACE("max_inflight " + std::to_string(max_inflight));
+    MemoryTracker tracker;
+    ServiceOptions options = ConcurrentOptions(max_inflight);
+    options.online_calibration = true;
+    options.calibration.sample_every = 1;
+    RerankService service(config_, ckpt_, options, &tracker);
+    std::atomic<bool> stop{false};
+    std::thread idler([&] {
+      while (!stop.load()) {
+        service.OnIdle();
+      }
+    });
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < 2; ++c) {
+      clients.emplace_back([&, c] {
+        for (size_t r = 0; r < 4; ++r) {
+          const RerankResult result = service.Rerank(requests_[(c * 4 + r) % requests_.size()]);
+          EXPECT_EQ(result.topk.size(), 3u);
+        }
+      });
+    }
+    for (std::thread& t : clients) {
+      t.join();
+    }
+    stop.store(true);
+    idler.join();
+    EXPECT_EQ(service.stats().requests, 8u);
+  }
+}
+
+// Online calibration on the carousel, in phases. The carousel reads the
+// threshold once per ticket, at admission, and the calibrator only samples
+// answered requests, so every result served between two idle cycles must be
+// bit-identical to a serial engine pinned at the threshold of that phase.
+// CI's concurrency-stress lane fails if this test is skipped.
+TEST_F(ServiceConcurrencyTest, CalibratingCarouselMatchesSerialAtEachThreshold) {
   MemoryTracker tracker;
-  ServiceOptions options;
-  options.engine.device = FastDevice();
+  ServiceOptions options = ConcurrentOptions(3);
+  options.engine.dispersion_threshold = 0.3f;
+  options.online_calibration = true;
+  options.calibration.sample_every = 1;
+  options.calibration.target_precision = 1.01;  // Unreachable: each idle cycle raises.
+  RerankService service(config_, ckpt_, options, &tracker);
+  ASSERT_NE(dynamic_cast<const CarouselScheduler*>(&service.scheduler()), nullptr);
+
+  // Serves every request from its own client thread and counts the results
+  // that differ from a serial engine at `threshold`.
+  const auto mismatches_at = [&](float threshold) {
+    std::vector<RerankResult> results(requests_.size());
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < requests_.size(); ++i) {
+      clients.emplace_back([&, i] { results[i] = service.Rerank(requests_[i]); });
+    }
+    for (std::thread& t : clients) {
+      t.join();
+    }
+    MemoryTracker serial_tracker;
+    PrismOptions serial_options = options.engine;
+    serial_options.dispersion_threshold = threshold;
+    PrismEngine serial(config_, ckpt_, serial_options, &serial_tracker);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < requests_.size(); ++i) {
+      const RerankResult expected = serial.Rerank(requests_[i]);
+      EXPECT_TRUE(results[i].status.ok()) << "request " << i;
+      const bool same = results[i].topk == expected.topk &&
+                        results[i].scores.size() == expected.scores.size() &&
+                        std::memcmp(results[i].scores.data(), expected.scores.data(),
+                                    expected.scores.size() * sizeof(float)) == 0 &&
+                        results[i].stats.layers_until_done == expected.stats.layers_until_done;
+      mismatches += same ? 0 : 1;
+    }
+    return mismatches;
+  };
+
+  const float start = service.current_threshold();
+  EXPECT_EQ(mismatches_at(start), 0u) << "threshold " << start;
+  EXPECT_EQ(service.calibrator()->pending_samples(), requests_.size());
+
+  EXPECT_FALSE(std::isnan(service.OnIdle()));
+  const float raised = service.current_threshold();
+  EXPECT_GT(raised, start);
+  EXPECT_EQ(mismatches_at(raised), 0u) << "threshold " << raised;
+  // The nudge must move some selection, or the second phase proves nothing.
+  EXPECT_GT(mismatches_at(start), 0u);
+}
+
+TEST_F(ServiceConcurrencyTest, CalibrationSamplesOnlyServedResults) {
+  // A shed or malformed request carries no top-K: logged, it would score 0
+  // agreement and push the threshold up for no reason.
+  MemoryTracker tracker;
+  ServiceOptions options = ConcurrentOptions(2);
   options.online_calibration = true;
   options.calibration.sample_every = 1;
   RerankService service(config_, ckpt_, options, &tracker);
-  std::atomic<bool> stop{false};
-  std::thread idler([&] {
-    while (!stop.load()) {
-      service.OnIdle();
-    }
-  });
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < 2; ++c) {
-    clients.emplace_back([&, c] {
-      for (size_t r = 0; r < 4; ++r) {
-        const RerankResult result = service.Rerank(requests_[(c * 4 + r) % requests_.size()]);
-        EXPECT_EQ(result.topk.size(), 3u);
-      }
-    });
-  }
-  for (std::thread& t : clients) {
-    t.join();
-  }
-  stop.store(true);
-  idler.join();
-  EXPECT_EQ(service.stats().requests, 8u);
+  const OnlineCalibrator& calibrator = *service.calibrator();
+  ASSERT_TRUE(service.Rerank(requests_[0]).status.ok());
+  EXPECT_EQ(calibrator.pending_samples(), 1u);
+
+  RerankRequest doomed = requests_[1];
+  doomed.deadline_ms = 1e-6;  // Expired by the time the dispatcher drains it.
+  ASSERT_EQ(service.Rerank(doomed).status.code(), StatusCode::kDeadlineExceeded);
+  RerankRequest malformed = requests_[2];
+  malformed.k = 0;
+  ASSERT_EQ(service.Rerank(malformed).status.code(), StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(calibrator.pending_samples(), 1u);
+  EXPECT_EQ(calibrator.requests_served(), 1u);
 }
 
 // A runner that just sleeps: lets the shed tests hold a scheduler busy for
@@ -573,8 +657,13 @@ class SleepyRunner : public CarouselRunner {
    public:
     explicit SleepyPass(SleepyRunner* runner) : runner_(runner) {}
     size_t n_layers() const override { return 1; }
-    std::unique_ptr<CarouselTicket> Admit(const RerankRequest& request) override {
-      return std::make_unique<SleepyTicket>(Served(request));
+    std::vector<std::unique_ptr<CarouselTicket>> AdmitBatch(
+        std::span<const RerankRequest* const> requests, ThreadPool* /*compute_pool*/) override {
+      std::vector<std::unique_ptr<CarouselTicket>> tickets;
+      for (const RerankRequest* request : requests) {
+        tickets.push_back(std::make_unique<SleepyTicket>(Served(*request)));
+      }
+      return tickets;
     }
     void Step(size_t /*layer*/, std::span<CarouselTicket* const> group,
               ThreadPool* /*compute_pool*/) override {

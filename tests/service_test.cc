@@ -246,8 +246,9 @@ TEST(OnlineCalibratorTest, SamplesEveryNth) {
   options.sample_every = 3;
   OnlineCalibrator calibrator(&engine, &reference, options);
   const RerankRequest request = TestRequest(config, 10, 3);
+  const RerankResult result = engine.Rerank(request);
   for (int i = 0; i < 7; ++i) {
-    calibrator.Rerank(request);
+    calibrator.Observe(request, result);
   }
   EXPECT_EQ(calibrator.pending_samples(), 3u);  // Requests 0, 3, 6.
   EXPECT_EQ(calibrator.requests_served(), 7u);
@@ -270,8 +271,9 @@ TEST(OnlineCalibratorTest, LogIsBounded) {
   options.max_samples = 4;
   OnlineCalibrator calibrator(&engine, &reference, options);
   const RerankRequest request = TestRequest(config, 10, 3);
+  const RerankResult result = engine.Rerank(request);
   for (int i = 0; i < 10; ++i) {
-    calibrator.Rerank(request);
+    calibrator.Observe(request, result);
   }
   EXPECT_EQ(calibrator.pending_samples(), 4u);
 }
