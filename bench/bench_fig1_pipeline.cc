@@ -27,7 +27,7 @@ int Main(int argc, char** argv) {
               ", " + model.name + ", top-5 of 20)");
 
   const SearchCorpus corpus(DatasetByName("wikipedia"), model, queries, 4, background, 0xF16);
-  const FileSearchApp app(&corpus, /*per_source=*/10);
+  const FileSearchApp app(&corpus);
 
   struct StageCost {
     double keyword_ms = 0.0;

@@ -1,7 +1,7 @@
 // Shared plumbing for the paper-reproduction bench binaries.
 //
 // Each binary regenerates one table/figure of the paper's evaluation (see
-// DESIGN.md §3). Conventions: the *global* MemoryTracker is reset before each
+// docs/REPRODUCING.md, "Running the benchmarks"). Conventions: the *global* MemoryTracker is reset before each
 // measured run so peak/avg/timeline reflect exactly that run; runners are
 // constructed fresh per run (checkpoint load time is excluded via a
 // post-construction tracker reset where noted).

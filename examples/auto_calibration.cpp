@@ -33,9 +33,7 @@ int main() {
   PrismEngine engine(model, checkpoint, prism_options);
 
   for (double target : {0.90, 0.99}) {
-    CalibrationOptions options;
-    options.target_precision = target;
-    const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample, options);
+    const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample, target);
     std::printf("target precision %.2f -> threshold %.3f (achieved %.3f, %d evaluations)\n",
                 target, result.threshold, result.achieved_precision, result.evaluations);
   }

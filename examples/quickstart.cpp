@@ -17,8 +17,9 @@ int main() {
   using namespace prism;
 
   // 1. Model + checkpoint. EnsureCheckpoint generates deterministic synthetic
-  //    weights under /tmp on first use (see DESIGN.md for why weights are
-  //    synthetic) and reuses them afterwards.
+  //    weights under /tmp on first use (see docs/ARCHITECTURE.md, "Synthetic
+  //    weights and planted relevance", for why weights are synthetic) and
+  //    reuses them afterwards.
   const ModelConfig model = Qwen3Reranker0_6B();
   const std::string checkpoint = EnsureCheckpoint(model, /*seed=*/42);
 
@@ -70,7 +71,7 @@ int main() {
               static_cast<long long>(request.docs.size() * model.n_layers));
   std::printf("bytes streamed %lld (two layers resident at a time)\n",
               static_cast<long long>(result.stats.bytes_streamed));
-  std::printf("embed cache hit-rate %.2f\n", result.stats.embed_cache_hit_rate);
+  std::printf("embed cache hit-rate %.2f\n", engine.embed_cache_stats()->HitRate());
   std::printf("peak tracked memory  %.2f MiB\n",
               static_cast<double>(MemoryTracker::Global().PeakTotal()) / (1024.0 * 1024.0));
   return 0;

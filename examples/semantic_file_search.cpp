@@ -21,7 +21,7 @@ int main() {
   // A corpus of 200 background "files" plus 4 relevant files per query.
   const SearchCorpus corpus(DatasetByName("wikipedia"), model, /*n_queries=*/2,
                             /*relevant_per_query=*/4, /*background_docs=*/200, 0xE7);
-  const FileSearchApp app(&corpus, /*per_source=*/10);
+  const FileSearchApp app(&corpus);
 
   std::printf("Semantic file search on '%s' (%zu files)\n\n", device.name.c_str(),
               corpus.docs().size());

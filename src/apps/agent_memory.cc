@@ -13,6 +13,9 @@ namespace prism {
 
 namespace {
 
+// Memory entries retrieved per step for reranking.
+constexpr size_t kCandidatesPerStep = 20;
+
 SimLlmConfig VlmConfig() {
   // 7B VLM served on A800s: fast server-side generation, but each decision
   // still costs a network + prefill + decode round trip.
@@ -123,7 +126,7 @@ AgentTaskResult AgentMemoryApp::RunTask(size_t task_idx, Runner* runner) const {
       result.picks.push_back(SIZE_MAX);
     } else {
       const WallTimer timer;
-      std::vector<RetrievalHit> hits = index_.Search(task.description, profile_.candidates);
+      std::vector<RetrievalHit> hits = index_.Search(task.description, kCandidatesPerStep);
       RerankRequest request;
       request.query = task.description;
       request.k = 1;

@@ -25,7 +25,6 @@ struct AgentWorkloadProfile {
   size_t n_tasks = 6;
   size_t steps_per_task = 4;
   size_t memory_entries = 48;   // Cached trajectories.
-  size_t candidates = 20;       // Retrieved per step for reranking.
   double env_step_ms = 280.0;   // UI action execution time.
   // A VLM decision ingests a screenshot + instruction (~3.5k tokens here) and
   // decodes an action plan — substantially costlier than one rerank, which is

@@ -11,6 +11,7 @@
 #ifndef PRISM_SRC_APPS_CORPUS_H_
 #define PRISM_SRC_APPS_CORPUS_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -19,6 +20,12 @@
 #include "src/runtime/runner.h"
 
 namespace prism {
+
+// Hybrid retrieval over a corpus (file search, RAG): each arm — BM25 and a
+// dense bi-encoder index — surfaces kHitsPerSource candidates (the paper's
+// 10 + 10), and the bi-encoder embeds into kBiEncoderDim dimensions.
+inline constexpr size_t kHitsPerSource = 10;
+inline constexpr size_t kBiEncoderDim = 48;
 
 struct CorpusQuery {
   std::vector<uint32_t> tokens;

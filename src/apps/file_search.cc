@@ -6,9 +6,8 @@
 
 namespace prism {
 
-FileSearchApp::FileSearchApp(const SearchCorpus* corpus, size_t per_source, size_t embed_dim,
-                             uint64_t seed)
-    : corpus_(corpus), per_source_(per_source), encoder_(embed_dim, seed), dense_(embed_dim) {
+FileSearchApp::FileSearchApp(const SearchCorpus* corpus, uint64_t seed)
+    : corpus_(corpus), encoder_(kBiEncoderDim, seed), dense_(kBiEncoderDim) {
   for (const auto& doc : corpus_->docs()) {
     keyword_.Add(doc);
     dense_.Add(encoder_.Embed(doc));
@@ -22,16 +21,16 @@ FileSearchResult FileSearchApp::Search(size_t query_idx, size_t k, Runner* runne
   std::vector<RetrievalHit> sparse;
   {
     const WallTimer timer;
-    sparse = keyword_.Search(query.tokens, per_source_);
+    sparse = keyword_.Search(query.tokens, kHitsPerSource);
     result.keyword_ms = timer.ElapsedMillis();
   }
   std::vector<RetrievalHit> dense;
   {
     const WallTimer timer;
-    dense = dense_.Search(encoder_.Embed(query.tokens), per_source_);
+    dense = dense_.Search(encoder_.Embed(query.tokens), kHitsPerSource);
     result.embed_ms = timer.ElapsedMillis();
   }
-  const std::vector<size_t> candidates = FuseHits(sparse, dense, 2 * per_source_);
+  const std::vector<size_t> candidates = FuseHits(sparse, dense, 2 * kHitsPerSource);
 
   const RerankRequest request = corpus_->MakeRequest(query_idx, candidates, k);
   {

@@ -27,10 +27,9 @@ struct FileSearchResult {
 
 class FileSearchApp {
  public:
-  // Indexes the corpus (BM25 + dense). `per_source` candidates come from each
-  // retrieval arm (the paper's 10 + 10).
-  FileSearchApp(const SearchCorpus* corpus, size_t per_source = 10, size_t embed_dim = 48,
-                uint64_t seed = 0xF5);
+  // Indexes the corpus (BM25 + dense). kHitsPerSource candidates come from
+  // each retrieval arm (the paper's 10 + 10).
+  explicit FileSearchApp(const SearchCorpus* corpus, uint64_t seed = 0xF5);
 
   // Runs one query end to end; `runner` performs the semantic selection.
   // Thread-safe: both indexes and the encoder are immutable after
@@ -42,7 +41,6 @@ class FileSearchApp {
 
  private:
   const SearchCorpus* corpus_;
-  size_t per_source_;
   BiEncoder encoder_;
   Bm25Index keyword_;
   FlatIndex dense_;

@@ -10,6 +10,16 @@
 
 namespace prism {
 
+namespace {
+
+constexpr size_t kSegmentTokens = 26;
+// Tokens decoded per answer. Without a reranker the model wades through
+// irrelevant context and rambles longer.
+constexpr size_t kAnswerTokens = 48;
+constexpr size_t kDistractedAnswerTokens = 96;
+
+}  // namespace
+
 LcsApp::LcsApp(LcsOptions options, const ModelConfig& model, uint64_t seed)
     : options_(options), model_(model), seed_(seed), llm_(options.llm) {}
 
@@ -35,7 +45,7 @@ LcsResult LcsApp::Answer(size_t question_idx, Runner* runner) const {
   std::vector<size_t> relevant;
   const size_t stride = options_.n_segments / options_.relevant_segments;
   for (size_t s = 0; s < options_.n_segments; ++s) {
-    std::vector<uint32_t> segment = draw(options_.segment_tokens);
+    std::vector<uint32_t> segment = draw(kSegmentTokens);
     const bool is_relevant = s % stride == 0 && relevant.size() < options_.relevant_segments;
     float grade = 0.1f;
     if (is_relevant) {
@@ -52,7 +62,7 @@ LcsResult LcsApp::Answer(size_t question_idx, Runner* runner) const {
   }
 
   std::vector<size_t> chosen;
-  size_t answer_tokens = options_.answer_tokens;
+  size_t answer_tokens = kAnswerTokens;
   if (runner != nullptr) {
     RerankRequest request;
     request.query = question;
@@ -69,7 +79,7 @@ LcsResult LcsApp::Answer(size_t question_idx, Runner* runner) const {
     for (size_t s = 0; s < options_.n_segments; ++s) {
       chosen.push_back(s);
     }
-    answer_tokens = options_.distracted_answer_tokens;
+    answer_tokens = kDistractedAnswerTokens;
   }
   result.precision = PrecisionAtK(chosen, relevant, options_.k);
 

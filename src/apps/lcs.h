@@ -18,11 +18,8 @@ namespace prism {
 
 struct LcsOptions {
   size_t n_segments = 60;
-  size_t segment_tokens = 26;
   size_t relevant_segments = 6;
-  size_t k = 8;                 // Segments fed to the LLM with a reranker.
-  size_t answer_tokens = 48;
-  size_t distracted_answer_tokens = 96;  // No-reranker decodes ramble longer.
+  size_t k = 8;  // Segments fed to the LLM with a reranker.
   // On-device quantised Qwen3-4B generator: slow prefill dominates when the
   // whole context is fed.
   SimLlmConfig llm{.prefill_tokens_per_sec = 400.0,

@@ -6,11 +6,22 @@
 
 namespace prism {
 
+namespace {
+
+// IVF shape of the dense index: clusters trained, and clusters probed per
+// query.
+constexpr size_t kIvfLists = 16;
+constexpr size_t kIvfProbes = 4;
+// Tokens the generator decodes per answer.
+constexpr size_t kAnswerTokens = 48;
+
+}  // namespace
+
 RagPipeline::RagPipeline(const SearchCorpus* corpus, RagOptions options, uint64_t seed)
     : corpus_(corpus),
       options_(options),
-      encoder_(options.embed_dim, seed),
-      dense_(options.embed_dim, options.ivf_nlist, options.ivf_nprobe, seed),
+      encoder_(kBiEncoderDim, seed),
+      dense_(kBiEncoderDim, kIvfLists, kIvfProbes, seed),
       llm_(options.llm) {
   for (const auto& doc : corpus_->docs()) {
     keyword_.Add(doc);
@@ -27,16 +38,16 @@ RagResult RagPipeline::Query(size_t query_idx, Runner* runner) const {
   std::vector<RetrievalHit> sparse;
   {
     const WallTimer timer;
-    sparse = keyword_.Search(query.tokens, options_.per_source);
+    sparse = keyword_.Search(query.tokens, kHitsPerSource);
     result.sparse_ms = timer.ElapsedMillis();
   }
   std::vector<RetrievalHit> dense;
   {
     const WallTimer timer;
-    dense = dense_.Search(encoder_.Embed(query.tokens), options_.per_source);
+    dense = dense_.Search(encoder_.Embed(query.tokens), kHitsPerSource);
     result.dense_ms = timer.ElapsedMillis();
   }
-  const std::vector<size_t> candidates = FuseHits(sparse, dense, 2 * options_.per_source);
+  const std::vector<size_t> candidates = FuseHits(sparse, dense, 2 * kHitsPerSource);
 
   const RerankRequest request = corpus_->MakeRequest(query_idx, candidates, options_.k);
   {
@@ -54,7 +65,7 @@ RagResult RagPipeline::Query(size_t query_idx, Runner* runner) const {
   for (size_t doc_id : result.context_docs) {
     prompt_tokens += corpus_->docs()[doc_id].size();
   }
-  const SimLlmResult gen = llm_.Generate(prompt_tokens, options_.answer_tokens);
+  const SimLlmResult gen = llm_.Generate(prompt_tokens, kAnswerTokens);
   result.first_token_ms = gen.first_token_ms;
   result.total_ms = total_timer.ElapsedMillis();
   return result;

@@ -30,12 +30,7 @@ struct RagResult {
 };
 
 struct RagOptions {
-  size_t per_source = 10;
   size_t k = 10;
-  size_t embed_dim = 48;
-  size_t ivf_nlist = 16;
-  size_t ivf_nprobe = 4;
-  size_t answer_tokens = 48;
   SimLlmConfig llm;  // Server-class generator (Qwen3-32B on A800s).
 };
 

@@ -44,9 +44,6 @@
 // On a function: releases the named mutex(es).
 #define PRISM_RELEASE(...) PRISM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-// On a function: acquires the mutex iff it returns `b`.
-#define PRISM_TRY_ACQUIRE(...) PRISM_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 // On a function: callers must NOT hold the named mutex(es) — documents
 // self-deadlock hazards (e.g. a callback invoked without the lock).
 #define PRISM_EXCLUDES(...) PRISM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))

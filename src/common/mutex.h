@@ -38,7 +38,6 @@ class PRISM_CAPABILITY("mutex") Mutex {
 
   void Lock() PRISM_ACQUIRE() { mu_.lock(); }
   void Unlock() PRISM_RELEASE() { mu_.unlock(); }
-  bool TryLock() PRISM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   // The underlying std::mutex, for condition-variable plumbing only.
   NativeMutex& native() PRISM_RETURN_CAPABILITY(this) { return mu_; }

@@ -12,14 +12,10 @@ const char* StatusCodeName(StatusCode code) {
       return "NOT_FOUND";
     case StatusCode::kOutOfRange:
       return "OUT_OF_RANGE";
-    case StatusCode::kFailedPrecondition:
-      return "FAILED_PRECONDITION";
     case StatusCode::kInternal:
       return "INTERNAL";
     case StatusCode::kIoError:
       return "IO_ERROR";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
     case StatusCode::kDeadlineExceeded:
       return "DEADLINE_EXCEEDED";
     case StatusCode::kDataLoss:

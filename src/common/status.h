@@ -19,10 +19,8 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kOutOfRange,
-  kFailedPrecondition,
   kInternal,
   kIoError,
-  kResourceExhausted,
   kDeadlineExceeded,
   kDataLoss,  // Stored bytes are corrupt (checksum mismatch, malformed coding).
 };
@@ -44,14 +42,8 @@ class Status {
   static Status OutOfRange(std::string msg) {
     return Status(StatusCode::kOutOfRange, std::move(msg));
   }
-  static Status FailedPrecondition(std::string msg) {
-    return Status(StatusCode::kFailedPrecondition, std::move(msg));
-  }
   static Status Internal(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
   static Status IoError(std::string msg) { return Status(StatusCode::kIoError, std::move(msg)); }
-  static Status ResourceExhausted(std::string msg) {
-    return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }

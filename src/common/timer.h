@@ -37,21 +37,6 @@ class WallTimer {
   int64_t start_;
 };
 
-// Accumulates elapsed time into a counter on destruction; for attributing
-// latency to pipeline stages.
-class ScopedAccumulator {
- public:
-  explicit ScopedAccumulator(int64_t* accum_micros) : accum_(accum_micros) {}
-  ~ScopedAccumulator() { *accum_ += timer_.ElapsedMicros(); }
-
-  ScopedAccumulator(const ScopedAccumulator&) = delete;
-  ScopedAccumulator& operator=(const ScopedAccumulator&) = delete;
-
- private:
-  int64_t* accum_;
-  WallTimer timer_;
-};
-
 }  // namespace prism
 
 #endif  // PRISM_SRC_COMMON_TIMER_H_

@@ -1,11 +1,15 @@
 #include "src/core/calibrator.h"
 
 #include "src/common/check.h"
+#include "src/core/pruner.h"
 #include "src/data/metrics.h"
 
 namespace prism {
 
 namespace {
+
+// Bisection steps between the threshold bounds.
+constexpr int kBisections = 7;
 
 double MeasureAgreement(PrismEngine* engine, const std::vector<RerankRequest>& sample,
                         const std::vector<RerankResult>& references) {
@@ -21,7 +25,7 @@ double MeasureAgreement(PrismEngine* engine, const std::vector<RerankRequest>& s
 
 CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
                                      const std::vector<RerankRequest>& sample,
-                                     const CalibrationOptions& options) {
+                                     double target_precision) {
   PRISM_CHECK(!sample.empty());
   // Ground truth: full inference on every sampled request (the paper does
   // this re-execution when the device is idle).
@@ -32,26 +36,26 @@ CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
   }
 
   CalibrationResult result;
-  float lo = options.threshold_lo;   // Aggressive end (may miss the target).
-  float hi = options.threshold_hi;   // Conservative end (assumed to pass).
+  float lo = kMinDispersionThreshold;  // Aggressive end (may miss the target).
+  float hi = kMaxDispersionThreshold;  // Conservative end (assumed to pass).
   double hi_precision = 1.0;
 
   // If even the aggressive end meets the target, take it outright.
   engine->set_dispersion_threshold(lo);
   double lo_precision = MeasureAgreement(engine, sample, references);
   ++result.evaluations;
-  if (lo_precision >= options.target_precision) {
+  if (lo_precision >= target_precision) {
     result.threshold = lo;
     result.achieved_precision = lo_precision;
     return result;
   }
 
-  for (int i = 0; i < options.iterations; ++i) {
+  for (int i = 0; i < kBisections; ++i) {
     const float mid = 0.5f * (lo + hi);
     engine->set_dispersion_threshold(mid);
     const double precision = MeasureAgreement(engine, sample, references);
     ++result.evaluations;
-    if (precision >= options.target_precision) {
+    if (precision >= target_precision) {
       hi = mid;  // Passing: try to prune more aggressively.
       hi_precision = precision;
     } else {

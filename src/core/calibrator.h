@@ -16,13 +16,6 @@
 
 namespace prism {
 
-struct CalibrationOptions {
-  double target_precision = 0.98;  // Top-K agreement with full inference.
-  float threshold_lo = 0.02f;
-  float threshold_hi = 1.5f;
-  int iterations = 7;
-};
-
 struct CalibrationResult {
   float threshold = 0.0f;
   double achieved_precision = 0.0;
@@ -31,10 +24,13 @@ struct CalibrationResult {
 
 // Calibrates `engine`'s threshold against `reference` (an un-pruned runner —
 // typically an HfRunner or a PrismEngine with pruning off) on the sample
-// requests. Leaves the engine configured with the chosen threshold.
+// requests: the result is the lowest threshold in [kMinDispersionThreshold,
+// kMaxDispersionThreshold] the search finds whose mean top-K agreement with
+// full inference reaches `target_precision`. Leaves the engine configured
+// with the chosen threshold.
 CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
                                      const std::vector<RerankRequest>& sample,
-                                     const CalibrationOptions& options);
+                                     double target_precision);
 
 }  // namespace prism
 

@@ -4,9 +4,19 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/core/pruner.h"
 #include "src/data/metrics.h"
 
 namespace prism {
+
+namespace {
+
+// Threshold multipliers per idle cycle: raise when agreement is below
+// target, lower when it meets it.
+constexpr float kRaiseFactor = 1.30f;
+constexpr float kLowerFactor = 0.90f;
+
+}  // namespace
 
 size_t OnlineCalibrator::pending_samples() const {
   MutexLock lock(mu_);
@@ -64,11 +74,11 @@ double OnlineCalibrator::RunIdleCycle(size_t budget) {
 
   float threshold = engine_->dispersion_threshold();
   if (agreement < options_.target_precision) {
-    threshold *= options_.raise_factor;  // Precision first.
+    threshold *= kRaiseFactor;  // Precision first.
   } else {
-    threshold *= options_.lower_factor;  // Room to prune harder.
+    threshold *= kLowerFactor;  // Room to prune harder.
   }
-  threshold = std::clamp(threshold, options_.min_threshold, options_.max_threshold);
+  threshold = std::clamp(threshold, kMinDispersionThreshold, kMaxDispersionThreshold);
   engine_->set_dispersion_threshold(threshold);
   return agreement;
 }

@@ -13,7 +13,8 @@
 // with PRISM's top-K. RunIdleCycle() (invoked whenever the host application
 // is idle) replays the logged requests through a full-inference reference,
 // measures agreement, and nudges the engine's threshold multiplicatively in
-// the indicated direction. The threshold write is safe against in-flight
+// the indicated direction, within [kMinDispersionThreshold,
+// kMaxDispersionThreshold]. The threshold write is safe against in-flight
 // requests: the engine stores it atomically, and a carousel ticket reads it
 // once, at admission, so no request mixes two thresholds. The sample log is
 // mutex-guarded, so Observe may run on any number of serving threads and
@@ -33,10 +34,6 @@ struct OnlineCalibratorOptions {
   double target_precision = 0.95;   // Top-K agreement with full inference.
   size_t sample_every = 4;          // Log every Nth served request.
   size_t max_samples = 16;          // Bounded log (oldest evicted).
-  float raise_factor = 1.30f;       // Threshold multiplier when below target.
-  float lower_factor = 0.90f;       // Threshold multiplier when above target.
-  float min_threshold = 0.02f;
-  float max_threshold = 1.5f;
 };
 
 class OnlineCalibrator {

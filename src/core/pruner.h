@@ -20,6 +20,12 @@
 
 namespace prism {
 
+// The range the threshold calibrators search and nudge within: from the
+// aggressive end (prunes at the first sign of dispersion) to the
+// conservative end (close to full inference).
+inline constexpr float kMinDispersionThreshold = 0.02f;
+inline constexpr float kMaxDispersionThreshold = 1.5f;
+
 struct PrunerOptions {
   float dispersion_threshold = 0.35f;
   // When false, only hopeless candidates are dropped; winners keep computing

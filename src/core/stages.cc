@@ -271,9 +271,6 @@ void PruneStage::Finalize(RequestContext* ctx) const {
     ctx->result.topk.push_back(id);
   }
 
-  if (res_.cache != nullptr) {
-    ctx->result.stats.embed_cache_hit_rate = res_.cache->stats().HitRate();
-  }
   ctx->result.stats.latency_ms = ctx->timer.ElapsedMillis();
 }
 

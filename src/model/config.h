@@ -2,10 +2,10 @@
 //
 // The paper evaluates five rerankers (Table 1). Real checkpoints are not
 // available here, so the zoo mirrors each model's *architecture* (encoder vs.
-// decoder, layer count, parameter ratios) at hidden sizes reduced by the
-// documented scale factor, keeping every experiment laptop-runnable on one
+// decoder, layer count, parameter ratios) at reduced hidden sizes, keeping every experiment laptop-runnable on one
 // core while preserving the compute/IO/memory ratios PRISM's techniques
-// depend on. See DESIGN.md §1 and §4 for the substitution rationale.
+// depend on. See docs/ARCHITECTURE.md, "Synthetic weights and planted
+// relevance", for the substitution rationale.
 #ifndef PRISM_SRC_MODEL_CONFIG_H_
 #define PRISM_SRC_MODEL_CONFIG_H_
 
@@ -21,6 +21,25 @@ enum class ModelArch {
   kDecoderOnly,  // Causal self-attention, RMSNorm, SwiGLU FFN (Qwen/GPT-style).
 };
 
+// --- Planted-relevance model (docs/ARCHITECTURE.md, "Synthetic weights and
+// planted relevance") ---
+// Relevance enters on *document tokens* (each doc-token embedding gains
+// (r−0.5)·kSignalGain·v) and is aggregated into the pooled position layer
+// by layer through rank-1 components planted in Wv/Wo (v→v value routing),
+// so provisional scores start compressed near 0.5 and progressively
+// diverge — the paper's Fig-2 dynamics. Every model shares these values.
+inline constexpr float kSignalGain = 1.2f;
+// Small direct seed of the signal at the pooled position (fraction of the
+// doc-token gain) so the very first layers carry weak coarse information.
+inline constexpr float kPoolSeed = 0.3f;
+// Strength of the planted v→v rank-1 component in Wv and Wo.
+inline constexpr float kAmplify = 0.1f;
+// Classifier scale: head weight = kHeadScale · v (v unit-norm).
+inline constexpr float kHeadScale = 4.0f;
+// Scale of the per-layer random residual perturbations. Larger values →
+// noisier intermediate rankings → later convergence.
+inline constexpr float kLayerNoise = 0.065f;
+
 struct ModelConfig {
   std::string name;
   ModelArch arch = ModelArch::kDecoderOnly;
@@ -32,23 +51,6 @@ struct ModelConfig {
   size_t max_seq = 64;
   // 4-bit quantisation group size (must divide hidden and ffn).
   size_t quant_group = 32;
-  // --- Planted-relevance model (DESIGN.md §4) ---
-  // Relevance enters on *document tokens* (each doc-token embedding gains
-  // (r−0.5)·signal_gain·v) and is aggregated into the pooled position layer
-  // by layer through rank-1 components planted in Wv/Wo (v→v value routing),
-  // so provisional scores start compressed near 0.5 and progressively
-  // diverge — the paper's Fig-2 dynamics.
-  float signal_gain = 1.2f;
-  // Small direct seed of the signal at the pooled position (fraction of the
-  // doc-token gain) so the very first layers carry weak coarse information.
-  float pool_seed = 0.3f;
-  // Strength of the planted v→v rank-1 component in Wv and Wo.
-  float amplify = 0.1f;
-  // Classifier scale: head weight = head_scale · v (v unit-norm).
-  float head_scale = 4.0f;
-  // Scale of the per-layer random residual perturbations. Larger values →
-  // noisier intermediate rankings → later convergence.
-  float layer_noise = 0.065f;
 
   size_t head_dim() const { return hidden / n_heads; }
 
@@ -64,10 +66,6 @@ struct ModelConfig {
   size_t EmbeddingBlobBytes() const { return EmbeddingParams() * sizeof(float); }
   size_t LayerBlobBytes() const { return LayerParams() * sizeof(float); }
   size_t HeadBlobBytes() const { return HeadParams() * sizeof(float); }
-
-  // The factor by which hidden dimensions were divided relative to the paper
-  // model this config mirrors (for documentation output).
-  double paper_scale = 8.0;
 };
 
 // The five models of Table 1, scaled. Names match the paper.

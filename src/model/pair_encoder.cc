@@ -70,7 +70,7 @@ void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const Hea
       row[i] += position[i];
     }
   }
-  // Unit signal direction (head.w = head_scale · v).
+  // Unit signal direction (head.w = kHeadScale · v).
   std::vector<float> v(head.w);
   {
     float norm = 0.0f;
@@ -92,7 +92,7 @@ void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const Hea
     ++sep;
   }
   PRISM_CHECK_LT(sep, seq_len);
-  const float doc_gain = s * config.signal_gain;
+  const float doc_gain = s * kSignalGain;
   for (size_t t = sep + 1; t + 1 < seq_len; ++t) {
     auto row = hidden->row(base + t);
     for (size_t i = 0; i < d; ++i) {
@@ -102,7 +102,7 @@ void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const Hea
   // Weak direct seed at the pooled position so the first layers already carry
   // coarse information.
   auto pool_row = hidden->row(PoolRow(config, candidate, seq_len));
-  const float seed_gain = s * config.signal_gain * config.pool_seed;
+  const float seed_gain = s * kSignalGain * kPoolSeed;
   for (size_t i = 0; i < d; ++i) {
     pool_row[i] += seed_gain * v[i];
   }

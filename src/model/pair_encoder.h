@@ -5,10 +5,11 @@
 // padded/cycled to exactly `seq_len` tokens. After embedding lookup and
 // sinusoidal position encoding, the pooled position (EOS for decoder models,
 // BOS/CLS for encoder models) receives the planted relevance component
-// (r − 0.5) · signal_gain · v, where v is the classifier direction. This is
+// (r − 0.5) · kSignalGain · v, where v is the classifier direction. This is
 // the point where the pair "meets" — the joint-encoding step a real
-// cross-encoder performs with learned weights (see DESIGN.md §1/§4 for why
-// this substitution preserves the behaviour PRISM exploits).
+// cross-encoder performs with learned weights (see docs/ARCHITECTURE.md,
+// "Synthetic weights and planted relevance", for why this substitution
+// preserves the behaviour PRISM exploits).
 #ifndef PRISM_SRC_MODEL_PAIR_ENCODER_H_
 #define PRISM_SRC_MODEL_PAIR_ENCODER_H_
 

@@ -31,13 +31,14 @@ std::span<const uint8_t> AsBytes(const std::vector<float>& v) {
 }
 
 // Builds one fp32 layer blob. Init scales follow the residual-perturbation
-// calibration in DESIGN.md: with RMSNorm'd inputs (per-component ≈ 1), a
-// projection with entries N(0, s²) produces outputs with per-component RMS
-// ≈ s·√D, so chaining two projections (attention value→output, FFN up→down)
-// yields ≈ s²·D. Solving s²·D = layer_noise gives s = √(layer_noise / D).
+// calibration (docs/ARCHITECTURE.md, "Synthetic weights and planted
+// relevance"): with RMSNorm'd inputs (per-component ≈ 1), a projection with
+// entries N(0, s²) produces outputs with per-component RMS ≈ s·√D, so
+// chaining two projections (attention value→output, FFN up→down) yields
+// ≈ s²·D. Solving s²·D = kLayerNoise gives s = √(kLayerNoise / D).
 //
 // On top of the random base, Wv and Wo receive a rank-1 v·vᵀ component
-// (`config.amplify`): the value of every token carries its hidden state's
+// (`kAmplify`): the value of every token carries its hidden state's
 // v-component, and the output projection writes it back along v. Attention
 // therefore aggregates the doc-tokens' planted relevance into the pooled
 // position a little more each layer — the mechanism behind the progressive
@@ -46,8 +47,8 @@ std::vector<float> MakeLayerBlob(const ModelConfig& config, Rng& rng,
                                  const std::vector<float>& v) {
   const size_t d = config.hidden;
   const size_t f = config.ffn;
-  const float s_attn = std::sqrt(config.layer_noise / static_cast<float>(d));
-  const float s_ffn = std::sqrt(config.layer_noise / std::sqrt(static_cast<float>(d * f)));
+  const float s_attn = std::sqrt(kLayerNoise / static_cast<float>(d));
+  const float s_ffn = std::sqrt(kLayerNoise / std::sqrt(static_cast<float>(d * f)));
   std::vector<float> blob(LayerBlobBytes(config, Precision::kFp32) / sizeof(float));
   float* p = blob.data();
   FillGaussian(rng, p, d * d, s_attn);  // wq
@@ -57,14 +58,14 @@ std::vector<float> MakeLayerBlob(const ModelConfig& config, Rng& rng,
   FillGaussian(rng, p, d * d, s_attn);  // wv
   for (size_t i = 0; i < d; ++i) {
     for (size_t j = 0; j < d; ++j) {
-      p[i * d + j] += config.amplify * v[i] * v[j];
+      p[i * d + j] += kAmplify * v[i] * v[j];
     }
   }
   p += d * d;
   FillGaussian(rng, p, d * d, s_attn);  // wo
   for (size_t i = 0; i < d; ++i) {
     for (size_t j = 0; j < d; ++j) {
-      p[i * d + j] += config.amplify * v[i] * v[j];
+      p[i * d + j] += kAmplify * v[i] * v[j];
     }
   }
   p += d * d;
@@ -203,11 +204,11 @@ Status GenerateCheckpoint(const ModelConfig& config, uint64_t seed, const std::s
     }
   }
 
-  // Head: classifier weight = head_scale · v, zero bias.
+  // Head: classifier weight = kHeadScale · v, zero bias.
   {
     std::vector<float> head(d + 1);
     for (size_t i = 0; i < d; ++i) {
-      head[i] = config.head_scale * v[i];
+      head[i] = kHeadScale * v[i];
     }
     head[d] = 0.0f;  // bias
     writer.AddBlob(AsBytes(head));

@@ -1,10 +1,10 @@
 // Synthetic checkpoint generation.
 //
 // Generates deterministic, seeded weights implementing the planted-relevance
-// residual-stream model described in DESIGN.md §4: random layer weights whose
-// init scale is chosen so each layer adds a bounded perturbation to the
-// residual stream, an embedding table of unit-norm random rows, and a
-// unit-norm classifier direction. The same seed always produces bit-identical
+// residual-stream model (docs/ARCHITECTURE.md, "Synthetic weights and planted
+// relevance"): random layer weights whose init scale is chosen so each layer
+// adds a bounded perturbation to the residual stream, an embedding table of
+// unit-norm random rows, and a unit-norm classifier direction. The same seed always produces bit-identical
 // checkpoints, at every storage precision: reduced-precision checkpoints are
 // encoded from the identical fp32 weights, so fp32-vs-reduced score drift
 // measures only the encoding.

@@ -78,8 +78,7 @@ struct RerankStats {
   double first_layer_ms = 0.0;
   int64_t candidate_layers = 0;  // Σ over layers of active candidates (work).
   int64_t bytes_streamed = 0;
-  double embed_cache_hit_rate = -1.0;  // <0 when no cache in use.
-  size_t layers_until_done = 0;        // Last layer index executed + 1.
+  size_t layers_until_done = 0;  // Last layer index executed + 1.
 };
 
 struct RerankResult {

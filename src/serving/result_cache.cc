@@ -71,7 +71,7 @@ void ResultCache::InsertLocked(uint64_t hash, Key key, const RerankResult& resul
   // any other entry or fill since its lookup missed.
   PRISM_CHECK(map_.find(hash) == map_.end());
   while (lru_.size() >= options_.capacity) {
-    counters_.evicted.Add(1);
+    ++stats_.evicted;
     map_.erase(lru_.back().hash);
     lru_.pop_back();
   }
@@ -83,7 +83,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   const uint64_t hash = QueryHash(request);
   const double enter_ms = clock_->NowMs();
   mu_.Lock();
-  counters_.lookups.Add(1);
+  ++stats_.lookups;
   bool parked = false;  // Did we ever wait behind another caller's fill?
   for (;;) {
     const double now_ms = clock_->NowMs();
@@ -92,9 +92,9 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
       const Entry& entry = *it->second;
       if (entry.key.Matches(request)) {
         if (parked) {
-          counters_.coalesced.Add(1);
+          ++stats_.coalesced;
         } else {
-          counters_.hits.Add(1);
+          ++stats_.hits;
         }
         lru_.splice(lru_.begin(), lru_, it->second);
         RerankResult served = ServeCopy(entry.result, now_ms - enter_ms);
@@ -104,7 +104,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
         // Hash collision with a different resident key: treat as an
         // uncacheable miss (forward without filling) rather than fight the
         // resident entry for the slot.
-        counters_.misses.Add(1);
+        ++stats_.misses;
         mu_.Unlock();
         return inner_->Rerank(request);
       }
@@ -115,7 +115,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
       // No fill in flight: we lead one — unless we burned our whole
       // budget parked behind a fill that then failed.
       if (parked && request.deadline_ms > 0.0 && now_ms - enter_ms >= request.deadline_ms) {
-        counters_.shed_waiting.Add(1);
+        ++stats_.shed_waiting;
         mu_.Unlock();
         return MakeShedResult(request.deadline_ms, now_ms - enter_ms);
       }
@@ -124,7 +124,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
     if (!fill_it->second->key.Matches(request)) {
       // A *different* key's fill owns this hash; don't coalesce onto a
       // result that isn't ours — forward directly, uncached.
-      counters_.misses.Add(1);
+      ++stats_.misses;
       mu_.Unlock();
       return inner_->Rerank(request);
     }
@@ -142,7 +142,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
         }
       }
       if (!fill->done) {
-        counters_.shed_waiting.Add(1);
+        ++stats_.shed_waiting;
         const double waited_ms = clock_->NowMs() - enter_ms;
         mu_.Unlock();
         return MakeShedResult(request.deadline_ms, waited_ms);
@@ -167,7 +167,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
 
   // Miss: lead a fill. The lock is dropped across the inner pass so the
   // cache never serializes distinct queries.
-  counters_.misses.Add(1);
+  ++stats_.misses;
   auto fill = std::make_shared<FillState>();
   fill->key = MakeKey(request);
   fills_.emplace(hash, fill);
@@ -180,7 +180,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   if (result.status.ok()) {
     InsertLocked(hash, MakeKey(request), result);
   } else {
-    counters_.fill_errors.Add(1);
+    ++stats_.fill_errors;
   }
   // Success or failure, publish completion and release the key: waiters
   // coalesce onto the fresh entry, or — after a failed fill — the first
@@ -195,19 +195,10 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
 }
 
 ResultCacheStats ResultCache::stats() const {
-  // Lock-free read of the counter cells. A snapshot, not a linearizable
-  // total: a request mid-flight may show its lookup but not yet its
-  // hit/miss outcome (HitRate momentarily undercounts, never divides by a
-  // stale zero).
-  ResultCacheStats stats;
-  stats.lookups = static_cast<size_t>(counters_.lookups.Load());
-  stats.hits = static_cast<size_t>(counters_.hits.Load());
-  stats.coalesced = static_cast<size_t>(counters_.coalesced.Load());
-  stats.shed_waiting = static_cast<size_t>(counters_.shed_waiting.Load());
-  stats.misses = static_cast<size_t>(counters_.misses.Load());
-  stats.fill_errors = static_cast<size_t>(counters_.fill_errors.Load());
-  stats.evicted = static_cast<size_t>(counters_.evicted.Load());
-  return stats;
+  // A request parked behind a fill shows its lookup but not yet its
+  // outcome: it drops mu_ while it waits.
+  MutexLock lock(mu_);
+  return stats_;
 }
 
 size_t ResultCache::size() const {

@@ -33,7 +33,8 @@
 //     interactions would interleave by host thread timing — the staggered
 //     release keeps a cache-fronted serial stack's replay byte-identical.
 //
-// Thread-safe throughout; stats() reads lock-free counter cells.
+// Thread-safe throughout. Every counter is bumped under the cache mutex, so
+// stats() is one consistent snapshot.
 #ifndef PRISM_SRC_SERVING_RESULT_CACHE_H_
 #define PRISM_SRC_SERVING_RESULT_CACHE_H_
 
@@ -47,7 +48,6 @@
 #include "src/common/annotations.h"
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
-#include "src/common/striped.h"
 #include "src/runtime/runner.h"
 
 namespace prism {
@@ -84,10 +84,6 @@ struct ResultCacheStats {
     return lookups == 0 ? 0.0
                         : static_cast<double>(hits + coalesced) / static_cast<double>(lookups);
   }
-  double CoalescedRate() const {
-    return lookups == 0 ? 0.0
-                        : static_cast<double>(coalesced) / static_cast<double>(lookups);
-  }
 };
 
 class ResultCache : public Runner {
@@ -103,8 +99,8 @@ class ResultCache : public Runner {
 
   std::string name() const override { return "cache:" + inner_->name(); }
 
-  ResultCacheStats stats() const;  // Lock-free snapshot.
-  size_t size() const;             // Resident entries.
+  ResultCacheStats stats() const;
+  size_t size() const;  // Resident entries.
   const ResultCacheOptions& options() const { return options_; }
 
  private:
@@ -139,19 +135,6 @@ class ResultCache : public Runner {
     size_t parked = 0;
   };
 
-  // Lock-free counter cells (src/common/striped.h): hit-path bumps don't
-  // dirty the line the LRU bookkeeping lives on, and stats() never takes
-  // mu_ — a monitoring scrape never stalls the serving path.
-  struct Counters {
-    CounterCell lookups;
-    CounterCell hits;
-    CounterCell coalesced;
-    CounterCell shed_waiting;
-    CounterCell misses;
-    CounterCell fill_errors;
-    CounterCell evicted;
-  };
-
   void InsertLocked(uint64_t hash, Key key, const RerankResult& result) PRISM_REQUIRES(mu_);
 
   Runner* inner_;
@@ -166,7 +149,7 @@ class ResultCache : public Runner {
   std::list<Entry> lru_ PRISM_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::list<Entry>::iterator> map_ PRISM_GUARDED_BY(mu_);
   std::unordered_map<uint64_t, std::shared_ptr<FillState>> fills_ PRISM_GUARDED_BY(mu_);
-  Counters counters_;  // Lock-free cells; deliberately outside mu_.
+  ResultCacheStats stats_ PRISM_GUARDED_BY(mu_);
 };
 
 }  // namespace prism

@@ -15,6 +15,28 @@ namespace prism {
 
 namespace {
 
+// Every scenario's corpus, indexes and contexts derive from this seed; a
+// workload's own seed decides only the traffic over them.
+constexpr uint64_t kScenarioSeed = 0x5CE0;
+// Corpus shape (file_search, rag).
+constexpr size_t kRelevantPerQuery = 4;
+constexpr size_t kBackgroundDocs = 60;
+// Downstream generators run at bench speed so the serving stack, not
+// simulated-LLM sleep, dominates measured latency.
+constexpr SimLlmConfig kScenarioLlm{.prefill_tokens_per_sec = 2e6,
+                                    .decode_tokens_per_sec = 2e5};
+// Agent-memory shape (tasks are the query universe; each request replays
+// one whole task).
+constexpr size_t kAgentStepsPerTask = 2;
+constexpr double kAgentEnvStepMs = 1.0;
+constexpr size_t kAgentVlmPromptTokens = 500;
+constexpr size_t kAgentVlmNewTokens = 5;
+// Long-context-selection shape.
+constexpr size_t kLcsSegments = 24;
+constexpr size_t kLcsRelevant = 4;
+// Priority of the requests the leading `high_fraction` of clients send.
+constexpr int kHighPriority = 1;
+
 // Captures per-request rerank status and admission wait without changing
 // the result the pipeline sees. One instance per ScenarioHarness::Run call,
 // so no synchronization is needed.
@@ -84,42 +106,41 @@ ScenarioHarness::ScenarioHarness(ScenarioKind kind, const ModelConfig& model,
   switch (kind_) {
     case ScenarioKind::kFileSearch: {
       corpus_ = std::make_unique<SearchCorpus>(DatasetByName("wikipedia"), model,
-                                               options_.n_queries, options_.relevant_per_query,
-                                               options_.background_docs, options_.seed);
-      file_search_ = std::make_unique<FileSearchApp>(corpus_.get(), /*per_source=*/10,
-                                                     /*embed_dim=*/48, options_.seed);
+                                               options_.n_queries, kRelevantPerQuery,
+                                               kBackgroundDocs, kScenarioSeed);
+      file_search_ = std::make_unique<FileSearchApp>(corpus_.get(), kScenarioSeed);
       n_queries_ = corpus_->queries().size();
       break;
     }
     case ScenarioKind::kRag: {
       corpus_ = std::make_unique<SearchCorpus>(DatasetByName("beir-nq"), model,
-                                               options_.n_queries, options_.relevant_per_query,
-                                               options_.background_docs, options_.seed);
+                                               options_.n_queries, kRelevantPerQuery,
+                                               kBackgroundDocs, kScenarioSeed);
       RagOptions rag_options;
       rag_options.k = options_.k;
-      rag_options.llm = options_.llm;
-      rag_ = std::make_unique<RagPipeline>(corpus_.get(), rag_options, options_.seed);
+      rag_options.llm = kScenarioLlm;
+      rag_ = std::make_unique<RagPipeline>(corpus_.get(), rag_options, kScenarioSeed);
       n_queries_ = corpus_->queries().size();
       break;
     }
     case ScenarioKind::kAgentMemory: {
       AgentWorkloadProfile profile = VideoWorkload();
       profile.n_tasks = options_.n_queries;
-      profile.steps_per_task = options_.agent_steps_per_task;
-      profile.env_step_ms = options_.agent_env_step_ms;
-      profile.vlm_prompt_tokens = options_.agent_vlm_prompt_tokens;
-      profile.vlm_new_tokens = options_.agent_vlm_new_tokens;
-      agent_ = std::make_unique<AgentMemoryApp>(profile, model, options_.seed);
+      profile.steps_per_task = kAgentStepsPerTask;
+      profile.env_step_ms = kAgentEnvStepMs;
+      profile.vlm_prompt_tokens = kAgentVlmPromptTokens;
+      profile.vlm_new_tokens = kAgentVlmNewTokens;
+      agent_ = std::make_unique<AgentMemoryApp>(profile, model, kScenarioSeed);
       n_queries_ = agent_->n_tasks();
       break;
     }
     case ScenarioKind::kLcs: {
       LcsOptions lcs_options;
-      lcs_options.n_segments = options_.lcs_segments;
-      lcs_options.relevant_segments = options_.lcs_relevant;
+      lcs_options.n_segments = kLcsSegments;
+      lcs_options.relevant_segments = kLcsRelevant;
       lcs_options.k = options_.k;
-      lcs_options.llm = options_.llm;
-      lcs_ = std::make_unique<LcsApp>(lcs_options, model, options_.seed);
+      lcs_options.llm = kScenarioLlm;
+      lcs_ = std::make_unique<LcsApp>(lcs_options, model, kScenarioSeed);
       n_queries_ = options_.n_queries;
       break;
     }
@@ -324,7 +345,7 @@ WorkloadReport RunWorkload(const ScenarioHarness& scenario, Runner* runner,
       // Client threads are simulation participants (no-op on wall clock):
       // the SimClock advances only when every one of them is blocked.
       const ClockMembership membership(clock);
-      const int priority = c < high_clients ? options.high_priority : 0;
+      const int priority = c < high_clients ? kHighPriority : 0;
       TaggingRunner tagged(runner, priority, options.deadline_ms);
       // A client-unique sub-millisecond stagger keeps same-instant issues
       // apart in virtual time, so queue tickets — and with them batch

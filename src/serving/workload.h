@@ -40,27 +40,13 @@ const char* ScenarioKindName(ScenarioKind kind);
 ScenarioKind ScenarioKindByName(const std::string& name);
 std::vector<ScenarioKind> AllScenarios();
 
+// The corpus, agent and long-context shapes behind each scenario are fixed
+// (workload.cc), so a harness is a function of (kind, model, options).
 struct ScenarioOptions {
-  uint64_t seed = 0x5CE0;
   // Distinct query ids (the Zipf popularity universe). For the agent
   // scenario this is the number of task types.
   size_t n_queries = 8;
   size_t k = 4;
-  // Corpus shape (file_search, rag).
-  size_t relevant_per_query = 4;
-  size_t background_docs = 60;
-  // Downstream generators run at bench speed by default so the serving
-  // stack, not simulated-LLM sleep, dominates measured latency.
-  SimLlmConfig llm{.prefill_tokens_per_sec = 2e6, .decode_tokens_per_sec = 2e5};
-  // Agent-memory scenario shape (tasks are the query universe; each request
-  // replays one whole task).
-  size_t agent_steps_per_task = 2;
-  double agent_env_step_ms = 1.0;
-  size_t agent_vlm_prompt_tokens = 500;
-  size_t agent_vlm_new_tokens = 5;
-  // Long-context-selection shape.
-  size_t lcs_segments = 24;
-  size_t lcs_relevant = 4;
 };
 
 // What one scenario request produced. `selection` is the scenario's
@@ -142,10 +128,9 @@ struct WorkloadOptions {
   // Deadline stamped on every rerank (0 = none). Under overload the
   // schedulers shed expired requests instead of queueing unboundedly.
   double deadline_ms = 0.0;
-  // The leading `high_fraction` of clients send priority `high_priority`
-  // requests; the rest send priority 0.
+  // The leading `high_fraction` of clients send priority-1 requests; the
+  // rest send priority 0.
   double high_fraction = 0.0;
-  int high_priority = 1;
   // Served-latency SLO for the attainment metric (0 = no SLO, reported 1.0).
   double slo_ms = 0.0;
   // Seed-to-schedule contract: `seed` fully determines the traffic the

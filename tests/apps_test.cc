@@ -85,7 +85,7 @@ class AppsTest : public ::testing::Test {
 
 TEST_F(AppsTest, FileSearchFindsPlantedDocs) {
   const SearchCorpus corpus(DatasetByName("wikipedia"), config_, 3, 4, 60, 13);
-  const FileSearchApp app(&corpus, /*per_source=*/10);
+  const FileSearchApp app(&corpus);
   double precision = 0.0;
   for (size_t q = 0; q < 3; ++q) {
     const FileSearchResult result = app.Search(q, 4, hf_.get());
@@ -98,7 +98,7 @@ TEST_F(AppsTest, FileSearchFindsPlantedDocs) {
 
 TEST_F(AppsTest, FileSearchPrismMatchesHf) {
   const SearchCorpus corpus(DatasetByName("wikipedia"), config_, 2, 4, 60, 13);
-  const FileSearchApp app(&corpus, 10);
+  const FileSearchApp app(&corpus);
   const FileSearchResult a = app.Search(0, 4, hf_.get());
   const FileSearchResult b = app.Search(0, 4, prism_.get());
   EXPECT_NEAR(a.precision, b.precision, 0.26);

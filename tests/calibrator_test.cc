@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/calibrator.h"
+#include "src/core/pruner.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
 #include "tests/test_util.h"
@@ -34,10 +35,10 @@ TEST_F(CalibratorTest, MeetsPrecisionTarget) {
   popts.device = FastDevice();
   PrismEngine engine(config_, ckpt_, popts, &t2);
 
-  CalibrationOptions options;
-  options.target_precision = 0.9;
-  const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample_, options);
-  EXPECT_GE(result.achieved_precision, options.target_precision);
+  const double target_precision = 0.9;
+  const CalibrationResult result =
+      CalibrateThreshold(&engine, &reference, sample_, target_precision);
+  EXPECT_GE(result.achieved_precision, target_precision);
   EXPECT_GT(result.evaluations, 0);
   // The engine is left configured with the calibrated threshold.
   EXPECT_FLOAT_EQ(engine.dispersion_threshold(), result.threshold);
@@ -50,7 +51,7 @@ TEST_F(CalibratorTest, MeetsPrecisionTarget) {
     precision += TopKOverlap(got.topk, ref.topk, request.k);
   }
   precision /= static_cast<double>(sample_.size());
-  EXPECT_GE(precision, options.target_precision);
+  EXPECT_GE(precision, target_precision);
 }
 
 TEST_F(CalibratorTest, LooseTargetPicksAggressiveThreshold) {
@@ -63,10 +64,9 @@ TEST_F(CalibratorTest, LooseTargetPicksAggressiveThreshold) {
   popts.device = FastDevice();
   PrismEngine engine(config_, ckpt_, popts, &t2);
 
-  CalibrationOptions loose;
-  loose.target_precision = 0.0;  // Anything passes.
-  const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample_, loose);
-  EXPECT_FLOAT_EQ(result.threshold, loose.threshold_lo);
+  // A target of 0 is met anywhere, so the search stops at the aggressive end.
+  const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample_, 0.0);
+  EXPECT_FLOAT_EQ(result.threshold, kMinDispersionThreshold);
 }
 
 TEST_F(CalibratorTest, TighterTargetGivesHigherThreshold) {
@@ -79,14 +79,9 @@ TEST_F(CalibratorTest, TighterTargetGivesHigherThreshold) {
   popts.device = FastDevice();
   PrismEngine engine(config_, ckpt_, popts, &t2);
 
-  CalibrationOptions loose;
-  loose.target_precision = 0.5;
-  const float loose_threshold =
-      CalibrateThreshold(&engine, &reference, sample_, loose).threshold;
-  CalibrationOptions tight;
-  tight.target_precision = 0.999;
+  const float loose_threshold = CalibrateThreshold(&engine, &reference, sample_, 0.5).threshold;
   const float tight_threshold =
-      CalibrateThreshold(&engine, &reference, sample_, tight).threshold;
+      CalibrateThreshold(&engine, &reference, sample_, 0.999).threshold;
   EXPECT_LE(loose_threshold, tight_threshold);
 }
 

@@ -247,18 +247,5 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GE(timer.ElapsedMicros(), 9000);
 }
 
-TEST(TimerTest, ScopedAccumulatorAddsUp) {
-  int64_t accum = 0;
-  {
-    ScopedAccumulator scope(&accum);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  {
-    ScopedAccumulator scope(&accum);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(accum, 8000);
-}
-
 }  // namespace
 }  // namespace prism

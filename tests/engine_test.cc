@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
 #include "src/core/engine.h"
 #include "src/model/layer.h"
@@ -39,9 +40,10 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, NoPruningMatchesHfExactly) {
-  // Invariant 4 of DESIGN.md: with pruning disabled, PRISM's scores and top-K
-  // equal the baseline bit-for-bit (monolithic forwarding is a pure
-  // reorganisation of the same math).
+  // Invariant 4 (docs/ARCHITECTURE.md, "Synthetic weights and planted
+  // relevance"): with pruning disabled, PRISM's scores and top-K equal the
+  // baseline bit-for-bit (monolithic forwarding is a pure reorganisation of
+  // the same math).
   MemoryTracker tracker;
   PrismOptions options = BaseOptions();
   options.pruning = false;
@@ -112,7 +114,10 @@ TEST_F(EngineTest, EmbedCacheInvariance) {
   PrismEngine a(config_, ckpt_, cached, &t1);
   PrismEngine b(config_, ckpt_, full, &t2);
   EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
-  EXPECT_GE(a.Rerank(request_).stats.embed_cache_hit_rate, 0.0);
+  // The lookups went through the cache.
+  const std::optional<EmbeddingCacheStats> stats = a.embed_cache_stats();
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GT(stats->hits + stats->misses, 0);
 }
 
 TEST_F(EngineTest, PruningReducesWorkAndPreservesTopK) {

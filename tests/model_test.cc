@@ -111,7 +111,7 @@ TEST(SyntheticTest, ClassifierIsScaledUnitVector) {
   for (float w : head.w) {
     norm += w * w;
   }
-  EXPECT_NEAR(std::sqrt(norm), config.head_scale, 1e-3f);
+  EXPECT_NEAR(std::sqrt(norm), kHeadScale, 1e-3f);
   EXPECT_EQ(head.bias, 0.0f);
 }
 

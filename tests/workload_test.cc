@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/core/service.h"
@@ -61,6 +62,28 @@ TEST_F(WorkloadTest, HarnessSelectionsAreDeterministicPerQuery) {
       EXPECT_FALSE(a.selection.empty()) << ScenarioKindName(kind);
       EXPECT_EQ(a.selection, b.selection) << ScenarioKindName(kind) << " query " << q;
     }
+  }
+}
+
+TEST_F(WorkloadTest, ScenarioSelectionsArePinned) {
+  // Every corpus, retrieval, agent and long-context shape constant feeds
+  // these selections, so a changed constant shows here as a changed literal.
+  MemoryTracker tracker;
+  PrismOptions eopts;
+  eopts.device = FastDevice();
+  PrismEngine engine(config_, ckpt_, eopts, &tracker);
+  using Selections = std::vector<std::vector<size_t>>;
+  const std::vector<std::pair<ScenarioKind, Selections>> pinned = {
+      {ScenarioKind::kFileSearch,
+       {{61, 62, 60, 63}, {67, 66, 65, 64}, {70, 69, 71, 68}, {74, 73, 72, 75}}},
+      {ScenarioKind::kRag,
+       {{60, 62, 61, 63}, {64, 66, 65, 67}, {69, 70, 71, 68}, {74, 75, 72, 73}}},
+      {ScenarioKind::kAgentMemory, {{3, 2}, {7, 7}, {17, 14}, {22, 22}}},
+      {ScenarioKind::kLcs, {{6, 18, 12, 0}, {12, 18, 0, 6}, {18, 12, 0, 6}, {18, 6, 12, 0}}},
+  };
+  for (const auto& [kind, expected] : pinned) {
+    const ScenarioHarness harness(kind, config_, FastScenario());
+    EXPECT_EQ(BaselineSelections(harness, &engine), expected) << ScenarioKindName(kind);
   }
 }
 

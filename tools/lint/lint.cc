@@ -316,8 +316,7 @@ void CheckWallClock(const std::string& path, const ScanResult& scan, const Allow
 // ---------------------------------------------------------------------------
 
 bool InAtomicsScope(const std::string& path) {
-  return path.compare(0, 9, "src/core/") == 0 || path.compare(0, 12, "src/serving/") == 0 ||
-         path == "src/common/striped.h";
+  return path.compare(0, 9, "src/core/") == 0 || path.compare(0, 12, "src/serving/") == 0;
 }
 
 void CheckAtomics(const std::string& path, const ScanResult& scan, const Allowances& allow,
@@ -377,7 +376,7 @@ void CheckAtomics(const std::string& path, const ScanResult& scan, const Allowan
         message += op;
         message +=
             "(...) without an explicit std::memory_order: implicit seq_cst is banned in "
-            "src/core, src/serving and src/common/striped.h — spell the ordering "
+            "src/core and src/serving — spell the ordering "
             "(std::memory_order_seq_cst included, when seq_cst is the point)";
         violations->push_back({path, i + 1, "atomics", std::move(message)});
       }

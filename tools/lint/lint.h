@@ -15,10 +15,9 @@
 //      clock.{h,cc}; the audited exceptions (the measurement clock, the
 //      device-domain throttles) carry an explicit
 //      `// prism-lint: allow(wall-clock): <reason>` directive.
-//   3. atomics — in the concurrency-dense targets (src/core, src/serving,
-//      src/common/striped.h) every std::atomic access spells its memory
-//      order; an implicit-seq_cst `.load()` / `.store(x)` / `.fetch_add(1)`
-//      is a violation. Where seq_cst is the point (the Dekker handshakes),
+//   3. atomics — in the concurrency-dense targets (src/core, src/serving)
+//      every std::atomic access spells its memory order; an implicit-seq_cst
+//      `.load()` / `.store(x)` / `.fetch_add(1)` is a violation. Where seq_cst is the point (the Dekker handshakes),
 //      it is written out, which is exactly what the rule wants.
 //   4. raw-mutex — src/ uses the annotated prism::Mutex / MutexLock wrapper
 //      (src/common/mutex.h) so clang's thread-safety analysis sees every

@@ -137,8 +137,6 @@ TEST(LintAtomics, OutOfScopeLayersAreNotChecked) {
   // The rule targets the concurrency-dense layers only.
   EXPECT_TRUE(LintFile("src/storage/ssd.cc", "counter.fetch_add(1);\n").empty());
   EXPECT_TRUE(LintFile("src/common/flags.cc", "level_.load();\n").empty());
-  // ...but striped.h is in scope by name.
-  EXPECT_TRUE(HasRule(LintFile("src/common/striped.h", "cell_.load();\n"), "atomics"));
 }
 
 TEST(LintAtomics, NonMemberIdentifierDoesNotCount) {
