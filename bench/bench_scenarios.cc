@@ -36,7 +36,7 @@
 //        per scheduler, closed loop only, no overload phase) for CI —
 //        exits nonzero on any mismatch.
 //        --sim: discrete-event simulation mode. Every run gets a fresh
-//        SimClock and the virtual service-cost model (ServiceOptions::sim):
+//        SimClock, and with it the virtual service-cost model (sim_runner.h):
 //        arrivals, queueing, deadlines, and the overload phase all play out
 //        in virtual time, so a sweep that takes minutes of wall time —
 //        including 10k-request open-loop overloads — finishes in seconds and
@@ -86,7 +86,6 @@ struct StackSpec {
   float threshold = kThresholdHigh;
   size_t max_inflight = 4;
   size_t total_threads = 4;
-  bool sim = false;  // Virtual service-cost model on every stack.
   // Result-cache tier (src/serving/result_cache.h). 0 = no cache.
   size_t cache_capacity = 0;
 };
@@ -101,7 +100,6 @@ Stack MakeStack(const StackSpec& spec, SchedulerKind kind, Clock* clock = nullpt
   options.max_inflight = kind == SchedulerKind::kSerial ? 1 : spec.max_inflight;
   options.compute_threads = spec.total_threads;
   options.clock = clock;
-  options.sim = spec.sim;
   Stack stack;
   stack.service = std::make_unique<RerankService>(spec.model, spec.checkpoint, options);
   if (spec.cache_capacity > 0) {
@@ -323,7 +321,6 @@ int Main(int argc, char** argv) {
   spec.max_inflight = static_cast<size_t>(flags.GetInt("max_inflight", smoke ? 2 : 4));
   spec.total_threads =
       std::max<size_t>(std::thread::hardware_concurrency(), spec.max_inflight);
-  spec.sim = sim;
   spec.cache_capacity = cache_capacity;
   spec.checkpoint = EnsureCheckpoint(model, kBenchSeed, precision);
 

@@ -55,7 +55,7 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
                                                      options.calibration);
   }
   CarouselRunner* target = engine_.get();
-  if (options.sim) {
+  if (dynamic_cast<SimClock*>(clock) != nullptr) {
     PRISM_CHECK_MSG(!options.online_calibration,
                     "online calibration cannot run through the simulated cost model: it "
                     "memoizes each request's result, which would hide a threshold nudge");

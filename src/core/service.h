@@ -63,19 +63,16 @@ struct ServiceOptions {
   // When set, a resident HfRunner on the engine's device and precision is
   // built as ground truth, and every Nth served request is sampled for
   // idle-time calibration toward `target_precision`. Works with either
-  // scheduler; not with `sim` (checked).
+  // scheduler; not on a SimClock (checked).
   bool online_calibration = false;
   OnlineCalibratorOptions calibration;
   // Time source for every scheduler wait and queue deadline. nullptr
-  // (default) = the shared wall clock — existing callers see identical
-  // behaviour. Point it at a SimClock to serve on deterministic virtual
-  // time. The pointee must outlive the service.
+  // (default) = the shared wall clock. Point it at a SimClock to serve on
+  // deterministic virtual time: the scheduler's target is then wrapped in a
+  // SimulatedRunner, the discrete-event service-cost model that charges
+  // virtual time for every pass and memoizes results per unique request
+  // (src/runtime/sim_runner.h). The pointee must outlive the service.
   Clock* clock = nullptr;
-  // Discrete-event service-cost model: when set, the scheduler's target is
-  // wrapped in a SimulatedRunner that charges virtual service time on
-  // `clock` and memoizes results per unique request (see
-  // src/runtime/sim_runner.h). Pair with a SimClock.
-  bool sim = false;
 };
 
 // Rolling service counters. RerankService accumulates these under one mutex
@@ -154,7 +151,7 @@ class RerankService : public Runner {
   std::unique_ptr<PrismEngine> engine_;
   std::unique_ptr<HfRunner> reference_;  // Calibration ground truth (resident HF).
   std::unique_ptr<OnlineCalibrator> calibrator_;
-  std::unique_ptr<SimulatedRunner> sim_runner_;  // Only when options.sim.
+  std::unique_ptr<SimulatedRunner> sim_runner_;  // Only on a SimClock.
   std::unique_ptr<Scheduler> scheduler_;
   mutable Mutex stats_mu_;
   ServiceStats stats_ PRISM_GUARDED_BY(stats_mu_);

@@ -1,6 +1,9 @@
 #include "src/runtime/runner.h"
 
+#include <bit>
 #include <string>
+
+#include "src/common/rng.h"
 
 namespace prism {
 
@@ -19,6 +22,22 @@ Status CheckVocab(const std::vector<uint32_t>& tokens, size_t vocab_size, const 
 }
 
 }  // namespace
+
+RequestKey::RequestKey(const RerankRequest& request)
+    : query(request.query), docs(request.docs), k(request.k) {
+  planted_r_bits.reserve(request.planted_r.size());
+  for (const float r : request.planted_r) {
+    planted_r_bits.push_back(std::bit_cast<uint32_t>(r));
+  }
+}
+
+uint64_t RequestKey::Hash() const {
+  uint64_t hash = 0x9E3779B97F4A7C15ULL;
+  for (const uint32_t token : query) {
+    hash = MixSeed(hash, token);
+  }
+  return hash;
+}
 
 Status ValidateRequest(const ModelConfig& config, const RerankRequest& request) {
   if (request.k == 0) {

@@ -52,6 +52,30 @@ struct RerankRequest {
   static RerankRequest FromQuery(const RerankQuery& q, size_t k);
 };
 
+// What a request's ranking is a function of: every field but the admission
+// ones (priority, deadline_ms). Equal keys get bit-identical results from the
+// same runner (the determinism contract above), so the result cache and the
+// simulator's memo both index results by it. planted_r is held as its bit
+// patterns: keys are equal exactly when a runner reads the same bytes, and a
+// key always equals itself (a NaN would not).
+struct RequestKey {
+  std::vector<uint32_t> query;
+  std::vector<std::vector<uint32_t>> docs;
+  std::vector<uint32_t> planted_r_bits;
+  size_t k = 0;
+
+  explicit RequestKey(const RerankRequest& request);
+  bool operator==(const RequestKey& other) const = default;
+
+  // The MixSeed chain over the query tokens alone; equality settles the
+  // rest. Requests sharing a query share a hash.
+  uint64_t Hash() const;
+};
+
+struct RequestKeyHash {
+  size_t operator()(const RequestKey& key) const { return key.Hash(); }
+};
+
 // Checks `request` against the model before any engine work: k > 0, one
 // planted_r per doc, no empty doc, and every query and doc token id below
 // config.vocab_size. Returns kInvalidArgument naming the first violation.

@@ -1,6 +1,5 @@
 #include "src/runtime/sim_runner.h"
 
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -15,33 +14,6 @@ namespace {
 // marginal cost of each request sharing it, in clock milliseconds.
 constexpr double kPassMs = 8.0;
 constexpr double kPerRequestMs = 2.0;
-
-void AppendBytes(std::string* out, const void* data, size_t n) {
-  out->append(static_cast<const char*>(data), n);
-}
-
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  AppendBytes(out, &value, sizeof(value));
-}
-
-// Exact binary identity of everything that determines the engine's ranking.
-// priority/deadline_ms are scheduler concerns — they never reach the model —
-// so requests differing only in them share a memo entry.
-std::string Fingerprint(const RerankRequest& request) {
-  std::string key;
-  AppendPod(&key, request.k);
-  AppendPod(&key, request.query.size());
-  AppendBytes(&key, request.query.data(), request.query.size() * sizeof(uint32_t));
-  AppendPod(&key, request.docs.size());
-  for (const std::vector<uint32_t>& doc : request.docs) {
-    AppendPod(&key, doc.size());
-    AppendBytes(&key, doc.data(), doc.size() * sizeof(uint32_t));
-  }
-  AppendPod(&key, request.planted_r.size());
-  AppendBytes(&key, request.planted_r.data(), request.planted_r.size() * sizeof(float));
-  return key;
-}
 
 // Host-measured timings are the one nondeterministic part of a result;
 // everything else (ranking, work stats) is a pure function of the request.
@@ -126,7 +98,7 @@ SimulatedRunner::SimulatedRunner(CarouselRunner* target, size_t n_layers, Clock*
 }
 
 RerankResult SimulatedRunner::Cached(const RerankRequest& request) {
-  const std::string key = Fingerprint(request);
+  RequestKey key(request);
   {
     MutexLock lock(mu_);
     auto it = memo_.find(key);
@@ -139,7 +111,7 @@ RerankResult SimulatedRunner::Cached(const RerankRequest& request) {
   RerankResult result = target_->Rerank(request);
   ScrubTimings(&result);
   MutexLock lock(mu_);
-  return memo_.emplace(key, std::move(result)).first->second;
+  return memo_.emplace(std::move(key), std::move(result)).first->second;
 }
 
 RerankResult SimulatedRunner::Rerank(const RerankRequest& request) {
@@ -152,11 +124,6 @@ RerankResult SimulatedRunner::Rerank(const RerankRequest& request) {
 
 std::unique_ptr<CarouselPass> SimulatedRunner::BeginCarousel() {
   return std::make_unique<SimCarouselPass>(this);
-}
-
-size_t SimulatedRunner::memo_size() const {
-  MutexLock lock(mu_);
-  return memo_.size();
 }
 
 }  // namespace prism

@@ -9,7 +9,8 @@
 //
 //   - The first time a unique request (query, docs, planted_r, k) is seen,
 //     it runs through the real engine — at a frozen virtual instant — and
-//     the result is memoized by the request's binary fingerprint. Replays
+//     the result is memoized by its RequestKey (src/runtime/runner.h), so
+//     requests differing only in priority or deadline share an entry. Replays
 //     (a Zipf-popular workload re-asks the same queries constantly) are
 //     served from the memo without burning wall time, which is what lets a
 //     10k-request sweep finish in seconds.
@@ -48,7 +49,6 @@ class SimulatedRunner : public CarouselRunner {
   std::unique_ptr<CarouselPass> BeginCarousel() override;
   std::string name() const override { return "sim:" + target_->name(); }
 
-  size_t memo_size() const;
   size_t n_layers() const { return n_layers_; }
   Clock* clock() const { return clock_; }
 
@@ -61,8 +61,8 @@ class SimulatedRunner : public CarouselRunner {
   CarouselRunner* target_;
   size_t n_layers_;
   Clock* clock_;
-  mutable Mutex mu_;
-  std::unordered_map<std::string, RerankResult> memo_ PRISM_GUARDED_BY(mu_);
+  Mutex mu_;
+  std::unordered_map<RequestKey, RerankResult, RequestKeyHash> memo_ PRISM_GUARDED_BY(mu_);
 };
 
 }  // namespace prism

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/rng.h"
 #include "src/core/scheduler.h"
 
 namespace prism {
@@ -20,8 +19,8 @@ constexpr double kCoalesceStaggerMs = 1e-3;
 // Two different-key fills can finish at the same instant — a scheduler shed
 // drain answers several queued leaders in one pop — and each fill's waiters
 // count slots from 0, so slot staggering alone would release one waiter per
-// fill at the same instant. A per-key phase (a pure function of the key
-// hash, so it needs no cross-thread state) keeps cross-fill releases on
+// fill at the same instant. A per-key phase (a pure function of
+// RequestKey::Hash, so it needs no cross-thread state) keeps cross-fill releases on
 // distinct instants too; the bucket count is prime and the phase range stays
 // below one slot so same-fill slot order is preserved.
 constexpr double kFillPhaseMs = 1e-6;
@@ -41,14 +40,6 @@ RerankResult ServeCopy(const RerankResult& cached, double waited_ms) {
 
 }  // namespace
 
-uint64_t QueryHash(const RerankRequest& request) {
-  uint64_t hash = 0x9E3779B97F4A7C15ULL;
-  for (uint32_t token : request.query) {
-    hash = MixSeed(hash, token);
-  }
-  return hash;
-}
-
 ResultCache::ResultCache(Runner* inner, ResultCacheOptions options)
     : inner_(inner),
       options_(options),
@@ -57,60 +48,41 @@ ResultCache::ResultCache(Runner* inner, ResultCacheOptions options)
   options_.capacity = std::max<size_t>(options_.capacity, 1);
 }
 
-ResultCache::Key ResultCache::MakeKey(const RerankRequest& request) {
-  return Key{request.query, request.docs, request.planted_r, request.k};
-}
-
-bool ResultCache::Key::Matches(const RerankRequest& request) const {
-  return k == request.k && query == request.query && docs == request.docs &&
-         planted_r == request.planted_r;
-}
-
-void ResultCache::InsertLocked(uint64_t hash, Key key, const RerankResult& result) {
-  // Only a fill leader inserts, and its in-flight fill kept the hash free of
-  // any other entry or fill since its lookup missed.
-  PRISM_CHECK(map_.find(hash) == map_.end());
+void ResultCache::InsertLocked(RequestKey key, const RerankResult& result) {
+  // Only a fill leader inserts, and its in-flight fill kept the key free of
+  // any other entry since its lookup missed.
+  PRISM_CHECK(map_.find(key) == map_.end());
   while (lru_.size() >= options_.capacity) {
     ++stats_.evicted;
-    map_.erase(lru_.back().hash);
+    map_.erase(lru_.back().key);
     lru_.pop_back();
   }
-  lru_.push_front(Entry{hash, std::move(key), ServeCopy(result, 0.0)});
-  map_[hash] = lru_.begin();
+  lru_.push_front(Entry{key, ServeCopy(result, 0.0)});
+  map_.emplace(std::move(key), lru_.begin());
 }
 
 RerankResult ResultCache::Rerank(const RerankRequest& request) {
-  const uint64_t hash = QueryHash(request);
+  RequestKey key(request);
   const double enter_ms = clock_->NowMs();
   mu_.Lock();
   ++stats_.lookups;
   bool parked = false;  // Did we ever wait behind another caller's fill?
   for (;;) {
     const double now_ms = clock_->NowMs();
-    auto it = map_.find(hash);
+    auto it = map_.find(key);
     if (it != map_.end()) {
-      const Entry& entry = *it->second;
-      if (entry.key.Matches(request)) {
-        if (parked) {
-          ++stats_.coalesced;
-        } else {
-          ++stats_.hits;
-        }
-        lru_.splice(lru_.begin(), lru_, it->second);
-        RerankResult served = ServeCopy(entry.result, now_ms - enter_ms);
-        mu_.Unlock();
-        return served;
+      if (parked) {
+        ++stats_.coalesced;
       } else {
-        // Hash collision with a different resident key: treat as an
-        // uncacheable miss (forward without filling) rather than fight the
-        // resident entry for the slot.
-        ++stats_.misses;
-        mu_.Unlock();
-        return inner_->Rerank(request);
+        ++stats_.hits;
       }
+      lru_.splice(lru_.begin(), lru_, it->second);
+      RerankResult served = ServeCopy(it->second->result, now_ms - enter_ms);
+      mu_.Unlock();
+      return served;
     }
 
-    auto fill_it = fills_.find(hash);
+    auto fill_it = fills_.find(key);
     if (fill_it == fills_.end()) {
       // No fill in flight: we lead one — unless we burned our whole
       // budget parked behind a fill that then failed.
@@ -120,13 +92,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
         return MakeShedResult(request.deadline_ms, now_ms - enter_ms);
       }
       break;
-    }
-    if (!fill_it->second->key.Matches(request)) {
-      // A *different* key's fill owns this hash; don't coalesce onto a
-      // result that isn't ours — forward directly, uncached.
-      ++stats_.misses;
-      mu_.Unlock();
-      return inner_->Rerank(request);
     }
     // Park behind the leader. Honor our own deadline: a waiter whose budget
     // expires mid-fill sheds with its true cache residence, exactly like a
@@ -157,7 +122,7 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
     // one at a time, in park order.
     const double release_ms =
         fill->done_ms + kCoalesceStaggerMs * static_cast<double>(slot + 1) +
-        kFillPhaseMs * static_cast<double>(hash % kFillPhaseBuckets + 1);
+        kFillPhaseMs * static_cast<double>(key.Hash() % kFillPhaseBuckets + 1);
     mu_.Unlock();
     clock_->SleepUntil(release_ms);
     mu_.Lock();
@@ -169,16 +134,16 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   // cache never serializes distinct queries.
   ++stats_.misses;
   auto fill = std::make_shared<FillState>();
-  fill->key = MakeKey(request);
-  fills_.emplace(hash, fill);
+  fills_.emplace(key, fill);
   mu_.Unlock();
 
   RerankResult result = inner_->Rerank(request);
 
   mu_.Lock();
   const double done_ms = clock_->NowMs();
+  fills_.erase(key);
   if (result.status.ok()) {
-    InsertLocked(hash, MakeKey(request), result);
+    InsertLocked(std::move(key), result);
   } else {
     ++stats_.fill_errors;
   }
@@ -188,7 +153,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   // and the leader's error surfaces only to its own caller.
   fill->done = true;
   fill->done_ms = done_ms;
-  fills_.erase(hash);
   cv_->NotifyAll();
   mu_.Unlock();
   return result;

@@ -8,11 +8,11 @@
 //   clients ─► ResultCache ─► RerankService ─► engine
 //
 // Design:
-//   - One exact-key LRU of `capacity` entries behind one mutex. The key
-//     hash is QueryHash over the query's tokens; a hash hit is confirmed by
-//     full-token equality over (query, docs, planted_r, k), so a collision
-//     can never serve a wrong result — a colliding request is forwarded
-//     uncached. Admission attributes (priority, deadline) are not part of
+//   - One exact-key LRU of `capacity` entries behind one mutex, keyed by
+//     RequestKey (src/runtime/runner.h): the whole of (query, docs,
+//     planted_r, k), so a cache of N entries holds any N distinct requests
+//     — two requests that share a query but not their candidates are two
+//     entries. Admission attributes (priority, deadline) are not part of
 //     the key. Every served ranking is one the reranker produced for
 //     exactly that request; entries never expire (the corpus is immutable)
 //     and leave only by LRU eviction.
@@ -38,12 +38,10 @@
 #ifndef PRISM_SRC_SERVING_RESULT_CACHE_H_
 #define PRISM_SRC_SERVING_RESULT_CACHE_H_
 
-#include <cstdint>
 #include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "src/common/annotations.h"
 #include "src/common/clock.h"
@@ -51,10 +49,6 @@
 #include "src/runtime/runner.h"
 
 namespace prism {
-
-// Stable hash of a query's tokens: the cache's entry key. Only the query
-// enters it; Key equality checks the rest of the identity.
-uint64_t QueryHash(const RerankRequest& request);
 
 struct ResultCacheOptions {
   // Resident entries (floored at 1).
@@ -104,22 +98,8 @@ class ResultCache : public Runner {
   const ResultCacheOptions& options() const { return options_; }
 
  private:
-  // Full identity of a cached result: everything the engine's ranking is a
-  // function of.
-  struct Key {
-    std::vector<uint32_t> query;
-    std::vector<std::vector<uint32_t>> docs;
-    std::vector<float> planted_r;
-    size_t k = 0;
-
-    bool operator==(const Key& other) const = default;
-    bool Matches(const RerankRequest& request) const;
-  };
-  static Key MakeKey(const RerankRequest& request);
-
   struct Entry {
-    uint64_t hash = 0;
-    Key key;
+    RequestKey key;
     RerankResult result;  // status.ok() always; timing scrubbed.
   };
 
@@ -129,13 +109,12 @@ class ResultCache : public Runner {
   // fields are guarded by the cache's mu_ (not annotatable here: the
   // guarding mutex lives in a different object).
   struct FillState {
-    Key key;  // Pins the exact identity: a colliding hash never coalesces.
     bool done = false;
     double done_ms = 0.0;
     size_t parked = 0;
   };
 
-  void InsertLocked(uint64_t hash, Key key, const RerankResult& result) PRISM_REQUIRES(mu_);
+  void InsertLocked(RequestKey key, const RerankResult& result) PRISM_REQUIRES(mu_);
 
   Runner* inner_;
   ResultCacheOptions options_;
@@ -143,12 +122,13 @@ class ResultCache : public Runner {
 
   mutable Mutex mu_;
   std::unique_ptr<ClockCondVar> cv_;  // Single-flight waiters park here.
-  // LRU: most-recent at front; map points into the list. One entry per
-  // hash: a request whose hash names a different resident or in-flight key
-  // is forwarded uncached.
+  // LRU: most-recent at front; map points into the list. A key has at most
+  // one resident entry and at most one fill in flight.
   std::list<Entry> lru_ PRISM_GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::list<Entry>::iterator> map_ PRISM_GUARDED_BY(mu_);
-  std::unordered_map<uint64_t, std::shared_ptr<FillState>> fills_ PRISM_GUARDED_BY(mu_);
+  std::unordered_map<RequestKey, std::list<Entry>::iterator, RequestKeyHash> map_
+      PRISM_GUARDED_BY(mu_);
+  std::unordered_map<RequestKey, std::shared_ptr<FillState>, RequestKeyHash> fills_
+      PRISM_GUARDED_BY(mu_);
   ResultCacheStats stats_ PRISM_GUARDED_BY(mu_);
 };
 

@@ -41,12 +41,9 @@ SpillPool::Entry* SpillPool::FindEntry(int64_t key) {
 void SpillPool::SpillAsync(int64_t key, Tensor t) {
   const int64_t bytes = static_cast<int64_t>(t.ByteSize());
   Entry* entry = nullptr;
-  int64_t offset = 0;
   {
     MutexLock lock(mu_);
     entry = &entries_[key];
-    offset = cursor_;
-    cursor_ += bytes;
   }
   // Wait out the previous spill — and any prefetch still reading into the
   // entry's tensor — without holding the pool lock (only this key's owner
@@ -55,10 +52,30 @@ void SpillPool::SpillAsync(int64_t key, Tensor t) {
   if (entry->prefetch_done.valid()) {
     entry->prefetch_done.get();
   }
+  {
+    // A respill keeps its extent if the tensor fits; otherwise take the
+    // smallest free extent that does, or grow the file.
+    MutexLock lock(mu_);
+    if (entry->extent < bytes) {
+      if (entry->extent > 0) {
+        free_.emplace(entry->extent, entry->offset);
+      }
+      const auto fit = free_.lower_bound(bytes);
+      if (fit == free_.end()) {
+        entry->offset = cursor_;
+        entry->extent = bytes;
+        cursor_ += bytes;
+      } else {
+        entry->offset = fit->second;
+        entry->extent = fit->first;
+        free_.erase(fit);
+      }
+    }
+  }
+  const int64_t offset = entry->offset;
   entry->rows = t.rows();
   entry->cols = t.cols();
   entry->prefetched.reset();
-  entry->offset = offset;
   // The tensor moves into the I/O task; its tracked memory must be released
   // *inside* the task body (before the future resolves) — the task object
   // itself is destroyed by the worker thread some time after completion,
@@ -111,23 +128,26 @@ Tensor SpillPool::Take(int64_t key) {
   }
   // Consume the entry: the map stays bounded in live chunks, and a later
   // Spill of the same key re-creates it.
-  {
-    MutexLock lock(mu_);
-    entries_.erase(key);
-  }
+  EraseEntry(key, *entry);
   return t;
 }
 
 void SpillPool::Drop(int64_t key) {
   Entry* entry = FindEntry(key);
-  if (entry == nullptr) {
-    return;
+  if (entry != nullptr) {
+    EraseEntry(key, *entry);
   }
-  WaitSpill(*entry);
-  if (entry->prefetch_done.valid()) {
-    entry->prefetch_done.get();
+}
+
+void SpillPool::EraseEntry(int64_t key, Entry& entry) {
+  WaitSpill(entry);
+  if (entry.prefetch_done.valid()) {
+    entry.prefetch_done.get();
   }
   MutexLock lock(mu_);
+  if (entry.extent > 0) {
+    free_.emplace(entry.extent, entry.offset);
+  }
   entries_.erase(key);
 }
 

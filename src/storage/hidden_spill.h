@@ -14,8 +14,11 @@
 // the same key from two threads concurrently is undefined.
 //
 // Take() and Drop() erase the consumed entry, so the map stays bounded in
-// the number of live chunks. Disk space is append-only (cursor model, like
-// the checkpoint writer) and reclaimed when the pool is destroyed.
+// the number of live chunks. They also wait out the entry's I/O, so they
+// hand its extent of the spill file to the next spill that fits (smallest
+// fit, never split). The file grows only when no free extent fits, so a
+// service repeating its chunk shapes stops growing after its first
+// requests; the file is deleted when the pool is destroyed.
 #ifndef PRISM_SRC_STORAGE_HIDDEN_SPILL_H_
 #define PRISM_SRC_STORAGE_HIDDEN_SPILL_H_
 
@@ -61,6 +64,7 @@ class SpillPool {
   // terminates a request early). No-op if the key is absent.
   void Drop(int64_t key);
 
+  // Size of the spill file, not the bytes parked now.
   int64_t bytes_on_disk() const;
 
   // Entries currently parked (spilled but not yet taken or dropped). A
@@ -71,6 +75,7 @@ class SpillPool {
  private:
   struct Entry {
     int64_t offset = 0;
+    int64_t extent = 0;  // Bytes of the file the entry owns; may exceed its tensor.
     size_t rows = 0;
     size_t cols = 0;
     std::future<void> spill_done;
@@ -82,6 +87,8 @@ class SpillPool {
   // mu_ is safe because keys are single-owner; mu_ only guards the map.
   Entry* FindEntry(int64_t key);
   static void WaitSpill(Entry& entry);
+  // Waits out `key`'s I/O, then erases it and frees its extent.
+  void EraseEntry(int64_t key, Entry& entry);
 
   std::unique_ptr<SimulatedSsd> ssd_;
   MemoryTracker* tracker_;
@@ -90,7 +97,9 @@ class SpillPool {
   // to are deliberately NOT — each key has a single owner (see file comment),
   // so entry-field access happens outside the lock by design.
   std::map<int64_t, Entry> entries_ PRISM_GUARDED_BY(mu_);
-  int64_t cursor_ PRISM_GUARDED_BY(mu_) = 0;
+  // Extents no entry owns, length → offset.
+  std::multimap<int64_t, int64_t> free_ PRISM_GUARDED_BY(mu_);
+  int64_t cursor_ PRISM_GUARDED_BY(mu_) = 0;  // End of the file.
   std::string path_;
 };
 

@@ -100,6 +100,16 @@ TEST_F(EngineTest, HiddenOffloadInvariance) {
   PrismEngine a(config_, ckpt_, offload, &t1);
   PrismEngine b(config_, ckpt_, plain, &t2);
   EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
+
+  // Consumed chunks hand their extents to later spills: 40 requests use no
+  // more spill-file bytes than one.
+  const int64_t one_request = a.spill_pool()->bytes_on_disk();
+  EXPECT_GT(one_request, 0);
+  for (int i = 1; i < 40; ++i) {
+    a.Rerank(request_);
+  }
+  EXPECT_LE(a.spill_pool()->bytes_on_disk(), one_request);
+  EXPECT_EQ(a.spill_pool()->live_entries(), 0u);
 }
 
 TEST_F(EngineTest, EmbedCacheInvariance) {

@@ -1,9 +1,10 @@
 // ResultCache: the exact-key result-cache tier (src/serving/result_cache.h).
 // Load-bearing properties, pinned on a SimClock where timing matters: a
-// cache of capacity N holds N distinct keys, LRU eviction follows recency
-// order, single-flight coalesces concurrent identical queries onto one inner
-// pass, a failed fill neither poisons its key nor wedges its waiters, and a
-// waiter whose deadline expires while parked sheds with its true residence.
+// cache of capacity N holds N distinct requests (two that share a query are
+// two entries), LRU eviction follows recency order, single-flight coalesces
+// concurrent identical queries onto one inner pass, a failed fill neither
+// poisons its key nor wedges its waiters, and a waiter whose deadline
+// expires while parked sheds with its true residence.
 // Also a ThreadSanitizer target: many client threads share one cache.
 #include <gtest/gtest.h>
 
@@ -149,6 +150,66 @@ TEST(ResultCacheTest, CapacityHoldsThatManyDistinctKeys) {
   }
   EXPECT_EQ(cache.size(), 8u);
   EXPECT_EQ(cache.stats().evicted, 8u);
+}
+
+// The agent-memory step shape: one task description reranked against a
+// changed candidate relevance.
+RerankRequest WithPlantedR(RerankRequest request, float r) {
+  request.planted_r.assign(request.docs.size(), r);
+  return request;
+}
+
+TEST(ResultCacheTest, SharedQueryWithDifferentCandidatesIsTwoEntries) {
+  ScriptedRunner inner;
+  ResultCacheOptions options;
+  options.capacity = 2;
+  ResultCache cache(&inner, options);
+  const RerankRequest a = WithPlantedR(MakeRequest(5), 0.0f);
+  const RerankRequest b = WithPlantedR(MakeRequest(5), 1.0f);
+
+  for (const RerankRequest* request : {&a, &b, &a, &b}) {
+    EXPECT_TRUE(cache.Rerank(*request).status.ok());
+  }
+  EXPECT_EQ(inner.calls(), 2u);
+  const ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(ResultCacheTest, SharedQueryArrivingMidFillLeadsItsOwnFill) {
+  SimClock clock;
+  ScriptedRunner inner(&clock, /*service_ms=*/10.0);
+  ResultCacheOptions options;
+  options.capacity = 2;
+  options.clock = &clock;
+  ResultCache cache(&inner, options);
+  const RerankRequest a = WithPlantedR(MakeRequest(5), 0.0f);
+  const RerankRequest b = WithPlantedR(MakeRequest(5), 1.0f);
+
+  clock.ExpectParticipants(2);
+  std::thread first([&] {
+    const ClockMembership membership(&clock);
+    EXPECT_TRUE(cache.Rerank(a).status.ok());  // Fills from t = 0 to t = 10.
+  });
+  std::thread second([&] {
+    const ClockMembership membership(&clock);
+    clock.SleepUntil(1.0);  // Arrive while a's fill is in flight.
+    EXPECT_TRUE(cache.Rerank(b).status.ok());
+  });
+  first.join();
+  second.join();
+
+  // b is no follower of a's fill: it led its own, and both stay resident.
+  EXPECT_EQ(inner.calls(), 2u);
+  ResultCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.Rerank(a);
+  cache.Rerank(b);
+  EXPECT_EQ(inner.calls(), 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 TEST(ResultCacheTest, SingleFlightCoalescesConcurrentIdenticalQueries) {

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <string>
 
+#include "src/common/clock.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
+#include "src/runtime/sim_runner.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -31,6 +35,89 @@ TEST(RequestTest, FromQueryCopiesEverything) {
     EXPECT_EQ(request.docs[i], q.candidates[i].tokens);
     EXPECT_EQ(request.planted_r[i], q.candidates[i].planted_r);
   }
+}
+
+TEST(RequestTest, KeyIsEverythingButAdmission) {
+  RerankRequest base;
+  base.query = {1, 2, 3};
+  base.docs = {{4, 5}, {6}};
+  base.planted_r = {0.5f, -1.0f};
+  base.k = 2;
+  const RequestKey key(base);
+
+  // Admission fields never reach a runner, so they stay out of the key.
+  RerankRequest admission = base;
+  admission.priority = 3;
+  admission.deadline_ms = 40.0;
+  EXPECT_EQ(RequestKey(admission), key);
+  EXPECT_EQ(RequestKey(admission).Hash(), key.Hash());
+
+  // Any one ranking input makes a different key.
+  RerankRequest query = base;
+  query.query.push_back(7);
+  RerankRequest docs = base;
+  docs.docs[1] = {8};
+  RerankRequest planted_r = base;
+  planted_r.planted_r[0] = 0.25f;
+  RerankRequest k = base;
+  k.k = 1;
+  for (const RerankRequest* other : {&query, &docs, &planted_r, &k}) {
+    EXPECT_FALSE(RequestKey(*other) == key);
+  }
+  // The hash reads the query alone: a shared query shares a hash.
+  EXPECT_EQ(RequestKey(planted_r).Hash(), key.Hash());
+
+  // planted_r compares by bit pattern, so a NaN key still equals itself.
+  RerankRequest nan = base;
+  nan.planted_r[1] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(RequestKey(nan), RequestKey(nan));
+}
+
+// A carousel runner that counts the requests it actually ranks.
+class CountingRunner : public CarouselRunner {
+ public:
+  RerankResult Rerank(const RerankRequest& request) override {
+    ++calls_;
+    RerankResult result;
+    result.topk.push_back(0);
+    result.scores.assign(request.docs.size(), 1.0f);
+    result.stats.layers_until_done = 1;
+    return result;
+  }
+  std::unique_ptr<CarouselPass> BeginCarousel() override { return nullptr; }
+  std::string name() const override { return "counting"; }
+
+  size_t calls() const { return calls_; }
+
+ private:
+  size_t calls_ = 0;
+};
+
+TEST(SimulatedRunnerTest, MemoKeysByTheWholeRequest) {
+  SimClock clock;
+  CountingRunner target;
+  SimulatedRunner sim(&target, /*n_layers=*/4, &clock);
+  RerankRequest a;
+  a.query = {1, 2};
+  a.docs = {{3}, {4}};
+  a.planted_r = {0.0f, 1.0f};
+  a.k = 1;
+
+  // Same query, different candidate relevance: a second engine run.
+  RerankRequest b = a;
+  b.planted_r = {1.0f, 0.0f};
+  sim.Rerank(a);
+  sim.Rerank(b);
+  EXPECT_EQ(target.calls(), 2u);
+
+  // Same request in another admission class: served from the memo.
+  RerankRequest urgent = a;
+  urgent.priority = 1;
+  urgent.deadline_ms = 5.0;
+  EXPECT_TRUE(sim.Rerank(urgent).status.ok());
+  EXPECT_EQ(target.calls(), 2u);
+  // Every pass still charged its virtual cost (8 ms + 2 ms per request).
+  EXPECT_DOUBLE_EQ(clock.NowMs(), 30.0);
 }
 
 class RunnerTest : public ::testing::Test {

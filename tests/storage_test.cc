@@ -1005,6 +1005,7 @@ TEST(SpillPoolTest, RespillSameKeyOverwrites) {
   MemoryTracker tracker;
   SpillPool pool(Unthrottled(), &tracker);
   Tensor a(1, 4, MemCategory::kHiddenStates, &tracker);
+  const auto tensor_bytes = static_cast<int64_t>(a.ByteSize());
   a.Fill(1.0f);
   pool.SpillAsync(5, std::move(a));
   Tensor first = pool.Take(5);
@@ -1014,6 +1015,23 @@ TEST(SpillPoolTest, RespillSameKeyOverwrites) {
   pool.SpillAsync(5, std::move(b));
   Tensor second = pool.Take(5);
   EXPECT_EQ(second.at(0, 0), 2.0f);
+
+  // A taken (or re-spilled) entry's extent is reused: the file holds one
+  // tensor however many cycles run.
+  for (int cycle = 0; cycle < 10; ++cycle) {
+    Tensor c(1, 4, MemCategory::kHiddenStates, &tracker);
+    c.Fill(static_cast<float>(cycle));
+    pool.SpillAsync(5, std::move(c));
+    if (cycle % 2 == 0) {
+      Tensor d(1, 4, MemCategory::kHiddenStates, &tracker);
+      d.Fill(-1.0f);
+      pool.SpillAsync(5, std::move(d));  // Respill before the take.
+      EXPECT_EQ(pool.Take(5).at(0, 0), -1.0f);
+    } else {
+      EXPECT_EQ(pool.Take(5).at(0, 0), static_cast<float>(cycle));
+    }
+    EXPECT_EQ(pool.bytes_on_disk(), tensor_bytes) << "cycle " << cycle;
+  }
 }
 
 

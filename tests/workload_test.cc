@@ -203,8 +203,9 @@ TEST_F(WorkloadTest, DeadlinesShedUnderOverloadAndAreAccountedExactly) {
   SimClock clock;
   MemoryTracker tracker;
   ServiceOptions sopts = FastService(SchedulerKind::kSerial, 1);
+  // A SimClock brings the virtual cost model: 8 ms per pass + 2 ms per
+  // request = 10 per request.
   sopts.clock = &clock;
-  sopts.sim = true;  // 8 ms per pass + 2 ms per request = 10 per request.
   RerankService service(config_, ckpt_, sopts, &tracker);
   const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
   WorkloadOptions options;
@@ -247,7 +248,6 @@ TEST_F(WorkloadTest, SimulatedWorkloadReplaysByteIdentically) {
       MemoryTracker tracker;
       ServiceOptions sopts = FastService(kind, kind == SchedulerKind::kSerial ? 1 : 3);
       sopts.clock = &clock;
-      sopts.sim = true;
       WorkloadOptions wopts;
       wopts.clients = 4;
       wopts.requests = 24;
@@ -279,7 +279,6 @@ TEST_F(WorkloadTest, CacheFrontedSimulatedWorkloadReplaysByteIdentically) {
     MemoryTracker tracker;
     ServiceOptions sopts = FastService(SchedulerKind::kSerial, 1);
     sopts.clock = &clock;
-    sopts.sim = true;
     RerankService service(config_, ckpt_, sopts, &tracker);
     ResultCacheOptions copts;
     copts.capacity = 2;  // Head-sized: hits, evictions, and refills all occur.

@@ -1,7 +1,7 @@
 // prism_lint: the project-invariant linter (see ARCHITECTURE.md, "Static
 // analysis & concurrency contracts").
 //
-// Three invariants of this codebase are structural — they hold across files
+// Four invariants of this codebase are structural — they hold across files
 // and cannot be expressed to the compiler — so they are enforced here, as a
 // test and a CI step, instead of by convention:
 //
@@ -17,8 +17,9 @@
 //      `// prism-lint: allow(wall-clock): <reason>` directive.
 //   3. atomics — in the concurrency-dense targets (src/core, src/serving)
 //      every std::atomic access spells its memory order; an implicit-seq_cst
-//      `.load()` / `.store(x)` / `.fetch_add(1)` is a violation. Where seq_cst is the point (the Dekker handshakes),
-//      it is written out, which is exactly what the rule wants.
+//      `.load()` / `.store(x)` / `.fetch_add(1)` is a violation. Where
+//      seq_cst is the point, it is written out, which is exactly what the
+//      rule wants.
 //   4. raw-mutex — src/ uses the annotated prism::Mutex / MutexLock wrapper
 //      (src/common/mutex.h) so clang's thread-safety analysis sees every
 //      lock; spelling std::mutex / std::lock_guard / std::unique_lock /
