@@ -126,14 +126,9 @@ struct RunRecord {
 
 // Pulls the post-run accounting (embedding-cache counters from the stack,
 // result-cache counters when a cache tier fronted it) into the report so
-// every emitted row carries its hit rates. Embedding-cache counters are
-// skipped in --sim mode: the embed LRU lives inside the engine's compute
-// fan-out, whose thread interleaving is outside the SimClock determinism
-// domain, so its hit counts would break byte-identical replay.
-void AttachStats(RunRecord& record, const Stack& stack, bool sim) {
-  if (!sim) {
-    record.report.AttachServingStats(stack.service->stats());
-  }
+// every emitted row carries its hit rates.
+void AttachStats(RunRecord& record, const Stack& stack) {
+  record.report.AttachServingStats(stack.service->stats());
   if (stack.cache != nullptr) {
     record.report.AttachCacheStats(stack.cache->stats());
   }
@@ -402,7 +397,7 @@ int Main(int argc, char** argv) {
         record.zipf = zipf;
         record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
         record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
-        AttachStats(record, stack, sim);
+        AttachStats(record, stack);
         total_mismatches += record.report.mismatches;
         if (sched == SchedulerKind::kCarousel) {
           unloaded_p99 = record.report.p99_ms;
@@ -435,7 +430,7 @@ int Main(int argc, char** argv) {
           record.zipf = zipf;
           record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
           record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
-          AttachStats(record, stack, sim);
+          AttachStats(record, stack);
           total_mismatches += record.report.mismatches;
           PrintRow(record);
           runs.push_back(std::move(record));
@@ -478,7 +473,7 @@ int Main(int argc, char** argv) {
       record.zipf = zipf;
       record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
       record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
-      AttachStats(record, stack, sim);
+      AttachStats(record, stack);
       total_mismatches += record.report.mismatches;
       PrintRow(record);
 
@@ -542,7 +537,7 @@ int Main(int argc, char** argv) {
           record.zipf = cache_zipf;
           record.report = RunWorkload(harness, stack.runner(), wopts, &baseline);
           record.work_fraction = stack.service->stats().WorkFraction(model.n_layers);
-          AttachStats(record, stack, sim);
+          AttachStats(record, stack);
           total_mismatches += record.report.mismatches;
           if (capacity == 0) {
             check.served_cache_off = record.report.served_per_sec;

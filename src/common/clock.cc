@@ -4,6 +4,7 @@
 #include <cassert>
 #include <thread>
 
+#include "src/common/check.h"
 #include "src/common/mutex.h"
 
 namespace prism {
@@ -119,23 +120,20 @@ class SimCondVar : public ClockCondVar {
       }
     }
     if (chosen != nullptr) {
-      chosen->wake = true;
-      clock_->cv_.notify_all();
+      clock_->WakeLocked(chosen);
+      clock_->GrantLocked();
     }
   }
 
   void NotifyAll() override {
     MutexLock clock_lock(clock_->mu_);
-    bool any = false;
+    // waiters_ is in enrollment order, so the woken join the ready list in it.
     for (SimClock::Waiter* waiter : clock_->waiters_) {
       if (waiter->cv_tag == this && !waiter->wake) {
-        waiter->wake = true;
-        any = true;
+        clock_->WakeLocked(waiter);
       }
     }
-    if (any) {
-      clock_->cv_.notify_all();
-    }
+    clock_->GrantLocked();
   }
 
  private:
@@ -190,18 +188,24 @@ std::unique_ptr<ClockCondVar> SimClock::MakeCondVar() {
   return std::make_unique<SimCondVar>(this);
 }
 
-void SimClock::Join() {
+void SimClock::Join(uint64_t slot) {
   MutexLock lock(mu_);
   tls_memberships.push_back(this);
-  ++participants_;
-  if (reserved_ > 0) {
-    --reserved_;
-    // The last expected participant has arrived; the others (necessarily
-    // blocked for time to have been frozen this long) may now be quiescent.
-    if (reserved_ == 0) {
-      MaybeAdvanceLocked();
-    }
+  if (slot == kUnreserved) {
+    // Queue behind whatever is ready now, like a participant woken here.
+    Waiter turn;
+    turn.participant = true;
+    WakeLocked(&turn);
+    GrantLocked();
+    BlockLocked(lock.native_lock(), &turn);
+    return;
   }
+  // The reservation has held a place in the ready list since
+  // ExpectParticipants; wait for the turn to reach it.
+  const auto it = reserved_.find(slot);
+  PRISM_CHECK_MSG(it != reserved_.end(), "Join with a slot that was not reserved or was taken");
+  BlockLocked(lock.native_lock(), &it->second);
+  reserved_.erase(it);
 }
 
 void SimClock::Leave() {
@@ -212,15 +216,19 @@ void SimClock::Leave() {
       break;
     }
   }
-  assert(participants_ > 0);
-  --participants_;
-  // One fewer runnable thread: the rest may now be quiescent.
-  MaybeAdvanceLocked();
+  YieldTurnLocked();
 }
 
-void SimClock::ExpectParticipants(size_t n) {
+uint64_t SimClock::ExpectParticipants(size_t n) {
   MutexLock lock(mu_);
-  reserved_ += n;
+  const uint64_t first = next_slot_;
+  for (size_t i = 0; i < n; ++i) {
+    Waiter& turn = reserved_[next_slot_++];
+    turn.participant = true;
+    WakeLocked(&turn);
+  }
+  GrantLocked();
+  return first;
 }
 
 void SimClock::YieldUntilQuiescent() {
@@ -234,42 +242,6 @@ void SimClock::YieldUntilQuiescent() {
   DeenrollLocked(&waiter);
 }
 
-void SimClock::PreWake() {
-  MutexLock lock(mu_);
-  ++pending_wakeups_;
-}
-
-void SimClock::BeginExternalWait() {
-  MutexLock lock(mu_);
-  // Only participants count toward the quiescence gate — a non-participant
-  // in an external wait must not loosen it (it never gated advance anyway).
-  if (ThisThreadJoined(this)) {
-    ++external_;
-    // The caller is about to block outside the clock's view; the remaining
-    // participants may now be quiescent.
-    MaybeAdvanceLocked();
-  }
-}
-
-void SimClock::EndExternalWait() {
-  MutexLock lock(mu_);
-  if (ThisThreadJoined(this)) {
-    assert(external_ > 0);
-    --external_;
-  }
-  // Consume the PreWake token that released this wait. Tokens gate advance:
-  // between set_value and here the woken thread is invisible (neither
-  // enrolled nor external), and the token is what keeps time frozen for it.
-  if (pending_wakeups_ > 0) {
-    --pending_wakeups_;
-  }
-}
-
-size_t SimClock::participants() const {
-  MutexLock lock(mu_);
-  return participants_;
-}
-
 uint64_t SimClock::advances() const {
   MutexLock lock(mu_);
   return advances_;
@@ -279,8 +251,11 @@ void SimClock::EnrollLocked(Waiter* waiter) {
   waiter->seq = next_seq_++;
   waiter->participant = ThisThreadJoined(this);
   waiters_.push_back(waiter);
-  // This thread just went from runnable to blocked: check for quiescence.
-  MaybeAdvanceLocked();
+  if (waiter->participant) {
+    YieldTurnLocked();  // The running participant just blocked.
+  } else {
+    MaybeAdvanceLocked();  // A new tag may be the only one left to reach.
+  }
 }
 
 void SimClock::DeenrollLocked(Waiter* waiter) {
@@ -292,19 +267,37 @@ void SimClock::DeenrollLocked(Waiter* waiter) {
   }
 }
 
-void SimClock::MaybeAdvanceLocked() {
-  // Quiescence: every participant is accounted for — enrolled as a waiter or
-  // parked in an external wait — and no cross-thread wake is in flight.
-  // (Threads that never Join()ed, e.g. a test's main thread doing a serial
-  // virtual sleep, don't gate advance but their tags DO schedule it.)
-  size_t blocked_participants = 0;
-  for (const Waiter* waiter : waiters_) {
-    if (waiter->participant && !waiter->wake) {
-      ++blocked_participants;
-    }
+void SimClock::WakeLocked(Waiter* waiter) {
+  waiter->wake = true;
+  if (waiter->participant) {
+    ready_.push_back(waiter);  // Resumes when GrantLocked hands it the turn.
+  } else {
+    cv_.notify_all();
   }
-  if (reserved_ > 0 || blocked_participants + external_ < participants_ ||
-      pending_wakeups_ > 0) {
+}
+
+void SimClock::YieldTurnLocked() {
+  running_ = false;
+  GrantLocked();
+  MaybeAdvanceLocked();
+}
+
+void SimClock::GrantLocked() {
+  if (running_ || ready_.empty()) {
+    return;
+  }
+  running_ = true;
+  ready_.front()->runs = true;
+  ready_.pop_front();
+  cv_.notify_all();
+}
+
+void SimClock::MaybeAdvanceLocked() {
+  // Quiescence: nobody runs and nobody waits for the turn, so every
+  // participant is parked. (Threads that never Join()ed, e.g. a test's main
+  // thread doing a serial virtual sleep, don't gate advance but their tags
+  // DO schedule it.)
+  if (running_ || !ready_.empty()) {
     return;
   }
   // Earliest scheduled tag over ALL non-woken waiters, participant or not.
@@ -319,26 +312,19 @@ void SimClock::MaybeAdvanceLocked() {
   }
   now_ms_ = std::max(now_ms_, min_tag);
   ++advances_;
-  bool woke_any = false;
+  // Every waiter woken here has the tag min_tag, and waiters_ is in
+  // enrollment order: the ready list takes them in (tag, enrollment) order.
   for (Waiter* waiter : waiters_) {
     if (!waiter->wake && waiter->wake_ms <= now_ms_) {
-      waiter->wake = true;
-      woke_any = true;
+      WakeLocked(waiter);
     }
   }
-  if (woke_any) {
-    cv_.notify_all();
-  }
+  GrantLocked();
 }
 
 void SimClock::BlockLocked(NativeMutexLock& lock, Waiter* waiter) {
-  while (!waiter->wake) {
+  while (!(waiter->participant ? waiter->runs : waiter->wake)) {
     cv_.wait(lock);
-    // A wake may have landed for someone else, or state changed (Leave,
-    // BeginExternalWait, new enrollment); re-evaluate advance each round.
-    if (!waiter->wake) {
-      MaybeAdvanceLocked();
-    }
   }
 }
 

@@ -10,37 +10,42 @@
 //               pre-seam code: callers that never pass a Clock* see no
 //               change at all.
 //   SimClock  — a discrete-event virtual clock. Threads that participate in
-//               the simulation register themselves (Join/Leave); whenever
-//               every participant is blocked — sleeping until a virtual
-//               instant, waiting on a ClockCondVar, or parked in an
-//               "external" wait for a result another participant will
-//               produce — the clock advances virtual time to the earliest
-//               scheduled wake tag and resumes exactly the waiters whose
-//               tags arrived. Nothing ever waits on the host clock, so a
-//               workload that takes minutes of wall time replays in
-//               milliseconds, and because time only moves at quiescence the
-//               event order (arrivals, deadline expiries, linger timeouts)
-//               is a pure function of the scheduled tags — deterministic
-//               regardless of host speed or core count. Grounded in the
-//               strongly-consistent discrete-event systems construction
-//               (Donovan et al., PAPERS.md): components advance a shared
-//               virtual clock via tagged events.
+//               the simulation register themselves (Join/Leave), and at most
+//               one participant runs at a time: a participant woken by a
+//               notify or by its tag arriving waits in a ready list until
+//               the running one blocks or leaves, and ready participants run
+//               one after another in wake order — notify order, or (tag,
+//               enrolment order) for timed wakes. Once nobody runs and
+//               nobody is ready, the clock advances virtual time to the
+//               earliest scheduled wake tag. Nothing ever waits on the host
+//               clock, so a workload that takes minutes of wall time replays
+//               in milliseconds, and because participants never overlap,
+//               every interleaving of their code — same-instant events
+//               included — is a pure function of the scheduled tags and
+//               wake order: deterministic regardless of host speed or core
+//               count. Grounded in the strongly-consistent discrete-event
+//               systems construction (Donovan et al., PAPERS.md): events
+//               with the same tag run in a defined microstep order.
 //
 // What is and isn't virtualized: only *waiting* consumes virtual time.
 // Real compute (an engine pass, a thread-pool fan-out, the simulated SSD's
-// throttle sleeps) runs at wall speed while virtual time stands still —
-// participants executing code are "runnable", and the clock never advances
-// past a runnable thread. A simulation that wants service time to pass must
-// charge it explicitly through SleepFor (see SimulatedRunner in
-// src/runtime/sim_runner.h).
+// throttle sleeps) runs at wall speed while virtual time stands still — the
+// running participant holds the instant, and the clock never advances past
+// it. A simulation that wants service time to pass must charge it
+// explicitly through SleepFor (see SimulatedRunner in
+// src/runtime/sim_runner.h). A participant must therefore never block
+// outside the clock on another participant (a std::future, a plain
+// condition variable, a thread join): the other one cannot run until it
+// does.
 #ifndef PRISM_SRC_COMMON_CLOCK_H_
 #define PRISM_SRC_COMMON_CLOCK_H_
 
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <deque>
 #include <limits>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -82,6 +87,9 @@ class ClockCondVar {
 
 class Clock {
  public:
+  // The place a Join takes in the run order when the spawner reserved none.
+  static constexpr uint64_t kUnreserved = std::numeric_limits<uint64_t>::max();
+
   virtual ~Clock() = default;
 
   // Milliseconds since the clock's epoch (process start for the wall clock,
@@ -97,40 +105,37 @@ class Clock {
   // --- Discrete-event participation (all no-ops on the wall clock). ------
 
   // Registers / unregisters the calling thread as a simulation participant.
-  // Virtual time advances only when every registered participant is blocked.
-  virtual void Join() {}
+  // Join returns once it is the thread's turn to run: `slot` is a place
+  // handed out by ExpectParticipants, or kUnreserved to queue behind
+  // whatever is ready now.
+  virtual void Join(uint64_t slot) { (void)slot; }
   virtual void Leave() {}
 
-  // Reserves `n` future participants: a spawner calls this BEFORE starting
-  // participant threads, and each thread's Join() consumes one reservation.
-  // Advance is forbidden while reservations are outstanding — otherwise the
+  // Reserves `n` future participants and returns the first of their slots
+  // (the i-th thread joins with slot first + i): a spawner calls this
+  // BEFORE starting participant threads. The slots queue to run in
+  // reservation order, and time cannot advance past them — otherwise the
   // first thread to start could block and advance the clock past tags the
-  // not-yet-registered threads were due to wake at (a host-scheduling race
-  // that would break determinism at every thread spawn).
-  virtual void ExpectParticipants(size_t n) { (void)n; }
+  // not-yet-registered threads were due to wake at, and host join order
+  // would decide who runs first.
+  virtual uint64_t ExpectParticipants(size_t n) {
+    (void)n;
+    return 0;
+  }
 
   // Blocks the caller (at zero virtual cost) until every other participant
   // is blocked too — i.e. until the current virtual instant has fully played
   // out. Dispatchers call this before draining a queue so that a batch
-  // always contains *every* request issued at the instant, independent of
-  // host thread interleaving.
+  // always contains *every* request issued at the instant.
   virtual void YieldUntilQuiescent() {}
-
-  // Wake handshake for promises fulfilled across threads: the fulfiller
-  // calls PreWake() immediately before promise.set_value, and the awaiting
-  // side brackets future.get() with Begin/EndExternalWait (see AwaitFuture).
-  // The SimClock refuses to advance while any such wake is in flight, so a
-  // woken thread always resumes at the exact virtual instant its result was
-  // produced.
-  virtual void PreWake() {}
-  virtual void BeginExternalWait() {}
-  virtual void EndExternalWait() {}
 };
 
 // RAII participant registration.
 class ClockMembership {
  public:
-  explicit ClockMembership(Clock* clock) : clock_(clock) { clock_->Join(); }
+  explicit ClockMembership(Clock* clock, uint64_t slot = Clock::kUnreserved) : clock_(clock) {
+    clock_->Join(slot);
+  }
   ~ClockMembership() { clock_->Leave(); }
   ClockMembership(const ClockMembership&) = delete;
   ClockMembership& operator=(const ClockMembership&) = delete;
@@ -138,16 +143,6 @@ class ClockMembership {
  private:
   Clock* clock_;
 };
-
-// Blocks on a future through the clock's external-wait protocol. The
-// fulfilling side must call clock->PreWake() right before set_value.
-template <typename T>
-T AwaitFuture(Clock* clock, std::future<T> future) {
-  clock->BeginExternalWait();
-  T value = future.get();
-  clock->EndExternalWait();
-  return value;
-}
 
 // Monotonic wall time; the process-wide default. Get() hands out one shared
 // instance so every layer that defaults its Clock* sees the same epoch.
@@ -174,7 +169,8 @@ inline Clock* ResolveClock(Clock* clock) {
 
 // The discrete-event virtual clock (see file comment). All state lives under
 // one mutex; waiters park on one central condition variable and are resumed
-// by notifies or by virtual-time advances. Thread-safe throughout.
+// by notifies, virtual-time advances, or their turn to run. Thread-safe
+// throughout.
 class SimClock : public Clock {
  public:
   SimClock() = default;
@@ -184,17 +180,12 @@ class SimClock : public Clock {
   void SleepUntil(double wake_ms) override;
   std::unique_ptr<ClockCondVar> MakeCondVar() override;
 
-  void Join() override;
+  void Join(uint64_t slot) override;
   void Leave() override;
-  void ExpectParticipants(size_t n) override;
+  uint64_t ExpectParticipants(size_t n) override;
   void YieldUntilQuiescent() override;
-  void PreWake() override;
-  void BeginExternalWait() override;
-  void EndExternalWait() override;
 
-  // Introspection (tests, assertions).
-  size_t participants() const;
-  // Virtual-time advances performed so far.
+  // Virtual-time advances performed so far (tests).
   uint64_t advances() const;
 
  private:
@@ -206,6 +197,7 @@ class SimClock : public Clock {
     double wake_ms = kNever;   // Virtual instant at which to resume (inf = untimed).
     bool wake = false;         // Set by a notify or an expired tag.
     bool participant = false;  // Enrolling thread had Join()ed this clock.
+    bool runs = false;         // Participant: its turn to run has come.
     uint64_t seq = 0;          // Enrollment order; NotifyOne resumes lowest.
     const void* cv_tag = nullptr;  // Owning SimCondVar (null for sleepers).
   };
@@ -213,24 +205,34 @@ class SimClock : public Clock {
   // All Locked helpers require mu_ held.
   void EnrollLocked(Waiter* waiter) PRISM_REQUIRES(mu_);
   void DeenrollLocked(Waiter* waiter) PRISM_REQUIRES(mu_);
-  // Advances virtual time iff every participant is blocked (or in an
-  // external wait), no cross-thread wake is in flight, and some waiter has a
-  // finite tag. Wakes every waiter whose tag has arrived.
+  // Marks a waiter woken: a non-participant resumes at once, a participant
+  // joins the back of the ready list.
+  void WakeLocked(Waiter* waiter) PRISM_REQUIRES(mu_);
+  // The running participant stopped (it blocked or left): hand the turn to
+  // the first ready one, or, if none is ready, advance time.
+  void YieldTurnLocked() PRISM_REQUIRES(mu_);
+  // Hands the turn to the first ready participant if nobody runs.
+  void GrantLocked() PRISM_REQUIRES(mu_);
+  // Advances virtual time iff nobody runs, nobody is ready, and some waiter
+  // has a finite tag. Wakes every waiter whose tag has arrived.
   void MaybeAdvanceLocked() PRISM_REQUIRES(mu_);
-  // Parks the caller until its waiter is woken. `lock` owns mu_ on entry
-  // (it is the MutexLock's native lock) and owns it again on return.
+  // Parks the caller until its waiter is woken (a non-participant) or its
+  // turn to run has come (a participant). `lock` owns mu_ on entry (it is
+  // the MutexLock's native lock) and owns it again on return.
   void BlockLocked(NativeMutexLock& lock, Waiter* waiter) PRISM_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::condition_variable cv_;  // Central: every waiter parks here.
   double now_ms_ PRISM_GUARDED_BY(mu_) = 0.0;
-  size_t participants_ PRISM_GUARDED_BY(mu_) = 0;
-  // Announced participants not yet Join()ed.
-  size_t reserved_ PRISM_GUARDED_BY(mu_) = 0;
-  // Participants inside Begin/EndExternalWait.
-  size_t external_ PRISM_GUARDED_BY(mu_) = 0;
-  // PreWake handshakes not yet consumed.
-  size_t pending_wakeups_ PRISM_GUARDED_BY(mu_) = 0;
+  // A participant holds the turn: it runs, or it is a reserved slot whose
+  // thread has yet to join.
+  bool running_ PRISM_GUARDED_BY(mu_) = false;
+  // Woken participants waiting for the turn, in wake order.
+  std::deque<Waiter*> ready_ PRISM_GUARDED_BY(mu_);
+  // Reserved slots whose thread has not joined yet (std::map: stable nodes,
+  // so ready_ may point at them).
+  std::map<uint64_t, Waiter> reserved_ PRISM_GUARDED_BY(mu_);
+  uint64_t next_slot_ PRISM_GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ PRISM_GUARDED_BY(mu_) = 0;
   uint64_t advances_ PRISM_GUARDED_BY(mu_) = 0;
   std::vector<Waiter*> waiters_ PRISM_GUARDED_BY(mu_);

@@ -54,18 +54,19 @@ RequestQueue::RequestQueue(Clock* clock)
 
 RequestQueue::~RequestQueue() = default;
 
-std::future<RerankResult> RequestQueue::Push(const RerankRequest& request) {
+std::shared_ptr<RequestQueue::Reply> RequestQueue::Push(const RerankRequest& request) {
   // Stamp at arrival: the deadline countdown starts now.
   const double admitted_ms = clock_->NowMs();
   Pending pending;
   pending.request = &request;
+  pending.reply = std::make_shared<Reply>(clock_);
   pending.priority = request.priority;
   pending.admitted_ms = admitted_ms;
   if (request.deadline_ms > 0.0) {
     pending.has_deadline = true;
     pending.deadline_at_ms = admitted_ms + request.deadline_ms;
   }
-  std::future<RerankResult> future = pending.promise.get_future();
+  std::shared_ptr<Reply> reply = pending.reply;
   {
     MutexLock lock(mu_);
     PRISM_CHECK_MSG(!closed_, "Push after Close");
@@ -74,7 +75,24 @@ std::future<RerankResult> RequestQueue::Push(const RerankRequest& request) {
     InsertOrdered(std::move(pending));
   }
   cv_->NotifyOne();
-  return future;
+  return reply;
+}
+
+RerankResult RequestQueue::Await(Reply& reply) {
+  MutexLock lock(mu_);
+  while (!reply.answered) {
+    reply.cv->Wait(mu_);
+  }
+  return std::move(reply.result);
+}
+
+void RequestQueue::Answer(Reply& reply, RerankResult result) {
+  {
+    MutexLock lock(mu_);
+    reply.result = std::move(result);
+    reply.answered = true;
+  }
+  reply.cv->NotifyOne();
 }
 
 void RequestQueue::InsertOrdered(Pending pending) {
@@ -121,11 +139,9 @@ std::vector<RequestQueue::Pending> RequestQueue::DrainPass(size_t max_batch,
 }
 
 void RequestQueue::AnswerShed(std::vector<Pending> shed) {
-  // Fulfil shed promises (set_value wakes the caller).
   for (Pending& pending : shed) {
     const double waited_ms = clock_->NowMs() - pending.admitted_ms;
-    clock_->PreWake();
-    pending.promise.set_value(MakeShedResult(pending.request->deadline_ms, waited_ms));
+    Answer(*pending.reply, MakeShedResult(pending.request->deadline_ms, waited_ms));
   }
 }
 
@@ -204,8 +220,8 @@ CarouselScheduler::CarouselScheduler(CarouselRunner* runner, size_t max_inflight
   compute_pool_ = std::make_unique<ThreadPool>(compute_threads);
   // Announce the dispatcher before it exists: a SimClock must not advance
   // past tags scheduled "now" while the dispatcher thread is still starting.
-  clock_->ExpectParticipants(1);
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  const uint64_t slot = clock_->ExpectParticipants(1);
+  dispatcher_ = std::thread([this, slot] { DispatchLoop(slot); });
 }
 
 CarouselScheduler::~CarouselScheduler() {
@@ -217,7 +233,8 @@ RerankResult CarouselScheduler::Submit(const RerankRequest& request) {
   // The queue tags this entry with its epoch, so the dispatcher can report
   // exactly how many admission events the request waited (its admission
   // latency in cycle units).
-  return AwaitFuture(clock_, queue_.Push(request));
+  const std::shared_ptr<RequestQueue::Reply> reply = queue_.Push(request);
+  return queue_.Await(*reply);
 }
 
 CarouselScheduler::Stats CarouselScheduler::stats() const {
@@ -250,7 +267,7 @@ void CarouselScheduler::AdmitBoundary(CarouselPass* pass,
     Resident resident;
     resident.queue_wait_ms = now_ms - batch[i].admitted_ms;
     resident.ticket = std::move(tickets[i]);
-    resident.promise = std::move(batch[i].promise);
+    resident.reply = std::move(batch[i].reply);
     max_wait = std::max(max_wait, static_cast<size_t>(boundary - batch[i].tag));
     residents->push_back(std::move(resident));
   }
@@ -259,10 +276,10 @@ void CarouselScheduler::AdmitBoundary(CarouselPass* pass,
   stats_.max_boundary_wait = std::max(stats_.max_boundary_wait, max_wait);
 }
 
-void CarouselScheduler::DispatchLoop() {
+void CarouselScheduler::DispatchLoop(uint64_t slot) {
   // The dispatcher is a simulation participant: while it is runnable —
   // draining the queue, stepping a layer — virtual time stands still.
-  const ClockMembership membership(clock_);
+  const ClockMembership membership(clock_, slot);
   for (;;) {
     // Idle: block for traffic, then spin the carousel up for one busy
     // period. It keeps revolving as long as boundary admission finds work.
@@ -308,8 +325,7 @@ void CarouselScheduler::DispatchLoop() {
             MutexLock lock(stats_mu_);
             ++stats_.exited_early;
           }
-          clock_->PreWake();
-          it->promise.set_value(std::move(result));
+          queue_.Answer(*it->reply, std::move(result));
           it = residents.erase(it);
         } else {
           ++it;

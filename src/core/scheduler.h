@@ -48,7 +48,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <limits>
 #include <memory>
 #include <string>
@@ -116,11 +115,12 @@ class SerialScheduler : public Scheduler {
 // Pushes never block on the dispatcher. Pop waits up to a timeout for an
 // unexpired request (or Close) and then drains up to `max_batch` entries in
 // (priority desc, ticket asc) order. Expired entries are shed inside Pop:
-// their promises are fulfilled with a kDeadlineExceeded result and they
+// their callers are answered with a kDeadlineExceeded result and they
 // never surface to the dispatcher. All timestamps are clock milliseconds;
-// all waits go through the clock's condition variables, so SimClock
-// determinism is preserved — ordering decisions happen only in the
-// dispatcher, after a yield to quiescence.
+// all waits — the dispatcher's for work, each caller's for its answer — go
+// through the clock's condition variables, so SimClock determinism is
+// preserved — ordering decisions happen only in the dispatcher, after a
+// yield to quiescence.
 class RequestQueue {
  public:
   explicit RequestQueue(Clock* clock = nullptr);
@@ -129,9 +129,20 @@ class RequestQueue {
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
 
+  // Where one caller's answer lands: Push hands it out, the dispatcher fills
+  // it with Answer (or Pop does, for a shed entry), and Await blocks on it.
+  // Its fields are guarded by the queue's mutex (not annotatable here: the
+  // mutex lives in the queue).
+  struct Reply {
+    explicit Reply(Clock* clock) : cv(clock->MakeCondVar()) {}
+    std::unique_ptr<ClockCondVar> cv;
+    bool answered = false;
+    RerankResult result;
+  };
+
   struct Pending {
     const RerankRequest* request = nullptr;
-    std::promise<RerankResult> promise;
+    std::shared_ptr<Reply> reply;
     uint64_t ticket = 0;
     int priority = 0;
     // The queue's epoch() when this entry was pushed. Push and the epoch
@@ -150,7 +161,11 @@ class RequestQueue {
   // Every Pop that returns a non-empty batch is an admission event and bumps
   // epoch(). With free capacity, epoch-at-dispatch − tag == 1, always.
 
-  std::future<RerankResult> Push(const RerankRequest& request);
+  std::shared_ptr<Reply> Push(const RerankRequest& request);
+  // Blocks until `reply` is answered and returns its result (once).
+  RerankResult Await(Reply& reply);
+  // Publishes a caller's result and wakes it.
+  void Answer(Reply& reply, RerankResult result);
 
   // Pop's timeout that never gives up: block until a batch or Close.
   static constexpr double kForever = std::numeric_limits<double>::infinity();
@@ -186,7 +201,7 @@ class RequestQueue {
   // Sorted insert into ordered_ (priority desc, ticket asc), scanning from
   // the back — O(1) for the in-ticket-order pushes of one priority.
   void InsertOrdered(Pending pending) PRISM_REQUIRES(mu_);
-  // Fulfils shed promises.
+  // Answers shed entries.
   void AnswerShed(std::vector<Pending> shed);
   bool HasWorkLocked() const PRISM_REQUIRES(mu_) { return !ordered_.empty(); }
 
@@ -244,11 +259,12 @@ class CarouselScheduler : public Scheduler {
  private:
   struct Resident {
     std::unique_ptr<CarouselTicket> ticket;
-    std::promise<RerankResult> promise;
+    std::shared_ptr<RequestQueue::Reply> reply;
     double queue_wait_ms = 0.0;
   };
 
-  void DispatchLoop();
+  // Runs on dispatcher_, joining the clock with the reserved `slot`.
+  void DispatchLoop(uint64_t slot);
   // Admits `batch` into `pass` at a layer-0 boundary, updating the
   // admission stats.
   void AdmitBoundary(CarouselPass* pass, std::vector<RequestQueue::Pending> batch,

@@ -9,23 +9,6 @@
 namespace prism {
 namespace {
 
-// Gap between consecutive coalesced-waiter releases after a fill completes.
-// Small enough to be latency-noise, large enough that a SimClock schedules
-// each waiter at its own virtual instant (see the header's single-flight
-// note): waiter i resumes alone, finishes its turn on any shared queues, and
-// blocks before waiter i+1 becomes runnable.
-constexpr double kCoalesceStaggerMs = 1e-3;
-
-// Two different-key fills can finish at the same instant — a scheduler shed
-// drain answers several queued leaders in one pop — and each fill's waiters
-// count slots from 0, so slot staggering alone would release one waiter per
-// fill at the same instant. A per-key phase (a pure function of
-// RequestKey::Hash, so it needs no cross-thread state) keeps cross-fill releases on
-// distinct instants too; the bucket count is prime and the phase range stays
-// below one slot so same-fill slot order is preserved.
-constexpr double kFillPhaseMs = 1e-6;
-constexpr uint64_t kFillPhaseBuckets = 509;
-
 // A cached result re-served to a new caller: ranking is the engine's, but
 // the timing belongs to the original fill, not this request — scrub it so
 // workload latency stats measure this caller's experience (cache residence),
@@ -98,7 +81,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
     // request aging out of a scheduler queue.
     parked = true;
     const std::shared_ptr<FillState> fill = fill_it->second;
-    const size_t slot = fill->parked++;
     if (request.deadline_ms > 0.0) {
       const double give_up_ms = enter_ms + request.deadline_ms;
       while (!fill->done) {
@@ -117,15 +99,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
         cv_->Wait(mu_);
       }
     }
-    // Staggered release (header note): every waiter woke at the fill's
-    // completion instant; re-sleep to a slot of our own so waiters resume
-    // one at a time, in park order.
-    const double release_ms =
-        fill->done_ms + kCoalesceStaggerMs * static_cast<double>(slot + 1) +
-        kFillPhaseMs * static_cast<double>(key.Hash() % kFillPhaseBuckets + 1);
-    mu_.Unlock();
-    clock_->SleepUntil(release_ms);
-    mu_.Lock();
     // Loop: re-probe the map. If the leader succeeded we coalesce onto its
     // entry; if it failed (fill gone, no entry) we compete to lead anew.
   }
@@ -140,7 +113,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   RerankResult result = inner_->Rerank(request);
 
   mu_.Lock();
-  const double done_ms = clock_->NowMs();
   fills_.erase(key);
   if (result.status.ok()) {
     InsertLocked(std::move(key), result);
@@ -152,7 +124,6 @@ RerankResult ResultCache::Rerank(const RerankRequest& request) {
   // released waiter leads its own fill. An error never poisons the key,
   // and the leader's error surfaces only to its own caller.
   fill->done = true;
-  fill->done_ms = done_ms;
   cv_->NotifyAll();
   mu_.Unlock();
   return result;

@@ -26,12 +26,10 @@
 //     to lead a fresh fill. This is where Zipf flash crowds actually burn
 //     capacity — without it, N concurrent repeats of a cold head query
 //     would all miss and run N engine passes.
-//     Coalesced waiters are released one at a time, each at its own clock
-//     instant (park order, ~1 us apart), never as a thundering herd: on a
-//     SimClock a fill completion would otherwise make every waiter runnable
-//     at the same virtual instant and their subsequent shared-queue
-//     interactions would interleave by host thread timing — the staggered
-//     release keeps a cache-fronted serial stack's replay byte-identical.
+//     A fill completion wakes every waiter at its instant. On a SimClock
+//     they then resume one at a time in park order (the clock runs one
+//     participant at a time, src/common/clock.h), so a cache-fronted
+//     stack's replay is byte-identical without any release schedule here.
 //
 // Thread-safe throughout. Every counter is bumped under the cache mutex, so
 // stats() is one consistent snapshot.
@@ -53,9 +51,9 @@ namespace prism {
 struct ResultCacheOptions {
   // Resident entries (floored at 1).
   size_t capacity = 1024;
-  // Time source for waiter parking and release. nullptr = shared wall
-  // clock; point it (and the service's clock) at a SimClock for
-  // deterministic virtual-time replay.
+  // Time source for waiter parking. nullptr = shared wall clock; point it
+  // (and the service's clock) at a SimClock for deterministic virtual-time
+  // replay.
   Clock* clock = nullptr;
 };
 
@@ -104,14 +102,10 @@ class ResultCache : public Runner {
   };
 
   // One in-flight fill. Waiters keep the state alive (shared_ptr) past the
-  // fills-map erase that publishes completion; `parked` hands each waiter a
-  // release slot in park order for the staggered post-fill wakeup. All
-  // fields are guarded by the cache's mu_ (not annotatable here: the
-  // guarding mutex lives in a different object).
+  // fills-map erase that publishes completion. Guarded by the cache's mu_
+  // (not annotatable here: the guarding mutex lives in a different object).
   struct FillState {
     bool done = false;
-    double done_ms = 0.0;
-    size_t parked = 0;
   };
 
   void InsertLocked(RequestKey key, const RerankResult& result) PRISM_REQUIRES(mu_);

@@ -157,28 +157,24 @@ ScenarioOutcome ScenarioHarness::Run(size_t query_idx, Runner* runner) const {
       const FileSearchResult result = file_search_->Search(q, options_.k, &probe);
       outcome.selection = result.top_docs;
       outcome.quality = result.precision;
-      outcome.rerank_ms = result.rerank_ms;
       break;
     }
     case ScenarioKind::kRag: {
       const RagResult result = rag_->Query(q, &probe);
       outcome.selection = result.context_docs;
       outcome.quality = result.accuracy;
-      outcome.rerank_ms = result.rerank_ms;
       break;
     }
     case ScenarioKind::kAgentMemory: {
       const AgentTaskResult result = agent_->RunTask(q, &probe);
       outcome.selection = result.picks;
       outcome.quality = result.success ? 1.0 : 0.0;
-      outcome.rerank_ms = result.rerank_ms;
       break;
     }
     case ScenarioKind::kLcs: {
       const LcsResult result = lcs_->Answer(q, &probe);
       outcome.selection = result.chosen;
       outcome.quality = result.precision;
-      outcome.rerank_ms = result.rerank_ms;
       break;
     }
   }
@@ -338,42 +334,31 @@ WorkloadReport RunWorkload(const ScenarioHarness& scenario, Runner* runner,
   clients.reserve(options.clients);
   // Reserve every client's simulation membership before any thread starts
   // (no-op on the wall clock): an early-starting client must not advance
-  // virtual time past arrival tags its still-starting peers own.
-  clock->ExpectParticipants(options.clients);
+  // virtual time past arrival tags its still-starting peers own, and the
+  // clients first run in index order, not host start order.
+  const uint64_t first_slot = clock->ExpectParticipants(options.clients);
   for (size_t c = 0; c < options.clients; ++c) {
     clients.emplace_back([&, c] {
       // Client threads are simulation participants (no-op on wall clock):
       // the SimClock advances only when every one of them is blocked.
-      const ClockMembership membership(clock);
+      const ClockMembership membership(clock, first_slot + c);
       const int priority = c < high_clients ? kHighPriority : 0;
       TaggingRunner tagged(runner, priority, options.deadline_ms);
-      // A client-unique sub-millisecond stagger keeps same-instant issues
-      // apart in virtual time, so queue tickets — and with them batch
-      // composition — are deterministic. Invisible at wall-clock scale.
-      const double stagger_ms = static_cast<double>(c + 1) * 1e-3;
       // Static partition: client c owns request indexes ≡ c (mod clients).
       // Unlike a shared work-claiming counter, the request → client mapping
       // (and so each request's priority class) is interleaving-free.
       for (size_t i = c; i < total; i += options.clients) {
         Record& record = records[i];
         if (!arrival_ms.empty()) {
+          // A client behind schedule issues at once.
           const double scheduled_ms = start_ms + arrival_ms[i];
-          double target_ms = scheduled_ms;
-          if (clock->NowMs() >= target_ms) {
-            // Behind schedule: issue now (plus the stagger — a client
-            // catching up collides with other clients' instants otherwise).
-            target_ms = clock->NowMs() + stagger_ms;
-          }
-          clock->SleepUntil(target_ms);
+          clock->SleepUntil(scheduled_ms);
           // Open-loop latency runs from the *scheduled* arrival: time spent
           // waiting for a free client thread is queueing delay, not a
           // measurement artifact to hide.
           record.issue_ms = scheduled_ms;
         } else {
-          // Closed loop: issue as soon as the previous request completed,
-          // offset by the stagger (which also spreads the first round's
-          // otherwise-simultaneous client starts).
-          clock->SleepFor(stagger_ms);
+          // Closed loop: issue as soon as the previous request completed.
           record.issue_ms = clock->NowMs();
         }
         record.qid = qids[i];

@@ -60,7 +60,6 @@ struct ScenarioOutcome {
   bool error = false;   // At least one rerank failed with another status.
   std::vector<size_t> selection;
   double quality = 0.0;  // Precision / accuracy / task success (0 or 1).
-  double rerank_ms = 0.0;
   double queue_wait_ms = 0.0;  // Max scheduler admission wait observed.
 };
 
@@ -145,8 +144,10 @@ struct WorkloadOptions {
   //     i ≡ c (mod clients), so priority classes (by client index) are a
   //     pure function of the request index too.
   // What remains host-dependent under the wall clock is only *when* things
-  // complete; under a SimClock (below) completions are virtual-time events
-  // and the entire run is deterministic.
+  // complete. Under a SimClock (below) completions are virtual-time events
+  // and participants run one at a time in a fixed order, so the whole run —
+  // open or closed loop, any scheduler, with or without a ResultCache in
+  // front — is deterministic.
   uint64_t seed = 0x10AD;
   // Time source for arrival pacing, latency measurement, and the
   // warmup/measure machinery. nullptr (default) = shared wall clock. Point

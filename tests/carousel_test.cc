@@ -388,9 +388,9 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
     requests.push_back(TestRequest(config, 8, 2, i));
   }
   requests[1].deadline_ms = 7.0;
-  std::vector<std::future<RerankResult>> futures;
+  std::vector<std::shared_ptr<RequestQueue::Reply>> replies;
   for (const RerankRequest& request : requests) {
-    futures.push_back(queue.Push(request));
+    replies.push_back(queue.Push(request));
   }
   // Expiry is `now >= admitted + deadline`: advancing virtual time to the
   // exact expiry instant — not a tick further — must shed entry 1.
@@ -400,12 +400,10 @@ TEST(RequestQueueTryPopTest, NonBlockingPopShedsAndDrains) {
   ASSERT_EQ(batch.size(), 2u);  // Entry 1 shed, entries 0 and 2 popped.
   EXPECT_EQ(batch[0].ticket, 0u);
   EXPECT_EQ(batch[1].ticket, 2u);
-  // AwaitFuture, not a bare get(): the shed answer carries a PreWake token
-  // that the awaiting side must consume (as every scheduler's Submit does).
-  EXPECT_EQ(AwaitFuture(&clock, std::move(futures[1])).status.code(),
-            StatusCode::kDeadlineExceeded);
+  // The pop answered the shed entry itself.
+  EXPECT_EQ(queue.Await(*replies[1]).status.code(), StatusCode::kDeadlineExceeded);
   for (auto& pending : batch) {
-    pending.promise.set_value(RerankResult{});
+    queue.Answer(*pending.reply, RerankResult{});
   }
   EXPECT_TRUE(queue.Pop(2, /*timeout_ms=*/0.0).empty());
 }
@@ -418,10 +416,10 @@ TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
   auto first = queue.Push(request);
   std::vector<RequestQueue::Pending> earlier = queue.Pop(1, /*timeout_ms=*/0.0);
   ASSERT_EQ(earlier.size(), 1u);
-  earlier[0].promise.set_value(RerankResult{});
-  first.get();
+  queue.Answer(*earlier[0].reply, RerankResult{});
+  queue.Await(*first);
   EXPECT_EQ(queue.epoch(), 1u);
-  auto future = queue.Push(request);
+  auto reply = queue.Push(request);
   // Empty pops are not admission events: no bump.
   EXPECT_TRUE(queue.Pop(0, /*timeout_ms=*/0.0).empty());
   EXPECT_EQ(queue.epoch(), 1u);
@@ -430,8 +428,8 @@ TEST(RequestQueueTryPopTest, EpochTagsAtDrainAndBumpsThroughQueue) {
   EXPECT_EQ(batch[0].tag, 1u);     // Tagged with the epoch it arrived in...
   EXPECT_EQ(queue.epoch(), 2u);    // ...bumped by the non-empty pop.
   EXPECT_EQ(queue.epoch() - batch[0].tag, 1u);  // Exactly one admission event.
-  batch[0].promise.set_value(RerankResult{});
-  future.get();
+  queue.Answer(*batch[0].reply, RerankResult{});
+  queue.Await(*reply);
 }
 
 TEST(RequestQueueTryPopTest, TimedPopGivesUpAtItsDeadlineOrTakesAnArrival) {
@@ -444,19 +442,20 @@ TEST(RequestQueueTryPopTest, TimedPopGivesUpAtItsDeadlineOrTakesAnArrival) {
   EXPECT_TRUE(queue.Pop(4, /*timeout_ms=*/5.0).empty());
   EXPECT_EQ(clock.NowMs(), 5.0);
   // An arrival inside the window is handed out at its arrival instant.
-  std::future<RerankResult> future;
-  clock.ExpectParticipants(1);  // Time stands still until the producer joins.
+  std::shared_ptr<RequestQueue::Reply> reply;
+  // Time stands still until the producer joins.
+  const uint64_t slot = clock.ExpectParticipants(1);
   std::thread producer([&] {
-    const ClockMembership producer_membership(&clock);
+    const ClockMembership producer_membership(&clock, slot);
     clock.SleepUntil(7.0);
-    future = queue.Push(request);
+    reply = queue.Push(request);
   });
   std::vector<RequestQueue::Pending> batch = queue.Pop(4, /*timeout_ms=*/5.0);
   producer.join();
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(clock.NowMs(), 7.0);
-  batch[0].promise.set_value(RerankResult{});
-  future.get();
+  queue.Answer(*batch[0].reply, RerankResult{});
+  queue.Await(*reply);
 }
 
 }  // namespace

@@ -187,13 +187,13 @@ TEST(ResultCacheTest, SharedQueryArrivingMidFillLeadsItsOwnFill) {
   const RerankRequest a = WithPlantedR(MakeRequest(5), 0.0f);
   const RerankRequest b = WithPlantedR(MakeRequest(5), 1.0f);
 
-  clock.ExpectParticipants(2);
+  const uint64_t slot = clock.ExpectParticipants(2);
   std::thread first([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, slot);
     EXPECT_TRUE(cache.Rerank(a).status.ok());  // Fills from t = 0 to t = 10.
   });
   std::thread second([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, slot + 1);
     clock.SleepUntil(1.0);  // Arrive while a's fill is in flight.
     EXPECT_TRUE(cache.Rerank(b).status.ok());
   });
@@ -222,13 +222,13 @@ TEST(ResultCacheTest, SingleFlightCoalescesConcurrentIdenticalQueries) {
   const RerankRequest request = MakeRequest(2);
 
   constexpr size_t kClients = 4;
-  clock.ExpectParticipants(kClients);
+  const uint64_t first = clock.ExpectParticipants(kClients);
   std::mutex mu;
   std::vector<RerankResult> results;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < kClients; ++c) {
-    threads.emplace_back([&] {
-      const ClockMembership membership(&clock);
+    threads.emplace_back([&, c] {
+      const ClockMembership membership(&clock, first + c);
       RerankResult result = cache.Rerank(request);
       std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(result));
@@ -263,13 +263,13 @@ TEST(ResultCacheTest, FailedFillNeitherPoisonsTheKeyNorWedgesWaiters) {
   ResultCache cache(&inner, options);
   const RerankRequest request = MakeRequest(6);
 
-  clock.ExpectParticipants(2);
+  const uint64_t first = clock.ExpectParticipants(2);
   std::mutex mu;
   std::vector<RerankResult> results;
   std::vector<std::thread> threads;
   for (size_t c = 0; c < 2; ++c) {
-    threads.emplace_back([&] {
-      const ClockMembership membership(&clock);
+    threads.emplace_back([&, c] {
+      const ClockMembership membership(&clock, first + c);
       RerankResult result = cache.Rerank(request);
       std::lock_guard<std::mutex> lock(mu);
       results.push_back(std::move(result));
@@ -310,15 +310,15 @@ TEST(ResultCacheTest, DeadlineExpiringWhileParkedShedsWithTrueResidence) {
   options.clock = &clock;
   ResultCache cache(&inner, options);
 
-  clock.ExpectParticipants(2);
+  const uint64_t slot = clock.ExpectParticipants(2);
   RerankResult waiter_result;
   std::thread leader([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, slot);
     // Leads the fill at t = 0; the inner pass runs until t = 20.
     EXPECT_TRUE(cache.Rerank(MakeRequest(4)).status.ok());
   });
   std::thread waiter([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, slot + 1);
     clock.SleepUntil(1.0);  // Park strictly after the leader's fill starts.
     RerankRequest request = MakeRequest(4);
     request.deadline_ms = 5.0;

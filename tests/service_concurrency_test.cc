@@ -74,9 +74,9 @@ TEST(RequestQueueTest, PopsInAdmissionOrder) {
   RequestQueue queue;
   const ModelConfig config = TestModel();
   std::vector<RerankRequest> requests = MakeRequests(config, 5);
-  std::vector<std::future<RerankResult>> futures;
+  std::vector<std::shared_ptr<RequestQueue::Reply>> replies;
   for (const RerankRequest& request : requests) {
-    futures.push_back(queue.Push(request));
+    replies.push_back(queue.Push(request));
   }
   EXPECT_EQ(queue.size(), 5u);
   std::vector<RequestQueue::Pending> first = queue.Pop(3, RequestQueue::kForever);
@@ -89,12 +89,11 @@ TEST(RequestQueueTest, PopsInAdmissionOrder) {
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].ticket, 3u);
   EXPECT_EQ(rest[1].ticket, 4u);
-  // Fulfil so the futures don't dangle.
   for (auto& pending : first) {
-    pending.promise.set_value(RerankResult{});
+    queue.Answer(*pending.reply, RerankResult{});
   }
   for (auto& pending : rest) {
-    pending.promise.set_value(RerankResult{});
+    queue.Answer(*pending.reply, RerankResult{});
   }
 }
 
@@ -104,10 +103,10 @@ TEST(RequestQueueTest, PriorityThenFifoOrder) {
   std::vector<RerankRequest> requests = MakeRequests(config, 6);
   // Tickets 0..5; priorities: 0, 2, 1, 2, 0, 1.
   const int priorities[] = {0, 2, 1, 2, 0, 1};
-  std::vector<std::future<RerankResult>> futures;
+  std::vector<std::shared_ptr<RequestQueue::Reply>> replies;
   for (size_t i = 0; i < requests.size(); ++i) {
     requests[i].priority = priorities[i];
-    futures.push_back(queue.Push(requests[i]));
+    replies.push_back(queue.Push(requests[i]));
   }
   // Expected pop order: priority desc, ticket asc → 1, 3 (pri 2); 2, 5
   // (pri 1); 0, 4 (pri 0).
@@ -118,7 +117,7 @@ TEST(RequestQueueTest, PriorityThenFifoOrder) {
     EXPECT_EQ(batch[i].ticket, expected[i]) << "position " << i;
   }
   for (auto& pending : batch) {
-    pending.promise.set_value(RerankResult{});
+    queue.Answer(*pending.reply, RerankResult{});
   }
 }
 
@@ -128,28 +127,28 @@ TEST(RequestQueueTest, ExpiredEntriesAreShedWithErrorResult) {
   std::vector<RerankRequest> requests = MakeRequests(config, 3);
   requests[0].deadline_ms = 0.01;
   requests[2].deadline_ms = 0.01;  // requests[1] has no deadline.
-  std::vector<std::future<RerankResult>> futures;
+  std::vector<std::shared_ptr<RequestQueue::Reply>> replies;
   for (const RerankRequest& request : requests) {
-    futures.push_back(queue.Push(request));
+    replies.push_back(queue.Push(request));
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
   std::vector<RequestQueue::Pending> batch = queue.Pop(4, RequestQueue::kForever);
   ASSERT_EQ(batch.size(), 1u);  // Only the undeadlined entry survives.
   EXPECT_EQ(batch[0].ticket, 1u);
-  batch[0].promise.set_value(RerankResult{});
+  queue.Answer(*batch[0].reply, RerankResult{});
   for (size_t i : {size_t{0}, size_t{2}}) {
-    const RerankResult shed = futures[i].get();
+    const RerankResult shed = queue.Await(*replies[i]);
     EXPECT_EQ(shed.status.code(), StatusCode::kDeadlineExceeded) << "request " << i;
     EXPECT_TRUE(shed.topk.empty());
   }
-  EXPECT_TRUE(futures[1].get().status.ok());
+  EXPECT_TRUE(queue.Await(*replies[1]).status.ok());
 }
 
 // 16 producers hammer the queue with mixed priorities and deadlines while
 // one consumer drains it. Invariants: every popped batch is sorted by
 // (priority desc, ticket asc); within a priority class tickets dispatch
-// in strictly increasing (FIFO) order across the whole run; every future
-// resolves — served requests with OK, shed requests with
+// in strictly increasing (FIFO) order across the whole run; every reply
+// is answered — served requests with OK, shed requests with
 // kDeadlineExceeded; nothing is lost or double-delivered.
 TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
   constexpr size_t kThreads = 16;
@@ -182,7 +181,7 @@ TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
       for (auto& pending : batch) {
         RerankResult result;
         result.scores.push_back(static_cast<float>(pending.ticket));
-        pending.promise.set_value(std::move(result));
+        queue.Answer(*pending.reply, std::move(result));
         served.fetch_add(1);
       }
     }
@@ -194,16 +193,16 @@ TEST(RequestQueueTest, SixteenThreadStressKeepsPriorityThenFifoSemantics) {
   for (size_t t = 0; t < kThreads; ++t) {
     producers.emplace_back([&, t] {
       std::vector<RerankRequest> mine(kPerThread, base);
-      std::vector<std::future<RerankResult>> futures;
+      std::vector<std::shared_ptr<RequestQueue::Reply>> replies;
       for (size_t i = 0; i < kPerThread; ++i) {
         mine[i].priority = static_cast<int>((t + i) % 4) - 1;
         if (i % 2 == 1) {
           mine[i].deadline_ms = 0.05;  // Expires unless popped immediately.
         }
-        futures.push_back(queue.Push(mine[i]));
+        replies.push_back(queue.Push(mine[i]));
       }
-      for (auto& future : futures) {
-        const RerankResult result = future.get();
+      for (auto& reply : replies) {
+        const RerankResult result = queue.Await(*reply);
         if (result.status.ok()) {
           ok_seen.fetch_add(1);
         } else {
@@ -240,13 +239,13 @@ TEST(RequestQueueTest, CloseDrainsThenReturnsEmpty) {
   RequestQueue queue;
   const ModelConfig config = TestModel();
   const RerankRequest request = TestRequest(config, 10, 3);
-  auto future = queue.Push(request);
+  auto reply = queue.Push(request);
   queue.Close();
   std::vector<RequestQueue::Pending> batch = queue.Pop(4, RequestQueue::kForever);
   ASSERT_EQ(batch.size(), 1u);
-  batch[0].promise.set_value(RerankResult{});
+  queue.Answer(*batch[0].reply, RerankResult{});
   EXPECT_TRUE(queue.Pop(4, RequestQueue::kForever).empty());
-  future.get();
+  queue.Await(*reply);
 }
 
 TEST_F(ServiceConcurrencyTest, AutoResolvesByMaxInflight) {
@@ -765,11 +764,11 @@ TEST(SerialSchedulerTest, ClosedLoopClientsAreServedRoundRobin) {
   }
   VirtualServiceRunner runner(&clock, clients);
   SerialScheduler scheduler(&runner, &clock);
-  clock.ExpectParticipants(kClients);
+  const uint64_t first = clock.ExpectParticipants(kClients);
   std::vector<std::thread> threads;
   for (size_t c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      const ClockMembership membership(&clock);
+      const ClockMembership membership(&clock, first + c);
       for (size_t i = 0; i < kRequestsEach; ++i) {
         EXPECT_TRUE(scheduler.Submit(requests[c]).status.ok());
       }

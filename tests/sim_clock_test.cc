@@ -1,13 +1,12 @@
 // SimClock: the discrete-event virtual clock (src/common/clock.h). These
 // tests pin the protocol the serving stack's determinism rests on —
-// advance-only-at-quiescence, exact-tag wakeups and deadline expiry, the
-// PreWake/external-wait handshake around promises, deterministic NotifyOne
+// advance-only-at-quiescence, exact-tag wakeups and deadline expiry,
+// deterministic NotifyOne order, one participant running at a time in wake
 // order — and the end-to-end property that a multi-threaded timeline replays
 // identically run after run. Runs in the TSan CI lane: the clock is the one
 // piece of sync machinery everything else trusts.
 #include <gtest/gtest.h>
 
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -43,11 +42,11 @@ TEST(SimClockTest, AdvancesOnlyWhenAllParticipantsBlockAndWakesInTagOrder) {
   // threads can block — and in exactly tag order, because each wake leaves a
   // single runnable thread whose append happens before the next advance.
   // The reservation keeps thread 0 from advancing before 1 and 2 exist.
-  clock.ExpectParticipants(3);
+  const uint64_t first = clock.ExpectParticipants(3);
   std::vector<std::thread> threads;
   for (size_t c = 0; c < 3; ++c) {
     threads.emplace_back([&, c] {
-      const ClockMembership membership(&clock);
+      const ClockMembership membership(&clock, first + c);
       clock.SleepUntil(static_cast<double>(c + 1) * 1000.0);
       std::lock_guard<std::mutex> lock(log_mu);
       wake_order.push_back(c);
@@ -84,9 +83,9 @@ TEST(SimClockTest, NotifyBeforeDeadlineWinsAndFreezesTimeAtTheNotify) {
   bool ready = false;
   // Without the reservation the notifier could join, sleep, and fire (or
   // the waiter could expire) before the other thread even registered.
-  clock.ExpectParticipants(2);
+  const uint64_t first = clock.ExpectParticipants(2);
   std::thread waiter([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, first);
     MutexLock lock(mu);
     bool ok = true;
     while (!ready) {
@@ -100,7 +99,7 @@ TEST(SimClockTest, NotifyBeforeDeadlineWinsAndFreezesTimeAtTheNotify) {
     EXPECT_EQ(clock.NowMs(), 2.0);
   });
   std::thread notifier([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, first + 1);
     clock.SleepUntil(2.0);
     {
       MutexLock lock(mu);
@@ -122,11 +121,11 @@ TEST(SimClockTest, NotifyOneResumesWaitersInEnrollmentOrder) {
   // Waiters 1 and 2 enroll at staggered virtual instants (the sleep makes
   // enrollment order deterministic); the notifier then releases one token at
   // a time. NotifyOne must resume the longest-enrolled waiter first.
-  clock.ExpectParticipants(3);
+  const uint64_t first = clock.ExpectParticipants(3);
   std::vector<std::thread> threads;
   for (int id = 1; id <= 2; ++id) {
     threads.emplace_back([&, id] {
-      const ClockMembership membership(&clock);
+      const ClockMembership membership(&clock, first + static_cast<uint64_t>(id) - 1);
       clock.SleepUntil(static_cast<double>(id));
       MutexLock lock(mu);
       while (tokens <= 0) {
@@ -137,7 +136,7 @@ TEST(SimClockTest, NotifyOneResumesWaitersInEnrollmentOrder) {
     });
   }
   threads.emplace_back([&] {
-    const ClockMembership membership(&clock);
+    const ClockMembership membership(&clock, first + 2);
     for (int round = 0; round < 2; ++round) {
       clock.SleepUntil(static_cast<double>(10 + round));
       {
@@ -156,9 +155,9 @@ TEST(SimClockTest, NotifyOneResumesWaitersInEnrollmentOrder) {
 TEST(SimClockTest, YieldUntilQuiescentWaitsOutTheInstantWithoutAdvancingTime) {
   SimClock clock;
   const ClockMembership membership(&clock);
-  clock.ExpectParticipants(1);
+  const uint64_t slot = clock.ExpectParticipants(1);
   std::thread sleeper([&] {
-    const ClockMembership member(&clock);
+    const ClockMembership member(&clock, slot);
     clock.SleepUntil(5.0);
   });
   // The yield returns only once the sleeper is parked — and at zero virtual
@@ -172,45 +171,84 @@ TEST(SimClockTest, YieldUntilQuiescentWaitsOutTheInstantWithoutAdvancingTime) {
   sleeper.join();
 }
 
-TEST(SimClockTest, PreWakeHandshakeDeliversResultsAtTheProductionInstant) {
-  SimClock clock;
-  std::promise<int> promise;
-  std::future<int> future = promise.get_future();
-  clock.ExpectParticipants(2);
-  std::thread producer([&] {
-    const ClockMembership membership(&clock);
-    clock.SleepUntil(3.0);
-    // The token (PreWake) keeps the clock frozen until the consumer has
-    // fully resumed — even though between set_value and the consumer's
-    // wakeup neither thread is visibly blocked.
-    clock.PreWake();
-    promise.set_value(42);
-  });
-  std::thread consumer([&] {
-    const ClockMembership membership(&clock);
-    EXPECT_EQ(AwaitFuture(&clock, std::move(future)), 42);
-    EXPECT_EQ(clock.NowMs(), 3.0);
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_EQ(clock.NowMs(), 3.0);
+TEST(SimClockTest, ParticipantsWokenAtOneInstantRunOneAtATimeInWakeOrder) {
+  // Four participants, each woken at one instant twice — by one NotifyAll,
+  // then by a shared tag — plus a notifier. Each writes two entries to a
+  // log no mutex guards, yielding the host CPU between them: if two woken
+  // participants ever ran at once their entries would interleave (and TSan
+  // would report the race). The order is the wake order, fixed by the
+  // schedule alone, so it must repeat exactly run after run.
+  constexpr int kWaiters = 4;
+  const auto run = [] {
+    SimClock clock;
+    std::unique_ptr<ClockCondVar> cv = clock.MakeCondVar();
+    Mutex mu;
+    bool go = false;
+    std::vector<int> log;  // Unguarded on purpose.
+    const auto write = [&log](int entry) {
+      log.push_back(entry);
+      for (int spin = 0; spin < 64; ++spin) {
+        std::this_thread::yield();
+      }
+      log.push_back(entry);
+    };
+    const uint64_t first = clock.ExpectParticipants(kWaiters + 1);
+    std::vector<std::thread> threads;
+    // Started in reverse: the reserved slots, not host start order, decide
+    // who runs first.
+    for (int id = kWaiters - 1; id >= 0; --id) {
+      threads.emplace_back([&, id] {
+        const ClockMembership membership(&clock, first + static_cast<uint64_t>(id));
+        write(id);  // Slot order.
+        // Enrol on the cv in reverse id order, one instant apart.
+        clock.SleepUntil(static_cast<double>(kWaiters - id));
+        {
+          MutexLock lock(mu);
+          while (!go) {
+            cv->Wait(mu);
+          }
+        }
+        write(10 + id);  // NotifyAll order = enrolment order.
+        clock.SleepUntil(100.0);
+        write(20 + id);  // Shared tag: enrolment order of the sleeps.
+      });
+    }
+    threads.emplace_back([&] {
+      const ClockMembership membership(&clock, first + kWaiters);
+      clock.SleepUntil(50.0);
+      {
+        MutexLock lock(mu);
+        go = true;
+      }
+      cv->NotifyAll();
+    });
+    for (std::thread& t : threads) {
+      t.join();
+    }
+    EXPECT_EQ(clock.NowMs(), 100.0);
+    return log;
+  };
+  const std::vector<int> expected = {0,  0,  1,  1,  2,  2,  3,  3,  13, 13, 12, 12,
+                                     11, 11, 10, 10, 23, 23, 22, 22, 21, 21, 20, 20};
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    ASSERT_EQ(run(), expected) << "repeat " << repeat;
+  }
 }
 
 TEST(SimClockTest, MultiThreadedTimelineReplaysIdentically) {
   // Four threads, five sleeps each, all tags distinct: the wake sequence is
   // fully determined by the tags, so every run of the scenario must produce
   // the same event log — the property the workload determinism tests build
-  // on. (Distinct tags also make the log append itself race-free: exactly
-  // one thread is runnable at a time.)
+  // on.
   const auto run = [] {
     SimClock clock;
     std::mutex log_mu;
     std::vector<std::pair<size_t, double>> log;
-    clock.ExpectParticipants(4);
+    const uint64_t first = clock.ExpectParticipants(4);
     std::vector<std::thread> threads;
     for (size_t c = 0; c < 4; ++c) {
       threads.emplace_back([&, c] {
-        const ClockMembership membership(&clock);
+        const ClockMembership membership(&clock, first + c);
         for (size_t i = 1; i <= 5; ++i) {
           clock.SleepUntil(static_cast<double>(i) + static_cast<double>(c) * 0.1);
           std::lock_guard<std::mutex> lock(log_mu);

@@ -268,38 +268,48 @@ TEST_F(WorkloadTest, SimulatedWorkloadReplaysByteIdentically) {
 }
 
 TEST_F(WorkloadTest, CacheFrontedSimulatedWorkloadReplaysByteIdentically) {
-  // The result-cache tier joins the determinism contract: a serial-scheduler
-  // stack fronted by a ResultCache — coalesced waiters, staggered releases,
-  // fills failing under shed pressure and all — must replay byte-identically
-  // under a SimClock. Open loop at an overloading rate with deadlines so the
-  // cache's park/shed paths are actually exercised.
-  const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, FastScenario());
-  const auto run = [&] {
-    SimClock clock;
-    MemoryTracker tracker;
-    ServiceOptions sopts = FastService(SchedulerKind::kSerial, 1);
-    sopts.clock = &clock;
-    RerankService service(config_, ckpt_, sopts, &tracker);
-    ResultCacheOptions copts;
-    copts.capacity = 2;  // Head-sized: hits, evictions, and refills all occur.
-    copts.clock = &clock;
-    ResultCache cache(&service, copts);
-    WorkloadOptions wopts;
-    wopts.clients = 6;
-    wopts.requests = 48;
-    wopts.warmup = 4;
-    wopts.arrival_hz = 200.0;
-    wopts.deadline_ms = 30.0;
-    wopts.clock = &clock;
-    WorkloadReport report = RunWorkload(harness, &cache, wopts);
-    report.AttachCacheStats(cache.stats());
-    EXPECT_EQ(report.statuses.size(), wopts.requests);
-    EXPECT_GT(report.cache_hits + report.cache_coalesced, 0u);
-    return report.SummaryJson();
-  };
-  const std::string first = run();
-  const std::string second = run();
-  EXPECT_EQ(first, second);
+  // The result-cache tier joins the determinism contract under heavy
+  // coalescing: 12 clients behind a 2-entry cache at Zipf 1.2, so fills
+  // finish, coalesced waiters wake and clients re-issue at one virtual
+  // instant all the time, and only the SimClock's one-runner rule orders
+  // them. Every scheduler, closed loop and open loop at an overloading rate
+  // with deadlines (the cache's park/shed paths, fills failing under shed
+  // pressure), must replay byte-identically.
+  ScenarioOptions scenario = FastScenario();
+  scenario.n_queries = 8;
+  const ScenarioHarness harness(ScenarioKind::kFileSearch, config_, scenario);
+  for (const SchedulerKind kind : {SchedulerKind::kSerial, SchedulerKind::kCarousel}) {
+    for (const double arrival_hz : {0.0, 400.0}) {
+      const auto run = [&] {
+        SimClock clock;
+        MemoryTracker tracker;
+        ServiceOptions sopts = FastService(kind, kind == SchedulerKind::kSerial ? 1 : 4);
+        sopts.clock = &clock;
+        RerankService service(config_, ckpt_, sopts, &tracker);
+        ResultCacheOptions copts;
+        copts.capacity = 2;  // Head-sized: hits, evictions, and refills all occur.
+        copts.clock = &clock;
+        ResultCache cache(&service, copts);
+        WorkloadOptions wopts;
+        wopts.clients = 12;
+        wopts.requests = 600;
+        wopts.warmup = 12;
+        wopts.zipf_skew = 1.2;
+        wopts.arrival_hz = arrival_hz;
+        wopts.deadline_ms = arrival_hz > 0.0 ? 30.0 : 0.0;
+        wopts.clock = &clock;
+        WorkloadReport report = RunWorkload(harness, &cache, wopts);
+        report.AttachCacheStats(cache.stats());
+        EXPECT_EQ(report.statuses.size(), wopts.requests);
+        EXPECT_GT(report.cache_coalesced, 0u);
+        return report.SummaryJson();
+      };
+      const std::string first = run();
+      const std::string second = run();
+      EXPECT_EQ(first, second) << "scheduler " << static_cast<int>(kind) << ", arrival_hz "
+                               << arrival_hz;
+    }
+  }
 }
 
 TEST_F(WorkloadTest, TaggingRunnerStampsPriorityAndDeadline) {
