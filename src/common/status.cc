@@ -20,6 +20,8 @@ const char* StatusCodeName(StatusCode code) {
       return "DEADLINE_EXCEEDED";
     case StatusCode::kDataLoss:
       return "DATA_LOSS";
+    case StatusCode::kCancelled:
+      return "CANCELLED";
   }
   return "UNKNOWN";
 }

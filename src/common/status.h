@@ -22,7 +22,8 @@ enum class StatusCode {
   kInternal,
   kIoError,
   kDeadlineExceeded,
-  kDataLoss,  // Stored bytes are corrupt (checksum mismatch, malformed coding).
+  kDataLoss,   // Stored bytes are corrupt (checksum mismatch, malformed coding).
+  kCancelled,  // The caller withdrew the operation before it finished.
 };
 
 // Human-readable name for a status code, e.g. for log messages.
@@ -48,6 +49,9 @@ class Status {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
   }
   static Status DataLoss(std::string msg) { return Status(StatusCode::kDataLoss, std::move(msg)); }
+  static Status Cancelled(std::string msg) {
+    return Status(StatusCode::kCancelled, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

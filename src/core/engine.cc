@@ -60,13 +60,10 @@ class PrismCarouselPass final : public CarouselPass {
     }
   }
 
+  // The streamer's destructor cancels its look-ahead read: layers nobody
+  // will consume are not waited out.
   ~PrismCarouselPass() override {
     PRISM_CHECK_MSG(live_.empty(), "carousel pass destroyed with live tickets");
-    if (streamer_ != nullptr && seq_ > 0) {
-      // Stop the prefetcher from fetching layers nobody will consume while
-      // the destructor joins it.
-      streamer_->TruncateSchedule(seq_ - 1);
-    }
   }
 
   size_t n_layers() const override { return engine_->config_.n_layers; }

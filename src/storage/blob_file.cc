@@ -188,13 +188,14 @@ uint32_t BlobFileReader::BlobQuantGroup(size_t index) const {
   return table_[index].quant_group;
 }
 
-Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest) {
+Status BlobFileReader::ReadBlob(size_t index, std::span<uint8_t> dest,
+                                const std::atomic<bool>* cancel) {
   PRISM_CHECK_LT(index, table_.size());
   const BlobEntry& entry = table_[index];
   PRISM_CHECK_EQ(static_cast<int64_t>(dest.size()), entry.size);
   const size_t stored_size = static_cast<size_t>(entry.stored_size);
   const std::span<uint8_t> stored = dest.last(stored_size);
-  PRISM_RETURN_IF_ERROR(ssd_->Read(entry.offset, stored));
+  PRISM_RETURN_IF_ERROR(ssd_->Read(entry.offset, stored, cancel));
   blob_reads_[index].fetch_add(1, std::memory_order_relaxed);
   if (blob_codec::Crc32c(stored) != entry.crc32c) {
     return Status::DataLoss("blob " + std::to_string(index) + " fails its CRC32C in " +

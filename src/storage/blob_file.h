@@ -91,11 +91,16 @@ class BlobFileReader {
   // Reads blob `index` fully into `dest` (must be exactly BlobSize bytes).
   // The stored bytes land in the tail of `dest`, their CRC32C is checked
   // and a coded blob is then decoded in place, so no staging buffer exists.
-  // A checksum mismatch or malformed coding returns kDataLoss.
-  Status ReadBlob(size_t index, std::span<uint8_t> dest);
+  // A checksum mismatch or malformed coding returns kDataLoss. A set
+  // `*cancel` stops the device read at its next chunk boundary and returns
+  // kCancelled, with `dest` undefined (SimulatedSsd::Read).
+  Status ReadBlob(size_t index, std::span<uint8_t> dest,
+                  const std::atomic<bool>* cancel = nullptr);
 
-  // ReadBlob calls of blob `index` that reached the device so far: how often
-  // a streamed layer was fetched. Range reads do not count.
+  // ReadBlob calls of blob `index` that completed their device read so far:
+  // how often a streamed layer was fetched. A cancelled read does not count
+  // here; the device's SsdStats count it (bytes moved and cancelled_reads).
+  // Range reads do not count.
   int64_t BlobReads(size_t index) const;
 
   // Reads {offset in blob, dest} ranges of raw blob `index` as a single

@@ -21,6 +21,7 @@ LayerStreamer::~LayerStreamer() {
   {
     MutexLock lock(mu_);
     shutting_down_ = true;
+    cancel_.store(true);  // Whatever is in flight is dead.
   }
   cv_.NotifyAll();
   prefetcher_.join();
@@ -80,6 +81,11 @@ void LayerStreamer::TruncateSchedule(size_t last_seq) {
   {
     MutexLock lock(mu_);
     schedule_end_ = std::min(schedule_end_, last_seq + 1);
+    for (const auto& buf : buffers_) {
+      if (buf.seq != SIZE_MAX && buf.seq >= schedule_end_ && !buf.ready) {
+        cancel_.store(true);  // The in-flight read is past the new end.
+      }
+    }
   }
   cv_.NotifyAll();
 }
@@ -92,10 +98,15 @@ void LayerStreamer::SkipTo(size_t seq) {
     next_to_load_ = std::max(next_to_load_, seq);
     for (auto& buf : buffers_) {
       // Ready buffers below the new floor are dead weight; free them now. A
-      // buffer still loading (seq set, !ready) is being written outside the
-      // lock — the prefetcher frees it on completion instead.
-      if (buf.seq != SIZE_MAX && buf.seq < seq && buf.ready) {
+      // buffer still loading is being written outside the lock — its read is
+      // cancelled and the prefetcher frees it when the read returns.
+      if (buf.seq == SIZE_MAX || buf.seq >= seq) {
+        continue;
+      }
+      if (buf.ready) {
         FreeBufferLocked(&buf);
+      } else {
+        cancel_.store(true);
       }
     }
   }
@@ -148,22 +159,32 @@ void LayerStreamer::PrefetchLoop() {
       blob_index = schedule_[seq % schedule_.size()];
       target->seq = seq;
       target->ready = false;
+      cancel_.store(false);
       const int64_t size = reader_->BlobSize(blob_index);
       target->bytes.resize(static_cast<size_t>(size));
       target->claim = MemClaim(tracker_, MemCategory::kWeights, size);
     }
     // I/O happens outside the lock; the device model inside SimulatedSsd
     // provides the timing.
-    const Status status = reader_->ReadBlob(blob_index, target->bytes);
+    const Status status = reader_->ReadBlob(blob_index, target->bytes, &cancel_);
+    if (status.code() == StatusCode::kCancelled) {
+      {
+        MutexLock lock(mu_);
+        FreeBufferLocked(target);
+      }
+      cv_.NotifyAll();
+      continue;
+    }
     PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
     {
       MutexLock lock(mu_);
       stats_.bytes_loaded += static_cast<int64_t>(target->bytes.size());
       ++stats_.blobs_loaded;
       if (target != &head_ && target->seq < release_floor_) {
-        // The position was skipped while the read was in flight; the bytes
-        // were paid for (counted above) but nobody will consume them. The
-        // head serves every later revolution, so it is kept either way.
+        // The position was skipped after its read passed its last chunk
+        // boundary; the bytes were paid for (counted above) but nobody will
+        // consume them. The head serves every later revolution, so it is
+        // kept either way.
         FreeBufferLocked(target);
       } else {
         target->ready = true;

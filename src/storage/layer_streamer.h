@@ -5,8 +5,16 @@
 // below). A background thread walks a blob schedule; Acquire(i) blocks only
 // if the prefetch has not caught up — the stall time is recorded so the
 // ablation bench (Fig 16) can report the latency overhead when pruning
-// shrinks the compute window below the load time. Releasing blob i immediately frees its buffer and lets the prefetcher
-// pull blob i+buffer_count.
+// shrinks the compute window below the load time. Releasing blob i
+// immediately frees its buffer and lets the prefetcher pull blob
+// i+buffer_count.
+//
+// The one prefetch thread has at most one read in flight, and that read is
+// cancellable: when its position dies — SkipTo passes it, TruncateSchedule
+// cuts it off, or the destructor runs — the device stops it at the next
+// chunk boundary (SimulatedSsd, 64 KiB) and the prefetcher frees its buffer.
+// So an early exit does not hold the device, nor the next reader queued
+// behind it, for the rest of a layer nobody will consume.
 //
 // Two schedule modes:
 //   - terminating (default): the schedule is consumed once, front to back.
@@ -40,6 +48,7 @@
 #ifndef PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 #define PRISM_SRC_STORAGE_LAYER_STREAMER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <thread>
@@ -81,18 +90,20 @@ class LayerStreamer {
   void Release(size_t seq);
 
   // Stops prefetching beyond the given sequence point (early termination by
-  // pruning). In-flight loads complete; subsequent Acquire calls must not
+  // pruning). An in-flight load past it is cancelled and its buffer freed;
+  // one at or before it completes. Subsequent Acquire calls must not
   // exceed `last_seq`. Sequence points are monotonic even in cyclic mode, so
   // this truncates mid-cycle exactly like mid-schedule.
   void TruncateSchedule(size_t last_seq);
 
   // Discards every unconsumed position below `seq` without stopping the
-  // walk: ready buffers holding skipped positions are freed now, in-flight
-  // loads are freed on completion, and prefetching resumes from `seq`. A
-  // cyclic stream's pinned head is kept. The carousel uses this to wrap
-  // early — jumping from a drained cycle's middle to the next cycle's first
-  // layer — instead of fetching layers nobody needs. `seq` must not precede
-  // a position already consumed.
+  // walk: ready buffers holding skipped positions are freed now, an
+  // in-flight load of one is cancelled and freed when its read returns, and
+  // prefetching resumes from `seq`. A cyclic stream's pinned head is kept,
+  // even mid-load. The carousel uses this to wrap early — jumping from a
+  // drained cycle's middle to the next cycle's first layer — instead of
+  // fetching layers nobody needs. `seq` must not precede a position already
+  // consumed.
   void SkipTo(size_t seq);
 
   StreamerStats stats() const;
@@ -133,6 +144,10 @@ class LayerStreamer {
   // Exclusive end (may shrink via Truncate).
   size_t schedule_end_ PRISM_GUARDED_BY(mu_) = 0;
   bool shutting_down_ PRISM_GUARDED_BY(mu_) = false;
+  // Cancels the in-flight read. Cleared under `mu_` when a read starts and
+  // set under `mu_` only while that read's buffer is loading, so a set
+  // always reaches the read it was meant for.
+  std::atomic<bool> cancel_{false};
   StreamerStats stats_ PRISM_GUARDED_BY(mu_);
   std::thread prefetcher_;
 };

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -12,6 +13,13 @@
 #include "src/common/timer.h"
 
 namespace prism {
+
+namespace {
+
+// The device queue is re-reserved at this granularity (see ssd.h).
+constexpr int64_t kChunkBytes = 64 * 1024;
+
+}  // namespace
 
 SimulatedSsd::SimulatedSsd(std::string path, SsdConfig config)
     : path_(std::move(path)), config_(config) {
@@ -28,13 +36,15 @@ SimulatedSsd::~SimulatedSsd() {
   }
 }
 
-Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest) {
+Status SimulatedSsd::Read(int64_t offset, std::span<uint8_t> dest,
+                          const std::atomic<bool>* cancel) {
   const std::pair<int64_t, std::span<uint8_t>> request(offset, dest);
-  return ReadScattered({&request, 1});
+  return ReadScattered({&request, 1}, cancel);
 }
 
 Status SimulatedSsd::ReadScattered(
-    std::span<const std::pair<int64_t, std::span<uint8_t>>> requests) {
+    std::span<const std::pair<int64_t, std::span<uint8_t>>> requests,
+    const std::atomic<bool>* cancel) {
   int64_t total = 0;
   for (const auto& [offset, dest] : requests) {
     size_t done = 0;
@@ -51,12 +61,15 @@ Status SimulatedSsd::ReadScattered(
     }
     total += static_cast<int64_t>(dest.size());
   }
-  ChargeTransfer(total);
-  {
-    MutexLock lock(mu_);
-    stats_.bytes_read += total;
-    ++stats_.read_requests;
+  const int64_t charged = ChargeTransfer(total, cancel);
+  MutexLock lock(mu_);
+  stats_.bytes_read += charged;
+  if (charged < total) {
+    ++stats_.cancelled_reads;
+    return Status::Cancelled("read cancelled after " + std::to_string(charged) + " of " +
+                             std::to_string(total) + " bytes");
   }
+  ++stats_.read_requests;
   return Status::Ok();
 }
 
@@ -70,7 +83,7 @@ Status SimulatedSsd::Write(int64_t offset, std::span<const uint8_t> src) {
     }
     done += static_cast<size_t>(n);
   }
-  ChargeTransfer(static_cast<int64_t>(src.size()));
+  ChargeTransfer(static_cast<int64_t>(src.size()), nullptr);
   {
     MutexLock lock(mu_);
     stats_.bytes_written += static_cast<int64_t>(src.size());
@@ -101,31 +114,50 @@ SsdStats SimulatedSsd::stats() const {
   return stats_;
 }
 
-void SimulatedSsd::ChargeTransfer(int64_t bytes) {
+int64_t SimulatedSsd::ChargeTransfer(int64_t bytes, const std::atomic<bool>* cancel) {
   if (!config_.throttle) {
-    return;
+    return bytes;
   }
-  const int64_t duration =
-      config_.latency_micros +
-      static_cast<int64_t>(static_cast<double>(bytes) / config_.bandwidth_bytes_per_sec * 1e6);
-  int64_t wake_at;
-  {
-    MutexLock lock(mu_);
+  // Chunk durations are differences of the cumulative transfer time, so they
+  // sum to exactly the unchunked latency + bytes / bandwidth.
+  const auto micros_for = [this](int64_t n) {
+    return static_cast<int64_t>(static_cast<double>(n) / config_.bandwidth_bytes_per_sec * 1e6);
+  };
+  int64_t done = 0;
+  int64_t chunk_end = 0;
+  do {
+    if (cancel != nullptr && cancel->load()) {
+      return done;
+    }
+    const int64_t chunk = std::min(kChunkBytes, bytes - done);
+    int64_t duration = micros_for(done + chunk) - micros_for(done);
+    {
+      MutexLock lock(mu_);
+      int64_t start;
+      if (done == 0) {
+        duration += config_.latency_micros;
+        start = std::max(NowMicros(), device_free_at_micros_);
+      } else {
+        // A continuing chunk follows its predecessor, not the host's wake-up,
+        // so oversleeping is not charged to the device.
+        start = std::max(chunk_end, device_free_at_micros_);
+      }
+      chunk_end = start + duration;
+      device_free_at_micros_ = chunk_end;
+      stats_.busy_micros += duration;
+    }
+    done += chunk;
     const int64_t now = NowMicros();
-    const int64_t start = std::max(now, device_free_at_micros_);
-    device_free_at_micros_ = start + duration;
-    stats_.busy_micros += duration;
-    wake_at = device_free_at_micros_;
-  }
-  const int64_t now = NowMicros();
-  if (wake_at > now) {
-    // prism-lint: allow(wall-clock): device-domain throttle. The SSD model
-    // stretches *real* I/O to the modelled bandwidth, and real work runs at
-    // wall speed even under a SimClock (src/common/clock.h: only waiting is
-    // virtualized — simulated runs replace this device with SimulatedRunner
-    // charges on the virtual timeline instead).
-    std::this_thread::sleep_for(std::chrono::microseconds(wake_at - now));
-  }
+    if (chunk_end > now) {
+      // prism-lint: allow(wall-clock): device-domain throttle. The SSD model
+      // stretches *real* I/O to the modelled bandwidth, and real work runs at
+      // wall speed even under a SimClock (src/common/clock.h: only waiting is
+      // virtualized — simulated runs replace this device with SimulatedRunner
+      // charges on the virtual timeline instead).
+      std::this_thread::sleep_for(std::chrono::microseconds(chunk_end - now));
+    }
+  } while (done < bytes);
+  return bytes;
 }
 
 std::string MakeTempDevicePath(const std::string& tag) {

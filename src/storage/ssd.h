@@ -4,12 +4,21 @@
 // layer's compute time and the time to load its weights from SSD. This class
 // performs real file I/O (so data round-trips are genuine) and then enforces a
 // device model on top: a single request queue with fixed per-request latency
-// and a bandwidth cap. Concurrent readers serialise behind the queue exactly
-// like a single NVMe device at queue depth 1, which is the regime a
-// double-buffered layer streamer operates in.
+// and a bandwidth cap, which is the queue-depth-1 regime a double-buffered
+// layer streamer operates in.
+//
+// The queue is shared at the granularity of a chunk (64 KiB, the analogue of
+// an NVMe maximum transfer size), not of a whole transfer. A transfer pays
+// the fixed latency once and then reserves the device one chunk at a time,
+// each chunk behind whatever the queue already holds. So a small read issued
+// during a large one waits for at most one of its chunks, and a lone transfer
+// still costs latency + bytes / bandwidth. A read given a cancel flag checks
+// it at every chunk boundary: once set, the transfer stops there, returns
+// kCancelled, and the device has been charged only for the chunks that ran.
 #ifndef PRISM_SRC_STORAGE_SSD_H_
 #define PRISM_SRC_STORAGE_SSD_H_
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -33,12 +42,15 @@ struct SsdConfig {
   bool throttle = true;
 };
 
+// A cancelled read counts the bytes its charged chunks moved in `bytes_read`,
+// and counts in `cancelled_reads`, not in `read_requests`.
 struct SsdStats {
   int64_t bytes_read = 0;
   int64_t bytes_written = 0;
   int64_t read_requests = 0;
   int64_t write_requests = 0;
   int64_t busy_micros = 0;  // Modelled device-busy time.
+  int64_t cancelled_reads = 0;
 };
 
 class SimulatedSsd {
@@ -50,14 +62,19 @@ class SimulatedSsd {
   SimulatedSsd(const SimulatedSsd&) = delete;
   SimulatedSsd& operator=(const SimulatedSsd&) = delete;
 
-  Status Read(int64_t offset, std::span<uint8_t> dest);
+  // A set `*cancel` stops a throttled read at its next chunk boundary with
+  // kCancelled; `dest` then holds no defined bytes. An unthrottled read has
+  // no chunk boundaries and always completes.
+  Status Read(int64_t offset, std::span<uint8_t> dest,
+              const std::atomic<bool>* cancel = nullptr);
   Status Write(int64_t offset, std::span<const uint8_t> src);
 
   // Scattered read submitted as one request: the device model charges the
   // fixed latency once plus bandwidth for the total bytes (NVMe-style queued
   // submission). Used for batched embedding-row fetches (§4.5); Read is its
   // one-range case.
-  Status ReadScattered(std::span<const std::pair<int64_t, std::span<uint8_t>>> requests);
+  Status ReadScattered(std::span<const std::pair<int64_t, std::span<uint8_t>>> requests,
+                       const std::atomic<bool>* cancel = nullptr);
 
   // Appends at the current end-of-device offset; returns the offset written.
   Result<int64_t> Append(std::span<const uint8_t> src);
@@ -68,8 +85,10 @@ class SimulatedSsd {
   const std::string& path() const { return path_; }
 
  private:
-  // Blocks the caller to model `bytes` moving through the device queue.
-  void ChargeTransfer(int64_t bytes);
+  // Blocks the caller to model `bytes` moving through the device queue, one
+  // chunk at a time. Returns the bytes charged: all of them, or fewer when
+  // `cancel` was set at a chunk boundary.
+  int64_t ChargeTransfer(int64_t bytes, const std::atomic<bool>* cancel);
 
   std::string path_;
   SsdConfig config_;

@@ -3,10 +3,12 @@
 #include <cmath>
 #include <optional>
 
+#include "src/common/timer.h"
 #include "src/core/engine.h"
 #include "src/model/layer.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
+#include "src/storage/blob_file.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -303,6 +305,51 @@ TEST_F(EngineTest, BytesStreamedCountsConsumedLayersOnly) {
   const RerankResult carousel = ticket->TakeResult();
   EXPECT_EQ(carousel.stats.layers_until_done, first.stats.layers_until_done);
   EXPECT_EQ(carousel.stats.bytes_streamed, consumed);
+}
+
+// A Rerank that exits after layer l has consumed l + 1 layers, and its
+// look-ahead read of layer l + 1 is cancelled at the next 64 KiB chunk: the
+// call returns in about l + 1 layer reads plus one chunk, not l + 2 reads.
+// On a 1 MiB/s device a 0.6B layer read is about 382 ms and a chunk 62.5 ms;
+// the bound sits halfway between the two outcomes, which leaves room for the
+// last layer's compute on a slow (sanitizer) build.
+TEST_F(EngineTest, SerialEarlyExitDoesNotPayForAnUnreadLayer) {
+  const ModelConfig config = Qwen3Reranker0_6B();
+  const std::string ckpt = TestCheckpoint(config);
+  constexpr double kBandwidth = 1.0 * 1024 * 1024;
+  constexpr int64_t kLatencyMicros = 50;
+  PrismOptions options;
+  options.device = SlowSsdDevice(kBandwidth, kLatencyMicros);
+  options.dispersion_threshold = 0.2f;
+  MemoryTracker tracker;
+  PrismEngine engine(config, ckpt, options, &tracker);
+  const RerankRequest request = TestRequest(config, 6, 3);
+
+  auto reader = BlobFileReader::Open(ckpt, FastDevice().ssd);
+  ASSERT_TRUE(reader.ok());
+  const auto read_micros = [&](size_t layer) {
+    return static_cast<double>(kLatencyMicros) +
+           static_cast<double>(reader.value()->BlobStoredSize(LayerBlobIndex(layer))) /
+               kBandwidth * 1e6;
+  };
+  const double chunk_micros = kLatencyMicros + 64.0 * 1024 / kBandwidth * 1e6;
+
+  for (int run = 0; run < 2; ++run) {
+    const WallTimer timer;
+    const RerankResult result = engine.Rerank(request);
+    const double layers_micros = static_cast<double>(timer.ElapsedMicros()) -
+                                 result.stats.embed_ms * 1000.0;
+    ASSERT_TRUE(result.status.ok());
+    const size_t consumed = result.stats.layers_until_done;
+    ASSERT_LT(consumed, config.n_layers) << "request must exit early";
+    double reads_micros = 0;
+    for (size_t layer = 0; layer < consumed; ++layer) {
+      reads_micros += read_micros(layer);
+    }
+    const double unread_micros = read_micros(consumed);
+    EXPECT_LT(layers_micros, reads_micros + (chunk_micros + unread_micros) / 2)
+        << "run " << run << ": " << consumed << " layers read";
+  }
 }
 
 TEST_F(EngineTest, ExactRankModeMatchesFullTopKOrder) {

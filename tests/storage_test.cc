@@ -2,9 +2,11 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
 #include <iostream>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,6 +88,75 @@ TEST(SsdTest, ThrottleEnforcesBandwidth) {
   const WallTimer timer;
   ASSERT_TRUE(ssd.Write(0, data).ok());
   EXPECT_GE(timer.ElapsedMicros(), 200000);
+}
+
+// A lone read spanning many 64 KiB chunks still costs latency + bytes /
+// bandwidth: chunking neither adds latency per chunk nor charges oversleep.
+TEST(SsdTest, ThrottleEnforcesBandwidthForMultiChunkRead) {
+  TempFile file("ssd_bw_chunks");
+  const std::vector<uint8_t> data = RandomBytes(256 * 1024, 15);
+  ASSERT_TRUE(SimulatedSsd(file.path(), Unthrottled()).Write(0, data).ok());
+  SsdConfig config;
+  config.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  config.latency_micros = 2000;
+  SimulatedSsd ssd(file.path(), config);
+  std::vector<uint8_t> back(data.size());
+  const WallTimer timer;
+  ASSERT_TRUE(ssd.Read(0, back).ok());
+  const int64_t elapsed = timer.ElapsedMicros();
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(ssd.stats().busy_micros, 2000 + 250000);
+  EXPECT_GE(elapsed, 2000 + 250000 - 1000);
+  EXPECT_LT(elapsed, 2000 + 250000 + 100000);
+}
+
+// The queue is shared per chunk: a 4 KiB read issued while a 1 MiB read is
+// in flight waits for at most one of its chunks, not the rest of it.
+TEST(SsdTest, SmallReadDuringLargeReadWaitsAtMostOneChunk) {
+  TempFile file("ssd_interleave");
+  const std::vector<uint8_t> data = RandomBytes(1024 * 1024 + 4096, 16);
+  ASSERT_TRUE(SimulatedSsd(file.path(), Unthrottled()).Write(0, data).ok());
+  SsdConfig config;
+  config.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  config.latency_micros = 1000;
+  SimulatedSsd ssd(file.path(), config);
+  std::vector<uint8_t> big(1024 * 1024);
+  std::thread large([&] { EXPECT_TRUE(ssd.Read(0, big).ok()); });
+  while (ssd.stats().busy_micros == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::vector<uint8_t> small(4096);
+  const WallTimer timer;
+  // EXPECT, not ASSERT: an early return would leave `large` unjoined.
+  EXPECT_TRUE(ssd.Read(1024 * 1024, small).ok());
+  const int64_t elapsed = timer.ElapsedMicros();
+  large.join();
+  EXPECT_TRUE(std::equal(small.begin(), small.end(), data.begin() + 1024 * 1024));
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), data.begin()));
+  // One chunk of the large read (62.5 ms + its latency) plus its own
+  // latency and 3.9 ms, with room for the host; the tail of the large read
+  // alone would be about 900 ms.
+  EXPECT_LT(elapsed, 1000 + 62500 + 1000 + 3907 + 60000);
+  // Both reads were charged in full.
+  EXPECT_EQ(ssd.stats().busy_micros, 1000 + 1000000 + 1000 + 3906);
+}
+
+// A read whose cancel flag is already set stops at its first chunk boundary:
+// nothing is charged or moved, and the device counts it as cancelled.
+TEST(SsdTest, ReadCancelledBeforeItStartsChargesNothing) {
+  TempFile file("ssd_cancel");
+  ASSERT_TRUE(SimulatedSsd(file.path(), Unthrottled()).Write(0, RandomBytes(8192, 17)).ok());
+  SsdConfig config;
+  config.bandwidth_bytes_per_sec = 1.0 * 1024 * 1024;
+  SimulatedSsd ssd(file.path(), config);
+  const std::atomic<bool> cancel{true};
+  std::vector<uint8_t> buf(8192);
+  EXPECT_EQ(ssd.Read(0, buf, &cancel).code(), StatusCode::kCancelled);
+  const SsdStats stats = ssd.stats();
+  EXPECT_EQ(stats.busy_micros, 0);
+  EXPECT_EQ(stats.bytes_read, 0);
+  EXPECT_EQ(stats.read_requests, 0);
+  EXPECT_EQ(stats.cancelled_reads, 1);
 }
 
 TEST(SsdTest, StatsAccumulate) {
@@ -704,9 +775,71 @@ class StreamerTest : public ::testing::Test {
     reader_ = std::move(reader).value();
   }
 
+  // Cancellation tests read a second file on a device slow enough (1 MiB/s:
+  // one 64 KiB chunk is 62.5 ms, its blob 1 500 ms) that "stopped within a
+  // chunk" and "ran to the end" are far apart. Blob 1 is the look-ahead read
+  // that dies; blobs 0 and 2 are small live neighbours.
+  static constexpr double kSlowBandwidth = 1.0 * 1024 * 1024;
+  static constexpr int64_t kSlowLatencyMicros = 1000;
+  static constexpr int64_t kSlowChunkMicros = 62500;  // 64 KiB at 1 MiB/s.
+
+  void OpenSlowDevice() {
+    for (size_t size : {4096u, 512u * 1024u, 8192u}) {
+      slow_blobs_.push_back(RandomBytes(size, 70 + slow_blobs_.size()));
+    }
+    BlobFileWriter writer(slow_file_.path());
+    for (const auto& blob : slow_blobs_) {
+      writer.AddBlob(blob);
+    }
+    ASSERT_TRUE(writer.Finish().ok());
+    SsdConfig config;
+    config.bandwidth_bytes_per_sec = kSlowBandwidth;
+    config.latency_micros = kSlowLatencyMicros;
+    auto reader = BlobFileReader::Open(slow_file_.path(), config);
+    ASSERT_TRUE(reader.ok());
+    slow_reader_ = std::move(reader).value();
+  }
+
+  // What the slow device charges a whole read of blob `index`.
+  int64_t ReadMicros(size_t index) const {
+    return kSlowLatencyMicros +
+           static_cast<int64_t>(static_cast<double>(slow_blobs_[index].size()) /
+                                kSlowBandwidth * 1e6);
+  }
+
+  // Blocks until the prefetcher's read of blob 1 holds the device: its first
+  // chunk is charged on top of blob 0's read.
+  void AwaitDeadReadInFlight() const {
+    while (slow_reader_->ssd().stats().busy_micros <= ReadMicros(0)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+
+  // Busy time the device spent on blob 1's cancelled read, given the whole
+  // reads it also served (by blob index).
+  int64_t DeadReadMicros(std::initializer_list<size_t> whole_reads) const {
+    int64_t busy = slow_reader_->ssd().stats().busy_micros;
+    for (size_t index : whole_reads) {
+      busy -= ReadMicros(index);
+    }
+    return busy;
+  }
+
+  // A later reader of blob 1 (the next request's stream) gets its bytes intact.
+  void ExpectNextStreamReadsBlobOne(MemoryTracker* tracker) {
+    LayerStreamer next(slow_reader_.get(), {1}, 2, tracker);
+    const auto bytes = next.Acquire(0);
+    ASSERT_EQ(bytes.size(), slow_blobs_[1].size());
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), slow_blobs_[1].begin()));
+    next.Release(0);
+  }
+
   TempFile file_{"streamer"};
   std::vector<std::vector<uint8_t>> blobs_;
   std::unique_ptr<BlobFileReader> reader_;
+  TempFile slow_file_{"streamer_slow"};
+  std::vector<std::vector<uint8_t>> slow_blobs_;
+  std::unique_ptr<BlobFileReader> slow_reader_;
 };
 
 TEST_F(StreamerTest, DeliversBlobsInOrder) {
@@ -957,6 +1090,79 @@ TEST_F(StreamerTest, StallAccountingIsMonotonic) {
     last = now;
   }
   streamer.TruncateSchedule(11);
+}
+
+TEST_F(StreamerTest, SkipToCancelsInFlightReadWithinOneChunk) {
+  ASSERT_NO_FATAL_FAILURE(OpenSlowDevice());
+  MemoryTracker tracker;
+  {
+    LayerStreamer streamer(slow_reader_.get(), {0, 1, 2}, 2, &tracker);
+    streamer.Acquire(0);
+    AwaitDeadReadInFlight();
+    streamer.Release(0);
+    streamer.SkipTo(2);
+    const auto bytes = streamer.Acquire(2);
+    ASSERT_EQ(bytes.size(), slow_blobs_[2].size());
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), slow_blobs_[2].begin()));
+    streamer.Release(2);
+    // The cancelled buffer is gone while the stream lives.
+    EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
+    EXPECT_EQ(streamer.stats().blobs_loaded, 2);
+  }
+  EXPECT_LE(DeadReadMicros({0, 2}), kSlowLatencyMicros + kSlowChunkMicros);
+  const SsdStats stats = slow_reader_->ssd().stats();
+  EXPECT_EQ(stats.cancelled_reads, 1);
+  EXPECT_EQ(stats.read_requests, 2);
+  EXPECT_EQ(slow_reader_->BlobReads(1), 0);  // Completed reads only.
+  // The cancelled read moved whole chunks, fewer than the blob holds.
+  const int64_t dead_bytes = stats.bytes_read - static_cast<int64_t>(slow_blobs_[0].size()) -
+                             static_cast<int64_t>(slow_blobs_[2].size());
+  EXPECT_GT(dead_bytes, 0);
+  EXPECT_LT(dead_bytes, static_cast<int64_t>(slow_blobs_[1].size()));
+  EXPECT_EQ(dead_bytes % (64 * 1024), 0);
+}
+
+TEST_F(StreamerTest, TruncateScheduleCancelsInFlightReadWithinOneChunk) {
+  ASSERT_NO_FATAL_FAILURE(OpenSlowDevice());
+  MemoryTracker tracker;
+  {
+    LayerStreamer streamer(slow_reader_.get(), {0, 1, 2}, 2, &tracker);
+    streamer.Acquire(0);
+    AwaitDeadReadInFlight();
+    streamer.TruncateSchedule(0);
+    streamer.Release(0);
+    // The cut-off read stops and frees its buffer while the stream lives;
+    // run to the end it would take 500 ms and stay resident.
+    const WallTimer timer;
+    while (tracker.CurrentBytes(MemCategory::kWeights) != 0 && timer.ElapsedMicros() < 400000) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
+  }
+  ExpectNextStreamReadsBlobOne(&tracker);
+  EXPECT_LE(DeadReadMicros({0, 1}), kSlowLatencyMicros + kSlowChunkMicros);
+  EXPECT_EQ(slow_reader_->ssd().stats().cancelled_reads, 1);
+  EXPECT_EQ(slow_reader_->BlobReads(1), 1);
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
+}
+
+TEST_F(StreamerTest, DestructorCancelsInFlightReadWithinOneChunk) {
+  ASSERT_NO_FATAL_FAILURE(OpenSlowDevice());
+  MemoryTracker tracker;
+  auto streamer = std::make_unique<LayerStreamer>(slow_reader_.get(),
+                                                  std::vector<size_t>{0, 1, 2}, 2, &tracker);
+  streamer->Acquire(0);
+  AwaitDeadReadInFlight();
+  streamer->Release(0);
+  const WallTimer timer;
+  streamer.reset();
+  const int64_t destroy_micros = timer.ElapsedMicros();
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
+  EXPECT_LT(destroy_micros, 250000);  // The whole read would hold it ~500 ms.
+  ExpectNextStreamReadsBlobOne(&tracker);
+  EXPECT_LE(DeadReadMicros({0, 1}), kSlowLatencyMicros + kSlowChunkMicros);
+  EXPECT_EQ(slow_reader_->ssd().stats().cancelled_reads, 1);
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
 }
 
 TEST(SpillPoolTest, SpillTakeRoundTrip) {
