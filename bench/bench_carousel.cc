@@ -7,9 +7,9 @@
 //    are in flight or just finished. The serial scheduler opens a fresh
 //    terminating pass per request, so each arrival pays the first-fetch
 //    stall; the carousel admits at warm layer-0 boundaries (the cyclic
-//    stream keeps layer 0 resident for the whole pass and prefetches layer 1
-//    across the wrap, and a drained pass lingers warm), so time-to-first-layer
-//    collapses to the embed.
+//    stream keeps layer 0 resident for the whole pass and prefetches layers 1
+//    and 2 across the wrap, and a drained pass lingers warm), so
+//    time-to-first-layer collapses to the embed.
 //  - burst: closed-loop, --clients threads hammering the service. Measures
 //    aggregate req/s and mean latency when sharing each layer fetch, not
 //    admission, is the bottleneck. The carousel answers a pruned request

@@ -336,9 +336,9 @@ void CarouselScheduler::DispatchLoop(uint64_t slot) {
       if (layer == 0 || residents.empty()) {
         // A boundary — either the natural wrap, or an early one because the
         // carousel drained mid-cycle. Realign first (a no-op at the wrap):
-        // the prefetcher discards the skipped layers and starts warming the
-        // next cycle's head immediately, so whoever joins next starts on
-        // warm weights instead of a cold streamer.
+        // the prefetcher discards the skipped layers and warms the next
+        // cycle's layers 1 and 2 behind the pinned layer 0, so whoever joins
+        // next starts on warm weights instead of a cold streamer.
         pass->SkipToNextCycle();
         layer = 0;
         std::vector<RequestQueue::Pending> joiners;
@@ -348,9 +348,9 @@ void CarouselScheduler::DispatchLoop(uint64_t slot) {
         AdmitBoundary(pass.get(), std::move(joiners), &residents);
         if (residents.empty()) {
           // Nothing to ride the next cycle. Linger briefly — pipeline warm,
-          // layer 0 already loading — before tearing the pass down; a
-          // request arriving inside the window skips the cold start. (A
-          // zero window makes this one more non-blocking Pop.)
+          // layers 0 to 2 resident or loading — before tearing the pass
+          // down; a request arriving inside the window skips the cold
+          // start. (A zero window makes this one more non-blocking Pop.)
           std::vector<RequestQueue::Pending> stragglers = queue_.Pop(max_inflight_, linger_ms_);
           if (stragglers.empty()) {
             break;  // Idle (or closed): end the busy period.

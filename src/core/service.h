@@ -56,9 +56,9 @@ struct ServiceOptions {
   // joiners embed side by side. 0 = max(hardware cores, max_inflight).
   size_t compute_threads = 0;
   // kCarousel only: how long a drained carousel lingers — layer 0 resident,
-  // layer 1 already loading — before tearing down. Arrivals inside the
-  // window skip the cold streamer start. The cost of a longer window is two
-  // layer blobs held resident while idle.
+  // layers 1 and 2 prefetched — before tearing down. Arrivals inside the
+  // window skip the cold streamer start. The cost of a longer window is
+  // three layer blobs held resident while idle (a running pass's peak).
   double carousel_linger_ms = 200.0;
   // When set, a resident HfRunner on the engine's device and precision is
   // built as ground truth, and every Nth served request is sampled for

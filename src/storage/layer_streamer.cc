@@ -113,6 +113,22 @@ void LayerStreamer::SkipTo(size_t seq) {
   cv_.NotifyAll();
 }
 
+size_t LayerStreamer::WindowEndLocked() const {
+  // The first `buffer_count` non-head positions at or after the floor; the
+  // head has a buffer of its own, so its positions take no window slot. No
+  // two adjacent positions are both heads unless every position is (a
+  // one-blob cyclic schedule), so the window spans at most twice
+  // `buffer_count` positions, which also keeps that case finite.
+  const size_t slots = buffers_.size();
+  size_t end = release_floor_;
+  for (size_t counted = 0; counted < slots && end < release_floor_ + 2 * slots; ++end) {
+    if (!IsHead(end)) {
+      ++counted;
+    }
+  }
+  return end;
+}
+
 StreamerStats LayerStreamer::stats() const {
   MutexLock lock(mu_);
   return stats_;
@@ -129,12 +145,10 @@ void LayerStreamer::PrefetchLoop() {
         if (shutting_down_) {
           return;
         }
-        // A position must be pending, within `buffer_count` of the release
-        // floor (so at most that many blobs besides a pinned head are ever
-        // resident), and a free buffer must exist. A head position takes the
-        // head buffer on its first visit and is stepped over afterwards.
-        if (next_to_load_ < schedule_end_ &&
-            next_to_load_ < release_floor_ + buffers_.size()) {
+        // A position must be pending, inside the look-ahead window, and a
+        // free buffer must exist. A head position takes the head buffer on
+        // its first visit and is stepped over afterwards.
+        if (next_to_load_ < schedule_end_ && next_to_load_ < WindowEndLocked()) {
           if (IsHead(next_to_load_)) {
             if (head_.seq != SIZE_MAX) {
               ++next_to_load_;

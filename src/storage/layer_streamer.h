@@ -32,10 +32,11 @@
 // without the pin each revolution, and each linger at a boundary, would read
 // the same blob again. Acquire of a head position returns the head buffer,
 // Release of one only advances the release floor, and the prefetcher steps
-// over head positions once the head is loaded. The look-ahead window still
-// counts head positions, so a stream idling at a boundary holds the head and
-// the next blob (two, as without the pin) and a stream past its head holds
-// at most the head plus `buffer_count` others.
+// over head positions once the head is loaded. The look-ahead window counts
+// non-head positions only — the first `buffer_count` of them at or after the
+// release floor — so a stream idling at a boundary holds the head plus the
+// next `buffer_count` blobs, the same peak a stream past its head reaches,
+// and a request boarding there finds its first layers after the head warm.
 //
 // Sequence positions stay monotonic in both modes, so TruncateSchedule keeps
 // its exact semantics under wrap-around: it caps the monotonic sequence
@@ -118,6 +119,8 @@ class LayerStreamer {
 
   void PrefetchLoop();
   void FreeBufferLocked(Buffer* buf) PRISM_REQUIRES(mu_);
+  // One past the last position the prefetcher may fill.
+  size_t WindowEndLocked() const PRISM_REQUIRES(mu_);
   // Whether position `seq` is served by the pinned head (cyclic only).
   bool IsHead(size_t seq) const { return cyclic_ && seq % schedule_.size() == 0; }
 

@@ -260,7 +260,8 @@ TEST_F(CarouselTest, PassReadsLayerZeroOnceAcrossCycles) {
   // the pass lingers at the boundary. The cyclic stream pins layer 0, so the
   // device reads its blob once for the whole pass (a serial Rerank reads it
   // once per request), and the pass holds at most three layer blobs: the
-  // head plus the two the stream double-buffers (Rerank holds two).
+  // head plus the two the stream double-buffers (Rerank holds two). A pass
+  // idling at a boundary holds the same three: the head, layer 1, layer 2.
   constexpr size_t kRequests = 6;
   MemoryTracker ref_tracker;
   PrismEngine reference(config_, ckpt_, EngineOptions(), &ref_tracker);
@@ -284,6 +285,7 @@ TEST_F(CarouselTest, PassReadsLayerZeroOnceAcrossCycles) {
   MemoryTracker tracker;
   PrismEngine engine(config_, ckpt_, EngineOptions(), &tracker);
   SimClock clock;
+  int64_t cycles = 0;
   {
     CarouselScheduler scheduler(&engine, /*max_inflight=*/2, /*compute_threads=*/2,
                                 /*linger_ms=*/2000.0, &clock);
@@ -299,8 +301,16 @@ TEST_F(CarouselTest, PassReadsLayerZeroOnceAcrossCycles) {
     const CarouselScheduler::Stats stats = scheduler.stats();
     EXPECT_EQ(stats.passes, 1u);
     EXPECT_GE(stats.cycles, kRequests);
+    cycles = static_cast<int64_t>(stats.cycles);
   }
   EXPECT_EQ(engine.layer_reads(0), 1);
+  // Layers 1 and 2 sit in the look-ahead window at every boundary, the head
+  // taking no slot of it, so each is read at most once per cycle plus once
+  // for the cycle the final linger warmed and nobody rode. Bounds, not exact
+  // counts: the prefetcher reads on wall-clock time, so whether an early
+  // wrap cancels a look-ahead read before it completes varies run to run.
+  EXPECT_LE(engine.layer_reads(1), cycles + 1);
+  EXPECT_LE(engine.layer_reads(2), cycles + 1);
   EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights), 3 * blob_bytes);
   EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
 }
