@@ -1,13 +1,13 @@
 // Automatic dispersion-threshold calibration (paper §4.1): instead of tuning
 // the threshold by hand, specify a minimum precision target and let the
-// calibrator find the most aggressive threshold that meets it against
-// full-inference ground truth.
+// calibrator find an aggressive threshold that meets it against
+// full-inference ground truth, which the engine computes itself by running
+// the sample without pruning.
 #include <cstdio>
 
 #include "src/core/calibrator.h"
 #include "src/core/engine.h"
 #include "src/model/synthetic.h"
-#include "src/runtime/hf_runner.h"
 
 int main() {
   using namespace prism;
@@ -24,16 +24,12 @@ int main() {
     sample.push_back(RerankRequest::FromQuery(data.MakeQuery(i, 20), 5));
   }
 
-  HfRunnerOptions hf_options;
-  hf_options.device = device;
-  HfRunner reference(model, checkpoint, hf_options);
-
   PrismOptions prism_options;
   prism_options.device = device;
   PrismEngine engine(model, checkpoint, prism_options);
 
   for (double target : {0.90, 0.99}) {
-    const CalibrationResult result = CalibrateThreshold(&engine, &reference, sample, target);
+    const CalibrationResult result = CalibrateThreshold(&engine, sample, target);
     std::printf("target precision %.2f -> threshold %.3f (achieved %.3f, %d evaluations)\n",
                 target, result.threshold, result.achieved_precision, result.evaluations);
   }

@@ -23,8 +23,7 @@ double MeasureAgreement(PrismEngine* engine, const std::vector<RerankRequest>& s
 
 }  // namespace
 
-CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
-                                     const std::vector<RerankRequest>& sample,
+CalibrationResult CalibrateThreshold(PrismEngine* engine, const std::vector<RerankRequest>& sample,
                                      double target_precision) {
   PRISM_CHECK(!sample.empty());
   // Ground truth: full inference on every sampled request (the paper does
@@ -32,7 +31,7 @@ CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
   std::vector<RerankResult> references;
   references.reserve(sample.size());
   for (const RerankRequest& request : sample) {
-    references.push_back(reference->Rerank(request));
+    references.push_back(engine->RerankUnpruned(request));
   }
 
   CalibrationResult result;

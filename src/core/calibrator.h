@@ -3,10 +3,12 @@
 // The paper's system samples live requests, re-executes them without pruning
 // when the device is idle to obtain ground truth, and nudges the dispersion
 // threshold until the measured precision meets the user's target. This
-// offline equivalent binary-searches the lowest threshold whose top-K overlap
+// offline equivalent bisects for the lowest threshold whose top-K overlap
 // with full inference reaches the target across a calibration sample —
 // "the lowest possible value that meets the constraint, thereby maximizing
-// performance under the given requirement."
+// performance under the given requirement." The bisection assumes agreement
+// rises monotonically with the threshold; where it does not, it can settle
+// above a lower threshold that also meets the target.
 #ifndef PRISM_SRC_CORE_CALIBRATOR_H_
 #define PRISM_SRC_CORE_CALIBRATOR_H_
 
@@ -22,14 +24,12 @@ struct CalibrationResult {
   int evaluations = 0;
 };
 
-// Calibrates `engine`'s threshold against `reference` (an un-pruned runner —
-// typically an HfRunner or a PrismEngine with pruning off) on the sample
-// requests: the result is the lowest threshold in [kMinDispersionThreshold,
-// kMaxDispersionThreshold] the search finds whose mean top-K agreement with
-// full inference reaches `target_precision`. Leaves the engine configured
-// with the chosen threshold.
-CalibrationResult CalibrateThreshold(PrismEngine* engine, Runner* reference,
-                                     const std::vector<RerankRequest>& sample,
+// Calibrates `engine`'s threshold against its own full inference
+// (RerankUnpruned) on the sample requests: the result is the threshold in
+// [kMinDispersionThreshold, kMaxDispersionThreshold] the bisection settles
+// on whose mean top-K agreement reaches `target_precision`. Leaves the
+// engine configured with the chosen threshold.
+CalibrationResult CalibrateThreshold(PrismEngine* engine, const std::vector<RerankRequest>& sample,
                                      double target_precision);
 
 }  // namespace prism

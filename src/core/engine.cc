@@ -54,7 +54,8 @@ class PrismCarouselTicket final : public CarouselTicket {
 // its LayerForward runs one block even when Step passes a pool.
 class PrismCarouselPass final : public CarouselPass {
  public:
-  PrismCarouselPass(PrismEngine* engine, bool cyclic) : engine_(engine), cyclic_(cyclic) {
+  PrismCarouselPass(PrismEngine* engine, bool cyclic, bool pruning = true)
+      : engine_(engine), cyclic_(cyclic), pruning_(pruning && engine->options_.pruning) {
     if (cyclic_) {
       OpenStreamer();
     }
@@ -212,10 +213,13 @@ class PrismCarouselPass final : public CarouselPass {
       ctx.done = true;
       return ticket;
     }
-    ctx.pruner_options.dispersion_threshold = engine_->dispersion_threshold();
-    ctx.pruner_options.prune_winners = engine_->options_.prune_winners;
-    ctx.pruner_options.kmeans_max_k = engine_->options_.kmeans_max_k;
-    ctx.pruner_options.seed = engine_->options_.seed;
+    ctx.pruning = pruning_;
+    if (pruning_) {  // A full-depth request reads no threshold.
+      ctx.pruner_options.dispersion_threshold = engine_->dispersion_threshold();
+      ctx.pruner_options.prune_winners = engine_->options_.prune_winners;
+      ctx.pruner_options.kmeans_max_k = engine_->options_.kmeans_max_k;
+      ctx.pruner_options.seed = engine_->options_.seed;
+    }
     engine_->planner_->Begin(&ctx, fan_out);
     return ticket;
   }
@@ -226,6 +230,7 @@ class PrismCarouselPass final : public CarouselPass {
 
   PrismEngine* engine_;
   const bool cyclic_;
+  const bool pruning_;  // Off: every request is planned full-depth.
   std::unique_ptr<LayerStreamer> streamer_;  // Null when streaming is off.
   size_t seq_ = 0;                           // Monotonic carousel position.
   std::vector<PrismCarouselTicket*> live_;   // Admitted, result not yet taken.
@@ -314,10 +319,12 @@ std::unique_ptr<CarouselPass> PrismEngine::BeginCarousel() {
   return std::make_unique<PrismCarouselPass>(this, /*cyclic=*/true);
 }
 
-RerankResult PrismEngine::Rerank(const RerankRequest& request) {
-  // One revolution of a terminating pass with this request aboard: it boards
-  // at layer 0 and steps alone until it finishes.
-  PrismCarouselPass pass(this, /*cyclic=*/false);
+namespace {
+
+// One revolution of a terminating pass with this request aboard: it boards
+// at layer 0 and steps alone until it finishes.
+RerankResult RerankAlone(PrismEngine* engine, const RerankRequest& request, bool pruning) {
+  PrismCarouselPass pass(engine, /*cyclic=*/false, pruning);
   const RerankRequest* boarding = &request;
   std::unique_ptr<CarouselTicket> ticket = std::move(pass.AdmitBatch({&boarding, 1}, nullptr)[0]);
   CarouselTicket* group = ticket.get();
@@ -325,6 +332,16 @@ RerankResult PrismEngine::Rerank(const RerankRequest& request) {
     pass.Step(layer, {&group, 1}, nullptr);
   }
   return ticket->TakeResult();
+}
+
+}  // namespace
+
+RerankResult PrismEngine::Rerank(const RerankRequest& request) {
+  return RerankAlone(this, request, /*pruning=*/true);
+}
+
+RerankResult PrismEngine::RerankUnpruned(const RerankRequest& request) {
+  return RerankAlone(this, request, /*pruning=*/false);
 }
 
 }  // namespace prism

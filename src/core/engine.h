@@ -48,6 +48,11 @@ class PrismEngine : public CarouselRunner {
 
   RerankResult Rerank(const RerankRequest& request) override;
 
+  // Full inference, the calibrators' ground truth: Rerank's one-cycle pass
+  // with pruning off for this request only, bit-identical to HfRunner. It
+  // neither reads nor writes the live dispersion threshold.
+  RerankResult RerankUnpruned(const RerankRequest& request);
+
   // Opens a cyclic carousel pass over this engine's layer stream: the
   // CarouselScheduler admits requests at cycle boundaries and steps every
   // resident request through each arriving layer, with results bit-identical

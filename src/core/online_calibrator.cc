@@ -28,9 +28,8 @@ size_t OnlineCalibrator::requests_served() const {
   return served_;
 }
 
-OnlineCalibrator::OnlineCalibrator(PrismEngine* engine, Runner* reference,
-                                   OnlineCalibratorOptions options)
-    : engine_(engine), reference_(reference), options_(options) {
+OnlineCalibrator::OnlineCalibrator(PrismEngine* engine, OnlineCalibratorOptions options)
+    : engine_(engine), options_(options) {
   PRISM_CHECK_GT(options_.sample_every, 0u);
   PRISM_CHECK_GT(options_.max_samples, 0u);
 }
@@ -62,8 +61,8 @@ double OnlineCalibrator::RunIdleCycle(size_t budget) {
       log_.pop_front();
     }
     // Full inference without pruning → ground truth (outside the lock: the
-    // reference run is slow and serving threads only need the log).
-    const RerankResult truth = reference_->Rerank(sample.request);
+    // replay is slow and serving threads only need the log).
+    const RerankResult truth = engine_->RerankUnpruned(sample.request);
     agreement += TopKOverlap(sample.topk, truth.topk, sample.request.k);
     ++processed;
   }

@@ -11,10 +11,10 @@
 // RerankService hands it every (request, result) pair once the request has
 // been served, and every `sample_every`-th served request is logged together
 // with PRISM's top-K. RunIdleCycle() (invoked whenever the host application
-// is idle) replays the logged requests through a full-inference reference,
-// measures agreement, and nudges the engine's threshold multiplicatively in
-// the indicated direction, within [kMinDispersionThreshold,
-// kMaxDispersionThreshold]. The threshold write is safe against in-flight
+// is idle) replays the logged requests through the engine's full inference
+// (RerankUnpruned), measures agreement, and nudges the engine's threshold
+// multiplicatively in the indicated direction, within
+// [kMinDispersionThreshold, kMaxDispersionThreshold]. The threshold write is safe against in-flight
 // requests: the engine stores it atomically, and a carousel ticket reads it
 // once, at admission, so no request mixes two thresholds. The sample log is
 // mutex-guarded, so Observe may run on any number of serving threads and
@@ -38,10 +38,8 @@ struct OnlineCalibratorOptions {
 
 class OnlineCalibrator {
  public:
-  // `engine` serves traffic; `reference` provides ground truth at idle time
-  // (RerankService uses the resident HfRunner on the same checkpoint).
-  // Neither is owned.
-  OnlineCalibrator(PrismEngine* engine, Runner* reference, OnlineCalibratorOptions options);
+  // `engine` serves traffic and provides ground truth at idle time. Not owned.
+  OnlineCalibrator(PrismEngine* engine, OnlineCalibratorOptions options);
 
   // Offers one answered request to the sample log. Only served results
   // (status ok) count and can be logged: a shed or failed request carries no
@@ -65,7 +63,6 @@ class OnlineCalibrator {
   };
 
   PrismEngine* engine_;
-  Runner* reference_;
   OnlineCalibratorOptions options_;
   mutable Mutex mu_;
   std::deque<Sample> log_ PRISM_GUARDED_BY(mu_);

@@ -45,14 +45,7 @@ RerankService::RerankService(const ModelConfig& config, const std::string& check
     kind = options.max_inflight > 1 ? SchedulerKind::kCarousel : SchedulerKind::kSerial;
   }
   if (options.online_calibration) {
-    // Ground truth is the resident HF baseline: full inference with every
-    // layer in memory, so idle-time replays never wait on the device.
-    HfRunnerOptions reference_options;
-    reference_options.device = options.engine.device;
-    reference_options.precision = options.engine.precision;
-    reference_ = std::make_unique<HfRunner>(config, checkpoint_path, reference_options, tracker);
-    calibrator_ = std::make_unique<OnlineCalibrator>(engine_.get(), reference_.get(),
-                                                     options.calibration);
+    calibrator_ = std::make_unique<OnlineCalibrator>(engine_.get(), options.calibration);
   }
   CarouselRunner* target = engine_.get();
   if (dynamic_cast<SimClock*>(clock) != nullptr) {

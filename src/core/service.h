@@ -1,19 +1,18 @@
 // RerankService: the deployment-facing facade.
 //
-// Owns a model's checkpoint, a PRISM engine, an optional full-inference
-// reference (the resident HF baseline) for online calibration, and rolling
-// service statistics — the piece an application (file search, RAG, agent)
-// embeds. Rerank() is thread-safe: requests are admitted through a Scheduler
-// (src/core/scheduler.h). With the default `max_inflight == 1` every call
-// is served serially, exactly as before; with `max_inflight > 1` the
-// carousel scheduler runs concurrent requests through the engine's cyclic
-// layer pass, which shares each layer fetch across them, raising throughput
-// while keeping each request's result bit-identical to serial execution.
-// Online calibration rides beside the scheduler, not inside it: each served
-// result is offered to the calibrator after Submit returns, so it works
-// under either scheduler. Admission (RequestQueue) and statistics each sit behind one mutex: both
-// cost microseconds against an engine pass of tens to hundreds of
-// milliseconds.
+// Owns a model's checkpoint, a PRISM engine (which, unpruned, is also online
+// calibration's ground truth), and rolling service statistics — the piece an
+// application (file search, RAG, agent) embeds. Rerank() is thread-safe:
+// requests are admitted through a Scheduler (src/core/scheduler.h). With the
+// default `max_inflight == 1` every call is served serially; with
+// `max_inflight > 1` the carousel scheduler runs concurrent requests through
+// the engine's cyclic layer pass, which shares each layer fetch across them,
+// raising throughput while keeping each request's result bit-identical to
+// serial execution. Online calibration rides beside the scheduler, not inside
+// it: each served result is offered to the calibrator after Submit returns,
+// so it works under either scheduler. Admission (RequestQueue) and statistics
+// each sit behind one mutex: both cost microseconds against an engine pass of
+// tens to hundreds of milliseconds.
 #ifndef PRISM_SRC_CORE_SERVICE_H_
 #define PRISM_SRC_CORE_SERVICE_H_
 
@@ -26,7 +25,6 @@
 #include "src/core/engine.h"
 #include "src/core/online_calibrator.h"
 #include "src/core/scheduler.h"
-#include "src/runtime/hf_runner.h"
 #include "src/runtime/sim_runner.h"
 
 namespace prism {
@@ -60,10 +58,9 @@ struct ServiceOptions {
   // window skip the cold streamer start. The cost of a longer window is
   // three layer blobs held resident while idle (a running pass's peak).
   double carousel_linger_ms = 200.0;
-  // When set, a resident HfRunner on the engine's device and precision is
-  // built as ground truth, and every Nth served request is sampled for
-  // idle-time calibration toward `target_precision`. Works with either
-  // scheduler; not on a SimClock (checked).
+  // When set, every Nth served request is sampled for idle-time calibration
+  // toward `target_precision`, against the engine's own full inference.
+  // Works with either scheduler; not on a SimClock (checked).
   bool online_calibration = false;
   OnlineCalibratorOptions calibration;
   // Time source for every scheduler wait and queue deadline. nullptr
@@ -134,8 +131,8 @@ class RerankService : public Runner {
   // Idle hook: runs one online-calibration cycle if enabled (no-op
   // otherwise). Returns the measured agreement or NaN. Thread-safe — the
   // calibrator's sample log is mutex-guarded, so this may overlap serving —
-  // but it runs full-inference ground truth, so call it when the service is
-  // otherwise idle.
+  // but each replay is a full-depth pass streaming every layer beside any
+  // serving pass, so call it when the service is otherwise idle.
   double OnIdle();
   // Null unless online_calibration is set.
   const OnlineCalibrator* calibrator() const { return calibrator_.get(); }
@@ -149,7 +146,6 @@ class RerankService : public Runner {
  private:
   ModelConfig config_;
   std::unique_ptr<PrismEngine> engine_;
-  std::unique_ptr<HfRunner> reference_;  // Calibration ground truth (resident HF).
   std::unique_ptr<OnlineCalibrator> calibrator_;
   std::unique_ptr<SimulatedRunner> sim_runner_;  // Only on a SimClock.
   std::unique_ptr<Scheduler> scheduler_;

@@ -179,7 +179,7 @@ bool PruneStage::AfterLayer(RequestContext* ctx, size_t layer, bool last_layer) 
 
   // Progressive cluster pruning between layers (skip after the last layer —
   // final scores settle the remaining candidates anyway).
-  if (!options.pruning || last_layer) {
+  if (!ctx->pruning || last_layer) {
     return false;
   }
   const PruneDecision decision = DecidePrune(scores_active, ctx->remaining_k,

@@ -143,6 +143,8 @@ struct RequestContext {
   bool terminated = false;  // Pruning stopped the forward pass early.
   bool done = false;        // No more layers to run (terminated or exhausted).
 
+  // Set at planning: the engine's `pruning` option, off for RerankUnpruned.
+  bool pruning = true;
   PrunerOptions pruner_options;
   std::optional<LayerScratch> scratch;
   std::vector<LayerTraceEntry> trace;

@@ -4,24 +4,12 @@
 #include <span>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/timer.h"
 #include "src/data/metrics.h"
 #include "src/model/layer.h"
 #include "src/model/pair_encoder.h"
 
 namespace prism {
-
-RerankRequest RerankRequest::FromQuery(const RerankQuery& q, size_t k) {
-  RerankRequest request;
-  request.query = q.tokens;
-  for (const CandidateDoc& c : q.candidates) {
-    request.docs.push_back(c.tokens);
-    request.planted_r.push_back(c.planted_r);
-  }
-  request.k = k;
-  return request;
-}
 
 HfRunner::HfRunner(const ModelConfig& config, const std::string& checkpoint_path,
                    HfRunnerOptions options, MemoryTracker* tracker)
@@ -98,7 +86,13 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
         const auto bytes = static_cast<int64_t>(offload_blob.size());
         claim = MemClaim(tracker_, MemCategory::kWeights, bytes);
         const Status status = checkpoint_.reader->ReadBlob(LayerBlobIndex(layer), offload_blob);
-        PRISM_CHECK_MSG(status.ok(), status.ToString().c_str());
+        if (!status.ok()) {
+          // A failed or corrupt read fails this request, not the process:
+          // no ranking, and the layer's claim is released on return.
+          result.status = status;
+          result.scores.clear();
+          return result;
+        }
         result.stats.io_stall_ms += io_timer.ElapsedMillis();
         result.stats.bytes_streamed += bytes;
         blob = offload_blob;

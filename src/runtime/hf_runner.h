@@ -39,7 +39,9 @@ class HfRunner : public Runner {
   HfRunner(const ModelConfig& config, const std::string& checkpoint_path,
            HfRunnerOptions options, MemoryTracker* tracker = &MemoryTracker::Global());
 
-  // A malformed request gets ValidateRequest's kInvalidArgument.
+  // A malformed request gets ValidateRequest's kInvalidArgument; a failed or
+  // corrupt layer read (offload only) fails the request with the read's
+  // status and an empty top-K.
   RerankResult Rerank(const RerankRequest& request) override;
   std::string name() const override;
 

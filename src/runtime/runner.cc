@@ -23,6 +23,17 @@ Status CheckVocab(const std::vector<uint32_t>& tokens, size_t vocab_size, const 
 
 }  // namespace
 
+RerankRequest RerankRequest::FromQuery(const RerankQuery& q, size_t k) {
+  RerankRequest request;
+  request.query = q.tokens;
+  for (const CandidateDoc& c : q.candidates) {
+    request.docs.push_back(c.tokens);
+    request.planted_r.push_back(c.planted_r);
+  }
+  request.k = k;
+  return request;
+}
+
 RequestKey::RequestKey(const RerankRequest& request)
     : query(request.query), docs(request.docs), k(request.k) {
   planted_r_bits.reserve(request.planted_r.size());

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "src/common/timer.h"
@@ -28,14 +29,6 @@ class EngineTest : public ::testing::Test {
     request_ = TestRequest(config_, 12, 3);
   }
 
-  RerankResult RunHf() {
-    MemoryTracker tracker;
-    HfRunnerOptions opts;
-    opts.device = FastDevice();
-    HfRunner hf(config_, ckpt_, opts, &tracker);
-    return hf.Rerank(request_);
-  }
-
   ModelConfig config_;
   std::string ckpt_;
   RerankRequest request_;
@@ -43,17 +36,45 @@ class EngineTest : public ::testing::Test {
 
 TEST_F(EngineTest, NoPruningMatchesHfExactly) {
   // Invariant 4 (docs/ARCHITECTURE.md, "Synthetic weights and planted
-  // relevance"): with pruning disabled, PRISM's scores and top-K equal the
-  // baseline bit-for-bit (monolithic forwarding is a pure reorganisation of
-  // the same math).
-  MemoryTracker tracker;
-  PrismOptions options = BaseOptions();
-  options.pruning = false;
-  PrismEngine engine(config_, ckpt_, options, &tracker);
-  const RerankResult prism = engine.Rerank(request_);
-  const RerankResult hf = RunHf();
-  EXPECT_EQ(prism.scores, hf.scores);
-  EXPECT_EQ(prism.topk, hf.topk);
+  // relevance"): with pruning off, PRISM's scores and top-K equal the
+  // baseline bit-for-bit at every tier (monolithic forwarding is a pure
+  // reorganisation of the same math), n <= k included. Off for the engine,
+  // or for one request of a pruning engine: RerankUnpruned, the calibrators'
+  // ground truth, which leaves the live threshold and later requests alone.
+  const std::vector<RerankRequest> requests = {request_, TestRequest(config_, 3, 5, 1)};
+  for (const Precision precision : kAllPrecisions) {
+    SCOPED_TRACE(PrecisionName(precision));
+    const std::string ckpt = TestCheckpoint(config_, precision);
+    MemoryTracker tracker;
+    PrismOptions options = BaseOptions();
+    options.precision = precision;
+    options.dispersion_threshold = 0.05f;
+    PrismEngine engine(config_, ckpt, options, &tracker);
+    PrismEngine fresh(config_, ckpt, options, &tracker);
+    options.pruning = false;
+    PrismEngine unpruned(config_, ckpt, options, &tracker);
+    HfRunnerOptions hf_options;
+    hf_options.device = FastDevice();
+    hf_options.precision = precision;
+    HfRunner hf(config_, ckpt, hf_options, &tracker);
+    for (const RerankRequest& request : requests) {
+      const RerankResult truth = hf.Rerank(request);
+      for (const RerankResult& full : {engine.RerankUnpruned(request), unpruned.Rerank(request)}) {
+        EXPECT_EQ(full.scores, truth.scores);
+        EXPECT_EQ(full.topk, truth.topk);
+      }
+    }
+    EXPECT_EQ(engine.dispersion_threshold(), 0.05f);
+    for (const RerankRequest& request : requests) {
+      const RerankResult later = engine.Rerank(request);
+      const RerankResult expected = fresh.Rerank(request);
+      EXPECT_EQ(later.topk, expected.topk);
+      ASSERT_EQ(later.scores.size(), expected.scores.size());
+      EXPECT_EQ(std::memcmp(later.scores.data(), expected.scores.data(),
+                            later.scores.size() * sizeof(float)),
+                0);  // Bitwise: a pruned candidate's score is NaN.
+    }
+  }
 }
 
 TEST_F(EngineTest, ChunkSizeInvariance) {
@@ -62,10 +83,9 @@ TEST_F(EngineTest, ChunkSizeInvariance) {
   for (size_t chunk : {1u, 2u, 3u, 5u, 12u}) {
     MemoryTracker tracker;
     PrismOptions options = BaseOptions();
-    options.pruning = false;
     options.chunk_candidates = chunk;
     PrismEngine engine(config_, ckpt_, options, &tracker);
-    const RerankResult result = engine.Rerank(request_);
+    const RerankResult result = engine.RerankUnpruned(request_);
     if (reference.empty()) {
       reference = result.scores;
     } else {
@@ -78,14 +98,11 @@ TEST_F(EngineTest, StreamingInvariance) {
   // Invariant 2: streamed weights give bit-identical results to resident.
   MemoryTracker t1;
   MemoryTracker t2;
-  PrismOptions streaming = BaseOptions();
-  streaming.pruning = false;
   PrismOptions resident = BaseOptions();
-  resident.pruning = false;
   resident.streaming = false;
-  PrismEngine a(config_, ckpt_, streaming, &t1);
+  PrismEngine a(config_, ckpt_, BaseOptions(), &t1);
   PrismEngine b(config_, ckpt_, resident, &t2);
-  EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
+  EXPECT_EQ(a.RerankUnpruned(request_).scores, b.RerankUnpruned(request_).scores);
 }
 
 TEST_F(EngineTest, HiddenOffloadInvariance) {
@@ -93,22 +110,20 @@ TEST_F(EngineTest, HiddenOffloadInvariance) {
   MemoryTracker t1;
   MemoryTracker t2;
   PrismOptions offload = BaseOptions();
-  offload.pruning = false;
   offload.offload_hidden = true;
   offload.chunk_candidates = 3;
   PrismOptions plain = BaseOptions();
-  plain.pruning = false;
   plain.chunk_candidates = 3;
   PrismEngine a(config_, ckpt_, offload, &t1);
   PrismEngine b(config_, ckpt_, plain, &t2);
-  EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
+  EXPECT_EQ(a.RerankUnpruned(request_).scores, b.RerankUnpruned(request_).scores);
 
   // Consumed chunks hand their extents to later spills: 40 requests use no
   // more spill-file bytes than one.
   const int64_t one_request = a.spill_pool()->bytes_on_disk();
   EXPECT_GT(one_request, 0);
   for (int i = 1; i < 40; ++i) {
-    a.Rerank(request_);
+    a.RerankUnpruned(request_);
   }
   EXPECT_LE(a.spill_pool()->bytes_on_disk(), one_request);
   EXPECT_EQ(a.spill_pool()->live_entries(), 0u);
@@ -118,14 +133,11 @@ TEST_F(EngineTest, EmbedCacheInvariance) {
   // Invariant 8: cached embedding lookups are bit-identical to the table.
   MemoryTracker t1;
   MemoryTracker t2;
-  PrismOptions cached = BaseOptions();
-  cached.pruning = false;
   PrismOptions full = BaseOptions();
-  full.pruning = false;
   full.embed_cache = false;
-  PrismEngine a(config_, ckpt_, cached, &t1);
+  PrismEngine a(config_, ckpt_, BaseOptions(), &t1);
   PrismEngine b(config_, ckpt_, full, &t2);
-  EXPECT_EQ(a.Rerank(request_).scores, b.Rerank(request_).scores);
+  EXPECT_EQ(a.RerankUnpruned(request_).scores, b.RerankUnpruned(request_).scores);
   // The lookups went through the cache.
   const std::optional<EmbeddingCacheStats> stats = a.embed_cache_stats();
   ASSERT_TRUE(stats.has_value());
@@ -138,9 +150,9 @@ TEST_F(EngineTest, PruningReducesWorkAndPreservesTopK) {
   options.dispersion_threshold = 0.25f;
   PrismEngine engine(config_, ckpt_, options, &tracker);
   const RerankResult prism = engine.Rerank(request_);
-  const RerankResult hf = RunHf();
-  EXPECT_LT(prism.stats.candidate_layers, hf.stats.candidate_layers);
-  EXPECT_GE(TopKOverlap(prism.topk, hf.topk, request_.k), 2.0 / 3.0);
+  const RerankResult full = engine.RerankUnpruned(request_);
+  EXPECT_LT(prism.stats.candidate_layers, full.stats.candidate_layers);
+  EXPECT_GE(TopKOverlap(prism.topk, full.topk, request_.k), 2.0 / 3.0);
   EXPECT_EQ(prism.topk.size(), request_.k);
 }
 
@@ -193,10 +205,8 @@ TEST_F(EngineTest, TraceModeRecordsEveryLayer) {
 
 TEST_F(EngineTest, StreamingKeepsAtMostTwoLayersResident) {
   MemoryTracker tracker;
-  PrismOptions options = BaseOptions();
-  options.pruning = false;
-  PrismEngine engine(config_, ckpt_, options, &tracker);
-  engine.Rerank(request_);
+  PrismEngine engine(config_, ckpt_, BaseOptions(), &tracker);
+  engine.RerankUnpruned(request_);
   EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights),
             static_cast<int64_t>(2 * LayerBlobBytes(config_, Precision::kFp32)));
 }
@@ -360,9 +370,7 @@ TEST_F(EngineTest, ExactRankModeMatchesFullTopKOrder) {
   options.prune_winners = false;
   options.dispersion_threshold = 0.2f;
   PrismEngine engine(config_, ckpt_, options, &tracker);
-  const RerankResult prism = engine.Rerank(request_);
-  const RerankResult hf = RunHf();
-  EXPECT_EQ(prism.topk, hf.topk);
+  EXPECT_EQ(engine.Rerank(request_).topk, engine.RerankUnpruned(request_).topk);
 }
 
 
@@ -372,17 +380,12 @@ TEST(EncoderEngineTest, EncoderModelEndToEnd) {
   const ModelConfig config = TestModel(ModelArch::kEncoderOnly);
   const std::string ckpt = TestCheckpoint(config);
   const RerankRequest request = TestRequest(config, 12, 3);
-  MemoryTracker t1;
-  MemoryTracker t2;
-  PrismOptions no_prune;
-  no_prune.device = FastDevice();
-  no_prune.pruning = false;
-  PrismEngine reference(config, ckpt, no_prune, &t1);
+  MemoryTracker tracker;
   PrismOptions pruned;
   pruned.device = FastDevice();
   pruned.dispersion_threshold = 0.25f;
-  PrismEngine engine(config, ckpt, pruned, &t2);
-  const RerankResult full = reference.Rerank(request);
+  PrismEngine engine(config, ckpt, pruned, &tracker);
+  const RerankResult full = engine.RerankUnpruned(request);
   const RerankResult fast = engine.Rerank(request);
   EXPECT_LE(fast.stats.candidate_layers, full.stats.candidate_layers);
   EXPECT_GE(TopKOverlap(fast.topk, full.topk, request.k), 2.0 / 3.0);

@@ -107,10 +107,10 @@ TEST_F(IntegrationTest, C1_PrecisionPreservedAcrossDatasets) {
 }
 
 TEST_F(IntegrationTest, C3_ThresholdTradesLatencyForAgreement) {
-  MemoryTracker t1;
-  HfRunnerOptions hopts;
-  hopts.device = FastDevice();
-  HfRunner hf(config_, ckpt_, hopts, &t1);
+  MemoryTracker tracker;
+  PrismOptions options;
+  options.device = FastDevice();
+  PrismEngine engine(config_, ckpt_, options, &tracker);
 
   double low_work = 0.0;
   double high_work = 0.0;
@@ -119,27 +119,15 @@ TEST_F(IntegrationTest, C3_ThresholdTradesLatencyForAgreement) {
   const SyntheticDataset data(DatasetByName("wikipedia"), config_, 55);
   for (size_t i = 0; i < 4; ++i) {
     const RerankRequest request = RerankRequest::FromQuery(data.MakeQuery(i, 16), 4);
-    const RerankResult ref = hf.Rerank(request);
-    {
-      MemoryTracker t;
-      PrismOptions options;
-      options.device = FastDevice();
-      options.dispersion_threshold = 0.05f;
-      PrismEngine engine(config_, ckpt_, options, &t);
-      const RerankResult r = engine.Rerank(request);
-      low_work += static_cast<double>(r.stats.candidate_layers);
-      low_agreement += TopKOverlap(r.topk, ref.topk, 4);
-    }
-    {
-      MemoryTracker t;
-      PrismOptions options;
-      options.device = FastDevice();
-      options.dispersion_threshold = 0.45f;
-      PrismEngine engine(config_, ckpt_, options, &t);
-      const RerankResult r = engine.Rerank(request);
-      high_work += static_cast<double>(r.stats.candidate_layers);
-      high_agreement += TopKOverlap(r.topk, ref.topk, 4);
-    }
+    const RerankResult ref = engine.RerankUnpruned(request);
+    engine.set_dispersion_threshold(0.05f);
+    const RerankResult low = engine.Rerank(request);
+    low_work += static_cast<double>(low.stats.candidate_layers);
+    low_agreement += TopKOverlap(low.topk, ref.topk, 4);
+    engine.set_dispersion_threshold(0.45f);
+    const RerankResult high = engine.Rerank(request);
+    high_work += static_cast<double>(high.stats.candidate_layers);
+    high_agreement += TopKOverlap(high.topk, ref.topk, 4);
   }
   EXPECT_LT(low_work, high_work);           // Lower threshold → less compute.
   EXPECT_LE(low_agreement, high_agreement + 1e-9);  // ...and no better agreement.
@@ -154,11 +142,10 @@ TEST_F(IntegrationTest, OverlappedStreamingHidesIoThatOffloadPays) {
   HfRunner offload(config_, ckpt_, oopts, &t1);
   PrismOptions popts;
   popts.device = TestDevice();
-  popts.pruning = false;  // Isolate the streaming effect.
   PrismEngine prism(config_, ckpt_, popts, &t2);
 
   const RerankResult r_off = offload.Rerank(request_);
-  const RerankResult r_prism = prism.Rerank(request_);
+  const RerankResult r_prism = prism.RerankUnpruned(request_);  // Isolate streaming.
   // The offload baseline's I/O is serial (visible stall); PRISM's overlapped
   // streaming hides most of it behind compute.
   EXPECT_LT(r_prism.stats.io_stall_ms, r_off.stats.io_stall_ms * 0.8);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -10,6 +11,7 @@
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
 #include "src/runtime/sim_runner.h"
+#include "src/storage/ssd.h"
 #include "tests/test_util.h"
 
 namespace prism {
@@ -258,6 +260,36 @@ TEST_F(RunnerTest, MalformedRequestsGetInvalidArgumentInBothModes) {
     // The runner still serves a well-formed request afterwards.
     EXPECT_TRUE(hf.Rerank(request_).status.ok());
   }
+}
+
+TEST_F(RunnerTest, OffloadCorruptLayerFailsTheRequestNotTheProcess) {
+  // A checkpoint copy with one stored byte of layer 2 flipped: the
+  // offloading runner's read of that blob fails its checksum.
+  const std::string corrupt = MakeTempDevicePath("hf_corrupt_layer");
+  std::filesystem::copy_file(ckpt_, corrupt, std::filesystem::copy_options::overwrite_existing);
+  {
+    SimulatedSsd ssd(corrupt, FastDevice().ssd);
+    // A table entry (40 bytes, after the 16-byte header) opens with the
+    // blob's absolute offset.
+    int64_t at = 0;
+    ASSERT_TRUE(ssd.Read(16 + 40 * static_cast<int64_t>(LayerBlobIndex(2)),
+                         {reinterpret_cast<uint8_t*>(&at), sizeof(at)})
+                    .ok());
+    uint8_t byte = 0;
+    ASSERT_TRUE(ssd.Read(at + 100, {&byte, 1}).ok());
+    byte ^= 0x10;
+    ASSERT_TRUE(ssd.Write(at + 100, {&byte, 1}).ok());
+  }
+  MemoryTracker tracker;
+  HfRunnerOptions opts;
+  opts.device = FastDevice();
+  opts.offload = true;
+  HfRunner off(config_, corrupt, opts, &tracker);
+  const RerankResult result = off.Rerank(request_);
+  EXPECT_EQ(result.status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(result.topk.empty());
+  EXPECT_EQ(tracker.CurrentBytes(MemCategory::kWeights), 0);
+  std::filesystem::remove(corrupt);
 }
 
 TEST_F(RunnerTest, ComputeSlowdownStretchesLatency) {

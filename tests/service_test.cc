@@ -267,21 +267,37 @@ TEST_F(ServiceTest, OnlineCalibrationNudgesByFixedFactorsWithinBounds) {
   EXPECT_EQ(lowered.back(), 0.02f);
 }
 
+TEST_F(ServiceTest, CalibratingServiceHoldsOneModel) {
+  // Calibration's ground truth is the serving engine run without pruning:
+  // a calibrating service tracks what a plain one does at construction, and
+  // serving plus an idle replay holds at most one pass's two layer blobs.
+  MemoryTracker plain_tracker;
+  MemoryTracker tracker;
+  ServiceOptions options;
+  options.engine.device = FastDevice();
+  const RerankService plain(config_, ckpt_, options, &plain_tracker);
+  options.online_calibration = true;
+  options.calibration.sample_every = 1;
+  RerankService service(config_, ckpt_, options, &tracker);
+  EXPECT_EQ(tracker.CurrentTotal(), plain_tracker.CurrentTotal());
+  for (const RerankRequest& request : requests_) {
+    ASSERT_TRUE(service.Rerank(request).status.ok());
+  }
+  EXPECT_FALSE(std::isnan(service.OnIdle()));
+  EXPECT_LE(tracker.PeakBytes(MemCategory::kWeights),
+            static_cast<int64_t>(2 * LayerBlobBytes(config_, Precision::kFp32)));
+}
+
 TEST(OnlineCalibratorTest, SamplesEveryNth) {
   const ModelConfig config = TestModel();
   const std::string ckpt = TestCheckpoint(config);
-  MemoryTracker t1;
-  MemoryTracker t2;
+  MemoryTracker tracker;
   PrismOptions eopts;
   eopts.device = FastDevice();
-  PrismEngine engine(config, ckpt, eopts, &t1);
-  PrismOptions ropts;
-  ropts.device = FastDevice();
-  ropts.pruning = false;
-  PrismEngine reference(config, ckpt, ropts, &t2);
+  PrismEngine engine(config, ckpt, eopts, &tracker);
   OnlineCalibratorOptions options;
   options.sample_every = 3;
-  OnlineCalibrator calibrator(&engine, &reference, options);
+  OnlineCalibrator calibrator(&engine, options);
   const RerankRequest request = TestRequest(config, 10, 3);
   const RerankResult result = engine.Rerank(request);
   for (int i = 0; i < 7; ++i) {
@@ -294,19 +310,14 @@ TEST(OnlineCalibratorTest, SamplesEveryNth) {
 TEST(OnlineCalibratorTest, LogIsBounded) {
   const ModelConfig config = TestModel();
   const std::string ckpt = TestCheckpoint(config);
-  MemoryTracker t1;
-  MemoryTracker t2;
+  MemoryTracker tracker;
   PrismOptions eopts;
   eopts.device = FastDevice();
-  PrismEngine engine(config, ckpt, eopts, &t1);
-  PrismOptions ropts;
-  ropts.device = FastDevice();
-  ropts.pruning = false;
-  PrismEngine reference(config, ckpt, ropts, &t2);
+  PrismEngine engine(config, ckpt, eopts, &tracker);
   OnlineCalibratorOptions options;
   options.sample_every = 1;
   options.max_samples = 4;
-  OnlineCalibrator calibrator(&engine, &reference, options);
+  OnlineCalibrator calibrator(&engine, options);
   const RerankRequest request = TestRequest(config, 10, 3);
   const RerankResult result = engine.Rerank(request);
   for (int i = 0; i < 10; ++i) {

@@ -33,18 +33,13 @@ TEST_P(ZooPropertyTest, PrismMatchesFullInferenceShape) {
   const std::string ckpt = TestCheckpoint(config);
   const RerankRequest request = TestRequest(config, 14, 4);
 
-  MemoryTracker t_full;
   MemoryTracker t_prism;
-  PrismOptions full_options;
-  full_options.device = FastDevice();
-  full_options.pruning = false;
-  PrismEngine full(config, ckpt, full_options, &t_full);
   PrismOptions prism_options;
   prism_options.device = FastDevice();
   prism_options.dispersion_threshold = 0.25f;
   PrismEngine prism(config, ckpt, prism_options, &t_prism);
 
-  const RerankResult r_full = full.Rerank(request);
+  const RerankResult r_full = prism.RerankUnpruned(request);
   const RerankResult r_prism = prism.Rerank(request);
 
   // Work never exceeds full inference; precision stays close.
@@ -74,13 +69,12 @@ TEST_P(ZooPropertyTest, QuantizedEngineAgreesWithF32) {
   MemoryTracker t2;
   PrismOptions options;
   options.device = FastDevice();
-  options.pruning = false;
   PrismEngine a(config, f32, options, &t1);
   PrismOptions qoptions = options;
   qoptions.precision = Precision::kW4;
   PrismEngine b(config, q4, qoptions, &t2);
-  const RerankResult ra = a.Rerank(request);
-  const RerankResult rb = b.Rerank(request);
+  const RerankResult ra = a.RerankUnpruned(request);
+  const RerankResult rb = b.RerankUnpruned(request);
   for (size_t i = 0; i < ra.scores.size(); ++i) {
     EXPECT_NEAR(ra.scores[i], rb.scores[i], 0.2f) << config.name << " candidate " << i;
   }

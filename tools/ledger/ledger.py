@@ -11,10 +11,15 @@
 
 The point is a JSON object:
 
-    {"commit": ..., "host": {cores, cpu, build_type, compiler},
+    {"commit": ..., "dirty": false, "host": {cores, cpu, build_type, compiler},
      "deterministic": {"bench_scenarios_sim_json_sha256": ...},
      "wall": {"seeds": [...], "seconds": ..., "workloads": {
          <workload>: {<metric>: {"median", "q1", "q3", "iqr", "unit"}}}}}
+
+A point measured on a tree whose tracked files differ from HEAD (a change
+recorded before it is committed) holds {"parent": HEAD, "dirty": true} in
+place of "commit": it measures an uncommitted change on that parent, not the
+parent itself.
 
 *deterministic* holds fields that repeat exactly on any host: the sha256 of
 `bench_scenarios --sim --json`, built in Release under <tree>/.ledger_build
@@ -46,8 +51,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def git_commit(tree):
-    """HEAD of the tree, suffixed "-dirty" when tracked files differ from it."""
+def git_identity(tree):
+    """The point's identity fields: the tree's HEAD as "commit", or as "parent"
+    with "dirty" set when tracked files differ from it; None outside git."""
     try:
         head = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
                               capture_output=True, text=True, check=True).stdout.strip()
@@ -56,7 +62,14 @@ def git_commit(tree):
                                  capture_output=True, text=True, check=True).stdout.strip()
     except (subprocess.CalledProcessError, OSError):
         return None
-    return head + "-dirty" if changed else head
+    return {"parent": head, "dirty": True} if changed else {"commit": head, "dirty": False}
+
+
+def identity(point):
+    """How a point names what it measured."""
+    if point["dirty"]:
+        return f"uncommitted change on {point['parent']}"
+    return point["commit"]
 
 
 def sim_sha256(tree, build):
@@ -105,12 +118,16 @@ def schema_errors(point):
     if not isinstance(point, dict):
         return ["not a JSON object"]
     errors = []
-    keys = {"commit", "host", "deterministic", "wall"}
+    dirty = point.get("dirty")
+    if not isinstance(dirty, bool):
+        return ["dirty: not a boolean"]
+    name = "parent" if dirty else "commit"
+    keys = {name, "dirty", "host", "deterministic", "wall"}
     if set(point) != keys:
         errors.append(f"top-level keys {sorted(point)}, want {sorted(keys)}")
         return errors
-    if not isinstance(point["commit"], str) or not point["commit"]:
-        errors.append("commit: not a non-empty string")
+    if not isinstance(point[name], str) or not point[name]:
+        errors.append(f"{name}: not a non-empty string")
     host = point["host"]
     if not isinstance(host, dict) or set(host) != set(HOST_FIELDS):
         errors.append(f"host: want exactly {list(HOST_FIELDS)}")
@@ -172,7 +189,7 @@ def load_point(path):
 def compare(prev, cur, spec, expect_changed):
     """Prints the deltas from `prev` to `cur`; returns the exit status."""
     status = 0
-    print(f"ledger: {prev['commit']} -> {cur['commit']}")
+    print(f"ledger: {identity(prev)} -> {identity(cur)}")
     if prev["host"] != cur["host"]:
         print(f"  host differs: {prev['host']} -> {cur['host']}; wall deltas cross hosts")
     print("deterministic:")
@@ -227,7 +244,7 @@ def main():
 
     if args.check:
         for path in args.check:
-            load_point(path)
+            print(f"ledger: {path}: {identity(load_point(path))}")
         print(f"ledger: {len(args.check)} point(s) valid")
         return 0
     if not args.out and not (args.compare and args.point):
@@ -240,8 +257,8 @@ def main():
         return compare(prev, load_point(args.point), spec, args.expect_changed)
 
     tree = Path(args.tree).resolve()
-    commit = args.commit or git_commit(tree)
-    if commit is None:
+    ident = {"commit": args.commit, "dirty": False} if args.commit else git_identity(tree)
+    if ident is None:
         raise SystemExit("ledger: --tree is not a git checkout; pass --commit")
     gated = [metric["name"] for metric in spec["end_to_end"]]
     seconds = spec["run_seconds"]
@@ -266,7 +283,7 @@ def main():
         workloads[workload] = {name: {**summarize(values), "unit": units[name]}
                                for name, values in samples.items()}
 
-    point = {"commit": commit, "host": host, "deterministic": deterministic,
+    point = {**ident, "host": host, "deterministic": deterministic,
              "wall": {"seeds": seeds, "seconds": seconds, "workloads": workloads}}
     Path(args.out).write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
     return compare(prev, point, spec, args.expect_changed) if prev else 0
