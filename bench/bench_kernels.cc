@@ -175,38 +175,54 @@ std::vector<uint8_t> RandomLayerBlob(const ModelConfig& config, Precision precis
   return blob;
 }
 
-// One 0.6B-proxy layer forward over 16 candidates × 64 tokens, at the
-// storage precision and LayerForward thread count given as the arguments:
-// GEMMs, attention, softmax, SwiGLU, norms. One thread is the serial path (no
-// pool); more split the candidates into that many blocks on a pool.
+// One 0.6B-proxy layer step over 16 candidates × seq_len tokens whose first
+// prefix_len tokens are a shared prefix, as the engine's layer loop runs it:
+// ForwardPrefix over the prefix rows (when there are any), then LayerForward
+// over the 16 candidates' own rows. The arguments are the storage precision,
+// the LayerForward thread count, seq_len and prefix_len. One thread is the
+// serial path (no pool); more split the candidates into that many blocks on
+// a pool. 16 × 64 with no prefix is the unshared full-length case;
+// 16 × 40 with an 11-token prefix is rag_closed's shape (perfbench).
 void BM_LayerForward(benchmark::State& state) {
   const auto precision = static_cast<Precision>(state.range(0));
   const auto threads = static_cast<size_t>(state.range(1));
+  const auto seq_len = static_cast<size_t>(state.range(2));
+  const auto prefix_len = static_cast<size_t>(state.range(3));
   const ModelConfig config = Qwen3Reranker0_6B();
   constexpr size_t kCandidates = 16;
-  const size_t seq_len = config.max_seq;
-  const size_t rows = kCandidates * seq_len;
+  const size_t rows = kCandidates * (seq_len - prefix_len);
   const std::vector<uint8_t> blob = RandomLayerBlob(config, precision);
   const AnyLayerView view = ParseAnyLayerBlob(config, blob, precision);
   MemoryTracker tracker;
   const Tensor input = RandomTensor(rows, config.hidden, 30, &tracker);
+  const Tensor prefix_input = RandomTensor(prefix_len, config.hidden, 31, &tracker);
   Tensor hidden(rows, config.hidden, MemCategory::kScratch, &tracker);
-  LayerScratch scratch = LayerScratch::Make(config, rows, seq_len, threads, &tracker);
+  Tensor prefix(prefix_len, config.hidden, MemCategory::kScratch, &tracker);
+  LayerScratch scratch = LayerScratch::Make(config, rows, seq_len, prefix_len, threads, &tracker);
   const std::unique_ptr<ThreadPool> pool =
       threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
   for (auto _ : state) {
     std::copy_n(input.data(), input.size(), hidden.data());
-    LayerForward(config, view, seq_len, &hidden, &scratch, pool.get());
+    std::copy_n(prefix_input.data(), prefix_input.size(), prefix.data());
+    if (prefix_len > 0) {
+      ForwardPrefix(config, view, &prefix, &scratch);
+    }
+    LayerForward(config, view, seq_len, prefix_len, &hidden, &scratch, pool.get());
     benchmark::DoNotOptimize(hidden.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(PrecisionName(precision)) + " threads=" + std::to_string(threads));
+  state.SetLabel(std::string(PrecisionName(precision)) + " threads=" + std::to_string(threads) +
+                 " " + std::to_string(kCandidates) + "x" + std::to_string(seq_len) +
+                 " prefix=" + std::to_string(prefix_len));
 }
 BENCHMARK(BM_LayerForward)
-    ->Args({static_cast<int64_t>(Precision::kFp32), 1})
-    ->Args({static_cast<int64_t>(Precision::kFp32), 4})
-    ->Args({static_cast<int64_t>(Precision::kInt8), 1})
-    ->Args({static_cast<int64_t>(Precision::kInt8), 4})
+    ->ArgNames({"tier", "threads", "seq", "prefix"})
+    ->Args({static_cast<int64_t>(Precision::kFp32), 1, 64, 0})
+    ->Args({static_cast<int64_t>(Precision::kFp32), 4, 64, 0})
+    ->Args({static_cast<int64_t>(Precision::kInt8), 1, 64, 0})
+    ->Args({static_cast<int64_t>(Precision::kInt8), 4, 64, 0})
+    ->Args({static_cast<int64_t>(Precision::kFp32), 1, 40, 11})
+    ->Args({static_cast<int64_t>(Precision::kFp32), 4, 40, 11})
     ->UseRealTime();
 
 // What BlobFileReader::ReadBlob does to one coded 0.6B-proxy layer blob after

@@ -21,7 +21,8 @@ int64_t EstimateHfPeakBytes(const ModelConfig& config, const DeviceProfile& devi
   const size_t batch = std::min(device.hf_batch_size, n_candidates);
   int64_t bytes = static_cast<int64_t>(config.n_layers * LayerBlobBytes(config, precision));
   bytes += static_cast<int64_t>(config.EmbeddingBlobBytes());
-  bytes += LayerScratch::BytesFor(config, batch * seq_len, seq_len, 1);
+  bytes += LayerScratch::BytesFor(config, batch * seq_len, seq_len, /*prefix_len=*/0,
+                                 /*fan_out=*/1);
   bytes += static_cast<int64_t>(batch * seq_len * config.hidden * sizeof(float));
   return bytes;
 }

@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/common/timer.h"
+#include "src/model/pair_encoder.h"
 
 namespace prism {
 
@@ -311,8 +312,8 @@ std::vector<LayerTraceEntry> PrismEngine::last_trace() const {
   return trace_;
 }
 
-size_t PrismEngine::PlanChunkCandidates(size_t n, size_t seq_len) const {
-  return planner_->PlanCandidates(n, seq_len);
+size_t PrismEngine::PlanChunkCandidates(size_t n, size_t seq_len, size_t query_len) const {
+  return planner_->PlanCandidates(n, seq_len, SharedPrefixLen(config_, query_len, seq_len));
 }
 
 std::unique_ptr<CarouselPass> PrismEngine::BeginCarousel() {

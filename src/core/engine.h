@@ -108,10 +108,12 @@ class PrismEngine : public CarouselRunner {
   // failed by fault injection — leaks a parked chunk.
   const SpillPool* spill_pool() const { return spill_.get(); }
 
-  // Chunk size the planner would pick for `n` candidates at `seq_len` (§4.3):
-  // the largest count whose scratch fits the activation budget, floored at 2
-  // to keep the compute window wide enough for I/O overlap.
-  size_t PlanChunkCandidates(size_t n, size_t seq_len) const;
+  // Chunk size the planner would pick for `n` candidates at `seq_len` with a
+  // query of `query_len` tokens (§4.3), whose shared prefix a causal model
+  // forwards once: the largest count whose scratch fits the activation
+  // budget, floored at 2 to keep the compute window wide enough for I/O
+  // overlap.
+  size_t PlanChunkCandidates(size_t n, size_t seq_len, size_t query_len) const;
 
  private:
   // The layer pass lives in engine.cc and reaches through the engine for

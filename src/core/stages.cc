@@ -47,7 +47,8 @@ void ReleaseSpilledChunks(const StageResources& res, RequestContext* ctx) {
   }
 }
 
-size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len, size_t fan_out) const {
+size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len, size_t prefix_len,
+                                    size_t fan_out) const {
   const PrismOptions& options = *res_.options;
   if (!options.chunked) {
     return n;
@@ -59,13 +60,14 @@ size_t ChunkPlanner::PlanCandidates(size_t n, size_t seq_len, size_t fan_out) co
   // exposed I/O that grows with the chunk, so the chunk is capped as well.
   const size_t most =
       options.offload_hidden ? (n + kOffloadMinChunks - 1) / kOffloadMinChunks : n;
-  // Largest c with scratch(c·T), attention tiles included, within the
-  // activation budget; floor 2 keeps each chunk's compute window wide enough
-  // to overlap a layer load.
+  // Largest c with scratch(c·S), attention tiles and the prefix's keys and
+  // values included, within the activation budget; floor 2 keeps each
+  // chunk's compute window wide enough to overlap a layer load.
+  const size_t suffix = seq_len - prefix_len;
   size_t best = 1;
   for (size_t c = 1; c <= most; ++c) {
-    if (LayerScratch::BytesFor(*res_.config, c * seq_len, seq_len, std::min(c, fan_out)) <=
-        options.device.activation_budget_bytes) {
+    if (LayerScratch::BytesFor(*res_.config, c * suffix, seq_len, prefix_len,
+                               std::min(c, fan_out)) <= options.device.activation_budget_bytes) {
       best = c;
     } else {
       break;
@@ -93,13 +95,14 @@ void ChunkPlanner::Begin(RequestContext* ctx, size_t fan_out) const {
   PRISM_CHECK_EQ(n, request.planted_r.size());
   PRISM_CHECK_GT(request.k, 0u);
   ctx->seq_len = ChooseSeqLen(*res_.config, request.query, request.docs);
+  ctx->prefix_len = SharedPrefixLen(*res_.config, request.query.size(), ctx->seq_len);
   ctx->result.scores.assign(n, kNan);
   ctx->remaining_k = std::min(request.k, n);
 
-  ctx->chunk_cand = PlanCandidates(n, ctx->seq_len, fan_out);
-  ctx->scratch.emplace(LayerScratch::Make(*res_.config, ctx->chunk_cand * ctx->seq_len,
-                                          ctx->seq_len, std::min(ctx->chunk_cand, fan_out),
-                                          res_.tracker));
+  ctx->chunk_cand = PlanCandidates(n, ctx->seq_len, ctx->prefix_len, fan_out);
+  ctx->scratch.emplace(LayerScratch::Make(*res_.config, ctx->chunk_cand * ctx->suffix_len(),
+                                          ctx->seq_len, ctx->prefix_len,
+                                          std::min(ctx->chunk_cand, fan_out), res_.tracker));
 
   ctx->active.resize(n);
   for (size_t i = 0; i < n; ++i) {
@@ -134,13 +137,33 @@ void EmbedStage::Run(RequestContext* ctx) const {
     res_.cache->PrefetchTokens(all_tokens);
   }
   const Tensor& positions = Positions();
+  // The shared prefix is embedded once, from the first candidate's pair:
+  // every pair's first P tokens are the same and end at its [SEP], after
+  // which the planted signal starts. The other candidates still look its
+  // tokens up, into a throwaway row, so the cache sees the lookups of the
+  // unshared embed in the same order: its LRU order, hit counts and miss
+  // reads do not depend on the sharing.
+  const size_t prefix_len = ctx->prefix_len;
+  const size_t suffix_len = ctx->suffix_len();
+  ctx->prefix = Tensor(prefix_len, config.hidden, MemCategory::kHiddenStates, res_.tracker);
+  std::vector<float> discard(config.hidden);
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
     ChunkState& chunk = ctx->chunks[ci];
-    Tensor hidden(chunk.ids.size() * seq_len, config.hidden, MemCategory::kHiddenStates,
+    Tensor hidden(chunk.ids.size() * suffix_len, config.hidden, MemCategory::kHiddenStates,
                   res_.tracker);
     for (size_t c = 0; c < chunk.ids.size(); ++c) {
-      EmbedPairInto(config, res_.embedding, *res_.head, positions, ctx->pairs[chunk.ids[c]], c,
-                    seq_len, &hidden);
+      const PairInput& pair = ctx->pairs[chunk.ids[c]];
+      if (ci == 0 && c == 0) {
+        PRISM_CHECK(prefix_len == 0 || pair.sep + 1 == prefix_len);
+        EmbedPairRows(config, res_.embedding, *res_.head, positions, pair, 0, prefix_len,
+                      &ctx->prefix, 0);
+      } else {
+        for (size_t t = 0; t < prefix_len; ++t) {
+          res_.embedding->Lookup(pair.tokens[t], discard);
+        }
+      }
+      EmbedPairRows(config, res_.embedding, *res_.head, positions, pair, prefix_len, seq_len,
+                    &hidden, c * suffix_len);
     }
     StowChunkHidden(res_, ctx, ci, std::move(hidden), /*more_layers=*/true);
   }
@@ -211,7 +234,7 @@ bool PruneStage::AfterLayer(RequestContext* ctx, size_t layer, bool last_layer) 
     survivors.push_back(active[idx]);
   }
   // Map original id → (chunk, slot) for row gathering.
-  const size_t seq_len = ctx->seq_len;
+  const size_t suffix_len = ctx->suffix_len();
   const size_t hidden_dim = res_.config->hidden;
   std::vector<std::pair<size_t, size_t>> location(n, {SIZE_MAX, SIZE_MAX});
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
@@ -228,13 +251,13 @@ bool PruneStage::AfterLayer(RequestContext* ctx, size_t layer, bool last_layer) 
   ctx->chunks = ChunkPlanner::Partition(survivors, ctx->chunk_cand);
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
     ChunkState& chunk = ctx->chunks[ci];
-    Tensor hidden(chunk.ids.size() * seq_len, hidden_dim, MemCategory::kHiddenStates,
+    Tensor hidden(chunk.ids.size() * suffix_len, hidden_dim, MemCategory::kHiddenStates,
                   res_.tracker);
     for (size_t c = 0; c < chunk.ids.size(); ++c) {
       const auto [src_chunk, src_slot] = location[chunk.ids[c]];
       PRISM_CHECK_NE(src_chunk, SIZE_MAX);
-      const float* src = materialized[src_chunk].data() + src_slot * seq_len * hidden_dim;
-      std::copy(src, src + seq_len * hidden_dim, hidden.data() + c * seq_len * hidden_dim);
+      const float* src = materialized[src_chunk].data() + src_slot * suffix_len * hidden_dim;
+      std::copy(src, src + suffix_len * hidden_dim, hidden.data() + c * suffix_len * hidden_dim);
     }
     StowChunkHidden(res_, ctx, ci, std::move(hidden), /*more_layers=*/true);
   }
@@ -278,10 +301,20 @@ void LayerLoop::ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, b
                                 ThreadPool* compute_pool) const {
   const ModelConfig& config = *res_.config;
   const PrismOptions& options = *res_.options;
-  const size_t seq_len = ctx->seq_len;
+  const auto charge = [&](const WallTimer& compute_timer) {
+    const int64_t compute_micros = compute_timer.ElapsedMicros();
+    ctx->result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;
+    ApplyComputeSlowdown(options.device, compute_micros);
+  };
   ctx->scores_active.clear();
   if (options.offload_hidden && !ctx->chunks.empty() && ctx->chunks[0].spilled) {
     res_.spill->PrefetchAsync(ctx->SpillKey(0));
+  }
+  if (ctx->prefix_len > 0) {
+    // The prefix's keys and values for this layer, which every chunk reads.
+    const WallTimer compute_timer;
+    ForwardPrefix(config, view, &ctx->prefix, &*ctx->scratch);
+    charge(compute_timer);
   }
   for (size_t ci = 0; ci < ctx->chunks.size(); ++ci) {
     Tensor hidden = TakeChunkHidden(res_, ctx, ci);
@@ -289,11 +322,10 @@ void LayerLoop::ForwardOneLayer(RequestContext* ctx, const AnyLayerView& view, b
       res_.spill->PrefetchAsync(ctx->SpillKey(ci + 1));
     }
     const WallTimer compute_timer;
-    LayerForward(config, view, seq_len, &hidden, &*ctx->scratch, compute_pool);
-    ScoreChunk(config, *res_.head, hidden, seq_len, &ctx->scores_active);
-    const int64_t compute_micros = compute_timer.ElapsedMicros();
-    ctx->result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;
-    ApplyComputeSlowdown(options.device, compute_micros);
+    LayerForward(config, view, ctx->seq_len, ctx->prefix_len, &hidden, &*ctx->scratch,
+                 compute_pool);
+    ScoreChunk(config, *res_.head, hidden, ctx->suffix_len(), &ctx->scores_active);
+    charge(compute_timer);
     StowChunkHidden(res_, ctx, ci, std::move(hidden), !last_layer);
   }
 }

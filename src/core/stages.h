@@ -129,12 +129,19 @@ struct RequestContext {
   const RerankRequest* request;
   uint64_t id;
 
-  // Geometry (ChunkPlanner).
+  // Geometry (ChunkPlanner). Every candidate is seq_len tokens; the first
+  // prefix_len of them are the shared query prefix (SharedPrefixLen: causal
+  // models only, else 0), forwarded once per layer for all candidates, and
+  // the other suffix_len() are the candidate's own. Chunks, spill and
+  // compaction hold suffix rows only.
   size_t seq_len = 0;
+  size_t prefix_len = 0;
   size_t chunk_cand = 0;
+  size_t suffix_len() const { return seq_len - prefix_len; }
 
   // Forwarding state.
   std::vector<PairInput> pairs;
+  Tensor prefix;  // [prefix_len, hidden] shared prefix hidden states; never spilled.
   std::vector<ChunkState> chunks;
   std::vector<size_t> active;        // Original ids still computing.
   std::vector<float> scores_active;  // Scores of `active`, last layer run.
@@ -193,13 +200,16 @@ class ChunkPlanner {
   // are one chunk's hidden state each, so a finer split exposes less I/O.
   static constexpr size_t kOffloadMinChunks = 8;
 
-  // Chunk size the planner picks for `n` candidates at `seq_len`: the largest
-  // count whose scratch fits the activation budget (and, with offload_hidden,
-  // at most ⌈n / kOffloadMinChunks⌉), floored at 2 to keep the compute window
-  // wide enough for I/O overlap (min(2, n) for tiny requests). `fan_out` is
-  // the LayerForward block count the scratch must hold attention tiles for:
-  // the compute pool's thread count, or 1 on the serial path.
-  size_t PlanCandidates(size_t n, size_t seq_len, size_t fan_out = 1) const;
+  // Chunk size the planner picks for `n` candidates at `seq_len`, of which
+  // `prefix_len` rows are shared (a chunk holds the other seq_len −
+  // prefix_len rows per candidate): the largest count whose scratch fits the
+  // activation budget (and, with offload_hidden, at most
+  // ⌈n / kOffloadMinChunks⌉), floored at 2 to keep the compute window wide
+  // enough for I/O overlap (min(2, n) for tiny requests). `fan_out` is the
+  // LayerForward block count the scratch must hold attention tiles for: the
+  // compute pool's thread count, or 1 on the serial path.
+  size_t PlanCandidates(size_t n, size_t seq_len, size_t prefix_len = 0,
+                        size_t fan_out = 1) const;
 
   static std::vector<ChunkState> Partition(const std::vector<size_t>& ids, size_t chunk_cand);
 
@@ -211,7 +221,8 @@ class ChunkPlanner {
 
 // Stage 2 — embedding. Builds every pair input first so the embedding cache
 // can batch-load the request's unique missing tokens in one device read
-// (§4.5), then embeds each chunk and stows it.
+// (§4.5), then embeds the shared prefix once and each chunk's suffix rows,
+// and stows the chunks.
 class EmbedStage {
  public:
   explicit EmbedStage(const StageResources& res) : res_(res) {}
@@ -252,8 +263,9 @@ class PruneStage {
 // (the engine's layer pass, or an instrumented copy of it) owns the weight
 // stream; LayerLoop forwards the group through one already-acquired layer
 // and runs the between-layer bookkeeping. Contexts are forwarded one after
-// another; with a `compute_pool`, each chunk's LayerForward splits its
-// candidates across the pool's threads.
+// another, each its shared prefix first (ForwardPrefix) and then its chunks;
+// with a `compute_pool`, each chunk's LayerForward splits its candidates
+// across the pool's threads.
 class LayerLoop {
  public:
   explicit LayerLoop(const StageResources& res) : res_(res), prune_(res) {}

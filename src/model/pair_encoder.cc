@@ -21,6 +21,7 @@ PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>&
   for (size_t i = 0; i < q_budget; ++i) {
     pair.tokens.push_back(query[i]);
   }
+  pair.sep = pair.tokens.size();
   pair.tokens.push_back(kSepToken);
   // Fill with doc tokens, cycling if the document is shorter than the budget
   // (synthetic documents make padding semantics unnecessary — see header).
@@ -52,24 +53,17 @@ Tensor MakePositionTable(const ModelConfig& config, MemoryTracker* tracker) {
   return table;
 }
 
-void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const Tensor& positions, const PairInput& pair, size_t candidate,
-                   size_t seq_len, Tensor* hidden) {
-  PRISM_CHECK_EQ(pair.tokens.size(), seq_len);
+void EmbedPairRows(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
+                   const Tensor& positions, const PairInput& pair, size_t first, size_t last,
+                   Tensor* hidden, size_t row) {
+  const size_t seq_len = pair.tokens.size();
   const size_t d = config.hidden;
-  const size_t base = candidate * seq_len;
-  PRISM_CHECK_LE((candidate + 1) * seq_len, hidden->rows());
+  PRISM_CHECK_LE(first, last);
+  PRISM_CHECK_LE(last, seq_len);
+  PRISM_CHECK_LE(row + (last - first), hidden->rows());
   PRISM_CHECK_EQ(hidden->cols(), d);
   PRISM_CHECK_LE(seq_len, positions.rows());
   PRISM_CHECK_EQ(positions.cols(), d);
-  for (size_t t = 0; t < seq_len; ++t) {
-    auto row = hidden->row(base + t);
-    source->Lookup(pair.tokens[t], row);
-    const auto position = positions.row(t);
-    for (size_t i = 0; i < d; ++i) {
-      row[i] += position[i];
-    }
-  }
   // Unit signal direction (head.w = kHeadScale · v).
   std::vector<float> v(head.w);
   {
@@ -86,26 +80,36 @@ void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const Hea
 
   // Planted relevance on the document tokens: attention aggregates these
   // components into the pooled position layer by layer (see synthetic.cc).
+  // A weak direct seed at the pooled position lets the first layers already
+  // carry coarse information. The documents start after the [SEP] that
+  // BuildPairInput placed, whatever ids the query holds, so no signal falls
+  // on the shared prefix.
   const float s = pair.relevance - 0.5f;
-  size_t sep = 0;
-  while (sep < seq_len && pair.tokens[sep] != kSepToken) {
-    ++sep;
-  }
+  const size_t sep = pair.sep;
   PRISM_CHECK_LT(sep, seq_len);
+  PRISM_CHECK_EQ(pair.tokens[sep], kSepToken);
   const float doc_gain = s * kSignalGain;
-  for (size_t t = sep + 1; t + 1 < seq_len; ++t) {
-    auto row = hidden->row(base + t);
+  const float seed_gain = s * kSignalGain * kPoolSeed;
+  const size_t pool = PoolRow(config, 0, seq_len);
+  for (size_t t = first; t < last; ++t) {
+    auto out = hidden->row(row + t - first);
+    source->Lookup(pair.tokens[t], out);
+    const auto position = positions.row(t);
     for (size_t i = 0; i < d; ++i) {
-      row[i] += doc_gain * v[i];
+      out[i] += position[i];
+    }
+    const bool doc_token = t > sep && t + 1 < seq_len;
+    if (doc_token || t == pool) {
+      const float gain = doc_token ? doc_gain : seed_gain;
+      for (size_t i = 0; i < d; ++i) {
+        out[i] += gain * v[i];
+      }
     }
   }
-  // Weak direct seed at the pooled position so the first layers already carry
-  // coarse information.
-  auto pool_row = hidden->row(PoolRow(config, candidate, seq_len));
-  const float seed_gain = s * kSignalGain * kPoolSeed;
-  for (size_t i = 0; i < d; ++i) {
-    pool_row[i] += seed_gain * v[i];
-  }
+}
+
+size_t SharedPrefixLen(const ModelConfig& config, size_t query_len, size_t seq_len) {
+  return config.arch == ModelArch::kDecoderOnly ? std::min(query_len, seq_len / 3) + 2 : 0;
 }
 
 size_t ChooseSeqLen(const ModelConfig& config, const std::vector<uint32_t>& query,

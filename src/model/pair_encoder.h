@@ -33,12 +33,20 @@ inline constexpr uint32_t kFirstWordToken = 16;
 struct PairInput {
   std::vector<uint32_t> tokens;  // Exactly seq_len entries.
   float relevance = 0.5f;        // Planted r ∈ [0, 1].
+  size_t sep = 0;                // Index of the [SEP] that ends the query.
 };
 
 // Builds the fixed-length token sequence for one pair. Query is truncated to
 // at most seq_len/3 tokens; the document fills the rest (cycled if short).
 PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>& query,
                          const std::vector<uint32_t>& doc, float relevance, size_t seq_len);
+
+// Rows at the start of every pair of a request that a causal model forwards
+// once for all candidates (layer.h, "Shared query prefix"): [BOS], the query
+// tokens BuildPairInput keeps, and [SEP], i.e. min(query_len, seq_len/3) + 2.
+// No planted signal falls on them. 0 for encoder models, whose rows attend
+// to the document too.
+size_t SharedPrefixLen(const ModelConfig& config, size_t query_len, size_t seq_len);
 
 // The sinusoidal position encoding of every position below config.max_seq,
 // [max_seq, hidden]: row t holds 0.05 · sin(t · 10000^(−i/d)) at even
@@ -47,13 +55,15 @@ PairInput BuildPairInput(const ModelConfig& config, const std::vector<uint32_t>&
 // tracked under kEmbedding, so no embed recomputes it.
 Tensor MakePositionTable(const ModelConfig& config, MemoryTracker* tracker);
 
-// Embeds `pair` into rows [candidate·seq_len, (candidate+1)·seq_len) of
-// `hidden`: embedding lookup through `source`, plus row t of `positions`
-// (MakePositionTable), plus the planted signal at the pooled position
-// (direction = head.w).
-void EmbedPairInto(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
-                   const Tensor& positions, const PairInput& pair, size_t candidate,
-                   size_t seq_len, Tensor* hidden);
+// Embeds tokens [first, last) of `pair` (seq_len tokens) into rows
+// [row, row + last − first) of `hidden`: token t gets its embedding through
+// `source`, plus row t of `positions` (MakePositionTable), plus the planted
+// signal where it falls — the document tokens after pair.sep and the pooled
+// position (direction = head.w). Each row's value does not depend on the range it
+// is embedded with.
+void EmbedPairRows(const ModelConfig& config, EmbeddingSource* source, const HeadWeights& head,
+                   const Tensor& positions, const PairInput& pair, size_t first, size_t last,
+                   Tensor* hidden, size_t row);
 
 // Chooses the common sequence length for a request: the longest pair's
 // natural length (1 + |q| + 1 + |d| + 1), clamped to [8, config.max_seq].

@@ -55,8 +55,10 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
   result.scores.assign(n, 0.0f);
 
   const size_t batch = std::min(options_.device.hf_batch_size, n);
-  LayerScratch scratch =
-      LayerScratch::Make(config_, batch * seq_len, seq_len, /*fan_out=*/1, tracker_);
+  // The paper's baseline forwards every candidate's whole sequence: no shared
+  // prefix.
+  LayerScratch scratch = LayerScratch::Make(config_, batch * seq_len, seq_len, /*prefix_len=*/0,
+                                            /*fan_out=*/1, tracker_);
   // The one layer an offloading runner holds at a time.
   std::vector<uint8_t> offload_blob(
       options_.offload ? LayerBlobBytes(config_, options_.precision) : 0);
@@ -70,8 +72,8 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
       for (size_t c = 0; c < bsz; ++c) {
         const PairInput pair = BuildPairInput(config_, request.query, request.docs[b0 + c],
                                               request.planted_r[b0 + c], seq_len);
-        EmbedPairInto(config_, embedding_.get(), checkpoint_.head, positions_, pair, c, seq_len,
-                      &hidden);
+        EmbedPairRows(config_, embedding_.get(), checkpoint_.head, positions_, pair, 0, seq_len,
+                      &hidden, c * seq_len);
       }
       result.stats.embed_ms += embed_timer.ElapsedMillis();
     }
@@ -102,7 +104,8 @@ RerankResult HfRunner::Rerank(const RerankRequest& request) {
 
       const WallTimer compute_timer;
       const AnyLayerView view = ParseAnyLayerBlob(config_, blob, options_.precision);
-      LayerForward(config_, view, seq_len, &hidden, &scratch, /*pool=*/nullptr);
+      LayerForward(config_, view, seq_len, /*prefix_len=*/0, &hidden, &scratch,
+                   /*pool=*/nullptr);
       result.stats.candidate_layers += static_cast<int64_t>(bsz);
       const int64_t compute_micros = compute_timer.ElapsedMicros();
       result.stats.compute_ms += static_cast<double>(compute_micros) / 1000.0;

@@ -45,6 +45,22 @@ void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const f
   gemm::MatMulTransBStrided(a, lda, m, k, b, ldb, n, c, ldc, gemm::SelectedTile());
 }
 
+void MatMulSplitB(const float* a, size_t lda, size_t m, size_t k, const float* b_head,
+                  size_t k_head, const float* b_tail, size_t ldb, size_t n, float* c,
+                  size_t ldc) {
+  PRISM_CHECK_LE(k_head, k);
+  // B's rows already hold the panel's layout: lanes l of panel row kk are
+  // B[kk][j0 + l], so decoding a strip is one copy per kk.
+  gemm::MatMulTransBPanels(a, lda, m, k, n, c, ldc, gemm::SelectedTile(),
+                           [&](size_t j0, size_t nr, float* panel) {
+                             for (size_t kk = 0; kk < k; ++kk) {
+                               const float* row = kk < k_head ? b_head + kk * ldb
+                                                              : b_tail + (kk - k_head) * ldb;
+                               std::copy_n(row + j0, nr, panel + kk * gemm::kNr);
+                             }
+                           });
+}
+
 void MatMulTransB(const Tensor& a, const Tensor& b, Tensor* c) {
   PRISM_CHECK_EQ(a.cols(), b.cols());
   PRISM_CHECK_EQ(c->rows(), a.rows());
@@ -124,8 +140,8 @@ void LayerNormInPlace(Tensor* t, size_t rows, std::span<const float> gain,
   LayerNormInPlace(t->data(), rows, gain, bias, eps);
 }
 
-void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit) {
-  vmath::Selected().softmax(row.data(), row.size(), causal_limit);
+void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit, float scale) {
+  vmath::Selected().softmax(row.data(), row.size(), causal_limit, scale);
 }
 
 void SwiGluInPlace(std::span<float> gate, std::span<const float> up) {

@@ -29,6 +29,16 @@ void MatMulTransBRaw(const float* a, size_t m, size_t k, const float* b, size_t 
 void MatMulTransBStrided(const float* a, size_t lda, size_t m, size_t k, const float* b,
                          size_t ldb, size_t n, float* c, size_t ldc);
 
+// C[m, n] = A[m, k] · B[k, n] on the GEMM tile, where row kk of B is row kk
+// of `b_head` for kk < k_head and row kk − k_head of `b_tail` beyond, rows
+// of each part `ldb` floats apart (attention's context Σ_j p_ij · v_j: the
+// shared prefix's values, then a candidate's own). Each output is the same
+// +0-started, kk-ordered, mul-then-add sum as MatMulTransBStrided's, so an A
+// entry of ±0 adds a ±0 term that leaves the sum unchanged while B is finite.
+void MatMulSplitB(const float* a, size_t lda, size_t m, size_t k, const float* b_head,
+                  size_t k_head, const float* b_tail, size_t ldb, size_t n, float* c,
+                  size_t ldc);
+
 // y += x, elementwise. Shapes must match.
 void AddInPlace(Tensor* y, const Tensor& x);
 
@@ -66,11 +76,13 @@ float Exp(float x);
 // x ≥ 0: 1 / (1 + Exp(−x)); x < 0: Exp(x) / (1 + Exp(x)).
 float Sigmoid(float x);
 
-// In-place row softmax over Exp. If `causal_limit` >= 0, entries with column
-// index > causal_limit are masked: they take no part and are set to 0
-// (decoder-only models). The denominator sums in double over a fixed lane
+// In-place row softmax over Exp of row[i] · scale. If `causal_limit` >= 0,
+// entries with column index > causal_limit are masked: they take no part and
+// are set to 0 (decoder-only models). The scale multiplies each unmasked
+// entry once, rounded to float, in the pass that finds the maximum (attention
+// folds its 1/√dh in here). The denominator sums in double over a fixed lane
 // structure (src/tensor/vmath.h), so the result does not depend on the path.
-void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit = -1);
+void SoftmaxRowInPlace(std::span<float> row, ptrdiff_t causal_limit = -1, float scale = 1.0f);
 
 // SwiGLU gating: gate[i] ← gate[i] * Sigmoid(gate[i]) * up[i], i.e.
 // silu(gate) ⊙ up. Spans must have equal length.

@@ -102,13 +102,14 @@ void SwiGluScalar(float* gate, const float* up, size_t n) {
   }
 }
 
-void SoftmaxScalar(float* row, size_t n, ptrdiff_t causal_limit) {
+void SoftmaxScalar(float* row, size_t n, ptrdiff_t causal_limit, float scale) {
   const size_t limit = SoftmaxLimit(n, causal_limit);
   if (limit == 0) {
     return;
   }
   float max_v = -std::numeric_limits<float>::infinity();
   for (size_t i = 0; i < limit; ++i) {
+    row[i] *= scale;
     max_v = std::max(max_v, row[i]);
   }
   double lane[kSumLanes] = {};
@@ -169,7 +170,8 @@ __attribute__((target("avx2"))) void SwiGluAvx2(float* gate, const float* up, si
   SwiGluScalar(gate + i, up + i, n - i);
 }
 
-__attribute__((target("avx2"))) void SoftmaxAvx2(float* row, size_t n, ptrdiff_t causal_limit) {
+__attribute__((target("avx2"))) void SoftmaxAvx2(float* row, size_t n, ptrdiff_t causal_limit,
+                                                 float scale) {
   static_assert(kSumLanes == 8, "one float register, two double registers of lanes");
   const size_t limit = SoftmaxLimit(n, causal_limit);
   if (limit == 0) {
@@ -178,14 +180,18 @@ __attribute__((target("avx2"))) void SoftmaxAvx2(float* row, size_t n, ptrdiff_t
   const size_t blocks = limit - limit % 8;
   // The maximum is the same whatever the order (a ±0 tie changes no Exp
   // argument), so lanes may find it in any order.
+  const __m256 vscale = _mm256_set1_ps(scale);
   __m256 vmax = _mm256_set1_ps(-std::numeric_limits<float>::infinity());
   for (size_t i = 0; i < blocks; i += 8) {
-    vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(row + i));
+    const __m256 x = _mm256_mul_ps(_mm256_loadu_ps(row + i), vscale);
+    _mm256_storeu_ps(row + i, x);
+    vmax = _mm256_max_ps(vmax, x);
   }
   float lanes_max[8];
   _mm256_storeu_ps(lanes_max, vmax);
   float max_v = *std::max_element(lanes_max, lanes_max + 8);
   for (size_t i = blocks; i < limit; ++i) {
+    row[i] *= scale;
     max_v = std::max(max_v, row[i]);
   }
   const __m256 vm = _mm256_set1_ps(max_v);

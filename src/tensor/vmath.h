@@ -25,8 +25,8 @@ struct Kernels {
   void (*exp)(const float* x, float* y, size_t n);
   // gate[i] = gate[i] * Sigmoid(gate[i]) * up[i] for i < n.
   void (*swiglu)(float* gate, const float* up, size_t n);
-  // SoftmaxRowInPlace({row, n}, causal_limit).
-  void (*softmax)(float* row, size_t n, ptrdiff_t causal_limit);
+  // SoftmaxRowInPlace({row, n}, causal_limit, scale).
+  void (*softmax)(float* row, size_t n, ptrdiff_t causal_limit, float scale);
 };
 
 // The definition: plain C++ over prism::Exp and prism::Sigmoid.

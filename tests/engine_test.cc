@@ -7,6 +7,7 @@
 #include "src/common/timer.h"
 #include "src/core/engine.h"
 #include "src/model/layer.h"
+#include "src/model/pair_encoder.h"
 #include "src/data/metrics.h"
 #include "src/runtime/hf_runner.h"
 #include "src/storage/blob_file.h"
@@ -224,14 +225,22 @@ TEST_F(EngineTest, EmbedCacheBoundsEmbeddingMemory) {
 }
 
 TEST_F(EngineTest, PlanChunkCandidatesRespectsBudget) {
+  // The test model is causal: a 4-token query makes a 6-row shared prefix,
+  // and a chunk holds the other 10 rows of each candidate.
+  const size_t prefix = SharedPrefixLen(config_, 4, 16);
+  ASSERT_EQ(prefix, 6u);
+  const size_t suffix = 16 - prefix;
   MemoryTracker tracker;
   PrismOptions options = BaseOptions();
-  options.device.activation_budget_bytes = LayerScratch::BytesFor(config_, 4 * 16, 16, 1);
+  options.device.activation_budget_bytes =
+      LayerScratch::BytesFor(config_, 4 * suffix, 16, prefix, 1);
   PrismEngine engine(config_, ckpt_, options, &tracker);
-  const size_t c = engine.PlanChunkCandidates(20, 16);
+  const size_t c = engine.PlanChunkCandidates(20, 16, 4);
   EXPECT_GE(c, 2u);
-  EXPECT_LE(LayerScratch::BytesFor(config_, c * 16, 16, 1),
-            options.device.activation_budget_bytes + LayerScratch::BytesFor(config_, 16, 16, 1));
+  EXPECT_LE(LayerScratch::BytesFor(config_, c * suffix, 16, prefix, 1),
+            options.device.activation_budget_bytes);
+  EXPECT_GT(LayerScratch::BytesFor(config_, (c + 1) * suffix, 16, prefix, 1),
+            options.device.activation_budget_bytes);
 }
 
 TEST_F(EngineTest, PlanChunkCandidatesDegenerateCounts) {
@@ -241,8 +250,8 @@ TEST_F(EngineTest, PlanChunkCandidatesDegenerateCounts) {
   PrismOptions options = BaseOptions();
   options.device.activation_budget_bytes = 1;
   PrismEngine engine(config_, ckpt_, options, &tracker);
-  EXPECT_EQ(engine.PlanChunkCandidates(0, 16), 1u);  // No candidates: nothing to split.
-  EXPECT_EQ(engine.PlanChunkCandidates(1, 16), 1u);  // Floor is min(2, n).
+  EXPECT_EQ(engine.PlanChunkCandidates(0, 16, 0), 1u);  // No candidates: nothing to split.
+  EXPECT_EQ(engine.PlanChunkCandidates(1, 16, 0), 1u);  // Floor is min(2, n).
 }
 
 TEST_F(EngineTest, PlanChunkCandidatesFloorsAtTwoWhenOverBudget) {
@@ -253,9 +262,9 @@ TEST_F(EngineTest, PlanChunkCandidatesFloorsAtTwoWhenOverBudget) {
   PrismOptions options = BaseOptions();
   options.device.activation_budget_bytes = 1;
   PrismEngine engine(config_, ckpt_, options, &tracker);
-  const size_t c = engine.PlanChunkCandidates(20, config_.max_seq);
+  const size_t c = engine.PlanChunkCandidates(20, config_.max_seq, 0);
   EXPECT_EQ(c, 2u);
-  EXPECT_GT(LayerScratch::BytesFor(config_, config_.max_seq, config_.max_seq, 1),
+  EXPECT_GT(LayerScratch::BytesFor(config_, config_.max_seq - 2, config_.max_seq, 2, 1),
             options.device.activation_budget_bytes);
 }
 
@@ -264,14 +273,14 @@ TEST_F(EngineTest, PlanChunkCandidatesExplicitAndUnchunked) {
   PrismOptions explicit_options = BaseOptions();
   explicit_options.chunk_candidates = 5;
   PrismEngine explicit_engine(config_, ckpt_, explicit_options, &tracker);
-  EXPECT_EQ(explicit_engine.PlanChunkCandidates(20, 16), 5u);
-  EXPECT_EQ(explicit_engine.PlanChunkCandidates(3, 16), 3u);  // Clamped to n.
+  EXPECT_EQ(explicit_engine.PlanChunkCandidates(20, 16, 3), 5u);
+  EXPECT_EQ(explicit_engine.PlanChunkCandidates(3, 16, 3), 3u);  // Clamped to n.
 
   MemoryTracker tracker2;
   PrismOptions unchunked = BaseOptions();
   unchunked.chunked = false;
   PrismEngine unchunked_engine(config_, ckpt_, unchunked, &tracker2);
-  EXPECT_EQ(unchunked_engine.PlanChunkCandidates(20, 16), 20u);  // One monolithic chunk.
+  EXPECT_EQ(unchunked_engine.PlanChunkCandidates(20, 16, 3), 20u);  // One monolithic chunk.
 }
 
 TEST_F(EngineTest, LowThresholdTerminatesEarly) {

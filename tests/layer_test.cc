@@ -73,19 +73,19 @@ Tensor EmbedBatch(LoadedModel* m, const RerankRequest& request, size_t seq_len) 
   for (size_t c = 0; c < request.docs.size(); ++c) {
     const PairInput pair =
         BuildPairInput(m->config, request.query, request.docs[c], request.planted_r[c], seq_len);
-    EmbedPairInto(m->config, m->embedding.get(), m->head, m->positions, pair, c, seq_len,
-                  &hidden);
+    EmbedPairRows(m->config, m->embedding.get(), m->head, m->positions, pair, 0, seq_len,
+                  &hidden, c * seq_len);
   }
   return hidden;
 }
 
 std::vector<float> ForwardAll(LoadedModel* m, Tensor* hidden, size_t seq_len,
                               Precision precision = Precision::kFp32) {
-  LayerScratch scratch = LayerScratch::Make(m->config, hidden->rows(), seq_len, 1, &m->tracker);
+  LayerScratch scratch = LayerScratch::Make(m->config, hidden->rows(), seq_len, 0, 1, &m->tracker);
   const auto& blobs = m->layers[static_cast<size_t>(precision)];
   for (size_t layer = 0; layer < m->config.n_layers; ++layer) {
     const AnyLayerView view = ParseAnyLayerBlob(m->config, blobs[layer], precision);
-    LayerForward(m->config, view, seq_len, hidden, &scratch, nullptr);
+    LayerForward(m->config, view, seq_len, 0, hidden, &scratch, nullptr);
   }
   std::vector<float> scores;
   ScoreChunk(m->config, m->head, *hidden, seq_len, &scores);
@@ -341,8 +341,8 @@ TEST_P(LayerWorkspaceTest, PoisonedScratchMatchesFreshAndFullWidth) {
   Tensor reference_h = RandomHidden(config, rows, 5, &tracker);
   // One scratch per layer stack, reused across layers as the engine does;
   // the poisoned one is also taller than the chunk and re-poisoned per layer.
-  LayerScratch fresh = LayerScratch::Make(config, rows, kSeqLen, 1, &tracker);
-  LayerScratch poisoned = LayerScratch::Make(config, rows + kSeqLen, kSeqLen, 1, &tracker);
+  LayerScratch fresh = LayerScratch::Make(config, rows, kSeqLen, 0, 1, &tracker);
+  LayerScratch poisoned = LayerScratch::Make(config, rows + kSeqLen, kSeqLen, 0, 1, &tracker);
   for (size_t layer = 0; layer < 2; ++layer) {
     const std::vector<uint8_t> blob = CheckpointLayerBlob(config, precision, layer);
     const AnyLayerView view = ParseAnyLayerBlob(config, blob, precision);
@@ -350,8 +350,8 @@ TEST_P(LayerWorkspaceTest, PoisonedScratchMatchesFreshAndFullWidth) {
                       &poisoned.scores}) {
       Poison(t);
     }
-    LayerForward(config, view, kSeqLen, &fresh_h, &fresh, nullptr);
-    LayerForward(config, view, kSeqLen, &poisoned_h, &poisoned, nullptr);
+    LayerForward(config, view, kSeqLen, 0, &fresh_h, &fresh, nullptr);
+    LayerForward(config, view, kSeqLen, 0, &poisoned_h, &poisoned, nullptr);
     FullWidthLayerForward(config, view, kSeqLen, &reference_h, &tracker);
     for (size_t i = 0; i < fresh_h.size(); ++i) {
       ASSERT_TRUE(std::isfinite(fresh_h.data()[i])) << "layer " << layer << " element " << i;
@@ -400,17 +400,17 @@ TEST_P(PooledLayerTest, PooledMatchesSerialAndFullWidth) {
       Tensor serial_h = RandomHidden(config, rows, seed, &tracker);
       Tensor pooled_h = RandomHidden(config, rows, seed, &tracker);
       Tensor reference_h = RandomHidden(config, rows, seed, &tracker);
-      LayerScratch serial = LayerScratch::Make(config, rows, kSeqLen, 1, &tracker);
+      LayerScratch serial = LayerScratch::Make(config, rows, kSeqLen, 0, 1, &tracker);
       LayerScratch pooled =
-          LayerScratch::Make(config, rows + kSeqLen, kSeqLen, threads, &tracker);
+          LayerScratch::Make(config, rows + kSeqLen, kSeqLen, 0, threads, &tracker);
       for (size_t layer = 0; layer < blobs.size(); ++layer) {
         const AnyLayerView view = ParseAnyLayerBlob(config, blobs[layer], precision);
         for (Tensor* t : {&pooled.narrow, &pooled.wide, &pooled.gate_block, &pooled.up_block,
                           &pooled.scores}) {
           Poison(t);
         }
-        LayerForward(config, view, kSeqLen, &serial_h, &serial, nullptr);
-        LayerForward(config, view, kSeqLen, &pooled_h, &pooled, &pool);
+        LayerForward(config, view, kSeqLen, 0, &serial_h, &serial, nullptr);
+        LayerForward(config, view, kSeqLen, 0, &pooled_h, &pooled, &pool);
         FullWidthLayerForward(config, view, kSeqLen, &reference_h, &tracker);
         for (size_t i = 0; i < serial_h.size(); ++i) {
           ASSERT_TRUE(std::isfinite(serial_h.data()[i])) << "layer " << layer << " element " << i;
@@ -467,10 +467,10 @@ TEST(LayerScratchTest, BytesForMatchesAllocation) {
   const ModelConfig config = TestModel();
   MemoryTracker tracker;
   const size_t rows = 4 * 16;
-  const LayerScratch scratch = LayerScratch::Make(config, rows, 16, 1, &tracker);
+  const LayerScratch scratch = LayerScratch::Make(config, rows, 16, 0, 1, &tracker);
   (void)scratch;
   EXPECT_EQ(tracker.CurrentBytes(MemCategory::kActivations),
-            LayerScratch::BytesFor(config, rows, 16, 1));
+            LayerScratch::BytesFor(config, rows, 16, 0, 1));
 }
 
 TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
@@ -484,8 +484,8 @@ TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
   EXPECT_EQ(per_row, 1664);
   const size_t seq_len = config.max_seq;
   for (const size_t rows : {size_t{1}, size_t{64}, size_t{320}}) {
-    EXPECT_EQ(LayerScratch::BytesFor(config, rows, seq_len, 1) -
-                  LayerScratch::BytesFor(config, 0, seq_len, 1),
+    EXPECT_EQ(LayerScratch::BytesFor(config, rows, seq_len, 0, 1) -
+                  LayerScratch::BytesFor(config, 0, seq_len, 0, 1),
               static_cast<int64_t>(rows) * per_row)
         << rows << " rows";
   }
@@ -494,7 +494,7 @@ TEST(LayerScratchTest, PerRowFootprintIsTheLiveSet) {
 TEST(LayerScratchTest, EncoderScratchSmaller) {
   const ModelConfig dec = TestModel(ModelArch::kDecoderOnly);
   const ModelConfig enc = TestModel(ModelArch::kEncoderOnly);
-  EXPECT_GT(LayerScratch::BytesFor(dec, 64, 16, 1), LayerScratch::BytesFor(enc, 64, 16, 1));
+  EXPECT_GT(LayerScratch::BytesFor(dec, 64, 16, 0, 1), LayerScratch::BytesFor(enc, 64, 16, 0, 1));
 }
 
 }  // namespace

@@ -31,6 +31,7 @@ constexpr int kCases = 300;
 struct PlannerCase {
   size_t n = 0;
   size_t seq_len = 0;
+  size_t prefix_len = 0;  // Shared rows; a chunk holds seq_len − prefix_len per candidate.
   int64_t budget = 0;
   size_t chunk_candidates = 0;
   bool chunked = true;
@@ -47,13 +48,18 @@ size_t Plan(const ModelConfig& config, const PlannerCase& c) {
   resources.config = &config;
   resources.options = &options;
   const ChunkPlanner planner(resources);
-  return planner.PlanCandidates(c.n, c.seq_len);
+  return planner.PlanCandidates(c.n, c.seq_len, c.prefix_len);
 }
 
 PlannerCase RandomPlannerCase(Rng& rng) {
   PlannerCase c;
   c.n = 1 + rng.NextBelow(80);
   c.seq_len = 8 + rng.NextBelow(120);
+  // Half the cases unshared (an encoder), half with a causal model's prefix
+  // of [BOS], 0 to seq_len/3 query tokens and [SEP].
+  if (rng.NextDouble() < 0.5) {
+    c.prefix_len = 2 + rng.NextBelow(c.seq_len / 3 + 1);
+  }
   // From starved (forces the floor) to roomy (fits everything).
   c.budget = static_cast<int64_t>(1) << (10 + rng.NextBelow(16));
   if (rng.NextDouble() < 0.2) {
@@ -69,7 +75,8 @@ TEST(PlannerPropertyTest, PlanRespectsBoundsBudgetAndFloor) {
     const PlannerCase c = RandomPlannerCase(rng);
     const size_t plan = Plan(config, c);
     SCOPED_TRACE(::testing::Message() << "case " << i << ": n=" << c.n << " seq_len="
-                                      << c.seq_len << " budget=" << c.budget
+                                      << c.seq_len << " prefix_len=" << c.prefix_len
+                                      << " budget=" << c.budget
                                       << " chunk_candidates=" << c.chunk_candidates);
     ASSERT_GE(plan, 1u);
     ASSERT_LE(plan, c.n);
@@ -80,15 +87,18 @@ TEST(PlannerPropertyTest, PlanRespectsBoundsBudgetAndFloor) {
     // Budget floor of 2: the plan never goes below min(2, n) however starved
     // the budget is.
     ASSERT_GE(plan, std::min<size_t>(2, c.n));
-    // Above the floor, the plan must fit the budget...
+    // Above the floor, the plan's suffix rows, with the prefix's keys and
+    // values, must fit the budget...
+    const size_t suffix = c.seq_len - c.prefix_len;
     const int64_t scratch =
-        LayerScratch::BytesFor(config, plan * c.seq_len, c.seq_len, 1);
+        LayerScratch::BytesFor(config, plan * suffix, c.seq_len, c.prefix_len, 1);
     if (plan > std::min<size_t>(2, c.n)) {
       ASSERT_LE(scratch, c.budget);
     }
     // ...and be maximal: one more candidate must not also fit.
     if (plan < c.n) {
-      ASSERT_GT(LayerScratch::BytesFor(config, (plan + 1) * c.seq_len, c.seq_len, 1), c.budget);
+      ASSERT_GT(LayerScratch::BytesFor(config, (plan + 1) * suffix, c.seq_len, c.prefix_len, 1),
+                c.budget);
     }
   }
 }
@@ -105,7 +115,8 @@ TEST(PlannerPropertyTest, OffloadPlanSplitsIntoEnoughChunks) {
     c.offload_hidden = true;
     const size_t plan = Plan(config, c);
     SCOPED_TRACE(::testing::Message() << "case " << i << ": n=" << c.n << " seq_len="
-                                      << c.seq_len << " budget=" << c.budget);
+                                      << c.seq_len << " prefix_len=" << c.prefix_len
+                                      << " budget=" << c.budget);
     const size_t cap = (c.n + ChunkPlanner::kOffloadMinChunks - 1) /
                        ChunkPlanner::kOffloadMinChunks;
     ASSERT_EQ(plan, std::max(std::min<size_t>(2, c.n), std::min(budget_plan, cap)));

@@ -249,6 +249,46 @@ TEST(GemmKernelTest, StridedHeadSlicesMatchScalarOracle) {
   }
 }
 
+// The attention context call: causal probability rows (zeros past the
+// diagonal) times one head's dh columns of a shared prefix's V, then a
+// candidate's own, equal the +0-started, j-ordered scalar sum bit for bit.
+TEST(GemmKernelTest, SplitBContextMatchesScalarOracle) {
+  const size_t d = 96;
+  const size_t dh = 24;
+  for (const size_t prefix : {size_t{0}, size_t{1}, size_t{11}}) {
+    for (const size_t seg : {size_t{1}, size_t{5}, size_t{29}}) {
+      const size_t len = prefix + seg;
+      std::vector<float> p = EdgeCaseValues(seg * len, 20 + len);
+      for (size_t i = 0; i < seg; ++i) {
+        std::fill(p.begin() + static_cast<ptrdiff_t>(i * len + prefix + i + 1),
+                  p.begin() + static_cast<ptrdiff_t>((i + 1) * len), 0.0f);
+      }
+      const std::vector<float> v_prefix = EdgeCaseValues(prefix * d + 1, 30 + prefix);
+      const std::vector<float> v_own = EdgeCaseValues(seg * d, 40 + seg);
+      for (size_t col0 = 0; col0 < d; col0 += dh) {
+        SCOPED_TRACE(::testing::Message()
+                     << "prefix " << prefix << ", seg " << seg << ", head column " << col0);
+        std::vector<float> want(seg * d, 0.0f);
+        for (size_t i = 0; i < seg; ++i) {
+          for (size_t x = 0; x < dh; ++x) {
+            float acc = 0.0f;
+            for (size_t j = 0; j < len; ++j) {
+              const float vj =
+                  j < prefix ? v_prefix[j * d + col0 + x] : v_own[(j - prefix) * d + col0 + x];
+              acc += p[i * len + j] * vj;
+            }
+            want[i * d + col0 + x] = acc;
+          }
+        }
+        std::vector<float> got(seg * d, 0.0f);
+        MatMulSplitB(p.data(), len, seg, len, prefix > 0 ? v_prefix.data() + col0 : nullptr,
+                     prefix, v_own.data() + col0, d, dh, got.data() + col0, d);
+        EXPECT_TRUE(SameBits(got, want));
+      }
+    }
+  }
+}
+
 TEST(OpsTest, AddInPlace) {
   MemoryTracker tracker;
   Tensor a(2, 2, MemCategory::kScratch, &tracker);
@@ -452,28 +492,33 @@ TEST(VmathKernelTest, SwiGluPathsMatchScalarBitForBit) {
 
 // Rows spread far enough that some entries fall beyond the clamp after the
 // max is subtracted, unmasked and with causal limits that mask part, none
-// or (past the end) nothing of the row.
+// or (past the end) nothing of the row, at scale 1 and at attention's
+// 1/√dh for dh = 24 (not a power of two, so the scaling rounds).
 TEST(VmathKernelTest, SoftmaxPathsMatchScalarBitForBit) {
   for (size_t n = 1; n <= 70; ++n) {
     std::vector<float> row = EdgeCaseValues(n, 300 + n);
     for (float& v : row) {
       v *= 30.0f;
     }
-    for (const ptrdiff_t limit : {ptrdiff_t{-1}, ptrdiff_t{0}, static_cast<ptrdiff_t>(n / 2),
-                                  static_cast<ptrdiff_t>(n) - 1, static_cast<ptrdiff_t>(n) + 3}) {
-      std::vector<float> want = row;
-      vmath::kScalar.softmax(want.data(), n, limit);
-      for (size_t i = limit < 0 ? n : static_cast<size_t>(limit) + 1; i < n; ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), 0u) << "masked entry " << i;
+    for (const float scale : {1.0f, 1.0f / std::sqrt(24.0f)}) {
+      for (const ptrdiff_t limit :
+           {ptrdiff_t{-1}, ptrdiff_t{0}, static_cast<ptrdiff_t>(n / 2),
+            static_cast<ptrdiff_t>(n) - 1, static_cast<ptrdiff_t>(n) + 3}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " limit=" << limit << " scale=" << scale);
+        std::vector<float> want = row;
+        vmath::kScalar.softmax(want.data(), n, limit, scale);
+        for (size_t i = limit < 0 ? n : static_cast<size_t>(limit) + 1; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<uint32_t>(want[i]), 0u) << "masked entry " << i;
+        }
+        for (const vmath::Kernels* path : VmathPaths()) {
+          std::vector<float> got = row;
+          path->softmax(got.data(), n, limit, scale);
+          ASSERT_TRUE(SameBits(got, want)) << path->name;
+        }
+        std::vector<float> dispatched = row;
+        SoftmaxRowInPlace(dispatched, limit, scale);
+        ASSERT_TRUE(SameBits(dispatched, want)) << "dispatched";
       }
-      for (const vmath::Kernels* path : VmathPaths()) {
-        std::vector<float> got = row;
-        path->softmax(got.data(), n, limit);
-        ASSERT_TRUE(SameBits(got, want)) << path->name << " n=" << n << " limit=" << limit;
-      }
-      std::vector<float> dispatched = row;
-      SoftmaxRowInPlace(dispatched, limit);
-      ASSERT_TRUE(SameBits(dispatched, want)) << "dispatched n=" << n << " limit=" << limit;
     }
   }
 }

@@ -12,9 +12,11 @@
 The point is a JSON object:
 
     {"commit": ..., "dirty": false, "host": {cores, cpu, build_type, compiler},
-     "deterministic": {"bench_scenarios_sim_json_sha256": ...},
+     "deterministic": {"bench_scenarios_sim_json_sha256": ...,
+                       "bench_quant_deterministic_sha256": ...},
      "wall": {"seeds": [...], "seconds": ..., "workloads": {
-         <workload>: {<metric>: {"median", "q1", "q3", "iqr", "unit"}}}}}
+         <workload>: {<metric>: {"median", "q1", "q3", "iqr", "unit"}}},
+         "kernels": {<benchmark>: {"median", "q1", "q3", "iqr", "unit"}}}}
 
 A point measured on a tree whose tracked files differ from HEAD (a change
 recorded before it is committed) holds {"parent": HEAD, "dirty": true} in
@@ -22,21 +24,29 @@ place of "commit": it measures an uncommitted change on that parent, not the
 parent itself.
 
 *deterministic* holds fields that repeat exactly on any host: the sha256 of
-`bench_scenarios --sim --json`, built in Release under <tree>/.ledger_build
-(or in an existing build tree given with --build).
+`bench_scenarios --sim --json` and of `bench_quant --deterministic
+--models=test-decoder,Qwen3-Reranker-0.6B` (which prints scores only), built
+in Release under <tree>/.ledger_build (or in an existing build tree given
+with --build).
 *wall* holds the median and interquartile range, over the seeds, of every
 end-to-end metric BENCHMARK.json gates, for each of its workloads. Each run
 is `python3 perfbench/run.py --workload W --seed S --seconds T` in the tree,
 with T the benchmark's `run_seconds`, which builds perfbench from the tree's
 own sources; the host fields come from the provenance line that run prints.
 A run that reports an incorrect selection or exits nonzero fails the ledger.
+*wall.kernels* holds the same summary, in ms over KERNEL_REPETITIONS runs,
+of bench_kernels' fp32 `BM_LayerForward` cases (16 × 64 unshared and
+rag_closed's 16 × 40 with an 11-token shared prefix, at 1 and 4 threads);
+it is left out when the tree's bench_kernels has no such case or cannot be
+built (google-benchmark missing).
 
 --compare PREV prints, per workload, each gated metric's median in PREV and
 in the current point (the one just recorded with --out, or the file given
-after it) and the relative delta, flagging moves over 10%. It exits 1 when a
-deterministic field differs, unless that field is named with
---expect-changed. --check validates the schema of each file given and exits
-1 on the first file that does not hold; it runs nothing.
+after it) and the relative delta, flagging moves over 10%, then the same for
+the kernels. A field the current point has and PREV lacks is reported as
+new. It exits 1 when a deterministic field differs, unless that field is
+named with --expect-changed. --check validates the schema of each file
+given and exits 1 on the first file that does not hold; it runs nothing.
 """
 import argparse
 import hashlib
@@ -72,19 +82,60 @@ def identity(point):
     return point["commit"]
 
 
-def sim_sha256(tree, build):
-    """Builds bench_scenarios in the tree and hashes its --sim --json output."""
+def build_targets(tree, build, targets, check=True):
+    """Configures the Release build tree once and builds `targets` in it;
+    returns whether the build succeeded."""
     if not (build / "CMakeCache.txt").exists():
         subprocess.run(["cmake", "-S", str(tree), "-B", str(build), "-DCMAKE_BUILD_TYPE=Release",
                         "-DPRISM_BUILD_EXAMPLES=OFF"], stdout=sys.stderr, check=True)
     jobs = str(min(4, os.cpu_count() or 1))
-    subprocess.run(["cmake", "--build", str(build), "--target", "bench_scenarios", "-j", jobs],
-                   stdout=sys.stderr, check=True)
+    proc = subprocess.run(["cmake", "--build", str(build), "--target", *targets, "-j", jobs],
+                          stdout=sys.stderr, check=check)
+    return proc.returncode == 0
+
+
+def sim_sha256(tree, build):
+    """Hashes the tree's `bench_scenarios --sim --json` output."""
     with tempfile.TemporaryDirectory() as scratch:
         out = Path(scratch) / "sim.json"
         subprocess.run([str(build / "bench" / "bench_scenarios"), "--sim", f"--json={out}"],
                        stdout=subprocess.DEVNULL, cwd=tree, check=True)
         return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def quant_sha256(tree, build):
+    """Hashes the tree's `bench_quant --deterministic` output for the test decoder
+    and the 0.6B proxy: scores only, so it moves exactly when a score does."""
+    proc = subprocess.run([str(build / "bench" / "bench_quant"), "--deterministic",
+                           "--models=test-decoder,Qwen3-Reranker-0.6B"],
+                          capture_output=True, cwd=tree, check=True)
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+# bench_kernels' fp32 layer steps: 16 × 64 unshared and 16 × 40 with an
+# 11-token shared prefix, at 1 and 4 threads.
+LAYER_FORWARD_FILTER = "^BM_LayerForward/tier:0/"
+KERNEL_REPETITIONS = 10
+TIME_UNIT_MS = {"ns": 1e-6, "us": 1e-3, "ms": 1.0, "s": 1e3}
+
+
+def layer_forward(tree, build):
+    """The median and quartiles, in ms over KERNEL_REPETITIONS runs, of each
+    BM_LayerForward case the filter selects; {} when there is none."""
+    if not build_targets(tree, build, ["bench_kernels"], check=False):
+        print("ledger: bench_kernels did not build; no kernels field", file=sys.stderr)
+        return {}
+    proc = subprocess.run([str(build / "bench" / "bench_kernels"),
+                           f"--benchmark_filter={LAYER_FORWARD_FILTER}",
+                           f"--benchmark_repetitions={KERNEL_REPETITIONS}",
+                           "--benchmark_format=json"],
+                          capture_output=True, text=True, cwd=tree, check=True)
+    samples = {}
+    for run in json.loads(proc.stdout)["benchmarks"]:
+        if run.get("run_type", "iteration") == "iteration":
+            ms = run["real_time"] * TIME_UNIT_MS[run["time_unit"]]
+            samples.setdefault(run["run_name"], []).append(ms)
+    return {name: {**summarize(values), "unit": "ms"} for name, values in samples.items()}
 
 
 def perfbench(tree, workload, seed, seconds):
@@ -111,6 +162,20 @@ def summarize(values):
 HOST_FIELDS = ("cores", "cpu", "build_type", "compiler")
 SUMMARY_FIELDS = ("median", "q1", "q3", "iqr")
 WALL_WARN = 0.10  # A median move beyond this fraction is flagged.
+
+
+def summary_errors(where, summary):
+    """What keeps `summary` from being a {median, q1, q3, iqr, unit} summary."""
+    if not isinstance(summary, dict) or set(summary) != {*SUMMARY_FIELDS, "unit"}:
+        return [f"{where}: want exactly {[*SUMMARY_FIELDS, 'unit']}"]
+    if not all(isinstance(summary[field], (int, float)) for field in SUMMARY_FIELDS):
+        return [f"{where}: a summary field is not a number"]
+    if not summary["q1"] <= summary["median"] <= summary["q3"]:
+        return [f"{where}: median outside [q1, q3]"]
+    if abs(summary["iqr"] - (summary["q3"] - summary["q1"])) > 1e-9 * max(
+            1.0, abs(summary["q3"])):
+        return [f"{where}: iqr is not q3 - q1"]
+    return []
 
 
 def schema_errors(point):
@@ -143,9 +208,16 @@ def schema_errors(point):
                     and all(c in "0123456789abcdef" for c in value)):
                 errors.append(f"deterministic.{name}: not a sha256 hex digest")
     wall = point["wall"]
-    if not isinstance(wall, dict) or set(wall) != {"seeds", "seconds", "workloads"}:
-        errors.append("wall: want exactly seeds, seconds, workloads")
+    required = {"seeds", "seconds", "workloads"}
+    if not isinstance(wall, dict) or not required <= set(wall) <= {*required, "kernels"}:
+        errors.append("wall: want seeds, seconds, workloads and optionally kernels")
         return errors
+    kernels = wall.get("kernels", {})
+    if not isinstance(kernels, dict):
+        errors.append("wall.kernels: not an object")
+    else:
+        for name, summary in kernels.items():
+            errors += summary_errors(f"wall.kernels.{name}", summary)
     seeds = wall["seeds"]
     if (not isinstance(seeds, list) or len(seeds) < 2
             or not all(isinstance(seed, int) for seed in seeds)):
@@ -160,17 +232,7 @@ def schema_errors(point):
             errors.append(f"wall.workloads.{workload}: not a non-empty object")
             continue
         for name, summary in metrics.items():
-            where = f"wall.workloads.{workload}.{name}"
-            if not isinstance(summary, dict) or set(summary) != {*SUMMARY_FIELDS, "unit"}:
-                errors.append(f"{where}: want exactly {[*SUMMARY_FIELDS, 'unit']}")
-                continue
-            if not all(isinstance(summary[field], (int, float)) for field in SUMMARY_FIELDS):
-                errors.append(f"{where}: a summary field is not a number")
-            elif not summary["q1"] <= summary["median"] <= summary["q3"]:
-                errors.append(f"{where}: median outside [q1, q3]")
-            elif abs(summary["iqr"] - (summary["q3"] - summary["q1"])) > 1e-9 * max(
-                    1.0, abs(summary["q3"])):
-                errors.append(f"{where}: iqr is not q3 - q1")
+            errors += summary_errors(f"wall.workloads.{workload}.{name}", summary)
     return errors
 
 
@@ -186,6 +248,22 @@ def load_point(path):
     return point
 
 
+def delta_line(name, before, after, lower_is_better):
+    """One compared summary: PREV's median, this point's, and the relative move;
+    "new" when PREV has no such field."""
+    if before is None:
+        return f"    {name:22} {'new':>12} -> {after['median']:<12.6g}"
+    old, new = before["median"], after["median"]
+    if new == old:
+        delta, verdict = 0.0, "flat"
+    else:
+        delta = (new - old) / abs(old) if old else float("inf")
+        verdict = "better" if (new < old) == lower_is_better else "worse"
+    flag = f"  WARN: over {WALL_WARN:.0%}" if abs(delta) > WALL_WARN else ""
+    return (f"    {name:22} {old:12.6g} -> {new:<12.6g} {delta:+8.1%}  "
+            f"{verdict:6} (prev IQR {before['iqr']:.3g}){flag}")
+
+
 def compare(prev, cur, spec, expect_changed):
     """Prints the deltas from `prev` to `cur`; returns the exit status."""
     status = 0
@@ -198,6 +276,8 @@ def compare(prev, cur, spec, expect_changed):
         after = cur["deterministic"].get(name)
         if before == after:
             print(f"  {name}: same ({str(after)[:12]})")
+        elif before is None:
+            print(f"  {name}: new ({str(after)[:12]})")
         elif name in expect_changed:
             print(f"  {name}: changed, expected ({str(before)[:12]} -> {str(after)[:12]})")
         else:
@@ -209,20 +289,18 @@ def compare(prev, cur, spec, expect_changed):
             print(f"  {name}: named with --expect-changed but did not change")
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
     print(f"wall (median over seeds {prev['wall']['seeds']} -> {cur['wall']['seeds']}):")
-    for workload in sorted(set(prev["wall"]["workloads"]) & set(cur["wall"]["workloads"])):
-        print(f"  {workload}")
-        before = prev["wall"]["workloads"][workload]
+    for workload in sorted(cur["wall"]["workloads"]):
+        before = prev["wall"]["workloads"].get(workload, {})
         after = cur["wall"]["workloads"][workload]
-        for name in [name for name in better if name in before and name in after]:
-            old, new = before[name]["median"], after[name]["median"]
-            if new == old:
-                delta, verdict = 0.0, "flat"
-            else:
-                delta = (new - old) / abs(old) if old else float("inf")
-                verdict = "better" if (new < old) == (better[name] == "lower") else "worse"
-            flag = f"  WARN: over {WALL_WARN:.0%}" if abs(delta) > WALL_WARN else ""
-            print(f"    {name:22} {old:12.6g} -> {new:<12.6g} {delta:+8.1%}  "
-                  f"{verdict:6} (prev IQR {before[name]['iqr']:.3g}){flag}")
+        print(f"  {workload}" + ("" if before else " (new)"))
+        for name in [name for name in better if name in after]:
+            print(delta_line(name, before.get(name), after[name], better[name] == "lower"))
+    kernels = cur["wall"].get("kernels", {})
+    if kernels:
+        print("kernels (ms, median over repetitions):")
+        for name in sorted(kernels):
+            print(delta_line(name, prev["wall"].get("kernels", {}).get(name), kernels[name],
+                             lower_is_better=True))
     return status
 
 
@@ -267,7 +345,10 @@ def main():
         raise SystemExit("ledger: quartiles need at least 2 seeds")
 
     build = Path(args.build).resolve() if args.build else tree / ".ledger_build"
-    deterministic = {"bench_scenarios_sim_json_sha256": sim_sha256(tree, build)}
+    build_targets(tree, build, ["bench_scenarios", "bench_quant"])
+    deterministic = {"bench_scenarios_sim_json_sha256": sim_sha256(tree, build),
+                     "bench_quant_deterministic_sha256": quant_sha256(tree, build)}
+    kernels = layer_forward(tree, build)
     host = None
     workloads = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -283,8 +364,10 @@ def main():
         workloads[workload] = {name: {**summarize(values), "unit": units[name]}
                                for name, values in samples.items()}
 
-    point = {**ident, "host": host, "deterministic": deterministic,
-             "wall": {"seeds": seeds, "seconds": seconds, "workloads": workloads}}
+    wall = {"seeds": seeds, "seconds": seconds, "workloads": workloads}
+    if kernels:
+        wall["kernels"] = kernels
+    point = {**ident, "host": host, "deterministic": deterministic, "wall": wall}
     Path(args.out).write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
     return compare(prev, point, spec, args.expect_changed) if prev else 0
 
